@@ -197,8 +197,8 @@ def _square_of_standard(V: WeightModule) -> BraidedSquarePair:
     sym = [{i * d + i: dict(ONE)} for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            ext.append({i * d + j: dict(ONE), j * d + i: {1: Fraction(-1)}})
-            sym.append({i * d + j: {1: Fraction(1)}, j * d + i: dict(ONE)})
+            ext.append({i * d + j: dict(ONE), j * d + i: {1: -1}})
+            sym.append({i * d + j: {1: 1}, j * d + i: dict(ONE)})
     return BraidedSquarePair(
         V,
         tt,

@@ -47,7 +47,7 @@ from .convexopt import certify_max, random_feasibility_class
 from .errors import GuardError, InfeasibleError, TheoremViolation
 from .gl3canon import dcb_module, degree_recursion_check, genericity_check
 from .qmat import check_qmatrix_relations, howe_dim_check
-from .uqmod import outer, simple_gl2, specialize_module, standard_gld
+from .uqmod import ModuleAuditError, outer, simple_gl2, specialize_module, standard_gld
 
 
 class _UsageError(Exception):
@@ -618,7 +618,7 @@ def run(argv=None) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         verdicts = {}
         code = 1
-    except (TheoremViolation, ArithmeticError) as exc:
+    except (TheoremViolation, ModuleAuditError, ArithmeticError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         verdicts = {"run": "fail"}
         code = 2

@@ -1,27 +1,42 @@
 """Laurent polynomials in one variable q over the rationals.
 
 A Laurent polynomial is a plain dict {exponent: coefficient} with int
-exponents and nonzero Fraction coefficients; the empty dict is zero.
-Every function here returns that canonical form, so equality is dict
-equality and the zero test is emptiness.  No floats anywhere.
+exponents and nonzero coefficients; the empty dict is zero.  Every
+function here returns that canonical form, so equality is dict equality
+and the zero test is emptiness.  No floats anywhere.
+
+Coefficients are Python ints wherever the value is integral: the
+polynomials built here (ONE, lq, lqint) are integral, and the rows of
+the sparse engine in qarith hold primitive int coefficients only.  A
+Fraction appears only where a caller supplies a rational (lconst, lscale,
+lqshift at a specialized q0, leval) or a division leaves one; qarith
+clears it to integers at the row boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-ONE = {0: Fraction(1)}
+ONE = {0: 1}
+
+
+def _scalar(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def lconst(c) -> dict:
-    c = Fraction(c)
+    c = _scalar(c)
     return {0: c} if c else {}
 
 
 def lq(e: int = 1) -> dict:
     """The monomial q**e."""
-    return {e: Fraction(1)}
+    return {e: 1}
 
 
 def ladd(a: dict, b: dict) -> dict:
@@ -66,7 +81,7 @@ def lmul(a: dict, b: dict) -> dict:
 
 
 def lscale(a: dict, c) -> dict:
-    c = Fraction(c)
+    c = _scalar(c)
     if not c:
         return {}
     return {e: v * c for e, v in a.items()}
@@ -94,13 +109,6 @@ def lqshift(a: dict, k: int, q0=None) -> dict:
     return lscale(a, Fraction(q0) ** k) if k else dict(a)
 
 
-def lpow(a: dict, n: int) -> dict:
-    out = dict(ONE)
-    for _ in range(n):
-        out = lmul(out, a)
-    return out
-
-
 def lbar(a: dict) -> dict:
     """The substitution q -> q**-1."""
     return {-e: c for e, c in a.items()}
@@ -117,20 +125,16 @@ def lqint(k: int, d: int = 1) -> dict:
     """Balanced q-integer (k) = (q**(k*d) - q**(-k*d)) / (q**d - q**(-d))."""
     if k < 0:
         return lneg(lqint(-k, d))
-    return {d * (k - 1 - 2 * j): Fraction(1) for j in range(k)}
+    return {d * (k - 1 - 2 * j): 1 for j in range(k)}
 
 
-def lqfact(k: int, d: int = 1) -> dict:
-    out = dict(ONE)
-    for j in range(2, k + 1):
-        out = lmul(out, lqint(j, d))
-    return out
-
-
-def lcontent(a: dict) -> Fraction:
-    """Positive rational c with a/c having coprime integer coefficients."""
+def lcontent(a: dict) -> int | Fraction:
+    """Positive c with a/c having coprime integer coefficients: an int
+    when a has int coefficients, else a Fraction."""
     if not a:
-        return Fraction(0)
+        return 0
+    if all(type(v) is int for v in a.values()):
+        return gcd(*a.values())
     num, den = 0, 1
     for c in a.values():
         num = gcd(num, c.numerator)
@@ -138,19 +142,24 @@ def lcontent(a: dict) -> Fraction:
     return Fraction(num, den)
 
 
-def lprimitive(a: dict) -> tuple[Fraction, dict]:
-    """Split a as (c, p) with a == c*p, p integral, coprime, positive leading
-    coefficient.  The q-power factor is left in place."""
+def lprimitive(a: dict) -> tuple:
+    """Split a as (c, p) with a == c*p, p with coprime int coefficients
+    and a positive leading coefficient.  The q-power factor is left in
+    place."""
     if not a:
-        return Fraction(0), {}
+        return 0, {}
     c = lcontent(a)
     if a[max(a)] < 0:
         c = -c
-    return c, {e: v / c for e, v in a.items()}
+    if type(c) is int:
+        return c, {e: v // c for e, v in a.items()}
+    return c, {e: (v / c).numerator for e, v in a.items()}
 
 
 def _divmod_poly(a: dict, b: dict) -> tuple[dict, dict]:
-    # ordinary long division; requires min exponents >= 0 and b != 0
+    # ordinary long division; requires min exponents >= 0 and b != 0.
+    # A quotient coefficient stays an int while the leading coefficient
+    # of b divides; only otherwise does it become a Fraction.
     r = dict(a)
     quot = {}
     db = max(b)
@@ -159,7 +168,9 @@ def _divmod_poly(a: dict, b: dict) -> tuple[dict, dict]:
         dr = max(r)
         if dr < db:
             break
-        c = r[dr] / lb
+        c, rest = divmod(r[dr], lb)
+        if rest:
+            c = Fraction(r[dr], lb)
         e = dr - db
         quot[e] = c
         for eb, cb in b.items():
@@ -185,23 +196,134 @@ def ldiv_exact(a: dict, b: dict) -> dict:
     return lshift(q, sa - sb)
 
 
-def lgcd(a: dict, b: dict) -> dict:
-    """gcd up to units: primitive, integer, positive leading coefficient,
-    lowest exponent 0.  lgcd(a, {}) is the unit-normalized form of a."""
-    x = lshift(a, -min(a)) if a else {}
-    y = lshift(b, -min(b)) if b else {}
-    _, x = lprimitive(x)
-    _, y = lprimitive(y)
+def _unit_normal(a: dict) -> dict:
+    # a divided by its content and its lowest power of q: int
+    # coefficients, positive leading coefficient, lowest exponent 0
+    if not a:
+        return {}
+    return lprimitive(lshift(a, -min(a)))[1]
+
+
+# GCDHEU tries this many evaluation points before lgcd falls back to the
+# Euclidean loop.
+_HEU_TRIES = 6
+
+
+def _dense(a: dict) -> list:
+    # coefficient list, lowest exponent first; a has lowest exponent 0
+    out = [0] * (max(a) + 1)
+    for e, c in a.items():
+        out[e] = c
+    return out
+
+
+def _heu_eval(f: list, xi: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = v * xi + c
+    return v
+
+
+def _heu_digits(v: int, xi: int) -> list:
+    # balanced base-xi digits of v > 0, lowest first; the top one is > 0
+    half = xi // 2
+    out = []
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out
+
+
+def _divides(h: list, f: list) -> bool:
+    """Whether h divides f in Z[q]; both dense, h primitive.  By Gauss's
+    lemma that is divisibility over Q, so a leading coefficient that does
+    not divide ends the test."""
+    dh = len(h) - 1
+    if dh >= len(f):
+        return False
+    lh = h[-1]
+    r = list(f)
+    for i in range(len(f) - 1 - dh, -1, -1):
+        c, rest = divmod(r[i + dh], lh)
+        if rest:
+            return False
+        if c:
+            for j in range(dh):
+                r[i + j] -= c * h[j]
+    return not any(r[:dh])
+
+
+def _lgcd_heu(f: list, g: list):
+    """GCDHEU on dense primitive int polynomials with nonzero constant
+    terms and positive leading coefficients.  Returns the dense gcd, or
+    None when no evaluation point gives a candidate that divides both.
+
+    Why a candidate that divides both is the gcd G: let h be the digit
+    polynomial of gcd(f(xi), g(xi)) with content c and H = h/c dividing f
+    and g.  Then G = H*K, and G(xi) divides h(xi) = c*H(xi), so K(xi)
+    divides c, and |c| <= xi/2 because c divides a balanced digit.  A
+    root of K is a common root, of modulus below bound + 2 by Cauchy's
+    bound, and xi >= 2*bound + 4, so a nonconstant K has
+    |K(xi)| > xi/2.  Hence K is a unit and H == G."""
+    nf = max(map(abs, f))
+    ng = max(map(abs, g))
+    bound = min(nf // f[-1], ng // g[-1])
+    # the start and growth of xi follow the published algorithm (as does
+    # SymPy's dup_zz_heu_gcd); correctness needs only xi >= 2*bound + 4
+    b = 2 * min(nf, ng) + 29
+    xi = max(min(b, 99 * isqrt(b)), 2 * bound + 4)
+    for _ in range(_HEU_TRIES):
+        fx, gx = _heu_eval(f, xi), _heu_eval(g, xi)
+        if fx and gx:
+            h = _heu_digits(gcd(fx, gx), xi)
+            c = gcd(*h)
+            h = [d // c for d in h]
+            if _divides(h, f) and _divides(h, g):
+                return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _lgcd_euclid(x: dict, y: dict) -> dict:
+    """Euclidean gcd of two unit-normal polynomials (see lgcd), each
+    remainder made primitive.  The fallback of lgcd, and the reference
+    its tests compare GCDHEU against."""
     while y:
         if not x or max(x) < max(y):
             x, y = y, x
             continue
         _, r = _divmod_poly(x, y)
-        _, r = lprimitive(r)
-        if r:
-            r = lshift(r, -min(r))
+        r = _unit_normal(r)
         x, y = y, r
     return x
+
+
+def lgcd(a: dict, b: dict) -> dict:
+    """gcd up to units: primitive, int coefficients, positive leading
+    coefficient, lowest exponent 0.  lgcd(a, {}) is the unit-normalized
+    form of a.
+
+    The gcd of two nonconstant operands is computed by the heuristic
+    integer gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
+    1989): evaluate both unit-normal operands at one large integer, take
+    a single integer gcd, rebuild the candidate from its balanced digits
+    and keep it only if it divides both operands exactly.  That exact
+    division is the proof (see _lgcd_heu).  If no evaluation point
+    passes, the Euclidean loop _lgcd_euclid decides."""
+    x, y = _unit_normal(a), _unit_normal(b)
+    if not x or not y:
+        return x or y
+    if x == y:
+        return x
+    if x == ONE or y == ONE:
+        return dict(ONE)
+    h = _lgcd_heu(_dense(x), _dense(y))
+    if h is None:
+        return _lgcd_euclid(x, y)
+    return {e: c for e, c in enumerate(h) if c}
 
 
 def llcm(a: dict, b: dict) -> dict:

@@ -6,10 +6,13 @@ common factor with num), so zero testing is exact and cost free.
 
 The workhorse is a sparse fraction-free elimination over Laurent rows:
 a row is a dict {column: Laurent dict}.  Elimination cross-multiplies
-rows instead of dividing, then strips each row of its q-power, rational
-content, and any common polynomial factor.  Dense ExactMatrix / Subspace
-objects are thin wrappers used at API boundaries; all heavy callers feed
-the sparse engine directly with weight-blocked rows.
+rows instead of dividing, then strips each row of its q-power, integer
+content, and any common polynomial factor.  Every row the engine returns
+holds primitive int coefficients; rationals handed in by a caller (a
+specialized module, a RatScalar entry) are cleared to integers by the
+first srow_strip or srow_from_rat.  Dense ExactMatrix / Subspace objects
+are thin wrappers used at API boundaries; all heavy callers feed the
+sparse engine directly with weight-blocked rows.
 """
 
 from __future__ import annotations
@@ -162,28 +165,39 @@ def quantum_integer(k: int, d: int = 1) -> RatScalar:
 # sparse row engine
 #
 # A row is {col: Laurent}; no zero polynomials stored.  Rows are kept
-# content-stripped: no common q power, rational content, or polynomial
-# factor across the entries.
+# content-stripped: int coefficients with no common q power, integer
+# content, or polynomial factor across the entries.
+
+
+def _integral(row: dict) -> dict:
+    # clear the denominators of a row that holds rational coefficients
+    den = lcm(*(v.denominator for p in row.values() for v in p.values()))
+    return {
+        c: {e: v.numerator * (den // v.denominator) for e, v in p.items()}
+        for c, p in row.items()
+    }
 
 
 def srow_strip(row: dict) -> dict:
+    """Strip a row of its common q power, its content and any common
+    polynomial factor.  The result has coprime int coefficients and a
+    positive leading coefficient in its first column; rational input is
+    cleared to integers here."""
     if not row:
         return row
     shift = min(min(p) for p in row.values())
     if shift:
         row = {c: lshift(p, -shift) for c, p in row.items()}
-    num, den = 0, 1
+    if not all(type(v) is int for p in row.values() for v in p.values()):
+        row = _integral(row)
+    cont = 0
     for p in row.values():
-        for v in p.values():
-            num = gcd(num, v.numerator)
-            den = lcm(den, v.denominator)
-    cont = Fraction(num, den)
+        cont = gcd(cont, *p.values())
     lead = row[min(row)]
     if lead[max(lead)] < 0:
         cont = -cont
     if cont != 1:
-        inv = Fraction(1) / cont
-        row = {c: lscale(p, inv) for c, p in row.items()}
+        row = {c: {e: v // cont for e, v in p.items()} for c, p in row.items()}
     g: dict = {}
     for p in row.values():
         g = lgcd(p, g)

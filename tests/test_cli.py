@@ -7,6 +7,7 @@ import pytest
 
 from braidpow import cli
 from braidpow.errors import TheoremViolation
+from braidpow.uqmod import ModuleAuditError
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +132,20 @@ def test_theorem_violation_exits_two(capsys, monkeypatch):
     code, env, _ = run_cli(capsys, "valuation-cover", "--l", "3")
     assert code == 2
     assert env["payload"]["error"] == "TheoremViolation"
+    assert env["verdicts"] == {"run": "fail"}
+
+
+def test_module_audit_error_exits_two_with_one_envelope(capsys, monkeypatch):
+    def boom(*a, **k):
+        raise ModuleAuditError("forced")
+
+    monkeypatch.setattr(cli, "valuation_cover_check", boom)
+    code = cli.run(["valuation-cover", "--l", "3"])
+    out = capsys.readouterr().out
+    env, end = json.JSONDecoder().raw_decode(out)
+    assert not out[end:].strip()
+    assert code == 2
+    assert env["payload"] == {"error": "ModuleAuditError", "message": "forced"}
     assert env["verdicts"] == {"run": "fail"}
 
 
