@@ -51,7 +51,7 @@ from .gl3canon import (
     gt_pair_bases,
     multiplicity_closed_form,
 )
-from .qarith import ExactMatrix, Subspace, quantum_integer
+from .qarith import Subspace
 from .qmat import check_qmatrix_relations, howe_dim_check, mat_mul, matrix_generator
 from .uqmod import (
     IrrepMultiset,
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BraidedSquarePair",
-    "ExactMatrix",
     "GuardError",
     "InfeasibleError",
     "IrrepMultiset",
@@ -111,7 +110,6 @@ __all__ = [
     "outer",
     "poisson_closure_dims",
     "power_dims",
-    "quantum_integer",
     "simple_gl2",
     "specialize_module",
     "square_gl2",

@@ -41,21 +41,19 @@ from .braided import (
 from .classical import (
     bracket_lam,
     bracket_sym,
+    combine,
     exterior_four_vanishes,
     gen_sym,
     jminus,
     jplus,
     mul_sym,
+    parity,
     poisson_closure_dims,
-    valuation_cover_check,
-    _combine,
-    _parity,
-    _scale,
+    scale,
 )
 from .convexopt import (
     certify_max,
     inversions,
-    is_lambda_convex,
     kappa_star,
     kappa_weight,
     multiplicities,
@@ -65,8 +63,8 @@ from .convexopt import (
 )
 from .errors import TheoremViolation
 from .gl3canon import dcb_module, degree_recursion_check, genericity_check
-from .laurent import ladd, lbar, leval, lmul, lqint, lscale, lshift, lq, lsub
-from .qmat import check_qmatrix_relations, howe_dim_check, mat_mul, matrix_generator
+from .laurent import ladd, lbar, leval, lmul, lqint, lscale, lshift, lq
+from .qmat import check_qmatrix_relations, mat_mul, matrix_generator
 from .uqmod import (
     decompose,
     dim_irrep,
@@ -77,10 +75,6 @@ from .uqmod import (
 )
 
 CAMPAIGN_SEED = 20260822
-
-
-def _components(ms) -> list:
-    return [[list(w), m] for w, m in sorted(ms.items(), reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +95,7 @@ def sym_cubes(lmax: int = 6) -> dict:
                 f"symmetric cube of V_({l},0) has dim {dim}, "
                 f"closed form {dim_sym_cube(l)}"
             )
-        rows.append({"l": l, "dim": dim, "components": _components(dec)})
+        rows.append({"l": l, "dim": dim, "components": dec.components()})
     return {"lmax": lmax, "rows": rows, "ok": True}
 
 
@@ -123,7 +117,7 @@ def ext_cubes(lmax: int = 6) -> dict:
             raise TheoremViolation(f"odd l = {l} has a nonzero exterior cube")
         if l % 2 == 0 and dim != comb(l // 2 + 1, 2):
             raise TheoremViolation(f"even exterior cube size off at l = {l}")
-        rows.append({"l": l, "dim": dim, "components": _components(dec)})
+        rows.append({"l": l, "dim": dim, "components": dec.components()})
     return {"lmax": lmax, "rows": rows, "ok": True}
 
 
@@ -482,9 +476,9 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
         deg_b = rng.randint(1, min(3, l + 1))
         a = {tuple(sorted(rng.sample(range(l + 1), deg_a))): rng.randint(1, 3)}
         b = {tuple(sorted(rng.sample(range(l + 1), deg_b))): rng.randint(1, 3)}
-        sign = -1 if (_parity(a) * _parity(b)) % 2 == 0 else 1
+        sign = -1 if (parity(a) * parity(b)) % 2 == 0 else 1
         chk(
-            bracket_lam(l, b, a) == _scale(bracket_lam(l, a, b), sign),
+            bracket_lam(l, b, a) == scale(bracket_lam(l, a, b), sign),
             f"bracket parity symmetry #{t}",
         )
 
@@ -494,7 +488,7 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
         b = gen_sym(l, rng.randint(0, l))
         c = gen_sym(l, rng.randint(0, l))
         lhs = bracket_sym(l, a, mul_sym(b, c))
-        rhs = _combine(
+        rhs = combine(
             mul_sym(bracket_sym(l, a, b), c),
             mul_sym(b, bracket_sym(l, a, c)),
         )
@@ -512,7 +506,7 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
         l = rng.randint(2, 5)
         i, j, k = rng.sample(range(l + 1), 3)
         chk(
-            jplus(l, j, i, k) == _scale(jplus(l, i, j, k), -1),
+            jplus(l, j, i, k) == scale(jplus(l, i, j, k), -1),
             f"even Jacobian alternating #{t}",
         )
 

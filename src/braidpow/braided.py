@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import comb
 import random
 
@@ -28,7 +27,6 @@ from .qarith import (
     sp_apply,
     sp_intersect,
     sp_pivot_insert,
-    srow_strip,
 )
 from .uqmod import (
     IrrepMultiset,
@@ -67,16 +65,26 @@ def sample_points(seed, count: int = 2) -> list[Fraction]:
     return out
 
 
+def at_two_samples(seed, compute):
+    """Run compute(q0) at the two sample points of seed.  Returns the
+    shared result and the points as strings; raises ArithmeticError when
+    the two results differ."""
+    pts = sample_points(seed)
+    first, second = (compute(q0) for q0 in pts)
+    if first != second:
+        raise ArithmeticError("specialization samples disagree; rerun in exact mode")
+    return first, [str(q0) for q0 in pts]
+
+
 # ---------------------------------------------------------------------------
 # weight-blocked subspaces of tensor powers
 
 
 def tensor_weight(V: WeightModule, n: int, idx: int) -> tuple:
-    total = None
+    total = (0,) * len(V.weights[0])
     for _ in range(n):
         idx, j = divmod(idx, V.dim)
-        w = V.weights[j]
-        total = w if total is None else tuple(a + b for a, b in zip(total, w))
+        total = tuple(a + b for a, b in zip(total, V.weights[j]))
     return total
 
 
@@ -202,8 +210,8 @@ def _square_of_standard(V: WeightModule) -> BraidedSquarePair:
     return BraidedSquarePair(
         V,
         tt,
-        Subspace.from_sparse(d * d, [srow_strip(r) for r in sym]),
-        Subspace.from_sparse(d * d, [srow_strip(r) for r in ext]),
+        Subspace.from_sparse(d * d, sym),
+        Subspace.from_sparse(d * d, ext),
     )
 
 
@@ -229,7 +237,7 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
                         j, jp = divmod(cv, k)
                         tgt = (i * k + j) * d * k + (ip * k + jp)
                         row[tgt] = lmul(pu, pv)
-                out.append(srow_strip(row))
+                out.append(row)
         return out
 
     sym1, ext1 = s1.sym.sparse_rows(), s1.ext.sparse_rows()
@@ -249,38 +257,44 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
-def _power_step(prev: dict, square_rows: dict, V: WeightModule, n: int) -> dict:
-    """prev holds P^(n-1) blocked over V^(n-1) weights; returns P^n."""
-    d = V.dim
+def _slot_meet(
+    front_rows: dict, back: WeightModule, head_weights, tail_rows: dict, tail_dim: int
+) -> dict:
+    """(front ox back) meet (head ox tail), one weight block at a time.
+    front_rows and tail_rows are {weight: rows}; back is the module in the
+    last slot, head_weights lists the head factor's weights in index
+    order and tail_dim is the dimension of the tail factor."""
+    d = back.dim
     front: dict[tuple, list] = {}
-    for w in sorted(prev):
-        for row in prev[w]:
+    for w in sorted(front_rows):
+        for row in front_rows[w]:
             for b in range(d):
-                wb = tuple(a + x for a, x in zip(w, V.weights[b]))
+                wb = tuple(a + x for a, x in zip(w, back.weights[b]))
                 front.setdefault(wb, []).append(
                     {c * d + b: p for c, p in row.items()}
                 )
     tails: dict[tuple, list] = {}
-    for t in product(range(d), repeat=n - 2):
-        wt = [0] * len(V.weights[0])
-        pref = 0
-        for j in t:
-            wt = [a + x for a, x in zip(wt, V.weights[j])]
-            pref = pref * d + j
-        base = pref * d * d
-        for ws, rows in square_rows.items():
-            w = tuple(a + x for a, x in zip(wt, ws))
-            if w not in front:
-                continue
-            tails.setdefault(w, []).extend(
-                {base + c: p for c, p in row.items()} for row in rows
-            )
+    for h, wh in enumerate(head_weights):
+        base = h * tail_dim
+        for wt, rows in tail_rows.items():
+            w = tuple(a + x for a, x in zip(wh, wt))
+            if w in front:
+                tails.setdefault(w, []).extend(
+                    {base + c: p for c, p in row.items()} for row in rows
+                )
     out: dict[tuple, list] = {}
     for w in sorted(front):
         rows = sp_intersect(front[w], tails.get(w, []))
         if rows:
             out[w] = rows
     return out
+
+
+def _power_step(prev: dict, square_rows: dict, V: WeightModule, n: int) -> dict:
+    """prev holds P^(n-1) blocked over V^(n-1) weights; returns
+    P^n = (P^(n-1) ox V) meet (V^(n-2) ox P^2)."""
+    heads = [tensor_weight(V, n - 2, i) for i in range(V.dim ** (n - 2))]
+    return _slot_meet(prev, V, heads, square_rows, V.dim**2)
 
 
 def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
@@ -469,14 +483,9 @@ def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
     if mode == "exact":
         got = _triple_product_exact(beta, parity, None)
     elif mode == "specialize":
-        samples = sample_points(seed)
-        first = _triple_product_exact(beta, parity, samples[0])
-        second = _triple_product_exact(beta, parity, samples[1])
-        if dict(first) != dict(second):
-            raise ArithmeticError(
-                "specialization samples disagree; rerun in exact mode"
-            )
-        got = first
+        got, _ = at_two_samples(
+            seed, lambda q0: _triple_product_exact(beta, parity, q0)
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
     want = admissible_triples(beta, "+" if parity == 0 else "-")
@@ -495,35 +504,10 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
         mods = [specialize_module(m, q0) for m in mods]
     v1, v2, v3 = mods
     t12 = tensor(v1, v2)
-    t23 = tensor(v2, v3)
-    d2, d3 = v2.dim, v3.dim
     bullet12 = _bullet_rows(t12, b1, b2, parity)
-    bullet23 = _bullet_rows(t23, b2, b3, parity)
-    front: dict[tuple, list] = {}
-    for w, rows in bullet12.items():
-        for row in rows:
-            for b in range(d3):
-                wb = tuple(a + x for a, x in zip(w, v3.weights[b]))
-                front.setdefault(wb, []).append(
-                    {c * d3 + b: p for c, p in row.items()}
-                )
-    tails: dict[tuple, list] = {}
-    for a in range(v1.dim):
-        base = a * d2 * d3
-        wa = v1.weights[a]
-        for w, rows in bullet23.items():
-            wb = tuple(x + y for x, y in zip(wa, w))
-            if wb not in front:
-                continue
-            tails.setdefault(wb, []).extend(
-                {base + c: p for c, p in row.items()} for row in rows
-            )
+    bullet23 = _bullet_rows(tensor(v2, v3), b2, b3, parity)
+    meet = _slot_meet(bullet12, v3, v1.weights, bullet23, v2.dim * v3.dim)
     t = tensor(t12, v3)
-    meet: dict[tuple, list] = {}
-    for w in sorted(front):
-        rows = sp_intersect(front[w], tails.get(w, []))
-        if rows:
-            meet[w] = rows
     apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
     return decompose_weight_rows(meet, t.blocks, apply_es)
 
@@ -646,17 +630,12 @@ def hilbert_table(
         dims = _hilbert_dims(simple_gl2(l, 0), kind, upto)
         samples = []
     elif mode == "specialize":
-        pts = sample_points(seed)
-        runs = [
-            _hilbert_dims(specialize_module(simple_gl2(l, 0), q0), kind, upto)
-            for q0 in pts
-        ]
-        if runs[0] != runs[1]:
-            raise ArithmeticError(
-                "specialization samples disagree; rerun in exact mode"
-            )
-        dims = runs[0]
-        samples = [str(q0) for q0 in pts]
+        dims, samples = at_two_samples(
+            seed,
+            lambda q0: _hilbert_dims(
+                specialize_module(simple_gl2(l, 0), q0), kind, upto
+            ),
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
     table = HilbertTable(l, kind, upto, mode, dims, samples=samples)

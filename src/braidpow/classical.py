@@ -34,14 +34,14 @@ def _addto(acc: dict, key, c) -> None:
         acc.pop(key, None)
 
 
-def _combine(x: dict, y: dict, sy: int = 1) -> dict:
+def combine(x: dict, y: dict, sy: int = 1) -> dict:
     out = dict(x)
     for k, c in y.items():
         _addto(out, k, sy * c)
     return out
 
 
-def _scale(x: dict, c: int) -> dict:
+def scale(x: dict, c: int) -> dict:
     return {k: c * v for k, v in x.items()} if c else {}
 
 
@@ -136,16 +136,16 @@ def wedge(x: dict, y: dict) -> dict:
 
 
 def bracket_sym(l: int, a: dict, b: dict) -> dict:
-    return _combine(mul_sym(e_sym(l, a), f_sym(l, b)),
-                    mul_sym(f_sym(l, a), e_sym(l, b)), -1)
+    return combine(mul_sym(e_sym(l, a), f_sym(l, b)),
+                   mul_sym(f_sym(l, a), e_sym(l, b)), -1)
 
 
 def bracket_lam(l: int, a: dict, b: dict) -> dict:
-    return _combine(wedge(e_lam(l, a), f_lam(l, b)),
-                    wedge(f_lam(l, a), e_lam(l, b)), -1)
+    return combine(wedge(e_lam(l, a), f_lam(l, b)),
+                   wedge(f_lam(l, a), e_lam(l, b)), -1)
 
 
-def _parity(x: dict) -> int:
+def parity(x: dict) -> int:
     degs = {len(k) & 1 for k in x}
     if len(degs) > 1:
         raise ValueError("element is not parity homogeneous")
@@ -160,10 +160,10 @@ def super_jacobian(l: int, a: dict, b: dict, c: dict, kind: str) -> dict:
         pa = pb = pc = 0
     else:
         br = lambda u, v: bracket_lam(l, u, v)
-        pa, pb, pc = _parity(a), _parity(b), _parity(c)
-    out = _scale(br(a, br(b, c)), (-1) ** (pa * pc))
-    out = _combine(out, br(c, br(a, b)), (-1) ** (pc * pb))
-    return _combine(out, br(b, br(c, a)), (-1) ** (pb * pa))
+        pa, pb, pc = parity(a), parity(b), parity(c)
+    out = scale(br(a, br(b, c)), (-1) ** (pa * pc))
+    out = combine(out, br(c, br(a, b)), (-1) ** (pc * pb))
+    return combine(out, br(b, br(c, a)), (-1) ** (pb * pa))
 
 
 def jplus(l: int, i: int, j: int, k: int) -> dict:
@@ -323,13 +323,13 @@ def valuation_cover_check(l: int) -> dict:
             x = _xelt(l, i, j, k, m)
             if x:
                 found["x"].add(valuation(x))
-        y = _combine(_scale(_xelt(l, i, j, k, i - 1), i * (2 * j - 2 - l)),
-                     _scale(_xelt(l, i, j - 1, k, i), j * (2 * i - l)), -1)
+        y = combine(scale(_xelt(l, i, j, k, i - 1), i * (2 * j - 2 - l)),
+                    scale(_xelt(l, i, j - 1, k, i), j * (2 * i - l)), -1)
         if y:
             found["y"].add(valuation(y))
-        z = _combine(
-            _scale(_xelt(l, i, j, k, k + 1), (2 * j + 2 - l) * (l - k)),
-            _scale(_xelt(l, i, j + 1, k, k), (l - j) * (2 * k - l)), -1)
+        z = combine(
+            scale(_xelt(l, i, j, k, k + 1), (2 * j + 2 - l) * (l - k)),
+            scale(_xelt(l, i, j + 1, k, k), (l - j) * (2 * k - l)), -1)
         if z:
             found["z"].add(valuation(z))
     covered = found["x"] | found["y"] | found["z"]

@@ -26,6 +26,7 @@ from math import comb
 from . import acceptance
 from .braided import (
     admissible_triples,
+    at_two_samples,
     braided_power,
     conjectural_sym_dim,
     decompose_power_subspace,
@@ -37,7 +38,6 @@ from .braided import (
     koszul_series_probe,
     module_square,
     power_dims,
-    sample_points,
     square_gl2,
     sym_cube_closed,
     triple_product,
@@ -67,10 +67,6 @@ def _ints(text: str, want: int, flag: str) -> tuple:
     if len(parts) != want:
         raise _UsageError(f"{flag} expects exactly {want} integers")
     return parts
-
-
-def _components(ms) -> list:
-    return [[list(w), m] for w, m in sorted(ms.items(), reverse=True)]
 
 
 def _plain(obj):
@@ -144,14 +140,9 @@ def _cmd_power(args, kind):
     if args.mode == "specialize":
         if family != "simple":
             raise _UsageError("specialize mode supports --l modules only")
-        pts = sample_points(args.seed)
-        runs = [_decompose_power(args, family, kind, q0) for q0 in pts]
-        if (runs[0][0], dict(runs[0][1])) != (runs[1][0], dict(runs[1][1])):
-            raise ArithmeticError(
-                "specialization samples disagree; rerun in exact mode"
-            )
-        dim, dec = runs[0]
-        samples = [str(q0) for q0 in pts]
+        (dim, dec), samples = at_two_samples(
+            args.seed, lambda q0: _decompose_power(args, family, kind, q0)
+        )
     else:
         _power_guard(args, family)
         dim, dec = _decompose_power(args, family, kind)
@@ -160,7 +151,7 @@ def _cmd_power(args, kind):
         "kind": kind,
         "n": n,
         "dim": dim,
-        "components": _components(dec),
+        "components": dec.components(),
         "mode": args.mode,
         "samples": samples,
     }
@@ -187,7 +178,7 @@ def _cmd_power(args, kind):
         )
     table = (
         ["component", "multiplicity"],
-        [[" ".join(str(x) for x in w), m] for w, m in _components(dec)],
+        [[" ".join(str(x) for x in w), m] for w, m in dec.components()],
     )
     return payload, verdicts, flags, table
 
@@ -211,8 +202,8 @@ def _cmd_triple_product(args):
         "eps": args.eps,
         "mode": args.mode,
         "dim": dec.total_dim(),
-        "components": _components(dec),
-        "admissible": _components(admissible),
+        "components": dec.components(),
+        "admissible": admissible.components(),
     }
     verdicts = {"matches_admissibility": "pass"}
     table = (

@@ -23,8 +23,8 @@ from itertools import combinations
 
 from .errors import TheoremViolation
 from .laurent import ldeg, lqint
-from .qarith import sp_apply, sp_kernel, sp_rank, srow_strip
-from .uqmod import WeightModule
+from .qarith import sp_apply, sp_rank, srow_strip
+from .uqmod import WeightModule, weight_space_kernel
 
 ALPHA1 = (1, -1, 0)
 ALPHA2 = (0, 1, -1)
@@ -244,20 +244,6 @@ def block_positions(module: WeightModule, beta) -> list[int]:
     return module.weight_blocks().get(tuple(beta), [])
 
 
-def _single_kernel(module: WeightModule, mu, gen0: int) -> list[dict]:
-    """Basis of ker E_gen0 inside the mu weight space (0-based gen)."""
-    idxs = module.weight_blocks().get(tuple(mu), [])
-    if not idxs:
-        return []
-    op = module.e_ops[gen0]
-    sys_rows: dict[int, dict] = {}
-    for pos, c in enumerate(idxs):
-        for r, p in op.get(c, {}).items():
-            sys_rows.setdefault(r, {})[pos] = p
-    combos = sp_kernel(list(sys_rows.values()), len(idxs))
-    return [{idxs[pos]: p for pos, p in z.items()} for z in combos]
-
-
 def gt_pair_bases(module: WeightModule, lam, beta) -> tuple[list, list]:
     """The two embedded-gl_2 bases of the beta weight space, each as
     sparse rows over the weight-space positions 1..m (0-based keys).
@@ -280,7 +266,7 @@ def gt_pair_bases(module: WeightModule, lam, beta) -> tuple[list, list]:
                     f"ran out of seed candidates for weight {beta} of {lam}"
                 )
             mu = tuple(b + t * a for b, a in zip(beta, alpha))
-            seeds = _single_kernel(module, mu, gen0)
+            seeds = weight_space_kernel(module, mu, [gen0])
             if len(seeds) > 1:
                 raise TheoremViolation(
                     f"E_{gen0 + 1} kernel at {mu} in {lam} has dimension "

@@ -327,28 +327,9 @@ def lgcd(a: dict, b: dict) -> dict:
 
 
 def llcm(a: dict, b: dict) -> dict:
+    """lcm up to units of two int-coefficient polynomials: the lcm of
+    their contents times the lcm of their unit-normal primitive parts."""
     if not a or not b:
         return {}
-    g = lgcd(a, b)
-    return ldiv_exact(lmul(a, b), g)
-
-
-def lformat(a: dict) -> str:
-    """Human-readable form, highest exponent first, e.g. 'q^2 + 1 + q^-2'."""
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a, reverse=True):
-        c = a[e]
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "q" if e == 1 else f"q^{e}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+    x, y = _unit_normal(a), _unit_normal(b)
+    return lscale(ldiv_exact(lmul(x, y), lgcd(x, y)), lcm(lcontent(a), lcontent(b)))

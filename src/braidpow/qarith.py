@@ -1,24 +1,20 @@
 """Exact linear algebra over the rational function field Q(q).
 
-Scalars are RatScalar: a pair of Laurent polynomials num/den kept in a
-canonical form (den has lowest exponent 0, leading coefficient 1, and no
-common factor with num), so zero testing is exact and cost free.
-
-The workhorse is a sparse fraction-free elimination over Laurent rows:
-a row is a dict {column: Laurent dict}.  Elimination cross-multiplies
-rows instead of dividing, then strips each row of its q-power, integer
-content, and any common polynomial factor.  Every row the engine returns
-holds primitive int coefficients; rationals handed in by a caller (a
-specialized module, a RatScalar entry) are cleared to integers by the
-first srow_strip or srow_from_rat.  Dense ExactMatrix / Subspace objects
-are thin wrappers used at API boundaries; all heavy callers feed the
-sparse engine directly with weight-blocked rows.
+Everything here is a sparse fraction-free elimination over Laurent rows:
+a row is a dict {column: Laurent dict} that stores no zero entry.
+Elimination cross-multiplies rows instead of dividing, then strips each
+row of its q-power, integer content, and any common polynomial factor.
+Every row the engine returns holds primitive int coefficients; rationals
+handed in by a caller (a specialized module, a Fraction scalar) are
+cleared to integers by the first srow_strip.  A stripped row is the
+canonical representative of its line, so a reduced echelon basis of
+stripped rows is the canonical form of a subspace, and Subspace is no
+more than the ambient dimension and that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .laurent import (
@@ -26,139 +22,13 @@ from .laurent import (
     ladd,
     lconst,
     ldiv_exact,
-    leval,
-    lformat,
     lgcd,
     llcm,
     lmul,
     lneg,
-    lqint,
-    lscale,
     lshift,
     lsub,
 )
-
-
-class PoleError(ArithmeticError):
-    """Denominator vanishes at the requested specialization point."""
-
-
-def _as_laurent(x) -> dict:
-    if isinstance(x, dict):
-        return x
-    if isinstance(x, RatScalar):
-        raise TypeError("RatScalar is not a Laurent polynomial")
-    return lconst(x)
-
-
-class RatScalar:
-    """Element of Q(q) as num/den in canonical form."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_laurent(num)
-        den = dict(ONE) if den is None else _as_laurent(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = {}, dict(ONE)
-            return
-        g = lgcd(num, den)
-        if max(g) > 0:
-            num = ldiv_exact(num, g)
-            den = ldiv_exact(den, g)
-        shift = min(den)
-        if shift:
-            num = lshift(num, -shift)
-            den = lshift(den, -shift)
-        lead = den[max(den)]
-        if lead != 1:
-            num = lscale(num, Fraction(1) / lead)
-            den = lscale(den, Fraction(1) / lead)
-        self.num, self.den = num, den
-
-    @classmethod
-    def of(cls, x) -> "RatScalar":
-        if isinstance(x, RatScalar):
-            return x
-        return cls(lconst(x) if not isinstance(x, dict) else x)
-
-    @classmethod
-    def q_power(cls, e: int) -> "RatScalar":
-        return cls({e: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other):
-        other = RatScalar.of(other)
-        return RatScalar(
-            ladd(lmul(self.num, other.den), lmul(other.num, self.den)),
-            lmul(self.den, other.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RatScalar.__new__(RatScalar)
-        out.num, out.den = lneg(self.num), dict(self.den)
-        return out
-
-    def __sub__(self, other):
-        return self + (-RatScalar.of(other))
-
-    def __rsub__(self, other):
-        return RatScalar.of(other) + (-self)
-
-    def __mul__(self, other):
-        other = RatScalar.of(other)
-        return RatScalar(lmul(self.num, other.num), lmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatScalar.of(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero scalar")
-        return RatScalar(lmul(self.num, other.den), lmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        return RatScalar.of(other) / self
-
-    def __eq__(self, other):
-        if not isinstance(other, RatScalar):
-            if isinstance(other, (int, Fraction, dict)):
-                other = RatScalar.of(other)
-            else:
-                return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
-
-    def specialize(self, q0) -> Fraction:
-        d = leval(self.den, q0)
-        if not d:
-            raise PoleError("pole at specialization point")
-        return leval(self.num, q0) / d
-
-    def __repr__(self):
-        if self.den == ONE:
-            return lformat(self.num)
-        return f"({lformat(self.num)})/({lformat(self.den)})"
-
-
-R_ZERO = RatScalar(0)
-R_ONE = RatScalar(1)
-
-
-def quantum_integer(k: int, d: int = 1) -> RatScalar:
-    """(k) in the balanced convention, at the d-th power of q."""
-    return RatScalar(lqint(k, d))
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +136,24 @@ def sp_pivot_insert(piv: dict, row: dict):
     return None
 
 
-def srow_from_rat(entries: dict) -> dict:
-    """Clear denominators of a {col: RatScalar} row into a stripped
-    Laurent row."""
-    entries = {c: v for c, v in entries.items() if v.num}
-    if not entries:
-        return {}
-    common = dict(ONE)
-    for v in entries.values():
-        common = llcm(common, v.den)
-    row = {c: lmul(v.num, ldiv_exact(common, v.den)) for c, v in entries.items()}
-    return srow_strip(row)
-
-
 def sp_kernel(rows, ncols: int) -> list[dict]:
     """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
-    in echelon order."""
+    in echelon order.  Back-substitution stays fraction free: for a free
+    column f, x_f is the lcm L of the pivot entries of the rows touching
+    f, and each such row with pivot c gives x_c = -row[f] * (L / row[c])."""
     piv = sp_echelon(rows, reduced=True)
-    pivots = set(piv)
     out = []
     for f in range(ncols):
-        if f in pivots:
+        if f in piv:
             continue
-        entries = {f: R_ONE}
-        for c, prow in piv.items():
-            hit = prow.get(f)
-            if hit:
-                entries[c] = RatScalar(lneg(hit), prow[c])
-        out.append(srow_from_rat(entries))
+        touching = [(c, prow) for c, prow in piv.items() if f in prow]
+        den = dict(ONE)
+        for c, prow in touching:
+            den = llcm(den, prow[c])
+        vec = {f: den}
+        for c, prow in touching:
+            vec[c] = lneg(lmul(prow[f], ldiv_exact(den, prow[c])))
+        out.append(srow_strip(vec))
     return out
 
 
@@ -387,150 +247,47 @@ def sp_map_equal(opa: dict, opb: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense API types
+# subspaces
 
 
-class ExactMatrix:
-    """Dense matrix of RatScalar entries."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        self.data = [[RatScalar.of(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[R_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[R_ONE if i == j else R_ZERO for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> RatScalar:
-        return self.data[i][j]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def sparse_rows(self) -> list[dict]:
-        return [
-            srow_from_rat({j: v for j, v in enumerate(row) if v.num})
-            for row in self.data
-        ]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-
-def _dense_row(entries: dict, ncols: int, normalize_col: int | None = None) -> tuple:
-    if normalize_col is not None:
-        pivot = entries[normalize_col]
-        scaled = {c: RatScalar(p, pivot) for c, p in entries.items()}
-    else:
-        scaled = {c: RatScalar(p) for c, p in entries.items()}
-    return tuple(scaled.get(c, R_ZERO) for c in range(ncols))
+def _laurent_row(row) -> dict:
+    # a dict or list row of int, Fraction or Laurent entries as a Laurent
+    # row; its zero entries are dropped by the elimination
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x if isinstance(x, dict) else lconst(x) for c, x in items}
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row span in reduced echelon form: pivot entries are 1 and pivot
-    columns are otherwise clear."""
+    """Row span inside Q(q)^ambient as its reduced echelon basis of
+    stripped rows in pivot order; each row's pivot is its first column.
+    The basis is canonical, so equal spans compare equal."""
 
     ambient: int
-    basis: tuple
-    pivots: tuple
+    rows: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     @classmethod
     def from_sparse(cls, ambient: int, rows) -> "Subspace":
-        piv = sp_echelon(rows, reduced=True)
-        pivots = tuple(sorted(piv))
-        basis = tuple(_dense_row(piv[c], ambient, normalize_col=c) for c in pivots)
-        return cls(ambient, basis, pivots)
+        return cls(ambient, tuple(sp_span_echelon(rows)))
 
     @classmethod
     def span(cls, ambient: int, rows) -> "Subspace":
-        sparse = []
-        for row in rows:
-            if isinstance(row, dict):
-                sparse.append(srow_from_rat({c: RatScalar.of(v) for c, v in row.items()}))
-            else:
-                sparse.append(srow_from_rat({j: RatScalar.of(v) for j, v in enumerate(row)}))
-        return cls.from_sparse(ambient, sparse)
+        """Span of dict or list rows of int, Fraction or Laurent entries."""
+        return cls.from_sparse(ambient, [_laurent_row(r) for r in rows])
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls.from_sparse(ambient, [{i: dict(ONE)} for i in range(ambient)])
 
     def sparse_rows(self) -> list[dict]:
-        return [
-            srow_from_rat({j: v for j, v in enumerate(row) if v.num})
-            for row in self.basis
-        ]
+        return [dict(row) for row in self.rows]
 
     def contains(self, vector) -> bool:
-        if isinstance(vector, dict):
-            rem = {c: RatScalar.of(v) for c, v in vector.items() if RatScalar.of(v).num}
-        else:
-            rem = {j: RatScalar.of(v) for j, v in enumerate(vector) if RatScalar.of(v).num}
-        for p, row in zip(self.pivots, self.basis):
-            coeff = rem.get(p)
-            if coeff is None or not coeff.num:
-                continue
-            for c in range(self.ambient):
-                v = row[c]
-                if not v.num:
-                    continue
-                s = rem.get(c, R_ZERO) - coeff * v
-                if s.num:
-                    rem[c] = s
-                else:
-                    rem.pop(c, None)
-        return not rem
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
-    def __le__(self, other):
-        return other.contains_subspace(self)
-
-
-def row_reduce(m: ExactMatrix) -> Subspace:
-    return Subspace.from_sparse(m.cols, m.sparse_rows())
-
-
-def rank(m: ExactMatrix) -> int:
-    return sp_rank(m.sparse_rows())
-
-
-def kernel(m: ExactMatrix) -> Subspace:
-    """Right null space {x : m @ x = 0}."""
-    return Subspace.from_sparse(m.cols, sp_kernel(m.sparse_rows(), m.cols))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimensions differ")
-    return Subspace.from_sparse(a.ambient, sp_intersect(a.sparse_rows(), b.sparse_rows()))
-
-
-def specialize(m: ExactMatrix, q0) -> list[list[Fraction]]:
-    """Evaluate every entry at q = q0; raises PoleError on a vanishing
-    denominator."""
-    q0 = Fraction(q0)
-    if not q0:
-        raise ValueError("specialization point must be a nonzero rational")
-    return [[v.specialize(q0) for v in row] for row in m.data]
+        """Whether a dict or list row of int, Fraction or Laurent entries
+        lies in the span."""
+        piv = {min(row): row for row in self.rows}
+        return sp_pivot_insert(piv, _laurent_row(vector)) is None

@@ -15,11 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import ONE, ladd, lconst, leval, lmul, lneg, lqint, lqshift, lsub
+from .laurent import ONE, ladd, lconst, leval, lqint, lqshift
 from .qarith import (
-    RatScalar,
-    R_ZERO,
-    ExactMatrix,
     Subspace,
     sp_apply,
     sp_compose,
@@ -74,22 +71,8 @@ class WeightModule:
             self._wblocks = out
             return out
 
-    def e_matrix(self, i: int) -> ExactMatrix:
-        return _dense_op(self.e_ops[i], self.dim)
-
-    def f_matrix(self, i: int) -> ExactMatrix:
-        return _dense_op(self.f_ops[i], self.dim)
-
     def __repr__(self):
         return f"WeightModule({self.kind}, dim={self.dim})"
-
-
-def _dense_op(op: dict, n: int) -> ExactMatrix:
-    data = [[R_ZERO] * n for _ in range(n)]
-    for c, col in op.items():
-        for r, p in col.items():
-            data[r][c] = RatScalar(p)
-    return ExactMatrix(data)
 
 
 def _map_sub(a: dict, b: dict) -> dict:
@@ -371,23 +354,29 @@ class IrrepMultiset(dict):
     def sorted_items(self):
         return sorted(self.items())
 
+    def components(self) -> list:
+        """[[weight as a list, multiplicity]], highest weight first."""
+        return [[list(w), k] for w, k in sorted(self.items(), reverse=True)]
 
-def highest_weight_vectors(m: WeightModule, mu) -> Subspace:
-    """Joint kernel of all E_i inside the mu weight space, embedded in the
-    module's ambient coordinates."""
-    mu = tuple(mu)
-    idxs = m.weight_blocks().get(mu, [])
-    if not idxs:
-        return Subspace.from_sparse(m.dim, [])
+
+def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
+    """Basis of the joint kernel of the E_i, i in gens, inside the mu
+    weight space, as stripped rows in the module's ambient coordinates."""
+    idxs = m.weight_blocks().get(tuple(mu), [])
     sys_rows: dict[tuple, dict] = {}
-    for gi in range(m.ngen):
+    for gi in gens:
         op = m.e_ops[gi]
         for pos, c in enumerate(idxs):
             for r, p in op.get(c, {}).items():
                 sys_rows.setdefault((gi, r), {})[pos] = p
     combos = sp_kernel(list(sys_rows.values()), len(idxs))
-    rows = [{idxs[pos]: p for pos, p in z.items()} for z in combos]
-    return Subspace.from_sparse(m.dim, rows)
+    return [{idxs[pos]: p for pos, p in z.items()} for z in combos]
+
+
+def highest_weight_vectors(m: WeightModule, mu) -> Subspace:
+    """Joint kernel of all E_i inside the mu weight space, embedded in the
+    module's ambient coordinates."""
+    return Subspace.from_sparse(m.dim, weight_space_kernel(m, mu, range(m.ngen)))
 
 
 def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:

@@ -227,3 +227,16 @@ def test_gl3_single_weight_payload(capsys):
     code, env, _ = run_cli(capsys, "gl3-degrees", "--lam", "2,1,0")
     assert code == 0
     assert env["verdicts"] == {"degrees_match": "pass"}
+
+
+def test_zeroth_power_is_the_trivial_module(capsys):
+    for side in ("sym-power", "ext-power"):
+        for argv in (
+            (side, "--l", "2", "--n", "0"),
+            (side, "--l", "2", "--n", "0", "--mode", "specialize", "--seed", "1"),
+            (side, "--d", "2", "--n", "0"),
+        ):
+            code, env, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert env["payload"]["dim"] == 1
+            assert env["payload"]["components"] == [[[0, 0], 1]]

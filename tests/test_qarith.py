@@ -4,19 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidpow import laurent as L
-from braidpow.qarith import (
-    ExactMatrix,
-    PoleError,
-    RatScalar,
-    Subspace,
-    intersect,
-    kernel,
-    quantum_integer,
-    rank,
-    row_reduce,
-    sp_kernel,
-    specialize,
-)
+from braidpow.qarith import Subspace, sp_intersect, sp_kernel, sp_rank
 
 F = Fraction
 
@@ -26,6 +14,21 @@ def rand_laurent(rng, size=3, span=4):
     for _ in range(rng.randrange(size + 1)):
         out[rng.randrange(-span, span + 1)] = F(rng.randrange(-5, 6))
     return {e: c for e, c in out.items() if c}
+
+
+def rand_rows(rng, nrows, ncols, size=2, span=2):
+    rows = []
+    for _ in range(nrows):
+        row = {j: rand_laurent(rng, size, span) for j in range(ncols)}
+        rows.append({j: p for j, p in row.items() if p})
+    return rows
+
+
+def dot(row, vec):
+    acc = {}
+    for c, p in row.items():
+        acc = L.ladd(acc, L.lmul(p, vec.get(c, {})))
+    return acc
 
 
 def test_laurent_ring_ops():
@@ -59,19 +62,19 @@ def test_laurent_gcd_and_exact_division():
 
 
 def test_quantum_integer_values():
-    assert quantum_integer(2, 1) == RatScalar({1: F(1), -1: F(1)})
-    assert quantum_integer(3, 1) == RatScalar({2: F(1), 0: F(1), -2: F(1)})
-    assert quantum_integer(0).is_zero()
-    assert quantum_integer(-4) == -quantum_integer(4)
+    assert L.lqint(2) == {1: 1, -1: 1}
+    assert L.lqint(3) == {2: 1, 0: 1, -2: 1}
+    assert L.lqint(0) == {}
+    assert L.lqint(-4) == L.lneg(L.lqint(4))
 
 
 def test_quantum_integer_matches_defining_ratio():
+    # (k)_d * (q^d - q^-d) == q^(kd) - q^(-kd)
     for d in (1, 2, 3):
+        den = L.lsub(L.lq(d), L.lq(-d))
         for k in range(-5, 6):
-            ratio = RatScalar(
-                L.lsub(L.lq(k * d), L.lq(-k * d)), L.lsub(L.lq(d), L.lq(-d))
-            )
-            assert quantum_integer(k, d) == ratio
+            num = L.lsub(L.lq(k * d), L.lq(-k * d))
+            assert L.lmul(L.lqint(k, d), den) == num
 
 
 def test_quantum_integer_specializes_to_classical():
@@ -80,75 +83,69 @@ def test_quantum_integer_specializes_to_classical():
     assert L.leval(L.lqint(5, 3), F(1)) == 5
 
 
-def test_ratscalar_canonical_form():
-    r = RatScalar({2: F(4), 0: F(-4)}, {3: F(2), 1: F(2)})
-    # (4q^2-4)/(2q^3+2q) = 2(q^2-1)/(q(q^2+1)); den must start at exponent 0
-    assert min(r.den) == 0
-    assert r.den[max(r.den)] == 1
-    assert r == RatScalar({1: F(2), -1: F(-2)}, {2: F(1), 0: F(1)})
-    assert RatScalar({0: F(1)}, {0: F(2)}) == RatScalar({0: F(1, 2)})
-
-
-def test_ratscalar_field_ops_specialize():
-    rng = random.Random(11)
-    q0 = F(97, 101)
-    for _ in range(40):
-        a = RatScalar(rand_laurent(rng), {0: F(1), 1: F(1)})
-        b = RatScalar(rand_laurent(rng) or {0: F(1)}, {0: F(2), -1: F(3)})
-        assert (a + b).specialize(q0) == a.specialize(q0) + b.specialize(q0)
-        assert (a * b).specialize(q0) == a.specialize(q0) * b.specialize(q0)
-        assert (a - b).specialize(q0) == a.specialize(q0) - b.specialize(q0)
-        if b.num:
-            assert (a / b).specialize(q0) == a.specialize(q0) / b.specialize(q0)
-
-
-def test_ratscalar_zero_test_is_structural():
-    a = RatScalar(L.lqint(3)) - RatScalar(L.lqint(3))
-    assert a.is_zero() and a.num == {}
+def test_llcm_includes_content():
+    assert L.llcm({0: 4}, {0: 6}) == {0: 12}
+    # 2(q - 1) and 3(q^2 - 1): lcm 6(q^2 - 1), up to units
+    a = {1: 2, 0: -2}
+    b = {2: 3, 0: -3}
+    assert L.llcm(a, b) == {2: 6, 0: -6}
+    assert L.llcm(L.lshift(a, 3), b) == {2: 6, 0: -6}
+    assert L.llcm(a, {}) == {}
 
 
 def test_row_reduce_rank_one():
-    m = ExactMatrix([[1, RatScalar.q_power(1)], [RatScalar.q_power(-1), 1]])
-    s = row_reduce(m)
-    assert s.pivots == (0,)
-    assert s.basis[0] == (RatScalar(1), RatScalar.q_power(1))
-    assert rank(m) == 1
+    q = L.lq(1)
+    rows = [{0: L.ONE, 1: q}, {0: L.lq(-1), 1: L.ONE}]
+    s = Subspace.from_sparse(2, rows)
+    assert s.dim == 1
+    assert s.sparse_rows() == [{0: {0: 1}, 1: {1: 1}}]
+    assert sp_rank(rows) == 1
 
 
 def test_kernel_example():
-    m = ExactMatrix([[1, RatScalar.q_power(1)], [RatScalar.q_power(-1), 1]])
-    k = kernel(m)
-    assert k.dim == 1
-    assert k.contains([RatScalar.q_power(1), RatScalar(-1)])
-    # m @ x == 0 for the basis vector
-    x = k.basis[0]
-    for row in m.data:
-        acc = RatScalar(0)
-        for mij, xj in zip(row, x):
-            acc = acc + mij * xj
-        assert acc.is_zero()
+    rows = [{0: L.ONE, 1: L.lq(1)}, {0: L.lq(-1), 1: L.ONE}]
+    k = sp_kernel(rows, 2)
+    assert len(k) == 1
+    assert Subspace.from_sparse(2, k).contains([L.lq(1), -1])
+    for row in rows:
+        assert dot(row, k[0]) == {}
 
 
 def test_kernel_dimension_formula():
     rng = random.Random(23)
     for _ in range(20):
         rows_n, cols_n = rng.randrange(1, 5), rng.randrange(1, 5)
-        m = ExactMatrix(
-            [[RatScalar(rand_laurent(rng, 2, 2)) for _ in range(cols_n)] for _ in range(rows_n)]
-        )
-        assert kernel(m).dim == m.cols - rank(m)
+        rows = rand_rows(rng, rows_n, cols_n)
+        assert len(sp_kernel(rows, cols_n)) == cols_n - sp_rank(rows)
+
+
+def test_sp_kernel_rows_are_primitive_and_annihilate():
+    rng = random.Random(41)
+    for _ in range(25):
+        rows_n, cols_n = rng.randrange(1, 5), rng.randrange(2, 7)
+        rows = rand_rows(rng, rows_n, cols_n, size=3, span=3)
+        for z in sp_kernel(rows, cols_n):
+            for row in rows:
+                assert dot(row, z) == {}
+            coeffs = [v for p in z.values() for v in p.values()]
+            assert all(type(v) is int for v in coeffs)
+            assert min(e for p in z.values() for e in p) == 0
+            g = {}
+            for p in z.values():
+                g = L.lgcd(g, p)
+            assert g == L.ONE
 
 
 def test_intersect_known():
     a = Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
-    c = intersect(a, b)
-    assert c.dim == 1
-    assert c.contains([1, 1, 0])
-    q = RatScalar.q_power(1)
+    c = sp_intersect(a.sparse_rows(), b.sparse_rows())
+    assert len(c) == 1
+    assert Subspace.from_sparse(3, c).contains([1, 1, 0])
+    q = L.lq(1)
     a2 = Subspace.span(3, [[1, q, 0], [0, 0, 1]])
     b2 = Subspace.span(3, [[1, q, 1]])
-    c2 = intersect(a2, b2)
+    c2 = Subspace.from_sparse(3, sp_intersect(a2.sparse_rows(), b2.sparse_rows()))
     assert c2.dim == 1 and c2.contains([1, q, 1])
 
 
@@ -156,22 +153,27 @@ def test_intersect_properties():
     rng = random.Random(5)
     for _ in range(10):
         n = 4
-        rows = [
-            {j: RatScalar(rand_laurent(rng, 2, 2)) for j in range(n)}
-            for _ in range(rng.randrange(1, 4))
-        ]
-        u = Subspace.span(n, [[row.get(j, RatScalar(0)) for j in range(n)] for row in rows])
-        assert intersect(u, u) == u
-        assert intersect(u, Subspace.full(n)) == u
+        u = Subspace.span(n, rand_rows(rng, rng.randrange(1, 4), n))
+        rows = u.sparse_rows()
+        assert Subspace.from_sparse(n, sp_intersect(rows, rows)) == u
+        full = Subspace.full(n).sparse_rows()
+        assert Subspace.from_sparse(n, sp_intersect(rows, full)) == u
 
 
-def test_specialize_matrix_and_pole():
-    m = ExactMatrix([[RatScalar({0: F(1)}, {1: F(1), 0: F(-1)})]])  # 1/(q-1)
-    assert specialize(m, F(2)) == [[F(1)]]
-    with pytest.raises(PoleError, match="pole at specialization point"):
-        specialize(m, F(1))
-    with pytest.raises(ValueError):
-        specialize(m, 0)
+def test_subspace_accepts_int_fraction_and_laurent_entries():
+    q = L.lq(1)
+    half = F(1, 2)
+    s = Subspace.span(3, [[2, 0, 4], {1: half}])
+    assert s == Subspace.span(3, [{0: {0: 1}, 2: {0: 2}}, [0, L.lq(5), 0]])
+    assert s.dim == 2
+    for vec in ([1, 0, 2], [half, 7, 1], {0: F(3, 4), 2: F(3, 2)}, {1: q}, [0, 0, 0]):
+        assert s.contains(vec)
+    for vec in ([1, 0, 0], {2: 1}, [q, 0, 2]):
+        assert not s.contains(vec)
+    t = Subspace.span(2, [[q, 1]])
+    assert t.contains({0: L.lq(2), 1: q})
+    assert t.contains([F(2, 3), {-1: F(2, 3)}])
+    assert not t.contains([1, 1])
 
 
 def _frac_rank(rows):
@@ -196,23 +198,26 @@ def _frac_rank(rows):
 def test_rank_only_drops_under_specialization():
     rng = random.Random(31)
     for _ in range(15):
-        m = ExactMatrix(
-            [[RatScalar(rand_laurent(rng, 2, 2)) for _ in range(3)] for _ in range(3)]
-        )
-        exact = rank(m)
+        rows = rand_rows(rng, 3, 3)
+        exact = sp_rank(rows)
         for q0 in (F(97, 101), F(103, 107)):
-            assert _frac_rank(specialize(m, q0)) <= exact
+            values = [[L.leval(row.get(j, {}), q0) for j in range(3)] for row in rows]
+            special = sp_rank([{j: L.lconst(v) for j, v in enumerate(r)} for r in values])
+            assert special == _frac_rank(values) <= exact
 
 
 def test_row_reduce_deterministic():
-    m = ExactMatrix(
-        [
-            [RatScalar.q_power(2), 1, 0],
-            [1, RatScalar.q_power(-1), 1],
-            [RatScalar.q_power(1), 0, RatScalar(2)],
-        ]
-    )
-    assert row_reduce(m) == row_reduce(m)
+    q = L.lq(1)
+    rows = [
+        [L.lq(2), 1, 0],
+        [1, L.lq(-1), 1],
+        [q, 0, 2],
+    ]
+    s = Subspace.span(3, rows)
+    assert s == Subspace.span(3, rows)
+    # the stripped reduced echelon basis is canonical: any spanning set
+    # of the same space gives the same fields
+    assert s == Subspace.span(3, [rows[2], rows[0], rows[1], rows[0]])
 
 
 def test_sp_kernel_of_empty_system_is_full():
