@@ -4,19 +4,23 @@ The braiding never appears as a matrix.  A braided square is pinned down
 as a pair of submodules (sym, ext) of V ox V, and the n-th braided power
 of a side I is the intersection of all slot placements of I inside
 V^{ox n}.  Computationally only one new intersection per degree is
-needed:
+needed, and its tail enters through its annihilator under the standard
+pairing x . y = sum_c x_c y_c:
 
-    P^n(I) = (P^{n-1}(I) ox V)  meet  (V^{ox n-2} ox I)
+    P^n(I) = (P^{n-1}(I) ox V)  meet  ker(V^{ox n-2} ox Ann(I))
 
-and every intersection happens inside a single gl-weight block, which
-keeps the exact linear algebra on small matrices even when the ambient
-tensor power is large.
+Ann(I) is the kernel of I's rows inside each weight block of V ox V and
+is built once per power.  Every intersection happens inside a single
+gl-weight block and eliminates only the pairings of the front rows with
+the annihilator rows, which keeps the exact linear algebra on small
+matrices even when the ambient tensor power is large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from math import comb
 import random
 
@@ -24,6 +28,7 @@ from .errors import GuardError, TheoremViolation
 from .laurent import ONE, ladd, lmul, lqshift
 from .qarith import (
     Subspace,
+    sp_annihilator,
     sp_apply,
     sp_intersect,
     sp_pivot_insert,
@@ -34,6 +39,7 @@ from .uqmod import (
     decompose_weight_rows,
     dim_irrep,
     highest_weight_vectors,
+    module_weight_rows,
     pairing,
     simple_gl2,
     specialize_module,
@@ -257,13 +263,27 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
+def annihilator_rows(wrows: dict, blocks: dict) -> dict:
+    """Annihilator of a weight-blocked subspace, {weight: rows}, under the
+    standard pairing.  blocks maps every weight of the ambient module to
+    its columns; a weight that wrows leaves empty keeps its whole block."""
+    out = {}
+    for w, cols in blocks.items():
+        rows = sp_annihilator(wrows.get(w, []), cols)
+        if rows:
+            out[w] = rows
+    return out
+
+
 def _slot_meet(
-    front_rows: dict, back: WeightModule, head_weights, tail_rows: dict, tail_dim: int
+    front_rows: dict, back: WeightModule, head_weights, tail_ann: dict, tail_dim: int
 ) -> dict:
     """(front ox back) meet (head ox tail), one weight block at a time.
-    front_rows and tail_rows are {weight: rows}; back is the module in the
-    last slot, head_weights lists the head factor's weights in index
-    order and tail_dim is the dimension of the tail factor."""
+    front_rows is {weight: rows}; back is the module in the last slot,
+    head_weights lists the head factor's weights in index order, and the
+    tail factor, of dimension tail_dim, is given by its annihilator
+    tail_ann = annihilator_rows(tail, ...).  The annihilator of
+    head ox tail is head ox tail_ann, laid out block diagonally."""
     d = back.dim
     front: dict[tuple, list] = {}
     for w in sorted(front_rows):
@@ -273,61 +293,63 @@ def _slot_meet(
                 front.setdefault(wb, []).append(
                     {c * d + b: p for c, p in row.items()}
                 )
-    tails: dict[tuple, list] = {}
+    anns: dict[tuple, list] = {}
     for h, wh in enumerate(head_weights):
         base = h * tail_dim
-        for wt, rows in tail_rows.items():
+        for wt, rows in tail_ann.items():
             w = tuple(a + x for a, x in zip(wh, wt))
             if w in front:
-                tails.setdefault(w, []).extend(
+                anns.setdefault(w, []).extend(
                     {base + c: p for c, p in row.items()} for row in rows
                 )
     out: dict[tuple, list] = {}
     for w in sorted(front):
-        rows = sp_intersect(front[w], tails.get(w, []))
+        rows = sp_intersect(front[w], anns.get(w, []))
         if rows:
             out[w] = rows
     return out
 
 
-def _power_step(prev: dict, square_rows: dict, V: WeightModule, n: int) -> dict:
-    """prev holds P^(n-1) blocked over V^(n-1) weights; returns
-    P^n = (P^(n-1) ox V) meet (V^(n-2) ox P^2)."""
+def _power_step(prev: dict, square_ann: dict, V: WeightModule, n: int) -> dict:
+    """prev holds P^(n-1) blocked over V^(n-1) weights and square_ann is
+    Ann(P^2); returns P^n = (P^(n-1) ox V) meet ker(V^(n-2) ox Ann(P^2))."""
     heads = [tensor_weight(V, n - 2, i) for i in range(V.dim ** (n - 2))]
-    return _slot_meet(prev, V, heads, square_rows, V.dim**2)
+    return _slot_meet(prev, V, heads, square_ann, V.dim**2)
+
+
+def _powers(square: Subspace, V: WeightModule):
+    """Yield P^0, P^1, P^2, ... of the side of V ox V spanned by square,
+    each as {weight: rows} over the weights of V^(ox n).  Ann(P^2) is
+    built once, when degree 3 is asked for."""
+    yield {tensor_weight(V, 0, 0): [{0: dict(ONE)}]}
+    yield module_weight_rows(V)
+    if square.ambient != V.dim**2:
+        raise ValueError("square does not live in V ox V")
+    weight2 = lambda c: tensor_weight(V, 2, c)
+    cur = subspace_weight_rows(square, weight2)
+    yield cur
+    blocks: dict[tuple, list] = {}
+    for c in range(V.dim**2):
+        blocks.setdefault(weight2(c), []).append(c)
+    ann = annihilator_rows(cur, blocks)
+    for n in count(3):
+        cur = _power_step(cur, ann, V, n)
+        yield cur
 
 
 def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
     """n-th braided power of the side of V ox V spanned by `square`."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    if n == 0:
-        return Subspace.full(1)
-    if n == 1:
-        return Subspace.full(V.dim)
-    if square.ambient != V.dim**2:
-        raise ValueError("square does not live in V ox V")
-    sq_rows = subspace_weight_rows(square, lambda c: tensor_weight(V, 2, c))
-    cur = sq_rows
-    for m in range(3, n + 1):
-        cur = _power_step(cur, sq_rows, V, m)
-    return weight_rows_subspace(V.dim**n, cur)
+    wrows = next(islice(_powers(square, V), n, None))
+    return weight_rows_subspace(V.dim**n, wrows)
 
 
 def power_dims(square: Subspace, V: WeightModule, up_to: int) -> list[int]:
     """[dim P^0, ..., dim P^up_to] sharing one recursion."""
-    dims = [1]
-    if up_to >= 1:
-        dims.append(V.dim)
-    if up_to < 2:
-        return dims
-    sq_rows = subspace_weight_rows(square, lambda c: tensor_weight(V, 2, c))
-    cur = sq_rows
-    dims.append(weight_rows_dim(cur))
-    for m in range(3, up_to + 1):
-        cur = _power_step(cur, sq_rows, V, m)
-        dims.append(weight_rows_dim(cur))
-    return dims
+    if up_to < 0:
+        raise ValueError("degree must be nonnegative")
+    return [weight_rows_dim(w) for w in islice(_powers(square, V), up_to + 1)]
 
 
 def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
@@ -505,8 +527,9 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     v1, v2, v3 = mods
     t12 = tensor(v1, v2)
     bullet12 = _bullet_rows(t12, b1, b2, parity)
-    bullet23 = _bullet_rows(tensor(v2, v3), b2, b3, parity)
-    meet = _slot_meet(bullet12, v3, v1.weights, bullet23, v2.dim * v3.dim)
+    t23 = tensor(v2, v3)
+    ann23 = annihilator_rows(_bullet_rows(t23, b2, b3, parity), t23.weight_blocks())
+    meet = _slot_meet(bullet12, v3, v1.weights, ann23, t23.dim)
     t = tensor(t12, v3)
     apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
     return decompose_weight_rows(meet, t.blocks, apply_es)
@@ -621,6 +644,8 @@ def hilbert_table(
     runs the same blocked pipeline at two certified sample points."""
     if kind not in ("sym", "ext"):
         raise ValueError("kind must be 'sym' or 'ext'")
+    if upto < 0:
+        raise ValueError("upto must be nonnegative")
     if mode == "exact":
         if (upto > 4 or l > 6) and not override_guards:
             raise GuardError(

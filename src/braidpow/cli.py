@@ -235,6 +235,8 @@ def _cmd_flatness(args):
 
 
 def _cmd_hilbert(args):
+    if args.n < 0:
+        raise _UsageError("--n must be nonnegative")
     table_obj = hilbert_table(
         args.l,
         args.n,
@@ -425,6 +427,8 @@ def _cmd_ext_four(args):
 
 
 def _cmd_valuation_cover(args):
+    if args.l < 0:
+        raise _UsageError("--l must be nonnegative")
     payload = valuation_cover_check(args.l)
     verdicts = {"cover_complete": "pass" if payload["covered"] else "fail"}
     table = (
@@ -435,6 +439,8 @@ def _cmd_valuation_cover(args):
 
 
 def _cmd_qmatrix_check(args):
+    if args.d < 1 or args.k < 1:
+        raise _UsageError("--d and --k must be positive")
     payload = check_qmatrix_relations(args.d, args.k, args.override_guards)
     verdicts = {"relations_hold": "pass" if payload["ok"] else "fail"}
     table = (

@@ -107,14 +107,21 @@ def sp_echelon(rows, reduced: bool = True) -> dict:
                 piv[c] = srow_strip(row)
                 break
             row = srow_strip(_cross(row, hit, c))
-    if reduced and len(piv) > 1:
-        for c in sorted(piv, reverse=True):
-            row = piv[c]
-            others = [c2 for c2 in row if c2 != c and c2 in piv]
-            for c2 in sorted(others):
-                row = _cross(row, piv[c2], c2)
-            piv[c] = srow_strip(row)
+    if reduced:
+        _back_reduce(piv)
     return piv
+
+
+def _back_reduce(piv: dict) -> None:
+    # clear every pivot column from the other rows, last pivot first
+    if len(piv) < 2:
+        return
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        others = [c2 for c2 in row if c2 != c and c2 in piv]
+        for c2 in sorted(others):
+            row = _cross(row, piv[c2], c2)
+        piv[c] = srow_strip(row)
 
 
 def sp_rank(rows) -> int:
@@ -140,8 +147,12 @@ def sp_kernel(rows, ncols: int) -> list[dict]:
     """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
     in echelon order.  Back-substitution stays fraction free: for a free
     column f, x_f is the lcm L of the pivot entries of the rows touching
-    f, and each such row with pivot c gives x_c = -row[f] * (L / row[c])."""
-    piv = sp_echelon(rows, reduced=True)
+    f, and each such row with pivot c gives x_c = -row[f] * (L / row[c]).
+    A system of full column rank is answered after the forward pass."""
+    piv = sp_echelon(rows, reduced=False)
+    if len(piv) == ncols:
+        return []
+    _back_reduce(piv)
     out = []
     for f in range(ncols):
         if f in piv:
@@ -162,25 +173,50 @@ def sp_span_echelon(rows) -> list[dict]:
     return [piv[c] for c in sorted(piv)]
 
 
-def sp_intersect(rows_a: list[dict], rows_b: list[dict]) -> list[dict]:
-    """Intersection of the row spans, as echelonized stripped rows."""
-    rows_a = [r for r in rows_a if r]
-    rows_b = [r for r in rows_b if r]
-    if not rows_a or not rows_b:
+def sp_annihilator(rows, cols) -> list[dict]:
+    """Basis of the annihilator of span(rows) under the standard pairing
+    x . y = sum_c x_c y_c, inside the coordinates cols, which must hold
+    every entry of every row.  Its dimension is len(cols) - rank(rows)."""
+    cols = sorted(cols)
+    local = {c: i for i, c in enumerate(cols)}
+    system = [{local[c]: p for c, p in row.items()} for row in rows]
+    return [
+        {cols[i]: p for i, p in z.items()} for z in sp_kernel(system, len(cols))
+    ]
+
+
+def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
+    """Canonical reduced echelon basis of span(rows) meet ker(ann): the
+    combinations of rows that pair to zero with every row of ann.  With
+    ann = sp_annihilator(other, cols) this is span(rows) meet span(other).
+    Only the pairing system M[j][i] = rows[j] . ann[i] is eliminated, one
+    equation per annihilator row and one unknown per row."""
+    rows = [r for r in rows if r]
+    if not rows:
         return []
-    stacked = rows_a + rows_b
-    transpose: dict[int, dict] = {}
-    for i, row in enumerate(stacked):
+    by_col: dict[int, list] = {}
+    for j, row in enumerate(rows):
         for c, p in row.items():
-            transpose.setdefault(c, {})[i] = p
-    combos = sp_kernel([transpose[c] for c in sorted(transpose)], len(stacked))
+            by_col.setdefault(c, []).append((j, p))
+    system = []
+    for a in ann:
+        eq: dict[int, dict] = {}
+        for c, pa in a.items():
+            for j, p in by_col.get(c, ()):
+                s = ladd(eq.get(j, {}), lmul(p, pa))
+                if s:
+                    eq[j] = s
+                else:
+                    del eq[j]
+        if eq:
+            system.append(eq)
+    if not system:
+        return sp_span_echelon(rows)
     result = []
-    for z in combos:
+    for z in sp_kernel(system, len(rows)):
         vec: dict[int, dict] = {}
-        for i, coeff in z.items():
-            if i >= len(rows_a):
-                continue
-            for c, p in rows_a[i].items():
+        for j, coeff in z.items():
+            for c, p in rows[j].items():
                 s = ladd(vec.get(c, {}), lmul(coeff, p))
                 if s:
                     vec[c] = s

@@ -24,6 +24,7 @@ from .qarith import (
     sp_map_add,
     sp_map_equal,
     sp_map_scale,
+    sp_rank,
 )
 
 
@@ -390,7 +391,7 @@ def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:
             img = app(row)
             for r, p in img.items():
                 sys_rows.setdefault((gi, r), {})[t] = p
-    return len(sp_kernel(list(sys_rows.values()), len(rows)))
+    return len(rows) - sp_rank(list(sys_rows.values()))
 
 
 def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:

@@ -28,7 +28,7 @@ from braidpow.braided import (
 )
 from braidpow.errors import GuardError
 from braidpow.laurent import ONE
-from braidpow.qarith import sp_apply
+from braidpow.qarith import Subspace, sp_apply
 from braidpow.uqmod import outer, simple_gl2, standard_gld, tensor
 
 
@@ -192,6 +192,29 @@ def test_hilbert_table_guard_and_specialize():
     assert table.dims == [1, 4, 10, 16]
     assert len(table.samples) == 2
     assert hilbert_table(2, 5, mode="specialize", seed=1).dims[5] == comb(7, 2)
+
+
+def test_negative_degrees_are_refused():
+    pair = square_gl2(2)
+    for call in (
+        lambda: hilbert_table(2, -1),
+        lambda: hilbert_table(2, -1, mode="specialize", seed=1),
+        lambda: power_dims(pair.sym, pair.module, -1),
+        lambda: braided_power(pair.sym, pair.module, -1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_power_dims_and_braided_power_share_the_recursion():
+    pair = square_gl2(3)
+    V = pair.module
+    for side in (pair.sym, pair.ext):
+        dims = power_dims(side, V, 4)
+        assert [braided_power(side, V, n).dim for n in range(5)] == dims
+    assert braided_power(pair.sym, V, 0) == Subspace.full(1)
+    assert braided_power(pair.sym, V, 1) == Subspace.full(V.dim)
+    assert braided_power(pair.sym, V, 2) == pair.sym
 
 
 def test_conjectural_sym_dim_matches_cube_forms():

@@ -240,3 +240,17 @@ def test_zeroth_power_is_the_trivial_module(capsys):
             assert code == 0, argv
             assert env["payload"]["dim"] == 1
             assert env["payload"]["components"] == [[[0, 0], 1]]
+
+
+def test_out_of_range_sizes_are_usage_errors(capsys):
+    for argv in (
+        ("hilbert", "--l", "2", "--n", "-1"),
+        ("hilbert", "--l", "2", "--n", "-1", "--mode", "specialize", "--seed", "1"),
+        ("valuation-cover", "--l", "-1"),
+        ("qmatrix-check", "--d", "0", "--k", "2"),
+        ("qmatrix-check", "--d", "2", "--k", "0"),
+    ):
+        code, env, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert env is None
+        assert err.startswith("usage error: ")

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from braidpow import laurent as L
 from braidpow.braided import square_gl2
-from braidpow.qarith import sp_echelon, sp_intersect, sp_kernel, srow_strip
+from braidpow.qarith import (
+    sp_annihilator,
+    sp_echelon,
+    sp_intersect,
+    sp_kernel,
+    srow_strip,
+)
 from braidpow.uqmod import simple_gl2, specialize_module, tensor
 
 # derandomized and small, so every run checks the same examples quickly
@@ -172,11 +178,14 @@ def test_engine_rows_hold_int_coefficients(specialized):
     assert _int_rows(sp_echelon(rows, reduced=False).values())
     assert _int_rows(sp_kernel(rows, m.dim))
     half = len(rows) // 2
-    meet = sp_intersect(rows[: half + 3], rows[half - 3 :])
+    ann = sp_annihilator(rows[half - 3 :], range(m.dim))
+    assert _int_rows(ann)
+    meet = sp_intersect(rows[: half + 3], ann)
     assert meet and _int_rows(meet)
 
     if not specialized:
         pair = square_gl2(3)
         sym, ext = pair.sym.sparse_rows(), pair.ext.sparse_rows()
-        meet = sp_intersect(sym, sym[: len(sym) // 2] + ext)
+        ann = sp_annihilator(sym[: len(sym) // 2] + ext, range(m.dim))
+        meet = sp_intersect(sym, ann)
         assert len(meet) == len(sym) // 2 and _int_rows(meet)

@@ -2,9 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidpow import laurent as L
-from braidpow.qarith import Subspace, sp_intersect, sp_kernel, sp_rank
+from braidpow.braided import (
+    dim_sym_cube,
+    rows_by_weight,
+    square_gl2,
+    tensor_weight,
+)
+from braidpow.qarith import (
+    Subspace,
+    sp_annihilator,
+    sp_intersect,
+    sp_kernel,
+    sp_rank,
+)
+from braidpow.uqmod import simple_gl2
 
 F = Fraction
 
@@ -139,13 +154,14 @@ def test_sp_kernel_rows_are_primitive_and_annihilate():
 def test_intersect_known():
     a = Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
-    c = sp_intersect(a.sparse_rows(), b.sparse_rows())
+    c = sp_intersect(a.sparse_rows(), sp_annihilator(b.sparse_rows(), range(3)))
     assert len(c) == 1
     assert Subspace.from_sparse(3, c).contains([1, 1, 0])
     q = L.lq(1)
     a2 = Subspace.span(3, [[1, q, 0], [0, 0, 1]])
     b2 = Subspace.span(3, [[1, q, 1]])
-    c2 = Subspace.from_sparse(3, sp_intersect(a2.sparse_rows(), b2.sparse_rows()))
+    ann2 = sp_annihilator(b2.sparse_rows(), range(3))
+    c2 = Subspace.from_sparse(3, sp_intersect(a2.sparse_rows(), ann2))
     assert c2.dim == 1 and c2.contains([1, q, 1])
 
 
@@ -155,9 +171,11 @@ def test_intersect_properties():
         n = 4
         u = Subspace.span(n, rand_rows(rng, rng.randrange(1, 4), n))
         rows = u.sparse_rows()
-        assert Subspace.from_sparse(n, sp_intersect(rows, rows)) == u
+        ann = sp_annihilator(rows, range(n))
+        assert Subspace.from_sparse(n, sp_intersect(rows, ann)) == u
         full = Subspace.full(n).sparse_rows()
-        assert Subspace.from_sparse(n, sp_intersect(rows, full)) == u
+        assert sp_annihilator(full, range(n)) == []
+        assert Subspace.from_sparse(n, sp_intersect(rows, [])) == u
 
 
 def test_subspace_accepts_int_fraction_and_laurent_entries():
@@ -223,3 +241,90 @@ def test_row_reduce_deterministic():
 def test_sp_kernel_of_empty_system_is_full():
     vecs = sp_kernel([], 3)
     assert len(vecs) == 3
+
+
+# ---------------------------------------------------------------------------
+# the meet against an annihilator
+
+MEET = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+# small int entries and monomials q^e, so Laurent rows appear as well
+entries = st.one_of(st.integers(-3, 3), st.integers(-2, 2).map(L.lq))
+
+
+def _sparse(row):
+    return {
+        j: x if isinstance(x, dict) else L.lconst(x) for j, x in enumerate(row) if x
+    }
+
+
+@st.composite
+def row_pair(draw):
+    n = draw(st.integers(1, 5))
+    rows = st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4)
+    return n, [_sparse(r) for r in draw(rows)], [_sparse(r) for r in draw(rows)]
+
+
+def _check_annihilator(rows, cols):
+    ann = sp_annihilator(rows, cols)
+    for a in ann:
+        assert set(a) <= set(cols)
+        for row in rows:
+            assert dot(row, a) == {}
+    assert len(ann) + sp_rank(rows) == len(cols)
+    return ann
+
+
+def _check_meet(a, b, cols):
+    n = max(cols) + 1
+    meet = sp_intersect(a, _check_annihilator(b, cols))
+    assert len(meet) == sp_rank(a) + sp_rank(b) - sp_rank(a + b)
+    span_a, span_b = Subspace.from_sparse(n, a), Subspace.from_sparse(n, b)
+    for row in meet:
+        assert span_a.contains(row) and span_b.contains(row)
+    # the result is already the canonical basis of its span
+    assert Subspace.from_sparse(n, meet).rows == tuple(meet)
+    return meet
+
+
+@MEET
+@given(row_pair())
+def test_annihilator_and_meet_on_small_rows(case):
+    n, a, b = case
+    _check_annihilator(a, range(n))
+    _check_meet(a, b, range(n))
+
+
+def _sym_cube_blocks(l):
+    # per weight block of V^3: its columns, the rows of P^2 ox V and the
+    # rows of V ox P^2, for the sym square of V_(l,0)
+    V = simple_gl2(l, 0)
+    d = V.dim
+    sq = square_gl2(l).sym.sparse_rows()
+    front = [{c * d + b: p for c, p in r.items()} for r in sq for b in range(d)]
+    tail = [{h * d * d + c: p for c, p in r.items()} for h in range(d) for r in sq]
+    weight = lambda c: tensor_weight(V, 3, c)
+    by_front = rows_by_weight(front, weight)
+    by_tail = rows_by_weight(tail, weight)
+    blocks = {}
+    for c in range(d**3):
+        blocks.setdefault(weight(c), []).append(c)
+    return [
+        (cols, by_front.get(w, []), by_tail.get(w, []))
+        for w, cols in sorted(blocks.items())
+    ]
+
+
+def test_meet_on_the_blocks_of_the_l3_sym_cube():
+    total = sum(len(_check_meet(a, b, cols)) for cols, a, b in _sym_cube_blocks(3))
+    assert total == dim_sym_cube(3)
+
+
+@MEET
+@given(st.data())
+def test_meet_on_subsets_of_l3_sym_cube_blocks(data):
+    blocks = [blk for blk in _sym_cube_blocks(3) if blk[1] and blk[2]]
+    cols, a, b = data.draw(st.sampled_from(blocks))
+    a = data.draw(st.lists(st.sampled_from(a), min_size=1, max_size=5))
+    b = data.draw(st.lists(st.sampled_from(b), min_size=1, max_size=5))
+    _check_meet(a, b, cols)
