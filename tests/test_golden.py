@@ -56,6 +56,12 @@ ARGVS = [
     ["qmatrix-check", "--d", "2", "--k", "2"],
     ["howe-check", "--d", "2", "--k", "2", "--n", "2"],
     ["howe-check", "--d", "3", "--k", "2", "--n", "2"],
+    # the larger specialize-mode runs, whose sample-point arithmetic is the
+    # largest in the corpus
+    ["hilbert", "--l", "5", "--n", "4", "--mode", "specialize", "--seed", "8"],
+    ["sym-power", "--l", "6", "--n", "3", "--mode", "specialize", "--seed", "9"],
+    ["ext-power", "--l", "6", "--n", "3", "--mode", "specialize", "--seed", "10"],
+    ["triple-product", "--beta", "3,2,3", "--eps", "+", "--mode", "specialize", "--seed", "12"],
 ]
 
 
