@@ -1,8 +1,9 @@
 """Exact braided symmetric and exterior powers of quantum-group modules.
 
 Everything runs over the field of rational functions in q with no
-floating point anywhere; a seeded specialization mode certifies the
-heavier dimension counts at two sampled evaluation points instead.
+floating point anywhere; a seeded specialization mode estimates the
+heavier dimension counts over the prime field F_P at two sampled
+evaluation points instead, which is evidence rather than proof.
 """
 
 from .braided import (

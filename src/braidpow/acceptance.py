@@ -5,8 +5,8 @@ Each stage function returns a JSON-friendly report whose "ok" field is
 True, or raises: TheoremViolation when a computation falsifies a claimed
 closed form, AssertionError when an internal expectation breaks.  Stage
 parameters default to the released verification grids; the two heavy
-sweeps accept mode/seed so they can run at certified sample points when
-exact arithmetic is too slow for interactive use.
+sweeps accept mode/seed so they can run at two sample points over F_P
+when exact arithmetic is too slow for interactive use.
 """
 
 from __future__ import annotations

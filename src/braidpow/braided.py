@@ -74,7 +74,14 @@ def sample_points(seed, count: int = 2) -> list[Fraction]:
 def at_two_samples(seed, compute):
     """Run compute(q0) at the two sample points of seed.  Returns the
     shared result and the points as strings; raises ArithmeticError when
-    the two results differ."""
+    the two results differ, or when a sample is outside the support of
+    a module (see specialize_module).
+
+    compute is expected to work over F_P at the image of q0, so each
+    run has every coefficient within 61 bits.  Two agreeing samples are
+    evidence for the generic answer over Q(q), not a certificate: a
+    dimension at a point can differ from the generic one (Schwartz 1980;
+    Zippel 1979)."""
     pts = sample_points(seed)
     first, second = (compute(q0) for q0 in pts)
     if first != second:
@@ -115,11 +122,11 @@ def weight_rows_dim(wrows: dict) -> int:
     return sum(len(rows) for rows in wrows.values())
 
 
-def weight_rows_subspace(ambient: int, wrows: dict) -> Subspace:
+def weight_rows_subspace(ambient: int, wrows: dict, modulus=None) -> Subspace:
     rows = []
     for w in sorted(wrows):
         rows.extend(wrows[w])
-    return Subspace.from_sparse(ambient, rows)
+    return Subspace.from_sparse(ambient, rows, modulus)
 
 
 def submodule_closure(m: WeightModule, seed_rows) -> dict:
@@ -129,7 +136,7 @@ def submodule_closure(m: WeightModule, seed_rows) -> dict:
     while queue:
         row = queue.pop()
         w = m.weights[min(row)]
-        inserted = sp_pivot_insert(piv_by_w.setdefault(w, {}), row)
+        inserted = sp_pivot_insert(piv_by_w.setdefault(w, {}), row, m.modulus)
         if inserted is None:
             continue
         for ops in (m.e_ops, m.f_ops):
@@ -194,8 +201,8 @@ def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
     return BraidedSquarePair(
         V,
         tt,
-        weight_rows_subspace(n2, sym_rows),
-        weight_rows_subspace(n2, ext_rows),
+        weight_rows_subspace(n2, sym_rows, V.modulus),
+        weight_rows_subspace(n2, ext_rows, V.modulus),
     )
 
 
@@ -263,13 +270,13 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
-def annihilator_rows(wrows: dict, blocks: dict) -> dict:
+def annihilator_rows(wrows: dict, blocks: dict, modulus=None) -> dict:
     """Annihilator of a weight-blocked subspace, {weight: rows}, under the
     standard pairing.  blocks maps every weight of the ambient module to
     its columns; a weight that wrows leaves empty keeps its whole block."""
     out = {}
     for w, cols in blocks.items():
-        rows = sp_annihilator(wrows.get(w, []), cols)
+        rows = sp_annihilator(wrows.get(w, []), cols, modulus)
         if rows:
             out[w] = rows
     return out
@@ -304,7 +311,7 @@ def _slot_meet(
                 )
     out: dict[tuple, list] = {}
     for w in sorted(front):
-        rows = sp_intersect(front[w], anns.get(w, []))
+        rows = sp_intersect(front[w], anns.get(w, []), back.modulus)
         if rows:
             out[w] = rows
     return out
@@ -331,7 +338,7 @@ def _powers(square: Subspace, V: WeightModule):
     blocks: dict[tuple, list] = {}
     for c in range(V.dim**2):
         blocks.setdefault(weight2(c), []).append(c)
-    ann = annihilator_rows(cur, blocks)
+    ann = annihilator_rows(cur, blocks, V.modulus)
     for n in count(3):
         cur = _power_step(cur, ann, V, n)
         yield cur
@@ -342,7 +349,7 @@ def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
     if n < 0:
         raise ValueError("power must be nonnegative")
     wrows = next(islice(_powers(square, V), n, None))
-    return weight_rows_subspace(V.dim**n, wrows)
+    return weight_rows_subspace(V.dim**n, wrows, V.modulus)
 
 
 def power_dims(square: Subspace, V: WeightModule, up_to: int) -> list[int]:
@@ -372,7 +379,7 @@ def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
             if col:
                 for r, coeff in col.items():
                     tgt = idx + (r - digits[slot]) * stride
-                    term = lqshift(lmul(p, coeff), kshift, V.q0)
+                    term = lqshift(lmul(p, coeff), kshift, V.x)
                     s = ladd(out.get(tgt, {}), term)
                     if s:
                         out[tgt] = s
@@ -387,7 +394,7 @@ def decompose_power(V: WeightModule, n: int, wrows: dict) -> IrrepMultiset:
     apply_es = [
         (lambda vec, i=i: power_apply_e(V, n, i, vec)) for i in range(V.ngen)
     ]
-    return decompose_weight_rows(wrows, V.blocks, apply_es)
+    return decompose_weight_rows(wrows, V.blocks, apply_es, V.modulus)
 
 
 def decompose_power_subspace(V: WeightModule, n: int, sub: Subspace) -> IrrepMultiset:
@@ -528,11 +535,13 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     t12 = tensor(v1, v2)
     bullet12 = _bullet_rows(t12, b1, b2, parity)
     t23 = tensor(v2, v3)
-    ann23 = annihilator_rows(_bullet_rows(t23, b2, b3, parity), t23.weight_blocks())
+    ann23 = annihilator_rows(
+        _bullet_rows(t23, b2, b3, parity), t23.weight_blocks(), t23.modulus
+    )
     meet = _slot_meet(bullet12, v3, v1.weights, ann23, t23.dim)
     t = tensor(t12, v3)
     apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
-    return decompose_weight_rows(meet, t.blocks, apply_es)
+    return decompose_weight_rows(meet, t.blocks, apply_es, t.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +650,8 @@ def hilbert_table(
 ) -> HilbertTable:
     """Dimensions of the braided powers of V_(l,0) through degree upto.
     Exact mode is guarded to upto <= 4 and l <= 6; the specialize mode
-    runs the same blocked pipeline at two certified sample points."""
+    runs the same blocked pipeline over F_P at two sample points (see
+    at_two_samples)."""
     if kind not in ("sym", "ext"):
         raise ValueError("kind must be 'sym' or 'ext'")
     if upto < 0:

@@ -4,12 +4,16 @@ Every run prints one JSON envelope to stdout: command echo, config,
 payload, verdicts, conjecture flags, and the wall time.  The payload is
 deterministic for identical argv + seed (wall time lives outside it),
 so runs can be diffed byte for byte.  Exit codes: 0 when every verdict
-passes, 2 when a theorem check fails, 1 on usage or guard errors.
+passes, 2 when a theorem check fails or the run itself fails (any
+unexpected exception gives the payload {"error": "internal", ...} and
+the verdict run: fail), 1 on usage or guard errors.
 
 Commands with a natural dimension or component table export it as CSV
-via --csv PATH.  Specialize mode requires --seed and certifies results
-at two sampled evaluation points; exact mode ignores the seed except
-where a command is explicitly randomized (convex-certify).
+via --csv PATH.  Specialize mode requires --seed and computes results
+over the prime field F_P at the images of two sampled rational points;
+agreement of the two is evidence, not a proof, of the generic answer.
+Exact mode ignores the seed except where a command is explicitly
+randomized (convex-certify).
 """
 
 from __future__ import annotations
@@ -87,8 +91,6 @@ def _power_module(args):
     if args.d is None and args.k is not None:
         raise _UsageError("--k needs --d")
     if args.l is not None:
-        if args.l < 0:
-            raise _UsageError("--l must be nonnegative")
         return "simple", f"simple_gl2({args.l},0)"
     if args.k is not None:
         return "matrix", f"matrix({args.d},{args.k})"
@@ -427,8 +429,6 @@ def _cmd_ext_four(args):
 
 
 def _cmd_valuation_cover(args):
-    if args.l < 0:
-        raise _UsageError("--l must be nonnegative")
     payload = valuation_cover_check(args.l)
     verdicts = {"cover_complete": "pass" if payload["covered"] else "fail"}
     table = (
@@ -598,6 +598,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "mode", "exact") == "specialize" and args.seed is None:
             raise _UsageError("specialize mode requires --seed")
+        if getattr(args, "l", None) is not None and args.l < 0:
+            raise _UsageError("--l must be nonnegative")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -617,6 +619,10 @@ def run(argv=None) -> int:
         code = 1
     except (TheoremViolation, ModuleAuditError, ArithmeticError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
+        verdicts = {"run": "fail"}
+        code = 2
+    except Exception as exc:
+        payload = {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
         verdicts = {"run": "fail"}
         code = 2
 

@@ -9,8 +9,14 @@ Coefficients are Python ints wherever the value is integral: the
 polynomials built here (ONE, lq, lqint) are integral, and the rows of
 the sparse engine in qarith hold primitive int coefficients only.  A
 Fraction appears only where a caller supplies a rational (lconst, lscale,
-lqshift at a specialized q0, leval) or a division leaves one; qarith
-clears it to integers at the row boundary.
+leval) or a division leaves one; qarith clears it to integers at the row
+boundary.
+
+Specialize mode evaluates q at the image x of a rational sample point
+in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  Its coefficients
+stay constant Laurent polynomials {0: c} with int c, so every function
+here applies to them unchanged; lqshift with x given multiplies by
+x**k in F_P.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 ONE = {0: 1}
+
+# The prime field of specialize mode: a Mersenne prime, so a reduced
+# coefficient never needs more than 61 bits.
+P = 2**61 - 1
 
 
 def _scalar(c):
@@ -101,12 +111,19 @@ def ldeg(a: dict) -> int:
     return max(a)
 
 
-def lqshift(a: dict, k: int, q0=None) -> dict:
-    """Multiply by q**k, with q pinned to q0 when given.  Specialized
-    coefficients stay constant Laurents this way."""
-    if q0 is None:
+def lqshift(a: dict, k: int, x=None) -> dict:
+    """Multiply by q**k, with q pinned to the residue x in F_P when given.
+    Specialized coefficients stay constant Laurents this way, reduced
+    mod P; one that P divides is dropped."""
+    if x is None:
         return lshift(a, k)
-    return lscale(a, Fraction(q0) ** k) if k else dict(a)
+    s = pow(x, k, P)
+    out = {}
+    for e, v in a.items():
+        v = v * s % P
+        if v:
+            out[e] = v
+    return out
 
 
 def lbar(a: dict) -> dict:
@@ -119,6 +136,22 @@ def leval(a: dict, q0) -> Fraction:
     if not q0:
         raise ZeroDivisionError("cannot evaluate a Laurent polynomial at q = 0")
     return sum((c * q0**e for e, c in a.items()), Fraction(0))
+
+
+def fp(c) -> int:
+    """The image in F_P of an int or a Fraction; raises ZeroDivisionError
+    when P divides the denominator."""
+    if type(c) is int:
+        return c % P
+    den = c.denominator % P
+    if not den:
+        raise ZeroDivisionError(f"{c} has no image in F_P")
+    return c.numerator * pow(den, -1, P) % P
+
+
+def leval_fp(a: dict, x: int) -> int:
+    """The value of a at q = x in F_P, for a nonzero residue x."""
+    return sum(fp(c) * pow(x, e, P) for e, c in a.items()) % P
 
 
 def lqint(k: int, d: int = 1) -> dict:

@@ -1,15 +1,27 @@
-"""Exact linear algebra over the rational function field Q(q).
+"""Sparse linear algebra over Q(q), and over a prime field for
+specialize mode.
 
 Everything here is a sparse fraction-free elimination over Laurent rows:
 a row is a dict {column: Laurent dict} that stores no zero entry.
 Elimination cross-multiplies rows instead of dividing, then strips each
-row of its q-power, integer content, and any common polynomial factor.
-Every row the engine returns holds primitive int coefficients; rationals
-handed in by a caller (a specialized module, a Fraction scalar) are
-cleared to integers by the first srow_strip.  A stripped row is the
-canonical representative of its line, so a reduced echelon basis of
-stripped rows is the canonical form of a subspace, and Subspace is no
-more than the ambient dimension and that basis.
+row to the canonical representative of its line, so a reduced echelon
+basis of stripped rows is the canonical form of a subspace, and Subspace
+is no more than the ambient dimension, that basis and its field.
+
+The field of a row is named by a modulus argument; the elimination
+routines are the same for both, and only two steps read it:
+
+- modulus None: rows over Q(q).  srow_strip removes the common q power,
+  integer content and any common polynomial factor, so every returned
+  row holds primitive int coefficients; rationals handed in by a caller
+  (a Fraction scalar) are cleared to integers by the first srow_strip.
+- modulus p, a prime: rows over F_p, every entry a constant {0: c}.
+  srow_strip reduces each entry to 0 < c < p, drops the entries p
+  divides and scales the first entry to 1.  Cross-multiplication leaves
+  unreduced ints behind, and an int that p divides is zero here even
+  when it is not zero as an int (E applied to a highest-weight vector
+  gives such entries), so the zero test before a pivot is chosen
+  reduces mod p first; such an entry never becomes a pivot.
 """
 
 from __future__ import annotations
@@ -48,11 +60,15 @@ def _integral(row: dict) -> dict:
     }
 
 
-def srow_strip(row: dict) -> dict:
+def srow_strip(row: dict, modulus: int | None = None) -> dict:
     """Strip a row of its common q power, its content and any common
     polynomial factor.  The result has coprime int coefficients and a
     positive leading coefficient in its first column; rational input is
-    cleared to integers here."""
+    cleared to integers here.  Over F_modulus the entries are reduced
+    into 0 < c < modulus, the zero ones dropped, and the row scaled so
+    that its first entry is 1."""
+    if modulus is not None:
+        return _strip_mod(row, modulus)
     if not row:
         return row
     shift = min(min(p) for p in row.values())
@@ -78,6 +94,29 @@ def srow_strip(row: dict) -> dict:
     return row
 
 
+def _strip_mod(row: dict, p: int) -> dict:
+    vals = {}
+    for c, e in row.items():
+        v = e[0] % p if e else 0
+        if v:
+            vals[c] = v
+    if not vals:
+        return {}
+    lead = vals[min(vals)]
+    if lead == 1:
+        return {c: {0: v} for c, v in vals.items()}
+    inv = pow(lead, -1, p)
+    return {c: {0: v * inv % p} for c, v in vals.items()}
+
+
+def _nonzero(row: dict, modulus) -> dict:
+    # the row without its zero entries, the test before a pivot is chosen;
+    # over F_modulus the entries are reduced first
+    if modulus is None:
+        return {c: p for c, p in row.items() if p}
+    return _strip_mod(row, modulus)
+
+
 def _cross(row: dict, pivot_row: dict, col: int) -> dict:
     # pivot_row[col]*row - row[col]*pivot_row, entry at col cancels exactly
     a, b = pivot_row[col], row[col]
@@ -93,26 +132,26 @@ def _cross(row: dict, pivot_row: dict, col: int) -> dict:
     return out
 
 
-def sp_echelon(rows, reduced: bool = True) -> dict:
+def sp_echelon(rows, reduced: bool = True, modulus: int | None = None) -> dict:
     """Eliminate sparse Laurent rows.  Returns {pivot_col: row}; with
     reduced=True the rows form an RREF up to scaling (each row touches
     its own pivot column and free columns only)."""
     piv: dict[int, dict] = {}
     for row in rows:
-        row = {c: p for c, p in row.items() if p}
+        row = _nonzero(row, modulus)
         while row:
             c = min(row)
             hit = piv.get(c)
             if hit is None:
-                piv[c] = srow_strip(row)
+                piv[c] = srow_strip(row, modulus)
                 break
-            row = srow_strip(_cross(row, hit, c))
+            row = srow_strip(_cross(row, hit, c), modulus)
     if reduced:
-        _back_reduce(piv)
+        _back_reduce(piv, modulus)
     return piv
 
 
-def _back_reduce(piv: dict) -> None:
+def _back_reduce(piv: dict, modulus) -> None:
     # clear every pivot column from the other rows, last pivot first
     if len(piv) < 2:
         return
@@ -121,38 +160,38 @@ def _back_reduce(piv: dict) -> None:
         others = [c2 for c2 in row if c2 != c and c2 in piv]
         for c2 in sorted(others):
             row = _cross(row, piv[c2], c2)
-        piv[c] = srow_strip(row)
+        piv[c] = srow_strip(row, modulus)
 
 
-def sp_rank(rows) -> int:
-    return len(sp_echelon(rows, reduced=False))
+def sp_rank(rows, modulus: int | None = None) -> int:
+    return len(sp_echelon(rows, reduced=False, modulus=modulus))
 
 
-def sp_pivot_insert(piv: dict, row: dict):
+def sp_pivot_insert(piv: dict, row: dict, modulus: int | None = None):
     """Reduce row against the pivot dict in place; on a new pivot, store
     the stripped row and return it, else return None."""
-    row = {c: p for c, p in row.items() if p}
+    row = _nonzero(row, modulus)
     while row:
         c = min(row)
         hit = piv.get(c)
         if hit is None:
-            row = srow_strip(row)
+            row = srow_strip(row, modulus)
             piv[c] = row
             return row
-        row = srow_strip(_cross(row, hit, c))
+        row = srow_strip(_cross(row, hit, c), modulus)
     return None
 
 
-def sp_kernel(rows, ncols: int) -> list[dict]:
+def sp_kernel(rows, ncols: int, modulus: int | None = None) -> list[dict]:
     """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
     in echelon order.  Back-substitution stays fraction free: for a free
     column f, x_f is the lcm L of the pivot entries of the rows touching
     f, and each such row with pivot c gives x_c = -row[f] * (L / row[c]).
     A system of full column rank is answered after the forward pass."""
-    piv = sp_echelon(rows, reduced=False)
+    piv = sp_echelon(rows, reduced=False, modulus=modulus)
     if len(piv) == ncols:
         return []
-    _back_reduce(piv)
+    _back_reduce(piv, modulus)
     out = []
     for f in range(ncols):
         if f in piv:
@@ -164,16 +203,16 @@ def sp_kernel(rows, ncols: int) -> list[dict]:
         vec = {f: den}
         for c, prow in touching:
             vec[c] = lneg(lmul(prow[f], ldiv_exact(den, prow[c])))
-        out.append(srow_strip(vec))
+        out.append(srow_strip(vec, modulus))
     return out
 
 
-def sp_span_echelon(rows) -> list[dict]:
-    piv = sp_echelon(rows, reduced=True)
+def sp_span_echelon(rows, modulus: int | None = None) -> list[dict]:
+    piv = sp_echelon(rows, reduced=True, modulus=modulus)
     return [piv[c] for c in sorted(piv)]
 
 
-def sp_annihilator(rows, cols) -> list[dict]:
+def sp_annihilator(rows, cols, modulus: int | None = None) -> list[dict]:
     """Basis of the annihilator of span(rows) under the standard pairing
     x . y = sum_c x_c y_c, inside the coordinates cols, which must hold
     every entry of every row.  Its dimension is len(cols) - rank(rows)."""
@@ -181,11 +220,14 @@ def sp_annihilator(rows, cols) -> list[dict]:
     local = {c: i for i, c in enumerate(cols)}
     system = [{local[c]: p for c, p in row.items()} for row in rows]
     return [
-        {cols[i]: p for i, p in z.items()} for z in sp_kernel(system, len(cols))
+        {cols[i]: p for i, p in z.items()}
+        for z in sp_kernel(system, len(cols), modulus)
     ]
 
 
-def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
+def sp_intersect(
+    rows: list[dict], ann: list[dict], modulus: int | None = None
+) -> list[dict]:
     """Canonical reduced echelon basis of span(rows) meet ker(ann): the
     combinations of rows that pair to zero with every row of ann.  With
     ann = sp_annihilator(other, cols) this is span(rows) meet span(other).
@@ -211,9 +253,9 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
         if eq:
             system.append(eq)
     if not system:
-        return sp_span_echelon(rows)
+        return sp_span_echelon(rows, modulus)
     result = []
-    for z in sp_kernel(system, len(rows)):
+    for z in sp_kernel(system, len(rows), modulus):
         vec: dict[int, dict] = {}
         for j, coeff in z.items():
             for c, p in rows[j].items():
@@ -223,8 +265,8 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
                 else:
                     vec.pop(c, None)
         if vec:
-            result.append(srow_strip(vec))
-    return sp_span_echelon(result)
+            result.append(srow_strip(vec, modulus))
+    return sp_span_echelon(result, modulus)
 
 
 def sp_apply(op: dict, vec: dict) -> dict:
@@ -274,11 +316,20 @@ def sp_map_scale(op: dict, poly: dict) -> dict:
     return {c: {r: lmul(p, poly) for r, p in col.items()} for c, col in op.items()}
 
 
-def sp_map_equal(opa: dict, opb: dict) -> bool:
+def sp_map_equal(opa: dict, opb: dict, modulus: int | None = None) -> bool:
+    """Whether two column maps agree; over F_modulus, entry by entry
+    mod modulus."""
     cols = set(opa) | set(opb)
     for c in cols:
-        if opa.get(c, {}) != opb.get(c, {}):
-            return False
+        cola, colb = opa.get(c, {}), opb.get(c, {})
+        if modulus is None:
+            if cola != colb:
+                return False
+            continue
+        for r in set(cola) | set(colb):
+            diff = lsub(cola.get(r, {}), colb.get(r, {}))
+            if any(v % modulus for v in diff.values()):
+                return False
     return True
 
 
@@ -295,20 +346,22 @@ def _laurent_row(row) -> dict:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row span inside Q(q)^ambient as its reduced echelon basis of
+    """Row span inside K^ambient as its reduced echelon basis of
     stripped rows in pivot order; each row's pivot is its first column.
-    The basis is canonical, so equal spans compare equal."""
+    K is Q(q) when modulus is None, else F_modulus.  The basis is
+    canonical, so equal spans compare equal."""
 
     ambient: int
     rows: tuple
+    modulus: int | None = None
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     @classmethod
-    def from_sparse(cls, ambient: int, rows) -> "Subspace":
-        return cls(ambient, tuple(sp_span_echelon(rows)))
+    def from_sparse(cls, ambient: int, rows, modulus: int | None = None) -> "Subspace":
+        return cls(ambient, tuple(sp_span_echelon(rows, modulus)), modulus)
 
     @classmethod
     def span(cls, ambient: int, rows) -> "Subspace":
@@ -326,4 +379,4 @@ class Subspace:
         """Whether a dict or list row of int, Fraction or Laurent entries
         lies in the span."""
         piv = {min(row): row for row in self.rows}
-        return sp_pivot_insert(piv, _laurent_row(vector)) is None
+        return sp_pivot_insert(piv, _laurent_row(vector), self.modulus) is None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import ONE, ladd, lconst, leval, lqint, lqshift
+from .laurent import ONE, P, fp, ladd, lconst, leval_fp, lqint, lqshift
 from .qarith import (
     Subspace,
     sp_apply,
@@ -48,9 +48,12 @@ class WeightModule:
         self.weights = tuple(tuple(w) for w in weights)
         self.e_ops = tuple(e_ops)
         self.f_ops = tuple(f_ops)
-        # q0 is None for generic q; a Fraction once specialized.  The audit
-        # then checks the relations with q-integers evaluated at q0.
+        # q0 is None for generic q; a Fraction once specialized.  The
+        # coefficients then live in F_P (modulus P), with q at the image x
+        # of q0, and the audit checks the relations there.
         self.q0 = q0
+        self.x = None if q0 is None else fp(q0)
+        self.modulus = None if q0 is None else P
         if audit:
             audit_module(self)
 
@@ -84,8 +87,8 @@ def _commutator(a: dict, b: dict) -> dict:
     return _map_sub(sp_compose(a, b), sp_compose(b, a))
 
 
-def _qint(k: int, q0) -> dict:
-    return lqint(k) if q0 is None else lconst(leval(lqint(k), q0))
+def _qint(k: int, x) -> dict:
+    return lqint(k) if x is None else lconst(leval_fp(lqint(k), x))
 
 
 def audit_module(m: WeightModule) -> None:
@@ -99,7 +102,7 @@ def audit_module(m: WeightModule) -> None:
                         raise ModuleAuditError(
                             f"{m.kind}: generator {i} is not weight-homogeneous"
                         )
-    two = _qint(2, m.q0)
+    two = _qint(2, m.x)
     for i in range(m.ngen):
         for j in range(m.ngen):
             comm = _commutator(m.e_ops[i], m.f_ops[j])
@@ -108,10 +111,10 @@ def audit_module(m: WeightModule) -> None:
                 for c, w in enumerate(wts):
                     k = pairing(m.alphas[i], w)
                     if k:
-                        expect[c] = {c: _qint(k, m.q0)}
+                        expect[c] = {c: _qint(k, m.x)}
             else:
                 expect = {}
-            if not sp_map_equal(comm, expect):
+            if not sp_map_equal(comm, expect, m.modulus):
                 raise ModuleAuditError(f"{m.kind}: [E_{i}, F_{j}] relation fails")
     for ops in (m.e_ops, m.f_ops):
         for i in range(m.ngen):
@@ -120,7 +123,9 @@ def audit_module(m: WeightModule) -> None:
                     continue
                 aij = pairing(m.alphas[i], m.alphas[j])
                 if aij == 0:
-                    if not sp_map_equal(_commutator(ops[i], ops[j]), {}):
+                    if not sp_map_equal(
+                        _commutator(ops[i], ops[j]), {}, m.modulus
+                    ):
                         raise ModuleAuditError(
                             f"{m.kind}: orthogonal generators {i},{j} do not commute"
                         )
@@ -131,7 +136,7 @@ def audit_module(m: WeightModule) -> None:
                     serre = sp_map_add(
                         _map_sub(xii_j, sp_map_scale(xiji, two)), xjii
                     )
-                    if not sp_map_equal(serre, {}):
+                    if not sp_map_equal(serre, {}, m.modulus):
                         raise ModuleAuditError(
                             f"{m.kind}: Serre relation fails for {i},{j}"
                         )
@@ -196,7 +201,7 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
                     col_e[ra * db + cb] = dict(p)
                 for rb, p in b.e_ops[i].get(cb, {}).items():
                     tgt = ca * db + rb
-                    s = ladd(col_e.get(tgt, {}), lqshift(p, ka, a.q0))
+                    s = ladd(col_e.get(tgt, {}), lqshift(p, ka, a.x))
                     if s:
                         col_e[tgt] = s
                     else:
@@ -205,7 +210,7 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
                     e_op[idx] = col_e
                 col_f: dict[int, dict] = {}
                 for ra, p in acol_f.items():
-                    col_f[ra * db + cb] = lqshift(p, -kb, a.q0)
+                    col_f[ra * db + cb] = lqshift(p, -kb, a.x)
                 for rb, p in b.f_ops[i].get(cb, {}).items():
                     tgt = ca * db + rb
                     s = ladd(col_f.get(tgt, {}), p)
@@ -273,13 +278,25 @@ def outer(a: WeightModule, b: WeightModule) -> WeightModule:
 
 
 def specialize_module(m: WeightModule, q0) -> WeightModule:
-    """Evaluate every action coefficient at q = q0 (kept as a constant
-    Laurent polynomial so the whole sparse engine applies unchanged)."""
+    """Evaluate every action coefficient at the image x of the rational
+    q0 in F_P, P = 2**61 - 1.  A value is kept as a constant Laurent
+    polynomial {0: c} with 0 < c < P, so the whole sparse engine applies
+    unchanged, and every coefficient stays within 61 bits.
+
+    A rank at x can only drop below the generic rank over Q(q), so a
+    dimension computed at x may differ from the generic one; agreement
+    at sample points is evidence for the generic answer, not a proof.
+    A coefficient that is nonzero over Q(q) but vanishes at x would change
+    the module itself; the sample is then outside the support of the
+    module and ArithmeticError is raised."""
     if m.q0 is not None:
         raise ValueError("module is already specialized")
     q0 = Fraction(q0)
     if q0 == 0:
         raise ValueError("cannot specialize at q = 0")
+    x = fp(q0)
+    if not x:
+        raise ArithmeticError(f"q0 = {q0} vanishes in F_P")
 
     def spec_ops(ops):
         out = []
@@ -288,9 +305,13 @@ def specialize_module(m: WeightModule, q0) -> WeightModule:
             for c, col in op.items():
                 newcol = {}
                 for r, p in col.items():
-                    v = leval(p, q0)
-                    if v:
-                        newcol[r] = {0: v}
+                    v = leval_fp(p, x)
+                    if not v:
+                        raise ArithmeticError(
+                            f"{m.kind}: a coefficient nonzero over Q(q) "
+                            f"vanishes at q0 = {q0} in F_P"
+                        )
+                    newcol[r] = {0: v}
                 if newcol:
                     new[c] = newcol
             out.append(new)
@@ -370,19 +391,22 @@ def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
         for pos, c in enumerate(idxs):
             for r, p in op.get(c, {}).items():
                 sys_rows.setdefault((gi, r), {})[pos] = p
-    combos = sp_kernel(list(sys_rows.values()), len(idxs))
+    combos = sp_kernel(list(sys_rows.values()), len(idxs), m.modulus)
     return [{idxs[pos]: p for pos, p in z.items()} for z in combos]
 
 
 def highest_weight_vectors(m: WeightModule, mu) -> Subspace:
     """Joint kernel of all E_i inside the mu weight space, embedded in the
     module's ambient coordinates."""
-    return Subspace.from_sparse(m.dim, weight_space_kernel(m, mu, range(m.ngen)))
+    return Subspace.from_sparse(
+        m.dim, weight_space_kernel(m, mu, range(m.ngen)), m.modulus
+    )
 
 
-def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:
+def hw_multiplicity_in_rows(apply_es, rows: list[dict], modulus=None) -> int:
     """dim of {v in span(rows) : E_i v = 0 for all i}; apply_es is a list
-    of callables acting on sparse vectors."""
+    of callables acting on sparse vectors, rows live over F_modulus when
+    modulus is given."""
     if not rows:
         return 0
     sys_rows: dict[tuple, dict] = {}
@@ -391,10 +415,12 @@ def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:
             img = app(row)
             for r, p in img.items():
                 sys_rows.setdefault((gi, r), {})[t] = p
-    return len(rows) - sp_rank(list(sys_rows.values()))
+    return len(rows) - sp_rank(list(sys_rows.values()), modulus)
 
 
-def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
+def decompose_weight_rows(
+    weight_rows: dict, blocks, apply_es, modulus=None
+) -> IrrepMultiset:
     """Decompose a submodule given as {weight: sparse rows}.  Counts
     highest weight vectors per dominant weight and certifies the total
     dimension against the row count."""
@@ -405,7 +431,7 @@ def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
         total_rows += len(rows)
         if not dominant(w, blocks):
             continue
-        k = hw_multiplicity_in_rows(apply_es, rows)
+        k = hw_multiplicity_in_rows(apply_es, rows, modulus)
         if k:
             out[w] = k
     if out.total_dim() != total_rows:
@@ -426,4 +452,6 @@ def decompose(m: WeightModule) -> IrrepMultiset:
     apply_es = [
         (lambda vec, op=m.e_ops[i]: sp_apply(op, vec)) for i in range(m.ngen)
     ]
-    return decompose_weight_rows(module_weight_rows(m), m.blocks, apply_es)
+    return decompose_weight_rows(
+        module_weight_rows(m), m.blocks, apply_es, m.modulus
+    )

@@ -254,3 +254,32 @@ def test_out_of_range_sizes_are_usage_errors(capsys):
         assert code == 1, argv
         assert env is None
         assert err.startswith("usage error: ")
+
+
+def test_negative_l_is_a_usage_error_naming_l(capsys):
+    for argv in (
+        ("poisson-closure", "--l", "-1", "--n", "2"),
+        ("koszul-probe", "--l", "-2", "--n", "3"),
+        ("flatness", "--l", "-1"),
+        ("ext-four", "--l", "-1"),
+        ("sym-power", "--l", "-1", "--n", "3"),
+        ("hilbert", "--l", "-1", "--n", "3", "--mode", "specialize", "--seed", "1"),
+    ):
+        code, env, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert env is None
+        assert err.startswith("usage error: --l ")
+
+
+def test_unexpected_exception_is_an_internal_run_failure(capsys, monkeypatch):
+    def boom(args):
+        raise KeyError("forced")
+
+    monkeypatch.setitem(cli._HANDLERS, "koszul-probe", boom)
+    code = cli.run(["koszul-probe", "--l", "3", "--n", "4"])
+    out = capsys.readouterr().out
+    env, end = json.JSONDecoder().raw_decode(out)
+    assert not out[end:].strip()
+    assert code == 2
+    assert env["payload"] == {"error": "internal", "message": "KeyError: 'forced'"}
+    assert env["verdicts"] == {"run": "fail"}

@@ -163,6 +163,16 @@ def _int_rows(rows):
     return all(is_int_poly(p) for row in rows for p in row.values())
 
 
+def _residues(rows):
+    # every entry a constant residue 0 < c < P of the prime field
+    return all(set(p) == {0} and 0 < p[0] < L.P for row in rows for p in row.values())
+
+
+def _fp_rows(rows):
+    # residues, with the first entry of each row scaled to 1
+    return _residues(rows) and all(row[min(row)] == {0: 1} for row in rows)
+
+
 @pytest.mark.parametrize("specialized", [False, True])
 def test_engine_rows_hold_int_coefficients(specialized):
     v = simple_gl2(3, 0)
@@ -170,18 +180,22 @@ def test_engine_rows_hold_int_coefficients(specialized):
     if specialized:
         m = specialize_module(m, Fraction(97, 101))
     rows = _raw_rows(m)
-    # the specialized module hands the engine rationals to clear
-    assert _int_rows(rows) != specialized
+    mod = m.modulus
+    # a specialized module holds reduced residues of F_P, no rationals
+    assert _int_rows(rows)
+    assert _residues(rows) == specialized
+    # over Q(q) returned rows hold ints; over F_P reduced residues led by 1
+    good = _fp_rows if specialized else _int_rows
 
-    assert _int_rows([srow_strip(r) for r in rows])
-    assert _int_rows(sp_echelon(rows).values())
-    assert _int_rows(sp_echelon(rows, reduced=False).values())
-    assert _int_rows(sp_kernel(rows, m.dim))
+    assert good([srow_strip(r, mod) for r in rows])
+    assert good(sp_echelon(rows, modulus=mod).values())
+    assert good(sp_echelon(rows, reduced=False, modulus=mod).values())
+    assert good(sp_kernel(rows, m.dim, mod))
     half = len(rows) // 2
-    ann = sp_annihilator(rows[half - 3 :], range(m.dim))
-    assert _int_rows(ann)
-    meet = sp_intersect(rows[: half + 3], ann)
-    assert meet and _int_rows(meet)
+    ann = sp_annihilator(rows[half - 3 :], range(m.dim), mod)
+    assert good(ann)
+    meet = sp_intersect(rows[: half + 3], ann, mod)
+    assert meet and good(meet)
 
     if not specialized:
         pair = square_gl2(3)
