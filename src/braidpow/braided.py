@@ -77,11 +77,12 @@ def at_two_samples(seed, compute):
     the two results differ, or when a sample is outside the support of
     a module (see specialize_module).
 
-    compute is expected to work over F_P at the image of q0, so each
-    run has every coefficient within 61 bits.  Two agreeing samples are
-    evidence for the generic answer over Q(q), not a certificate: a
-    dimension at a point can differ from the generic one (Schwartz 1980;
-    Zippel 1979)."""
+    compute is expected to work over F_P at the image of q0 (through
+    specialize_module), so each run keeps every coefficient within 61
+    bits.  Two agreeing samples are evidence for the generic answer over
+    Q(q), not a certificate: a dimension at a point can differ from the
+    generic one, and the sample pool is too small for the Schwartz-Zippel
+    bound (Schwartz 1980; Zippel 1979) to say how rarely."""
     pts = sample_points(seed)
     first, second = (compute(q0) for q0 in pts)
     if first != second:

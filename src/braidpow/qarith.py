@@ -94,10 +94,10 @@ def srow_strip(row: dict, modulus: int | None = None) -> dict:
     return row
 
 
-def _strip_mod(row: dict, p: int) -> dict:
+def _strip_mod(row: dict, modulus: int) -> dict:
     vals = {}
-    for c, e in row.items():
-        v = e[0] % p if e else 0
+    for c, p in row.items():
+        v = p[0] % modulus if p else 0
         if v:
             vals[c] = v
     if not vals:
@@ -105,8 +105,8 @@ def _strip_mod(row: dict, p: int) -> dict:
     lead = vals[min(vals)]
     if lead == 1:
         return {c: {0: v} for c, v in vals.items()}
-    inv = pow(lead, -1, p)
-    return {c: {0: v * inv % p} for c, v in vals.items()}
+    inv = pow(lead, -1, modulus)
+    return {c: {0: v * inv % modulus} for c, v in vals.items()}
 
 
 def _nonzero(row: dict, modulus) -> dict:
