@@ -9,6 +9,7 @@ from braidpow import laurent as L
 from braidpow.braided import (
     dim_sym_cube,
     rows_by_weight,
+    sample_points,
     square_gl2,
     tensor_weight,
 )
@@ -222,6 +223,33 @@ def test_rank_only_drops_under_specialization():
             values = [[L.leval(row.get(j, {}), q0) for j in range(3)] for row in rows]
             special = sp_rank([{j: L.lconst(v) for j, v in enumerate(r)} for r in values])
             assert special == _frac_rank(values) <= exact
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.dictionaries(
+                    st.integers(-2, 2), st.integers(-3, 3).filter(bool), max_size=3
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            max_size=4,
+        )
+    ),
+    st.integers(0, 200).map(lambda seed: sample_points(seed)[0]),
+)
+def test_fp_rank_at_the_image_of_q0_is_the_rank_at_q0(rows, q0):
+    """Int Laurent rows evaluated at q0 over Q and at its image x in F_P
+    have the same rank (P divides no minor of rows this small)."""
+    x = L.fp(q0)
+    fp_rows = [
+        {j: {0: v} for j, p in enumerate(r) if (v := L.leval_fp(p, x))} for r in rows
+    ]
+    values = [[L.leval(p, q0) for p in r] for r in rows]
+    assert sp_rank(fp_rows, L.P) == _frac_rank(values)
 
 
 def test_row_reduce_deterministic():
