@@ -62,6 +62,12 @@ ARGVS = [
     ["sym-power", "--l", "6", "--n", "3", "--mode", "specialize", "--seed", "9"],
     ["ext-power", "--l", "6", "--n", "3", "--mode", "specialize", "--seed", "10"],
     ["triple-product", "--beta", "3,2,3", "--eps", "+", "--mode", "specialize", "--seed", "12"],
+    # specialize-mode powers past degree 4 and the fourth powers, whose
+    # dims and components the relative tower must reproduce
+    ["hilbert", "--l", "5", "--n", "5", "--mode", "specialize", "--seed", "13"],
+    ["hilbert", "--l", "3", "--n", "7", "--mode", "specialize", "--seed", "14"],
+    ["sym-power", "--l", "4", "--n", "4", "--mode", "specialize", "--seed", "15"],
+    ["ext-power", "--l", "4", "--n", "4", "--mode", "specialize", "--seed", "16"],
 ]
 
 
