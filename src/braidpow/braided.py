@@ -14,6 +14,21 @@ is built once per power.  Every intersection happens inside a single
 gl-weight block and eliminates only the pairings of the front rows with
 the annihilator rows, which keeps the exact linear algebra on small
 matrices even when the ambient tensor power is large.
+
+A specialized module (over F_P, see specialize_module) uses the
+relative tower instead.  P^(n-1) lies in P^(n-2) ox V, so
+
+    P^n(I) = (P^{n-1}(I) ox V)  meet  (P^{n-2}(I) ox I)
+
+and each P^n is stored only by its relative coordinates over
+P^(n-1) ox V.  A weight block has one unknown per (basis vector of
+P^(n-1), basis vector of V) and one equation per (basis vector p_i of
+P^(n-2), row of Ann(I) at the matching weight), so no size grows like
+dim V^(n-2); the int kernel qarith.fp_kernel solves it.  braided_power
+expands the tower into V^{ox n} only when a Subspace is asked for.
+Exact mode stays on the meet above: over Q(q) the relative coordinates
+are raw kernel vectors whose q-degrees grow, and the tower measured
+2-5x slower there.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from .errors import GuardError, TheoremViolation
 from .laurent import ONE, ladd, lmul, lqshift
 from .qarith import (
     Subspace,
+    fp_kernel,
     sp_annihilator,
     sp_apply,
     sp_intersect,
@@ -36,6 +52,7 @@ from .qarith import (
 from .uqmod import (
     IrrepMultiset,
     WeightModule,
+    decompose_weight_dims,
     decompose_weight_rows,
     dim_irrep,
     highest_weight_vectors,
@@ -327,30 +344,142 @@ def _power_step(prev: dict, square_ann: dict, V: WeightModule, n: int) -> dict:
 
 def _powers(square: Subspace, V: WeightModule):
     """Yield P^0, P^1, P^2, ... of the side of V ox V spanned by square,
-    each as {weight: rows} over the weights of V^(ox n).  Ann(P^2) is
-    built once, when degree 3 is asked for."""
+    each as {weight: rows}.  Over Q(q) the rows are vectors of V^(ox n);
+    a specialized module (V.modulus set) runs the relative tower instead
+    (see _tower).  Ann(P^2) is built once, when degree 3 is asked for."""
+    if square.modulus != V.modulus:
+        raise ValueError("square and module live over different fields")
+    if V.modulus is not None:
+        yield from _tower(square, V)
+        return
     yield {tensor_weight(V, 0, 0): [{0: dict(ONE)}]}
     yield module_weight_rows(V)
-    if square.ambient != V.dim**2:
-        raise ValueError("square does not live in V ox V")
-    weight2 = lambda c: tensor_weight(V, 2, c)
-    cur = subspace_weight_rows(square, weight2)
+    cur, blocks = _square_blocks(square, V)
     yield cur
-    blocks: dict[tuple, list] = {}
-    for c in range(V.dim**2):
-        blocks.setdefault(weight2(c), []).append(c)
-    ann = annihilator_rows(cur, blocks, V.modulus)
+    ann = annihilator_rows(cur, blocks)
     for n in count(3):
         cur = _power_step(cur, ann, V, n)
         yield cur
 
 
+def _square_blocks(square: Subspace, V: WeightModule):
+    # the square's rows by weight, and the columns of each weight block
+    # of V ox V
+    if square.ambient != V.dim**2:
+        raise ValueError("square does not live in V ox V")
+    weight2 = lambda c: tensor_weight(V, 2, c)
+    blocks: dict[tuple, list] = {}
+    for c in range(V.dim**2):
+        blocks.setdefault(weight2(c), []).append(c)
+    return subspace_weight_rows(square, weight2), blocks
+
+
+def _tower(square: Subspace, V: WeightModule):
+    """Yield P^0, P^1, P^2, ... of a specialized module as levels of the
+    relative tower: {weight: rows} with int entries mod P.  The basis of
+    a level is numbered in level order (weights sorted, then row order),
+    and the row {a * d + b: c} of P^n stands for the vector
+    sum c * (basis vector a of P^(n-1)) ox e_b.  P^1 is V, P^2 is the
+    square with its first factor renumbered in level order, and every
+    higher level comes from _tower_step."""
+    d, p = V.dim, V.modulus
+    yield {tensor_weight(V, 0, 0): [{0: 1}]}
+    blocks1 = V.weight_blocks()
+    yield {w: [{i: 1} for i in blocks1[w]] for w in sorted(blocks1)}
+    pos = {i: a for a, i in enumerate(i for w in sorted(blocks1) for i in blocks1[w])}
+    sq, blocks = _square_blocks(square, V)
+    level = {
+        w: [{pos[c // d] * d + c % d: e[0] for c, e in row.items()} for row in rows]
+        for w, rows in sorted(sq.items())
+    }
+    yield level
+    # Ann(P^2) by column of V ox V: {col: [(annihilator row, entry)]}
+    ann_at: dict[int, list] = {}
+    k = 0
+    for w, cols in blocks.items():
+        local = {c: i for i, c in enumerate(cols)}
+        system = [{local[c]: e[0] for c, e in row.items()} for row in sq.get(w, [])]
+        for z in fp_kernel(system, len(cols), p):
+            for i, v in z.items():
+                ann_at.setdefault(cols[i], []).append((k, v))
+            k += 1
+    while True:
+        level = _tower_step(level, ann_at, V)
+        yield level
+
+
+def _tower_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
+    """P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2) as a level of the
+    tower, from the level prev of P^(n-1) and Ann(P^2) by column.
+
+    The unknowns of a weight block are the pairs (a, b) of a basis vector
+    p_a of P^(n-1) and a basis vector e_b of V.  Written over the basis
+    p_i of P^(n-2), sum x_ab p_a ox e_b is sum_i p_i ox g_i with g_i in
+    V ox V, and it lies in P^(n-2) ox P^2 exactly when every g_i pairs
+    to zero with Ann(P^2): one equation per (i, annihilator row)."""
+    d, p = V.dim, V.modulus
+    unknowns: dict[tuple, list] = {}
+    a = 0
+    for w in sorted(prev):
+        for row in prev[w]:
+            for b, wb in enumerate(V.weights):
+                unknowns.setdefault(tuple(x + y for x, y in zip(w, wb)), []).append(
+                    (a * d + b, b, row)
+                )
+            a += 1
+    out = {}
+    for w in sorted(unknowns):
+        cols = unknowns[w]
+        eqs: dict[tuple, dict] = {}
+        for j, (_, b, row) in enumerate(cols):
+            for col, t in row.items():
+                i, c = divmod(col, d)
+                for k, v in ann_at.get(c * d + b, ()):
+                    eq = eqs.setdefault((i, k), {})
+                    eq[j] = eq.get(j, 0) + t * v
+        kernel = fp_kernel(eqs.values(), len(cols), p)
+        if kernel:
+            out[w] = [{cols[j][0]: v for j, v in z.items()} for z in kernel]
+    return out
+
+
+def _expand(level: dict, below: list, d: int, p: int) -> list:
+    # the basis of a tower level, in level order, as vectors {col: int}
+    # of V^(ox n), from those of the level below
+    out = []
+    for w in sorted(level):
+        for row in level[w]:
+            vec: dict[int, int] = {}
+            for col, t in row.items():
+                a, b = divmod(col, d)
+                for c, v in below[a].items():
+                    key = c * d + b
+                    vec[key] = (vec.get(key, 0) + t * v) % p
+            out.append({c: v for c, v in vec.items() if v})
+    return out
+
+
 def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
-    """n-th braided power of the side of V ox V spanned by `square`."""
+    """n-th braided power of the side of V ox V spanned by `square`.  For
+    a specialized module the tower is expanded into V^(ox n) here."""
     if n < 0:
         raise ValueError("power must be nonnegative")
+    levels = islice(_powers(square, V), n + 1)
+    if V.modulus is None:
+        wrows = next(islice(levels, n, None))
+        return weight_rows_subspace(V.dim**n, wrows)
+    full = [{0: 1}]
+    for level in islice(levels, 1, None):
+        full = _expand(level, full, V.dim, V.modulus)
+    rows = [{c: {0: v} for c, v in vec.items()} for vec in full]
+    return Subspace.from_sparse(V.dim**n, rows, V.modulus)
+
+
+def decompose_power_characters(square: Subspace, V: WeightModule, n: int) -> IrrepMultiset:
+    """Decomposition of the n-th braided power of a gl_2 module read off
+    its weight dims (see decompose_weight_dims); P^n is never expanded."""
     wrows = next(islice(_powers(square, V), n, None))
-    return weight_rows_subspace(V.dim**n, wrows, V.modulus)
+    return decompose_weight_dims({w: len(rows) for w, rows in wrows.items()})
 
 
 def power_dims(square: Subspace, V: WeightModule, up_to: int) -> list[int]:
@@ -651,7 +780,7 @@ def hilbert_table(
 ) -> HilbertTable:
     """Dimensions of the braided powers of V_(l,0) through degree upto.
     Exact mode is guarded to upto <= 4 and l <= 6; the specialize mode
-    runs the same blocked pipeline over F_P at two sample points (see
+    runs the relative tower over F_P at two sample points (see
     at_two_samples)."""
     if kind not in ("sym", "ext"):
         raise ValueError("kind must be 'sym' or 'ext'")

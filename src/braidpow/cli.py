@@ -33,6 +33,7 @@ from .braided import (
     at_two_samples,
     braided_power,
     conjectural_sym_dim,
+    decompose_power_characters,
     decompose_power_subspace,
     dim_sym_cube,
     ext_cube_closed,
@@ -129,6 +130,9 @@ def _decompose_power(args, family, kind, q0=None):
     V = _build_module(args, family, q0)
     pair = module_square(V)
     side = pair.sym if kind == "sym" else pair.ext
+    if q0 is not None:
+        dec = decompose_power_characters(side, V, args.n)
+        return dec.total_dim(), dec
     sub = braided_power(side, V, args.n)
     return sub.dim, decompose_power_subspace(V, args.n, sub)
 

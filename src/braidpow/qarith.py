@@ -22,6 +22,10 @@ routines are the same for both, and only two steps read it:
   when it is not zero as an int (E applied to a highest-weight vector
   gives such entries), so the zero test before a pivot is chosen
   reduces mod p first; such an entry never becomes a pivot.
+
+Specialize mode's braided powers skip the Laurent wrapping altogether:
+fp_rref and fp_kernel eliminate rows {col: int} over F_p with pivots
+scaled to 1 (see braided._tower).
 """
 
 from __future__ import annotations
@@ -118,13 +122,18 @@ def _nonzero(row: dict, modulus) -> dict:
 
 
 def _cross(row: dict, pivot_row: dict, col: int) -> dict:
-    # pivot_row[col]*row - row[col]*pivot_row, entry at col cancels exactly
+    # pivot_row[col]*row - row[col]*pivot_row; the entry at col cancels
+    # exactly and is skipped, and so is a multiplication by 1 (over F_p
+    # both factors are 1: every stripped row starts with 1)
     a, b = pivot_row[col], row[col]
-    out = {}
-    for c, p in row.items():
-        out[c] = lmul(a, p)
+    if a == ONE:
+        out = {c: p for c, p in row.items() if c != col}
+    else:
+        out = {c: lmul(a, p) for c, p in row.items() if c != col}
     for c, p in pivot_row.items():
-        s = lsub(out.get(c, {}), lmul(b, p))
+        if c == col:
+            continue
+        s = lsub(out.get(c, {}), p if b == ONE else lmul(b, p))
         if s:
             out[c] = s
         else:
@@ -187,6 +196,7 @@ def sp_kernel(rows, ncols: int, modulus: int | None = None) -> list[dict]:
     in echelon order.  Back-substitution stays fraction free: for a free
     column f, x_f is the lcm L of the pivot entries of the rows touching
     f, and each such row with pivot c gives x_c = -row[f] * (L / row[c]).
+    Over F_modulus every pivot entry is 1, so x_f = 1 and x_c = -row[f].
     A system of full column rank is answered after the forward pass."""
     piv = sp_echelon(rows, reduced=False, modulus=modulus)
     if len(piv) == ncols:
@@ -197,6 +207,12 @@ def sp_kernel(rows, ncols: int, modulus: int | None = None) -> list[dict]:
         if f in piv:
             continue
         touching = [(c, prow) for c, prow in piv.items() if f in prow]
+        if modulus is not None:
+            vec = {f: dict(ONE)}
+            for c, prow in touching:
+                vec[c] = lneg(prow[f])
+            out.append(srow_strip(vec, modulus))
+            continue
         den = dict(ONE)
         for c, prow in touching:
             den = llcm(den, prow[c])
@@ -267,6 +283,73 @@ def sp_intersect(
         if vec:
             result.append(srow_strip(vec, modulus))
     return sp_span_echelon(result, modulus)
+
+
+# ---------------------------------------------------------------------------
+# int rows over F_p
+#
+# Specialize mode's braided powers eliminate rows {col: int} over F_p
+# directly, without Laurent entries.  A row is kept in reduced row echelon
+# form with its pivot scaled to 1, so an update is row -= f * pivot_row
+# mod p and touches only the free columns of the pivot row.
+
+
+def fp_rref(rows, p: int, ncols: int | None = None) -> dict:
+    """Reduced row echelon form over F_p of rows {col: int} as
+    {pivot col: row}: each row has pivot entry 1 and no entry in another
+    pivot column.  Entries are reduced mod p on the way in, so one that p
+    divides is zero and never a pivot.  Stops once ncols pivots exist."""
+    piv: dict[int, dict] = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        for c in [c for c in row if c in piv]:
+            f = row.pop(c)
+            for k, v in piv[c].items():
+                if k != c:
+                    s = (row.get(k, 0) - f * v) % p
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+        if not row:
+            continue
+        j = min(row)
+        inv = pow(row[j], -1, p)
+        if inv != 1:
+            row = {k: v * inv % p for k, v in row.items()}
+        for prow in piv.values():
+            f = prow.pop(j, 0)
+            if f:
+                for k, v in row.items():
+                    if k != j:
+                        s = (prow.get(k, 0) - f * v) % p
+                        if s:
+                            prow[k] = s
+                        else:
+                            del prow[k]
+        piv[j] = row
+        if len(piv) == ncols:
+            break
+    return piv
+
+
+def fp_kernel(rows, ncols: int, p: int) -> list[dict]:
+    """Basis of {x : row . x = 0 mod p for every row} in columns
+    0..ncols-1, read off the reduced row echelon form: one vector per
+    free column f, with x_f = 1 and x_c = -row[f] for the row of each
+    pivot c, in order of f.  Entries are ints in 0 < x < p."""
+    piv = fp_rref(rows, p, ncols)
+    out = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        vec = {f: 1}
+        for c, prow in piv.items():
+            v = prow.get(f)
+            if v:
+                vec[c] = p - v
+        out.append(vec)
+    return out
 
 
 def sp_apply(op: dict, vec: dict) -> dict:

@@ -441,6 +441,32 @@ def decompose_weight_rows(
     return out
 
 
+def decompose_weight_dims(weight_dims: dict) -> IrrepMultiset:
+    """Decompose a gl_2 module from its character {weight: dim}: V_lam
+    occurs dim_lam - dim_(lam + alpha) times, alpha = (1, -1), for each
+    dominant weight lam of the table.  Raises ModuleAuditError when the
+    dims are not symmetric under the Weyl group, a multiplicity is
+    negative, or the components do not account for every dimension."""
+    for (a, b), k in weight_dims.items():
+        if weight_dims.get((b, a), 0) != k:
+            raise ModuleAuditError(f"weight dims are not Weyl symmetric at {(a, b)}")
+    out = IrrepMultiset(blocks=(2,))
+    for (a, b), k in weight_dims.items():
+        if a < b:
+            continue
+        mult = k - weight_dims.get((a + 1, b - 1), 0)
+        if mult < 0:
+            raise ModuleAuditError(f"negative multiplicity {mult} of {(a, b)}")
+        if mult:
+            out[(a, b)] = mult
+    total = sum(weight_dims.values())
+    if out.total_dim() != total:
+        raise ModuleAuditError(
+            f"decomposition accounts for {out.total_dim()} of {total} dimensions"
+        )
+    return out
+
+
 def module_weight_rows(m: WeightModule) -> dict:
     return {
         w: [{i: dict(ONE)} for i in idxs] for w, idxs in m.weight_blocks().items()
