@@ -124,7 +124,7 @@ def _nonzero(row: dict, modulus) -> dict:
 def _cross(row: dict, pivot_row: dict, col: int) -> dict:
     # pivot_row[col]*row - row[col]*pivot_row; the entry at col cancels
     # exactly and is skipped, and so is a multiplication by 1 (over F_p
-    # both factors are 1: every stripped row starts with 1)
+    # every pivot entry is 1, and so is row[col] in forward elimination)
     a, b = pivot_row[col], row[col]
     if a == ONE:
         out = {c: p for c, p in row.items() if c != col}
