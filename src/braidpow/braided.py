@@ -29,6 +29,11 @@ expands the tower into V^{ox n} only when a Subspace is asked for.
 Exact mode stays on the meet above: over Q(q) the relative coordinates
 are raw kernel vectors whose q-degrees grow, and the tower measured
 2-5x slower there.
+
+Over F_P every row is an int row {col: int}: squares are F-strings of
+highest-weight vectors found by fp_kernel, the specialized triple
+product is one tower step, and components are read off weight dims
+(decompose_weight_dims), never off highest-weight counts.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .qarith import (
     sp_annihilator,
     sp_apply,
     sp_intersect,
-    sp_pivot_insert,
+    srow_strip,
 )
 from .uqmod import (
     IrrepMultiset,
@@ -147,26 +152,26 @@ def weight_rows_subspace(ambient: int, wrows: dict, modulus=None) -> Subspace:
     return Subspace.from_sparse(ambient, rows, modulus)
 
 
-def submodule_closure(m: WeightModule, seed_rows) -> dict:
-    """Smallest E/F stable span containing the seeds, per weight."""
-    piv_by_w: dict[tuple, dict] = {}
-    queue = [dict(r) for r in seed_rows if r]
-    while queue:
-        row = queue.pop()
-        w = m.weights[min(row)]
-        inserted = sp_pivot_insert(piv_by_w.setdefault(w, {}), row, m.modulus)
-        if inserted is None:
-            continue
-        for ops in (m.e_ops, m.f_ops):
-            for i in range(m.ngen):
-                img = sp_apply(ops[i], inserted)
-                if img:
-                    queue.append(img)
-    return {
-        w: [piv[c] for c in sorted(piv)]
-        for w, piv in sorted(piv_by_w.items())
-        if piv
-    }
+def _f_strings(m: WeightModule, hw_rows) -> dict:
+    """The F-strings v, Fv, F^2 v, ... of highest-weight vectors v of a
+    gl_2 module, per weight.  The strings of a basis of the highest-weight
+    vectors of weight lam span the lam-isotypic part.  Rows over Q(q) are
+    stripped at each step; rows {col: int} of a specialized module are
+    reduced mod P."""
+    f, p = m.f_ops[0], m.modulus
+    out: dict[tuple, list] = {}
+    for v in hw_rows:
+        while v:
+            out.setdefault(m.weights[min(v)], []).append(v)
+            if p is None:
+                v = srow_strip(sp_apply(f, v))
+                continue
+            img: dict[int, int] = {}
+            for c, t in v.items():
+                for r, e in f.get(c, {}).items():
+                    img[r] = (img.get(r, 0) + t * e[0]) % p
+            v = {r: t for r, t in img.items() if t}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,7 @@ def _square_simple_gl2(V: WeightModule) -> tuple[WeightModule, dict, dict]:
     ext_rows: dict[tuple, list] = {}
     for m in range(l1 - l2 + 1):
         hw = highest_weight_vectors(tt, (2 * l1 - m, 2 * l2 + m))
-        block = submodule_closure(tt, hw.sparse_rows())
+        block = _f_strings(tt, hw.sparse_rows())
         target = sym_rows if m % 2 == 0 else ext_rows
         for w, rows in block.items():
             target.setdefault(w, []).extend(rows)
@@ -288,13 +293,14 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
-def annihilator_rows(wrows: dict, blocks: dict, modulus=None) -> dict:
-    """Annihilator of a weight-blocked subspace, {weight: rows}, under the
-    standard pairing.  blocks maps every weight of the ambient module to
-    its columns; a weight that wrows leaves empty keeps its whole block."""
+def annihilator_rows(wrows: dict, blocks: dict) -> dict:
+    """Annihilator of a weight-blocked subspace over Q(q), {weight: rows},
+    under the standard pairing.  blocks maps every weight of the ambient
+    module to its columns; a weight that wrows leaves empty keeps its
+    whole block."""
     out = {}
     for w, cols in blocks.items():
-        rows = sp_annihilator(wrows.get(w, []), cols, modulus)
+        rows = sp_annihilator(wrows.get(w, []), cols)
         if rows:
             out[w] = rows
     return out
@@ -329,7 +335,7 @@ def _slot_meet(
                 )
     out: dict[tuple, list] = {}
     for w in sorted(front):
-        rows = sp_intersect(front[w], anns.get(w, []), back.modulus)
+        rows = sp_intersect(front[w], anns.get(w, []))
         if rows:
             out[w] = rows
     return out
@@ -389,40 +395,51 @@ def _tower(square: Subspace, V: WeightModule):
     pos = {i: a for a, i in enumerate(i for w in sorted(blocks1) for i in blocks1[w])}
     sq, blocks = _square_blocks(square, V)
     level = {
-        w: [{pos[c // d] * d + c % d: e[0] for c, e in row.items()} for row in rows]
+        w: [{pos[c // d] * d + c % d: e for c, e in row.items()} for row in rows]
         for w, rows in sorted(sq.items())
     }
     yield level
-    # Ann(P^2) by column of V ox V: {col: [(annihilator row, entry)]}
+    ann_at = _ann_by_column(sq, blocks, p)
+    while True:
+        level = _tower_step(level, ann_at, d, V)
+        yield level
+
+
+def _ann_by_column(wrows: dict, blocks: dict, p: int) -> dict:
+    """The annihilator over F_p of a weight-blocked subspace with rows
+    {col: int}, by column: {col: [(annihilator row, entry)]}.  blocks
+    maps every weight of the ambient module to its columns."""
     ann_at: dict[int, list] = {}
     k = 0
     for w, cols in blocks.items():
         local = {c: i for i, c in enumerate(cols)}
-        system = [{local[c]: e[0] for c, e in row.items()} for row in sq.get(w, [])]
+        system = [{local[c]: e for c, e in row.items()} for row in wrows.get(w, [])]
         for z in fp_kernel(system, len(cols), p):
             for i, v in z.items():
                 ann_at.setdefault(cols[i], []).append((k, v))
             k += 1
-    while True:
-        level = _tower_step(level, ann_at, V)
-        yield level
+    return ann_at
 
 
-def _tower_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
-    """P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2) as a level of the
-    tower, from the level prev of P^(n-1) and Ann(P^2) by column.
+def _tower_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
+    """(prev ox back) meet (head ox I) over F_P as a level of the tower,
+    where prev is a level over head ox M (its row {i * mid + c: t} stands
+    for sum t * h_i ox e_c, with M of dimension mid) and ann_at is Ann(I)
+    of a subspace I of M ox back, by column (see _ann_by_column).  With
+    head P^(n-2), M = back = V and I = P^2 this is
+    P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2).
 
     The unknowns of a weight block are the pairs (a, b) of a basis vector
-    p_a of P^(n-1) and a basis vector e_b of V.  Written over the basis
-    p_i of P^(n-2), sum x_ab p_a ox e_b is sum_i p_i ox g_i with g_i in
-    V ox V, and it lies in P^(n-2) ox P^2 exactly when every g_i pairs
-    to zero with Ann(P^2): one equation per (i, annihilator row)."""
-    d, p = V.dim, V.modulus
+    p_a of prev and a basis vector e_b of back.  Written over the basis
+    h_i of the head, sum x_ab p_a ox e_b is sum_i h_i ox g_i with g_i in
+    M ox back, and it lies in head ox I exactly when every g_i pairs to
+    zero with Ann(I): one equation per (i, annihilator row)."""
+    d, p = back.dim, back.modulus
     unknowns: dict[tuple, list] = {}
     a = 0
     for w in sorted(prev):
         for row in prev[w]:
-            for b, wb in enumerate(V.weights):
+            for b, wb in enumerate(back.weights):
                 unknowns.setdefault(tuple(x + y for x, y in zip(w, wb)), []).append(
                     (a * d + b, b, row)
                 )
@@ -433,7 +450,7 @@ def _tower_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
         eqs: dict[tuple, dict] = {}
         for j, (_, b, row) in enumerate(cols):
             for col, t in row.items():
-                i, c = divmod(col, d)
+                i, c = divmod(col, mid)
                 for k, v in ann_at.get(c * d + b, ()):
                     eq = eqs.setdefault((i, k), {})
                     eq[j] = eq.get(j, 0) + t * v
@@ -471,8 +488,7 @@ def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
     full = [{0: 1}]
     for level in islice(levels, 1, None):
         full = _expand(level, full, V.dim, V.modulus)
-    rows = [{c: {0: v} for c, v in vec.items()} for vec in full]
-    return Subspace.from_sparse(V.dim**n, rows, V.modulus)
+    return Subspace.from_sparse(V.dim**n, full, V.modulus)
 
 
 def decompose_power_characters(square: Subspace, V: WeightModule, n: int) -> IrrepMultiset:
@@ -521,10 +537,15 @@ def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
 
 
 def decompose_power(V: WeightModule, n: int, wrows: dict) -> IrrepMultiset:
+    """Decomposition of a submodule of V^(ox n) over Q(q), from its
+    highest-weight vectors; a specialized module is refused with
+    ValueError (see decompose_power_characters)."""
+    if V.modulus is not None:
+        raise ValueError("decompose_power serves modules over Q(q) only")
     apply_es = [
         (lambda vec, i=i: power_apply_e(V, n, i, vec)) for i in range(V.ngen)
     ]
-    return decompose_weight_rows(wrows, V.blocks, apply_es, V.modulus)
+    return decompose_weight_rows(wrows, V.blocks, apply_es)
 
 
 def decompose_power_subspace(V: WeightModule, n: int, sub: Subspace) -> IrrepMultiset:
@@ -606,7 +627,7 @@ def _bullet_rows(ta: WeightModule, l1: int, l2: int, parity: int) -> dict:
         if m % 2 != parity:
             continue
         hw = highest_weight_vectors(ta, (l1 + l2 - m, m))
-        for w, rows in submodule_closure(ta, hw.sparse_rows()).items():
+        for w, rows in _f_strings(ta, hw.sparse_rows()).items():
             out.setdefault(w, []).extend(rows)
     return out
 
@@ -657,6 +678,9 @@ def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
 
 
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
+    """(bullet12 ox V_b3) meet (V_b1 ox bullet23), decomposed: over Q(q)
+    by _slot_meet and its highest-weight vectors, or at q0 over F_P by a
+    tower step and its character."""
     b1, b2, b3 = beta
     mods = [simple_gl2(b, 0) for b in beta]
     if q0 is not None:
@@ -665,13 +689,16 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     t12 = tensor(v1, v2)
     bullet12 = _bullet_rows(t12, b1, b2, parity)
     t23 = tensor(v2, v3)
-    ann23 = annihilator_rows(
-        _bullet_rows(t23, b2, b3, parity), t23.weight_blocks(), t23.modulus
-    )
+    bullet23 = _bullet_rows(t23, b2, b3, parity)
+    if q0 is not None:
+        ann_at = _ann_by_column(bullet23, t23.weight_blocks(), t23.modulus)
+        meet = _tower_step(bullet12, ann_at, v2.dim, v3)
+        return decompose_weight_dims({w: len(rows) for w, rows in meet.items()})
+    ann23 = annihilator_rows(bullet23, t23.weight_blocks())
     meet = _slot_meet(bullet12, v3, v1.weights, ann23, t23.dim)
     t = tensor(t12, v3)
     apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
-    return decompose_weight_rows(meet, t.blocks, apply_es, t.modulus)
+    return decompose_weight_rows(meet, t.blocks, apply_es)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ leval) or a division leaves one; qarith clears it to integers at the row
 boundary.
 
 Specialize mode evaluates q at the image x of a rational sample point
-in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  Its coefficients
-stay constant Laurent polynomials {0: c} with int c, so every function
-here applies to them unchanged; lqshift with x given multiplies by
-x**k in F_P.
+in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  A specialized
+module's coefficients stay constant Laurent polynomials {0: c} with int
+c, so the module operations built on this file apply to them unchanged;
+lqshift with x given multiplies by x**k in F_P.  Linear algebra over F_P
+takes the ints c out of them and runs on qarith's int kernel, never on
+Laurent rows.
 """
 
 from __future__ import annotations

@@ -1,31 +1,19 @@
-"""Sparse linear algebra over Q(q), and over a prime field for
-specialize mode.
+"""Sparse linear algebra over Q(q), and its one prime-field kernel.
 
-Everything here is a sparse fraction-free elimination over Laurent rows:
-a row is a dict {column: Laurent dict} that stores no zero entry.
+The sp_* routines are a sparse fraction-free elimination over Laurent
+rows: a row is a dict {column: Laurent dict} that stores no zero entry.
 Elimination cross-multiplies rows instead of dividing, then strips each
-row to the canonical representative of its line, so a reduced echelon
-basis of stripped rows is the canonical form of a subspace, and Subspace
-is no more than the ambient dimension, that basis and its field.
+row to the canonical representative of its line: srow_strip removes the
+common q power, integer content and any common polynomial factor, so
+every returned row holds primitive int coefficients, and rationals
+handed in by a caller (a Fraction scalar) are cleared to integers by the
+first srow_strip.  A reduced echelon basis of stripped rows is the
+canonical form of a subspace.
 
-The field of a row is named by a modulus argument; the elimination
-routines are the same for both, and only two steps read it:
-
-- modulus None: rows over Q(q).  srow_strip removes the common q power,
-  integer content and any common polynomial factor, so every returned
-  row holds primitive int coefficients; rationals handed in by a caller
-  (a Fraction scalar) are cleared to integers by the first srow_strip.
-- modulus p, a prime: rows over F_p, every entry a constant {0: c}.
-  srow_strip reduces each entry to 0 < c < p, drops the entries p
-  divides and scales the first entry to 1.  Cross-multiplication leaves
-  unreduced ints behind, and an int that p divides is zero here even
-  when it is not zero as an int (E applied to a highest-weight vector
-  gives such entries), so the zero test before a pivot is chosen
-  reduces mod p first; such an entry never becomes a pivot.
-
-Specialize mode's braided powers skip the Laurent wrapping altogether:
-fp_rref and fp_kernel eliminate rows {col: int} over F_p with pivots
-scaled to 1 (see braided._tower).
+Specialize mode never enters that engine.  fp_rref and fp_kernel
+eliminate rows {col: int} over F_p with pivots scaled to 1, and a
+Subspace over F_p holds fp_rref's rows; Subspace.from_sparse and
+Subspace.contains are the one place that picks between the two.
 """
 
 from __future__ import annotations
@@ -64,15 +52,11 @@ def _integral(row: dict) -> dict:
     }
 
 
-def srow_strip(row: dict, modulus: int | None = None) -> dict:
+def srow_strip(row: dict) -> dict:
     """Strip a row of its common q power, its content and any common
     polynomial factor.  The result has coprime int coefficients and a
     positive leading coefficient in its first column; rational input is
-    cleared to integers here.  Over F_modulus the entries are reduced
-    into 0 < c < modulus, the zero ones dropped, and the row scaled so
-    that its first entry is 1."""
-    if modulus is not None:
-        return _strip_mod(row, modulus)
+    cleared to integers here."""
     if not row:
         return row
     shift = min(min(p) for p in row.values())
@@ -98,33 +82,10 @@ def srow_strip(row: dict, modulus: int | None = None) -> dict:
     return row
 
 
-def _strip_mod(row: dict, modulus: int) -> dict:
-    vals = {}
-    for c, p in row.items():
-        v = p[0] % modulus if p else 0
-        if v:
-            vals[c] = v
-    if not vals:
-        return {}
-    lead = vals[min(vals)]
-    if lead == 1:
-        return {c: {0: v} for c, v in vals.items()}
-    inv = pow(lead, -1, modulus)
-    return {c: {0: v * inv % modulus} for c, v in vals.items()}
-
-
-def _nonzero(row: dict, modulus) -> dict:
-    # the row without its zero entries, the test before a pivot is chosen;
-    # over F_modulus the entries are reduced first
-    if modulus is None:
-        return {c: p for c, p in row.items() if p}
-    return _strip_mod(row, modulus)
-
-
 def _cross(row: dict, pivot_row: dict, col: int) -> dict:
     # pivot_row[col]*row - row[col]*pivot_row; the entry at col cancels
-    # exactly and is skipped, and so is a multiplication by 1 (over F_p
-    # every pivot entry is 1, and so is row[col] in forward elimination)
+    # exactly and is skipped, and so is a multiplication by a pivot or
+    # row entry 1
     a, b = pivot_row[col], row[col]
     if a == ONE:
         out = {c: p for c, p in row.items() if c != col}
@@ -141,26 +102,26 @@ def _cross(row: dict, pivot_row: dict, col: int) -> dict:
     return out
 
 
-def sp_echelon(rows, reduced: bool = True, modulus: int | None = None) -> dict:
+def sp_echelon(rows, reduced: bool = True) -> dict:
     """Eliminate sparse Laurent rows.  Returns {pivot_col: row}; with
     reduced=True the rows form an RREF up to scaling (each row touches
     its own pivot column and free columns only)."""
     piv: dict[int, dict] = {}
     for row in rows:
-        row = _nonzero(row, modulus)
+        row = {c: p for c, p in row.items() if p}
         while row:
             c = min(row)
             hit = piv.get(c)
             if hit is None:
-                piv[c] = srow_strip(row, modulus)
+                piv[c] = srow_strip(row)
                 break
-            row = srow_strip(_cross(row, hit, c), modulus)
+            row = srow_strip(_cross(row, hit, c))
     if reduced:
-        _back_reduce(piv, modulus)
+        _back_reduce(piv)
     return piv
 
 
-def _back_reduce(piv: dict, modulus) -> None:
+def _back_reduce(piv: dict) -> None:
     # clear every pivot column from the other rows, last pivot first
     if len(piv) < 2:
         return
@@ -169,66 +130,59 @@ def _back_reduce(piv: dict, modulus) -> None:
         others = [c2 for c2 in row if c2 != c and c2 in piv]
         for c2 in sorted(others):
             row = _cross(row, piv[c2], c2)
-        piv[c] = srow_strip(row, modulus)
+        piv[c] = srow_strip(row)
 
 
-def sp_rank(rows, modulus: int | None = None) -> int:
-    return len(sp_echelon(rows, reduced=False, modulus=modulus))
+def sp_rank(rows) -> int:
+    return len(sp_echelon(rows, reduced=False))
 
 
-def sp_pivot_insert(piv: dict, row: dict, modulus: int | None = None):
+def sp_pivot_insert(piv: dict, row: dict):
     """Reduce row against the pivot dict in place; on a new pivot, store
     the stripped row and return it, else return None."""
-    row = _nonzero(row, modulus)
+    row = {c: p for c, p in row.items() if p}
     while row:
         c = min(row)
         hit = piv.get(c)
         if hit is None:
-            row = srow_strip(row, modulus)
+            row = srow_strip(row)
             piv[c] = row
             return row
-        row = srow_strip(_cross(row, hit, c), modulus)
+        row = srow_strip(_cross(row, hit, c))
     return None
 
 
-def sp_kernel(rows, ncols: int, modulus: int | None = None) -> list[dict]:
+def sp_kernel(rows, ncols: int) -> list[dict]:
     """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
     in echelon order.  Back-substitution stays fraction free: for a free
     column f, x_f is the lcm L of the pivot entries of the rows touching
     f, and each such row with pivot c gives x_c = -row[f] * (L / row[c]).
-    Over F_modulus every pivot entry is 1, so x_f = 1 and x_c = -row[f].
     A system of full column rank is answered after the forward pass."""
-    piv = sp_echelon(rows, reduced=False, modulus=modulus)
+    piv = sp_echelon(rows, reduced=False)
     if len(piv) == ncols:
         return []
-    _back_reduce(piv, modulus)
+    _back_reduce(piv)
     out = []
     for f in range(ncols):
         if f in piv:
             continue
         touching = [(c, prow) for c, prow in piv.items() if f in prow]
-        if modulus is not None:
-            vec = {f: dict(ONE)}
-            for c, prow in touching:
-                vec[c] = lneg(prow[f])
-            out.append(srow_strip(vec, modulus))
-            continue
         den = dict(ONE)
         for c, prow in touching:
             den = llcm(den, prow[c])
         vec = {f: den}
         for c, prow in touching:
             vec[c] = lneg(lmul(prow[f], ldiv_exact(den, prow[c])))
-        out.append(srow_strip(vec, modulus))
+        out.append(srow_strip(vec))
     return out
 
 
-def sp_span_echelon(rows, modulus: int | None = None) -> list[dict]:
-    piv = sp_echelon(rows, reduced=True, modulus=modulus)
+def sp_span_echelon(rows) -> list[dict]:
+    piv = sp_echelon(rows, reduced=True)
     return [piv[c] for c in sorted(piv)]
 
 
-def sp_annihilator(rows, cols, modulus: int | None = None) -> list[dict]:
+def sp_annihilator(rows, cols) -> list[dict]:
     """Basis of the annihilator of span(rows) under the standard pairing
     x . y = sum_c x_c y_c, inside the coordinates cols, which must hold
     every entry of every row.  Its dimension is len(cols) - rank(rows)."""
@@ -237,13 +191,11 @@ def sp_annihilator(rows, cols, modulus: int | None = None) -> list[dict]:
     system = [{local[c]: p for c, p in row.items()} for row in rows]
     return [
         {cols[i]: p for i, p in z.items()}
-        for z in sp_kernel(system, len(cols), modulus)
+        for z in sp_kernel(system, len(cols))
     ]
 
 
-def sp_intersect(
-    rows: list[dict], ann: list[dict], modulus: int | None = None
-) -> list[dict]:
+def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
     """Canonical reduced echelon basis of span(rows) meet ker(ann): the
     combinations of rows that pair to zero with every row of ann.  With
     ann = sp_annihilator(other, cols) this is span(rows) meet span(other).
@@ -269,9 +221,9 @@ def sp_intersect(
         if eq:
             system.append(eq)
     if not system:
-        return sp_span_echelon(rows, modulus)
+        return sp_span_echelon(rows)
     result = []
-    for z in sp_kernel(system, len(rows), modulus):
+    for z in sp_kernel(system, len(rows)):
         vec: dict[int, dict] = {}
         for j, coeff in z.items():
             for c, p in rows[j].items():
@@ -281,15 +233,15 @@ def sp_intersect(
                 else:
                     vec.pop(c, None)
         if vec:
-            result.append(srow_strip(vec, modulus))
-    return sp_span_echelon(result, modulus)
+            result.append(srow_strip(vec))
+    return sp_span_echelon(result)
 
 
 # ---------------------------------------------------------------------------
 # int rows over F_p
 #
-# Specialize mode's braided powers eliminate rows {col: int} over F_p
-# directly, without Laurent entries.  A row is kept in reduced row echelon
+# Specialize mode eliminates rows {col: int} over F_p directly, without
+# Laurent entries.  A row is kept in reduced row echelon
 # form with its pivot scaled to 1, so an update is row -= f * pivot_row
 # mod p and touches only the free columns of the pivot row.
 
@@ -429,10 +381,11 @@ def _laurent_row(row) -> dict:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row span inside K^ambient as its reduced echelon basis of
-    stripped rows in pivot order; each row's pivot is its first column.
-    K is Q(q) when modulus is None, else F_modulus.  The basis is
-    canonical, so equal spans compare equal."""
+    """Row span inside K^ambient as its reduced echelon basis in pivot
+    order; each row's pivot is its first column.  K is Q(q) when modulus
+    is None, with stripped Laurent rows; else K is F_modulus, with
+    fp_rref's rows {col: int}, pivot entry 1.  The basis is canonical, so
+    equal spans compare equal."""
 
     ambient: int
     rows: tuple
@@ -444,7 +397,11 @@ class Subspace:
 
     @classmethod
     def from_sparse(cls, ambient: int, rows, modulus: int | None = None) -> "Subspace":
-        return cls(ambient, tuple(sp_span_echelon(rows, modulus)), modulus)
+        """Span of Laurent rows, or over F_modulus of rows {col: int}."""
+        if modulus is None:
+            return cls(ambient, tuple(sp_span_echelon(rows)))
+        piv = fp_rref(rows, modulus)
+        return cls(ambient, tuple(piv[c] for c in sorted(piv)), modulus)
 
     @classmethod
     def span(cls, ambient: int, rows) -> "Subspace":
@@ -460,6 +417,8 @@ class Subspace:
 
     def contains(self, vector) -> bool:
         """Whether a dict or list row of int, Fraction or Laurent entries
-        lies in the span."""
+        lies in the span; over F_modulus, a row {col: int}."""
+        if self.modulus is not None:
+            return len(fp_rref([*self.rows, vector], self.modulus)) == self.dim
         piv = {min(row): row for row in self.rows}
-        return sp_pivot_insert(piv, _laurent_row(vector), self.modulus) is None
+        return sp_pivot_insert(piv, _laurent_row(vector)) is None

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .laurent import ONE, P, fp, ladd, lconst, leval_fp, lqint, lqshift
 from .qarith import (
     Subspace,
+    fp_kernel,
     sp_apply,
     sp_compose,
     sp_kernel,
@@ -280,8 +281,10 @@ def outer(a: WeightModule, b: WeightModule) -> WeightModule:
 def specialize_module(m: WeightModule, q0) -> WeightModule:
     """Evaluate every action coefficient at the image x of the rational
     q0 in F_P, P = 2**61 - 1.  A value is kept as a constant Laurent
-    polynomial {0: c} with 0 < c < P, so the whole sparse engine applies
-    unchanged, and every coefficient stays within 61 bits.
+    polynomial {0: c} with 0 < c < P, so the module operations (tensor,
+    the audit) apply unchanged and every coefficient stays within 61
+    bits; linear algebra on such a module runs on the int kernel
+    qarith.fp_rref/fp_kernel, and it decomposes from its character.
 
     A rank at x can only drop below the generic rank over Q(q), so a
     dimension computed at x may differ from the generic one; agreement
@@ -383,7 +386,9 @@ class IrrepMultiset(dict):
 
 def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
     """Basis of the joint kernel of the E_i, i in gens, inside the mu
-    weight space, as stripped rows in the module's ambient coordinates."""
+    weight space, in the module's ambient coordinates: stripped Laurent
+    rows over Q(q), and for a specialized module rows {col: int} of
+    fp_kernel, solved on the int entries of its constant coefficients."""
     idxs = m.weight_blocks().get(tuple(mu), [])
     sys_rows: dict[tuple, dict] = {}
     for gi in gens:
@@ -391,7 +396,11 @@ def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
         for pos, c in enumerate(idxs):
             for r, p in op.get(c, {}).items():
                 sys_rows.setdefault((gi, r), {})[pos] = p
-    combos = sp_kernel(list(sys_rows.values()), len(idxs), m.modulus)
+    if m.modulus is None:
+        combos = sp_kernel(list(sys_rows.values()), len(idxs))
+    else:
+        system = [{pos: p[0] for pos, p in row.items()} for row in sys_rows.values()]
+        combos = fp_kernel(system, len(idxs), m.modulus)
     return [{idxs[pos]: p for pos, p in z.items()} for z in combos]
 
 
@@ -403,10 +412,9 @@ def highest_weight_vectors(m: WeightModule, mu) -> Subspace:
     )
 
 
-def hw_multiplicity_in_rows(apply_es, rows: list[dict], modulus=None) -> int:
-    """dim of {v in span(rows) : E_i v = 0 for all i}; apply_es is a list
-    of callables acting on sparse vectors, rows live over F_modulus when
-    modulus is given."""
+def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:
+    """dim of {v in span(rows) : E_i v = 0 for all i} over Q(q); apply_es
+    is a list of callables acting on sparse vectors."""
     if not rows:
         return 0
     sys_rows: dict[tuple, dict] = {}
@@ -415,15 +423,14 @@ def hw_multiplicity_in_rows(apply_es, rows: list[dict], modulus=None) -> int:
             img = app(row)
             for r, p in img.items():
                 sys_rows.setdefault((gi, r), {})[t] = p
-    return len(rows) - sp_rank(list(sys_rows.values()), modulus)
+    return len(rows) - sp_rank(list(sys_rows.values()))
 
 
-def decompose_weight_rows(
-    weight_rows: dict, blocks, apply_es, modulus=None
-) -> IrrepMultiset:
-    """Decompose a submodule given as {weight: sparse rows}.  Counts
-    highest weight vectors per dominant weight and certifies the total
-    dimension against the row count."""
+def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
+    """Decompose a submodule over Q(q) given as {weight: sparse rows}.
+    Counts highest weight vectors per dominant weight and certifies the
+    total dimension against the row count.  A specialized module is
+    decomposed from its character instead (decompose_weight_dims)."""
     out = IrrepMultiset(blocks=blocks)
     total_rows = 0
     for w in sorted(weight_rows):
@@ -431,7 +438,7 @@ def decompose_weight_rows(
         total_rows += len(rows)
         if not dominant(w, blocks):
             continue
-        k = hw_multiplicity_in_rows(apply_es, rows, modulus)
+        k = hw_multiplicity_in_rows(apply_es, rows)
         if k:
             out[w] = k
     if out.total_dim() != total_rows:
@@ -474,10 +481,11 @@ def module_weight_rows(m: WeightModule) -> dict:
 
 
 def decompose(m: WeightModule) -> IrrepMultiset:
-    """Isotypic decomposition of a completely reducible module."""
+    """Isotypic decomposition of a completely reducible module over
+    Q(q); a specialized module is refused with ValueError."""
+    if m.modulus is not None:
+        raise ValueError("decompose serves modules over Q(q) only")
     apply_es = [
         (lambda vec, op=m.e_ops[i]: sp_apply(op, vec)) for i in range(m.ngen)
     ]
-    return decompose_weight_rows(
-        module_weight_rows(m), m.blocks, apply_es, m.modulus
-    )
+    return decompose_weight_rows(module_weight_rows(m), m.blocks, apply_es)

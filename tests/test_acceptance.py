@@ -82,6 +82,12 @@ def test_triple_products_match_admissibility():
     assert report["pairs"] == 128
 
 
+def test_specialized_triple_products_match_admissibility():
+    report = acceptance.triple_product_sweep(bmax=3, mode="specialize", seed=5)
+    assert report["ok"]
+    assert report["pairs"] == 128
+
+
 def test_gl3_genericity_and_degree_recursion():
     report = acceptance.gl3_sweep(l1max=5)
     _line(

@@ -15,6 +15,7 @@ from braidpow.braided import (
     flatness_check,
     hilbert_table,
     koszul_series_probe,
+    module_square,
     power_apply_e,
     power_dims,
     sample_points,
@@ -29,7 +30,7 @@ from braidpow.braided import (
 from braidpow.errors import GuardError
 from braidpow.laurent import ONE
 from braidpow.qarith import Subspace, sp_apply
-from braidpow.uqmod import outer, simple_gl2, standard_gld, tensor
+from braidpow.uqmod import outer, simple_gl2, specialize_module, standard_gld, tensor
 
 
 def test_square_gl2_layer_dims():
@@ -43,6 +44,15 @@ def test_square_gl2_layer_dims():
         assert pair.ext.dim == odd
 
 
+def _apply_fp(op, row):
+    # a specialized module's operator on a row {col: int} over F_P
+    out = {}
+    for c, t in row.items():
+        for r, e in op.get(c, {}).items():
+            out[r] = out.get(r, 0) + t * e[0]
+    return out
+
+
 def test_square_gl2_is_stable():
     pair = square_gl2(3)
     tt = pair.square_module
@@ -51,6 +61,17 @@ def test_square_gl2_is_stable():
             for op in (tt.e_ops[0], tt.f_ops[0]):
                 img = sp_apply(op, row)
                 assert not img or side.contains(img)
+    # specialized squares, rows {col: int} over F_P, at two sample points
+    for l in range(1, 7):
+        exact = square_gl2(l)
+        for q0 in sample_points(l):
+            pair = module_square(specialize_module(simple_gl2(l, 0), q0))
+            assert (pair.sym.dim, pair.ext.dim) == (exact.sym.dim, exact.ext.dim)
+            tt = pair.square_module
+            for side in (pair.sym, pair.ext):
+                for row in side.rows:
+                    for op in (tt.e_ops[0], tt.f_ops[0]):
+                        assert side.contains(_apply_fp(op, row))
 
 
 def test_power_apply_e_matches_tensor_construction():

@@ -1,6 +1,7 @@
 """Differential tests of the integer Laurent kernel: GCDHEU against the
 Euclidean loop and SymPy, exact division against multiplication, and the
-int-only coefficients of every row the sparse engine returns."""
+int-only coefficients of every row the sparse engine and the F_P kernel
+return."""
 
 from fractions import Fraction
 
@@ -9,15 +10,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidpow import laurent as L
-from braidpow.braided import square_gl2
+from braidpow.braided import module_square, square_gl2
 from braidpow.qarith import (
+    Subspace,
+    fp_kernel,
+    fp_rref,
     sp_annihilator,
     sp_echelon,
     sp_intersect,
     sp_kernel,
     srow_strip,
 )
-from braidpow.uqmod import simple_gl2, specialize_module, tensor
+from braidpow.uqmod import (
+    highest_weight_vectors,
+    simple_gl2,
+    specialize_module,
+    tensor,
+)
 
 # derandomized and small, so every run checks the same examples quickly
 FIXED = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -168,9 +177,14 @@ def _residues(rows):
     return all(set(p) == {0} and 0 < p[0] < L.P for row in rows for p in row.values())
 
 
+def _fp_residues(rows):
+    # rows {col: int} of residues 0 < c < P
+    return all(0 < v < L.P for row in rows for v in row.values())
+
+
 def _fp_rows(rows):
-    # residues, with the first entry of each row scaled to 1
-    return _residues(rows) and all(row[min(row)] == {0: 1} for row in rows)
+    # residues, with the first entry of each row 1
+    return _fp_residues(rows) and all(row[min(row)] == 1 for row in rows)
 
 
 @pytest.mark.parametrize("specialized", [False, True])
@@ -180,26 +194,34 @@ def test_engine_rows_hold_int_coefficients(specialized):
     if specialized:
         m = specialize_module(m, Fraction(97, 101))
     rows = _raw_rows(m)
-    mod = m.modulus
     # a specialized module holds reduced residues of F_P, no rationals
     assert _int_rows(rows)
     assert _residues(rows) == specialized
-    # over Q(q) returned rows hold ints; over F_P reduced residues led by 1
-    good = _fp_rows if specialized else _int_rows
 
-    assert good([srow_strip(r, mod) for r in rows])
-    assert good(sp_echelon(rows, modulus=mod).values())
-    assert good(sp_echelon(rows, reduced=False, modulus=mod).values())
-    assert good(sp_kernel(rows, m.dim, mod))
+    if specialized:
+        # over F_P the int kernel hands back residues {col: int}, and its
+        # echelon rows and the subspaces built on it are led by 1
+        ints = [{c: p[0] for c, p in row.items()} for row in rows]
+        assert _fp_rows(fp_rref(ints, L.P).values())
+        assert _fp_residues(fp_kernel(ints, m.dim, L.P))
+        assert _fp_rows(Subspace.from_sparse(m.dim, ints, L.P).rows)
+        assert _fp_rows(highest_weight_vectors(m, (3, 3)).rows)
+        pair = module_square(specialize_module(v, Fraction(97, 101)))
+        assert _fp_rows(pair.sym.rows + pair.ext.rows)
+        return
+
+    # over Q(q) returned rows hold ints
+    assert _int_rows([srow_strip(r) for r in rows])
+    assert _int_rows(sp_echelon(rows).values())
+    assert _int_rows(sp_echelon(rows, reduced=False).values())
+    assert _int_rows(sp_kernel(rows, m.dim))
     half = len(rows) // 2
-    ann = sp_annihilator(rows[half - 3 :], range(m.dim), mod)
-    assert good(ann)
-    meet = sp_intersect(rows[: half + 3], ann, mod)
-    assert meet and good(meet)
-
-    if not specialized:
-        pair = square_gl2(3)
-        sym, ext = pair.sym.sparse_rows(), pair.ext.sparse_rows()
-        ann = sp_annihilator(sym[: len(sym) // 2] + ext, range(m.dim))
-        meet = sp_intersect(sym, ann)
-        assert len(meet) == len(sym) // 2 and _int_rows(meet)
+    ann = sp_annihilator(rows[half - 3 :], range(m.dim))
+    assert _int_rows(ann)
+    meet = sp_intersect(rows[: half + 3], ann)
+    assert meet and _int_rows(meet)
+    pair = square_gl2(3)
+    sym, ext = pair.sym.sparse_rows(), pair.ext.sparse_rows()
+    ann = sp_annihilator(sym[: len(sym) // 2] + ext, range(m.dim))
+    meet = sp_intersect(sym, ann)
+    assert len(meet) == len(sym) // 2 and _int_rows(meet)

@@ -1,9 +1,11 @@
 """Specialize mode over the prime field F_P, P = 2**61 - 1: the scalar
-map of laurent, the F_P row domain of the sparse engine, the
-specialized module and its full-support guard, and agreement of
-specialized cubes with exact ones."""
+map of laurent, rows over F_P in the int kernel and Subspace, the
+specialized module and its full-support guard, agreement of specialized
+cubes with exact ones, and the Laurent engine that specialize mode never
+enters."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,25 +17,23 @@ from braidpow import laurent as L
 from braidpow.braided import (
     at_two_samples,
     braided_power,
+    decompose_power,
+    decompose_power_characters,
     decompose_power_subspace,
     hilbert_table,
     module_square,
     sample_points,
+    triple_product,
 )
 from braidpow.laurent import P
-from braidpow.qarith import (
-    Subspace,
-    sp_annihilator,
-    sp_echelon,
-    sp_intersect,
-    sp_kernel,
-    sp_rank,
-)
+from braidpow.qarith import Subspace, fp_kernel, fp_rref
 from braidpow.uqmod import (
     ModuleAuditError,
     WeightModule,
+    decompose,
     simple_gl2,
     specialize_module,
+    tensor,
 )
 
 FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -46,15 +46,12 @@ sample_q0s = st.integers(0, 200).map(lambda seed: sample_points(seed)[0])
 
 
 def dot_mod(row, vec):
-    acc = sum(p[0] * vec[c][0] for c, p in row.items() if c in vec)
-    return acc % P
+    return sum(v * vec.get(c, 0) for c, v in row.items()) % P
 
 
-def is_fp_row(row):
-    # every entry a constant 0 < c < P, the first one 1
-    return row[min(row)] == {0: 1} and all(
-        set(p) == {0} and 0 < p[0] < P for p in row.values()
-    )
+def is_residue_row(row):
+    # every entry an int 0 < c < P
+    return all(0 < v < P for v in row.values())
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +85,15 @@ def test_evaluation_in_fp_is_a_ring_map(a, b, q0, k):
 
 
 # ---------------------------------------------------------------------------
-# the F_P row domain of the engine
+# rows over F_P: the int kernel and Subspace
 
 small = st.integers(-3, 3)
 
 
 @st.composite
 def lifted_rows(draw, n, max_rows=4):
-    """Rows over F_P of n columns with small residues, some entries
-    stored as unreduced ints (P divides some of them)."""
+    """Rows {col: int} over F_P of n columns with small residues, some
+    entries stored as unreduced ints (P divides some of them)."""
     out = []
     for _ in range(draw(st.integers(0, max_rows))):
         row = {}
@@ -105,16 +102,17 @@ def lifted_rows(draw, n, max_rows=4):
             # zero in F_P when v == 0 and lift > 0
             v, lift = draw(small), draw(st.integers(0, 2))
             if v or lift:
-                row[j] = {0: v + lift * P}
+                row[j] = v + lift * P
         out.append(row)
     return out
 
 
 def test_an_entry_divisible_by_p_is_never_a_pivot():
-    piv = sp_echelon([{0: {0: P}, 1: {0: 2}}, {0: {0: 3 * P}}], modulus=P)
-    assert piv == {1: {1: {0: 1}}}
-    assert sp_rank([{0: {0: P}, 2: {0: -2 * P}}], P) == 0
-    assert qarith.srow_strip({0: {0: 2 * P}, 3: {0: -2}}, P) == {3: {0: 1}}
+    span = Subspace.from_sparse(3, [{0: P, 1: 2}, {0: 3 * P}], P)
+    assert span.rows == ({1: 1},)
+    assert Subspace.from_sparse(3, [{0: P, 2: -2 * P}], P).dim == 0
+    assert Subspace.from_sparse(4, [{3: 5}], P).contains({0: 2 * P, 3: -2})
+    assert not span.contains({0: 2 * P + 1})
 
 
 @FIXED
@@ -125,26 +123,36 @@ def test_an_entry_divisible_by_p_is_never_a_pivot():
 )
 def test_kernel_annihilator_and_meet_over_fp(case):
     n, a, b = case
-    cols = range(n)
-    rank = lambda rows: sp_rank(rows, P)
+    rank = lambda rows: len(fp_rref(rows, P))
 
-    ker = sp_kernel(a, n, P)
+    ker = fp_kernel(a, n, P)
     assert len(ker) == n - rank(a)
-    assert all(is_fp_row(z) and dot_mod(row, z) == 0 for z in ker for row in a)
+    assert all(is_residue_row(z) and dot_mod(row, z) == 0 for z in ker for row in a)
 
-    ann = sp_annihilator(b, cols, P)
+    # the annihilator of span(b) under the standard pairing
+    ann = fp_kernel(b, n, P)
     assert len(ann) + rank(b) == n
-    assert all(is_fp_row(z) and dot_mod(row, z) == 0 for z in ann for row in b)
+    assert all(dot_mod(row, z) == 0 for z in ann for row in b)
 
-    meet = sp_intersect(a, ann, P)
-    assert len(meet) == rank(a) + rank(b) - rank(a + b)
+    # span(a) meet span(b): the combinations of a's rows that pair to
+    # zero with ann, as the tower solves it
+    pairing = [{j: dot_mod(row, z) for j, row in enumerate(a)} for z in ann]
+    meet = []
+    for x in fp_kernel(pairing, len(a), P):
+        vec = {}
+        for j, t in x.items():
+            for c, v in a[j].items():
+                vec[c] = (vec.get(c, 0) + t * v) % P
+        meet.append(vec)
     span_a = Subspace.from_sparse(n, a, P)
     span_b = Subspace.from_sparse(n, b, P)
-    for row in meet:
-        assert is_fp_row(row)
+    span_meet = Subspace.from_sparse(n, meet, P)
+    assert span_meet.dim == rank(a) + rank(b) - rank(a + b)
+    for row in span_meet.rows:
+        assert is_residue_row(row) and row[min(row)] == 1
         assert span_a.contains(row) and span_b.contains(row)
-    # the result is already the canonical basis of its span
-    assert Subspace.from_sparse(n, meet, P).rows == tuple(meet)
+    # the basis is canonical
+    assert Subspace.from_sparse(n, list(span_meet.rows), P) == span_meet
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +211,11 @@ def test_guard_fails_the_two_sample_run_and_the_cli(monkeypatch, capsys):
 
 
 def _cube(V, side):
-    pair = module_square(V)
-    sub = braided_power(getattr(pair, side), V, 3)
-    return sub.dim, dict(decompose_power_subspace(V, 3, sub))
+    square = getattr(module_square(V), side)
+    sub = braided_power(square, V, 3)
+    if V.modulus is None:
+        return sub.dim, dict(decompose_power_subspace(V, 3, sub))
+    return sub.dim, dict(decompose_power_characters(square, V, 3))
 
 
 @pytest.mark.parametrize("side", ["sym", "ext"])
@@ -220,16 +230,45 @@ def test_specialized_cubes_equal_exact_ones(l, side):
         assert samples == [str(q0) for q0 in sample_points(seed)]
 
 
-def test_specialized_rows_are_stripped_over_fp_only(monkeypatch):
-    """Every row normalization of a specialized run happens in F_P."""
-    seen = []
-    strip = qarith.srow_strip
+def test_exact_only_decompositions_refuse_a_specialized_module():
+    """Highest-weight counts run over Q(q) only; given a specialized
+    module they would rank unreduced residues over Q."""
+    V = specialize_module(simple_gl2(2, 0), Fraction(97, 101))
+    square = module_square(V).sym
+    with pytest.raises(ValueError, match="Q\\(q\\) only"):
+        decompose(tensor(V, V))
+    with pytest.raises(ValueError, match="Q\\(q\\) only"):
+        decompose_power(V, 2, {})
+    with pytest.raises(ValueError, match="Q\\(q\\) only"):
+        decompose_power_subspace(V, 2, square)
 
-    def spy(row, modulus=None):
-        seen.append(modulus)
-        return strip(row, modulus)
 
-    monkeypatch.setattr(qarith, "srow_strip", spy)
-    V = specialize_module(simple_gl2(3, 0), Fraction(97, 101))
-    _cube(V, "sym")
-    assert seen and set(seen) == {P}
+LAURENT_ENGINE = ("srow_strip", "sp_echelon", "sp_kernel", "sp_pivot_insert")
+
+
+def test_specialize_mode_never_enters_the_laurent_engine(monkeypatch, capsys):
+    """Specialized squares, powers and triple products eliminate with the
+    int kernel only: no Laurent row is stripped or eliminated."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    originals = {name: getattr(qarith, name) for name in LAURENT_ENGINE}
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "braidpow":
+            continue
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, spy(name, fn))
+
+    module_square(specialize_module(simple_gl2(6, 0), Fraction(101, 97)))
+    argv = ["sym-power", "--l", "4", "--n", "3", "--mode", "specialize", "--seed", "3"]
+    assert cli.run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]
+    triple_product((3, 2, 3), "+", mode="specialize", seed=12)
+    assert calls == []
