@@ -241,9 +241,9 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
 # int rows over F_p
 #
 # Specialize mode eliminates rows {col: int} over F_p directly, without
-# Laurent entries.  A row is kept in reduced row echelon
-# form with its pivot scaled to 1, so an update is row -= f * pivot_row
-# mod p and touches only the free columns of the pivot row.
+# Laurent entries.  A row is kept in reduced row echelon form with its
+# pivot scaled to 1, so an update is row -= f * pivot_row mod p and
+# touches only the free columns of the pivot row.
 
 
 def fp_rref(rows, p: int, ncols: int | None = None) -> dict:
