@@ -251,6 +251,57 @@ def test_fp_rank_at_the_image_of_q0_is_the_rank_at_q0(rows, q0):
     assert len(fp_rref(fp_rows, L.P)) == _frac_rank(values)
 
 
+def _nonnegative(row):
+    # the row times the q power that makes its lowest exponent 0
+    low = min((min(p) for p in row.values()), default=0)
+    return {j: L.lshift(p, -low) for j, p in row.items()}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.dictionaries(
+                        st.integers(-2, 2), st.integers(-3, 3).filter(bool), max_size=2
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_rank_and_kernel_agree_with_sympy_over_qq_q(case):
+    """sp_rank and sp_kernel over Q(q) against SymPy's DomainMatrix over
+    the field QQ(q): the same rank, and kernels of the same dimension
+    that each lie in the other's span."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    n, raw = case
+    rows = [_nonnegative({j: p for j, p in enumerate(r) if p}) for r in raw]
+    q = sympy.Symbol("q")
+    K = sympy.QQ.frac_field(q)
+
+    def entry(p):
+        return K.from_sympy(sum(c * q**e for e, c in p.items()))
+
+    def matrix(vecs):
+        entries = [[entry(v.get(j, {})) for j in range(n)] for v in vecs]
+        return DomainMatrix(entries, (len(vecs), n), K)
+
+    system = matrix(rows)
+    assert sp_rank(rows) == system.rank()
+    ours = matrix(sp_kernel(rows, n))
+    theirs = system.nullspace()
+    assert ours.shape[0] == theirs.shape[0] == n - system.rank()
+    assert ours.rank() == ours.vstack(theirs).rank() == ours.shape[0]
+
+
 def test_row_reduce_deterministic():
     q = L.lq(1)
     rows = [
