@@ -45,7 +45,7 @@ from math import comb
 import random
 
 from .errors import GuardError, TheoremViolation
-from .laurent import ONE, ladd, lmul, lqshift
+from .laurent import ONE, ladd, lmul, lshift
 from .qarith import (
     Subspace,
     fp_kernel,
@@ -506,7 +506,8 @@ def power_dims(square: Subspace, V: WeightModule, up_to: int) -> list[int]:
 
 
 def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
-    """Coproduct action of E_i on a sparse vector in V^(ox n)."""
+    """Coproduct action of E_i on a sparse vector in V^(ox n), for a
+    module over Q(q) (decompose_power refuses specialized ones)."""
     d = V.dim
     eop = V.e_ops[i]
     kv = [pairing(V.alphas[i], w) for w in V.weights]
@@ -525,7 +526,7 @@ def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
             if col:
                 for r, coeff in col.items():
                     tgt = idx + (r - digits[slot]) * stride
-                    term = lqshift(lmul(p, coeff), kshift, V.x)
+                    term = lshift(lmul(p, coeff), kshift)
                     s = ladd(out.get(tgt, {}), term)
                     if s:
                         out[tgt] = s

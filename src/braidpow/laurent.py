@@ -5,12 +5,13 @@ exponents and nonzero coefficients; the empty dict is zero.  Every
 function here returns that canonical form, so equality is dict equality
 and the zero test is emptiness.  No floats anywhere.
 
-Coefficients are Python ints wherever the value is integral: the
-polynomials built here (ONE, lq, lqint) are integral, and the rows of
-the sparse engine in qarith hold primitive int coefficients only.  A
-Fraction appears only where a caller supplies a rational (lconst, lscale,
-leval) or a division leaves one; qarith clears it to integers at the row
-boundary.
+The ring operations (lconst, ladd, lsub, lneg, lmul, lscale, lshift,
+lbar, leval) take any exact coefficients and use them as given.
+Content, gcd and exact division (lcontent, lprimitive, ldiv_exact, lgcd,
+llcm) work in Z[q, 1/q] and take int coefficients only, as do the rows of
+the sparse engine in qarith.  A rational enters a row in two places
+only: qarith.Subspace.span and Subspace.contains clear a caller's
+denominators, and specialize mode maps q0 into F_P with fp.
 
 Specialize mode evaluates q at the image x of a rational sample point
 in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  A specialized
@@ -33,16 +34,7 @@ ONE = {0: 1}
 P = 2**61 - 1
 
 
-def _scalar(c):
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def lconst(c) -> dict:
-    c = _scalar(c)
     return {0: c} if c else {}
 
 
@@ -93,7 +85,6 @@ def lmul(a: dict, b: dict) -> dict:
 
 
 def lscale(a: dict, c) -> dict:
-    c = _scalar(c)
     if not c:
         return {}
     return {e: v * c for e, v in a.items()}
@@ -163,18 +154,9 @@ def lqint(k: int, d: int = 1) -> dict:
     return {d * (k - 1 - 2 * j): 1 for j in range(k)}
 
 
-def lcontent(a: dict) -> int | Fraction:
-    """Positive c with a/c having coprime integer coefficients: an int
-    when a has int coefficients, else a Fraction."""
-    if not a:
-        return 0
-    if all(type(v) is int for v in a.values()):
-        return gcd(*a.values())
-    num, den = 0, 1
-    for c in a.values():
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    return Fraction(num, den)
+def lcontent(a: dict) -> int:
+    """The gcd of the int coefficients of a; 0 for the zero polynomial."""
+    return gcd(*a.values())
 
 
 def lprimitive(a: dict) -> tuple:
@@ -186,15 +168,13 @@ def lprimitive(a: dict) -> tuple:
     c = lcontent(a)
     if a[max(a)] < 0:
         c = -c
-    if type(c) is int:
-        return c, {e: v // c for e, v in a.items()}
-    return c, {e: (v / c).numerator for e, v in a.items()}
+    return c, {e: v // c for e, v in a.items()}
 
 
 def _divmod_poly(a: dict, b: dict) -> tuple[dict, dict]:
-    # ordinary long division; requires min exponents >= 0 and b != 0.
-    # A quotient coefficient stays an int while the leading coefficient
-    # of b divides; only otherwise does it become a Fraction.
+    # long division in Z[q]; requires int coefficients, min exponents
+    # >= 0 and b != 0.  It stops at the first quotient coefficient that is
+    # not an integer, leaving a nonzero remainder.
     r = dict(a)
     quot = {}
     db = max(b)
@@ -205,7 +185,7 @@ def _divmod_poly(a: dict, b: dict) -> tuple[dict, dict]:
             break
         c, rest = divmod(r[dr], lb)
         if rest:
-            c = Fraction(r[dr], lb)
+            break
         e = dr - db
         quot[e] = c
         for eb, cb in b.items():
@@ -219,7 +199,9 @@ def _divmod_poly(a: dict, b: dict) -> tuple[dict, dict]:
 
 
 def ldiv_exact(a: dict, b: dict) -> dict:
-    """Exact quotient a/b; raises ValueError if b does not divide a."""
+    """Exact quotient a/b of int-coefficient polynomials; raises
+    ValueError if b does not divide a in Z[q, 1/q], so also when the
+    quotient over Q(q) would have a rational coefficient."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -323,14 +305,18 @@ def _lgcd_heu(f: list, g: list):
 
 
 def _lgcd_euclid(x: dict, y: dict) -> dict:
-    """Euclidean gcd of two unit-normal polynomials (see lgcd), each
-    remainder made primitive.  The fallback of lgcd, and the reference
-    its tests compare GCDHEU against."""
+    """Euclidean gcd of two unit-normal polynomials (see lgcd) by
+    pseudo-division (Knuth, TAOCP Vol. 2, 4.6.1, Algorithm R): x is
+    scaled by lc(y)**(deg x - deg y + 1) before it is divided by y, so
+    every remainder stays in Z[q]; each is then made primitive.  The
+    fallback of lgcd, and the reference its tests compare GCDHEU
+    against."""
     while y:
         if not x or max(x) < max(y):
             x, y = y, x
             continue
-        _, r = _divmod_poly(x, y)
+        dy = max(y)
+        _, r = _divmod_poly(lscale(x, y[dy] ** (max(x) - dy + 1)), y)
         r = _unit_normal(r)
         x, y = y, r
     return x

@@ -1,14 +1,15 @@
 """Sparse linear algebra over Q(q), and its one prime-field kernel.
 
 The sp_* routines are a sparse fraction-free elimination over Laurent
-rows: a row is a dict {column: Laurent dict} that stores no zero entry.
-Elimination cross-multiplies rows instead of dividing, then strips each
-row to the canonical representative of its line: srow_strip removes the
-common q power, integer content and any common polynomial factor, so
-every returned row holds primitive int coefficients, and rationals
-handed in by a caller (a Fraction scalar) are cleared to integers by the
-first srow_strip.  A reduced echelon basis of stripped rows is the
-canonical form of a subspace.
+rows: a row is a dict {column: Laurent dict} that stores no zero entry
+and holds int coefficients only.  Elimination cross-multiplies rows
+instead of dividing, then strips each row to the canonical
+representative of its line: srow_strip removes the common q power,
+integer content and any common polynomial factor, so every returned row
+holds primitive int coefficients.  A reduced echelon basis of stripped
+rows is the canonical form of a subspace.  Subspace.span and
+Subspace.contains are the one boundary for rationals: they clear the
+denominators of a caller's row before it enters the engine.
 
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1, and a
@@ -43,27 +44,16 @@ from .laurent import (
 # content, or polynomial factor across the entries.
 
 
-def _integral(row: dict) -> dict:
-    # clear the denominators of a row that holds rational coefficients
-    den = lcm(*(v.denominator for p in row.values() for v in p.values()))
-    return {
-        c: {e: v.numerator * (den // v.denominator) for e, v in p.items()}
-        for c, p in row.items()
-    }
-
-
 def srow_strip(row: dict) -> dict:
-    """Strip a row of its common q power, its content and any common
-    polynomial factor.  The result has coprime int coefficients and a
-    positive leading coefficient in its first column; rational input is
-    cleared to integers here."""
+    """Strip a row of int-coefficient Laurent entries of its common q
+    power, its content and any common polynomial factor.  The result has
+    coprime int coefficients and a positive leading coefficient in its
+    first column."""
     if not row:
         return row
     shift = min(min(p) for p in row.values())
     if shift:
         row = {c: lshift(p, -shift) for c, p in row.items()}
-    if not all(type(v) is int for p in row.values() for v in p.values()):
-        row = _integral(row)
     cont = 0
     for p in row.values():
         cont = gcd(cont, *p.values())
@@ -374,9 +364,15 @@ def sp_map_equal(opa: dict, opb: dict, modulus: int | None = None) -> bool:
 
 def _laurent_row(row) -> dict:
     # a dict or list row of int, Fraction or Laurent entries as a Laurent
-    # row; its zero entries are dropped by the elimination
+    # row with int coefficients: the row times the lcm of its
+    # denominators.  Its zero entries are dropped by the elimination.
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x if isinstance(x, dict) else lconst(x) for c, x in items}
+    row = {c: x if isinstance(x, dict) else lconst(x) for c, x in items}
+    den = lcm(*(v.denominator for p in row.values() for v in p.values()))
+    return {
+        c: {e: v.numerator * (den // v.denominator) for e, v in p.items()}
+        for c, p in row.items()
+    }
 
 
 @dataclass(frozen=True)

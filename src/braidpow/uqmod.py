@@ -353,16 +353,18 @@ def dim_irrep(lam, blocks=None) -> int:
         blocks = (len(lam),)
     if not dominant(lam, blocks):
         raise ValueError(f"weight {lam} is not dominant for blocks {blocks}")
-    total = Fraction(1)
+    num = den = 1
     pos = 0
     for n in blocks:
         seg = lam[pos : pos + n]
         for i in range(n):
             for j in range(i + 1, n):
-                total *= Fraction(seg[i] - seg[j] + j - i, j - i)
+                num *= seg[i] - seg[j] + j - i
+                den *= j - i
         pos += n
-    assert total.denominator == 1
-    return int(total)
+    total, rest = divmod(num, den)
+    assert not rest
+    return total
 
 
 class IrrepMultiset(dict):

@@ -69,6 +69,9 @@ def euclid(a, b):
 # K = q - 2 has K(3) == 1: an evaluation point below the root bound would
 # hand back 1 here instead of the gcd q - 2
 @example(u={0: 1, 1: 1}, v={0: 2, 1: 1}, g={0: -2, 1: 1}, negate=False)
+# the Euclidean loop meets the leading coefficient 2 of (2q + 1)(q + 1),
+# which does not divide 3: a pseudo-division step, not a rational one
+@example(u={0: 1, 1: 2}, v={0: 1, 2: 3}, g={0: 1, 1: 1}, negate=False)
 def test_heuristic_gcd_matches_euclid_on_planted_factors(u, v, g, negate):
     a = L.lmul(u, g)
     b = L.lmul(v, g)
@@ -117,9 +120,14 @@ def test_gcd_falls_back_to_euclid(monkeypatch):
 def test_exact_division_inverts_multiplication(a, b):
     quot = L.ldiv_exact(L.lmul(a, b), b)
     assert quot == a and is_int_poly(quot)
-    # a leading coefficient that does not divide gives rational quotients
+    # over Z[q, 1/q], 2b divides ab exactly when 2 divides the content of a
     two_b = L.lscale(b, 2)
-    assert L.lmul(L.ldiv_exact(L.lmul(a, b), two_b), two_b) == L.lmul(a, b)
+    if L.lcontent(a) % 2 == 0:
+        half = {e: c // 2 for e, c in a.items()}
+        assert L.ldiv_exact(L.lmul(a, b), two_b) == half
+    else:
+        with pytest.raises(ValueError):
+            L.ldiv_exact(L.lmul(a, b), two_b)
 
 
 @FIXED
