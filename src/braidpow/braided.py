@@ -152,14 +152,20 @@ def weight_rows_subspace(ambient: int, wrows: dict, modulus=None) -> Subspace:
     return Subspace.from_sparse(ambient, rows, modulus)
 
 
-def _f_strings(m: WeightModule, hw_rows) -> dict:
-    """The F-strings v, Fv, F^2 v, ... of highest-weight vectors v of a
-    gl_2 module, per weight.  The strings of a basis of the highest-weight
-    vectors of weight lam span the lam-isotypic part.  Rows over Q(q) are
-    stripped at each step; rows {col: int} of a specialized module are
-    reduced mod P."""
+def _isotypic_rows(m: WeightModule, top: tuple, layers: int, parity: int) -> dict:
+    """Rows of the isotypic parts of weight (top0 - k, top1 + k) of a
+    gl_2 module, for the layers k < layers with k % 2 == parity, per
+    weight: the F-strings v, Fv, F^2 v, ... of a basis of the
+    highest-weight vectors v of each such weight, which span its
+    isotypic part.  Rows over Q(q) are stripped at each step; rows
+    {col: int} of a specialized module are reduced mod P."""
     f, p = m.f_ops[0], m.modulus
     out: dict[tuple, list] = {}
+    hw_rows = (
+        v
+        for k in range(parity, layers, 2)
+        for v in highest_weight_vectors(m, (top[0] - k, top[1] + k)).sparse_rows()
+    )
     for v in hw_rows:
         while v:
             out.setdefault(m.weights[min(v)], []).append(v)
@@ -196,21 +202,6 @@ class BraidedSquarePair:
             )
 
 
-def _square_simple_gl2(V: WeightModule) -> tuple[WeightModule, dict, dict]:
-    kind = V.kind[2] if V.kind[0] == "specialized" else V.kind
-    _, l1, l2 = kind
-    tt = tensor(V, V)
-    sym_rows: dict[tuple, list] = {}
-    ext_rows: dict[tuple, list] = {}
-    for m in range(l1 - l2 + 1):
-        hw = highest_weight_vectors(tt, (2 * l1 - m, 2 * l2 + m))
-        block = _f_strings(tt, hw.sparse_rows())
-        target = sym_rows if m % 2 == 0 else ext_rows
-        for w, rows in block.items():
-            target.setdefault(w, []).extend(rows)
-    return tt, sym_rows, ext_rows
-
-
 def square_gl2(l: int) -> BraidedSquarePair:
     """Braided square of the gl_2 simple V_(l,0): sigma acts by (-1)^m on
     the m-th Clebsch-Gordan summand, so sym collects the even layers and
@@ -219,14 +210,18 @@ def square_gl2(l: int) -> BraidedSquarePair:
 
 
 def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
-    tt, sym_rows, ext_rows = _square_simple_gl2(V)
-    n2 = V.dim**2
-    return BraidedSquarePair(
-        V,
-        tt,
-        weight_rows_subspace(n2, sym_rows, V.modulus),
-        weight_rows_subspace(n2, ext_rows, V.modulus),
+    kind = V.kind[2] if V.kind[0] == "specialized" else V.kind
+    _, l1, l2 = kind
+    tt = tensor(V, V)
+    sym, ext = (
+        weight_rows_subspace(
+            V.dim**2,
+            _isotypic_rows(tt, (2 * l1, 2 * l2), l1 - l2 + 1, parity),
+            V.modulus,
+        )
+        for parity in (0, 1)
     )
+    return BraidedSquarePair(V, tt, sym, ext)
 
 
 def square_standard(d: int) -> BraidedSquarePair:
@@ -621,18 +616,6 @@ def _parity_of_eps(eps) -> int:
     raise ValueError(f"eps must be + or -, got {eps!r}")
 
 
-def _bullet_rows(ta: WeightModule, l1: int, l2: int, parity: int) -> dict:
-    """Rows of the parity-selected isotypic part of V_l1 ox V_l2."""
-    out: dict[tuple, list] = {}
-    for m in range(min(l1, l2) + 1):
-        if m % 2 != parity:
-            continue
-        hw = highest_weight_vectors(ta, (l1 + l2 - m, m))
-        for w, rows in _f_strings(ta, hw.sparse_rows()).items():
-            out.setdefault(w, []).extend(rows)
-    return out
-
-
 def admissible_triples(beta, eps) -> IrrepMultiset:
     """Closed-form decomposition of the eps-triple product."""
     parity = _parity_of_eps(eps)
@@ -688,9 +671,9 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
         mods = [specialize_module(m, q0) for m in mods]
     v1, v2, v3 = mods
     t12 = tensor(v1, v2)
-    bullet12 = _bullet_rows(t12, b1, b2, parity)
+    bullet12 = _isotypic_rows(t12, (b1 + b2, 0), min(b1, b2) + 1, parity)
     t23 = tensor(v2, v3)
-    bullet23 = _bullet_rows(t23, b2, b3, parity)
+    bullet23 = _isotypic_rows(t23, (b2 + b3, 0), min(b2, b3) + 1, parity)
     if q0 is not None:
         ann_at = _ann_by_column(bullet23, t23.weight_blocks(), t23.modulus)
         meet = _tower_step(bullet12, ann_at, v2.dim, v3)
@@ -706,7 +689,8 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
 # flatness
 
 
-def _square_for_module(V: WeightModule) -> BraidedSquarePair:
+def module_square(V: WeightModule) -> BraidedSquarePair:
+    """Braided square of any module with a known construction."""
     kind = V.kind
     if kind[0] == "specialized":
         if kind[2][0] == "simple_gl2":
@@ -725,15 +709,10 @@ def _square_for_module(V: WeightModule) -> BraidedSquarePair:
     raise ValueError(f"no braided square construction for module {kind}")
 
 
-def module_square(V: WeightModule) -> BraidedSquarePair:
-    """Braided square of any module with a known construction."""
-    return _square_for_module(V)
-
-
 def flatness_check(V: WeightModule) -> tuple[bool, dict]:
     """A braided square is flat when the symmetric side grows like a
     polynomial algebra; degree 3 decides it."""
-    pair = _square_for_module(V)
+    pair = module_square(V)
     dims = power_dims(pair.sym, V, 3)
     expected = comb(V.dim + 2, 3)
     flat = dims[3] == expected
@@ -847,7 +826,7 @@ def hilbert_table(
 
 
 def _hilbert_dims(V: WeightModule, kind: str, upto: int) -> list[int]:
-    pair = _square_for_module(V)
+    pair = module_square(V)
     side = pair.sym if kind == "sym" else pair.ext
     return power_dims(side, V, upto)
 
