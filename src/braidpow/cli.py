@@ -6,7 +6,8 @@ deterministic for identical argv + seed (wall time lives outside it),
 so runs can be diffed byte for byte.  Exit codes: 0 when every verdict
 passes, 2 when a theorem check fails or the run itself fails (any
 unexpected exception gives the payload {"error": "internal", ...} and
-the verdict run: fail), 1 on usage or guard errors.
+the verdict run: fail), 1 on usage or guard errors and on a --csv path
+that cannot be written.
 
 Commands with a natural dimension or component table export it as CSV
 via --csv PATH.  Specialize mode requires --seed and computes results
@@ -140,8 +141,6 @@ def _decompose_power(args, family, kind, q0=None):
 def _cmd_power(args, kind):
     family, name = _power_module(args)
     n = args.n
-    if n < 0:
-        raise _UsageError("--n must be nonnegative")
     samples = []
     if args.mode == "specialize":
         if family != "simple":
@@ -241,8 +240,6 @@ def _cmd_flatness(args):
 
 
 def _cmd_hilbert(args):
-    if args.n < 0:
-        raise _UsageError("--n must be nonnegative")
     table_obj = hilbert_table(
         args.l,
         args.n,
@@ -604,20 +601,24 @@ def run(argv=None) -> int:
             raise _UsageError("specialize mode requires --seed")
         if getattr(args, "l", None) is not None and args.l < 0:
             raise _UsageError("--l must be nonnegative")
+        if getattr(args, "n", None) is not None and args.n < 0:
+            raise _UsageError("--n must be nonnegative")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
     t0 = time.perf_counter()
     flags: list = []
-    table = None
     try:
-        payload, verdicts, flags, table = _HANDLERS[args.command](args)
+        payload, verdicts, found, table = _HANDLERS[args.command](args)
+        if table is not None and args.csv:
+            _write_csv(args.csv, table)
+        flags = found
         code = 2 if "fail" in verdicts.values() else 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (GuardError, InfeasibleError, ValueError) as exc:
+    except (GuardError, InfeasibleError, ValueError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         verdicts = {}
         code = 1
@@ -645,8 +646,6 @@ def run(argv=None) -> int:
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     print(json.dumps(envelope, indent=2, sort_keys=True, default=_plain))
-    if table is not None and args.csv:
-        _write_csv(args.csv, table)
     return code
 
 

@@ -271,6 +271,38 @@ def test_negative_l_is_a_usage_error_naming_l(capsys):
         assert err.startswith("usage error: --l ")
 
 
+def test_negative_n_is_a_usage_error_naming_n(capsys):
+    for argv in (
+        ("sym-power", "--l", "2", "--n", "-1"),
+        ("ext-power", "--d", "2", "--n", "-1"),
+        ("hilbert", "--l", "3", "--n", "-1"),
+        ("koszul-probe", "--l", "3", "--n", "-1"),
+        ("convex-certify", "--m", "2", "--n", "-1"),
+        ("poisson-closure", "--l", "3", "--n", "-1"),
+        ("howe-check", "--d", "2", "--k", "2", "--n", "-1"),
+    ):
+        code, env, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert env is None
+        assert err.startswith("usage error: --n "), argv
+
+
+def test_unwritable_csv_path_ends_in_one_error_envelope(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    for argv in (
+        ("koszul-probe", "--l", "3", "--n", "8"),
+        ("hilbert", "--l", "2", "--n", "4"),
+    ):
+        code = cli.run([*argv, "--csv", str(path)])
+        captured = capsys.readouterr()
+        env, end = json.JSONDecoder().raw_decode(captured.out)
+        assert not captured.out[end:].strip()
+        assert code == 1, argv
+        assert env["payload"]["error"] == "FileNotFoundError"
+        assert env["verdicts"] == {} and env["conjecture_flags"] == []
+        assert not path.exists()
+
+
 def test_unexpected_exception_is_an_internal_run_failure(capsys, monkeypatch):
     def boom(args):
         raise KeyError("forced")
