@@ -1,9 +1,12 @@
 """Exact braided symmetric and exterior powers of quantum-group modules.
 
 Everything runs over the field of rational functions in q with no
-floating point anywhere; a seeded specialization mode estimates the
-heavier dimension counts over the prime field F_P at two sampled
-evaluation points instead, which is evidence rather than proof.
+floating point anywhere.  Its linear algebra works on rows of Laurent
+polynomials with int coefficients; a caller's rationals are cleared
+once, where Subspace.span or Subspace.contains takes a row.  A seeded
+specialization mode estimates the heavier dimension counts over the
+prime field F_P at two sampled evaluation points instead, which is
+evidence rather than proof.
 """
 
 from .braided import (
