@@ -471,17 +471,24 @@ def _expand(level: dict, below: list, d: int, p: int) -> list:
     return out
 
 
+def power_weight_rows(square: Subspace, V: WeightModule, n: int) -> dict:
+    """The n-th braided power as _powers yields it, {weight: rows}: over
+    Q(q) the canonical reduced echelon basis of each weight block of
+    V^(ox n), for a specialized module a level of the tower."""
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    return next(islice(_powers(square, V), n, None))
+
+
 def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
     """n-th braided power of the side of V ox V spanned by `square`.  For
     a specialized module the tower is expanded into V^(ox n) here."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    levels = islice(_powers(square, V), n + 1)
     if V.modulus is None:
-        wrows = next(islice(levels, n, None))
-        return weight_rows_subspace(V.dim**n, wrows)
+        return weight_rows_subspace(V.dim**n, power_weight_rows(square, V, n))
     full = [{0: 1}]
-    for level in islice(levels, 1, None):
+    for level in islice(_powers(square, V), 1, n + 1):
         full = _expand(level, full, V.dim, V.modulus)
     return Subspace.from_sparse(V.dim**n, full, V.modulus)
 
@@ -489,7 +496,7 @@ def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
 def decompose_power_characters(square: Subspace, V: WeightModule, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of a gl_2 module read off
     its weight dims (see decompose_weight_dims); P^n is never expanded."""
-    wrows = next(islice(_powers(square, V), n, None))
+    wrows = power_weight_rows(square, V, n)
     return decompose_weight_dims({w: len(rows) for w, rows in wrows.items()})
 
 
@@ -581,8 +588,7 @@ def dim_ext_cube(l: int) -> int:
 def _certified_cube(l: int, side: str) -> IrrepMultiset:
     V = simple_gl2(l, 0)
     pair = _square_of_simple(V)
-    sub = braided_power(getattr(pair, side), V, 3)
-    got = decompose_power_subspace(V, 3, sub)
+    got = decompose_power(V, 3, power_weight_rows(getattr(pair, side), V, 3))
     want = sym_cube_closed(l) if side == "sym" else ext_cube_closed(l)
     if dict(got) != dict(want):
         raise TheoremViolation(

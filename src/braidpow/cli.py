@@ -32,10 +32,9 @@ from . import acceptance
 from .braided import (
     admissible_triples,
     at_two_samples,
-    braided_power,
     conjectural_sym_dim,
+    decompose_power,
     decompose_power_characters,
-    decompose_power_subspace,
     dim_sym_cube,
     ext_cube_closed,
     flat_lower_bound,
@@ -44,9 +43,11 @@ from .braided import (
     koszul_series_probe,
     module_square,
     power_dims,
+    power_weight_rows,
     square_gl2,
     sym_cube_closed,
     triple_product,
+    weight_rows_dim,
 )
 from .classical import poisson_closure_dims, valuation_cover_check
 from .convexopt import certify_max, random_feasibility_class
@@ -134,8 +135,8 @@ def _decompose_power(args, family, kind, q0=None):
     if q0 is not None:
         dec = decompose_power_characters(side, V, args.n)
         return dec.total_dim(), dec
-    sub = braided_power(side, V, args.n)
-    return sub.dim, decompose_power_subspace(V, args.n, sub)
+    wrows = power_weight_rows(side, V, args.n)
+    return weight_rows_dim(wrows), decompose_power(V, args.n, wrows)
 
 
 def _cmd_power(args, kind):

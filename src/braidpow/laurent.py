@@ -254,52 +254,64 @@ def _heu_digits(v: int, xi: int) -> list:
     return out
 
 
-def _divides(h: list, f: list) -> bool:
-    """Whether h divides f in Z[q]; both dense, h primitive.  By Gauss's
-    lemma that is divisibility over Q, so a leading coefficient that does
-    not divide ends the test."""
+def _dense_quo(f: list, h: list):
+    """The quotient f / h in Z[q] of dense int polynomials, or None when h
+    does not divide f there; h has a nonzero top coefficient.  For a
+    primitive h that is divisibility over Q too (Gauss's lemma), so a
+    leading coefficient that does not divide ends the test."""
     dh = len(h) - 1
     if dh >= len(f):
-        return False
+        return None
     lh = h[-1]
     r = list(f)
+    quo = [0] * (len(f) - dh)
     for i in range(len(f) - 1 - dh, -1, -1):
         c, rest = divmod(r[i + dh], lh)
         if rest:
-            return False
+            return None
         if c:
+            quo[i] = c
             for j in range(dh):
                 r[i + j] -= c * h[j]
-    return not any(r[:dh])
+    return None if any(r[:dh]) else quo
 
 
-def _lgcd_heu(f: list, g: list):
+def _gcd_heu(fs: list):
     """GCDHEU on dense primitive int polynomials with nonzero constant
-    terms and positive leading coefficients.  Returns the dense gcd, or
-    None when no evaluation point gives a candidate that divides both.
+    terms and positive leading coefficients.  Returns (G, quotients), G
+    their dense gcd and quotients[i] == fs[i] / G, or None when no
+    evaluation point gives a candidate that divides every operand.
 
-    Why a candidate that divides both is the gcd G: let h be the digit
-    polynomial of gcd(f(xi), g(xi)) with content c and H = h/c dividing f
-    and g.  Then G = H*K, and G(xi) divides h(xi) = c*H(xi), so K(xi)
-    divides c, and |c| <= xi/2 because c divides a balanced digit.  A
-    root of K is a common root, of modulus below bound + 2 by Cauchy's
-    bound, and xi >= 2*bound + 4, so a nonconstant K has
-    |K(xi)| > xi/2.  Hence K is a unit and H == G."""
-    nf = max(map(abs, f))
-    ng = max(map(abs, g))
-    bound = min(nf // f[-1], ng // g[-1])
+    Why a candidate that divides every operand is the gcd G: let h be the
+    digit polynomial of gcd(f(xi) for f in fs) with content c and
+    H = h/c dividing each f.  Then G = H*K, and G(xi) divides
+    h(xi) = c*H(xi), so K(xi) divides c, and |c| <= xi/2 because c
+    divides a balanced digit.  A root of K is a common root, of modulus
+    below bound + 2 by Cauchy's bound, and xi >= 2*bound + 4, so a
+    nonconstant K has |K(xi)| > xi/2.  Hence K is a unit and H == G.
+    The exact quotients that prove H divides each f are the cofactors."""
+    norms = [max(map(abs, f)) for f in fs]
+    bound = min(n // f[-1] for n, f in zip(norms, fs))
     # the start and growth of xi follow the published algorithm (as does
     # SymPy's dup_zz_heu_gcd); correctness needs only xi >= 2*bound + 4
-    b = 2 * min(nf, ng) + 29
+    b = 2 * min(norms) + 29
     xi = max(min(b, 99 * isqrt(b)), 2 * bound + 4)
     for _ in range(_HEU_TRIES):
-        fx, gx = _heu_eval(f, xi), _heu_eval(g, xi)
-        if fx and gx:
-            h = _heu_digits(gcd(fx, gx), xi)
-            c = gcd(*h)
-            h = [d // c for d in h]
-            if _divides(h, f) and _divides(h, g):
-                return h
+        # the operand that sets bound has no root as large as xi, so the
+        # gcd of the values is positive
+        h = _heu_digits(gcd(*(_heu_eval(f, xi) for f in fs)), xi)
+        c = gcd(*h)
+        h = [d // c for d in h]
+        if h == [1]:
+            return h, list(fs)
+        quos = []
+        for f in fs:
+            quo = _dense_quo(f, h)
+            if quo is None:
+                break
+            quos.append(quo)
+        else:
+            return h, quos
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
@@ -332,7 +344,7 @@ def lgcd(a: dict, b: dict) -> dict:
     1989): evaluate both unit-normal operands at one large integer, take
     a single integer gcd, rebuild the candidate from its balanced digits
     and keep it only if it divides both operands exactly.  That exact
-    division is the proof (see _lgcd_heu).  If no evaluation point
+    division is the proof (see _gcd_heu).  If no evaluation point
     passes, the Euclidean loop _lgcd_euclid decides."""
     x, y = _unit_normal(a), _unit_normal(b)
     if not x or not y:
@@ -341,10 +353,54 @@ def lgcd(a: dict, b: dict) -> dict:
         return x
     if x == ONE or y == ONE:
         return dict(ONE)
-    h = _lgcd_heu(_dense(x), _dense(y))
-    if h is None:
+    heu = _gcd_heu([_dense(x), _dense(y)])
+    if heu is None:
         return _lgcd_euclid(x, y)
-    return {e: c for e, c in enumerate(h) if c}
+    return {e: c for e, c in enumerate(heu[0]) if c}
+
+
+def lcofactors(polys: list) -> list:
+    """The quotients p / G of nonzero int-coefficient polynomials by
+    their gcd G (unit normal, as lgcd gives it), in order: each keeps its
+    sign, content and q power, and the common factor of positive degree
+    is gone.
+
+    One GCDHEU pass serves every operand: the unit-normal parts are
+    evaluated at one integer xi, a single gcd of the values gives the
+    candidate, and the exact quotients that prove it the gcd (see
+    _gcd_heu) are the cofactors.  If no evaluation point passes, a
+    pairwise lgcd fold and ldiv_exact decide."""
+    parts = []
+    for p in polys:
+        low = min(p)
+        f = [0] * (max(p) - low + 1)
+        for e, v in p.items():
+            f[e - low] = v
+        if len(f) == 1:
+            # a unit of the Laurent ring: G is 1
+            return list(polys)
+        c = gcd(*f)
+        if f[-1] < 0:
+            c = -c
+        parts.append((low, c, [v // c for v in f]))
+    if len(parts) == 1:
+        low, c, _ = parts[0]
+        return [{low: c}]
+    heu = _gcd_heu([f for _, _, f in parts])
+    if heu is None:
+        g: dict = {}
+        for p in polys:
+            g = lgcd(p, g)
+            if g == ONE:
+                return list(polys)
+        return [ldiv_exact(p, g) for p in polys]
+    h, quos = heu
+    if len(h) == 1:
+        return list(polys)
+    return [
+        {low + e: c * v for e, v in enumerate(quo) if v}
+        for (low, c, _), quo in zip(parts, quos)
+    ]
 
 
 def llcm(a: dict, b: dict) -> dict:

@@ -24,10 +24,11 @@ from math import gcd, lcm
 
 from .laurent import (
     ONE,
+    P,
     ladd,
     lconst,
+    lcofactors,
     ldiv_exact,
-    lgcd,
     llcm,
     lmul,
     lneg,
@@ -62,14 +63,7 @@ def srow_strip(row: dict) -> dict:
         cont = -cont
     if cont != 1:
         row = {c: {e: v // cont for e, v in p.items()} for c, p in row.items()}
-    g: dict = {}
-    for p in row.values():
-        g = lgcd(p, g)
-        if g == ONE:
-            break
-    if g and max(g) > 0:
-        row = {c: ldiv_exact(p, g) for c, p in row.items()}
-    return row
+    return dict(zip(row, lcofactors(list(row.values()))))
 
 
 def _cross(row: dict, pivot_row: dict, col: int) -> dict:
@@ -123,7 +117,41 @@ def _back_reduce(piv: dict) -> None:
         piv[c] = srow_strip(row)
 
 
+# The screen point: q is evaluated at this unit of F_P.  It is no root
+# of unity of small order, where q-integers and the like would vanish.
+_SCREEN_X = 1_000_000_007
+
+
+def _screen_rank(rows, ncols: int) -> int:
+    """Rank over F_P (P = laurent.P) of Laurent rows at q = _SCREEN_X,
+    counted up to ncols.  Evaluation at a unit is a ring map from
+    Z[q, 1/q] to F_P, so a minor that is nonzero at the point is nonzero
+    over Q(q): this rank is a lower bound of the exact one.  It proves a
+    full rank; a smaller one proves nothing and is not used."""
+    powers: dict[int, int] = {}
+    images = []
+    for row in rows:
+        image = {}
+        for c, poly in row.items():
+            v = 0
+            for e, coeff in poly.items():
+                xe = powers.get(e)
+                if xe is None:
+                    xe = powers[e] = pow(_SCREEN_X, e, P)
+                v += coeff * xe
+            image[c] = v
+        images.append(image)
+    # fp_rref reduces the values mod P
+    return len(fp_rref(images, P, ncols))
+
+
 def sp_rank(rows) -> int:
+    """Rank over Q(q); the F_P screen answers a rank of min(#rows,
+    #columns) without the exact elimination."""
+    rows = list(rows)
+    full = min(len(rows), len({c for row in rows for c, p in row.items() if p}))
+    if _screen_rank(rows, full) == full:
+        return full
     return len(sp_echelon(rows, reduced=False))
 
 
@@ -147,7 +175,12 @@ def sp_kernel(rows, ncols: int) -> list[dict]:
     in echelon order.  Back-substitution stays fraction free: for a free
     column f, x_f is the lcm L of the pivot entries of the rows touching
     f, and each such row with pivot c gives x_c = -row[f] * (L / row[c]).
-    A system of full column rank is answered after the forward pass."""
+    A system of full column rank has the empty kernel: when the F_P
+    screen proves that rank, no exact elimination runs, and otherwise the
+    forward pass decides."""
+    rows = list(rows)
+    if _screen_rank(rows, ncols) == ncols:
+        return []
     piv = sp_echelon(rows, reduced=False)
     if len(piv) == ncols:
         return []
@@ -224,7 +257,7 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
                     vec.pop(c, None)
         if vec:
             result.append(srow_strip(vec))
-    return sp_span_echelon(result)
+    return sp_span_echelon(result) if result else []
 
 
 # ---------------------------------------------------------------------------

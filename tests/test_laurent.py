@@ -4,6 +4,7 @@ int-only coefficients of every row the sparse engine and the F_P kernel
 return."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,3 +234,80 @@ def test_engine_rows_hold_int_coefficients(specialized):
     ann = sp_annihilator(sym[: len(sym) // 2] + ext, range(m.dim))
     meet = sp_intersect(sym, ann)
     assert len(meet) == len(sym) // 2 and _int_rows(meet)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass row strip against the pairwise fold it replaced
+
+
+def fold_cofactors(polys):
+    # the reference: a pairwise lgcd fold, then ldiv_exact by the gcd
+    g = {}
+    for p in polys:
+        g = L.lgcd(p, g)
+    return [L.ldiv_exact(p, g) for p in polys]
+
+
+def strip_reference(row):
+    # srow_strip as a shift, a signed content and the fold above
+    shift = min(min(p) for p in row.values())
+    row = {c: L.lshift(p, -shift) for c, p in row.items()}
+    cont = 0
+    for p in row.values():
+        cont = gcd(cont, *p.values())
+    lead = row[min(row)]
+    if lead[max(lead)] < 0:
+        cont = -cont
+    row = {c: {e: v // cont for e, v in p.items()} for c, p in row.items()}
+    return dict(zip(row, fold_cofactors(list(row.values()))))
+
+
+@FIXED
+@given(
+    st.lists(shifted(laurents(nonzero=True)), min_size=1, max_size=6),
+    laurents(max_terms=4, span=3, nonzero=True),
+)
+def test_cofactors_match_the_pairwise_fold(cofactors, g):
+    polys = [L.lmul(u, g) for u in cofactors]
+    assert L.lcofactors(polys) == fold_cofactors(polys)
+    row = dict(enumerate(polys))
+    assert srow_strip(row) == strip_reference(row)
+
+
+def test_cofactors_remove_a_cubic_shared_by_five_entries():
+    g = {0: 5, 1: 2, 3: 1}
+    units = [{0: 1}, {1: -3}, {-2: 1, 0: 1}, {0: 7, 2: -2}, {1: 1, 2: 4, 4: -1}]
+    polys = [L.lmul(u, g) for u in units]
+    assert L.lcofactors(polys) == units == fold_cofactors(polys)
+    row = dict(enumerate(polys))
+    assert srow_strip(row) == strip_reference(row)
+
+
+def test_cofactors_keep_sign_content_and_q_powers():
+    g = {0: 1, 1: 1}
+    polys = [
+        L.lmul({-2: -6, -1: 18}, g),  # -6 q^-2 (1 - 3q) (1 + q)
+        L.lmul({5: 4}, g),  # 4 q^5 (1 + q)
+        L.lmul({3: -10, 4: 5}, L.lmul(g, g)),  # -5 q^3 (2 - q) (1 + q)^2
+    ]
+    want = [{-2: -6, -1: 18}, {5: 4}, L.lmul({3: -10, 4: 5}, g)]
+    assert L.lcofactors(polys) == want == fold_cofactors(polys)
+
+
+def test_a_constant_entry_leaves_the_row_unstripped():
+    g = {0: 2, 1: 1}
+    row = {0: L.lmul({0: 3, 2: 1}, g), 3: {0: 5}, 4: L.lmul({1: 1}, g)}
+    assert L.lcofactors(list(row.values())) == list(row.values())
+    assert srow_strip(row) == strip_reference(row) == row
+
+
+def test_strip_falls_back_to_the_fold(monkeypatch):
+    g = {-1: 2, 1: 1, 2: 3}
+    polys = [L.lmul(u, g) for u in ({0: 3, 2: -5, 3: 7}, {0: -4, 1: 1}, {2: 2})]
+    want = L.lcofactors(polys)
+    monkeypatch.setattr(L, "_HEU_TRIES", 0)
+    assert L.lcofactors(polys) == want == fold_cofactors(polys)
+    # g is q**-1 (2 + q**2 + 3 q**3) up to units, so q**2 g leaves 2q
+    assert want[2] == {1: 2}
+    row = dict(enumerate(polys))
+    assert srow_strip(row) == strip_reference(row)

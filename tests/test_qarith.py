@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidpow import laurent as L
+from braidpow import qarith
 from braidpow.braided import (
     dim_sym_cube,
     rows_by_weight,
@@ -303,6 +304,12 @@ def test_rank_and_kernel_agree_with_sympy_over_qq_q(case):
     theirs = system.nullspace()
     assert ours.shape[0] == theirs.shape[0] == n - system.rank()
     assert ours.rank() == ours.vstack(theirs).rank() == ours.shape[0]
+    # the unit rows met with ker(rows) span that same kernel
+    units = [{j: dict(L.ONE)} for j in range(n)]
+    meet = sp_intersect(units, rows)
+    assert len(meet) == theirs.shape[0]
+    if meet:
+        assert matrix(meet).vstack(theirs).rank() == len(meet)
 
 
 def test_row_reduce_deterministic():
@@ -409,3 +416,71 @@ def test_meet_on_subsets_of_l3_sym_cube_blocks(data):
     a = data.draw(st.lists(st.sampled_from(a), min_size=1, max_size=5))
     b = data.draw(st.lists(st.sampled_from(b), min_size=1, max_size=5))
     _check_meet(a, b, cols)
+
+
+# ---------------------------------------------------------------------------
+# the F_P rank screen only skips work: results never depend on its point
+
+
+def _unscreened(rows, n):
+    # sp_rank, sp_kernel and sp_intersect with the screen proving nothing,
+    # so every answer comes from the exact forward elimination
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qarith, "_screen_rank", lambda rows, ncols: -1)
+        units = [{j: dict(L.ONE)} for j in range(n)]
+        return sp_rank(rows), sp_kernel(rows, n), sp_intersect(units, rows)
+
+
+def test_screen_point_is_not_a_root_of_unity_of_small_order():
+    x = qarith._SCREEN_X
+    assert all(pow(x, k, L.P) != 1 for k in range(1, 5000))
+
+
+def test_a_rank_drop_at_the_screen_point_falls_back_to_the_exact_path():
+    # det [[q, 1], [x, 1]] = q - x vanishes at the screen point x only
+    x = qarith._SCREEN_X
+    rows = [{0: L.lq(1), 1: dict(L.ONE)}, {0: {0: x}, 1: dict(L.ONE)}]
+    assert qarith._screen_rank(rows, 2) == 1
+    assert sp_rank(rows) == 2
+    assert sp_kernel(rows, 2) == []
+    units = [{0: dict(L.ONE)}, {1: dict(L.ONE)}]
+    assert sp_intersect(units, rows) == []
+    assert _unscreened(rows, 2) == (2, [], [])
+
+
+def test_a_full_rank_proven_at_the_screen_point_skips_the_elimination(monkeypatch):
+    rows = [{0: L.lq(1), 1: {0: 2}}, {0: {0: 1, 2: 1}, 1: L.lq(-1)}, {1: {0: 3}}]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the screen should have answered")
+
+    monkeypatch.setattr(qarith, "sp_echelon", refuse)
+    assert sp_rank(rows) == 2
+    assert sp_kernel(rows, 2) == []
+    assert sp_intersect([{0: dict(L.ONE)}, {1: dict(L.ONE)}], rows) == []
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.dictionaries(
+                        st.integers(-2, 2), st.integers(-3, 3).filter(bool), max_size=2
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_screened_answers_equal_the_unscreened_elimination(case):
+    n, raw = case
+    rows = [{j: p for j, p in enumerate(r) if p} for r in raw]
+    units = [{j: dict(L.ONE)} for j in range(n)]
+    screened = sp_rank(rows), sp_kernel(rows, n), sp_intersect(units, rows)
+    assert screened == _unscreened(rows, n)
