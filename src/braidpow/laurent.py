@@ -8,10 +8,14 @@ and the zero test is emptiness.  No floats anywhere.
 The ring operations (lconst, ladd, lsub, lneg, lmul, lscale, lshift,
 lbar, leval) take any exact coefficients and use them as given.
 Content, gcd and exact division (lcontent, lprimitive, ldiv_exact, lgcd,
-llcm) work in Z[q, 1/q] and take int coefficients only, as do the rows of
-the sparse engine in qarith.  A rational enters a row in two places
-only: qarith.Subspace.span and Subspace.contains clear a caller's
-denominators, and specialize mode maps q0 into F_P with fp.
+lcofactors, llcm) work in Z[q, 1/q] and take int coefficients only, as
+do the rows of the sparse engine in qarith.  Both gcds run the heuristic
+GCDHEU (_gcd_heu), whose exact dense quotients (_dense_quo) prove its
+candidate: lgcd on two operands, and lcofactors on every entry of a row
+at once, handing back those quotients as the stripped entries.  A
+rational enters a row in two places only: qarith.Subspace.span and
+Subspace.contains clear a caller's denominators, and specialize mode
+maps q0 into F_P with fp.
 
 Specialize mode evaluates q at the image x of a rational sample point
 in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  A specialized
@@ -226,11 +230,12 @@ def _unit_normal(a: dict) -> dict:
 _HEU_TRIES = 6
 
 
-def _dense(a: dict) -> list:
-    # coefficient list, lowest exponent first; a has lowest exponent 0
-    out = [0] * (max(a) + 1)
+def _dense(a: dict, low: int = 0) -> list:
+    # coefficient list of q**-low * a, lowest exponent first; a has lowest
+    # exponent low
+    out = [0] * (max(a) - low + 1)
     for e, c in a.items():
-        out[e] = c
+        out[e - low] = c
     return out
 
 
@@ -373,9 +378,7 @@ def lcofactors(polys: list) -> list:
     parts = []
     for p in polys:
         low = min(p)
-        f = [0] * (max(p) - low + 1)
-        for e, v in p.items():
-            f[e - low] = v
+        f = _dense(p, low)
         if len(f) == 1:
             # a unit of the Laurent ring: G is 1
             return list(polys)

@@ -5,16 +5,24 @@ rows: a row is a dict {column: Laurent dict} that stores no zero entry
 and holds int coefficients only.  Elimination cross-multiplies rows
 instead of dividing, then strips each row to the canonical
 representative of its line: srow_strip removes the common q power,
-integer content and any common polynomial factor, so every returned row
-holds primitive int coefficients.  A reduced echelon basis of stripped
-rows is the canonical form of a subspace.  Subspace.span and
-Subspace.contains are the one boundary for rationals: they clear the
-denominators of a caller's row before it enters the engine.
+integer content and any common polynomial factor (one GCDHEU pass over
+the row, laurent.lcofactors), so every returned row holds primitive int
+coefficients.  A reduced echelon basis of stripped rows is the canonical
+form of a subspace.  Subspace.span and Subspace.contains are the one
+boundary for rationals: they clear the denominators of a caller's row
+before it enters the engine.
+
+sp_rank, sp_kernel and through it sp_intersect first rank the system
+over F_P at the fixed unit q = _SCREEN_X (_screen_rank).  That rank is a
+lower bound of the rank over Q(q); when it already is the largest
+possible rank, they answer without the exact elimination.  Any smaller
+rank is discarded, so no result depends on the screen point.
 
 Specialize mode never enters that engine.  fp_rref and fp_kernel
-eliminate rows {col: int} over F_p with pivots scaled to 1, and a
-Subspace over F_p holds fp_rref's rows; Subspace.from_sparse and
-Subspace.contains are the one place that picks between the two.
+eliminate rows {col: int} over F_p with pivots scaled to 1 (fp_rref
+also ranks the screen), and a Subspace over F_p holds fp_rref's rows;
+Subspace.from_sparse and Subspace.contains are the one place that picks
+between the two.
 """
 
 from __future__ import annotations
@@ -128,6 +136,8 @@ def _screen_rank(rows, ncols: int) -> int:
     Z[q, 1/q] to F_P, so a minor that is nonzero at the point is nonzero
     over Q(q): this rank is a lower bound of the exact one.  It proves a
     full rank; a smaller one proves nothing and is not used."""
+    # x**e once per exponent of the system, where leval_fp would take a
+    # pow per term
     powers: dict[int, int] = {}
     images = []
     for row in rows:
