@@ -111,6 +111,25 @@ def test_extremal_map_certification():
     assert report["certified"] == 100
 
 
+def test_extremal_sweep_examples_are_pinned():
+    """The examples depend on the order of the random draws per instance
+    (staircase, then class, then certify_max's seed); the bench compares
+    them across commits."""
+    report = acceptance.extremal_sweep(instances=20)
+    assert report["examples"] == [
+        {"lam": [0, 0, 0, 0, 1], "kminus": [1], "kplus": [4],
+         "kappa_star": [1, 1, 1, 1, 1], "class_size": 1},
+        {"lam": [0, 0, 1, 1], "kminus": [2], "kplus": [2],
+         "kappa_star": [1, 1, 1, 1], "class_size": 1},
+        {"lam": [1, 2], "kminus": [1, 0], "kplus": [0, 1],
+         "kappa_star": [2, 1], "class_size": 1},
+        {"lam": [0, 0, 1, 1, 1], "kminus": [3], "kplus": [2],
+         "kappa_star": [1, 1, 1, 1, 1], "class_size": 1},
+        {"lam": [2, 2, 2], "kminus": [1, 0, 0, 0], "kplus": [0, 0, 2, 0],
+         "kappa_star": [1, 3, 3], "class_size": 3},
+    ]
+
+
 def test_poisson_closure_growth():
     report = acceptance.poisson_growth(ls=(3, 4), upto=6)
     _line(
