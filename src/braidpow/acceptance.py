@@ -6,7 +6,10 @@ True, or raises: TheoremViolation when a computation falsifies a claimed
 closed form, AssertionError when an internal expectation breaks.  Stage
 parameters default to the released verification grids; the two heavy
 sweeps accept mode/seed so they can run at two sample points over F_P
-when exact arithmetic is too slow for interactive use.
+(braided.run_mode) when exact arithmetic is too slow for interactive
+use.  Records the CLI prints too come from the same builders:
+braided.growth_flag for conjecture flags, convexopt.certify_random_class
+for extremal instances.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from math import comb
 
 from .braided import (
     admissible_triples,
-    conjectural_sym_dim,
     dim_ext_cube,
     dim_sym_cube,
     ext_cube_decomposition,
     flat_lower_bound,
     flatness_check,
+    growth_flag,
     hilbert_table,
     koszul_series_probe,
     module_square,
@@ -52,12 +55,11 @@ from .classical import (
     scale,
 )
 from .convexopt import (
-    certify_max,
+    certify_random_class,
     inversions,
     kappa_star,
     kappa_weight,
     multiplicities,
-    random_feasibility_class,
     random_lambda_convex,
     transpose_at,
 )
@@ -269,27 +271,17 @@ def gl3_sweep(l1max: int = 5) -> dict:
 
 def extremal_sweep(instances: int = 100, seed: int = CAMPAIGN_SEED) -> dict:
     """certify_max on randomly generated feasible classes over random
-    staircases with up to 5 rows and 4 columns."""
+    staircases with up to 5 rows and 4 columns (certify_random_class)."""
     rng = random.Random(seed)
     certified = 0
     examples = []
     for _ in range(instances):
         m = rng.randint(1, 5)
         n = rng.randint(1, 4)
-        lam = tuple(sorted(rng.randint(0, n) for _ in range(m)))
-        km, kp = random_feasibility_class(lam, n, rng)
-        rep = certify_max(lam, km, kp, trials=2, seed=rng.randrange(2**30))
+        instance = certify_random_class(m, n, rng)
         certified += 1
         if len(examples) < 5:
-            examples.append(
-                {
-                    "lam": list(lam),
-                    "kminus": list(km),
-                    "kplus": list(kp),
-                    "kappa_star": list(rep["kappa_star"]),
-                    "class_size": rep["class_size"],
-                }
-            )
+            examples.append(instance)
     return {
         "instances": instances,
         "certified": certified,
@@ -312,20 +304,12 @@ def poisson_growth(ls=(3, 4), upto: int = 6) -> dict:
                 f"at l = {l}"
             )
         for n in range(4, upto + 1):
-            predicted = conjectural_sym_dim(l, n)
-            conjecture.append(
-                {
-                    "l": l,
-                    "n": n,
-                    "computed": dims[n],
-                    "predicted": predicted,
-                    "agree": dims[n] == predicted,
-                }
-            )
-            if dims[n] != predicted:
+            flag = growth_flag(l, n, dims[n])
+            conjecture.append(flag)
+            if not flag["agree"]:
                 raise TheoremViolation(
                     f"closure dim {dims[n]} at l = {l}, n = {n}; "
-                    f"growth law says {predicted}"
+                    f"growth law says {flag['predicted']}"
                 )
         rows.append({"l": l, "dims": dims})
     if rows and ls[0] == 3 and rows[0]["dims"][4] != 22:
@@ -353,8 +337,7 @@ def sym_fourth_conjecture(mode: str = "exact", seed=None) -> dict:
     """Fourth symmetric power of V_(3,0) against the conjectured growth
     law.  Never fails: the comparison is recorded either way."""
     table = hilbert_table(3, 4, "sym", mode=mode, seed=seed)
-    flag = dict(table.conjecture[-1])
-    flag["l"] = 3
+    flag = table.conjecture[-1]
     return {
         "l": 3,
         "mode": mode,

@@ -82,10 +82,10 @@ _SAMPLE_PRIMES = (
 )
 
 
-def sample_points(seed, count: int = 2) -> list[Fraction]:
+def sample_points(seed) -> list[Fraction]:
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while len(out) < 2:
         p, pp = rng.sample(_SAMPLE_PRIMES, 2)
         q0 = Fraction(p, pp)
         if q0 not in out:
@@ -93,23 +93,35 @@ def sample_points(seed, count: int = 2) -> list[Fraction]:
     return out
 
 
-def at_two_samples(seed, compute):
-    """Run compute(q0) at the two sample points of seed.  Returns the
-    shared result and the points as strings; raises ArithmeticError when
-    the two results differ, or when a sample is outside the support of
-    a module (see specialize_module).
+def run_mode(mode: str, seed, compute):
+    """Run compute in one mode; returns (result, samples).  Exact mode
+    returns compute(None) and no samples.  Specialize mode runs
+    compute(q0) at the two sample points of seed and returns the shared
+    result and the points as strings; it raises ArithmeticError when the
+    two results differ, or when a sample is outside the support of a
+    module (see specialize_module).  Any other mode is a ValueError,
+    raised before compute runs.
 
     compute is expected to work over F_P at the image of q0 (through
-    specialize_module), so each run keeps every coefficient within 61
-    bits.  Two agreeing samples are evidence for the generic answer over
-    Q(q), not a certificate: a dimension at a point can differ from the
-    generic one, and the sample pool is too small for the Schwartz-Zippel
-    bound (Schwartz 1980; Zippel 1979) to say how rarely."""
+    at_point), so each run keeps every coefficient within 61 bits.  Two
+    agreeing samples are evidence for the generic answer over Q(q), not
+    a certificate: a dimension at a point can differ from the generic
+    one, and the sample pool is too small for the Schwartz-Zippel bound
+    (Schwartz 1980; Zippel 1979) to say how rarely."""
+    if mode == "exact":
+        return compute(None), []
+    if mode != "specialize":
+        raise ValueError(f"unknown mode {mode!r}")
     pts = sample_points(seed)
     first, second = (compute(q0) for q0 in pts)
     if first != second:
         raise ArithmeticError("specialization samples disagree; rerun in exact mode")
     return first, [str(q0) for q0 in pts]
+
+
+def at_point(V: WeightModule, q0) -> WeightModule:
+    """V itself for q0 None (exact mode), else V specialized at q0."""
+    return V if q0 is None else specialize_module(V, q0)
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +662,7 @@ def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
     if len(beta) != 3 or any(b < 0 for b in beta):
         raise ValueError("beta must be three nonnegative integers")
     parity = _parity_of_eps(eps)
-    if mode == "exact":
-        got = _triple_product_exact(beta, parity, None)
-    elif mode == "specialize":
-        got, _ = at_two_samples(
-            seed, lambda q0: _triple_product_exact(beta, parity, q0)
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    got, _ = run_mode(mode, seed, lambda q0: _triple_product_exact(beta, parity, q0))
     want = admissible_triples(beta, "+" if parity == 0 else "-")
     if dict(got) != dict(want):
         raise TheoremViolation(
@@ -672,10 +677,7 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     by _slot_meet and its highest-weight vectors, or at q0 over F_P by a
     tower step and its character."""
     b1, b2, b3 = beta
-    mods = [simple_gl2(b, 0) for b in beta]
-    if q0 is not None:
-        mods = [specialize_module(m, q0) for m in mods]
-    v1, v2, v3 = mods
+    v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     t12 = tensor(v1, v2)
     bullet12 = _isotypic_rows(t12, (b1 + b2, 0), min(b1, b2) + 1, parity)
     t23 = tensor(v2, v3)
@@ -762,6 +764,19 @@ def conjectural_sym_dim(l: int, n: int) -> int:
     return (l + 1) * (l * (n - 1) + 2) // 2
 
 
+def growth_flag(l: int, n: int, computed: int) -> dict:
+    """Conjecture flag of a computed dim of the n-th symmetric power of
+    V_(l,0) against the growth law conjectural_sym_dim."""
+    predicted = conjectural_sym_dim(l, n)
+    return {
+        "l": l,
+        "n": n,
+        "computed": computed,
+        "predicted": predicted,
+        "agree": computed == predicted,
+    }
+
+
 @dataclass
 class HilbertTable:
     l: int
@@ -773,12 +788,15 @@ class HilbertTable:
     samples: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
+        # the table's l stands for every flag's
         return {
             "l": self.l,
             "kind": self.kind,
             "mode": self.mode,
             "dims": list(self.dims),
-            "conjecture": [dict(c) for c in self.conjecture],
+            "conjecture": [
+                {k: v for k, v in c.items() if k != "l"} for c in self.conjecture
+            ],
             "samples": list(self.samples),
         }
 
@@ -794,41 +812,23 @@ def hilbert_table(
     """Dimensions of the braided powers of V_(l,0) through degree upto.
     Exact mode is guarded to upto <= 4 and l <= 6; the specialize mode
     runs the relative tower over F_P at two sample points (see
-    at_two_samples)."""
+    run_mode)."""
     if kind not in ("sym", "ext"):
         raise ValueError("kind must be 'sym' or 'ext'")
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    if mode == "exact":
-        if (upto > 4 or l > 6) and not override_guards:
-            raise GuardError(
-                "exact mode is guarded to upto <= 4 and l <= 6; "
-                "use mode='specialize' or override_guards=True"
-            )
-        dims = _hilbert_dims(simple_gl2(l, 0), kind, upto)
-        samples = []
-    elif mode == "specialize":
-        dims, samples = at_two_samples(
-            seed,
-            lambda q0: _hilbert_dims(
-                specialize_module(simple_gl2(l, 0), q0), kind, upto
-            ),
+    if mode == "exact" and (upto > 4 or l > 6) and not override_guards:
+        raise GuardError(
+            "exact mode is guarded to upto <= 4 and l <= 6; "
+            "use mode='specialize' or override_guards=True"
         )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    table = HilbertTable(l, kind, upto, mode, dims, samples=samples)
-    if kind == "sym":
-        for n in range(4, upto + 1):
-            predicted = conjectural_sym_dim(l, n)
-            table.conjecture.append(
-                {
-                    "n": n,
-                    "computed": dims[n],
-                    "predicted": predicted,
-                    "agree": dims[n] == predicted,
-                }
-            )
-    return table
+    dims, samples = run_mode(
+        mode, seed, lambda q0: _hilbert_dims(at_point(simple_gl2(l, 0), q0), kind, upto)
+    )
+    conjecture = (
+        [growth_flag(l, n, dims[n]) for n in range(4, upto + 1)] if kind == "sym" else []
+    )
+    return HilbertTable(l, kind, upto, mode, dims, conjecture, samples)
 
 
 def _hilbert_dims(V: WeightModule, kind: str, upto: int) -> list[int]:

@@ -11,8 +11,9 @@ that cannot be written.
 
 Commands with a natural dimension or component table export it as CSV
 via --csv PATH.  Specialize mode requires --seed and computes results
-over the prime field F_P at the images of two sampled rational points;
-agreement of the two is evidence, not a proof, of the generic answer.
+over the prime field F_P at the images of two sampled rational points
+(braided.run_mode runs both modes); agreement of the two is evidence,
+not a proof, of the generic answer.
 Exact mode ignores the seed except where a command is explicitly
 randomized (convex-certify).
 """
@@ -31,7 +32,7 @@ from math import comb
 from . import acceptance
 from .braided import (
     admissible_triples,
-    at_two_samples,
+    at_point,
     conjectural_sym_dim,
     decompose_power,
     decompose_power_characters,
@@ -39,22 +40,24 @@ from .braided import (
     ext_cube_closed,
     flat_lower_bound,
     flatness_check,
+    growth_flag,
     hilbert_table,
     koszul_series_probe,
     module_square,
     power_dims,
     power_weight_rows,
+    run_mode,
     square_gl2,
     sym_cube_closed,
     triple_product,
     weight_rows_dim,
 )
 from .classical import poisson_closure_dims, valuation_cover_check
-from .convexopt import certify_max, random_feasibility_class
+from .convexopt import certify_random_class
 from .errors import GuardError, InfeasibleError, TheoremViolation
 from .gl3canon import dcb_module, degree_recursion_check, genericity_check
 from .qmat import check_qmatrix_relations, howe_dim_check
-from .uqmod import ModuleAuditError, outer, simple_gl2, specialize_module, standard_gld
+from .uqmod import ModuleAuditError, outer, simple_gl2, standard_gld
 
 
 class _UsageError(Exception):
@@ -100,14 +103,14 @@ def _power_module(args):
     return "standard", f"standard_gld({args.d})"
 
 
-def _build_module(args, family, q0=None):
+def _build_module(args, family, q0):
     if family == "simple":
         V = simple_gl2(args.l, 0)
     elif family == "matrix":
         V = outer(standard_gld(args.d), standard_gld(args.k))
     else:
         V = standard_gld(args.d)
-    return specialize_module(V, q0) if q0 is not None else V
+    return at_point(V, q0)
 
 
 def _power_guard(args, family):
@@ -128,7 +131,7 @@ def _power_guard(args, family):
             )
 
 
-def _decompose_power(args, family, kind, q0=None):
+def _decompose_power(args, family, kind, q0):
     V = _build_module(args, family, q0)
     pair = module_square(V)
     side = pair.sym if kind == "sym" else pair.ext
@@ -142,16 +145,13 @@ def _decompose_power(args, family, kind, q0=None):
 def _cmd_power(args, kind):
     family, name = _power_module(args)
     n = args.n
-    samples = []
-    if args.mode == "specialize":
-        if family != "simple":
-            raise _UsageError("specialize mode supports --l modules only")
-        (dim, dec), samples = at_two_samples(
-            args.seed, lambda q0: _decompose_power(args, family, kind, q0)
-        )
-    else:
+    if args.mode == "specialize" and family != "simple":
+        raise _UsageError("specialize mode supports --l modules only")
+    if args.mode == "exact":
         _power_guard(args, family)
-        dim, dec = _decompose_power(args, family, kind)
+    (dim, dec), samples = run_mode(
+        args.mode, args.seed, lambda q0: _decompose_power(args, family, kind, q0)
+    )
     payload = {
         "module": name,
         "kind": kind,
@@ -172,16 +172,7 @@ def _cmd_power(args, kind):
         want = comb(args.d + n - 1, n)
         verdicts["polynomial_growth"] = "pass" if dim == want else "fail"
     if family == "simple" and kind == "sym" and n >= 4:
-        predicted = conjectural_sym_dim(args.l, n)
-        flags.append(
-            {
-                "l": args.l,
-                "n": n,
-                "computed": dim,
-                "predicted": predicted,
-                "agree": dim == predicted,
-            }
-        )
+        flags.append(growth_flag(args.l, n, dim))
     table = (
         ["component", "multiplicity"],
         [[" ".join(str(x) for x in w), m] for w, m in dec.components()],
@@ -256,7 +247,7 @@ def _cmd_hilbert(args):
         verdicts["cube_matches_closed_form"] = (
             "pass" if table_obj.dims[3] == dim_sym_cube(args.l) else "fail"
         )
-    flags = [dict(c, l=args.l) for c in table_obj.conjecture]
+    flags = table_obj.conjecture
     table = (
         ["n", "dim"],
         [[n, d] for n, d in enumerate(table_obj.dims)],
@@ -327,29 +318,11 @@ def _cmd_convex_certify(args):
     if args.trials < 1:
         raise _UsageError("--trials must be positive")
     rng = random.Random(args.seed)
-    instances = []
-    certified = 0
-    for _ in range(args.trials):
-        lam = tuple(sorted(rng.randint(0, args.n) for _ in range(args.m)))
-        km, kp = random_feasibility_class(lam, args.n, rng)
-        report = certify_max(
-            lam,
-            km,
-            kp,
-            trials=2,
-            seed=rng.randrange(2**30),
-            override_guards=args.override_guards,
-        )
-        certified += 1
-        instances.append(
-            {
-                "lam": list(lam),
-                "kminus": list(km),
-                "kplus": list(kp),
-                "kappa_star": list(report["kappa_star"]),
-                "class_size": report["class_size"],
-            }
-        )
+    instances = [
+        certify_random_class(args.m, args.n, rng, args.override_guards)
+        for _ in range(args.trials)
+    ]
+    certified = len(instances)
     payload = {
         "m": args.m,
         "n": args.n,
@@ -396,16 +369,7 @@ def _cmd_poisson_closure(args):
         verdicts["exterior_vanishes_from_degree_4"] = (
             "pass" if all(d == 0 for d in ext[4:]) else "fail"
         )
-    flags = [
-        {
-            "l": args.l,
-            "n": n,
-            "computed": sym[n],
-            "predicted": formula[n],
-            "agree": sym[n] == formula[n],
-        }
-        for n in range(4, upto + 1)
-    ]
+    flags = [growth_flag(args.l, n, sym[n]) for n in range(4, upto + 1)]
     table = (
         ["n", "sym", "ext", "formula"],
         [[n, sym[n], ext[n], formula[n]] for n in range(upto + 1)],
@@ -581,7 +545,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    add("audit-all", "run every verification stage", "mode", "guards")
+    add("audit-all", "run every verification stage", "mode")
     return parser
 
 

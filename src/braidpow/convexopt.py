@@ -260,3 +260,29 @@ def random_feasibility_class(lam, n: int, rng: random.Random):
     lam = check_reversed_partition(lam, n)
     kappa = tuple(rng.randint(1, n) for _ in lam)
     return multiplicities(lam, kappa, n)
+
+
+def certify_random_class(
+    m: int, n: int, rng: random.Random, override_guards: bool = False
+) -> dict:
+    """certify_max on one random instance.  From rng, in this order: a
+    staircase of m values in [0, n], the class of a random map over it,
+    and certify_max's seed.  Returns the instance with its extremal map
+    and class size."""
+    lam = tuple(sorted(rng.randint(0, n) for _ in range(m)))
+    km, kp = random_feasibility_class(lam, n, rng)
+    report = certify_max(
+        lam,
+        km,
+        kp,
+        trials=2,
+        seed=rng.randrange(2**30),
+        override_guards=override_guards,
+    )
+    return {
+        "lam": list(lam),
+        "kminus": list(km),
+        "kplus": list(kp),
+        "kappa_star": list(report["kappa_star"]),
+        "class_size": report["class_size"],
+    }

@@ -100,14 +100,7 @@ def sp_echelon(rows, reduced: bool = True) -> dict:
     its own pivot column and free columns only)."""
     piv: dict[int, dict] = {}
     for row in rows:
-        row = {c: p for c, p in row.items() if p}
-        while row:
-            c = min(row)
-            hit = piv.get(c)
-            if hit is None:
-                piv[c] = srow_strip(row)
-                break
-            row = srow_strip(_cross(row, hit, c))
+        sp_pivot_insert(piv, row)
     if reduced:
         _back_reduce(piv)
     return piv

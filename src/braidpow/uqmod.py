@@ -38,11 +38,11 @@ def pairing(a, b) -> int:
 
 
 class WeightModule:
-    """Basis-indexed weight module with sparse generator actions."""
+    """Basis-indexed weight module with sparse generator actions.  Every
+    construction is checked against the defining relations
+    (audit_module)."""
 
-    def __init__(
-        self, kind, alphas, blocks, weights, e_ops, f_ops, audit=True, q0=None
-    ):
+    def __init__(self, kind, alphas, blocks, weights, e_ops, f_ops, q0=None):
         self.kind = kind
         self.alphas = tuple(tuple(a) for a in alphas)
         self.blocks = tuple(blocks)
@@ -55,8 +55,7 @@ class WeightModule:
         self.q0 = q0
         self.x = None if q0 is None else fp(q0)
         self.modulus = None if q0 is None else P
-        if audit:
-            audit_module(self)
+        audit_module(self)
 
     @property
     def dim(self) -> int:

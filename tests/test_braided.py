@@ -18,6 +18,7 @@ from braidpow.braided import (
     module_square,
     power_apply_e,
     power_dims,
+    run_mode,
     sample_points,
     square_gl2,
     square_matrix_module,
@@ -200,6 +201,10 @@ def test_hilbert_table_exact():
     table = hilbert_table(3, 4)
     assert table.dims == [1, 4, 10, 16, 22]
     assert table.conjecture == [
+        {"l": 3, "n": 4, "computed": 22, "predicted": 22, "agree": True}
+    ]
+    # the payload keeps l once, at the table
+    assert table.as_dict()["conjecture"] == [
         {"n": 4, "computed": 22, "predicted": 22, "agree": True}
     ]
 
@@ -263,6 +268,29 @@ def test_sample_points_deterministic():
     assert a != b
     for q0 in (a, b):
         assert isinstance(q0, Fraction) and q0 not in (0, 1)
+
+
+def test_run_mode_exact_calls_compute_once_at_no_point():
+    calls = []
+    got = run_mode("exact", 5, lambda q0: calls.append(q0) or "result")
+    assert got == ("result", [])
+    assert calls == [None]
+
+
+def test_run_mode_refuses_an_unknown_mode_before_computing():
+    calls = []
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_mode("generic", 5, calls.append)
+    assert calls == []
+
+
+def test_run_mode_specialize_runs_both_samples_and_refuses_disagreement():
+    pts = sample_points(5)
+    assert run_mode("specialize", 5, lambda q0: 7) == (7, [str(q0) for q0 in pts])
+    seen = []
+    with pytest.raises(ArithmeticError, match="samples disagree"):
+        run_mode("specialize", 5, lambda q0: seen.append(q0) or q0)
+    assert seen == pts
 
 
 def test_braided_power_deterministic():

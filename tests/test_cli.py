@@ -95,6 +95,7 @@ def test_usage_errors_exit_one(capsys):
         ("sym-power", "--k", "2", "--n", "2"),
         ("hilbert", "--l", "2", "--n", "3", "--mode", "specialize"),
         ("triple-product", "--beta", "1,2", "--eps", "+"),
+        ("audit-all", "--override-guards"),
         ("no-such-command",),
     ):
         code, env, err = run_cli(capsys, *argv)
@@ -147,6 +148,21 @@ def test_module_audit_error_exits_two_with_one_envelope(capsys, monkeypatch):
     assert code == 2
     assert env["payload"] == {"error": "ModuleAuditError", "message": "forced"}
     assert env["verdicts"] == {"run": "fail"}
+
+
+def test_disagreeing_samples_fail_the_run(capsys, monkeypatch):
+    def at_sample(args, family, kind, q0):
+        return q0, None
+
+    monkeypatch.setattr(cli, "_decompose_power", at_sample)
+    code, env, _ = run_cli(
+        capsys, "sym-power", "--l", "2", "--n", "3", "--mode", "specialize",
+        "--seed", "1",
+    )
+    assert code == 2
+    assert env["verdicts"] == {"run": "fail"}
+    assert env["payload"]["error"] == "ArithmeticError"
+    assert "samples disagree" in env["payload"]["message"]
 
 
 def test_csv_export_matches_payload(capsys, tmp_path):

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from braidpow import braided, cli, qarith
 from braidpow import laurent as L
 from braidpow.braided import (
-    at_two_samples,
     braided_power,
     decompose_power,
     decompose_power_characters,
     decompose_power_subspace,
     hilbert_table,
     module_square,
+    run_mode,
     sample_points,
     triple_product,
 )
@@ -223,8 +223,10 @@ def _cube(V, side):
 def test_specialized_cubes_equal_exact_ones(l, side):
     exact = _cube(simple_gl2(l, 0), side)
     for seed in range(1, 6):
-        got, samples = at_two_samples(
-            seed, lambda q0: _cube(specialize_module(simple_gl2(l, 0), q0), side)
+        got, samples = run_mode(
+            "specialize",
+            seed,
+            lambda q0: _cube(specialize_module(simple_gl2(l, 0), q0), side),
         )
         assert got == exact
         assert samples == [str(q0) for q0 in sample_points(seed)]
