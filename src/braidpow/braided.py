@@ -34,13 +34,22 @@ Over F_P every row is an int row {col: int}: squares are F-strings of
 highest-weight vectors found by fp_kernel, the specialized triple
 product is one tower step, and components are read off weight dims
 (decompose_weight_dims), never off highest-weight counts.
+
+Every construction here happens once per module object and is stored on
+it (WeightModule._stored): module_square(V) stores its pair on V, and
+each (V, square) keeps one list of power levels that is extended only as
+far as a caller asks, which power_weight_rows, power_dims and
+braided_power read.  The gl_2 simples and standard modules are shared
+instances (see uqmod), so every stage of one process reuses their
+squares and levels.  Stored rows and subspaces are read-only.  A failed
+construction is not stored: the next call builds it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import comb
 import random
 
@@ -170,7 +179,14 @@ def _isotypic_rows(m: WeightModule, top: tuple, layers: int, parity: int) -> dic
     weight: the F-strings v, Fv, F^2 v, ... of a basis of the
     highest-weight vectors v of each such weight, which span its
     isotypic part.  Rows over Q(q) are stripped at each step; rows
-    {col: int} of a specialized module are reduced mod P."""
+    {col: int} of a specialized module are reduced mod P.  Stored on m."""
+    return m._stored(
+        ("isotypic", top, layers, parity),
+        lambda: _f_strings(m, top, layers, parity),
+    )
+
+
+def _f_strings(m: WeightModule, top: tuple, layers: int, parity: int) -> dict:
     f, p = m.f_ops[0], m.modulus
     out: dict[tuple, list] = {}
     hw_rows = (
@@ -218,7 +234,7 @@ def square_gl2(l: int) -> BraidedSquarePair:
     """Braided square of the gl_2 simple V_(l,0): sigma acts by (-1)^m on
     the m-th Clebsch-Gordan summand, so sym collects the even layers and
     ext the odd ones."""
-    return _square_of_simple(simple_gl2(l, 0))
+    return module_square(simple_gl2(l, 0))
 
 
 def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
@@ -238,7 +254,7 @@ def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
 
 def square_standard(d: int) -> BraidedSquarePair:
     """Braided square of the vector representation of gl_d."""
-    return _square_of_standard(standard_gld(d))
+    return module_square(standard_gld(d))
 
 
 def _square_of_standard(V: WeightModule) -> BraidedSquarePair:
@@ -266,8 +282,8 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
     v2 = standard_gld(k)
     m = outer(v1, v2)
     mm = tensor(m, m)
-    s1 = _square_of_standard(v1)
-    s2 = _square_of_standard(v2)
+    s1 = module_square(v1)
+    s2 = module_square(v2)
 
     def shuffle(urows, vrows):
         out = []
@@ -353,6 +369,22 @@ def _power_step(prev: dict, square_ann: dict, V: WeightModule, n: int) -> dict:
     Ann(P^2); returns P^n = (P^(n-1) ox V) meet ker(V^(n-2) ox Ann(P^2))."""
     heads = [tensor_weight(V, n - 2, i) for i in range(V.dim ** (n - 2))]
     return _slot_meet(prev, V, heads, square_ann, V.dim**2)
+
+
+def _levels(square: Subspace, V: WeightModule, n: int) -> list:
+    """[P^0, ..., P^n] of the side of V ox V spanned by square, as _powers
+    yields them.  One list per (V, square) is stored on V and extended
+    only as far as asked; the entry keeps square alive, so its id stays
+    a unique key.  A level that fails to build drops the entry."""
+    key = ("powers", id(square))
+    _, levels, rest = V._stored(key, lambda: (square, [], _powers(square, V)))
+    try:
+        while len(levels) <= n:
+            levels.append(next(rest))
+    except BaseException:
+        V._forget(key)
+        raise
+    return levels[: n + 1]
 
 
 def _powers(square: Subspace, V: WeightModule):
@@ -489,7 +521,7 @@ def power_weight_rows(square: Subspace, V: WeightModule, n: int) -> dict:
     V^(ox n), for a specialized module a level of the tower."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    return next(islice(_powers(square, V), n, None))
+    return _levels(square, V, n)[n]
 
 
 def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
@@ -500,7 +532,7 @@ def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
     if V.modulus is None:
         return weight_rows_subspace(V.dim**n, power_weight_rows(square, V, n))
     full = [{0: 1}]
-    for level in islice(_powers(square, V), 1, n + 1):
+    for level in _levels(square, V, n)[1:]:
         full = _expand(level, full, V.dim, V.modulus)
     return Subspace.from_sparse(V.dim**n, full, V.modulus)
 
@@ -516,7 +548,7 @@ def power_dims(square: Subspace, V: WeightModule, up_to: int) -> list[int]:
     """[dim P^0, ..., dim P^up_to] sharing one recursion."""
     if up_to < 0:
         raise ValueError("degree must be nonnegative")
-    return [weight_rows_dim(w) for w in islice(_powers(square, V), up_to + 1)]
+    return [weight_rows_dim(w) for w in _levels(square, V, up_to)]
 
 
 def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
@@ -599,7 +631,7 @@ def dim_ext_cube(l: int) -> int:
 
 def _certified_cube(l: int, side: str) -> IrrepMultiset:
     V = simple_gl2(l, 0)
-    pair = _square_of_simple(V)
+    pair = module_square(V)
     got = decompose_power(V, 3, power_weight_rows(getattr(pair, side), V, 3))
     want = sym_cube_closed(l) if side == "sym" else ext_cube_closed(l)
     if dict(got) != dict(want):
@@ -682,11 +714,15 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     bullet12 = _isotypic_rows(t12, (b1 + b2, 0), min(b1, b2) + 1, parity)
     t23 = tensor(v2, v3)
     bullet23 = _isotypic_rows(t23, (b2 + b3, 0), min(b2, b3) + 1, parity)
+    # Ann(bullet23) is a function of t23 and parity; stored on t23
+    key = ("bullet annihilator", parity)
     if q0 is not None:
-        ann_at = _ann_by_column(bullet23, t23.weight_blocks(), t23.modulus)
+        ann_at = t23._stored(
+            key, lambda: _ann_by_column(bullet23, t23.weight_blocks(), t23.modulus)
+        )
         meet = _tower_step(bullet12, ann_at, v2.dim, v3)
         return decompose_weight_dims({w: len(rows) for w, rows in meet.items()})
-    ann23 = annihilator_rows(bullet23, t23.weight_blocks())
+    ann23 = t23._stored(key, lambda: annihilator_rows(bullet23, t23.weight_blocks()))
     meet = _slot_meet(bullet12, v3, v1.weights, ann23, t23.dim)
     t = tensor(t12, v3)
     apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
@@ -698,7 +734,12 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
 
 
 def module_square(V: WeightModule) -> BraidedSquarePair:
-    """Braided square of any module with a known construction."""
+    """Braided square of any module with a known construction, built once
+    and stored on V."""
+    return V._stored("square", lambda: _square_of(V))
+
+
+def _square_of(V: WeightModule) -> BraidedSquarePair:
     kind = V.kind
     if kind[0] == "specialized":
         if kind[2][0] == "simple_gl2":
@@ -759,6 +800,15 @@ def flat_lower_bound(lam) -> int:
 
 
 def conjectural_sym_dim(l: int, n: int) -> int:
+    """dim of the n-th braided symmetric power of V_(l,0) by the growth
+    law: 1 at n = 0, l + 1 at n = 1, and from n = 2 a closed form,
+    comb(n*l/2 + 2, 2) for even l and (l + 1)(l(n - 1) + 2)/2 for odd l.
+    Through n = 3 these are proven values: n = 2 is the symmetric square
+    and n = 3 is dim_sym_cube.  From n = 4 they are conjectural."""
+    if n == 0:
+        return 1
+    if n == 1:
+        return l + 1
     if l % 2 == 0:
         return comb(n * l // 2 + 2, 2)
     return (l + 1) * (l * (n - 1) + 2) // 2

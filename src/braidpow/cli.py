@@ -352,7 +352,7 @@ def _cmd_poisson_closure(args):
     upto = args.n
     sym = poisson_closure_dims(args.l, upto, "sym", args.override_guards)
     ext = poisson_closure_dims(args.l, upto, "ext", args.override_guards)
-    formula = [1] + [conjectural_sym_dim(args.l, n) for n in range(1, upto + 1)]
+    formula = [conjectural_sym_dim(args.l, n) for n in range(upto + 1)]
     payload = {
         "l": args.l,
         "upto": upto,

@@ -9,11 +9,21 @@ The comultiplication is Delta(E) = E ox 1 + K ox E and
 Delta(F) = F ox K^-1 + 1 ox F; every tensor construction below follows
 it, and audit_module checks the defining relations on actual matrices,
 so a convention slip cannot survive construction.
+
+Each exact construction happens once per process.  simple_gl2 and
+standard_gld return one shared, already audited instance per argument,
+and tensor(a, b) stores its product on a, keyed by the b object.  A
+result that is a function of a module (its tensor products, its braided
+square and power levels, see braided) is stored on that module, so it
+lives as long as the module does: for the shared instances, as long as
+the process.  Modules and everything stored on them are read-only.  A
+specialized module is never shared; each sample builds its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .laurent import ONE, P, fp, ladd, lconst, leval_fp, lqint, lqshift
 from .qarith import (
@@ -74,6 +84,21 @@ class WeightModule:
                 out.setdefault(w, []).append(i)
             self._wblocks = out
             return out
+
+    def _stored(self, key, build):
+        """build() the first time key is asked for, the same object after
+        that: a result that is a function of this module lives on it.  A
+        build that raises stores nothing."""
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def _forget(self, key) -> None:
+        self._memo.pop(key, None)
 
     def __repr__(self):
         return f"WeightModule({self.kind}, dim={self.dim})"
@@ -146,8 +171,10 @@ def audit_module(m: WeightModule) -> None:
 # constructors
 
 
+@cache
 def simple_gl2(l1: int, l2: int) -> WeightModule:
-    """Irreducible gl_2 module with highest weight (l1, l2)."""
+    """Irreducible gl_2 module with highest weight (l1, l2); one shared
+    instance per argument."""
     if l1 < l2:
         raise ValueError("highest weight must be dominant: l1 >= l2")
     ell = l1 - l2
@@ -159,9 +186,10 @@ def simple_gl2(l1: int, l2: int) -> WeightModule:
     )
 
 
+@cache
 def standard_gld(d: int) -> WeightModule:
     """Vector representation of quantized gl_d on x_1 .. x_d; d = 1 is
-    the rootless one-dimensional case."""
+    the rootless one-dimensional case.  One shared instance per d."""
     if d < 1:
         raise ValueError("gl_d needs d >= 1")
     weights = [tuple(1 if k == j else 0 for k in range(d)) for j in range(d)]
@@ -176,7 +204,12 @@ def standard_gld(d: int) -> WeightModule:
 
 def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     """Tensor product along Delta; both factors must live over the same
-    gl_d (same simple roots and weight blocks)."""
+    gl_d (same simple roots and weight blocks).  The product is stored on
+    a, keyed by the b object, so each pair is built and audited once."""
+    return a._stored(("tensor", b), lambda: _tensor(a, b))
+
+
+def _tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     if a.alphas != b.alphas or a.blocks != b.blocks:
         raise ValueError("tensor factors live over different algebras")
     if a.q0 != b.q0:

@@ -9,7 +9,9 @@ import pytest
 
 import braidpow.acceptance  # noqa: F401  (the tracer wraps stages and cli.run)
 import braidpow.cli  # noqa: F401
+from braidpow import braided
 from braidpow.qarith import Subspace
+from braidpow.uqmod import simple_gl2
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -50,3 +52,19 @@ def test_tracer_wraps_its_targets_and_restores_them(bench_modules):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_traced_builders_run_on_each_cache_miss_only(bench_modules):
+    layertrace, workloads = bench_modules
+    tracer = layertrace.Tracer(workloads.stage_names())
+    tracer.install()
+    try:
+        for l in (2, 3, 3, 2):
+            V = simple_gl2(l, 0)
+            pair = braided.module_square(V)
+            braided.power_dims(pair.sym, V, 4)
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    assert counts["braided.module_square.calls"] == 2
+    assert counts["braided.power_step.calls"] == 4

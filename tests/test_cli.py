@@ -258,6 +258,13 @@ def test_zeroth_power_is_the_trivial_module(capsys):
             assert env["payload"]["components"] == [[[0, 0], 1]]
 
 
+def test_poisson_formula_row_starts_at_the_module(capsys):
+    # dim V_(4,0) is 5; the growth law's closed form alone says 6
+    code, env, _ = run_cli(capsys, "poisson-closure", "--l", "4", "--n", "3")
+    assert code == 0
+    assert env["payload"]["formula"] == env["payload"]["sym"] == [1, 5, 15, 28]
+
+
 def test_out_of_range_sizes_are_usage_errors(capsys):
     for argv in (
         ("hilbert", "--l", "2", "--n", "-1"),
