@@ -30,10 +30,19 @@ Exact mode stays on the meet above: over Q(q) the relative coordinates
 are raw kernel vectors whose q-degrees grow, and the tower measured
 2-5x slower there.
 
-Over F_P every row is an int row {col: int}: squares are F-strings of
-highest-weight vectors found by fp_kernel, the specialized triple
-product is one tower step, and components are read off weight dims
-(decompose_weight_dims), never off highest-weight counts.
+Every square, over either field, is built by one route (_side_rows): a
+side is the submodule of V ox V generated under the F_i by the
+highest-weight vectors of one side parity, the sum over gl blocks of the
+boxes moved below the first row, taken mod 2 (even for sym, odd for
+ext).  That is classical plethysm for a module that is Sym^a ox det^c on
+each block, as every supported one is: S^2(Sym^a) is the sum of the
+S_(2a-k,k) with k even, and for an outer product over gl_d x gl_k,
+S^2(A ox B) = S^2 A ox S^2 B + Lambda^2 A ox Lambda^2 B.  The braided
+sides sit on the same Clebsch-Gordan summands.  The triple product's
+bullet rows come from the same route.  Over F_P every row is an int row
+{col: int}, the specialized triple product is one tower step, and
+components are read off weight dims (decompose_weight_dims), never off
+highest-weight counts.
 
 Every construction here happens once per module object and is stored on
 it (WeightModule._stored): module_square(V) stores its pair on V, and
@@ -58,10 +67,11 @@ from .laurent import ONE, ladd, lmul, lshift
 from .qarith import (
     Subspace,
     fp_kernel,
+    fp_rref,
     sp_annihilator,
     sp_apply,
     sp_intersect,
-    srow_strip,
+    sp_span_echelon,
 )
 from .uqmod import (
     IrrepMultiset,
@@ -69,6 +79,7 @@ from .uqmod import (
     decompose_weight_dims,
     decompose_weight_rows,
     dim_irrep,
+    dominant,
     highest_weight_vectors,
     module_weight_rows,
     pairing,
@@ -173,39 +184,43 @@ def weight_rows_subspace(ambient: int, wrows: dict, modulus=None) -> Subspace:
     return Subspace.from_sparse(ambient, rows, modulus)
 
 
-def _isotypic_rows(m: WeightModule, top: tuple, layers: int, parity: int) -> dict:
-    """Rows of the isotypic parts of weight (top0 - k, top1 + k) of a
-    gl_2 module, for the layers k < layers with k % 2 == parity, per
-    weight: the F-strings v, Fv, F^2 v, ... of a basis of the
-    highest-weight vectors v of each such weight, which span its
-    isotypic part.  Rows over Q(q) are stripped at each step; rows
-    {col: int} of a specialized module are reduced mod P.  Stored on m."""
-    return m._stored(
-        ("isotypic", top, layers, parity),
-        lambda: _f_strings(m, top, layers, parity),
-    )
+def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
+    """Rows per weight of the submodule of m generated by its
+    highest-weight vectors nu of side parity `parity`, the sum over gl
+    blocks b of top[start_b] - nu[start_b] mod 2.  Weights are walked in
+    descending lex order, so the rows of each w + alpha_i come before w;
+    the rows of w are their F_i-images plus, at a dominant w of that
+    parity, its highest-weight vectors, echelonized: stripped Laurent
+    rows over Q(q), rows {col: int} mod P over F_P.  Stored on m."""
 
-
-def _f_strings(m: WeightModule, top: tuple, layers: int, parity: int) -> dict:
-    f, p = m.f_ops[0], m.modulus
-    out: dict[tuple, list] = {}
-    hw_rows = (
-        v
-        for k in range(parity, layers, 2)
-        for v in highest_weight_vectors(m, (top[0] - k, top[1] + k)).sparse_rows()
-    )
-    for v in hw_rows:
-        while v:
-            out.setdefault(m.weights[min(v)], []).append(v)
+    def build() -> dict:
+        p = m.modulus
+        starts = [sum(m.blocks[:b]) for b in range(len(m.blocks))]
+        out: dict[tuple, list] = {}
+        for w in sorted(m.weight_blocks(), reverse=True):
+            rows = []
+            for alpha, f in zip(m.alphas, m.f_ops):
+                for v in out.get(tuple(a + b for a, b in zip(w, alpha)), ()):
+                    if p is None:
+                        rows.append(sp_apply(f, v))
+                        continue
+                    img: dict[int, int] = {}
+                    for c, t in v.items():
+                        for r, e in f.get(c, {}).items():
+                            img[r] = img.get(r, 0) + t * e[0]
+                    rows.append(img)
+            if dominant(w, m.blocks) and sum(top[s] - w[s] for s in starts) % 2 == parity:
+                rows += highest_weight_vectors(m, w).sparse_rows()
             if p is None:
-                v = srow_strip(sp_apply(f, v))
-                continue
-            img: dict[int, int] = {}
-            for c, t in v.items():
-                for r, e in f.get(c, {}).items():
-                    img[r] = (img.get(r, 0) + t * e[0]) % p
-            v = {r: t for r, t in img.items() if t}
-    return out
+                rows = sp_span_echelon(rows)
+            else:
+                piv = fp_rref(rows, p)
+                rows = [piv[c] for c in sorted(piv)]
+            if rows:
+                out[w] = rows
+        return out
+
+    return m._stored(("side", top, parity), build)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +252,22 @@ def square_gl2(l: int) -> BraidedSquarePair:
     return module_square(simple_gl2(l, 0))
 
 
-def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
-    kind = V.kind[2] if V.kind[0] == "specialized" else V.kind
-    _, l1, l2 = kind
+def _square_sides(V: WeightModule, top: tuple) -> BraidedSquarePair:
+    """Both sides of V ox V for a module whose highest weight is top / 2
+    and which is Sym^a ox det^c on each gl block: its sym side is
+    generated by the highest-weight vectors of side parity 0, its ext
+    side by those of parity 1 (see _side_rows)."""
     tt = tensor(V, V)
     sym, ext = (
-        weight_rows_subspace(
-            V.dim**2,
-            _isotypic_rows(tt, (2 * l1, 2 * l2), l1 - l2 + 1, parity),
-            V.modulus,
-        )
+        weight_rows_subspace(V.dim**2, _side_rows(tt, top, parity), V.modulus)
         for parity in (0, 1)
     )
     return BraidedSquarePair(V, tt, sym, ext)
+
+
+def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
+    _, l1, l2 = _unspecialized_kind(V)
+    return _square_sides(V, (2 * l1, 2 * l2))
 
 
 def square_standard(d: int) -> BraidedSquarePair:
@@ -257,59 +275,18 @@ def square_standard(d: int) -> BraidedSquarePair:
     return module_square(standard_gld(d))
 
 
+def _standard_top(d: int) -> tuple:
+    # the highest weight of the square of the vector representation of gl_d
+    return (2,) + (0,) * (d - 1)
+
+
 def _square_of_standard(V: WeightModule) -> BraidedSquarePair:
-    d = V.dim
-    tt = tensor(V, V)
-    ext = []
-    sym = [{i * d + i: dict(ONE)} for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            ext.append({i * d + j: dict(ONE), j * d + i: {1: -1}})
-            sym.append({i * d + j: {1: 1}, j * d + i: dict(ONE)})
-    return BraidedSquarePair(
-        V,
-        tt,
-        Subspace.from_sparse(d * d, sym),
-        Subspace.from_sparse(d * d, ext),
-    )
+    return _square_sides(V, _standard_top(V.dim))
 
 
 def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
-    """Braided square of the d x k matrix module over gl_d x gl_k.  The
-    sides are assembled from the factor squares through the middle-slot
-    swap (1234) -> (1324)."""
-    v1 = standard_gld(d)
-    v2 = standard_gld(k)
-    m = outer(v1, v2)
-    mm = tensor(m, m)
-    s1 = module_square(v1)
-    s2 = module_square(v2)
-
-    def shuffle(urows, vrows):
-        out = []
-        for u in urows:
-            for v in vrows:
-                row = {}
-                for cu, pu in u.items():
-                    i, ip = divmod(cu, d)
-                    for cv, pv in v.items():
-                        j, jp = divmod(cv, k)
-                        tgt = (i * k + j) * d * k + (ip * k + jp)
-                        row[tgt] = lmul(pu, pv)
-                out.append(row)
-        return out
-
-    sym1, ext1 = s1.sym.sparse_rows(), s1.ext.sparse_rows()
-    sym2, ext2 = s2.sym.sparse_rows(), s2.ext.sparse_rows()
-    sym_rows = shuffle(sym1, sym2) + shuffle(ext1, ext2)
-    ext_rows = shuffle(sym1, ext2) + shuffle(ext1, sym2)
-    n2 = (d * k) ** 2
-    return BraidedSquarePair(
-        m,
-        mm,
-        Subspace.from_sparse(n2, sym_rows),
-        Subspace.from_sparse(n2, ext_rows),
-    )
+    """Braided square of the d x k matrix module over gl_d x gl_k."""
+    return module_square(outer(standard_gld(d), standard_gld(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +688,9 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     t12 = tensor(v1, v2)
-    bullet12 = _isotypic_rows(t12, (b1 + b2, 0), min(b1, b2) + 1, parity)
+    bullet12 = _side_rows(t12, (b1 + b2, 0), parity)
     t23 = tensor(v2, v3)
-    bullet23 = _isotypic_rows(t23, (b2 + b3, 0), min(b2, b3) + 1, parity)
+    bullet23 = _side_rows(t23, (b2 + b3, 0), parity)
     # Ann(bullet23) is a function of t23 and parity; stored on t23
     key = ("bullet annihilator", parity)
     if q0 is not None:
@@ -739,22 +716,18 @@ def module_square(V: WeightModule) -> BraidedSquarePair:
     return V._stored("square", lambda: _square_of(V))
 
 
+def _unspecialized_kind(V: WeightModule) -> tuple:
+    return V.kind[2] if V.kind[0] == "specialized" else V.kind
+
+
 def _square_of(V: WeightModule) -> BraidedSquarePair:
-    kind = V.kind
-    if kind[0] == "specialized":
-        if kind[2][0] == "simple_gl2":
-            return _square_of_simple(V)
-        raise ValueError(f"no specialized square construction for {kind[2]}")
+    kind = _unspecialized_kind(V)
     if kind[0] == "simple_gl2":
         return _square_of_simple(V)
     if kind[0] == "standard_gld":
         return _square_of_standard(V)
-    if (
-        kind[0] == "outer"
-        and kind[1][0] == "standard_gld"
-        and kind[2][0] == "standard_gld"
-    ):
-        return square_matrix_module(kind[1][1], kind[2][1])
+    if kind[0] == "outer" and kind[1][0] == kind[2][0] == "standard_gld":
+        return _square_sides(V, _standard_top(kind[1][1]) + _standard_top(kind[2][1]))
     raise ValueError(f"no braided square construction for module {kind}")
 
 

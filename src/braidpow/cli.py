@@ -405,8 +405,6 @@ def _cmd_valuation_cover(args):
 
 
 def _cmd_qmatrix_check(args):
-    if args.d < 1 or args.k < 1:
-        raise _UsageError("--d and --k must be positive")
     payload = check_qmatrix_relations(args.d, args.k, args.override_guards)
     verdicts = {"relations_hold": "pass" if payload["ok"] else "fail"}
     table = (
@@ -568,6 +566,10 @@ def run(argv=None) -> int:
             raise _UsageError("--l must be nonnegative")
         if getattr(args, "n", None) is not None and args.n < 0:
             raise _UsageError("--n must be nonnegative")
+        for flag in ("d", "k"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise _UsageError(f"--{flag} must be positive")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

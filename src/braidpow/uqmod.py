@@ -12,12 +12,13 @@ so a convention slip cannot survive construction.
 
 Each exact construction happens once per process.  simple_gl2 and
 standard_gld return one shared, already audited instance per argument,
-and tensor(a, b) stores its product on a, keyed by the b object.  A
-result that is a function of a module (its tensor products, its braided
-square and power levels, see braided) is stored on that module, so it
-lives as long as the module does: for the shared instances, as long as
-the process.  Modules and everything stored on them are read-only.  A
-specialized module is never shared; each sample builds its own.
+and tensor(a, b) and outer(a, b) store their product on a, keyed by the
+b object.  A result that is a function of a module (its tensor and outer
+products, its braided square and power levels, see braided) is stored on
+that module, so it lives as long as the module does: for the shared
+instances, as long as the process.  Modules and everything stored on
+them are read-only.  A specialized module is never shared; each sample
+builds its own.
 """
 
 from __future__ import annotations
@@ -268,7 +269,12 @@ def _tensor(a: WeightModule, b: WeightModule) -> WeightModule:
 
 def outer(a: WeightModule, b: WeightModule) -> WeightModule:
     """External product over gl_a x gl_b: a-generators act on the first
-    index alone, b-generators on the second."""
+    index alone, b-generators on the second.  Stored on a, keyed by the b
+    object, as tensor is."""
+    return a._stored(("outer", b), lambda: _outer(a, b))
+
+
+def _outer(a: WeightModule, b: WeightModule) -> WeightModule:
     if a.q0 != b.q0:
         raise ValueError("outer factors specialized at different points")
     la = len(a.weights[0]) if a.dim else 0

@@ -272,11 +272,20 @@ def test_out_of_range_sizes_are_usage_errors(capsys):
         ("valuation-cover", "--l", "-1"),
         ("qmatrix-check", "--d", "0", "--k", "2"),
         ("qmatrix-check", "--d", "2", "--k", "0"),
+        ("sym-power", "--d", "0", "--n", "2"),
+        ("sym-power", "--d", "2", "--k", "-1", "--n", "2"),
+        ("ext-power", "--d", "-1", "--n", "2"),
+        ("ext-power", "--d", "2", "--k", "0", "--n", "2"),
+        ("howe-check", "--d", "0", "--k", "2", "--n", "2"),
+        ("howe-check", "--d", "2", "--k", "-1", "--n", "2"),
     ):
         code, env, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert env is None
         assert err.startswith("usage error: ")
+        for flag in ("--d", "--k"):
+            if flag in argv and int(argv[argv.index(flag) + 1]) < 1:
+                assert err.startswith(f"usage error: {flag} must be positive"), argv
 
 
 def test_negative_l_is_a_usage_error_naming_l(capsys):

@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from braidpow.braided import module_square, square_matrix_module
-from braidpow.uqmod import simple_gl2, specialize_module, standard_gld
+from braidpow.laurent import P, fp, leval_fp
+from braidpow.qarith import Subspace
+from braidpow.uqmod import outer, simple_gl2, specialize_module, standard_gld
 
 PIN_POINTS = (Fraction(257, 491), Fraction(101, 97))
 
@@ -92,3 +94,28 @@ PINS = {
 def test_squares_are_pinned():
     got = {name: _pair_digest(pair) for name, pair in _pinned_squares()}
     assert got == PINS
+
+
+def test_outer_modules_and_their_squares_are_shared():
+    V = outer(standard_gld(2), standard_gld(2))
+    assert outer(standard_gld(2), standard_gld(2)) is V
+    assert module_square(V).module is V
+    assert square_matrix_module(2, 2) is module_square(V)
+
+
+def _at_point(sub: Subspace, q0) -> Subspace:
+    # an exact subspace evaluated at the image x of q0, re-canonicalized
+    x = fp(q0)
+    rows = [{c: leval_fp(p, x) for c, p in row.items()} for row in sub.rows]
+    return Subspace.from_sparse(sub.ambient, rows, P)
+
+
+@pytest.mark.parametrize("dk", [(1,), (2,), (3,), (2, 2)])
+def test_specialized_squares_are_the_exact_square_at_the_point(dk):
+    # standard_gld(d) for (d,), the d x k matrix module for (d, k)
+    V = outer(*map(standard_gld, dk)) if len(dk) == 2 else standard_gld(*dk)
+    exact = module_square(V)
+    for q0 in PIN_POINTS:
+        pair = module_square(specialize_module(V, q0))
+        assert pair.sym == _at_point(exact.sym, q0)
+        assert pair.ext == _at_point(exact.ext, q0)
