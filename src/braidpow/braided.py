@@ -3,32 +3,26 @@
 The braiding never appears as a matrix.  A braided square is pinned down
 as a pair of submodules (sym, ext) of V ox V, and the n-th braided power
 of a side I is the intersection of all slot placements of I inside
-V^{ox n}.  Computationally only one new intersection per degree is
-needed, and its tail enters through its annihilator under the standard
-pairing x . y = sum_c x_c y_c:
+V^{ox n}.  Only one new intersection per degree is needed:
 
-    P^n(I) = (P^{n-1}(I) ox V)  meet  ker(V^{ox n-2} ox Ann(I))
+    P^n(I) = (P^{n-1}(I) ox V)  meet  (H ox I)
 
-Ann(I) is the kernel of I's rows inside each weight block of V ox V and
-is built once per power.  Every intersection happens inside a single
-gl-weight block and eliminates only the pairings of the front rows with
-the annihilator rows, which keeps the exact linear algebra on small
-matrices even when the ambient tensor power is large.
-
-A specialized module (over F_P, see specialize_module) uses the
-relative tower instead.  P^(n-1) lies in P^(n-2) ox V, so
-
-    P^n(I) = (P^{n-1}(I) ox V)  meet  (P^{n-2}(I) ox I)
-
-and each P^n is stored only by its relative coordinates over
-P^(n-1) ox V.  A weight block has one unknown per (basis vector of
-P^(n-1), basis vector of V) and one equation per (basis vector p_i of
-P^(n-2), row of Ann(I) at the matching weight), so no size grows like
-dim V^(n-2); the int kernel qarith.fp_kernel solves it.  braided_power
-expands the tower into V^{ox n} only when a Subspace is asked for.
-Exact mode stays on the meet above: over Q(q) the relative coordinates
-are raw kernel vectors whose q-degrees grow, and the tower measured
-2-5x slower there.
+with the head H = V^{ox n-2}, or H = P^{n-2}(I), which P^{n-1} lies in.
+I enters through its annihilator under the standard pairing
+x . y = sum_c x_c y_c, built once per power (_ann_by_column), and each
+weight block of the meet is the kernel of one pairing system: one
+unknown per (row of P^(n-1), basis vector of V) and one equation per
+(basis vector of H, row of Ann(I)).  _meet_step builds that system for
+both fields; only the finish differs.
+- Over Q(q), H = V^{ox n-2}; sp_kernel solves the system, and each
+  kernel vector is expanded into V^{ox n} and echelonized, so a level is
+  the canonical basis of each weight block.
+- A specialized module (over F_P, see specialize_module) runs the
+  relative tower: H = P^(n-2), fp_kernel solves the system, and each P^n
+  keeps its kernel vectors as coordinates over P^(n-1) ox V, so no size
+  grows like dim V^(n-2).  braided_power expands the tower into
+  V^{ox n} only when a Subspace is asked for.  Over Q(q) those
+  coordinates would be raw kernel vectors whose q-degrees grow.
 
 Every square, over either field, is built by one route (_side_rows): a
 side is the submodule of V ox V generated under the F_i by the
@@ -39,9 +33,9 @@ each block, as every supported one is: S^2(Sym^a) is the sum of the
 S_(2a-k,k) with k even, and for an outer product over gl_d x gl_k,
 S^2(A ox B) = S^2 A ox S^2 B + Lambda^2 A ox Lambda^2 B.  The braided
 sides sit on the same Clebsch-Gordan summands.  The triple product's
-bullet rows come from the same route.  Over F_P every row is an int row
-{col: int}, the specialized triple product is one tower step, and
-components are read off weight dims (decompose_weight_dims), never off
+bullet rows come from the same route, and the triple product is one
+_meet_step.  Over F_P every row is an int row {col: int}, and components
+are read off weight dims (decompose_weight_dims), never off
 highest-weight counts.
 
 Every construction here happens once per module object and is stored on
@@ -58,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from math import comb
 import random
 
@@ -68,9 +61,9 @@ from .qarith import (
     Subspace,
     fp_kernel,
     fp_rref,
-    sp_annihilator,
     sp_apply,
-    sp_intersect,
+    sp_combine,
+    sp_kernel,
     sp_span_echelon,
 )
 from .uqmod import (
@@ -119,8 +112,9 @@ def run_mode(mode: str, seed, compute):
     compute(q0) at the two sample points of seed and returns the shared
     result and the points as strings; it raises ArithmeticError when the
     two results differ, or when a sample is outside the support of a
-    module (see specialize_module).  Any other mode is a ValueError,
-    raised before compute runs.
+    module (see specialize_module).  Any other mode, and specialize mode
+    without a seed, is a ValueError raised before compute runs: the
+    samples of an unseeded run would differ from run to run.
 
     compute is expected to work over F_P at the image of q0 (through
     at_point), so each run keeps every coefficient within 61 bits.  Two
@@ -132,6 +126,8 @@ def run_mode(mode: str, seed, compute):
         return compute(None), []
     if mode != "specialize":
         raise ValueError(f"unknown mode {mode!r}")
+    if seed is None:
+        raise ValueError("specialize mode needs a seed")
     pts = sample_points(seed)
     first, second = (compute(q0) for q0 in pts)
     if first != second:
@@ -293,59 +289,11 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
-def annihilator_rows(wrows: dict, blocks: dict) -> dict:
-    """Annihilator of a weight-blocked subspace over Q(q), {weight: rows},
-    under the standard pairing.  blocks maps every weight of the ambient
-    module to its columns; a weight that wrows leaves empty keeps its
-    whole block."""
-    out = {}
-    for w, cols in blocks.items():
-        rows = sp_annihilator(wrows.get(w, []), cols)
-        if rows:
-            out[w] = rows
-    return out
-
-
-def _slot_meet(
-    front_rows: dict, back: WeightModule, head_weights, tail_ann: dict, tail_dim: int
-) -> dict:
-    """(front ox back) meet (head ox tail), one weight block at a time.
-    front_rows is {weight: rows}; back is the module in the last slot,
-    head_weights lists the head factor's weights in index order, and the
-    tail factor, of dimension tail_dim, is given by its annihilator
-    tail_ann = annihilator_rows(tail, ...).  The annihilator of
-    head ox tail is head ox tail_ann, laid out block diagonally."""
-    d = back.dim
-    front: dict[tuple, list] = {}
-    for w in sorted(front_rows):
-        for row in front_rows[w]:
-            for b in range(d):
-                wb = tuple(a + x for a, x in zip(w, back.weights[b]))
-                front.setdefault(wb, []).append(
-                    {c * d + b: p for c, p in row.items()}
-                )
-    anns: dict[tuple, list] = {}
-    for h, wh in enumerate(head_weights):
-        base = h * tail_dim
-        for wt, rows in tail_ann.items():
-            w = tuple(a + x for a, x in zip(wh, wt))
-            if w in front:
-                anns.setdefault(w, []).extend(
-                    {base + c: p for c, p in row.items()} for row in rows
-                )
-    out: dict[tuple, list] = {}
-    for w in sorted(front):
-        rows = sp_intersect(front[w], anns.get(w, []))
-        if rows:
-            out[w] = rows
-    return out
-
-
-def _power_step(prev: dict, square_ann: dict, V: WeightModule, n: int) -> dict:
-    """prev holds P^(n-1) blocked over V^(n-1) weights and square_ann is
-    Ann(P^2); returns P^n = (P^(n-1) ox V) meet ker(V^(n-2) ox Ann(P^2))."""
-    heads = [tensor_weight(V, n - 2, i) for i in range(V.dim ** (n - 2))]
-    return _slot_meet(prev, V, heads, square_ann, V.dim**2)
+def _power_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
+    """prev holds P^(n-1) blocked over V^(n-1) weights and ann_at is
+    Ann(P^2) by column; returns P^n = (P^(n-1) ox V) meet (V^(n-2) ox P^2)
+    over Q(q)."""
+    return _meet_step(prev, ann_at, V.dim, V)
 
 
 def _levels(square: Subspace, V: WeightModule, n: int) -> list:
@@ -367,8 +315,9 @@ def _levels(square: Subspace, V: WeightModule, n: int) -> list:
 def _powers(square: Subspace, V: WeightModule):
     """Yield P^0, P^1, P^2, ... of the side of V ox V spanned by square,
     each as {weight: rows}.  Over Q(q) the rows are vectors of V^(ox n);
-    a specialized module (V.modulus set) runs the relative tower instead
-    (see _tower).  Ann(P^2) is built once, when degree 3 is asked for."""
+    a specialized module (V.modulus set) yields the levels of the
+    relative tower instead (see _tower).  Ann(P^2) is built once, when
+    degree 3 is asked for, and every higher level is one _meet_step."""
     if square.modulus != V.modulus:
         raise ValueError("square and module live over different fields")
     if V.modulus is not None:
@@ -376,12 +325,12 @@ def _powers(square: Subspace, V: WeightModule):
         return
     yield {tensor_weight(V, 0, 0): [{0: dict(ONE)}]}
     yield module_weight_rows(V)
-    cur, blocks = _square_blocks(square, V)
-    yield cur
-    ann = annihilator_rows(cur, blocks)
-    for n in count(3):
-        cur = _power_step(cur, ann, V, n)
-        yield cur
+    level, blocks = _square_blocks(square, V)
+    yield level
+    ann_at = _ann_by_column(level, blocks, None)
+    while True:
+        level = _power_step(level, ann_at, V)
+        yield level
 
 
 def _square_blocks(square: Subspace, V: WeightModule):
@@ -403,7 +352,7 @@ def _tower(square: Subspace, V: WeightModule):
     and the row {a * d + b: c} of P^n stands for the vector
     sum c * (basis vector a of P^(n-1)) ox e_b.  P^1 is V, P^2 is the
     square with its first factor renumbered in level order, and every
-    higher level comes from _tower_step."""
+    higher level comes from _meet_step."""
     d, p = V.dim, V.modulus
     yield {tensor_weight(V, 0, 0): [{0: 1}]}
     blocks1 = V.weight_blocks()
@@ -417,39 +366,50 @@ def _tower(square: Subspace, V: WeightModule):
     yield level
     ann_at = _ann_by_column(sq, blocks, p)
     while True:
-        level = _tower_step(level, ann_at, d, V)
+        level = _meet_step(level, ann_at, d, V)
         yield level
 
 
-def _ann_by_column(wrows: dict, blocks: dict, p: int) -> dict:
-    """The annihilator over F_p of a weight-blocked subspace with rows
-    {col: int}, by column: {col: [(annihilator row, entry)]}.  blocks
-    maps every weight of the ambient module to its columns."""
+def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
+    """The annihilator of a weight-blocked subspace under the standard
+    pairing x . y = sum_c x_c y_c, by column: {col: [(annihilator row,
+    entry)]}, the rows numbered block by block.  Over Q(q) (p None) the
+    rows are Laurent rows and each block's kernel comes from sp_kernel;
+    over F_p they are rows {col: int} and it comes from fp_kernel.
+    blocks maps every weight of the ambient module to its columns; a
+    weight that wrows leaves empty contributes its whole block."""
     ann_at: dict[int, list] = {}
     k = 0
     for w, cols in blocks.items():
         local = {c: i for i, c in enumerate(cols)}
         system = [{local[c]: e for c, e in row.items()} for row in wrows.get(w, [])]
-        for z in fp_kernel(system, len(cols), p):
+        if p is None:
+            kernel = sp_kernel(system, len(cols))
+        else:
+            kernel = fp_kernel(system, len(cols), p)
+        for z in kernel:
             for i, v in z.items():
                 ann_at.setdefault(cols[i], []).append((k, v))
             k += 1
     return ann_at
 
 
-def _tower_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
-    """(prev ox back) meet (head ox I) over F_P as a level of the tower,
-    where prev is a level over head ox M (its row {i * mid + c: t} stands
-    for sum t * h_i ox e_c, with M of dimension mid) and ann_at is Ann(I)
-    of a subspace I of M ox back, by column (see _ann_by_column).  With
-    head P^(n-2), M = back = V and I = P^2 this is
-    P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2).
+def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
+    """(prev ox back) meet (head ox I), one weight block at a time, over
+    the field of back.  prev is {weight: rows} over head ox M, its row
+    {i * mid + c: t} standing for sum t * h_i ox e_c with M of dimension
+    mid, and ann_at is Ann(I) of a subspace I of M ox back, by column
+    (see _ann_by_column).
 
-    The unknowns of a weight block are the pairs (a, b) of a basis vector
-    p_a of prev and a basis vector e_b of back.  Written over the basis
-    h_i of the head, sum x_ab p_a ox e_b is sum_i h_i ox g_i with g_i in
+    The unknowns of a weight block are the pairs (a, b) of a row p_a of
+    prev and a basis vector e_b of back.  Written over the basis h_i of
+    the head, sum x_ab p_a ox e_b is sum_i h_i ox g_i with g_i in
     M ox back, and it lies in head ox I exactly when every g_i pairs to
-    zero with Ann(I): one equation per (i, annihilator row)."""
+    zero with Ann(I): one equation per (i, annihilator row k), in order
+    of (i, k).  Over F_P fp_kernel solves it and the rows
+    {a * d + b: x_ab} are returned as they are (see _tower).  Over Q(q)
+    sp_kernel solves it, and the vectors sum x_ab p_a ox e_b, over
+    head ox M ox back, are returned as their canonical basis."""
     d, p = back.dim, back.modulus
     unknowns: dict[tuple, list] = {}
     a = 0
@@ -469,10 +429,28 @@ def _tower_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
                 i, c = divmod(col, mid)
                 for k, v in ann_at.get(c * d + b, ()):
                     eq = eqs.setdefault((i, k), {})
-                    eq[j] = eq.get(j, 0) + t * v
-        kernel = fp_kernel(eqs.values(), len(cols), p)
-        if kernel:
-            out[w] = [{cols[j][0]: v for j, v in z.items()} for z in kernel]
+                    if p is not None:
+                        eq[j] = eq.get(j, 0) + t * v
+                        continue
+                    s = ladd(eq.get(j, {}), lmul(t, v))
+                    if s:
+                        eq[j] = s
+                    else:
+                        del eq[j]
+        system = [eq for _, eq in sorted(eqs.items()) if eq]
+        if p is not None:
+            rows = [
+                {cols[j][0]: v for j, v in z.items()}
+                for z in fp_kernel(system, len(cols), p)
+            ]
+        else:
+            front = [{col * d + b: t for col, t in row.items()} for _, b, row in cols]
+            if system:
+                rows = sp_combine(front, sp_kernel(system, len(cols)))
+            else:
+                rows = sp_span_echelon(front)
+        if rows:
+            out[w] = rows
     return out
 
 
@@ -682,25 +660,24 @@ def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
 
 
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
-    """(bullet12 ox V_b3) meet (V_b1 ox bullet23), decomposed: over Q(q)
-    by _slot_meet and its highest-weight vectors, or at q0 over F_P by a
-    tower step and its character."""
+    """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
+    decomposed: at q0 over F_P by its character, over Q(q) by its
+    highest-weight vectors."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     t12 = tensor(v1, v2)
     bullet12 = _side_rows(t12, (b1 + b2, 0), parity)
     t23 = tensor(v2, v3)
-    bullet23 = _side_rows(t23, (b2 + b3, 0), parity)
     # Ann(bullet23) is a function of t23 and parity; stored on t23
-    key = ("bullet annihilator", parity)
+    ann_at = t23._stored(
+        ("bullet annihilator", parity),
+        lambda: _ann_by_column(
+            _side_rows(t23, (b2 + b3, 0), parity), t23.weight_blocks(), t23.modulus
+        ),
+    )
+    meet = _meet_step(bullet12, ann_at, v2.dim, v3)
     if q0 is not None:
-        ann_at = t23._stored(
-            key, lambda: _ann_by_column(bullet23, t23.weight_blocks(), t23.modulus)
-        )
-        meet = _tower_step(bullet12, ann_at, v2.dim, v3)
         return decompose_weight_dims({w: len(rows) for w, rows in meet.items()})
-    ann23 = t23._stored(key, lambda: annihilator_rows(bullet23, t23.weight_blocks()))
-    meet = _slot_meet(bullet12, v3, v1.weights, ann23, t23.dim)
     t = tensor(t12, v3)
     apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
     return decompose_weight_rows(meet, t.blocks, apply_es)

@@ -226,7 +226,8 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
     combinations of rows that pair to zero with every row of ann.  With
     ann = sp_annihilator(other, cols) this is span(rows) meet span(other).
     Only the pairing system M[j][i] = rows[j] . ann[i] is eliminated, one
-    equation per annihilator row and one unknown per row."""
+    equation per annihilator row and one unknown per row.  The braided
+    power step (braided._meet_step) is tested against this meet."""
     rows = [r for r in rows if r]
     if not rows:
         return []
@@ -248,8 +249,14 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
             system.append(eq)
     if not system:
         return sp_span_echelon(rows)
+    return sp_combine(rows, sp_kernel(system, len(rows)))
+
+
+def sp_combine(rows: list[dict], vectors) -> list[dict]:
+    """Canonical reduced echelon basis of the span of the combinations
+    sum_j z_j rows[j], one for each vector z = {j: Laurent}."""
     result = []
-    for z in sp_kernel(system, len(rows)):
+    for z in vectors:
         vec: dict[int, dict] = {}
         for j, coeff in z.items():
             for c, p in rows[j].items():

@@ -285,6 +285,9 @@ def test_run_mode_refuses_an_unknown_mode_before_computing():
     calls = []
     with pytest.raises(ValueError, match="unknown mode"):
         run_mode("generic", 5, calls.append)
+    # unseeded samples would differ from run to run
+    with pytest.raises(ValueError, match="needs a seed"):
+        run_mode("specialize", None, calls.append)
     assert calls == []
 
 

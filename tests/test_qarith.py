@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidpow import laurent as L
-from braidpow import qarith
+from braidpow import braided, qarith
 from braidpow.braided import (
+    dim_ext_cube,
     dim_sym_cube,
+    module_square,
+    power_weight_rows,
     rows_by_weight,
     sample_points,
-    square_gl2,
     tensor_weight,
+    weight_rows_dim,
 )
 from braidpow.qarith import (
     Subspace,
@@ -22,7 +26,7 @@ from braidpow.qarith import (
     sp_kernel,
     sp_rank,
 )
-from braidpow.uqmod import simple_gl2
+from braidpow.uqmod import simple_gl2, tensor
 
 F = Fraction
 
@@ -383,36 +387,90 @@ def test_annihilator_and_meet_on_small_rows(case):
     _check_meet(a, b, range(n))
 
 
-def _sym_cube_blocks(l):
-    # per weight block of V^3: its columns, the rows of P^2 ox V and the
-    # rows of V ox P^2, for the sym square of V_(l,0)
-    V = simple_gl2(l, 0)
-    d = V.dim
-    sq = square_gl2(l).sym.sparse_rows()
-    front = [{c * d + b: p for c, p in r.items()} for r in sq for b in range(d)]
-    tail = [{h * d * d + c: p for c, p in r.items()} for h in range(d) for r in sq]
-    weight = lambda c: tensor_weight(V, 3, c)
+def _blocks(front, tail, weight, ncols):
+    # per weight block of the ambient: its weight, its columns, and the
+    # front and tail rows in it
     by_front = rows_by_weight(front, weight)
     by_tail = rows_by_weight(tail, weight)
     blocks = {}
-    for c in range(d**3):
+    for c in range(ncols):
         blocks.setdefault(weight(c), []).append(c)
     return [
-        (cols, by_front.get(w, []), by_tail.get(w, []))
+        (w, cols, by_front.get(w, []), by_tail.get(w, []))
         for w, cols in sorted(blocks.items())
     ]
 
 
+def _cube_blocks(l, side="sym"):
+    # the blocks of V^3 with the rows of P^2 ox V and of V ox P^2, for
+    # one side P^2 of the square of V_(l,0)
+    V = simple_gl2(l, 0)
+    d = V.dim
+    sq = getattr(module_square(V), side).sparse_rows()
+    front = [{c * d + b: p for c, p in r.items()} for r in sq for b in range(d)]
+    tail = [{h * d * d + c: p for c, p in r.items()} for h in range(d) for r in sq]
+    return _blocks(front, tail, lambda c: tensor_weight(V, 3, c), d**3)
+
+
+def _reference_meet(blocks):
+    # front meet tail by sp_intersect, {weight: rows}, each block checked
+    out = {}
+    for w, cols, a, b in blocks:
+        meet = _check_meet(a, b, cols)
+        if meet:
+            out[w] = meet
+    return out
+
+
 def test_meet_on_the_blocks_of_the_l3_sym_cube():
-    total = sum(len(_check_meet(a, b, cols)) for cols, a, b in _sym_cube_blocks(3))
-    assert total == dim_sym_cube(3)
+    # every cube with l <= 4, the l = 3 sym cube among them, on both
+    # sides: the power step gives the reference meet, block by block
+    for l in range(5):
+        V = simple_gl2(l, 0)
+        for side, dim in (("sym", dim_sym_cube(l)), ("ext", dim_ext_cube(l))):
+            want = _reference_meet(_cube_blocks(l, side))
+            assert weight_rows_dim(want) == dim
+            assert power_weight_rows(getattr(module_square(V), side), V, 3) == want
+
+
+def test_triple_product_step_is_the_reference_meet(monkeypatch):
+    # the meet that _triple_product_exact decomposes, for every beta <= 2
+    seen = []
+    decompose = braided.decompose_weight_rows
+    monkeypatch.setattr(
+        braided,
+        "decompose_weight_rows",
+        lambda wrows, *args: seen.append(wrows) or decompose(wrows, *args),
+    )
+    for beta in product(range(3), repeat=3):
+        v1, v2, v3 = (simple_gl2(b, 0) for b in beta)
+        t12, t23 = tensor(v1, v2), tensor(v2, v3)
+        t = tensor(t12, v3)
+        for parity in (0, 1):
+            b12 = braided._side_rows(t12, (beta[0] + beta[1], 0), parity)
+            b23 = braided._side_rows(t23, (beta[1] + beta[2], 0), parity)
+            front = [
+                {c * v3.dim + b: p for c, p in r.items()}
+                for w in sorted(b12)
+                for r in b12[w]
+                for b in range(v3.dim)
+            ]
+            tail = [
+                {h * t23.dim + c: p for c, p in r.items()}
+                for h in range(v1.dim)
+                for w in sorted(b23)
+                for r in b23[w]
+            ]
+            want = _reference_meet(_blocks(front, tail, t.weights.__getitem__, t.dim))
+            braided._triple_product_exact(beta, parity, None)
+            assert seen.pop() == want
 
 
 @MEET
 @given(st.data())
 def test_meet_on_subsets_of_l3_sym_cube_blocks(data):
-    blocks = [blk for blk in _sym_cube_blocks(3) if blk[1] and blk[2]]
-    cols, a, b = data.draw(st.sampled_from(blocks))
+    blocks = [blk for blk in _cube_blocks(3) if blk[2] and blk[3]]
+    _, cols, a, b = data.draw(st.sampled_from(blocks))
     a = data.draw(st.lists(st.sampled_from(a), min_size=1, max_size=5))
     b = data.draw(st.lists(st.sampled_from(b), min_size=1, max_size=5))
     _check_meet(a, b, cols)

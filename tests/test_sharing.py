@@ -39,17 +39,20 @@ def test_specialized_modules_are_not_shared():
 
 
 def test_power_levels_are_extended_only_as_far_as_asked(monkeypatch):
+    # each step records the dim of the level it starts from
     steps = []
     step = braided._power_step
     monkeypatch.setattr(
-        braided, "_power_step", lambda prev, ann, V, n: steps.append(n) or step(prev, ann, V, n)
+        braided,
+        "_power_step",
+        lambda prev, ann, V: steps.append(braided.weight_rows_dim(prev)) or step(prev, ann, V),
     )
     V = simple_gl2(3, 0)
     sym = module_square(V).sym
     assert power_dims(sym, V, 3) == [1, 4, 10, 16]
     assert power_dims(sym, V, 2) == [1, 4, 10]
     assert power_dims(sym, V, 4) == [1, 4, 10, 16, 22]
-    assert steps == [3, 4]
+    assert steps == [10, 16]
     assert braided.power_weight_rows(sym, V, 4) is braided.power_weight_rows(sym, V, 4)
 
 
