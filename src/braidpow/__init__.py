@@ -14,7 +14,7 @@ from .braided import (
     admissible_triples,
     braided_power,
     conjectural_sym_dim,
-    decompose_power_subspace,
+    decompose_power,
     dim_ext_cube,
     dim_sym_cube,
     ext_cube_closed,
@@ -88,7 +88,7 @@ __all__ = [
     "conjectural_sym_dim",
     "dcb_module",
     "decompose",
-    "decompose_power_subspace",
+    "decompose_power",
     "degree_recursion_check",
     "dim_ext_cube",
     "dim_irrep",

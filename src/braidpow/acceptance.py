@@ -29,16 +29,14 @@ from .braided import (
     growth_flag,
     hilbert_table,
     koszul_series_probe,
-    module_square,
     power_dims,
     sample_points,
     square_gl2,
     square_matrix_module,
-    square_standard,
     sym_cube_decomposition,
     sym_cube_closed,
     ext_cube_closed,
-    decompose_power_subspace,
+    decompose_power,
     triple_product,
 )
 from .classical import (
@@ -73,6 +71,7 @@ from .uqmod import (
     outer,
     simple_gl2,
     specialize_module,
+    standard_gld,
     tensor,
 )
 
@@ -129,8 +128,7 @@ def ext_fourth_power() -> dict:
     l = 3..8."""
     direct = []
     for l in (3, 4, 5):
-        pair = square_gl2(l)
-        dims = power_dims(pair.ext, pair.module, 4)
+        dims = power_dims(simple_gl2(l, 0), "ext", 4)
         if dims[4] != 0:
             raise TheoremViolation(
                 f"fourth exterior power of V_({l},0) has dim {dims[4]}"
@@ -180,8 +178,7 @@ def standard_and_matrix_squares() -> dict:
     relations hold on the released grids."""
     standard = []
     for d in range(1, 5):
-        pair = square_standard(d)
-        dims = power_dims(pair.sym, pair.module, 4)
+        dims = power_dims(standard_gld(d), "sym", 4)
         want = [comb(d + n - 1, n) for n in range(5)]
         if dims != want:
             raise TheoremViolation(
@@ -413,8 +410,8 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
     for t in range(12):
         l = rng.randint(0, 4)
         pair = square_gl2(l)
-        sym_dec = decompose_power_subspace(pair.module, 2, pair.sym)
-        ext_dec = decompose_power_subspace(pair.module, 2, pair.ext)
+        sym_dec = decompose_power(pair.module, "sym", 2)
+        ext_dec = decompose_power(pair.module, "ext", 2)
         chk(sym_dec.total_dim() == pair.sym.dim, f"sym side stable #{t}")
         chk(ext_dec.total_dim() == pair.ext.dim, f"ext side stable #{t}")
 
@@ -423,15 +420,11 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
         q1 = sample_points(rng.randrange(2**20))[0]
         V = simple_gl2(l, 0)
         W = specialize_module(V, q1)
-        pe, ps = module_square(V), module_square(W)
-        chk(
-            power_dims(pe.sym, V, 3) == power_dims(ps.sym, W, 3),
-            f"specialized sym dims #{t}",
-        )
-        chk(
-            power_dims(pe.ext, V, 3) == power_dims(ps.ext, W, 3),
-            f"specialized ext dims #{t}",
-        )
+        for kind in ("sym", "ext"):
+            chk(
+                power_dims(V, kind, 3) == power_dims(W, kind, 3),
+                f"specialized {kind} dims #{t}",
+            )
 
     for t in range(120):
         m, n = rng.randint(1, 4), rng.randint(1, 4)

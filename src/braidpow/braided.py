@@ -38,11 +38,14 @@ _meet_step.  Over F_P every row is an int row {col: int}, and components
 are read off weight dims (decompose_weight_dims), never off
 highest-weight counts.
 
-Every construction here happens once per module object and is stored on
-it (WeightModule._stored): module_square(V) stores its pair on V, and
-each (V, square) keeps one list of power levels that is extended only as
-far as a caller asks, which power_weight_rows, power_dims and
-braided_power read.  The gl_2 simples and standard modules are shared
+The braided powers are functions of V and a side alone: every power
+call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
+side's _side_rows as module_square(V) built them.  Every construction
+here happens once per module object and is stored on it
+(WeightModule._stored): module_square(V) stores its pair on V, and each
+(V, kind) keeps one list of power levels that is extended only as far as
+a caller asks, which power_weight_rows, power_dims, braided_power and
+decompose_power read.  The gl_2 simples and standard modules are shared
 instances (see uqmod), so every stage of one process reuses their
 squares and levels.  Stored rows and subspaces are read-only.  A failed
 construction is not stored: the next call builds it again.
@@ -144,31 +147,6 @@ def at_point(V: WeightModule, q0) -> WeightModule:
 # weight-blocked subspaces of tensor powers
 
 
-def tensor_weight(V: WeightModule, n: int, idx: int) -> tuple:
-    total = (0,) * len(V.weights[0])
-    for _ in range(n):
-        idx, j = divmod(idx, V.dim)
-        total = tuple(a + b for a, b in zip(total, V.weights[j]))
-    return total
-
-
-def rows_by_weight(rows, weight_of) -> dict:
-    out: dict[tuple, list] = {}
-    for row in rows:
-        if row:
-            out.setdefault(weight_of(min(row)), []).append(row)
-    return out
-
-
-def subspace_weight_rows(sub: Subspace, weight_of) -> dict:
-    rows = sub.sparse_rows()
-    for row in rows:
-        ws = {weight_of(c) for c in row}
-        if len(ws) > 1:
-            raise ValueError("subspace is not weight homogeneous")
-    return rows_by_weight(rows, weight_of)
-
-
 def weight_rows_dim(wrows: dict) -> int:
     return sum(len(rows) for rows in wrows.values())
 
@@ -225,12 +203,15 @@ def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
 
 @dataclass
 class BraidedSquarePair:
-    """sym and ext sides of V ox V, each stable under the quantum group."""
+    """sym and ext sides of V ox V, each stable under the quantum group;
+    side parity 0 (sym) or 1 (ext) of square_module = V ox V, whose
+    highest weight is top / 2, generates each (see _side_rows)."""
 
     module: WeightModule
     square_module: WeightModule
     sym: Subspace
     ext: Subspace
+    top: tuple
 
     def __post_init__(self):
         n2 = self.module.dim**2
@@ -258,7 +239,7 @@ def _square_sides(V: WeightModule, top: tuple) -> BraidedSquarePair:
         weight_rows_subspace(V.dim**2, _side_rows(tt, top, parity), V.modulus)
         for parity in (0, 1)
     )
-    return BraidedSquarePair(V, tt, sym, ext)
+    return BraidedSquarePair(V, tt, sym, ext, top)
 
 
 def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
@@ -296,13 +277,19 @@ def _power_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
     return _meet_step(prev, ann_at, V.dim, V)
 
 
-def _levels(square: Subspace, V: WeightModule, n: int) -> list:
-    """[P^0, ..., P^n] of the side of V ox V spanned by square, as _powers
-    yields them.  One list per (V, square) is stored on V and extended
-    only as far as asked; the entry keeps square alive, so its id stays
-    a unique key.  A level that fails to build drops the entry."""
-    key = ("powers", id(square))
-    _, levels, rest = V._stored(key, lambda: (square, [], _powers(square, V)))
+def _side_parity(kind: str) -> int:
+    # the side parity of _side_rows: 0 for sym, 1 for ext
+    if kind not in ("sym", "ext"):
+        raise ValueError(f"kind must be 'sym' or 'ext', got {kind!r}")
+    return ("sym", "ext").index(kind)
+
+
+def _levels(V: WeightModule, kind: str, n: int) -> list:
+    """[P^0, ..., P^n] of the kind side of V ox V, as _powers yields them.
+    One list per (V, kind) is stored on V and extended only as far as
+    asked.  A level that fails to build drops the entry."""
+    key = ("powers", _side_parity(kind))
+    levels, rest = V._stored(key, lambda: ([], _powers(V, kind)))
     try:
         while len(levels) <= n:
             levels.append(next(rest))
@@ -312,20 +299,22 @@ def _levels(square: Subspace, V: WeightModule, n: int) -> list:
     return levels[: n + 1]
 
 
-def _powers(square: Subspace, V: WeightModule):
-    """Yield P^0, P^1, P^2, ... of the side of V ox V spanned by square,
-    each as {weight: rows}.  Over Q(q) the rows are vectors of V^(ox n);
-    a specialized module (V.modulus set) yields the levels of the
-    relative tower instead (see _tower).  Ann(P^2) is built once, when
-    degree 3 is asked for, and every higher level is one _meet_step."""
-    if square.modulus != V.modulus:
-        raise ValueError("square and module live over different fields")
+def _powers(V: WeightModule, kind: str):
+    """Yield P^0, P^1, P^2, ... of the kind side of V ox V, each as
+    {weight: rows}.  Over Q(q) the rows are vectors of V^(ox n); a
+    specialized module (V.modulus set) yields the levels of the relative
+    tower instead (see _tower).  P^2 is the side's rows as module_square
+    built them, and blocks maps every weight of V ox V to its columns.
+    Ann(P^2) is built once, when degree 3 is asked for, and every higher
+    level is one _meet_step."""
+    pair = module_square(V)
+    level = _side_rows(pair.square_module, pair.top, _side_parity(kind))
+    blocks = pair.square_module.weight_blocks()
     if V.modulus is not None:
-        yield from _tower(square, V)
+        yield from _tower(level, blocks, V)
         return
-    yield {tensor_weight(V, 0, 0): [{0: dict(ONE)}]}
+    yield {(0,) * len(V.weights[0]): [{0: dict(ONE)}]}
     yield module_weight_rows(V)
-    level, blocks = _square_blocks(square, V)
     yield level
     ann_at = _ann_by_column(level, blocks, None)
     while True:
@@ -333,32 +322,19 @@ def _powers(square: Subspace, V: WeightModule):
         yield level
 
 
-def _square_blocks(square: Subspace, V: WeightModule):
-    # the square's rows by weight, and the columns of each weight block
-    # of V ox V
-    if square.ambient != V.dim**2:
-        raise ValueError("square does not live in V ox V")
-    weight2 = lambda c: tensor_weight(V, 2, c)
-    blocks: dict[tuple, list] = {}
-    for c in range(V.dim**2):
-        blocks.setdefault(weight2(c), []).append(c)
-    return subspace_weight_rows(square, weight2), blocks
-
-
-def _tower(square: Subspace, V: WeightModule):
+def _tower(sq: dict, blocks: dict, V: WeightModule):
     """Yield P^0, P^1, P^2, ... of a specialized module as levels of the
     relative tower: {weight: rows} with int entries mod P.  The basis of
     a level is numbered in level order (weights sorted, then row order),
     and the row {a * d + b: c} of P^n stands for the vector
     sum c * (basis vector a of P^(n-1)) ox e_b.  P^1 is V, P^2 is the
-    square with its first factor renumbered in level order, and every
+    square sq with its first factor renumbered in level order, and every
     higher level comes from _meet_step."""
     d, p = V.dim, V.modulus
-    yield {tensor_weight(V, 0, 0): [{0: 1}]}
+    yield {(0,) * len(V.weights[0]): [{0: 1}]}
     blocks1 = V.weight_blocks()
     yield {w: [{i: 1} for i in blocks1[w]] for w in sorted(blocks1)}
     pos = {i: a for a, i in enumerate(i for w in sorted(blocks1) for i in blocks1[w])}
-    sq, blocks = _square_blocks(square, V)
     level = {
         w: [{pos[c // d] * d + c % d: e for c, e in row.items()} for row in rows]
         for w, rows in sorted(sq.items())
@@ -470,45 +446,41 @@ def _expand(level: dict, below: list, d: int, p: int) -> list:
     return out
 
 
-def power_weight_rows(square: Subspace, V: WeightModule, n: int) -> dict:
-    """The n-th braided power as _powers yields it, {weight: rows}: over
-    Q(q) the canonical reduced echelon basis of each weight block of
-    V^(ox n), for a specialized module a level of the tower."""
+def power_weight_rows(V: WeightModule, kind: str, n: int) -> dict:
+    """The n-th braided power of the kind ("sym" or "ext") side of V ox V
+    as _powers yields it, {weight: rows}: over Q(q) the canonical reduced
+    echelon basis of each weight block of V^(ox n), for a specialized
+    module a level of the tower."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    return _levels(square, V, n)[n]
+    return _levels(V, kind, n)[n]
 
 
-def braided_power(square: Subspace, V: WeightModule, n: int) -> Subspace:
-    """n-th braided power of the side of V ox V spanned by `square`.  For
-    a specialized module the tower is expanded into V^(ox n) here."""
+def braided_power(V: WeightModule, kind: str, n: int) -> Subspace:
+    """n-th braided power of the kind side of V ox V.  For a specialized
+    module the tower is expanded into V^(ox n) here."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if V.modulus is None:
-        return weight_rows_subspace(V.dim**n, power_weight_rows(square, V, n))
+        return weight_rows_subspace(V.dim**n, power_weight_rows(V, kind, n))
     full = [{0: 1}]
-    for level in _levels(square, V, n)[1:]:
+    for level in _levels(V, kind, n)[1:]:
         full = _expand(level, full, V.dim, V.modulus)
     return Subspace.from_sparse(V.dim**n, full, V.modulus)
 
 
-def decompose_power_characters(square: Subspace, V: WeightModule, n: int) -> IrrepMultiset:
-    """Decomposition of the n-th braided power of a gl_2 module read off
-    its weight dims (see decompose_weight_dims); P^n is never expanded."""
-    wrows = power_weight_rows(square, V, n)
-    return decompose_weight_dims({w: len(rows) for w, rows in wrows.items()})
-
-
-def power_dims(square: Subspace, V: WeightModule, up_to: int) -> list[int]:
-    """[dim P^0, ..., dim P^up_to] sharing one recursion."""
+def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
+    """[dim P^0, ..., dim P^up_to] of the kind side, sharing one
+    recursion."""
     if up_to < 0:
         raise ValueError("degree must be nonnegative")
-    return [weight_rows_dim(w) for w in _levels(square, V, up_to)]
+    return [weight_rows_dim(w) for w in _levels(V, kind, up_to)]
 
 
 def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
     """Coproduct action of E_i on a sparse vector in V^(ox n), for a
-    module over Q(q) (decompose_power refuses specialized ones)."""
+    module over Q(q) (decompose_power reads a specialized one's weight
+    dims instead)."""
     d = V.dim
     eop = V.e_ops[i]
     kv = [pairing(V.alphas[i], w) for w in V.weights]
@@ -538,21 +510,32 @@ def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
     return out
 
 
-def decompose_power(V: WeightModule, n: int, wrows: dict) -> IrrepMultiset:
-    """Decomposition of a submodule of V^(ox n) over Q(q), from its
-    highest-weight vectors; a specialized module is refused with
-    ValueError (see decompose_power_characters)."""
+def _decompose(V: WeightModule, build, apply_es) -> IrrepMultiset:
+    """Components of the submodule {weight: rows} = build() of a module
+    over the field of V, by that field's route.  Over F_P they are read
+    off its weight dims (decompose_weight_dims), which serves gl_2 only,
+    so any other V is refused before build runs.  Over Q(q) they come
+    from highest-weight vectors, apply_es() giving the actions of the
+    E_i on its rows."""
     if V.modulus is not None:
-        raise ValueError("decompose_power serves modules over Q(q) only")
-    apply_es = [
-        (lambda vec, i=i: power_apply_e(V, n, i, vec)) for i in range(V.ngen)
-    ]
-    return decompose_weight_rows(wrows, V.blocks, apply_es)
+        if V.blocks != (2,):
+            raise ValueError(
+                "a specialized module decomposes from its weight dims, "
+                "which serves gl_2 modules only"
+            )
+        return decompose_weight_dims({w: len(rows) for w, rows in build().items()})
+    return decompose_weight_rows(build(), V.blocks, apply_es())
 
 
-def decompose_power_subspace(V: WeightModule, n: int, sub: Subspace) -> IrrepMultiset:
-    wrows = subspace_weight_rows(sub, lambda c: tensor_weight(V, n, c))
-    return decompose_power(V, n, wrows)
+def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
+    """Decomposition of the n-th braided power of the kind side of V ox V:
+    over Q(q) from its highest-weight vectors, for a specialized gl_2
+    module from its weight dims (see _decompose); P^n is never expanded."""
+    return _decompose(
+        V,
+        lambda: power_weight_rows(V, kind, n),
+        lambda: [(lambda vec, i=i: power_apply_e(V, n, i, vec)) for i in range(V.ngen)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +568,7 @@ def dim_ext_cube(l: int) -> int:
 
 
 def _certified_cube(l: int, side: str) -> IrrepMultiset:
-    V = simple_gl2(l, 0)
-    pair = module_square(V)
-    got = decompose_power(V, 3, power_weight_rows(getattr(pair, side), V, 3))
+    got = decompose_power(simple_gl2(l, 0), side, 3)
     want = sym_cube_closed(l) if side == "sym" else ext_cube_closed(l)
     if dict(got) != dict(want):
         raise TheoremViolation(
@@ -661,8 +642,8 @@ def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
 
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
-    decomposed: at q0 over F_P by its character, over Q(q) by its
-    highest-weight vectors."""
+    decomposed by the route of its field (_decompose): at q0 over F_P by
+    its character, over Q(q) by its highest-weight vectors."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     t12 = tensor(v1, v2)
@@ -675,12 +656,11 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
             _side_rows(t23, (b2 + b3, 0), parity), t23.weight_blocks(), t23.modulus
         ),
     )
-    meet = _meet_step(bullet12, ann_at, v2.dim, v3)
-    if q0 is not None:
-        return decompose_weight_dims({w: len(rows) for w, rows in meet.items()})
-    t = tensor(t12, v3)
-    apply_es = [(lambda vec, op=t.e_ops[0]: sp_apply(op, vec))]
-    return decompose_weight_rows(meet, t.blocks, apply_es)
+    return _decompose(
+        v3,
+        lambda: _meet_step(bullet12, ann_at, v2.dim, v3),
+        lambda: [(lambda vec, op=tensor(t12, v3).e_ops[0]: sp_apply(op, vec))],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +691,7 @@ def _square_of(V: WeightModule) -> BraidedSquarePair:
 def flatness_check(V: WeightModule) -> tuple[bool, dict]:
     """A braided square is flat when the symmetric side grows like a
     polynomial algebra; degree 3 decides it."""
-    pair = module_square(V)
-    dims = power_dims(pair.sym, V, 3)
+    dims = power_dims(V, "sym", 3)
     expected = comb(V.dim + 2, 3)
     flat = dims[3] == expected
     report = {
@@ -813,8 +792,7 @@ def hilbert_table(
     Exact mode is guarded to upto <= 4 and l <= 6; the specialize mode
     runs the relative tower over F_P at two sample points (see
     run_mode)."""
-    if kind not in ("sym", "ext"):
-        raise ValueError("kind must be 'sym' or 'ext'")
+    _side_parity(kind)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
     if mode == "exact" and (upto > 4 or l > 6) and not override_guards:
@@ -823,18 +801,12 @@ def hilbert_table(
             "use mode='specialize' or override_guards=True"
         )
     dims, samples = run_mode(
-        mode, seed, lambda q0: _hilbert_dims(at_point(simple_gl2(l, 0), q0), kind, upto)
+        mode, seed, lambda q0: power_dims(at_point(simple_gl2(l, 0), q0), kind, upto)
     )
     conjecture = (
         [growth_flag(l, n, dims[n]) for n in range(4, upto + 1)] if kind == "sym" else []
     )
     return HilbertTable(l, kind, upto, mode, dims, conjecture, samples)
-
-
-def _hilbert_dims(V: WeightModule, kind: str, upto: int) -> list[int]:
-    pair = module_square(V)
-    side = pair.sym if kind == "sym" else pair.ext
-    return power_dims(side, V, upto)
 
 
 def koszul_series_probe(l: int, terms: int) -> list[int]:

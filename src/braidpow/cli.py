@@ -35,7 +35,6 @@ from .braided import (
     at_point,
     conjectural_sym_dim,
     decompose_power,
-    decompose_power_characters,
     dim_sym_cube,
     ext_cube_closed,
     flat_lower_bound,
@@ -43,14 +42,10 @@ from .braided import (
     growth_flag,
     hilbert_table,
     koszul_series_probe,
-    module_square,
     power_dims,
-    power_weight_rows,
     run_mode,
-    square_gl2,
     sym_cube_closed,
     triple_product,
-    weight_rows_dim,
 )
 from .classical import poisson_closure_dims, valuation_cover_check
 from .convexopt import certify_random_class
@@ -132,14 +127,8 @@ def _power_guard(args, family):
 
 
 def _decompose_power(args, family, kind, q0):
-    V = _build_module(args, family, q0)
-    pair = module_square(V)
-    side = pair.sym if kind == "sym" else pair.ext
-    if q0 is not None:
-        dec = decompose_power_characters(side, V, args.n)
-        return dec.total_dim(), dec
-    wrows = power_weight_rows(side, V, args.n)
-    return weight_rows_dim(wrows), decompose_power(V, args.n, wrows)
+    dec = decompose_power(_build_module(args, family, q0), kind, args.n)
+    return dec.total_dim(), dec
 
 
 def _cmd_power(args, kind):
@@ -383,8 +372,7 @@ def _cmd_ext_four(args):
     payload = {"l": l, "classical_dims": dims, "braided_dims": None}
     verdicts = {"classical_vanishes": "pass" if dims[4] == 0 else "fail"}
     if l <= 5 or args.override_guards:
-        pair = square_gl2(l)
-        bdims = power_dims(pair.ext, pair.module, 4)
+        bdims = power_dims(simple_gl2(l, 0), "ext", 4)
         payload["braided_dims"] = bdims
         verdicts["braided_vanishes"] = "pass" if bdims[4] == 0 else "fail"
     table = (

@@ -248,9 +248,16 @@ def gt_pair_bases(module: WeightModule, lam, beta) -> tuple[list, list]:
     """The two embedded-gl_2 bases of the beta weight space, each as
     sparse rows over the weight-space positions 1..m (0-based keys).
     Copy 1 walks F_1 strings, copy 2 walks F_2 strings; both are ordered
-    by increasing string depth and content-normalized."""
+    by increasing string depth and content-normalized.  Built once per
+    (module, lam, beta) and stored on module; the rows are read-only."""
     lam = _check_dominant(lam)
     beta = tuple(int(b) for b in beta)
+    return module._stored(
+        ("gt pair bases", lam, beta), lambda: _gt_pair_bases(module, lam, beta)
+    )
+
+
+def _gt_pair_bases(module: WeightModule, lam: tuple, beta: tuple) -> tuple[list, list]:
     idxs = block_positions(module, beta)
     m = len(idxs)
     pos = {c: p for p, c in enumerate(idxs)}

@@ -61,8 +61,8 @@ def test_traced_builders_run_on_each_cache_miss_only(bench_modules):
     try:
         for l in (2, 3, 3, 2):
             V = simple_gl2(l, 0)
-            pair = braided.module_square(V)
-            braided.power_dims(pair.sym, V, 4)
+            braided.module_square(V)
+            braided.power_dims(V, "sym", 4)
     finally:
         tracer.uninstall()
     counts = tracer.metrics()

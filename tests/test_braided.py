@@ -7,6 +7,7 @@ from braidpow.braided import (
     admissible_triples,
     braided_power,
     conjectural_sym_dim,
+    decompose_power,
     dim_ext_cube,
     dim_sym_cube,
     ext_cube_closed,
@@ -18,16 +19,16 @@ from braidpow.braided import (
     module_square,
     power_apply_e,
     power_dims,
+    power_weight_rows,
     run_mode,
     sample_points,
     square_gl2,
     square_matrix_module,
-    square_standard,
     sym_cube_closed,
     sym_cube_decomposition,
-    tensor_weight,
     triple_product,
 )
+from braidpow import braided
 from braidpow.errors import GuardError
 from braidpow.laurent import ONE
 from braidpow.qarith import Subspace, sp_apply
@@ -89,13 +90,6 @@ def test_power_apply_e_matches_tensor_construction():
             assert power_apply_e(W, 2, i, vec) == sp_apply(t2.e_ops[i], vec)
 
 
-def test_tensor_weight_indexing():
-    V = standard_gld(3)
-    # index 5 = 1*3 + 2 picks x_2 ox x_3
-    assert tensor_weight(V, 2, 5) == (0, 1, 1)
-    assert tensor_weight(V, 3, 0) == (3, 0, 0)
-
-
 def test_sym_cube_decompositions():
     assert dict(sym_cube_decomposition(2)) == {(6, 0): 1, (4, 2): 1}
     assert dict(sym_cube_decomposition(3)) == {(9, 0): 1, (7, 2): 1}
@@ -132,15 +126,13 @@ def test_closed_forms_are_multiplicity_free_partitions():
 
 def test_ext_fourth_power_vanishes():
     for l in (3, 4):
-        pair = square_gl2(l)
-        assert braided_power(pair.ext, pair.module, 4).dim == 0
+        assert braided_power(simple_gl2(l, 0), "ext", 4).dim == 0
 
 
 def test_ext_power_dims_standard():
     W = standard_gld(3)
-    pair = square_standard(3)
-    assert power_dims(pair.ext, W, 4) == [1, 3, 3, 1, 0]
-    assert power_dims(pair.sym, W, 4) == [comb(3 + n - 1, n) for n in range(5)]
+    assert power_dims(W, "ext", 4) == [1, 3, 3, 1, 0]
+    assert power_dims(W, "sym", 4) == [comb(3 + n - 1, n) for n in range(5)]
 
 
 def test_matrix_square_dims_and_flatness():
@@ -221,12 +213,12 @@ def test_hilbert_table_guard_and_specialize():
 
 
 def test_negative_degrees_are_refused():
-    pair = square_gl2(2)
+    V = simple_gl2(2, 0)
     for call in (
         lambda: hilbert_table(2, -1),
         lambda: hilbert_table(2, -1, mode="specialize", seed=1),
-        lambda: power_dims(pair.sym, pair.module, -1),
-        lambda: braided_power(pair.sym, pair.module, -1),
+        lambda: power_dims(V, "sym", -1),
+        lambda: braided_power(V, "sym", -1),
     ):
         with pytest.raises(ValueError):
             call()
@@ -235,12 +227,50 @@ def test_negative_degrees_are_refused():
 def test_power_dims_and_braided_power_share_the_recursion():
     pair = square_gl2(3)
     V = pair.module
-    for side in (pair.sym, pair.ext):
-        dims = power_dims(side, V, 4)
-        assert [braided_power(side, V, n).dim for n in range(5)] == dims
-    assert braided_power(pair.sym, V, 0) == Subspace.full(1)
-    assert braided_power(pair.sym, V, 1) == Subspace.full(V.dim)
-    assert braided_power(pair.sym, V, 2) == pair.sym
+    for kind in ("sym", "ext"):
+        dims = power_dims(V, kind, 4)
+        assert [braided_power(V, kind, n).dim for n in range(5)] == dims
+    assert braided_power(V, "sym", 0) == Subspace.full(1)
+    assert braided_power(V, "sym", 1) == Subspace.full(V.dim)
+    assert braided_power(V, "sym", 2) == pair.sym
+
+
+def _keyed_modules():
+    exact = [simple_gl2(l, 0) for l in range(5)]
+    return (
+        exact
+        + [specialize_module(V, Fraction(257, 491)) for V in exact]
+        + [standard_gld(d) for d in (1, 2, 3)]
+        + [outer(standard_gld(2), standard_gld(2))]
+    )
+
+
+def test_degree_two_is_the_side_of_the_square():
+    # a power is keyed by (module, kind): its level 2 is the side's rows
+    # as the square built them, and its subspace is the square's side.
+    # A specialized level numbers its first factor in level order, so
+    # there only the row count of each weight is compared directly.
+    for V in _keyed_modules():
+        pair = module_square(V)
+        for parity, kind in enumerate(("sym", "ext")):
+            side = braided._side_rows(pair.square_module, pair.top, parity)
+            level = power_weight_rows(V, kind, 2)
+            if V.modulus is None:
+                assert level == side
+            else:
+                assert {w: len(r) for w, r in level.items()} == {
+                    w: len(r) for w, r in side.items()
+                }
+            assert braided_power(V, kind, 2) == getattr(pair, kind)
+
+
+def test_a_power_kind_is_sym_or_ext():
+    V = simple_gl2(2, 0)
+    for call in (power_dims, power_weight_rows, braided_power, decompose_power):
+        with pytest.raises(ValueError, match="kind must be 'sym' or 'ext'"):
+            call(V, "both", 2)
+    with pytest.raises(ValueError, match="kind must be 'sym' or 'ext'"):
+        hilbert_table(2, 2, kind="both")
 
 
 def test_conjectural_sym_dim_matches_cube_forms():
@@ -248,7 +278,7 @@ def test_conjectural_sym_dim_matches_cube_forms():
     # forms alone give -2 at (3, 0) and 6 at (4, 1)
     for l in range(7):
         V = simple_gl2(l, 0)
-        want = power_dims(module_square(V).sym, V, 2) + [dim_sym_cube(l)]
+        want = power_dims(V, "sym", 2) + [dim_sym_cube(l)]
         assert [conjectural_sym_dim(l, n) for n in range(4)] == want
 
 
@@ -262,8 +292,7 @@ def test_koszul_series_probe():
 
 
 def test_koszul_h_matches_computed_ext_dims():
-    pair = square_gl2(3)
-    assert power_dims(pair.ext, pair.module, 3) == [1, 4, 6, 0]
+    assert power_dims(simple_gl2(3, 0), "ext", 3) == [1, 4, 6, 0]
 
 
 def test_sample_points_deterministic():
@@ -301,7 +330,7 @@ def test_run_mode_specialize_runs_both_samples_and_refuses_disagreement():
 
 
 def test_braided_power_deterministic():
-    pair = square_gl2(2)
-    one = braided_power(pair.sym, pair.module, 3)
-    two = braided_power(pair.sym, pair.module, 3)
+    V = simple_gl2(2, 0)
+    one = braided_power(V, "sym", 3)
+    two = braided_power(V, "sym", 3)
     assert one == two

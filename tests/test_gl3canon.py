@@ -1,3 +1,4 @@
+from braidpow import gl3canon
 from braidpow.gl3canon import (
     block_positions,
     d_minus,
@@ -88,6 +89,23 @@ def test_gt_pair_pinning():
     b1, b2 = gt_pair_bases(mod, lam, beta)
     assert b1[0] == {0: dict(ONE)}
     assert b2[0] == {m - 1: dict(ONE)}
+
+
+def test_both_checks_build_each_pair_of_bases_once(monkeypatch):
+    # genericity and the degree recursion read the same stored bases
+    built = []
+    build = gl3canon._gt_pair_bases
+    monkeypatch.setattr(
+        gl3canon,
+        "_gt_pair_bases",
+        lambda module, lam, beta: built.append((id(module), beta)) or build(module, lam, beta),
+    )
+    lam = (3, 1, 0)
+    mod = dcb_module(lam)
+    assert genericity_check(lam, mod)["ok"]
+    assert degree_recursion_check(lam, mod)["ok"]
+    assert sorted(built) == sorted((id(mod), beta) for beta in mod.weight_blocks())
+    assert gt_pair_bases(mod, lam, (2, 1, 1)) is gt_pair_bases(mod, list(lam), [2, 1, 1])
 
 
 def test_degree_recursion():

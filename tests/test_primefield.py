@@ -17,8 +17,6 @@ from braidpow import laurent as L
 from braidpow.braided import (
     braided_power,
     decompose_power,
-    decompose_power_characters,
-    decompose_power_subspace,
     hilbert_table,
     module_square,
     run_mode,
@@ -31,8 +29,10 @@ from braidpow.uqmod import (
     ModuleAuditError,
     WeightModule,
     decompose,
+    outer,
     simple_gl2,
     specialize_module,
+    standard_gld,
     tensor,
 )
 
@@ -211,11 +211,7 @@ def test_guard_fails_the_two_sample_run_and_the_cli(monkeypatch, capsys):
 
 
 def _cube(V, side):
-    square = getattr(module_square(V), side)
-    sub = braided_power(square, V, 3)
-    if V.modulus is None:
-        return sub.dim, dict(decompose_power_subspace(V, 3, sub))
-    return sub.dim, dict(decompose_power_characters(square, V, 3))
+    return braided_power(V, side, 3).dim, dict(decompose_power(V, side, 3))
 
 
 @pytest.mark.parametrize("side", ["sym", "ext"])
@@ -234,15 +230,32 @@ def test_specialized_cubes_equal_exact_ones(l, side):
 
 def test_exact_only_decompositions_refuse_a_specialized_module():
     """Highest-weight counts run over Q(q) only; given a specialized
-    module they would rank unreduced residues over Q."""
-    V = specialize_module(simple_gl2(2, 0), Fraction(97, 101))
-    square = module_square(V).sym
+    module they would rank unreduced residues over Q.  decompose_power
+    reads a specialized module's weight dims instead, and agrees with
+    the exact count."""
+    V = simple_gl2(2, 0)
+    W = specialize_module(V, Fraction(97, 101))
     with pytest.raises(ValueError, match="Q\\(q\\) only"):
-        decompose(tensor(V, V))
-    with pytest.raises(ValueError, match="Q\\(q\\) only"):
-        decompose_power(V, 2, {})
-    with pytest.raises(ValueError, match="Q\\(q\\) only"):
-        decompose_power_subspace(V, 2, square)
+        decompose(tensor(W, W))
+    for kind in ("sym", "ext"):
+        assert dict(decompose_power(W, kind, 2)) == dict(decompose_power(V, kind, 2))
+
+
+@pytest.mark.parametrize(
+    "module",
+    [lambda: standard_gld(3), lambda: outer(standard_gld(2), standard_gld(2))],
+    ids=["standard3", "matrix22"],
+)
+def test_a_specialized_power_of_a_non_gl2_module_is_refused_up_front(module, monkeypatch):
+    # weight dims decompose gl_2 modules only; the refusal comes before
+    # any power level is built
+    def refuse(*args):
+        raise AssertionError("no power level is built")
+
+    monkeypatch.setattr(braided, "power_weight_rows", refuse)
+    W = specialize_module(module(), Fraction(97, 101))
+    with pytest.raises(ValueError, match="gl_2 modules only"):
+        decompose_power(W, "sym", 2)
 
 
 LAURENT_ENGINE = ("srow_strip", "sp_echelon", "sp_kernel", "sp_pivot_insert")

@@ -13,9 +13,7 @@ from braidpow.braided import (
     dim_sym_cube,
     module_square,
     power_weight_rows,
-    rows_by_weight,
     sample_points,
-    tensor_weight,
     weight_rows_dim,
 )
 from braidpow.qarith import (
@@ -387,16 +385,18 @@ def test_annihilator_and_meet_on_small_rows(case):
     _check_meet(a, b, range(n))
 
 
-def _blocks(front, tail, weight, ncols):
-    # per weight block of the ambient: its weight, its columns, and the
-    # front and tail rows in it
-    by_front = rows_by_weight(front, weight)
-    by_tail = rows_by_weight(tail, weight)
+def _blocks(front, tail, weights):
+    # per weight block of an ambient with column weights `weights`: its
+    # weight, its columns, and the front and tail rows in it
     blocks = {}
-    for c in range(ncols):
-        blocks.setdefault(weight(c), []).append(c)
+    for c, w in enumerate(weights):
+        blocks.setdefault(w, []).append(c)
+
+    def rows_in(rows, w):
+        return [row for row in rows if row and weights[min(row)] == w]
+
     return [
-        (w, cols, by_front.get(w, []), by_tail.get(w, []))
+        (w, cols, rows_in(front, w), rows_in(tail, w))
         for w, cols in sorted(blocks.items())
     ]
 
@@ -409,7 +409,7 @@ def _cube_blocks(l, side="sym"):
     sq = getattr(module_square(V), side).sparse_rows()
     front = [{c * d + b: p for c, p in r.items()} for r in sq for b in range(d)]
     tail = [{h * d * d + c: p for c, p in r.items()} for h in range(d) for r in sq]
-    return _blocks(front, tail, lambda c: tensor_weight(V, 3, c), d**3)
+    return _blocks(front, tail, tensor(tensor(V, V), V).weights)
 
 
 def _reference_meet(blocks):
@@ -430,7 +430,7 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
         for side, dim in (("sym", dim_sym_cube(l)), ("ext", dim_ext_cube(l))):
             want = _reference_meet(_cube_blocks(l, side))
             assert weight_rows_dim(want) == dim
-            assert power_weight_rows(getattr(module_square(V), side), V, 3) == want
+            assert power_weight_rows(V, side, 3) == want
 
 
 def test_triple_product_step_is_the_reference_meet(monkeypatch):
@@ -461,7 +461,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
                 for w in sorted(b23)
                 for r in b23[w]
             ]
-            want = _reference_meet(_blocks(front, tail, t.weights.__getitem__, t.dim))
+            want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
             assert seen.pop() == want
 

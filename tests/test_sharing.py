@@ -12,8 +12,6 @@ import pytest
 
 from braidpow import acceptance, braided, uqmod
 from braidpow.braided import module_square, power_dims, square_gl2, square_standard
-from braidpow.laurent import ONE
-from braidpow.qarith import Subspace
 from braidpow.uqmod import WeightModule, simple_gl2, specialize_module, standard_gld, tensor
 
 
@@ -48,28 +46,30 @@ def test_power_levels_are_extended_only_as_far_as_asked(monkeypatch):
         lambda prev, ann, V: steps.append(braided.weight_rows_dim(prev)) or step(prev, ann, V),
     )
     V = simple_gl2(3, 0)
-    sym = module_square(V).sym
-    assert power_dims(sym, V, 3) == [1, 4, 10, 16]
-    assert power_dims(sym, V, 2) == [1, 4, 10]
-    assert power_dims(sym, V, 4) == [1, 4, 10, 16, 22]
+    assert power_dims(V, "sym", 3) == [1, 4, 10, 16]
+    assert power_dims(V, "sym", 2) == [1, 4, 10]
+    assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
     assert steps == [10, 16]
-    assert braided.power_weight_rows(sym, V, 4) is braided.power_weight_rows(sym, V, 4)
+    assert braided.power_weight_rows(V, "sym", 4) is braided.power_weight_rows(V, "sym", 4)
 
 
-def test_a_failed_power_is_not_stored():
-    V = simple_gl2(2, 0)
-    W = specialize_module(V, Fraction(97, 101))
-    square = module_square(V).sym
-    for _ in range(2):
-        with pytest.raises(ValueError, match="different fields"):
-            power_dims(square, W, 3)
-    # columns 0 and 1 of V ox V have different weights: levels 0 and 1
-    # build, level 2 fails, and fails again rather than ending the list
-    mixed = Subspace.from_sparse(V.dim**2, [{0: dict(ONE), 1: dict(ONE)}])
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not weight homogeneous"):
-            power_dims(mixed, V, 2)
-    assert power_dims(mixed, V, 1) == [1, 3]
+def test_a_failed_power_is_not_stored(monkeypatch):
+    # the first step fails: level 3 fails, and the next call builds it
+    # again rather than ending the list.  The module is a fresh,
+    # unshared instance, so no level of it is stored yet.
+    fails = [RuntimeError("step failed")]
+    step = braided._power_step
+
+    def flaky(*args):
+        if fails:
+            raise fails.pop()
+        return step(*args)
+
+    monkeypatch.setattr(braided, "_power_step", flaky)
+    V = simple_gl2.__wrapped__(2, 0)
+    with pytest.raises(RuntimeError, match="step failed"):
+        power_dims(V, "sym", 3)
+    assert power_dims(V, "sym", 3) == [1, 3, 6, 10]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def _snapshot(roots, degree: int) -> str:
     for V in roots:
         pair = module_square(V)
         shared.append(pair)
-        shared.extend(braided._levels(side, V, degree) for side in (pair.sym, pair.ext))
+        shared.extend(braided._levels(V, kind, degree) for kind in ("sym", "ext"))
 
     def canon(x):
         if isinstance(x, WeightModule):

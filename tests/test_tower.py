@@ -13,8 +13,7 @@ from braidpow import braided, cli
 from braidpow.braided import (
     braided_power,
     conjectural_sym_dim,
-    decompose_power_characters,
-    decompose_power_subspace,
+    decompose_power,
     hilbert_table,
     module_square,
     power_dims,
@@ -108,13 +107,11 @@ def at_x(sub: Subspace, x: int) -> Subspace:
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_expanded_tower_is_the_exact_power_at_the_sample(l, side):
     V = simple_gl2(l, 0)
-    exact = getattr(module_square(V), side)
     q0 = sample_points(l)[0]
     W = specialize_module(V, q0)
-    square = getattr(module_square(W), side)
     for n in range(5):
-        want = at_x(braided_power(exact, V, n), fp(q0))
-        got = braided_power(square, W, n)
+        want = at_x(braided_power(V, side, n), fp(q0))
+        got = braided_power(W, side, n)
         assert got.modulus == P
         assert got == want
 
@@ -123,10 +120,9 @@ def test_expanded_tower_is_the_exact_power_at_the_sample(l, side):
 def test_character_decomposition_is_the_highest_weight_count(l, n, side):
     V = simple_gl2(l, 0)
     W = specialize_module(V, sample_points(l + n)[0])
-    by_characters = decompose_power_characters(getattr(module_square(W), side), W, n)
-    exact = braided_power(getattr(module_square(V), side), V, n)
-    assert dict(by_characters) == dict(decompose_power_subspace(V, n, exact))
-    assert by_characters.total_dim() == exact.dim
+    by_characters = decompose_power(W, side, n)
+    assert dict(by_characters) == dict(decompose_power(V, side, n))
+    assert by_characters.total_dim() == power_dims(V, side, n)[n]
 
 
 def test_tower_reaches_degree_twelve_on_the_conjectured_growth():
@@ -143,14 +139,16 @@ def test_specialized_powers_bypass_the_meet(monkeypatch):
     monkeypatch.setattr(braided, "_power_step", refuse)
     monkeypatch.setattr(braided, "sp_kernel", refuse)
     V = specialize_module(simple_gl2(3, 0), Fraction(97, 101))
-    assert power_dims(module_square(V).sym, V, 5) == [1, 4, 10, 16, 22, 28]
+    assert power_dims(V, "sym", 5) == [1, 4, 10, 16, 22, 28]
 
 
 def test_square_and_module_must_share_a_field():
+    # a power reads the square of its own module, so a specialized
+    # module's powers are built over F_P from its specialized square
     V = simple_gl2(2, 0)
     W = specialize_module(V, Fraction(97, 101))
-    with pytest.raises(ValueError, match="different fields"):
-        power_dims(module_square(V).sym, W, 3)
+    assert module_square(W).sym.modulus == braided_power(W, "sym", 3).modulus == P
+    assert power_dims(W, "sym", 3) == power_dims(V, "sym", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def test_forged_weight_dims_are_refused(dims, message):
 
 
 def test_forged_tower_fails_the_cli_run(monkeypatch, capsys):
-    def forged(square, V):
+    def forged(V, kind):
         while True:
             yield {(3, 0): [{0: 1}]}
 
