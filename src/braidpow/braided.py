@@ -798,7 +798,8 @@ def hilbert_table(
     if mode == "exact" and (upto > 4 or l > 6) and not override_guards:
         raise GuardError(
             "exact mode is guarded to upto <= 4 and l <= 6; "
-            "use mode='specialize' or override_guards=True"
+            "use --mode specialize or --override-guards "
+            "(mode='specialize' or override_guards=True from Python)"
         )
     dims, samples = run_mode(
         mode, seed, lambda q0: power_dims(at_point(simple_gl2(l, 0), q0), kind, upto)

@@ -251,7 +251,7 @@ def poisson_closure_dims(l: int, upto: int, kind: str = "sym",
     if kind == "sym" and comb(l + upto, upto) > 10**4 and not override_guards:
         raise GuardError(
             f"degree-{upto} component has {comb(l + upto, upto)} monomials; "
-            "pass override_guards=True to force"
+            "pass --override-guards (override_guards=True from Python) to force"
         )
     gens = _jacobian_generators(l, kind)
     dims = []

@@ -193,7 +193,7 @@ def feasible_class(lam, kminus, kplus, override_guards: bool = False) -> list:
     if (m > 6 or n > 5) and not override_guards:
         raise GuardError(
             "exhaustion is guarded to m <= 6 and n <= 5; "
-            "pass override_guards=True to force"
+            "pass --override-guards (override_guards=True from Python) to force"
         )
     want = (tuple(kminus), tuple(kplus))
     return [

@@ -174,7 +174,7 @@ def check_qmatrix_relations(d: int, k: int,
     if d * k > 16 and not override_guards:
         raise GuardError(
             f"{d} x {k} grid has {d * k} generators; "
-            "pass override_guards=True to force"
+            "pass --override-guards (override_guards=True from Python) to force"
         )
     g = [[matrix_generator(d, k, i, j) for j in range(k)] for i in range(d)]
     mm = lambda u, v: mat_mul(d, u, v)

@@ -111,6 +111,26 @@ def test_guard_errors_exit_one_with_envelope(capsys):
     assert env["verdicts"] == {}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "--l", "3", "--n", "6"),
+        ("convex-certify", "--m", "7", "--n", "3"),
+        ("poisson-closure", "--l", "20", "--n", "6"),
+        ("qmatrix-check", "--d", "5", "--k", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_guard_messages_name_the_cli_flag(capsys, argv):
+    # each is refused before any work starts; the message names the flag
+    # a CLI user passes, and the Python keyword beside it
+    code, env, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert env["payload"]["error"] == "GuardError"
+    assert "--override-guards" in env["payload"]["message"]
+    assert "override_guards=True from Python" in env["payload"]["message"]
+
+
 def test_domain_errors_exit_one(capsys):
     code, env, _ = run_cli(capsys, "howe-check", "--d", "3", "--k", "2",
                            "--n", "2")
