@@ -12,17 +12,20 @@ I enters through its annihilator under the standard pairing
 x . y = sum_c x_c y_c, built once per power (_ann_by_column), and each
 weight block of the meet is the kernel of one pairing system: one
 unknown per (row of P^(n-1), basis vector of V) and one equation per
-(basis vector of H, row of Ann(I)).  _meet_step builds that system for
-both fields; only the finish differs.
+(basis vector of H, row of Ann(I)).  Every module family and both
+fields take one route: _powers yields the levels, each from degree 3 on
+one _power_step, which is one _meet_step.  Only the finish differs.
 - Over Q(q), H = V^{ox n-2}; sp_kernel solves the system, and each
   kernel vector is expanded into V^{ox n} and echelonized, so a level is
   the canonical basis of each weight block.
 - A specialized module (over F_P, see specialize_module) runs the
   relative tower: H = P^(n-2), fp_kernel solves the system, and each P^n
   keeps its kernel vectors as coordinates over P^(n-1) ox V, so no size
-  grows like dim V^(n-2).  braided_power expands the tower into
-  V^{ox n} only when a Subspace is asked for.  Over Q(q) those
-  coordinates would be raw kernel vectors whose q-degrees grow.
+  grows like dim V^(n-2).  The only other difference is that P^2's
+  first factor is renumbered in the level order of P^1.  braided_power
+  expands the tower into V^{ox n} only when a Subspace is asked for.
+  Over Q(q) those coordinates would be raw kernel vectors whose
+  q-degrees grow.
 
 Every square, over either field, is built by one route (_side_rows): a
 side is the submodule of V ox V generated under the F_i by the
@@ -35,8 +38,11 @@ S^2(A ox B) = S^2 A ox S^2 B + Lambda^2 A ox Lambda^2 B.  The braided
 sides sit on the same Clebsch-Gordan summands.  The triple product's
 bullet rows come from the same route, and the triple product is one
 _meet_step.  Over F_P every row is an int row {col: int}, and components
-are read off weight dims (decompose_weight_dims), never off
-highest-weight counts.
+are read off weight dims (decompose_weight_dims, one character formula
+for every product of gl blocks), never off highest-weight counts.  Over
+Q(q) the highest-weight counts act by E_i on the tensor product of the
+factors through the coproduct (_apply_e), so neither a power nor the
+triple product builds a tensor module of three or more factors.
 
 The braided powers are functions of V and a side alone: every power
 call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 import random
 
 from .errors import GuardError, TheoremViolation
@@ -77,7 +83,6 @@ from .uqmod import (
     dim_irrep,
     dominant,
     highest_weight_vectors,
-    module_weight_rows,
     pairing,
     simple_gl2,
     specialize_module,
@@ -205,7 +210,9 @@ def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
 class BraidedSquarePair:
     """sym and ext sides of V ox V, each stable under the quantum group;
     side parity 0 (sym) or 1 (ext) of square_module = V ox V, whose
-    highest weight is top / 2, generates each (see _side_rows)."""
+    highest weight is top / 2, generates each (see _side_rows).  A
+    braided square has the classical dims C(d + 1, 2) and C(d, 2), so a
+    wrong side parity cannot pass as a split of V ox V."""
 
     module: WeightModule
     square_module: WeightModule
@@ -214,11 +221,12 @@ class BraidedSquarePair:
     top: tuple
 
     def __post_init__(self):
-        n2 = self.module.dim**2
-        if self.sym.dim + self.ext.dim != n2:
+        d = self.module.dim
+        want = (comb(d + 1, 2), comb(d, 2))
+        if (self.sym.dim, self.ext.dim) != want:
             raise TheoremViolation(
-                f"square sides of {self.module.kind} do not fill V ox V: "
-                f"{self.sym.dim} + {self.ext.dim} != {n2}"
+                f"square sides of {self.module.kind} have dims "
+                f"{self.sym.dim}/{self.ext.dim}, classical {want[0]}/{want[1]}"
             )
 
 
@@ -271,9 +279,9 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 
 
 def _power_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
-    """prev holds P^(n-1) blocked over V^(n-1) weights and ann_at is
-    Ann(P^2) by column; returns P^n = (P^(n-1) ox V) meet (V^(n-2) ox P^2)
-    over Q(q)."""
+    """prev holds P^(n-1) and ann_at is Ann(P^2) by column; returns
+    P^n = (P^(n-1) ox V) meet (H ox P^2) by one _meet_step over the field
+    of V: H = V^(n-2) over Q(q), the relative H = P^(n-2) over F_P."""
     return _meet_step(prev, ann_at, V.dim, V)
 
 
@@ -301,48 +309,36 @@ def _levels(V: WeightModule, kind: str, n: int) -> list:
 
 def _powers(V: WeightModule, kind: str):
     """Yield P^0, P^1, P^2, ... of the kind side of V ox V, each as
-    {weight: rows}.  Over Q(q) the rows are vectors of V^(ox n); a
-    specialized module (V.modulus set) yields the levels of the relative
-    tower instead (see _tower).  P^2 is the side's rows as module_square
-    built them, and blocks maps every weight of V ox V to its columns.
-    Ann(P^2) is built once, when degree 3 is asked for, and every higher
-    level is one _meet_step."""
+    {weight: rows} with entries in the field of V.  P^0 and P^1 are unit
+    rows; P^2 is the side's rows as module_square built them.  Ann(P^2)
+    is built once, when degree 3 is asked for, and every higher level is
+    one _power_step.
+
+    Over Q(q) a row of P^n is a vector of V^(ox n).  A specialized module
+    (V.modulus set) yields the levels of the relative tower instead: the
+    basis of a level is numbered in level order (weights sorted, then row
+    order), and the row {a * d + b: c} of P^n stands for the vector
+    sum c * (basis vector a of P^(n-1)) ox e_b.  So only there is the
+    first factor of P^2 renumbered in the level order of P^1."""
+    d, p = V.dim, V.modulus
     pair = module_square(V)
-    level = _side_rows(pair.square_module, pair.top, _side_parity(kind))
-    blocks = pair.square_module.weight_blocks()
-    if V.modulus is not None:
-        yield from _tower(level, blocks, V)
-        return
-    yield {(0,) * len(V.weights[0]): [{0: dict(ONE)}]}
-    yield module_weight_rows(V)
+    square = _side_rows(pair.square_module, pair.top, _side_parity(kind))
+    unit = (lambda: dict(ONE)) if p is None else (lambda: 1)
+    yield {(0,) * len(V.weights[0]): [{0: unit()}]}
+    blocks1 = V.weight_blocks()
+    yield {w: [{i: unit()} for i in blocks1[w]] for w in sorted(blocks1)}
+    level = square
+    if p is not None:
+        order = [i for w in sorted(blocks1) for i in blocks1[w]]
+        pos = {i: a for a, i in enumerate(order)}
+        level = {
+            w: [{pos[c // d] * d + c % d: e for c, e in row.items()} for row in rows]
+            for w, rows in sorted(square.items())
+        }
     yield level
-    ann_at = _ann_by_column(level, blocks, None)
+    ann_at = _ann_by_column(square, pair.square_module.weight_blocks(), p)
     while True:
         level = _power_step(level, ann_at, V)
-        yield level
-
-
-def _tower(sq: dict, blocks: dict, V: WeightModule):
-    """Yield P^0, P^1, P^2, ... of a specialized module as levels of the
-    relative tower: {weight: rows} with int entries mod P.  The basis of
-    a level is numbered in level order (weights sorted, then row order),
-    and the row {a * d + b: c} of P^n stands for the vector
-    sum c * (basis vector a of P^(n-1)) ox e_b.  P^1 is V, P^2 is the
-    square sq with its first factor renumbered in level order, and every
-    higher level comes from _meet_step."""
-    d, p = V.dim, V.modulus
-    yield {(0,) * len(V.weights[0]): [{0: 1}]}
-    blocks1 = V.weight_blocks()
-    yield {w: [{i: 1} for i in blocks1[w]] for w in sorted(blocks1)}
-    pos = {i: a for a, i in enumerate(i for w in sorted(blocks1) for i in blocks1[w])}
-    level = {
-        w: [{pos[c // d] * d + c % d: e for c, e in row.items()} for row in rows]
-        for w, rows in sorted(sq.items())
-    }
-    yield level
-    ann_at = _ann_by_column(sq, blocks, p)
-    while True:
-        level = _meet_step(level, ann_at, d, V)
         yield level
 
 
@@ -383,7 +379,7 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
     M ox back, and it lies in head ox I exactly when every g_i pairs to
     zero with Ann(I): one equation per (i, annihilator row k), in order
     of (i, k).  Over F_P fp_kernel solves it and the rows
-    {a * d + b: x_ab} are returned as they are (see _tower).  Over Q(q)
+    {a * d + b: x_ab} are returned as they are (see _powers).  Over Q(q)
     sp_kernel solves it, and the vectors sum x_ab p_a ox e_b, over
     head ox M ox back, are returned as their canonical basis."""
     d, p = back.dim, back.modulus
@@ -477,65 +473,49 @@ def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
     return [weight_rows_dim(w) for w in _levels(V, kind, up_to)]
 
 
-def power_apply_e(V: WeightModule, n: int, i: int, vec: dict) -> dict:
-    """Coproduct action of E_i on a sparse vector in V^(ox n), for a
-    module over Q(q) (decompose_power reads a specialized one's weight
-    dims instead)."""
-    d = V.dim
-    eop = V.e_ops[i]
-    kv = [pairing(V.alphas[i], w) for w in V.weights]
+def _apply_e(factors: tuple, i: int, vec: dict) -> dict:
+    """E_i on a sparse vector of the tensor product of the modules in
+    factors over Q(q), its index running over the last factor fastest.
+    By Delta(E) = E ox 1 + K ox E, it is the sum over the slots s of E_i
+    on slot s times K_i on every slot before it."""
+    dims = [m.dim for m in factors]
+    strides = [prod(dims[s + 1 :]) for s in range(len(factors))]
+    kvs = [[pairing(m.alphas[i], w) for w in m.weights] for m in factors]
     out: dict[int, dict] = {}
     for idx, p in vec.items():
-        digits = []
-        rest = idx
-        for _ in range(n):
-            rest, j = divmod(rest, d)
-            digits.append(j)
-        digits.reverse()
         kshift = 0
-        stride = d ** (n - 1)
-        for slot in range(n):
-            col = eop.get(digits[slot])
-            if col:
-                for r, coeff in col.items():
-                    tgt = idx + (r - digits[slot]) * stride
-                    term = lshift(lmul(p, coeff), kshift)
-                    s = ladd(out.get(tgt, {}), term)
-                    if s:
-                        out[tgt] = s
-                    else:
-                        out.pop(tgt, None)
-            kshift += kv[digits[slot]]
-            stride //= d
+        rest = idx
+        for m, stride, kv in zip(factors, strides, kvs):
+            j, rest = divmod(rest, stride)
+            for r, coeff in m.e_ops[i].get(j, {}).items():
+                tgt = idx + (r - j) * stride
+                s = ladd(out.get(tgt, {}), lshift(lmul(p, coeff), kshift))
+                if s:
+                    out[tgt] = s
+                else:
+                    out.pop(tgt, None)
+            kshift += kv[j]
     return out
 
 
-def _decompose(V: WeightModule, build, apply_es) -> IrrepMultiset:
-    """Components of the submodule {weight: rows} = build() of a module
-    over the field of V, by that field's route.  Over F_P they are read
-    off its weight dims (decompose_weight_dims), which serves gl_2 only,
-    so any other V is refused before build runs.  Over Q(q) they come
-    from highest-weight vectors, apply_es() giving the actions of the
-    E_i on its rows."""
+def _decompose(V: WeightModule, factors: tuple, build) -> IrrepMultiset:
+    """Components of the submodule {weight: rows} = build() of the tensor
+    product of the modules in factors, over the field of V and its gl
+    blocks.  Over F_P they are read off its weight dims
+    (decompose_weight_dims); over Q(q) they come from highest-weight
+    vectors under the coproduct action of the E_i (_apply_e)."""
     if V.modulus is not None:
-        if V.blocks != (2,):
-            raise ValueError(
-                "a specialized module decomposes from its weight dims, "
-                "which serves gl_2 modules only"
-            )
-        return decompose_weight_dims({w: len(rows) for w, rows in build().items()})
-    return decompose_weight_rows(build(), V.blocks, apply_es())
+        dims = {w: len(rows) for w, rows in build().items()}
+        return decompose_weight_dims(dims, V.blocks)
+    apply_es = [(lambda vec, i=i: _apply_e(factors, i, vec)) for i in range(V.ngen)]
+    return decompose_weight_rows(build(), V.blocks, apply_es)
 
 
 def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of the kind side of V ox V:
-    over Q(q) from its highest-weight vectors, for a specialized gl_2
-    module from its weight dims (see _decompose); P^n is never expanded."""
-    return _decompose(
-        V,
-        lambda: power_weight_rows(V, kind, n),
-        lambda: [(lambda vec, i=i: power_apply_e(V, n, i, vec)) for i in range(V.ngen)],
-    )
+    over Q(q) from its highest-weight vectors, for a specialized module
+    from its weight dims (see _decompose); P^n is never expanded."""
+    return _decompose(V, (V,) * n, lambda: power_weight_rows(V, kind, n))
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +626,7 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     its character, over Q(q) by its highest-weight vectors."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
-    t12 = tensor(v1, v2)
-    bullet12 = _side_rows(t12, (b1 + b2, 0), parity)
+    bullet12 = _side_rows(tensor(v1, v2), (b1 + b2, 0), parity)
     t23 = tensor(v2, v3)
     # Ann(bullet23) is a function of t23 and parity; stored on t23
     ann_at = t23._stored(
@@ -656,11 +635,7 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
             _side_rows(t23, (b2 + b3, 0), parity), t23.weight_blocks(), t23.modulus
         ),
     )
-    return _decompose(
-        v3,
-        lambda: _meet_step(bullet12, ann_at, v2.dim, v3),
-        lambda: [(lambda vec, op=tensor(t12, v3).e_ops[0]: sp_apply(op, vec))],
-    )
+    return _decompose(v3, (v1, v2, v3), lambda: _meet_step(bullet12, ann_at, v2.dim, v3))
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,6 @@ def _decompose_power(args, family, kind, q0):
 def _cmd_power(args, kind):
     family, name = _power_module(args)
     n = args.n
-    if args.mode == "specialize" and family != "simple":
-        raise _UsageError("specialize mode supports --l modules only")
     if args.mode == "exact":
         _power_guard(args, family)
     (dim, dec), samples = run_mode(

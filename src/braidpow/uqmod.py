@@ -488,36 +488,53 @@ def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
     return out
 
 
-def decompose_weight_dims(weight_dims: dict) -> IrrepMultiset:
-    """Decompose a gl_2 module from its character {weight: dim}: V_lam
-    occurs dim_lam - dim_(lam + alpha) times, alpha = (1, -1), for each
-    dominant weight lam of the table.  Raises ModuleAuditError when the
-    dims are not symmetric under the Weyl group, a multiplicity is
-    negative, or the components do not account for every dimension."""
-    for (a, b), k in weight_dims.items():
-        if weight_dims.get((b, a), 0) != k:
-            raise ModuleAuditError(f"weight dims are not Weyl symmetric at {(a, b)}")
-    out = IrrepMultiset(blocks=(2,))
-    for (a, b), k in weight_dims.items():
-        if a < b:
+def decompose_weight_dims(weight_dims: dict, blocks) -> IrrepMultiset:
+    """Decompose a module over the gl blocks `blocks` from its character
+    {weight: dim}.  By Weyl's character formula, the character times the
+    Weyl denominator, the product of (1 - e^-alpha) over the positive
+    roots alpha = e_i - e_j (i < j) of every block, is the sum over the
+    components V_lam and the Weyl group elements w of
+    sign(w) e^(w(lam + rho) - rho).  That weight is dominant only when
+    w(lam + rho) is strictly dominant, and the strictly dominant lam + rho
+    is the only such weight of its orbit, fixed by w = 1 alone.  So only
+    w = 1 leaves a dominant weight, and the product's coefficient at a
+    dominant mu is the multiplicity of V_mu.  Each root is one pass
+    new[mu] = old[mu] - old[mu + alpha]; for gl_2 that is
+    dim_lam - dim_(lam + alpha).
+
+    Raises ModuleAuditError when the dims are not symmetric under a
+    simple reflection of some block, or a multiplicity is negative.  The
+    count check after them cannot fail on a Weyl-symmetric table, whose
+    components always account for every dimension; it stays as a safety
+    assertion."""
+    starts = [sum(blocks[:b]) for b in range(len(blocks))]
+    simple = [i for s, n in zip(starts, blocks) for i in range(s, s + n - 1)]
+    for w, k in weight_dims.items():
+        for i in simple:
+            if weight_dims.get(w[:i] + (w[i + 1], w[i]) + w[i + 2 :], 0) != k:
+                raise ModuleAuditError(f"weight dims are not Weyl symmetric at {w}")
+    char = dict(weight_dims)
+    for s, n in zip(starts, blocks):
+        for i in range(s, s + n):
+            for j in range(i + 1, s + n):
+                new = dict(char)
+                for mu, k in char.items():
+                    lower = mu[:i] + (mu[i] - 1,) + mu[i + 1 : j] + (mu[j] + 1,) + mu[j + 1 :]
+                    new[lower] = new.get(lower, 0) - k
+                char = {mu: k for mu, k in new.items() if k}
+    out = IrrepMultiset(blocks=blocks)
+    for mu, mult in char.items():
+        if not dominant(mu, blocks):
             continue
-        mult = k - weight_dims.get((a + 1, b - 1), 0)
         if mult < 0:
-            raise ModuleAuditError(f"negative multiplicity {mult} of {(a, b)}")
-        if mult:
-            out[(a, b)] = mult
+            raise ModuleAuditError(f"negative multiplicity {mult} of {mu}")
+        out[mu] = mult
     total = sum(weight_dims.values())
     if out.total_dim() != total:
         raise ModuleAuditError(
             f"decomposition accounts for {out.total_dim()} of {total} dimensions"
         )
     return out
-
-
-def module_weight_rows(m: WeightModule) -> dict:
-    return {
-        w: [{i: dict(ONE)} for i in idxs] for w, idxs in m.weight_blocks().items()
-    }
 
 
 def decompose(m: WeightModule) -> IrrepMultiset:
@@ -528,4 +545,5 @@ def decompose(m: WeightModule) -> IrrepMultiset:
     apply_es = [
         (lambda vec, op=m.e_ops[i]: sp_apply(op, vec)) for i in range(m.ngen)
     ]
-    return decompose_weight_rows(module_weight_rows(m), m.blocks, apply_es)
+    rows = {w: [{i: dict(ONE)} for i in idxs] for w, idxs in m.weight_blocks().items()}
+    return decompose_weight_rows(rows, m.blocks, apply_es)

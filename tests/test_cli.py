@@ -131,6 +131,27 @@ def test_guard_messages_name_the_cli_flag(capsys, argv):
     assert "override_guards=True from Python" in env["payload"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sym-power", "--d", "3", "--n", "3"),
+        ("ext-power", "--d", "3", "--n", "3"),
+        ("sym-power", "--d", "2", "--k", "2", "--n", "3"),
+        ("ext-power", "--d", "2", "--k", "2", "--n", "3"),
+    ],
+)
+def test_specialized_standard_and_matrix_powers_agree_with_exact(capsys, argv):
+    _, exact, _ = run_cli(capsys, *argv)
+    code, sampled, _ = run_cli(capsys, *argv, "--mode", "specialize", "--seed", "3")
+    assert code == 0
+    assert sampled["payload"].pop("mode") == "specialize"
+    assert len(sampled["payload"].pop("samples")) == 2
+    assert exact["payload"].pop("mode") == "exact"
+    assert exact["payload"].pop("samples") == []
+    assert sampled["payload"] == exact["payload"]
+    assert sampled["verdicts"] == exact["verdicts"]
+
+
 def test_domain_errors_exit_one(capsys):
     code, env, _ = run_cli(capsys, "howe-check", "--d", "3", "--k", "2",
                            "--n", "2")

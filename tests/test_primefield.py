@@ -243,19 +243,18 @@ def test_exact_only_decompositions_refuse_a_specialized_module():
 
 @pytest.mark.parametrize(
     "module",
-    [lambda: standard_gld(3), lambda: outer(standard_gld(2), standard_gld(2))],
-    ids=["standard3", "matrix22"],
+    [lambda d=d: standard_gld(d) for d in range(1, 5)]
+    + [lambda k=k: outer(standard_gld(2), standard_gld(k)) for k in (2, 3)],
+    ids=["standard1", "standard2", "standard3", "standard4", "matrix22", "matrix23"],
 )
-def test_a_specialized_power_of_a_non_gl2_module_is_refused_up_front(module, monkeypatch):
-    # weight dims decompose gl_2 modules only; the refusal comes before
-    # any power level is built
-    def refuse(*args):
-        raise AssertionError("no power level is built")
-
-    monkeypatch.setattr(braided, "power_weight_rows", refuse)
-    W = specialize_module(module(), Fraction(97, 101))
-    with pytest.raises(ValueError, match="gl_2 modules only"):
-        decompose_power(W, "sym", 2)
+def test_a_specialized_power_equals_the_exact_one(module):
+    # weight dims decompose the powers of every module family, over
+    # gl_d and over gl_d x gl_k, as the highest-weight count does
+    V = module()
+    W = specialize_module(V, Fraction(97, 101))
+    for kind in ("sym", "ext"):
+        for n in range(4):
+            assert dict(decompose_power(W, kind, n)) == dict(decompose_power(V, kind, n))
 
 
 LAURENT_ENGINE = ("srow_strip", "sp_echelon", "sp_kernel", "sp_pivot_insert")

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from braidpow.braided import module_square, square_matrix_module
+from braidpow.braided import _square_sides, module_square, square_matrix_module
+from braidpow.errors import TheoremViolation
+from braidpow.gl3canon import dcb_module
 from braidpow.laurent import P, fp, leval_fp
 from braidpow.qarith import Subspace
 from braidpow.uqmod import outer, simple_gl2, specialize_module, standard_gld
@@ -119,3 +121,11 @@ def test_specialized_squares_are_the_exact_square_at_the_point(dk):
         pair = module_square(specialize_module(V, q0))
         assert pair.sym == _at_point(exact.sym, q0)
         assert pair.ext == _at_point(exact.ext, q0)
+
+
+def test_a_wrong_side_parity_fails_the_classical_dims():
+    # V_(1,1,0) of gl_3 squares to V_(2,2,0) + V_(2,1,1); read from the
+    # first entry of the top (2,2,0), both components get parity 0, so
+    # the split 9/0 fills V ox V but is not the classical 6/3
+    with pytest.raises(TheoremViolation, match="9/0, classical 6/3"):
+        _square_sides(dcb_module((1, 1, 0)), (2, 2, 0))

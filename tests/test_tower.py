@@ -4,6 +4,7 @@ braided powers, its character decomposition and the guard on it."""
 
 import json
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,16 @@ from braidpow.braided import (
     power_dims,
     sample_points,
 )
+from braidpow.gl3canon import dcb_module
 from braidpow.laurent import P, fp, leval_fp
 from braidpow.qarith import Subspace, fp_kernel, fp_rref
 from braidpow.uqmod import (
     ModuleAuditError,
+    decompose,
     decompose_weight_dims,
     simple_gl2,
     specialize_module,
+    tensor,
 )
 
 FIXED = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -132,12 +136,12 @@ def test_tower_reaches_degree_twelve_on_the_conjectured_growth():
 
 
 def test_specialized_powers_bypass_the_meet(monkeypatch):
-    # the tower never takes the exact level step or a Q(q) kernel
+    # the tower's steps never take a Q(q) kernel or expand into V^(ox n)
     def refuse(*args, **kwargs):
         raise AssertionError("the tower does not meet V^(ox n) rows")
 
-    monkeypatch.setattr(braided, "_power_step", refuse)
     monkeypatch.setattr(braided, "sp_kernel", refuse)
+    monkeypatch.setattr(braided, "sp_combine", refuse)
     V = specialize_module(simple_gl2(3, 0), Fraction(97, 101))
     assert power_dims(V, "sym", 5) == [1, 4, 10, 16, 22, 28]
 
@@ -158,8 +162,8 @@ def test_square_and_module_must_share_a_field():
 def test_character_decomposition_of_a_power():
     # the cube of V_(2,0): V_(6,0) + V_(4,2)
     dims = {(6, 0): 1, (5, 1): 1, (4, 2): 2, (3, 3): 2, (2, 4): 2, (1, 5): 1, (0, 6): 1}
-    assert dict(decompose_weight_dims(dims)) == {(6, 0): 1, (4, 2): 1}
-    assert decompose_weight_dims({}) == {}
+    assert dict(decompose_weight_dims(dims, (2,))) == {(6, 0): 1, (4, 2): 1}
+    assert decompose_weight_dims({}, (2,)) == {}
 
 
 @pytest.mark.parametrize(
@@ -167,13 +171,53 @@ def test_character_decomposition_of_a_power():
     [
         ({(2, 0): 2, (1, 1): 1, (0, 2): 2}, "negative multiplicity"),
         ({(2, 0): 1, (1, 1): 1}, "not Weyl symmetric"),
-        ({(3, 0): 1, (0, 3): 1}, "accounts for 4 of 2"),
+        # symmetric, so the Weyl denominator leaves -V_(2,1) behind
+        ({(3, 0): 1, (0, 3): 1}, "negative multiplicity -1 of \\(2, 1\\)"),
     ],
     ids=["negative", "asymmetric", "count"],
 )
 def test_forged_weight_dims_are_refused(dims, message):
     with pytest.raises(ModuleAuditError, match=message):
-        decompose_weight_dims(dims)
+        decompose_weight_dims(dims, (2,))
+
+
+def _orbit(w, blocks):
+    # every rearrangement of each block of w, as a table of dims 1
+    segs, s = [], 0
+    for n in blocks:
+        segs.append(set(permutations(w[s : s + n])))
+        s += n
+    return {sum(parts, ()): 1 for parts in product(*segs)}
+
+
+@pytest.mark.parametrize(
+    "dims, blocks, message",
+    [
+        # symmetric under s_1, not under s_2
+        ({(1, 0, 0): 1, (0, 1, 0): 1}, (3,), "not Weyl symmetric at \\(0, 1, 0\\)"),
+        # the orbit of (2,0,0) alone is V_(2,0,0) - V_(1,1,0)
+        (_orbit((2, 0, 0), (3,)), (3,), "negative multiplicity -1 of \\(1, 1, 0\\)"),
+        # symmetric in the first gl_2 block, not in the second
+        ({(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}, (2, 2), "not Weyl symmetric at \\(1, 0, 1, 0\\)"),
+        (_orbit((2, 0, 1, 0), (2, 2)), (2, 2), "negative multiplicity -1 of \\(1, 1, 1, 0\\)"),
+    ],
+    ids=["gl3-asymmetric", "gl3-negative", "gl2xgl2-asymmetric", "gl2xgl2-negative"],
+)
+def test_forged_weight_dims_beyond_gl2_are_refused(dims, blocks, message):
+    with pytest.raises(ModuleAuditError, match=message):
+        decompose_weight_dims(dims, blocks)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [((1, 0, 0), (1, 0, 0)), ((2, 1, 0), (1, 1, 0)), ((2, 0, 0), (2, 1, 0))],
+)
+def test_gl3_weight_dims_decompose_as_the_highest_weight_count(left, right):
+    # one formula over gl_3: the character of a tensor product of simples
+    # against its exact highest-weight count
+    m = tensor(dcb_module(left), dcb_module(right))
+    dims = {w: len(cols) for w, cols in m.weight_blocks().items()}
+    assert dict(decompose_weight_dims(dims, (3,))) == dict(decompose(m))
 
 
 def test_forged_tower_fails_the_cli_run(monkeypatch, capsys):
