@@ -68,6 +68,10 @@ ARGVS = [
     ["hilbert", "--l", "3", "--n", "7", "--mode", "specialize", "--seed", "14"],
     ["sym-power", "--l", "4", "--n", "4", "--mode", "specialize", "--seed", "15"],
     ["ext-power", "--l", "4", "--n", "4", "--mode", "specialize", "--seed", "16"],
+    # specialized standard and matrix powers, decomposed from their weight
+    # dims over gl_3 and gl_2 x gl_2
+    ["sym-power", "--d", "3", "--n", "4", "--mode", "specialize", "--seed", "17"],
+    ["ext-power", "--d", "2", "--k", "2", "--n", "3", "--mode", "specialize", "--seed", "18"],
 ]
 
 
