@@ -27,17 +27,20 @@ one _power_step, which is one _meet_step.  Only the finish differs.
   Over Q(q) those coordinates would be raw kernel vectors whose
   q-degrees grow.
 
-Every square, over either field, is built by one route (_side_rows): a
-side is the submodule of V ox V generated under the F_i by the
-highest-weight vectors of one side parity, the sum over gl blocks of the
-boxes moved below the first row, taken mod 2 (even for sym, odd for
-ext).  That is classical plethysm for a module that is Sym^a ox det^c on
-each block, as every supported one is: S^2(Sym^a) is the sum of the
-S_(2a-k,k) with k even, and for an outer product over gl_d x gl_k,
-S^2(A ox B) = S^2 A ox S^2 B + Lambda^2 A ox Lambda^2 B.  The braided
-sides sit on the same Clebsch-Gordan summands.  The triple product's
-bullet rows come from the same route, and the triple product is one
-_meet_step.  Over F_P every row is an int row {col: int}, and components
+Every square, over either field and of any module, is built by one
+route (_square_sides), and one function decides which side each summand
+of V ox V lands on (_side_weights).  It reads V's weights alone: a
+dominant weight nu is sym when it is a component of the classical
+character ch S^2 V, the sum of e^(w_i + w_j) over i <= j, and ext when
+it is one of ch Lambda^2 V, the same sum over i < j (plethysm;
+Macdonald, Symmetric Functions, I.8).  The braided sides sit on the same
+summands as the classical ones, since at q = 1 they become S^2 V and
+Lambda^2 V.  A weight that is a component of both is refused: V's
+character cannot tell its highest-weight vectors apart.  A side is then
+the submodule generated under the F_i by the highest-weight vectors at
+its weights (_side_rows).  The triple product's bullet rows come from
+_side_rows too, at the eps-layers of V_a ox V_b, and the triple product
+is one _meet_step.  Over F_P every row is an int row {col: int}, and components
 are read off weight dims (decompose_weight_dims, one character formula
 for every product of gl blocks), never off highest-weight counts.  Over
 Q(q) the highest-weight counts act by E_i on the tensor product of the
@@ -81,7 +84,6 @@ from .uqmod import (
     decompose_weight_dims,
     decompose_weight_rows,
     dim_irrep,
-    dominant,
     highest_weight_vectors,
     pairing,
     simple_gl2,
@@ -163,18 +165,17 @@ def weight_rows_subspace(ambient: int, wrows: dict, modulus=None) -> Subspace:
     return Subspace.from_sparse(ambient, rows, modulus)
 
 
-def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
-    """Rows per weight of the submodule of m generated by its
-    highest-weight vectors nu of side parity `parity`, the sum over gl
-    blocks b of top[start_b] - nu[start_b] mod 2.  Weights are walked in
-    descending lex order, so the rows of each w + alpha_i come before w;
-    the rows of w are their F_i-images plus, at a dominant w of that
-    parity, its highest-weight vectors, echelonized: stripped Laurent
-    rows over Q(q), rows {col: int} mod P over F_P.  Stored on m."""
+def _side_rows(m: WeightModule, tops) -> dict:
+    """Rows per weight of the submodule of m generated under the F_i by
+    its highest-weight vectors at the dominant weights in tops.  Weights
+    are walked in descending lex order, so the rows of each w + alpha_i
+    come before w; the rows of w are their F_i-images plus, at a w in
+    tops, its highest-weight vectors, echelonized: stripped Laurent rows
+    over Q(q), rows {col: int} mod P over F_P.  Stored on m."""
+    tops = frozenset(tops)
 
     def build() -> dict:
         p = m.modulus
-        starts = [sum(m.blocks[:b]) for b in range(len(m.blocks))]
         out: dict[tuple, list] = {}
         for w in sorted(m.weight_blocks(), reverse=True):
             rows = []
@@ -188,7 +189,7 @@ def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
                         for r, e in f.get(c, {}).items():
                             img[r] = img.get(r, 0) + t * e[0]
                     rows.append(img)
-            if dominant(w, m.blocks) and sum(top[s] - w[s] for s in starts) % 2 == parity:
+            if w in tops:
                 rows += highest_weight_vectors(m, w).sparse_rows()
             if p is None:
                 rows = sp_span_echelon(rows)
@@ -199,7 +200,7 @@ def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
                 out[w] = rows
         return out
 
-    return m._stored(("side", top, parity), build)
+    return m._stored(("side", tops), build)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +209,16 @@ def _side_rows(m: WeightModule, top: tuple, parity: int) -> dict:
 
 @dataclass
 class BraidedSquarePair:
-    """sym and ext sides of V ox V, each stable under the quantum group;
-    side parity 0 (sym) or 1 (ext) of square_module = V ox V, whose
-    highest weight is top / 2, generates each (see _side_rows).  A
-    braided square has the classical dims C(d + 1, 2) and C(d, 2), so a
-    wrong side parity cannot pass as a split of V ox V."""
+    """sym and ext sides of V ox V, each stable under the quantum group
+    and generated in square_module = V ox V by the highest-weight vectors
+    at the weights _side_weights(V) assigns it (see _side_rows).  A
+    braided square has the classical dims C(d + 1, 2) and C(d, 2), so
+    sides built from the wrong weights cannot pass as a split of V ox V."""
 
     module: WeightModule
     square_module: WeightModule
     sym: Subspace
     ext: Subspace
-    top: tuple
 
     def __post_init__(self):
         d = self.module.dim
@@ -237,22 +237,47 @@ def square_gl2(l: int) -> BraidedSquarePair:
     return module_square(simple_gl2(l, 0))
 
 
-def _square_sides(V: WeightModule, top: tuple) -> BraidedSquarePair:
-    """Both sides of V ox V for a module whose highest weight is top / 2
-    and which is Sym^a ox det^c on each gl block: its sym side is
-    generated by the highest-weight vectors of side parity 0, its ext
-    side by those of parity 1 (see _side_rows)."""
+def _side_weights(V: WeightModule) -> tuple:
+    """(sym weights, ext weights): the dominant weights of V ox V whose
+    highest-weight vectors lie on each side, the components of the
+    classical characters ch S^2 V, the sum of e^(w_i + w_j) over the
+    weights w_i of V with i <= j, and ch Lambda^2 V, the sum over i < j,
+    read off by decompose_weight_dims.  It reads weights only, so it is
+    the same over Q(q) and F_P.  A weight that is a component of both is
+    a ValueError naming the highest such weight.  Stored on V."""
+
+    def build() -> tuple:
+        chars: tuple[dict, dict] = ({}, {})
+        ws = V.weights
+        for i, wi in enumerate(ws):
+            for j in range(i, len(ws)):
+                nu = tuple(a + b for a, b in zip(wi, ws[j]))
+                for char in chars[: 1 + (j > i)]:
+                    char[nu] = char.get(nu, 0) + 1
+        sym, ext = (frozenset(decompose_weight_dims(c, V.blocks)) for c in chars)
+        if sym & ext:
+            raise ValueError(
+                f"{max(sym & ext)} is a component of both S^2 V and Lambda^2 V, "
+                "so V's character does not decide the side of its summand"
+            )
+        return sym, ext
+
+    return V._stored("side weights", build)
+
+
+def _square_sides(V: WeightModule) -> BraidedSquarePair:
+    """Both sides of V ox V, each generated by the highest-weight vectors
+    at the weights _side_weights(V) gives it (see _side_rows)."""
     tt = tensor(V, V)
     sym, ext = (
-        weight_rows_subspace(V.dim**2, _side_rows(tt, top, parity), V.modulus)
-        for parity in (0, 1)
+        weight_rows_subspace(V.dim**2, _side_rows(tt, tops), V.modulus)
+        for tops in _side_weights(V)
     )
-    return BraidedSquarePair(V, tt, sym, ext, top)
+    return BraidedSquarePair(V, tt, sym, ext)
 
 
 def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
-    _, l1, l2 = _unspecialized_kind(V)
-    return _square_sides(V, (2 * l1, 2 * l2))
+    return _square_sides(V)
 
 
 def square_standard(d: int) -> BraidedSquarePair:
@@ -260,13 +285,8 @@ def square_standard(d: int) -> BraidedSquarePair:
     return module_square(standard_gld(d))
 
 
-def _standard_top(d: int) -> tuple:
-    # the highest weight of the square of the vector representation of gl_d
-    return (2,) + (0,) * (d - 1)
-
-
 def _square_of_standard(V: WeightModule) -> BraidedSquarePair:
-    return _square_sides(V, _standard_top(V.dim))
+    return _square_sides(V)
 
 
 def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
@@ -285,8 +305,8 @@ def _power_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
     return _meet_step(prev, ann_at, V.dim, V)
 
 
-def _side_parity(kind: str) -> int:
-    # the side parity of _side_rows: 0 for sym, 1 for ext
+def _side_index(kind: str) -> int:
+    # 0 for sym, 1 for ext: the kind's place in (sym, ext) pairs
     if kind not in ("sym", "ext"):
         raise ValueError(f"kind must be 'sym' or 'ext', got {kind!r}")
     return ("sym", "ext").index(kind)
@@ -296,7 +316,7 @@ def _levels(V: WeightModule, kind: str, n: int) -> list:
     """[P^0, ..., P^n] of the kind side of V ox V, as _powers yields them.
     One list per (V, kind) is stored on V and extended only as far as
     asked.  A level that fails to build drops the entry."""
-    key = ("powers", _side_parity(kind))
+    key = ("powers", _side_index(kind))
     levels, rest = V._stored(key, lambda: ([], _powers(V, kind)))
     try:
         while len(levels) <= n:
@@ -322,7 +342,7 @@ def _powers(V: WeightModule, kind: str):
     first factor of P^2 renumbered in the level order of P^1."""
     d, p = V.dim, V.modulus
     pair = module_square(V)
-    square = _side_rows(pair.square_module, pair.top, _side_parity(kind))
+    square = _side_rows(pair.square_module, _side_weights(V)[_side_index(kind)])
     unit = (lambda: dict(ONE)) if p is None else (lambda: 1)
     yield {(0,) * len(V.weights[0]): [{0: unit()}]}
     blocks1 = V.weight_blocks()
@@ -620,19 +640,27 @@ def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
     return got
 
 
+def _eps_layers(a: int, b: int, parity: int) -> tuple:
+    # the components (a + b - k, k) of V_a ox V_b with k = parity mod 2,
+    # whose sum is the bullet product V_a .e V_b
+    return tuple((a + b - k, k) for k in range(parity, min(a, b) + 1, 2))
+
+
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
     decomposed by the route of its field (_decompose): at q0 over F_P by
     its character, over Q(q) by its highest-weight vectors."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
-    bullet12 = _side_rows(tensor(v1, v2), (b1 + b2, 0), parity)
+    bullet12 = _side_rows(tensor(v1, v2), _eps_layers(b1, b2, parity))
     t23 = tensor(v2, v3)
     # Ann(bullet23) is a function of t23 and parity; stored on t23
     ann_at = t23._stored(
         ("bullet annihilator", parity),
         lambda: _ann_by_column(
-            _side_rows(t23, (b2 + b3, 0), parity), t23.weight_blocks(), t23.modulus
+            _side_rows(t23, _eps_layers(b2, b3, parity)),
+            t23.weight_blocks(),
+            t23.modulus,
         ),
     )
     return _decompose(v3, (v1, v2, v3), lambda: _meet_step(bullet12, ann_at, v2.dim, v3))
@@ -643,24 +671,16 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
 
 
 def module_square(V: WeightModule) -> BraidedSquarePair:
-    """Braided square of any module with a known construction, built once
-    and stored on V."""
+    """Braided square of V, built once and stored on V.  A ValueError when
+    V's character does not decide the sides (see _side_weights)."""
     return V._stored("square", lambda: _square_of(V))
 
 
-def _unspecialized_kind(V: WeightModule) -> tuple:
-    return V.kind[2] if V.kind[0] == "specialized" else V.kind
-
-
 def _square_of(V: WeightModule) -> BraidedSquarePair:
-    kind = _unspecialized_kind(V)
-    if kind[0] == "simple_gl2":
-        return _square_of_simple(V)
-    if kind[0] == "standard_gld":
-        return _square_of_standard(V)
-    if kind[0] == "outer" and kind[1][0] == kind[2][0] == "standard_gld":
-        return _square_sides(V, _standard_top(kind[1][1]) + _standard_top(kind[2][1]))
-    raise ValueError(f"no braided square construction for module {kind}")
+    # bench/layertrace.py counts squares through the two family names
+    kind = V.kind[2] if V.kind[0] == "specialized" else V.kind
+    route = {"simple_gl2": _square_of_simple, "standard_gld": _square_of_standard}
+    return route.get(kind[0], _square_sides)(V)
 
 
 def flatness_check(V: WeightModule) -> tuple[bool, dict]:
@@ -767,7 +787,7 @@ def hilbert_table(
     Exact mode is guarded to upto <= 4 and l <= 6; the specialize mode
     runs the relative tower over F_P at two sample points (see
     run_mode)."""
-    _side_parity(kind)
+    _side_index(kind)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
     if mode == "exact" and (upto > 4 or l > 6) and not override_guards:

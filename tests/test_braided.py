@@ -264,8 +264,8 @@ def test_degree_two_is_the_side_of_the_square():
     # there only the row count of each weight is compared directly.
     for V in _keyed_modules():
         pair = module_square(V)
-        for parity, kind in enumerate(("sym", "ext")):
-            side = braided._side_rows(pair.square_module, pair.top, parity)
+        for tops, kind in zip(braided._side_weights(V), ("sym", "ext")):
+            side = braided._side_rows(pair.square_module, tops)
             level = power_weight_rows(V, kind, 2)
             if V.modulus is None:
                 assert level == side

@@ -447,8 +447,12 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
         t12, t23 = tensor(v1, v2), tensor(v2, v3)
         t = tensor(t12, v3)
         for parity in (0, 1):
-            b12 = braided._side_rows(t12, (beta[0] + beta[1], 0), parity)
-            b23 = braided._side_rows(t23, (beta[1] + beta[2], 0), parity)
+            # the eps-layers (a + b - k, k), k = parity mod 2, of V_a ox V_b
+            def layers(a, b):
+                return [(a + b - k, k) for k in range(min(a, b) + 1) if k % 2 == parity]
+
+            b12 = braided._side_rows(t12, layers(beta[0], beta[1]))
+            b23 = braided._side_rows(t23, layers(beta[1], beta[2]))
             front = [
                 {c * v3.dim + b: p for c, p in r.items()}
                 for w in sorted(b12)

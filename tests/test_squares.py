@@ -10,12 +10,28 @@ from fractions import Fraction
 
 import pytest
 
-from braidpow.braided import _square_sides, module_square, square_matrix_module
+from braidpow.braided import (
+    BraidedSquarePair,
+    _side_rows,
+    _side_weights,
+    decompose_power,
+    module_square,
+    power_dims,
+    square_matrix_module,
+    weight_rows_subspace,
+)
 from braidpow.errors import TheoremViolation
 from braidpow.gl3canon import dcb_module
 from braidpow.laurent import P, fp, leval_fp
 from braidpow.qarith import Subspace
-from braidpow.uqmod import outer, simple_gl2, specialize_module, standard_gld
+from braidpow.uqmod import (
+    WeightModule,
+    outer,
+    simple_gl2,
+    specialize_module,
+    standard_gld,
+    tensor,
+)
 
 PIN_POINTS = (Fraction(257, 491), Fraction(101, 97))
 
@@ -112,10 +128,26 @@ def _at_point(sub: Subspace, q0) -> Subspace:
     return Subspace.from_sparse(sub.ambient, rows, P)
 
 
-@pytest.mark.parametrize("dk", [(1,), (2,), (3,), (2, 2)])
+@pytest.mark.parametrize(
+    "dk",
+    [
+        (1,),
+        (2,),
+        (3,),
+        (2, 2),
+        pytest.param(dcb_module((2, 0, 0)), id="dcb(2,0,0)"),
+        pytest.param(outer(simple_gl2(1, 0), simple_gl2(2, 0)), id="outer(V1,V2)"),
+    ],
+)
 def test_specialized_squares_are_the_exact_square_at_the_point(dk):
-    # standard_gld(d) for (d,), the d x k matrix module for (d, k)
-    V = outer(*map(standard_gld, dk)) if len(dk) == 2 else standard_gld(*dk)
+    # standard_gld(d) for (d,), the d x k matrix module for (d, k), and
+    # any other module squared as it is
+    if isinstance(dk, WeightModule):
+        V = dk
+    elif len(dk) == 2:
+        V = outer(*map(standard_gld, dk))
+    else:
+        V = standard_gld(*dk)
     exact = module_square(V)
     for q0 in PIN_POINTS:
         pair = module_square(specialize_module(V, q0))
@@ -124,8 +156,51 @@ def test_specialized_squares_are_the_exact_square_at_the_point(dk):
 
 
 def test_a_wrong_side_parity_fails_the_classical_dims():
-    # V_(1,1,0) of gl_3 squares to V_(2,2,0) + V_(2,1,1); read from the
-    # first entry of the top (2,2,0), both components get parity 0, so
-    # the split 9/0 fills V ox V but is not the classical 6/3
-    with pytest.raises(TheoremViolation, match="9/0, classical 6/3"):
-        _square_sides(dcb_module((1, 1, 0)), (2, 2, 0))
+    # V_(1,1,0) of gl_3 squares to V_(2,2,0) (sym) + V_(2,1,1) (ext);
+    # sides generated at the swapped weight sets split 3/6, which fills
+    # V ox V but is not the classical 6/3
+    V = dcb_module((1, 1, 0))
+    tt = tensor(V, V)
+    sym, ext = (
+        weight_rows_subspace(V.dim**2, _side_rows(tt, tops))
+        for tops in reversed(_side_weights(V))
+    )
+    with pytest.raises(TheoremViolation, match="3/6, classical 6/3"):
+        BraidedSquarePair(V, tt, sym, ext)
+
+
+# ---------------------------------------------------------------------------
+# gl_3 simples: the side rule needs no family to supply it
+
+
+def test_gl3_squares_split_classically():
+    for lam, split in (((1, 1, 0), (6, 3)), ((2, 0, 0), (21, 15)), ((2, 2, 0), (21, 15))):
+        pair = module_square(dcb_module(lam))
+        assert (pair.sym.dim, pair.ext.dim) == split
+    assert _side_weights(dcb_module((1, 1, 0))) == ({(2, 2, 0)}, {(2, 1, 1)})
+
+
+@pytest.mark.parametrize("lam", [(2, 0, 0), (2, 2, 0)])
+@pytest.mark.parametrize("q0", [None, *PIN_POINTS])
+def test_gl3_flat_powers_in_both_modes(lam, q0):
+    V = dcb_module(lam)
+    if q0 is not None:
+        V = specialize_module(V, q0)
+    assert power_dims(V, "sym", 3) == [1, 6, 21, 56]
+    assert power_dims(V, "ext", 3) == [1, 6, 15, 20]
+
+
+def test_gl3_sym_cube_of_v300_is_not_flat():
+    # 156 < C(12, 3) = 220: an exact proof that the square is not flat
+    V = dcb_module((3, 0, 0))
+    want = {(9, 0, 0): 1, (7, 2, 0): 1, (5, 2, 2): 1, (4, 4, 1): 1}
+    dec = decompose_power(V, "sym", 3)
+    assert dict(dec) == want and dec.total_dim() == 156
+    for q0 in PIN_POINTS:
+        assert dict(decompose_power(specialize_module(V, q0), "sym", 3)) == want
+
+
+def test_a_summand_on_both_sides_is_refused():
+    # the adjoint of gl_3: (3,2,1) is a component of S^2 V and Lambda^2 V
+    with pytest.raises(ValueError, match=r"\(3, 2, 1\)"):
+        module_square(dcb_module((2, 1, 0)))
