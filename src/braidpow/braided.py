@@ -811,12 +811,7 @@ def koszul_series_probe(l: int, terms: int) -> list[int]:
     Koszulity of the symmetric side."""
     if terms < 1:
         raise ValueError("need at least one term")
-    h = [
-        1,
-        -(l + 1),
-        comb(l + 1, 2),
-        -(l * (l + 2) // 8) if l % 2 == 0 else 0,
-    ]
+    h = [1, -(l + 1), comb(l + 1, 2), -dim_ext_cube(l)]
     out = [1]
     for n in range(1, terms):
         acc = 0
