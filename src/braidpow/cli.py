@@ -51,7 +51,7 @@ from .classical import poisson_closure_dims, valuation_cover_check
 from .convexopt import certify_random_class
 from .errors import GuardError, InfeasibleError, TheoremViolation
 from .gl3canon import dcb_module, degree_recursion_check, genericity_check
-from .qmat import check_qmatrix_relations, howe_dim_check
+from .qmat import _partitions, check_qmatrix_relations, howe_dim_check
 from .uqmod import ModuleAuditError, outer, simple_gl2, standard_gld
 
 
@@ -126,6 +126,54 @@ def _power_guard(args, family):
             )
 
 
+def _pad(lam, size: int) -> tuple:
+    return tuple(lam) + (0,) * (size - len(lam))
+
+
+def _conjugate(lam) -> tuple:
+    return tuple(sum(1 for p in lam if p > i) for i in range(max(lam, default=0)))
+
+
+# The closed forms of the n-th braided power, keyed by (family, kind):
+# each maps the arguments to {verdict name: components}, and a verdict
+# passes when the computed decomposition is exactly those components.
+# Over gl_d the powers of the standard module are S^n = V_(n) and
+# Lambda^n = V_(1^n), zero for n > d.  The d x k matrix module A ox B
+# has S^n = sum of S_lam A ox S_lam B over lam |- n with at most
+# min(d, k) rows (Cauchy) and Lambda^n = sum of S_lam A ox S_lam' B over
+# lam |- n inside the d x k box (dual Cauchy; Macdonald, Symmetric
+# Functions, I.4).  For V_(l,0) the cubes have closed forms, and the
+# exterior powers vanish from degree 4: for l <= 2 the square is flat
+# and dim V <= 3, for l >= 3 it is the theorem ext-four checks.
+_POWER_CLOSED_FORMS = {
+    ("simple", "sym"): lambda a: (
+        {"matches_cube_closed_form": sym_cube_closed(a.l)} if a.n == 3 else {}
+    ),
+    ("simple", "ext"): lambda a: (
+        {"matches_cube_closed_form": ext_cube_closed(a.l)}
+        if a.n == 3
+        else {"exterior_vanishes_from_degree_4": {}} if a.n >= 4 else {}
+    ),
+    ("standard", "sym"): lambda a: {"polynomial_growth": {_pad((a.n,), a.d): 1}},
+    ("standard", "ext"): lambda a: {
+        "matches_exterior_closed_form": {_pad((1,) * a.n, a.d): 1} if a.n <= a.d else {}
+    },
+    ("matrix", "sym"): lambda a: {
+        "matches_cauchy": {
+            _pad(lam, a.d) + _pad(lam, a.k): 1
+            for lam in _partitions(a.n, min(a.d, a.k))
+        }
+    },
+    ("matrix", "ext"): lambda a: {
+        "matches_dual_cauchy": {
+            lam + _pad(_conjugate(lam), a.k): 1
+            for lam in _partitions(a.n, a.d)
+            if lam[0] <= a.k
+        }
+    },
+}
+
+
 def _decompose_power(args, family, kind, q0):
     dec = decompose_power(_build_module(args, family, q0), kind, args.n)
     return dec.total_dim(), dec
@@ -148,16 +196,11 @@ def _cmd_power(args, kind):
         "mode": args.mode,
         "samples": samples,
     }
-    verdicts = {}
+    verdicts = {
+        name: "pass" if dict(dec) == dict(want) else "fail"
+        for name, want in _POWER_CLOSED_FORMS[family, kind](args).items()
+    }
     flags = []
-    if family == "simple" and n == 3:
-        closed = sym_cube_closed(args.l) if kind == "sym" else ext_cube_closed(args.l)
-        verdicts["matches_cube_closed_form"] = (
-            "pass" if dict(dec) == dict(closed) else "fail"
-        )
-    if family == "standard" and kind == "sym":
-        want = comb(args.d + n - 1, n)
-        verdicts["polynomial_growth"] = "pass" if dim == want else "fail"
     if family == "simple" and kind == "sym" and n >= 4:
         flags.append(growth_flag(args.l, n, dim))
     table = (

@@ -2,12 +2,14 @@
 
 import csv
 import json
+from argparse import Namespace
+from math import comb
 
 import pytest
 
 from braidpow import cli
 from braidpow.errors import TheoremViolation
-from braidpow.uqmod import ModuleAuditError
+from braidpow.uqmod import IrrepMultiset, ModuleAuditError
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +240,43 @@ def test_standard_module_powers(capsys):
     assert code == 0
     assert env["payload"]["dim"] == 5
     assert env["verdicts"]["polynomial_growth"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (("ext-power", "--d", "4", "--n", "2"), "matches_exterior_closed_form"),
+        (("ext-power", "--d", "2", "--n", "3"), "matches_exterior_closed_form"),
+        (("sym-power", "--d", "2", "--k", "3", "--n", "4"), "matches_cauchy"),
+        (("ext-power", "--d", "2", "--k", "3", "--n", "4"), "matches_dual_cauchy"),
+        (("ext-power", "--l", "6", "--n", "4"), "exterior_vanishes_from_degree_4"),
+        (("ext-power", "--l", "2", "--n", "5"), "exterior_vanishes_from_degree_4"),
+    ],
+)
+def test_every_power_with_a_closed_form_has_its_verdict(capsys, argv, verdict):
+    code, env, _ = run_cli(capsys, *argv, "--mode", "specialize", "--seed", "3")
+    assert code == 0
+    assert env["verdicts"] == {verdict: "pass"}
+
+
+@pytest.mark.parametrize("d, k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_cauchy_closed_forms_price_the_classical_powers(d, k):
+    # the Cauchy and dual Cauchy components fill dim S^n and Lambda^n of
+    # the d x k matrix module
+    for n in range(6):
+        args = Namespace(d=d, k=k, n=n)
+        for kind, dim in (("sym", comb(d * k + n - 1, n)), ("ext", comb(d * k, n))):
+            (want,) = cli._POWER_CLOSED_FORMS["matrix", kind](args).values()
+            assert IrrepMultiset(want, blocks=(d, k)).total_dim() == dim
+
+
+def test_a_power_off_its_closed_form_fails_its_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "decompose_power", lambda *a: IrrepMultiset({(1, 1, 1, 1): 1}, (2, 2))
+    )
+    code, env, _ = run_cli(capsys, "ext-power", "--d", "2", "--k", "2", "--n", "2")
+    assert code == 2
+    assert env["verdicts"] == {"matches_dual_cauchy": "fail"}
 
 
 def test_matrix_module_square(capsys):
