@@ -247,14 +247,18 @@ def _side_weights(V: WeightModule) -> tuple:
     a ValueError naming the highest such weight.  Stored on V."""
 
     def build() -> tuple:
-        chars: tuple[dict, dict] = ({}, {})
+        ch_sym: dict[tuple, int] = {}
+        ch_ext: dict[tuple, int] = {}
         ws = V.weights
         for i, wi in enumerate(ws):
             for j in range(i, len(ws)):
                 nu = tuple(a + b for a, b in zip(wi, ws[j]))
-                for char in chars[: 1 + (j > i)]:
-                    char[nu] = char.get(nu, 0) + 1
-        sym, ext = (frozenset(decompose_weight_dims(c, V.blocks)) for c in chars)
+                ch_sym[nu] = ch_sym.get(nu, 0) + 1
+                if j > i:
+                    ch_ext[nu] = ch_ext.get(nu, 0) + 1
+        sym, ext = (
+            frozenset(decompose_weight_dims(ch, V.blocks)) for ch in (ch_sym, ch_ext)
+        )
         if sym & ext:
             raise ValueError(
                 f"{max(sym & ext)} is a component of both S^2 V and Lambda^2 V, "
@@ -677,6 +681,7 @@ def module_square(V: WeightModule) -> BraidedSquarePair:
 
 
 def _square_of(V: WeightModule) -> BraidedSquarePair:
+    # every module takes _square_sides; this route exists only because
     # bench/layertrace.py counts squares through the two family names
     kind = V.kind[2] if V.kind[0] == "specialized" else V.kind
     route = {"simple_gl2": _square_of_simple, "standard_gld": _square_of_standard}
