@@ -174,7 +174,8 @@ def test_a_wrong_side_parity_fails_the_classical_dims():
 
 
 def test_gl3_squares_split_classically():
-    for lam, split in (((1, 1, 0), (6, 3)), ((2, 0, 0), (21, 15)), ((2, 2, 0), (21, 15))):
+    splits = {(1, 1, 0): (6, 3), (2, 0, 0): (21, 15), (2, 2, 0): (21, 15)}
+    for lam, split in splits.items():
         pair = module_square(dcb_module(lam))
         assert (pair.sym.dim, pair.ext.dim) == split
     assert _side_weights(dcb_module((1, 1, 0))) == ({(2, 2, 0)}, {(2, 1, 1)})
