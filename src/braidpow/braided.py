@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import comb, prod
 import random
 
-from .errors import GuardError, TheoremViolation
+from .errors import TheoremViolation
 from .laurent import ONE, ladd, lmul, lshift
 from .qarith import (
     Subspace,
@@ -786,21 +786,14 @@ def hilbert_table(
     kind: str = "sym",
     mode: str = "exact",
     seed=None,
-    override_guards: bool = False,
 ) -> HilbertTable:
     """Dimensions of the braided powers of V_(l,0) through degree upto.
-    Exact mode is guarded to upto <= 4 and l <= 6; the specialize mode
-    runs the relative tower over F_P at two sample points (see
-    run_mode)."""
+    The specialize mode runs the relative tower over F_P at two sample
+    points (see run_mode).  Nothing here is guarded: exact mode grows
+    fast past upto 4 or l 6, where the command line refuses it."""
     _side_index(kind)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    if mode == "exact" and (upto > 4 or l > 6) and not override_guards:
-        raise GuardError(
-            "exact mode is guarded to upto <= 4 and l <= 6; "
-            "use --mode specialize or --override-guards "
-            "(mode='specialize' or override_guards=True from Python)"
-        )
     dims, samples = run_mode(
         mode, seed, lambda q0: power_dims(at_point(simple_gl2(l, 0), q0), kind, upto)
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
-from .errors import GuardError, TheoremViolation
+from .errors import TheoremViolation
 
 
 def _addto(acc: dict, key, c) -> None:
@@ -242,17 +242,11 @@ def _jacobian_generators(l: int, kind: str) -> list:
     return [g for g in gens if g]
 
 
-def poisson_closure_dims(l: int, upto: int, kind: str = "sym",
-                         override_guards: bool = False) -> list:
+def poisson_closure_dims(l: int, upto: int, kind: str = "sym") -> list:
     """Graded dimensions, degrees 0..upto, of the quotient by the
     ideal the degree-3 Jacobians generate."""
     if kind not in ("sym", "ext"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "sym" and comb(l + upto, upto) > 10**4 and not override_guards:
-        raise GuardError(
-            f"degree-{upto} component has {comb(l + upto, upto)} monomials; "
-            "pass --override-guards (override_guards=True from Python) to force"
-        )
     gens = _jacobian_generators(l, kind)
     dims = []
     for n in range(upto + 1):

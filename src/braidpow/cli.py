@@ -7,7 +7,8 @@ so runs can be diffed byte for byte.  Exit codes: 0 when every verdict
 passes, 2 when a theorem check fails or the run itself fails (any
 unexpected exception gives the payload {"error": "internal", ...} and
 the verdict run: fail), 1 on usage or guard errors and on a --csv path
-that cannot be written.
+that cannot be written.  Size guards live only here: one table, _GUARDS,
+holds each guarded command's rule, checked before the handler runs.
 
 Commands with a natural dimension or component table export it as CSV
 via --csv PATH.  Specialize mode requires --seed and computes results
@@ -87,10 +88,6 @@ def _plain(obj):
 
 
 def _power_module(args):
-    if (args.l is None) == (args.d is None):
-        raise _UsageError("pass exactly one of --l (gl_2 simple) or --d")
-    if args.d is None and args.k is not None:
-        raise _UsageError("--k needs --d")
     if args.l is not None:
         return "simple", f"simple_gl2({args.l},0)"
     if args.k is not None:
@@ -108,30 +105,33 @@ def _build_module(args, family, q0):
     return at_point(V, q0)
 
 
-def _power_guard(args, family):
-    if args.override_guards:
-        return
-    if family == "simple":
-        if args.n > 4 or args.l > 6:
-            raise GuardError(
-                "exact powers of gl_2 simples are guarded to n <= 4 and "
-                "l <= 6; use --mode specialize or --override-guards"
-            )
-    else:
-        dim = args.d * (args.k if args.k is not None else 1)
-        if dim**args.n > 4096:
-            raise GuardError(
-                f"ambient dimension {dim}**{args.n} exceeds 4096; "
-                "pass --override-guards to force"
-            )
-
-
 def _pad(lam, size: int) -> tuple:
     return tuple(lam) + (0,) * (size - len(lam))
 
 
 def _conjugate(lam) -> tuple:
     return tuple(sum(1 for p in lam if p > i) for i in range(max(lam, default=0)))
+
+
+def _simple_closed_forms(a, kind: str) -> dict:
+    if a.n <= 2:
+        # V_(l,0)^n, or the Clebsch-Gordan layers (2l-m, m) of the square
+        # whose m has the side's parity
+        layers = [(2 * a.l - m, m) for m in range(kind == "ext", a.l + 1, 2)]
+        return {"matches_low_degree_closed_form": dict.fromkeys(
+            [(a.n * a.l, 0)] if a.n < 2 else layers, 1)}
+    if a.n == 3:
+        closed = sym_cube_closed if kind == "sym" else ext_cube_closed
+        return {"matches_cube_closed_form": closed(a.l)}
+    if kind == "ext":
+        return {"exterior_vanishes_from_degree_4": {}}
+    if a.l <= 2:
+        # the flat square makes S^n the classical S^n(V): V_(0,0), V_(n,0)
+        # or the (2n - 2j, 2j) with 2j <= n
+        layers = [(2 * a.n - 2 * j, 2 * j) for j in range(a.n // 2 + 1)]
+        return {"matches_flat_closed_form": dict.fromkeys(
+            [(a.l * a.n, 0)] if a.l < 2 else layers, 1)}
+    return {}
 
 
 # The closed forms of the n-th braided power, keyed by (family, kind):
@@ -142,18 +142,15 @@ def _conjugate(lam) -> tuple:
 # has S^n = sum of S_lam A ox S_lam B over lam |- n with at most
 # min(d, k) rows (Cauchy) and Lambda^n = sum of S_lam A ox S_lam' B over
 # lam |- n inside the d x k box (dual Cauchy; Macdonald, Symmetric
-# Functions, I.4).  For V_(l,0) the cubes have closed forms, and the
-# exterior powers vanish from degree 4: for l <= 2 the square is flat
-# and dim V <= 3, for l >= 3 it is the theorem ext-four checks.
+# Functions, I.4).  For V_(l,0) the powers through the square are
+# classical, the cubes have closed forms, and the exterior powers vanish
+# from degree 4: for l <= 2 the square is flat and dim V <= 3, for l >= 3
+# it is the theorem ext-four checks.  The flat square of l <= 2 also
+# gives every symmetric power; for l >= 3 and n >= 4 only the growth law
+# (a conjecture flag) speaks.
 _POWER_CLOSED_FORMS = {
-    ("simple", "sym"): lambda a: (
-        {"matches_cube_closed_form": sym_cube_closed(a.l)} if a.n == 3 else {}
-    ),
-    ("simple", "ext"): lambda a: (
-        {"matches_cube_closed_form": ext_cube_closed(a.l)}
-        if a.n == 3
-        else {"exterior_vanishes_from_degree_4": {}} if a.n >= 4 else {}
-    ),
+    ("simple", "sym"): lambda a: _simple_closed_forms(a, "sym"),
+    ("simple", "ext"): lambda a: _simple_closed_forms(a, "ext"),
     ("standard", "sym"): lambda a: {"polynomial_growth": {_pad((a.n,), a.d): 1}},
     ("standard", "ext"): lambda a: {
         "matches_exterior_closed_form": {_pad((1,) * a.n, a.d): 1} if a.n <= a.d else {}
@@ -182,8 +179,6 @@ def _decompose_power(args, family, kind, q0):
 def _cmd_power(args, kind):
     family, name = _power_module(args)
     n = args.n
-    if args.mode == "exact":
-        _power_guard(args, family)
     (dim, dec), samples = run_mode(
         args.mode, args.seed, lambda q0: _decompose_power(args, family, kind, q0)
     )
@@ -208,14 +203,6 @@ def _cmd_power(args, kind):
         [[" ".join(str(x) for x in w), m] for w, m in dec.components()],
     )
     return payload, verdicts, flags, table
-
-
-def _cmd_sym_power(args):
-    return _cmd_power(args, "sym")
-
-
-def _cmd_ext_power(args):
-    return _cmd_power(args, "ext")
 
 
 def _cmd_triple_product(args):
@@ -262,14 +249,7 @@ def _cmd_flatness(args):
 
 
 def _cmd_hilbert(args):
-    table_obj = hilbert_table(
-        args.l,
-        args.n,
-        "sym",
-        mode=args.mode,
-        seed=args.seed,
-        override_guards=args.override_guards,
-    )
+    table_obj = hilbert_table(args.l, args.n, "sym", mode=args.mode, seed=args.seed)
     payload = table_obj.as_dict()
     payload["upto"] = args.n
     verdicts = {}
@@ -278,10 +258,7 @@ def _cmd_hilbert(args):
             "pass" if table_obj.dims[3] == dim_sym_cube(args.l) else "fail"
         )
     flags = table_obj.conjecture
-    table = (
-        ["n", "dim"],
-        [[n, d] for n, d in enumerate(table_obj.dims)],
-    )
+    table = (["n", "dim"], [[n, d] for n, d in enumerate(table_obj.dims)])
     return payload, verdicts, flags, table
 
 
@@ -304,8 +281,7 @@ def _cmd_koszul_probe(args):
 
 def _gl3_grid(args):
     if args.lam is not None:
-        lam = _ints(args.lam, 3, "--lam")
-        return [lam]
+        return [_ints(args.lam, 3, "--lam")]
     return [(a, b, 0) for a in range(6) for b in range(a + 1)]
 
 
@@ -334,24 +310,9 @@ def _cmd_gl3(args, check, verdict_name):
     return payload, verdicts, [], table
 
 
-def _cmd_gl3_generic(args):
-    return _cmd_gl3(args, genericity_check, "minors_generic")
-
-
-def _cmd_gl3_degrees(args):
-    return _cmd_gl3(args, degree_recursion_check, "degrees_match")
-
-
 def _cmd_convex_certify(args):
-    if args.m < 1 or args.n < 1:
-        raise _UsageError("--m and --n must be positive")
-    if args.trials < 1:
-        raise _UsageError("--trials must be positive")
     rng = random.Random(args.seed)
-    instances = [
-        certify_random_class(args.m, args.n, rng, args.override_guards)
-        for _ in range(args.trials)
-    ]
+    instances = [certify_random_class(args.m, args.n, rng) for _ in range(args.trials)]
     certified = len(instances)
     payload = {
         "m": args.m,
@@ -380,8 +341,8 @@ def _cmd_convex_certify(args):
 
 def _cmd_poisson_closure(args):
     upto = args.n
-    sym = poisson_closure_dims(args.l, upto, "sym", args.override_guards)
-    ext = poisson_closure_dims(args.l, upto, "ext", args.override_guards)
+    sym = poisson_closure_dims(args.l, upto, "sym")
+    ext = poisson_closure_dims(args.l, upto, "ext")
     formula = [conjectural_sym_dim(args.l, n) for n in range(upto + 1)]
     payload = {
         "l": args.l,
@@ -409,17 +370,19 @@ def _cmd_poisson_closure(args):
 
 def _cmd_ext_four(args):
     l = args.l
-    dims = poisson_closure_dims(l, 4, "ext", args.override_guards)
+    dims = poisson_closure_dims(l, 4, "ext")
     payload = {"l": l, "classical_dims": dims, "braided_dims": None}
     verdicts = {"classical_vanishes": "pass" if dims[4] == 0 else "fail"}
-    if l <= 5 or args.override_guards:
+    # the braided half is the exact ext-power --l l --n 4, under its row
+    braided = argparse.Namespace(l=l, n=4, mode="exact")
+    rule = None if args.override_guards else _GUARDS["ext-power"](braided)
+    if rule is None:
         bdims = power_dims(simple_gl2(l, 0), "ext", 4)
         payload["braided_dims"] = bdims
         verdicts["braided_vanishes"] = "pass" if bdims[4] == 0 else "fail"
-    table = (
-        ["n", "classical_dim"],
-        [[n, d] for n, d in enumerate(dims)],
-    )
+    else:
+        payload["braided_guard"] = _refusal(args, rule)
+    table = (["n", "classical_dim"], [[n, d] for n, d in enumerate(dims)])
     return payload, verdicts, [], table
 
 
@@ -434,7 +397,7 @@ def _cmd_valuation_cover(args):
 
 
 def _cmd_qmatrix_check(args):
-    payload = check_qmatrix_relations(args.d, args.k, args.override_guards)
+    payload = check_qmatrix_relations(args.d, args.k)
     verdicts = {"relations_hold": "pass" if payload["ok"] else "fail"}
     table = (
         ["quantity", "value"],
@@ -478,14 +441,14 @@ def _cmd_audit_all(args):
 
 
 _HANDLERS = {
-    "sym-power": _cmd_sym_power,
-    "ext-power": _cmd_ext_power,
+    "sym-power": lambda args: _cmd_power(args, "sym"),
+    "ext-power": lambda args: _cmd_power(args, "ext"),
     "triple-product": _cmd_triple_product,
     "flatness": _cmd_flatness,
     "hilbert": _cmd_hilbert,
     "koszul-probe": _cmd_koszul_probe,
-    "gl3-generic": _cmd_gl3_generic,
-    "gl3-degrees": _cmd_gl3_degrees,
+    "gl3-generic": lambda args: _cmd_gl3(args, genericity_check, "minors_generic"),
+    "gl3-degrees": lambda args: _cmd_gl3(args, degree_recursion_check, "degrees_match"),
     "convex-certify": _cmd_convex_certify,
     "poisson-closure": _cmd_poisson_closure,
     "ext-four": _cmd_ext_four,
@@ -494,6 +457,61 @@ _HANDLERS = {
     "howe-check": _cmd_howe_check,
     "audit-all": _cmd_audit_all,
 }
+
+
+# ---------------------------------------------------------------------------
+# guards: each row maps a command's parsed args to the text of the size rule
+# they break, or None.  run() consults the row once, after usage validation
+# and before the handler, unless --override-guards is passed.  Commands
+# without that flag have no row, and library calls are not guarded.
+
+
+def _exact_power_rule(args):
+    if args.mode == "specialize":
+        return None
+    if args.l is not None:
+        if args.n > 4 or args.l > 6:
+            return "exact powers of gl_2 simples are guarded to n <= 4 and l <= 6"
+        return None
+    dim = args.d * (args.k or 1)
+    # 2**13 already exceeds 4096, so capping the exponent keeps every
+    # verdict and keeps a huge --n instant
+    if dim ** min(args.n, 13) > 4096:
+        return f"ambient dimension {dim}**{args.n} exceeds 4096"
+    return None
+
+
+def _closure_rule(args):
+    # C(l+n, n) grows in l and in n and passes 10**4 once either does (for
+    # the other nonzero), so capping both at 10**4 keeps every verdict
+    l, n = min(args.l, 10**4), min(args.n, 10**4)
+    if comb(l + n, n) > 10**4:
+        return (
+            f"the degree-{args.n} closure component has C({args.l}+{args.n}, "
+            f"{args.n}) > 10**4 monomials"
+        )
+    return None
+
+
+_GUARDS = {
+    "sym-power": _exact_power_rule,
+    "ext-power": _exact_power_rule,
+    "hilbert": _exact_power_rule,
+    "poisson-closure": _closure_rule,
+    "convex-certify": lambda a: (
+        "exhaustion is guarded to m <= 6 and n <= 5" if a.m > 6 or a.n > 5 else None
+    ),
+    "qmatrix-check": lambda a: (
+        f"the {a.d} x {a.k} grid has {a.d * a.k} generators, more than 16"
+        if a.d * a.k > 16
+        else None
+    ),
+}
+
+
+def _refusal(args, rule: str) -> str:
+    via = "--mode specialize or " if hasattr(args, "mode") else ""
+    return f"{rule}; use {via}--override-guards"
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +613,17 @@ def run(argv=None) -> int:
             raise _UsageError("--l must be nonnegative")
         if getattr(args, "n", None) is not None and args.n < 0:
             raise _UsageError("--n must be nonnegative")
-        for flag in ("d", "k"):
+        for flag in ("d", "k", "m", "trials"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise _UsageError(f"--{flag} must be positive")
+        if args.command == "convex-certify" and args.n < 1:
+            raise _UsageError("--n must be positive")
+        if args.command in ("sym-power", "ext-power"):
+            if (args.l is None) == (args.d is None):
+                raise _UsageError("pass exactly one of --l (gl_2 simple) or --d")
+            if args.d is None and args.k is not None:
+                raise _UsageError("--k needs --d")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -606,6 +631,10 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     flags: list = []
     try:
+        guard = _GUARDS.get(args.command)
+        rule = guard(args) if guard and not args.override_guards else None
+        if rule is not None:
+            raise GuardError(_refusal(args, rule))
         payload, verdicts, found, table = _HANDLERS[args.command](args)
         if table is not None and args.csv:
             _write_csv(args.csv, table)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 import random
 
-from .errors import GuardError, InfeasibleError, TheoremViolation
+from .errors import InfeasibleError, TheoremViolation
 
 
 def check_reversed_partition(lam, n: int) -> tuple:
@@ -185,20 +185,14 @@ def kappa_star(lam, kminus, kplus) -> tuple:
     return kappa
 
 
-def feasible_class(lam, kminus, kplus, override_guards: bool = False) -> list:
+def feasible_class(lam, kminus, kplus) -> list:
     """Every kappa with the given multiplicities, by exhaustion."""
     n = len(kminus)
     lam = check_reversed_partition(lam, n)
-    m = len(lam)
-    if (m > 6 or n > 5) and not override_guards:
-        raise GuardError(
-            "exhaustion is guarded to m <= 6 and n <= 5; "
-            "pass --override-guards (override_guards=True from Python) to force"
-        )
     want = (tuple(kminus), tuple(kplus))
     return [
         kappa
-        for kappa in product(range(1, n + 1), repeat=m)
+        for kappa in product(range(1, n + 1), repeat=len(lam))
         if multiplicities(lam, kappa, n) == want
     ]
 
@@ -209,14 +203,13 @@ def certify_max(
     kplus,
     trials: int = 3,
     seed=None,
-    override_guards: bool = False,
 ) -> dict:
     """Exhaustively confirm, for one feasibility class: a unique
     inversion-free member, equal to kappa_star, strictly maximal for
     random lam-convex matrices."""
     n = len(kminus)
     lam = check_reversed_partition(lam, n)
-    feas = feasible_class(lam, kminus, kplus, override_guards)
+    feas = feasible_class(lam, kminus, kplus)
     if not feas:
         raise InfeasibleError(
             f"no map realizes K- = {tuple(kminus)}, K+ = {tuple(kplus)} "
@@ -262,9 +255,7 @@ def random_feasibility_class(lam, n: int, rng: random.Random):
     return multiplicities(lam, kappa, n)
 
 
-def certify_random_class(
-    m: int, n: int, rng: random.Random, override_guards: bool = False
-) -> dict:
+def certify_random_class(m: int, n: int, rng: random.Random) -> dict:
     """certify_max on one random instance.  From rng, in this order: a
     staircase of m values in [0, n], the class of a random map over it,
     and certify_max's seed.  Returns the instance with its extremal map
@@ -277,7 +268,6 @@ def certify_random_class(
         kp,
         trials=2,
         seed=rng.randrange(2**30),
-        override_guards=override_guards,
     )
     return {
         "lam": list(lam),

@@ -2,8 +2,9 @@
 
 
 class GuardError(ValueError):
-    """A size or mode guard was hit; pass override_guards to proceed anyway
-    where the API allows it."""
+    """A command's size guard refused its arguments before any work
+    started (one row of cli._GUARDS; --override-guards skips it).
+    Library calls are not guarded and never raise it."""
 
 
 class TheoremViolation(AssertionError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import GuardError, TheoremViolation
+from .errors import TheoremViolation
 from .laurent import ONE, ladd, lmul, lneg, lq, lshift, lsub
 from .uqmod import dim_irrep
 
@@ -167,15 +167,9 @@ def matrix_generator(d: int, k: int, i: int, j: int) -> dict:
     return {tuple(row if s == j else unit for s in range(k)): dict(ONE)}
 
 
-def check_qmatrix_relations(d: int, k: int,
-                            override_guards: bool = False) -> dict:
+def check_qmatrix_relations(d: int, k: int) -> dict:
     """Every row pair and column pair of entry generators satisfies the
     quantum 2 x 2 matrix relations inside the braided power."""
-    if d * k > 16 and not override_guards:
-        raise GuardError(
-            f"{d} x {k} grid has {d * k} generators; "
-            "pass --override-guards (override_guards=True from Python) to force"
-        )
     g = [[matrix_generator(d, k, i, j) for j in range(k)] for i in range(d)]
     mm = lambda u, v: mat_mul(d, u, v)
     q = lq(1)

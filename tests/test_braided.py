@@ -29,7 +29,6 @@ from braidpow.braided import (
     triple_product,
 )
 from braidpow import braided
-from braidpow.errors import GuardError
 from braidpow.laurent import ONE
 from braidpow.qarith import Subspace, sp_apply
 from braidpow.uqmod import outer, simple_gl2, specialize_module, standard_gld, tensor
@@ -213,11 +212,8 @@ def test_hilbert_table_exact():
     ]
 
 
-def test_hilbert_table_guard_and_specialize():
-    with pytest.raises(GuardError):
-        hilbert_table(7, 3)
-    with pytest.raises(GuardError):
-        hilbert_table(2, 5)
+def test_hilbert_table_specialize():
+    # the exact-mode size guard lives in the command line (test_cli)
     table = hilbert_table(3, 3, mode="specialize", seed=11)
     assert table.dims == [1, 4, 10, 16]
     assert len(table.samples) == 2

@@ -24,7 +24,6 @@ from braidpow.classical import (
     valuation_cover_check,
     wedge,
 )
-from braidpow.errors import GuardError
 
 
 def neg(x):
@@ -153,11 +152,6 @@ def test_delta_vanishes_only_at_middle_weight():
         for i in range(1, l + 1):
             for k in range(i + 2, l + 1):
                 assert (delta_coefficient(l, i, k) == 0) == (2 * i == l)
-
-
-def test_closure_guard():
-    with pytest.raises(GuardError):
-        poisson_closure_dims(20, 10)
 
 
 def test_symmetric_product_commutes():

@@ -1,11 +1,15 @@
 """Envelope shape, worked examples, exit codes, determinism, CSV."""
 
 import csv
+import io
 import json
 from argparse import Namespace
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidpow import cli
 from braidpow.errors import TheoremViolation
@@ -124,13 +128,172 @@ def test_guard_errors_exit_one_with_envelope(capsys):
     ids=lambda argv: argv[0],
 )
 def test_guard_messages_name_the_cli_flag(capsys, argv):
-    # each is refused before any work starts; the message names the flag
-    # a CLI user passes, and the Python keyword beside it
+    # each is refused before any work starts; the message names the flags
+    # a CLI user passes, --mode specialize only where the command has it
     code, env, _ = run_cli(capsys, *argv)
     assert code == 1
     assert env["payload"]["error"] == "GuardError"
-    assert "--override-guards" in env["payload"]["message"]
-    assert "override_guards=True from Python" in env["payload"]["message"]
+    via = "--mode specialize or " if argv[0] == "hilbert" else ""
+    assert env["payload"]["message"].endswith(f"; use {via}--override-guards")
+    assert "override_guards" not in env["payload"]["message"]
+
+
+# The last admitted and the first refused argv of every guard row.
+GUARD_REFUSED = [
+    ("sym-power", "--l", "7", "--n", "1"),
+    ("sym-power", "--l", "0", "--n", "5"),
+    ("ext-power", "--l", "7", "--n", "1"),
+    ("sym-power", "--d", "4", "--n", "7"),
+    ("sym-power", "--d", "2", "--k", "3", "--n", "5"),
+    ("ext-power", "--d", "2", "--k", "3", "--n", "5"),
+    ("hilbert", "--l", "7", "--n", "0"),
+    ("hilbert", "--l", "0", "--n", "5"),
+    ("poisson-closure", "--l", "20", "--n", "4"),
+    ("convex-certify", "--m", "7", "--n", "5"),
+    ("convex-certify", "--m", "6", "--n", "6"),
+    ("qmatrix-check", "--d", "3", "--k", "6"),
+]
+GUARD_ADMITTED = [
+    ("sym-power", "--l", "6", "--n", "4"),
+    ("ext-power", "--l", "6", "--n", "4"),
+    ("sym-power", "--d", "4", "--n", "6"),
+    ("sym-power", "--d", "2", "--k", "2", "--n", "6"),
+    ("ext-power", "--d", "4", "--k", "1", "--n", "6"),
+    ("hilbert", "--l", "6", "--n", "4"),
+    ("poisson-closure", "--l", "19", "--n", "4"),
+    ("convex-certify", "--m", "6", "--n", "5"),
+    ("qmatrix-check", "--d", "4", "--k", "4"),
+    # specialize mode is not guarded
+    ("sym-power", "--l", "40", "--n", "9", "--mode", "specialize", "--seed", "1"),
+    ("ext-power", "--d", "9", "--k", "9", "--n", "9", "--mode", "specialize", "--seed", "1"),
+    ("hilbert", "--l", "40", "--n", "40", "--mode", "specialize", "--seed", "1"),
+]
+
+
+def _stub_handlers(monkeypatch) -> list:
+    # every handler records its command and computes nothing
+    calls = []
+    for name in cli._HANDLERS:
+        monkeypatch.setitem(
+            cli._HANDLERS, name, lambda args: calls.append(args.command) or ({}, {}, [], None)
+        )
+    return calls
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, json.loads(out.getvalue()) if out.getvalue().strip() else None
+
+
+@pytest.mark.parametrize("argv", GUARD_REFUSED, ids=" ".join)
+def test_guard_rows_refuse_before_the_handler(monkeypatch, argv):
+    calls = _stub_handlers(monkeypatch)
+    code, env = _run_quiet(argv)
+    assert code == 1
+    assert env["payload"]["error"] == "GuardError"
+    assert env["verdicts"] == {}
+    assert calls == []
+    # --override-guards skips the row and reaches the handler
+    assert _run_quiet([*argv, "--override-guards"])[0] == 0
+    assert calls == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", GUARD_ADMITTED, ids=" ".join)
+def test_guard_rows_admit_up_to_their_bound(monkeypatch, argv):
+    calls = _stub_handlers(monkeypatch)
+    code, env = _run_quiet(argv)
+    assert code == 0
+    assert env["payload"] == {}
+    assert calls == [argv[0]]
+
+
+_UPTO = 10**6
+_PAST_A_BOUNDARY = st.one_of(
+    # exact gl_2 simple powers: l <= 6 and n <= 4
+    st.tuples(
+        st.sampled_from(["sym-power", "ext-power", "hilbert"]),
+        st.one_of(
+            st.tuples(st.integers(7, _UPTO), st.integers(0, _UPTO)),
+            st.tuples(st.integers(0, _UPTO), st.integers(5, _UPTO)),
+        ),
+    ).map(lambda t: (t[0], "--l", str(t[1][0]), "--n", str(t[1][1]))),
+    # exact standard and matrix powers: (d k)**n <= 4096
+    st.tuples(
+        st.sampled_from(["sym-power", "ext-power"]),
+        st.integers(1, _UPTO),
+        st.integers(1, _UPTO),
+        st.integers(0, _UPTO),
+    )
+    .filter(lambda t: (t[1] * t[2]) ** t[3] > 4096 if t[3] < 13 else t[1] * t[2] > 1)
+    .map(lambda t: (t[0], "--d", str(t[1]), "--k", str(t[2]), "--n", str(t[3]))),
+    # poisson-closure: C(l+n, n) <= 10**4, which grows in l and in n and
+    # exceeds the bound from (20, 4), (4, 20), (10**4, 1) and (1, 10**4) on
+    st.sampled_from([(20, 4), (4, 20), (10**4, 1), (1, 10**4)])
+    .flatmap(lambda lo: st.tuples(st.integers(lo[0], _UPTO), st.integers(lo[1], _UPTO)))
+    .map(lambda t: ("poisson-closure", "--l", str(t[0]), "--n", str(t[1]))),
+    # convex-certify: m <= 6 and n <= 5
+    st.one_of(
+        st.tuples(st.integers(7, _UPTO), st.integers(1, _UPTO)),
+        st.tuples(st.integers(1, _UPTO), st.integers(6, _UPTO)),
+    ).map(lambda t: ("convex-certify", "--m", str(t[0]), "--n", str(t[1]))),
+    # qmatrix-check: d k <= 16
+    st.integers(1, _UPTO)
+    .flatmap(lambda d: st.tuples(st.just(d), st.integers(16 // d + 1, _UPTO)))
+    .map(lambda t: ("qmatrix-check", "--d", str(t[0]), "--k", str(t[1]))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAST_A_BOUNDARY)
+def test_sizes_past_a_boundary_are_refused_up_front(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _stub_handlers(mp)
+        code, env = _run_quiet(argv)
+    assert code == 1
+    assert env["payload"]["error"] == "GuardError"
+    assert calls == []
+
+
+def test_usage_errors_beat_guards(monkeypatch):
+    calls = _stub_handlers(monkeypatch)
+    for argv in (
+        ("sym-power", "--l", "7", "--d", "2", "--n", "3"),
+        ("sym-power", "--k", "9", "--n", "9"),
+        ("convex-certify", "--m", "0", "--n", "7"),
+        ("convex-certify", "--m", "9", "--n", "0"),
+        ("convex-certify", "--m", "9", "--n", "9", "--trials", "0"),
+        ("qmatrix-check", "--d", "0", "--k", "99"),
+    ):
+        code, env = _run_quiet(argv)
+        assert code == 1 and env is None, argv
+    assert calls == []
+
+
+def test_ext_four_says_why_its_braided_half_is_missing(capsys, monkeypatch):
+    computed = []
+
+    def fake_power_dims(V, kind, n):
+        computed.append((kind, n))
+        return [1, 0, 0, 0, 0]
+
+    monkeypatch.setattr(cli, "power_dims", fake_power_dims)
+    code, env, _ = run_cli(capsys, "ext-four", "--l", "7")
+    assert code == 0
+    assert env["payload"]["braided_dims"] is None
+    assert env["payload"]["braided_guard"] == (
+        "exact powers of gl_2 simples are guarded to n <= 4 and l <= 6; "
+        "use --override-guards"
+    )
+    assert "braided_vanishes" not in env["verdicts"]
+    assert computed == []
+    for argv in (("ext-four", "--l", "6"), ("ext-four", "--l", "7", "--override-guards")):
+        code, env, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "braided_guard" not in env["payload"]
+        assert env["verdicts"]["braided_vanishes"] == "pass"
+    assert len(computed) == 2
 
 
 @pytest.mark.parametrize(
