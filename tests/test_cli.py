@@ -110,66 +110,6 @@ def test_usage_errors_exit_one(capsys):
         assert err
 
 
-def test_guard_errors_exit_one_with_envelope(capsys):
-    code, env, _ = run_cli(capsys, "hilbert", "--l", "3", "--n", "6")
-    assert code == 1
-    assert env["payload"]["error"] == "GuardError"
-    assert env["verdicts"] == {}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("hilbert", "--l", "3", "--n", "6"),
-        ("convex-certify", "--m", "7", "--n", "3"),
-        ("poisson-closure", "--l", "20", "--n", "6"),
-        ("qmatrix-check", "--d", "5", "--k", "4"),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_guard_messages_name_the_cli_flag(capsys, argv):
-    # each is refused before any work starts; the message names the flags
-    # a CLI user passes, --mode specialize only where the command has it
-    code, env, _ = run_cli(capsys, *argv)
-    assert code == 1
-    assert env["payload"]["error"] == "GuardError"
-    via = "--mode specialize or " if argv[0] == "hilbert" else ""
-    assert env["payload"]["message"].endswith(f"; use {via}--override-guards")
-    assert "override_guards" not in env["payload"]["message"]
-
-
-# The last admitted and the first refused argv of every guard row.
-GUARD_REFUSED = [
-    ("sym-power", "--l", "7", "--n", "1"),
-    ("sym-power", "--l", "0", "--n", "5"),
-    ("ext-power", "--l", "7", "--n", "1"),
-    ("sym-power", "--d", "4", "--n", "7"),
-    ("sym-power", "--d", "2", "--k", "3", "--n", "5"),
-    ("ext-power", "--d", "2", "--k", "3", "--n", "5"),
-    ("hilbert", "--l", "7", "--n", "0"),
-    ("hilbert", "--l", "0", "--n", "5"),
-    ("poisson-closure", "--l", "20", "--n", "4"),
-    ("convex-certify", "--m", "7", "--n", "5"),
-    ("convex-certify", "--m", "6", "--n", "6"),
-    ("qmatrix-check", "--d", "3", "--k", "6"),
-]
-GUARD_ADMITTED = [
-    ("sym-power", "--l", "6", "--n", "4"),
-    ("ext-power", "--l", "6", "--n", "4"),
-    ("sym-power", "--d", "4", "--n", "6"),
-    ("sym-power", "--d", "2", "--k", "2", "--n", "6"),
-    ("ext-power", "--d", "4", "--k", "1", "--n", "6"),
-    ("hilbert", "--l", "6", "--n", "4"),
-    ("poisson-closure", "--l", "19", "--n", "4"),
-    ("convex-certify", "--m", "6", "--n", "5"),
-    ("qmatrix-check", "--d", "4", "--k", "4"),
-    # specialize mode is not guarded
-    ("sym-power", "--l", "40", "--n", "9", "--mode", "specialize", "--seed", "1"),
-    ("ext-power", "--d", "9", "--k", "9", "--n", "9", "--mode", "specialize", "--seed", "1"),
-    ("hilbert", "--l", "40", "--n", "40", "--mode", "specialize", "--seed", "1"),
-]
-
-
 def _stub_handlers(monkeypatch) -> list:
     # every handler records its command and computes nothing
     calls = []
@@ -185,6 +125,72 @@ def _run_quiet(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.run(list(argv))
     return code, json.loads(out.getvalue()) if out.getvalue().strip() else None
+
+
+def test_guard_errors_exit_one_with_envelope(capsys, monkeypatch):
+    calls = _stub_handlers(monkeypatch)
+    code, env, _ = run_cli(capsys, "hilbert", "--l", "3", "--n", "6")
+    assert code == 1
+    assert env["payload"]["error"] == "GuardError"
+    assert env["verdicts"] == {}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "--l", "3", "--n", "6"),
+        ("convex-certify", "--m", "7", "--n", "3"),
+        ("poisson-closure", "--l", "20", "--n", "6"),
+        ("qmatrix-check", "--d", "5", "--k", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_guard_messages_name_the_cli_flag(capsys, monkeypatch, argv):
+    # each is refused before any work starts; the message names the flags
+    # a CLI user passes, --mode specialize only where the command has it
+    calls = _stub_handlers(monkeypatch)
+    code, env, _ = run_cli(capsys, *argv)
+    assert calls == []
+    assert code == 1
+    assert env["payload"]["error"] == "GuardError"
+    via = "--mode specialize or " if argv[0] == "hilbert" else ""
+    assert env["payload"]["message"].endswith(f"; use {via}--override-guards")
+    assert "override_guards" not in env["payload"]["message"]
+
+
+# The last admitted and the first refused argv of every guard row.
+GUARD_REFUSED = [
+    ("sym-power", "--l", "7", "--n", "1"),
+    ("sym-power", "--l", "0", "--n", "5"),
+    ("ext-power", "--l", "7", "--n", "1"),
+    ("sym-power", "--d", "4", "--n", "7"),
+    ("sym-power", "--d", "2", "--n", "13"),
+    ("sym-power", "--d", "2", "--k", "3", "--n", "5"),
+    ("ext-power", "--d", "2", "--k", "3", "--n", "5"),
+    ("hilbert", "--l", "7", "--n", "0"),
+    ("hilbert", "--l", "0", "--n", "5"),
+    ("poisson-closure", "--l", "20", "--n", "4"),
+    ("convex-certify", "--m", "7", "--n", "5"),
+    ("convex-certify", "--m", "6", "--n", "6"),
+    ("qmatrix-check", "--d", "3", "--k", "6"),
+]
+GUARD_ADMITTED = [
+    ("sym-power", "--l", "6", "--n", "4"),
+    ("ext-power", "--l", "6", "--n", "4"),
+    ("sym-power", "--d", "4", "--n", "6"),
+    ("sym-power", "--d", "2", "--n", "12"),
+    ("sym-power", "--d", "2", "--k", "2", "--n", "6"),
+    ("ext-power", "--d", "4", "--k", "1", "--n", "6"),
+    ("hilbert", "--l", "6", "--n", "4"),
+    ("poisson-closure", "--l", "19", "--n", "4"),
+    ("convex-certify", "--m", "6", "--n", "5"),
+    ("qmatrix-check", "--d", "4", "--k", "4"),
+    # specialize mode is not guarded
+    ("sym-power", "--l", "40", "--n", "9", "--mode", "specialize", "--seed", "1"),
+    ("ext-power", "--d", "9", "--k", "9", "--n", "9", "--mode", "specialize", "--seed", "1"),
+    ("hilbert", "--l", "40", "--n", "40", "--mode", "specialize", "--seed", "1"),
+]
 
 
 @pytest.mark.parametrize("argv", GUARD_REFUSED, ids=" ".join)
@@ -414,6 +420,13 @@ def test_standard_module_powers(capsys):
         (("ext-power", "--d", "2", "--k", "3", "--n", "4"), "matches_dual_cauchy"),
         (("ext-power", "--l", "6", "--n", "4"), "exterior_vanishes_from_degree_4"),
         (("ext-power", "--l", "2", "--n", "5"), "exterior_vanishes_from_degree_4"),
+        (("ext-power", "--l", "4", "--n", "2"), "matches_low_degree_closed_form"),
+        (("sym-power", "--l", "5", "--n", "2"), "matches_low_degree_closed_form"),
+        (("ext-power", "--l", "5", "--n", "1"), "matches_low_degree_closed_form"),
+        (("sym-power", "--l", "3", "--n", "0"), "matches_low_degree_closed_form"),
+        (("sym-power", "--l", "0", "--n", "4"), "matches_flat_closed_form"),
+        (("sym-power", "--l", "1", "--n", "5"), "matches_flat_closed_form"),
+        (("sym-power", "--l", "2", "--n", "7"), "matches_flat_closed_form"),
     ],
 )
 def test_every_power_with_a_closed_form_has_its_verdict(capsys, argv, verdict):
