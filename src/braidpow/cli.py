@@ -281,7 +281,8 @@ def _cmd_koszul_probe(args):
 
 def _gl3_grid(args):
     if args.lam is not None:
-        return [_ints(args.lam, 3, "--lam")]
+        lam = _ints(args.lam, 3, "--lam")
+        return [lam]
     return [(a, b, 0) for a in range(6) for b in range(a + 1)]
 
 
@@ -486,10 +487,7 @@ def _closure_rule(args):
     # the other nonzero), so capping both at 10**4 keeps every verdict
     l, n = min(args.l, 10**4), min(args.n, 10**4)
     if comb(l + n, n) > 10**4:
-        return (
-            f"the degree-{args.n} closure component has C({args.l}+{args.n}, "
-            f"{args.n}) > 10**4 monomials"
-        )
+        return f"degree-{args.n} closure has C({args.l}+{args.n}, {args.n}) > 10**4 monomials"
     return None
 
 
