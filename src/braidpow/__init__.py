@@ -13,8 +13,11 @@ from .braided import (
     BraidedSquarePair,
     admissible_triples,
     braided_power,
+    closed_form_verdicts,
+    closed_forms,
     conjectural_sym_dim,
     decompose_power,
+    decompose_triple,
     dim_ext_cube,
     dim_sym_cube,
     ext_cube_closed,
@@ -85,10 +88,13 @@ __all__ = [
     "bracket_sym",
     "certify_max",
     "check_qmatrix_relations",
+    "closed_form_verdicts",
+    "closed_forms",
     "conjectural_sym_dim",
     "dcb_module",
     "decompose",
     "decompose_power",
+    "decompose_triple",
     "degree_recursion_check",
     "dim_ext_cube",
     "dim_irrep",

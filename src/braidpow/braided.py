@@ -69,6 +69,7 @@ import random
 
 from .errors import TheoremViolation
 from .laurent import ONE, ladd, lmul, lshift
+from .qmat import _partitions
 from .qarith import (
     Subspace,
     fp_kernel,
@@ -543,7 +544,97 @@ def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
 
 
 # ---------------------------------------------------------------------------
-# gl_2 cubes: closed forms and certified computations
+# closed forms and certified computations
+
+
+def _pad(lam, size: int) -> tuple:
+    return tuple(lam) + (0,) * (size - len(lam))
+
+
+def _simple_closed_forms(l: int, kind: str, n: int) -> dict:
+    if n <= 2:
+        # V_(l,0)^n, or the Clebsch-Gordan layers (2l-m, m) of the square
+        # whose m has the side's parity
+        layers = [(2 * l - m, m) for m in range(kind == "ext", l + 1, 2)]
+        return {"matches_low_degree_closed_form": [(n * l, 0)] if n < 2 else layers}
+    if n == 3:
+        closed = sym_cube_closed if kind == "sym" else ext_cube_closed
+        return {"matches_cube_closed_form": list(closed(l))}
+    if kind == "ext":
+        return {"exterior_vanishes_from_degree_4": []}
+    if l <= 2:
+        # the flat square makes S^n the classical S^n(V): V_(0,0), V_(n,0)
+        # or the (2n - 2j, 2j) with 2j <= n
+        layers = [(2 * n - 2 * j, 2 * j) for j in range(n // 2 + 1)]
+        return {"matches_flat_closed_form": [(l * n, 0)] if l < 2 else layers}
+    return {}
+
+
+def closed_forms(V: WeightModule, kind: str, n: int) -> dict:
+    """{verdict name: IrrepMultiset}: the closed forms of the n-th braided
+    power of the kind side of V, read off V's family, so a specialized
+    module has its exact module's forms.  Over gl_d the standard module
+    has S^n = V_(n) and Lambda^n = V_(1^n), zero for n > d.  The d x k
+    matrix module A ox B has S^n = sum of S_lam A ox S_lam B over lam |- n
+    with at most min(d, k) rows (Cauchy) and Lambda^n = sum of
+    S_lam A ox S_lam' B over lam |- n in the d x k box (dual Cauchy;
+    Macdonald, Symmetric Functions, I.4).  For V_(l,0) the powers through
+    the square are classical, the cubes have closed forms, Lambda^n = 0
+    from n = 4 (for l >= 3 the theorem ext-four checks), and for l <= 2
+    the flat square gives every S^n.  Else {}: S^n V_(l,0) for l >= 3 and
+    n >= 4 (only the growth law, a conjecture flag, speaks), V_(l1,l2)
+    with l2 != 0, gl_3 simples, tensor products, and outer products other
+    than of two standard modules."""
+    _side_index(kind)
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    family = _exact_kind(V)
+    forms = {}
+    if family[0] == "simple_gl2" and family[2] == 0:
+        forms = _simple_closed_forms(family[1], kind, n)
+    elif family[0] == "standard_gld":
+        d = family[1]
+        if kind == "sym":
+            forms = {"polynomial_growth": [_pad((n,), d)]}
+        else:
+            top = [_pad((1,) * n, d)] if n <= d else []
+            forms = {"matches_exterior_closed_form": top}
+    elif family[0] == "outer" and family[1][0] == family[2][0] == "standard_gld":
+        d, k = family[1][1], family[2][1]
+        if kind == "sym":
+            lams = [_pad(lam, d) + _pad(lam, k) for lam in _partitions(n, min(d, k))]
+            forms = {"matches_cauchy": lams}
+        else:
+            # lam + its conjugate lam', whose i-th part counts the parts > i
+            lams = [
+                lam + _pad([sum(p > i for p in lam) for i in range(lam[0])], k)
+                for lam in _partitions(n, d)
+                if lam[0] <= k
+            ]
+            forms = {"matches_dual_cauchy": lams}
+    # every form here is multiplicity free, a list of its components
+    return {name: IrrepMultiset(dict.fromkeys(f, 1), V.blocks) for name, f in forms.items()}
+
+
+def closed_form_verdicts(dec: IrrepMultiset, forms: dict) -> dict:
+    """{verdict name: "pass" or "fail"} of a decomposition against closed
+    forms as closed_forms gives them: a form passes when dec is exactly
+    its components.  Every comparison of a decomposition with a closed
+    form is this one."""
+    return {
+        name: "pass" if dict(dec) == dict(want) else "fail" for name, want in forms.items()
+    }
+
+
+def _certify(dec: IrrepMultiset, forms: dict, what: str) -> IrrepMultiset:
+    # dec, or a TheoremViolation naming the first form it misses
+    for name, verdict in closed_form_verdicts(dec, forms).items():
+        if verdict == "fail":
+            raise TheoremViolation(
+                f"{what} decomposes as {dec.sorted_items()}, "
+                f"{name} says {forms[name].sorted_items()}"
+            )
+    return dec
 
 
 def sym_cube_closed(l: int) -> IrrepMultiset:
@@ -572,14 +663,9 @@ def dim_ext_cube(l: int) -> int:
 
 
 def _certified_cube(l: int, side: str) -> IrrepMultiset:
-    got = decompose_power(simple_gl2(l, 0), side, 3)
-    want = sym_cube_closed(l) if side == "sym" else ext_cube_closed(l)
-    if dict(got) != dict(want):
-        raise TheoremViolation(
-            f"{side} cube of V_{l} decomposes as {got.sorted_items()}, "
-            f"closed form says {want.sorted_items()}"
-        )
-    return got
+    V = simple_gl2(l, 0)
+    dec = decompose_power(V, side, 3)
+    return _certify(dec, closed_forms(V, side, 3), f"{side} cube of V_({l},0)")
 
 
 def sym_cube_decomposition(l: int) -> IrrepMultiset:
@@ -627,21 +713,27 @@ def admissible_triples(beta, eps) -> IrrepMultiset:
     return out
 
 
-def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
+def triple_closed_forms(beta, eps) -> dict:
+    # the eps-triple product's closed form, keyed as closed_forms keys a power's
+    return {"matches_admissibility": admissible_triples(beta, eps)}
+
+
+def decompose_triple(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
     """Decomposition of V_b1 .e V_b2 .e V_b3 inside the triple tensor
-    product, certified against the admissibility closed form."""
+    product, in one mode (run_mode), not compared with its closed form."""
     beta = tuple(int(b) for b in beta)
     if len(beta) != 3 or any(b < 0 for b in beta):
         raise ValueError("beta must be three nonnegative integers")
     parity = _parity_of_eps(eps)
     got, _ = run_mode(mode, seed, lambda q0: _triple_product_exact(beta, parity, q0))
-    want = admissible_triples(beta, "+" if parity == 0 else "-")
-    if dict(got) != dict(want):
-        raise TheoremViolation(
-            f"triple product {beta} eps={'+-'[parity]} decomposes as "
-            f"{got.sorted_items()}, closed form says {want.sorted_items()}"
-        )
     return got
+
+
+def triple_product(beta, eps, mode: str = "exact", seed=None) -> IrrepMultiset:
+    """decompose_triple, certified against the admissibility closed form."""
+    dec = decompose_triple(beta, eps, mode, seed)
+    what = f"triple product {tuple(beta)} eps={'+-'[_parity_of_eps(eps)]}"
+    return _certify(dec, triple_closed_forms(beta, eps), what)
 
 
 def _eps_layers(a: int, b: int, parity: int) -> tuple:
@@ -683,9 +775,13 @@ def module_square(V: WeightModule) -> BraidedSquarePair:
 def _square_of(V: WeightModule) -> BraidedSquarePair:
     # every module takes _square_sides; this route exists only because
     # bench/layertrace.py counts squares through the two family names
-    kind = V.kind[2] if V.kind[0] == "specialized" else V.kind
     route = {"simple_gl2": _square_of_simple, "standard_gld": _square_of_standard}
-    return route.get(kind[0], _square_sides)(V)
+    return route.get(_exact_kind(V)[0], _square_sides)(V)
+
+
+def _exact_kind(V: WeightModule) -> tuple:
+    # the kind of V, or of the exact module a specialized V was made from
+    return V.kind[2] if V.kind[0] == "specialized" else V.kind
 
 
 def flatness_check(V: WeightModule) -> tuple[bool, dict]:

@@ -32,12 +32,13 @@ from math import comb
 
 from . import acceptance
 from .braided import (
-    admissible_triples,
     at_point,
+    closed_form_verdicts,
+    closed_forms,
     conjectural_sym_dim,
     decompose_power,
+    decompose_triple,
     dim_sym_cube,
-    ext_cube_closed,
     flat_lower_bound,
     flatness_check,
     growth_flag,
@@ -45,14 +46,13 @@ from .braided import (
     koszul_series_probe,
     power_dims,
     run_mode,
-    sym_cube_closed,
-    triple_product,
+    triple_closed_forms,
 )
 from .classical import poisson_closure_dims, valuation_cover_check
 from .convexopt import certify_random_class
 from .errors import GuardError, InfeasibleError, TheoremViolation
 from .gl3canon import dcb_module, degree_recursion_check, genericity_check
-from .qmat import _partitions, check_qmatrix_relations, howe_dim_check
+from .qmat import check_qmatrix_relations, howe_dim_check
 from .uqmod import ModuleAuditError, outer, simple_gl2, standard_gld
 
 
@@ -89,115 +89,31 @@ def _plain(obj):
 
 def _power_module(args):
     if args.l is not None:
-        return "simple", f"simple_gl2({args.l},0)"
+        return simple_gl2(args.l, 0), f"simple_gl2({args.l},0)"
     if args.k is not None:
-        return "matrix", f"matrix({args.d},{args.k})"
-    return "standard", f"standard_gld({args.d})"
-
-
-def _build_module(args, family, q0):
-    if family == "simple":
-        V = simple_gl2(args.l, 0)
-    elif family == "matrix":
-        V = outer(standard_gld(args.d), standard_gld(args.k))
-    else:
-        V = standard_gld(args.d)
-    return at_point(V, q0)
-
-
-def _pad(lam, size: int) -> tuple:
-    return tuple(lam) + (0,) * (size - len(lam))
-
-
-def _conjugate(lam) -> tuple:
-    return tuple(sum(1 for p in lam if p > i) for i in range(max(lam, default=0)))
-
-
-def _simple_closed_forms(a, kind: str) -> dict:
-    if a.n <= 2:
-        # V_(l,0)^n, or the Clebsch-Gordan layers (2l-m, m) of the square
-        # whose m has the side's parity
-        layers = [(2 * a.l - m, m) for m in range(kind == "ext", a.l + 1, 2)]
-        return {"matches_low_degree_closed_form": dict.fromkeys(
-            [(a.n * a.l, 0)] if a.n < 2 else layers, 1)}
-    if a.n == 3:
-        closed = sym_cube_closed if kind == "sym" else ext_cube_closed
-        return {"matches_cube_closed_form": closed(a.l)}
-    if kind == "ext":
-        return {"exterior_vanishes_from_degree_4": {}}
-    if a.l <= 2:
-        # the flat square makes S^n the classical S^n(V): V_(0,0), V_(n,0)
-        # or the (2n - 2j, 2j) with 2j <= n
-        layers = [(2 * a.n - 2 * j, 2 * j) for j in range(a.n // 2 + 1)]
-        return {"matches_flat_closed_form": dict.fromkeys(
-            [(a.l * a.n, 0)] if a.l < 2 else layers, 1)}
-    return {}
-
-
-# The closed forms of the n-th braided power, keyed by (family, kind):
-# each maps the arguments to {verdict name: components}, and a verdict
-# passes when the computed decomposition is exactly those components.
-# Over gl_d the powers of the standard module are S^n = V_(n) and
-# Lambda^n = V_(1^n), zero for n > d.  The d x k matrix module A ox B
-# has S^n = sum of S_lam A ox S_lam B over lam |- n with at most
-# min(d, k) rows (Cauchy) and Lambda^n = sum of S_lam A ox S_lam' B over
-# lam |- n inside the d x k box (dual Cauchy; Macdonald, Symmetric
-# Functions, I.4).  For V_(l,0) the powers through the square are
-# classical, the cubes have closed forms, and the exterior powers vanish
-# from degree 4: for l <= 2 the square is flat and dim V <= 3, for l >= 3
-# it is the theorem ext-four checks.  The flat square of l <= 2 also
-# gives every symmetric power; for l >= 3 and n >= 4 only the growth law
-# (a conjecture flag) speaks.
-_POWER_CLOSED_FORMS = {
-    ("simple", "sym"): lambda a: _simple_closed_forms(a, "sym"),
-    ("simple", "ext"): lambda a: _simple_closed_forms(a, "ext"),
-    ("standard", "sym"): lambda a: {"polynomial_growth": {_pad((a.n,), a.d): 1}},
-    ("standard", "ext"): lambda a: {
-        "matches_exterior_closed_form": {_pad((1,) * a.n, a.d): 1} if a.n <= a.d else {}
-    },
-    ("matrix", "sym"): lambda a: {
-        "matches_cauchy": {
-            _pad(lam, a.d) + _pad(lam, a.k): 1
-            for lam in _partitions(a.n, min(a.d, a.k))
-        }
-    },
-    ("matrix", "ext"): lambda a: {
-        "matches_dual_cauchy": {
-            lam + _pad(_conjugate(lam), a.k): 1
-            for lam in _partitions(a.n, a.d)
-            if lam[0] <= a.k
-        }
-    },
-}
-
-
-def _decompose_power(args, family, kind, q0):
-    dec = decompose_power(_build_module(args, family, q0), kind, args.n)
-    return dec.total_dim(), dec
+        return outer(standard_gld(args.d), standard_gld(args.k)), f"matrix({args.d},{args.k})"
+    return standard_gld(args.d), f"standard_gld({args.d})"
 
 
 def _cmd_power(args, kind):
-    family, name = _power_module(args)
+    V, name = _power_module(args)
     n = args.n
-    (dim, dec), samples = run_mode(
-        args.mode, args.seed, lambda q0: _decompose_power(args, family, kind, q0)
+    dec, samples = run_mode(
+        args.mode, args.seed, lambda q0: decompose_power(at_point(V, q0), kind, n)
     )
     payload = {
         "module": name,
         "kind": kind,
         "n": n,
-        "dim": dim,
+        "dim": dec.total_dim(),
         "components": dec.components(),
         "mode": args.mode,
         "samples": samples,
     }
-    verdicts = {
-        name: "pass" if dict(dec) == dict(want) else "fail"
-        for name, want in _POWER_CLOSED_FORMS[family, kind](args).items()
-    }
+    verdicts = closed_form_verdicts(dec, closed_forms(V, kind, n))
     flags = []
-    if family == "simple" and kind == "sym" and n >= 4:
-        flags.append(growth_flag(args.l, n, dim))
+    if args.l is not None and kind == "sym" and n >= 4:
+        flags.append(growth_flag(args.l, n, payload["dim"]))
     table = (
         ["component", "multiplicity"],
         [[" ".join(str(x) for x in w), m] for w, m in dec.components()],
@@ -209,17 +125,17 @@ def _cmd_triple_product(args):
     beta = _ints(args.beta, 3, "--beta")
     if any(b < 0 for b in beta):
         raise _UsageError("--beta entries must be nonnegative")
-    dec = triple_product(beta, args.eps, mode=args.mode, seed=args.seed)
-    admissible = admissible_triples(beta, args.eps)
+    dec = decompose_triple(beta, args.eps, mode=args.mode, seed=args.seed)
+    forms = triple_closed_forms(beta, args.eps)
     payload = {
         "beta": list(beta),
         "eps": args.eps,
         "mode": args.mode,
         "dim": dec.total_dim(),
         "components": dec.components(),
-        "admissible": admissible.components(),
+        "admissible": forms["matches_admissibility"].components(),
     }
-    verdicts = {"matches_admissibility": "pass"}
+    verdicts = closed_form_verdicts(dec, forms)
     table = (
         ["l1", "l2", "multiplicity"],
         [[w[0], w[1], m] for (w, m) in sorted(dec.items(), reverse=True)],

@@ -7,6 +7,7 @@ from braidpow.braided import (
     _apply_e,
     admissible_triples,
     braided_power,
+    closed_forms,
     conjectural_sym_dim,
     decompose_power,
     dim_ext_cube,
@@ -29,9 +30,18 @@ from braidpow.braided import (
     triple_product,
 )
 from braidpow import braided
+from braidpow.errors import TheoremViolation
+from braidpow.gl3canon import dcb_module
 from braidpow.laurent import ONE
 from braidpow.qarith import Subspace, sp_apply
-from braidpow.uqmod import outer, simple_gl2, specialize_module, standard_gld, tensor
+from braidpow.uqmod import (
+    IrrepMultiset,
+    outer,
+    simple_gl2,
+    specialize_module,
+    standard_gld,
+    tensor,
+)
 
 
 def test_square_gl2_layer_dims():
@@ -133,6 +143,77 @@ def test_closed_forms_are_multiplicity_free_partitions():
         assert not set(s) & set(e)
         for (a, b) in list(s) + list(e):
             assert a >= b >= 0 and a + b == 3 * l
+
+
+def _form(V, kind, n):
+    (want,) = closed_forms(V, kind, n).values()
+    return want
+
+
+def test_closed_forms_price_the_classical_dims():
+    # every entry of the table fills the dimension its theorem gives
+    for d in range(1, 5):
+        for n in range(6):
+            assert _form(standard_gld(d), "sym", n).total_dim() == comb(d + n - 1, n)
+            assert _form(standard_gld(d), "ext", n).total_dim() == comb(d, n)
+    for l in range(3):
+        # the flat square: dim V = l + 1 and classical powers
+        for n in range(8):
+            assert _form(simple_gl2(l, 0), "sym", n).total_dim() == comb(l + n, n)
+            assert _form(simple_gl2(l, 0), "ext", n).total_dim() == comb(l + 1, n)
+    for l in range(9):
+        V = simple_gl2(l, 0)
+        assert _form(V, "sym", 3).total_dim() == dim_sym_cube(l)
+        assert _form(V, "ext", 3).total_dim() == dim_ext_cube(l)
+        assert _form(V, "sym", 2).total_dim() == comb(l + 2, 2)
+        assert _form(V, "ext", 2).total_dim() == comb(l + 1, 2)
+        for n in range(4, 7):
+            assert _form(V, "ext", n) == {}
+
+
+def test_specialized_module_has_its_exact_modules_forms():
+    q0 = Fraction(101, 97)
+    modules = [
+        simple_gl2(4, 0),
+        simple_gl2(3, 1),
+        standard_gld(3),
+        outer(standard_gld(2), standard_gld(3)),
+    ]
+    for V in modules:
+        W = specialize_module(V, q0)
+        for kind in ("sym", "ext"):
+            for n in range(6):
+                assert closed_forms(W, kind, n) == closed_forms(V, kind, n)
+
+
+def test_modules_without_a_closed_form_get_none():
+    modules = [
+        dcb_module((2, 0, 0)),
+        simple_gl2(3, 1),
+        outer(simple_gl2(1, 0), simple_gl2(2, 0)),
+        tensor(standard_gld(2), standard_gld(2)),
+    ]
+    for V in modules:
+        for kind in ("sym", "ext"):
+            for n in range(6):
+                assert closed_forms(V, kind, n) == {}
+    # S^n V_(l,0) from l = 3 and n = 4 has only the growth law
+    assert closed_forms(simple_gl2(3, 0), "sym", 4) == {}
+    assert closed_forms(simple_gl2(3, 0), "ext", 4)
+
+
+def test_a_wrong_cube_raises_naming_its_form(monkeypatch):
+    wrong = IrrepMultiset({(9, 0): 1}, (2,))
+    monkeypatch.setattr(braided, "decompose_power", lambda V, kind, n: wrong)
+    with pytest.raises(TheoremViolation, match="matches_cube_closed_form"):
+        sym_cube_decomposition(3)
+
+
+def test_a_wrong_triple_product_raises_naming_its_form(monkeypatch):
+    wrong = IrrepMultiset({(4, 0): 1}, (2,))
+    monkeypatch.setattr(braided, "decompose_triple", lambda *a, **k: wrong)
+    with pytest.raises(TheoremViolation, match="matches_admissibility"):
+        triple_product((1, 2, 1), "-")
 
 
 def test_ext_fourth_power_vanishes():

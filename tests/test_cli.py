@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
@@ -12,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidpow import cli
+from braidpow.braided import closed_forms
 from braidpow.errors import TheoremViolation
-from braidpow.uqmod import IrrepMultiset, ModuleAuditError
+from braidpow.uqmod import IrrepMultiset, ModuleAuditError, outer, standard_gld
 
 
 def run_cli(capsys, *argv):
@@ -363,10 +363,10 @@ def test_module_audit_error_exits_two_with_one_envelope(capsys, monkeypatch):
 
 
 def test_disagreeing_samples_fail_the_run(capsys, monkeypatch):
-    def at_sample(args, family, kind, q0):
-        return q0, None
+    def at_sample(V, kind, n):
+        return IrrepMultiset({(V.q0.numerator, 0): 1}, V.blocks)
 
-    monkeypatch.setattr(cli, "_decompose_power", at_sample)
+    monkeypatch.setattr(cli, "decompose_power", at_sample)
     code, env, _ = run_cli(
         capsys, "sym-power", "--l", "2", "--n", "3", "--mode", "specialize",
         "--seed", "1",
@@ -439,11 +439,11 @@ def test_every_power_with_a_closed_form_has_its_verdict(capsys, argv, verdict):
 def test_cauchy_closed_forms_price_the_classical_powers(d, k):
     # the Cauchy and dual Cauchy components fill dim S^n and Lambda^n of
     # the d x k matrix module
+    V = outer(standard_gld(d), standard_gld(k))
     for n in range(6):
-        args = Namespace(d=d, k=k, n=n)
         for kind, dim in (("sym", comb(d * k + n - 1, n)), ("ext", comb(d * k, n))):
-            (want,) = cli._POWER_CLOSED_FORMS["matrix", kind](args).values()
-            assert IrrepMultiset(want, blocks=(d, k)).total_dim() == dim
+            (want,) = closed_forms(V, kind, n).values()
+            assert want.total_dim() == dim
 
 
 def test_a_power_off_its_closed_form_fails_its_verdict(capsys, monkeypatch):
@@ -453,6 +453,16 @@ def test_a_power_off_its_closed_form_fails_its_verdict(capsys, monkeypatch):
     code, env, _ = run_cli(capsys, "ext-power", "--d", "2", "--k", "2", "--n", "2")
     assert code == 2
     assert env["verdicts"] == {"matches_dual_cauchy": "fail"}
+
+
+def test_a_wrong_triple_product_prints_its_fail_verdict(capsys, monkeypatch):
+    wrong = IrrepMultiset({(4, 0): 1}, (2,))
+    monkeypatch.setattr(cli, "decompose_triple", lambda *a, **k: wrong)
+    code, env, _ = run_cli(capsys, "triple-product", "--beta", "1,2,1", "--eps", "-")
+    assert code == 2
+    assert env["verdicts"] == {"matches_admissibility": "fail"}
+    assert env["payload"]["components"] == [[[4, 0], 1]]
+    assert env["payload"]["admissible"] == [[[2, 2], 1]]
 
 
 def test_matrix_module_square(capsys):
