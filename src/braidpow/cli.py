@@ -110,7 +110,10 @@ def _cmd_power(args, kind):
         "mode": args.mode,
         "samples": samples,
     }
-    verdicts = closed_form_verdicts(dec, closed_forms(V, kind, n))
+    forms = closed_forms(V, kind, n)
+    if not forms:
+        payload["closed_form_known"] = False
+    verdicts = closed_form_verdicts(dec, forms)
     flags = []
     if args.l is not None and kind == "sym" and n >= 4:
         flags.append(growth_flag(args.l, n, payload["dim"]))

@@ -455,6 +455,20 @@ def test_a_power_off_its_closed_form_fails_its_verdict(capsys, monkeypatch):
     assert env["verdicts"] == {"matches_dual_cauchy": "fail"}
 
 
+def test_a_power_without_a_closed_form_says_so(capsys):
+    code, env, _ = run_cli(
+        capsys, "sym-power", "--l", "3", "--n", "4", "--mode", "specialize", "--seed", "3"
+    )
+    assert code == 0
+    assert env["payload"]["closed_form_known"] is False
+    assert env["verdicts"] == {}
+    assert env["conjecture_flags"][0]["agree"] is True
+    code, env, _ = run_cli(capsys, "ext-power", "--l", "3", "--n", "4")
+    assert code == 0
+    assert "closed_form_known" not in env["payload"]
+    assert env["verdicts"] == {"exterior_vanishes_from_degree_4": "pass"}
+
+
 def test_a_wrong_triple_product_prints_its_fail_verdict(capsys, monkeypatch):
     wrong = IrrepMultiset({(4, 0): 1}, (2,))
     monkeypatch.setattr(cli, "decompose_triple", lambda *a, **k: wrong)
