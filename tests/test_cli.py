@@ -70,6 +70,32 @@ def test_convex_certify_worked_example(capsys):
     assert env["verdicts"] == {"all_certified": "pass"}
 
 
+def test_convex_certify_reports_an_instance_that_fails(capsys, monkeypatch):
+    real = cli.certify_random_class
+    calls = []
+
+    def once_wrong(m, n, rng):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TheoremViolation("forced extremal failure")
+        return real(m, n, rng)
+
+    monkeypatch.setattr(cli, "certify_random_class", once_wrong)
+    code, env, _ = run_cli(
+        capsys, "convex-certify", "--m", "3", "--n", "3", "--trials", "5", "--seed", "5"
+    )
+    assert code == 2
+    assert env["verdicts"] == {"all_certified": "fail"}
+    assert env["payload"]["certified"] == 4 == len(env["payload"]["instances"])
+    assert env["payload"]["failures"] == ["forced extremal failure"]
+    monkeypatch.setattr(cli, "certify_random_class", real)
+    code, env, _ = run_cli(
+        capsys, "convex-certify", "--m", "3", "--n", "3", "--trials", "5", "--seed", "5"
+    )
+    assert code == 0
+    assert "failures" not in env["payload"]
+
+
 def test_payloads_are_byte_identical_for_same_argv_and_seed(capsys):
     argv = ("convex-certify", "--m", "3", "--n", "3", "--trials", "25",
             "--seed", "5")
