@@ -58,6 +58,14 @@ decompose_power read.  The gl_2 simples and standard modules are shared
 instances (see uqmod), so every stage of one process reuses their
 squares and levels.  Stored rows and subspaces are read-only.  A failed
 construction is not stored: the next call builds it again.
+
+The closed forms a power must match are one table, closed_forms(V, kind,
+n), read off V's family, and triple_closed_forms for the triple
+product.  closed_form_verdicts is the one comparison of a decomposition
+with them.  decompose_power and decompose_triple return uncompared
+results; the certified calls (sym_cube_decomposition,
+ext_cube_decomposition, triple_product) raise TheoremViolation naming
+the first form missed.
 """
 
 from __future__ import annotations

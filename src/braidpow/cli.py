@@ -9,6 +9,10 @@ unexpected exception gives the payload {"error": "internal", ...} and
 the verdict run: fail), 1 on usage or guard errors and on a --csv path
 that cannot be written.  Size guards live only here: one table, _GUARDS,
 holds each guarded command's rule, checked before the handler runs.
+Closed forms live only in braided: a power's and a triple product's
+verdicts are braided.closed_form_verdicts of the computed decomposition,
+so one off its closed form is printed with a fail verdict rather than
+raised.
 
 Commands with a natural dimension or component table export it as CSV
 via --csv PATH.  Specialize mode requires --seed and computes results
