@@ -44,8 +44,9 @@ is one _meet_step.  Over F_P every row is an int row {col: int}, and components
 are read off weight dims (decompose_weight_dims, one character formula
 for every product of gl blocks), never off highest-weight counts.  Over
 Q(q) the highest-weight counts act by E_i on the tensor product of the
-factors through the coproduct (_apply_e), so neither a power nor the
-triple product builds a tensor module of three or more factors.
+factors through uqmod.coproduct, the one Delta that every tensor module
+is built and audited with, so neither a power nor the triple product
+builds a tensor module of three or more factors.
 
 The braided powers are functions of V and a side alone: every power
 call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
@@ -72,11 +73,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 import random
 
 from .errors import TheoremViolation
-from .laurent import ONE, ladd, lmul, lshift
+from .laurent import ONE, ladd, lmul
 from .qmat import _partitions
 from .qarith import (
     Subspace,
@@ -90,11 +91,11 @@ from .qarith import (
 from .uqmod import (
     IrrepMultiset,
     WeightModule,
+    coproduct,
     decompose_weight_dims,
     decompose_weight_rows,
     dim_irrep,
     highest_weight_vectors,
-    pairing,
     simple_gl2,
     specialize_module,
     standard_gld,
@@ -506,41 +507,16 @@ def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
     return [weight_rows_dim(w) for w in _levels(V, kind, up_to)]
 
 
-def _apply_e(factors: tuple, i: int, vec: dict) -> dict:
-    """E_i on a sparse vector of the tensor product of the modules in
-    factors over Q(q), its index running over the last factor fastest.
-    By Delta(E) = E ox 1 + K ox E, it is the sum over the slots s of E_i
-    on slot s times K_i on every slot before it."""
-    dims = [m.dim for m in factors]
-    strides = [prod(dims[s + 1 :]) for s in range(len(factors))]
-    kvs = [[pairing(m.alphas[i], w) for w in m.weights] for m in factors]
-    out: dict[int, dict] = {}
-    for idx, p in vec.items():
-        kshift = 0
-        rest = idx
-        for m, stride, kv in zip(factors, strides, kvs):
-            j, rest = divmod(rest, stride)
-            for r, coeff in m.e_ops[i].get(j, {}).items():
-                tgt = idx + (r - j) * stride
-                s = ladd(out.get(tgt, {}), lshift(lmul(p, coeff), kshift))
-                if s:
-                    out[tgt] = s
-                else:
-                    out.pop(tgt, None)
-            kshift += kv[j]
-    return out
-
-
 def _decompose(V: WeightModule, factors: tuple, build) -> IrrepMultiset:
     """Components of the submodule {weight: rows} = build() of the tensor
     product of the modules in factors, over the field of V and its gl
     blocks.  Over F_P they are read off its weight dims
     (decompose_weight_dims); over Q(q) they come from highest-weight
-    vectors under the coproduct action of the E_i (_apply_e)."""
+    vectors under the coproduct action of the E_i (uqmod.coproduct)."""
     if V.modulus is not None:
         dims = {w: len(rows) for w, rows in build().items()}
         return decompose_weight_dims(dims, V.blocks)
-    apply_es = [(lambda vec, i=i: _apply_e(factors, i, vec)) for i in range(V.ngen)]
+    apply_es = [coproduct(factors, i) for i in range(V.ngen)]
     return decompose_weight_rows(build(), V.blocks, apply_es)
 
 

@@ -6,9 +6,13 @@ basis vector.  K_mu never needs a matrix: it acts on a weight vector of
 weight w by q**(mu|w) with the standard dot pairing.
 
 The comultiplication is Delta(E) = E ox 1 + K ox E and
-Delta(F) = F ox K^-1 + 1 ox F; every tensor construction below follows
-it, and audit_module checks the defining relations on actual matrices,
-so a convention slip cannot survive construction.
+Delta(F) = F ox K^-1 + 1 ox F, and coproduct is its one implementation:
+the action of E_i or F_i on a tensor product of any number of factors,
+over either field.  tensor builds its matrices by applying it to the
+basis vectors, and audit_module checks the defining relations on them,
+so a convention slip cannot survive construction.  The highest-weight
+counts (decompose here, and the braided powers and triple products in
+braided) act by the same function on tensor products they never build.
 
 Each exact construction happens once per process.  simple_gl2 and
 standard_gld return one shared, already audited instance per argument,
@@ -25,12 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 
-from .laurent import ONE, P, fp, ladd, lconst, leval_fp, lqint, lqshift
+from .laurent import ONE, P, fp, ladd, lconst, leval_fp, lmul, lqint, lqshift
 from .qarith import (
     Subspace,
     fp_kernel,
-    sp_apply,
     sp_compose,
     sp_kernel,
     sp_map_add,
@@ -210,52 +214,65 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     return a._stored(("tensor", b), lambda: _tensor(a, b))
 
 
+def coproduct(factors: tuple, i: int, lower: bool = False):
+    """The action of E_i, or of F_i when lower is set, on the tensor
+    product of the modules in factors along Delta: a function from a
+    sparse vector to its image, the index running over the last factor
+    fastest.  By Delta(E) = E ox 1 + K ox E, E_i is the sum over the
+    slots s of E_i on slot s times K_i on every slot before it; by
+    Delta(F) = F ox K^-1 + 1 ox F, F_i is F_i on slot s times K_i^-1 on
+    every slot after it.  So the slots are walked from the left for E and
+    from the right for F, each twisted by the K-weights of those already
+    walked: a power of q over Q(q), of the factors' x over F_P, where
+    each term is reduced mod P (their sums, as sp_apply's, are not).  No
+    factors is the trivial module, on which both act as 0.  The strides,
+    K-weights and slot operators are computed here, once per action."""
+    dims = [m.dim for m in factors]
+    slots = [
+        (
+            m.f_ops[i] if lower else m.e_ops[i],
+            prod(dims[s + 1 :]),
+            m.dim,
+            [(-1 if lower else 1) * pairing(m.alphas[i], w) for w in m.weights],
+        )
+        for s, m in enumerate(factors)
+    ]
+    if lower:
+        slots.reverse()
+    x = factors[0].x if factors else None
+
+    def act(vec: dict) -> dict:
+        out: dict[int, dict] = {}
+        for idx, p in vec.items():
+            shift = 0
+            for op, stride, dim, kv in slots:
+                j = idx // stride % dim
+                for r, coeff in op.get(j, {}).items():
+                    tgt = idx + (r - j) * stride
+                    s = ladd(out.get(tgt, {}), lqshift(lmul(p, coeff), shift, x))
+                    if s:
+                        out[tgt] = s
+                    else:
+                        out.pop(tgt, None)
+                shift += kv[j]
+        return out
+
+    return act
+
+
 def _tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     if a.alphas != b.alphas or a.blocks != b.blocks:
         raise ValueError("tensor factors live over different algebras")
     if a.q0 != b.q0:
         raise ValueError("tensor factors specialized at different points")
-    db = b.dim
     weights = [
         tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
     ]
     e_ops, f_ops = [], []
-    for i, alpha in enumerate(a.alphas):
-        e_op: dict[int, dict] = {}
-        f_op: dict[int, dict] = {}
-        for ca in range(a.dim):
-            ka = pairing(alpha, a.weights[ca])
-            acol_e = a.e_ops[i].get(ca, {})
-            acol_f = a.f_ops[i].get(ca, {})
-            for cb in range(b.dim):
-                idx = ca * db + cb
-                kb = pairing(alpha, b.weights[cb])
-                col_e: dict[int, dict] = {}
-                for ra, p in acol_e.items():
-                    col_e[ra * db + cb] = dict(p)
-                for rb, p in b.e_ops[i].get(cb, {}).items():
-                    tgt = ca * db + rb
-                    s = ladd(col_e.get(tgt, {}), lqshift(p, ka, a.x))
-                    if s:
-                        col_e[tgt] = s
-                    else:
-                        col_e.pop(tgt, None)
-                if col_e:
-                    e_op[idx] = col_e
-                col_f: dict[int, dict] = {}
-                for ra, p in acol_f.items():
-                    col_f[ra * db + cb] = lqshift(p, -kb, a.x)
-                for rb, p in b.f_ops[i].get(cb, {}).items():
-                    tgt = ca * db + rb
-                    s = ladd(col_f.get(tgt, {}), p)
-                    if s:
-                        col_f[tgt] = s
-                    else:
-                        col_f.pop(tgt, None)
-                if col_f:
-                    f_op[idx] = col_f
-        e_ops.append(e_op)
-        f_ops.append(f_op)
+    for i in range(a.ngen):
+        for lower, ops in ((False, e_ops), (True, f_ops)):
+            act = coproduct((a, b), i, lower)
+            ops.append({c: col for c in range(len(weights)) if (col := act({c: ONE}))})
     return WeightModule(
         ("tensor", a.kind, b.kind),
         a.alphas,
@@ -542,8 +559,6 @@ def decompose(m: WeightModule) -> IrrepMultiset:
     Q(q); a specialized module is refused with ValueError."""
     if m.modulus is not None:
         raise ValueError("decompose serves modules over Q(q) only")
-    apply_es = [
-        (lambda vec, op=m.e_ops[i]: sp_apply(op, vec)) for i in range(m.ngen)
-    ]
+    apply_es = [coproduct((m,), i) for i in range(m.ngen)]
     rows = {w: [{i: dict(ONE)} for i in idxs] for w, idxs in m.weight_blocks().items()}
     return decompose_weight_rows(rows, m.blocks, apply_es)

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from braidpow.braided import (
-    _apply_e,
     admissible_triples,
     braided_power,
     closed_forms,
@@ -83,32 +82,6 @@ def test_square_gl2_is_stable():
                 for row in side.rows:
                     for op in (tt.e_ops[0], tt.f_ops[0]):
                         assert side.contains(_apply_fp(op, row))
-
-
-def test_apply_e_matches_tensor_construction():
-    V = simple_gl2(2, 0)
-    t3 = tensor(tensor(V, V), V)
-    for idx in range(t3.dim):
-        vec = {idx: dict(ONE)}
-        assert _apply_e((V,) * 3, 0, vec) == sp_apply(t3.e_ops[0], vec)
-    W = standard_gld(3)
-    t2 = tensor(W, W)
-    for i in range(W.ngen):
-        for idx in range(t2.dim):
-            vec = {idx: dict(ONE)}
-            assert _apply_e((W, W), i, vec) == sp_apply(t2.e_ops[i], vec)
-
-
-def test_apply_e_on_distinct_factors_matches_tensor_construction():
-    # the triple product's E action, on V_2 ox V_1 ox V_3 (last factor
-    # fastest), without building the triple tensor module
-    v1, v2, v3 = (simple_gl2(l, 0) for l in (2, 1, 3))
-    t3 = tensor(tensor(v1, v2), v3)
-    for idx in range(t3.dim):
-        vec = {idx: dict(ONE)}
-        assert _apply_e((v1, v2, v3), 0, vec) == sp_apply(t3.e_ops[0], vec)
-    vec = {idx: {idx % 3 - 1: idx + 1} for idx in range(0, t3.dim, 5)}
-    assert _apply_e((v1, v2, v3), 0, vec) == sp_apply(t3.e_ops[0], vec)
 
 
 def test_sym_cube_decompositions():

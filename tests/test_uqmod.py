@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from braidpow.laurent import ONE, lqint
+from braidpow.qarith import sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
     ModuleAuditError,
     WeightModule,
+    coproduct,
     decompose,
     dim_irrep,
     highest_weight_vectors,
@@ -64,6 +66,60 @@ def test_tensor_coproduct_example():
     # F(v_0 ox v_0) = q^-1 v_1 ox v_0 + v_0 ox v_1
     col = t.f_ops[0][0]
     assert col == {2: {-1: Fraction(1)}, 1: {0: Fraction(1)}}
+
+
+def test_coproduct_matches_tensor_construction():
+    V = simple_gl2(2, 0)
+    t3 = tensor(tensor(V, V), V)
+    for lower, ops in ((False, t3.e_ops), (True, t3.f_ops)):
+        act = coproduct((V,) * 3, 0, lower)
+        for idx in range(t3.dim):
+            vec = {idx: dict(ONE)}
+            assert act(vec) == sp_apply(ops[0], vec)
+    W = standard_gld(3)
+    t2 = tensor(W, W)
+    for i in range(W.ngen):
+        act = coproduct((W, W), i)
+        for idx in range(t2.dim):
+            vec = {idx: dict(ONE)}
+            assert act(vec) == sp_apply(t2.e_ops[i], vec)
+
+
+def test_coproduct_on_distinct_factors_matches_tensor_construction():
+    # the triple product's E action, on V_2 ox V_1 ox V_3 (last factor
+    # fastest), without building the triple tensor module
+    v1, v2, v3 = (simple_gl2(l, 0) for l in (2, 1, 3))
+    t3 = tensor(tensor(v1, v2), v3)
+    vec = {idx: {idx % 3 - 1: idx + 1} for idx in range(0, t3.dim, 5)}
+    for lower, ops in ((False, t3.e_ops), (True, t3.f_ops)):
+        act = coproduct((v1, v2, v3), 0, lower)
+        for idx in range(t3.dim):
+            unit = {idx: dict(ONE)}
+            assert act(unit) == sp_apply(ops[0], unit)
+        assert act(vec) == sp_apply(ops[0], vec)
+
+
+def test_coproduct_over_f_p_matches_the_specialized_tensor():
+    V = specialize_module(simple_gl2(2, 0), Fraction(3, 5))
+    t3 = tensor(tensor(V, V), V)
+    for lower, ops in ((False, t3.e_ops), (True, t3.f_ops)):
+        act = coproduct((V,) * 3, 0, lower)
+        for idx in range(t3.dim):
+            assert act({idx: dict(ONE)}) == ops[0].get(idx, {})
+
+
+def test_coproduct_of_no_factors_is_zero():
+    for lower in (False, True):
+        assert coproduct((), 0, lower)({0: dict(ONE)}) == {}
+
+
+@pytest.mark.parametrize("make", [lambda: simple_gl2(2, 0), lambda: standard_gld(3)])
+def test_tensor_is_coassociative(make):
+    V = make()
+    left, right = tensor(tensor(V, V), V), tensor(V, tensor(V, V))
+    assert left.weights == right.weights
+    assert left.e_ops == right.e_ops
+    assert left.f_ops == right.f_ops
 
 
 def test_decompose_simple_and_tensor():
