@@ -169,6 +169,11 @@ def standard_and_matrix_squares() -> dict:
             "expected 10 + 6"
         )
     relations = [check_qmatrix_relations(d, k) for d, k in ((2, 2), (2, 3), (3, 3))]
+    for r in relations:
+        if not r["ok"]:
+            raise TheoremViolation(
+                f"{r['d']} x {r['k']} quantum matrix relations fail: {r['failures']}"
+            )
     return {
         "standard": standard,
         "matrix_square": {"sym": pair.sym.dim, "ext": pair.ext.dim},

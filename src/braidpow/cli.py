@@ -320,7 +320,8 @@ def _cmd_ext_four(args):
 
 def _cmd_valuation_cover(args):
     payload = valuation_cover_check(args.l)
-    verdicts = {"cover_complete": "pass" if payload["covered"] else "fail"}
+    complete = payload["covered"] and "delta_broken" not in payload
+    verdicts = {"cover_complete": "pass" if complete else "fail"}
     table = (
         ["quantity", "value"],
         [[k, payload[k]] for k in sorted(payload)],

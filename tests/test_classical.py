@@ -143,6 +143,7 @@ def test_valuation_cover():
     for l in (3, 4, 5, 6):
         report = valuation_cover_check(l)
         assert report["covered"]
+        assert "uncovered" not in report and "delta_broken" not in report
         assert report["subsets"] == comb(l + 1, 4)
     assert valuation_cover_check(4)["subsets"] == 5
 

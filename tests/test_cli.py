@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidpow import cli
+from braidpow import classical, cli, qmat
 from braidpow.braided import closed_forms
 from braidpow.errors import TheoremViolation
 from braidpow.uqmod import IrrepMultiset, ModuleAuditError, outer, standard_gld
@@ -372,6 +372,45 @@ def test_theorem_violation_exits_two(capsys, monkeypatch):
     assert code == 2
     assert env["payload"]["error"] == "TheoremViolation"
     assert env["verdicts"] == {"run": "fail"}
+
+
+def test_broken_qmatrix_relations_print_a_fail_verdict(capsys, monkeypatch):
+    # a product that forgets its right factor breaks every q-swap
+    monkeypatch.setattr(qmat, "mat_mul", lambda d, u, v: u)
+    code, env, _ = run_cli(capsys, "qmatrix-check", "--d", "2", "--k", "2")
+    assert code == 2
+    assert env["verdicts"] == {"relations_hold": "fail"}
+    assert env["payload"]["ok"] is False
+    assert env["payload"]["relations"] == 6
+    assert {"relation": "row q-swap", "at": [0, 0, 1]} in env["payload"]["failures"]
+
+
+def test_a_broken_dimension_identity_prints_a_fail_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(qmat, "dim_irrep", lambda lam: 1)
+    code, env, _ = run_cli(capsys, "howe-check", "--d", "2", "--k", "2", "--n", "2")
+    assert code == 2
+    assert env["verdicts"] == {"dimension_identity": "fail"}
+    assert env["payload"]["dimension"] == 2
+    assert env["payload"]["polynomial_count"] == 10
+
+
+def test_a_broken_valuation_cover_prints_a_fail_verdict(capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        # a pairing that vanishes everywhere breaks the delta pattern
+        m.setattr(classical, "delta_coefficient", lambda l, i, k: 0)
+        code, env, _ = run_cli(capsys, "valuation-cover", "--l", "4")
+    assert code == 2
+    assert env["verdicts"] == {"cover_complete": "fail"}
+    assert env["payload"]["covered"] is True
+    assert env["payload"]["delta_broken"] == [[1, 3], [1, 4]]
+    # no leading monomial at all leaves every 4-subset uncovered
+    monkeypatch.setattr(classical, "_xelt", lambda *a: {})
+    code, env, _ = run_cli(capsys, "valuation-cover", "--l", "4")
+    assert code == 2
+    assert env["verdicts"] == {"cover_complete": "fail"}
+    assert env["payload"]["covered"] is False
+    assert len(env["payload"]["uncovered"]) == env["payload"]["subsets"] == 5
+    assert "delta_broken" not in env["payload"]
 
 
 def test_module_audit_error_exits_two_with_one_envelope(capsys, monkeypatch):

@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from braidpow import acceptance, qmat
+from braidpow.errors import TheoremViolation
 from braidpow.laurent import ONE, lq, lsub
 from braidpow.qmat import (
     check_qmatrix_relations,
@@ -64,6 +66,7 @@ def test_relation_census():
     for d, k in ((2, 2), (2, 3), (3, 3), (2, 4)):
         report = check_qmatrix_relations(d, k)
         assert report["ok"]
+        assert set(report) == {"d", "k", "relations", "ok"}
         assert report["relations"] == (
             d * comb(k, 2) + k * comb(d, 2) + 2 * comb(d, 2) * comb(k, 2)
         )
@@ -72,6 +75,15 @@ def test_relation_census():
 def test_relations_hold_past_the_command_line_bound():
     # qmatrix-check refuses d * k > 16; the library call is not guarded
     assert check_qmatrix_relations(3, 6)["ok"]
+
+
+def test_broken_relations_are_listed_and_fail_the_squares_stage(monkeypatch):
+    monkeypatch.setattr(qmat, "mat_mul", lambda d, u, v: u)
+    report = check_qmatrix_relations(2, 2)
+    assert report["ok"] is False
+    assert len(report["failures"]) == report["relations"] == 6
+    with pytest.raises(TheoremViolation, match="2 x 2 quantum matrix relations fail"):
+        acceptance.standard_and_matrix_squares()
 
 
 def test_braided_product_associates():
@@ -91,6 +103,7 @@ def test_braided_product_associates():
 def test_bigraded_dimension_identity():
     report = howe_dim_check(2, 2, 2)
     assert report["dimension"] == 10
+    assert report["ok"] and "polynomial_count" not in report
     assert sorted(report["terms"]) == [((1, 1), 1, 1), ((2, 0), 3, 3)]
     assert howe_dim_check(2, 3, 2)["dimension"] == 21
     for d in (1, 2, 3):
