@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -448,6 +449,7 @@ def _refusal(args, rule: str) -> str:
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="braidpow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
