@@ -3,10 +3,15 @@
 simple_gl2 and standard_gld hand out one instance per argument, and every
 result memoized on an instance (tensor products, braided squares, power
 levels) lives on it.  Clearing the two caches drops all of it, so a test
-that patches a builder sees it called, whatever ran before."""
+that patches a builder sees it called, whatever ran before.
+
+evaluated_at is the one helper the tests share: an exact subspace read
+at a sample point, to compare with the subspace computed there."""
 
 import pytest
 
+from braidpow.laurent import P, fp, leval_fp
+from braidpow.qarith import Subspace
 from braidpow.uqmod import simple_gl2, standard_gld
 
 
@@ -14,3 +19,11 @@ from braidpow.uqmod import simple_gl2, standard_gld
 def fresh_shared_modules():
     simple_gl2.cache_clear()
     standard_gld.cache_clear()
+
+
+def evaluated_at(sub: Subspace, q0) -> Subspace:
+    """An exact subspace evaluated at the image x of q0 in F_P and
+    re-canonicalized there."""
+    x = fp(q0)
+    rows = [{c: leval_fp(p, x) for c, p in row.items()} for row in sub.rows]
+    return Subspace.from_sparse(sub.ambient, rows, P)

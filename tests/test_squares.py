@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import evaluated_at
+
 from braidpow.braided import (
     BraidedSquarePair,
     _side_rows,
@@ -22,8 +24,6 @@ from braidpow.braided import (
 )
 from braidpow.errors import TheoremViolation
 from braidpow.gl3canon import dcb_module
-from braidpow.laurent import P, fp, leval_fp
-from braidpow.qarith import Subspace
 from braidpow.uqmod import (
     WeightModule,
     outer,
@@ -121,13 +121,6 @@ def test_outer_modules_and_their_squares_are_shared():
     assert square_matrix_module(2, 2) is module_square(V)
 
 
-def _at_point(sub: Subspace, q0) -> Subspace:
-    # an exact subspace evaluated at the image x of q0, re-canonicalized
-    x = fp(q0)
-    rows = [{c: leval_fp(p, x) for c, p in row.items()} for row in sub.rows]
-    return Subspace.from_sparse(sub.ambient, rows, P)
-
-
 @pytest.mark.parametrize(
     "dk",
     [
@@ -151,8 +144,8 @@ def test_specialized_squares_are_the_exact_square_at_the_point(dk):
     exact = module_square(V)
     for q0 in PIN_POINTS:
         pair = module_square(specialize_module(V, q0))
-        assert pair.sym == _at_point(exact.sym, q0)
-        assert pair.ext == _at_point(exact.ext, q0)
+        assert pair.sym == evaluated_at(exact.sym, q0)
+        assert pair.ext == evaluated_at(exact.ext, q0)
 
 
 def test_a_wrong_side_parity_fails_the_classical_dims():

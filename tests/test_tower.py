@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluated_at
+
 from braidpow import braided, cli
 from braidpow.braided import (
     braided_power,
@@ -21,8 +23,8 @@ from braidpow.braided import (
     sample_points,
 )
 from braidpow.gl3canon import dcb_module
-from braidpow.laurent import P, fp, leval_fp
-from braidpow.qarith import Subspace, fp_kernel, fp_rref
+from braidpow.laurent import P
+from braidpow.qarith import fp_kernel, fp_rref
 from braidpow.uqmod import (
     ModuleAuditError,
     decompose,
@@ -101,12 +103,6 @@ def test_an_entry_divisible_by_p_never_becomes_a_pivot():
 # the tower
 
 
-def at_x(sub: Subspace, x: int) -> Subspace:
-    """An exact subspace evaluated at q = x and re-canonicalized over F_P."""
-    rows = [{c: leval_fp(p, x) for c, p in row.items()} for row in sub.rows]
-    return Subspace.from_sparse(sub.ambient, rows, P)
-
-
 @pytest.mark.parametrize("side", ["sym", "ext"])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_expanded_tower_is_the_exact_power_at_the_sample(l, side):
@@ -114,7 +110,7 @@ def test_expanded_tower_is_the_exact_power_at_the_sample(l, side):
     q0 = sample_points(l)[0]
     W = specialize_module(V, q0)
     for n in range(5):
-        want = at_x(braided_power(V, side, n), fp(q0))
+        want = evaluated_at(braided_power(V, side, n), q0)
         got = braided_power(W, side, n)
         assert got.modulus == P
         assert got == want
