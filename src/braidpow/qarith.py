@@ -20,9 +20,11 @@ rank is discarded, so no result depends on the screen point.
 
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1 (fp_rref
-also ranks the screen), and a Subspace over F_p holds fp_rref's rows;
-Subspace.from_sparse and Subspace.contains are the one place that picks
-between the two.
+also ranks the screen), and a Subspace over F_p holds fp_rref's rows.
+The choice between the two engines is made by each caller that solves
+or echelonizes: Subspace.from_sparse and Subspace.contains here,
+uqmod.weight_space_kernel, and braided._side_rows, _ann_by_column and
+_meet_step.
 """
 
 from __future__ import annotations
