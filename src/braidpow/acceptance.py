@@ -2,7 +2,7 @@
 release test suite.
 
 Each stage function returns a JSON-friendly report whose "ok" field is
-True, or raises: TheoremViolation when a computation falsifies a claimed
+its verdict, or raises: TheoremViolation when a computation falsifies a claimed
 closed form, AssertionError when an internal expectation breaks.  Stage
 parameters default to the released verification grids; the two heavy
 sweeps accept mode/seed so they can run at two sample points over F_P
@@ -169,16 +169,11 @@ def standard_and_matrix_squares() -> dict:
             "expected 10 + 6"
         )
     relations = [check_qmatrix_relations(d, k) for d, k in ((2, 2), (2, 3), (3, 3))]
-    for r in relations:
-        if not r["ok"]:
-            raise TheoremViolation(
-                f"{r['d']} x {r['k']} quantum matrix relations fail: {r['failures']}"
-            )
     return {
         "standard": standard,
         "matrix_square": {"sym": pair.sym.dim, "ext": pair.ext.dim},
         "relations": relations,
-        "ok": True,
+        "ok": all(r["ok"] for r in relations),
     }
 
 

@@ -306,13 +306,10 @@ def delta_coefficient(l: int, i: int, k: int) -> int:
 def valuation_cover_check(l: int) -> dict:
     """Wedge the degree-3 Jacobians with basis vectors, pair them as
     needed to clear leading terms, and check that their leading
-    monomials reach every 4-subset of [0, l], which certifies degree-4
-    vanishing of the exterior quotient monomial by monomial.  The
-    4-subsets no leading monomial reaches are listed under "uncovered",
-    and the pairs (i, k) where the two-step pairing vanishes off the
-    middle weight, or stays alive on it, under "delta_broken"; each key
-    is present only when its list is nonempty.  "covered" is true when
-    nothing is uncovered."""
+    monomials reach every 4-subset of [0, l]: degree-4 vanishing of the
+    exterior quotient, monomial by monomial.  The 4-subsets left out go
+    under "uncovered", the pairs (i, k) breaking the delta pattern under
+    "delta_broken", each present only when nonempty."""
     targets = set(combinations(range(l + 1), 4))
     found = {"x": set(), "y": set(), "z": set()}
     for i, j, k in combinations(range(l + 1), 3):

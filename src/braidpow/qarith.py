@@ -21,10 +21,8 @@ rank is discarded, so no result depends on the screen point.
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1 (fp_rref
 also ranks the screen), and a Subspace over F_p holds fp_rref's rows.
-The choice between the two engines is made by each caller that solves
-or echelonizes: Subspace.from_sparse and Subspace.contains here,
-uqmod.weight_space_kernel, and braided._side_rows, _ann_by_column and
-_meet_step.
+Subspace.from_sparse/contains, uqmod.weight_space_kernel and braided's
+_side_rows, _ann_by_column and _meet_step each pick between the two.
 """
 
 from __future__ import annotations

@@ -6,13 +6,11 @@ basis vector.  K_mu never needs a matrix: it acts on a weight vector of
 weight w by q**(mu|w) with the standard dot pairing.
 
 The comultiplication is Delta(E) = E ox 1 + K ox E and
-Delta(F) = F ox K^-1 + 1 ox F, and coproduct is its one implementation:
-the action of E_i or F_i on a tensor product of any number of factors,
-over either field.  tensor builds its matrices by applying it to the
-basis vectors, and audit_module checks the defining relations on them,
-so a convention slip cannot survive construction.  The highest-weight
-counts (decompose here, and the braided powers and triple products in
-braided) act by the same function on tensor products they never build.
+Delta(F) = F ox K^-1 + 1 ox F.  coproduct is its one implementation, on
+any number of factors over either field: tensor applies it to basis
+vectors and audit_module checks the defining relations on the result,
+so a convention slip cannot survive construction, and the
+highest-weight counts act by it on products they never build.
 
 Each exact construction happens once per process.  simple_gl2 and
 standard_gld return one shared, already audited instance per argument,
@@ -215,18 +213,16 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
 
 
 def coproduct(factors: tuple, i: int, lower: bool = False):
-    """The action of E_i, or of F_i when lower is set, on the tensor
-    product of the modules in factors along Delta: a function from a
-    sparse vector to its image, the index running over the last factor
-    fastest.  By Delta(E) = E ox 1 + K ox E, E_i is the sum over the
-    slots s of E_i on slot s times K_i on every slot before it; by
-    Delta(F) = F ox K^-1 + 1 ox F, F_i is F_i on slot s times K_i^-1 on
-    every slot after it.  So the slots are walked from the left for E and
-    from the right for F, each twisted by the K-weights of those already
-    walked: a power of q over Q(q), of the factors' x over F_P, where
-    each term is reduced mod P (their sums, as sp_apply's, are not).  No
-    factors is the trivial module, on which both act as 0.  The strides,
-    K-weights and slot operators are computed here, once per action."""
+    """E_i, or F_i when lower is set, acting along Delta on the tensor
+    product of the modules in factors: a function on sparse vectors
+    whose index runs over the last factor fastest.  Delta(E) = E ox 1 +
+    K ox E puts E_i on each slot times K_i on every slot before it, and
+    Delta(F) = F ox K^-1 + 1 ox F puts F_i on each slot times K_i^-1 on
+    every slot after it, so E walks the slots from the left and F from
+    the right, twisting by the K-weights already walked: by q over Q(q),
+    by the factors' x over F_P, each term reduced mod P.  With no
+    factors both act as 0.  Strides, K-weights and slot operators are
+    worked out once per action."""
     dims = [m.dim for m in factors]
     slots = [
         (

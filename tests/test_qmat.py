@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from braidpow import acceptance, qmat
-from braidpow.errors import TheoremViolation
 from braidpow.laurent import ONE, lq, lsub
 from braidpow.qmat import (
     check_qmatrix_relations,
@@ -82,8 +81,9 @@ def test_broken_relations_are_listed_and_fail_the_squares_stage(monkeypatch):
     report = check_qmatrix_relations(2, 2)
     assert report["ok"] is False
     assert len(report["failures"]) == report["relations"] == 6
-    with pytest.raises(TheoremViolation, match="2 x 2 quantum matrix relations fail"):
-        acceptance.standard_and_matrix_squares()
+    stage = acceptance.standard_and_matrix_squares()
+    assert stage["ok"] is False
+    assert stage["relations"][0]["failures"] == report["failures"]
 
 
 def test_braided_product_associates():
