@@ -15,9 +15,9 @@ unknown per (row of P^(n-1), basis vector of V) and one equation per
 (basis vector of H, row of Ann(I)).  Every module family and both
 fields take one route: _powers yields the levels, each from degree 3 on
 one _power_step, which is one _meet_step.  Only the finish differs.
-- Over Q(q), H = V^{ox n-2}; sp_kernel solves the system, and each
-  kernel vector is expanded into V^{ox n} and echelonized, so a level is
-  the canonical basis of each weight block.
+- Over Q(q), H = V^{ox n-2}; sp_kernel solves the system, the kernel
+  vectors are echelonized and each is expanded into V^{ox n}, so a level
+  is the canonical basis of each weight block (_front_combine).
 - A specialized module (over F_P, see specialize_module) runs the
   relative tower: H = P^(n-2), fp_kernel solves the system, and each P^n
   keeps its kernel vectors as coordinates over P^(n-1) ox V, so no size
@@ -84,9 +84,10 @@ from .qarith import (
     fp_kernel,
     fp_rref,
     sp_apply,
-    sp_combine,
+    sp_echelon,
     sp_kernel,
     sp_span_echelon,
+    srow_strip,
 )
 from .uqmod import (
     IrrepMultiset,
@@ -415,7 +416,16 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
     of (i, k).  Over F_P fp_kernel solves it and the rows
     {a * d + b: x_ab} are returned as they are (see _powers).  Over Q(q)
     sp_kernel solves it, and the vectors sum x_ab p_a ox e_b, over
-    head ox M ox back, are returned as their canonical basis."""
+    head ox M ox back, are returned as their canonical basis.
+
+    That basis takes one elimination, of the kernel vectors alone: the
+    front rows p_a ox e_b already form a reduced echelon basis.  The rows
+    of one block of prev are one, prev being canonical, and tensoring
+    with e_b keeps that; rows of different weights of prev, or with
+    different b, have disjoint supports.  So _front_combine echelonizes
+    the kernel vectors in the order of the front rows' pivots and
+    multiplies them out, with no second elimination over the columns of
+    head ox M ox back."""
     d, p = back.dim, back.modulus
     unknowns: dict[tuple, list] = {}
     a = 0
@@ -450,14 +460,29 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
                 for z in fp_kernel(system, len(cols), p)
             ]
         else:
-            front = [{col * d + b: t for col, t in row.items()} for _, b, row in cols]
-            if system:
-                rows = sp_combine(front, sp_kernel(system, len(cols)))
-            else:
-                rows = sp_span_echelon(front)
+            rows = _front_combine(
+                [{col * d + b: t for col, t in row.items()} for _, b, row in cols],
+                sp_kernel(system, len(cols)),
+            )
         if rows:
             out[w] = rows
     return out
+
+
+def _front_combine(front: list, kernel: list) -> list:
+    """The canonical basis of the span of the vectors sum_j z_j front[j],
+    z in kernel, for front rows that form a reduced echelon basis: no row
+    has an entry in the first column of another.  Number the unknowns j
+    in the order of those first columns and take a reduced echelon basis
+    of the z.  Each of its vectors gives a row that starts in the first
+    column of its pivot unknown's front row and is 0 in that of every
+    other basis vector's pivot unknown, so the rows are a reduced echelon
+    basis too, and srow_strip makes each canonical."""
+    order = sorted(range(len(front)), key=lambda j: min(front[j]))
+    rank = {j: r for r, j in enumerate(order)}
+    echelon = sp_echelon([{rank[j]: t for j, t in z.items()} for z in kernel])
+    by_rank = {r: front[j] for r, j in enumerate(order)}
+    return [srow_strip(sp_apply(by_rank, echelon[r])) for r in sorted(echelon)]
 
 
 def _expand(level: dict, below: list, d: int, p: int) -> list:

@@ -10,10 +10,14 @@ lbar, leval) take any exact coefficients and use them as given.
 Content, gcd and exact division (lcontent, lprimitive, ldiv_exact, lgcd,
 lcofactors, llcm) work in Z[q, 1/q] and take int coefficients only, as
 do the rows of the sparse engine in qarith.  Both gcds run the heuristic
-GCDHEU (_gcd_heu), whose exact dense quotients (_dense_quo) prove its
-candidate: lgcd on two operands, and lcofactors on every entry of a row
-at once, handing back those quotients as the stripped entries.  A
-rational enters a row in two places only: qarith.Subspace.span and
+GCDHEU (_gcd_heu), whose exact quotients prove its candidate: lgcd on two
+operands, and lcofactors on every entry of a row at once, handing back
+those quotients as the stripped entries.  Each quotient is read off the
+values GCDHEU already has when their digits are small enough to be
+proved (_value_quo), and otherwise comes from dense long division
+(_dense_quo).  lcofactors first packs the entries by their common
+exponent step g, as polynomials in t = q**g, since their gcd is one too.
+A rational enters a row in two places only: qarith.Subspace.span and
 Subspace.contains clear a caller's denominators, and specialize mode
 maps q0 into F_P with fp.
 
@@ -230,12 +234,12 @@ def _unit_normal(a: dict) -> dict:
 _HEU_TRIES = 6
 
 
-def _dense(a: dict, low: int = 0) -> list:
-    # coefficient list of q**-low * a, lowest exponent first; a has lowest
-    # exponent low
-    out = [0] * (max(a) - low + 1)
+def _dense(a: dict, low: int = 0, step: int = 1) -> list:
+    # coefficient list of q**-low * a in t = q**step, lowest exponent
+    # first; a has lowest exponent low and step divides every e - low
+    out = [0] * ((max(a) - low) // step + 1)
     for e, c in a.items():
-        out[e - low] = c
+        out[(e - low) // step] = c
     return out
 
 
@@ -247,7 +251,8 @@ def _heu_eval(f: list, xi: int) -> int:
 
 
 def _heu_digits(v: int, xi: int) -> list:
-    # balanced base-xi digits of v > 0, lowest first; the top one is > 0
+    # balanced base-xi digits of v, lowest first; the top one has the
+    # sign of v
     half = xi // 2
     out = []
     while v:
@@ -281,6 +286,20 @@ def _dense_quo(f: list, h: list):
     return None if any(r[:dh]) else quo
 
 
+def _value_quo(v: int, hv: int, xi: int, size: int, h1: int):
+    """The quotient f / h read off the values v = f(xi) and hv = h(xi):
+    the balanced base-xi digits of v / hv, when hv divides v, they are
+    size digits and 2 * h1 * (largest digit) < xi, h1 = |h|_1; else None.
+    The caller also checks 2 * |f|_inf < xi (see _gcd_heu's proof)."""
+    u, rest = divmod(v, hv)
+    if rest:
+        return None
+    quo = _heu_digits(u, xi)
+    if len(quo) != size or 2 * h1 * max(map(abs, quo)) >= xi:
+        return None
+    return quo
+
+
 def _gcd_heu(fs: list):
     """GCDHEU on dense primitive int polynomials with nonzero constant
     terms and positive leading coefficients.  Returns (G, quotients), G
@@ -294,7 +313,16 @@ def _gcd_heu(fs: list):
     divides a balanced digit.  A root of K is a common root, of modulus
     below bound + 2 by Cauchy's bound, and xi >= 2*bound + 4, so a
     nonconstant K has |K(xi)| > xi/2.  Hence K is a unit and H == G.
-    The exact quotients that prove H divides each f are the cofactors."""
+
+    The quotients that prove H divides each f are the cofactors, each
+    proved one of two ways.  From the values in hand (_value_quo): Q is
+    the digit polynomial of f(xi) / H(xi), kept when H(xi) divides f(xi),
+    deg Q = deg f - deg H, 2*|f|_inf < xi and 2*|H|_1*|Q|_inf < xi.  Then
+    H*Q and f have every coefficient in (-xi/2, xi/2) and the same value
+    at xi.  Their difference has coefficients below xi in modulus and
+    vanishes at xi, so xi divides its lowest nonzero coefficient: there is
+    none, and f == H*Q.  In every other case the exact long division
+    _dense_quo decides."""
     norms = [max(map(abs, f)) for f in fs]
     bound = min(n // f[-1] for n, f in zip(norms, fs))
     # the start and growth of xi follow the published algorithm (as does
@@ -304,16 +332,23 @@ def _gcd_heu(fs: list):
     for _ in range(_HEU_TRIES):
         # the operand that sets bound has no root as large as xi, so the
         # gcd of the values is positive
-        h = _heu_digits(gcd(*(_heu_eval(f, xi) for f in fs)), xi)
+        vals = [_heu_eval(f, xi) for f in fs]
+        v = gcd(*vals)
+        h = _heu_digits(v, xi)
         c = gcd(*h)
         h = [d // c for d in h]
         if h == [1]:
             return h, list(fs)
+        hv, h1 = v // c, sum(map(abs, h))
         quos = []
-        for f in fs:
-            quo = _dense_quo(f, h)
+        for f, n, fv in zip(fs, norms, vals):
+            quo = None
+            if 2 * n < xi:
+                quo = _value_quo(fv, hv, xi, len(f) - len(h) + 1, h1)
             if quo is None:
-                break
+                quo = _dense_quo(f, h)
+                if quo is None:
+                    break
             quos.append(quo)
         else:
             return h, quos
@@ -372,16 +407,29 @@ def lcofactors(polys: list) -> list:
 
     One GCDHEU pass serves every operand: the unit-normal parts are
     evaluated at one integer xi, a single gcd of the values gives the
-    candidate, and the exact quotients that prove it the gcd (see
-    _gcd_heu) are the cofactors.  If no evaluation point passes, a
-    pairwise lgcd fold and ldiv_exact decide."""
-    parts = []
+    candidate, and the quotients that prove it the gcd (see _gcd_heu)
+    are the cofactors.  If no evaluation point passes, a pairwise lgcd
+    fold and ldiv_exact decide.
+
+    The parts are packed by their common exponent step g, the gcd of
+    every gap e - min(p) within each entry p: each part is F(t) with
+    t = q**g, and GCDHEU runs on the F.  That gives the same G.  Each part
+    is unchanged by q -> zeta*q for a g-th root of unity zeta, so G(zeta*q)
+    is a gcd too and, both having the same nonzero constant term, equals
+    G(q); so G is a polynomial in q**g, the gcd of the F in t."""
+    lows = []
+    step = 0
     for p in polys:
-        low = min(p)
-        f = _dense(p, low)
-        if len(f) == 1:
+        if len(p) == 1:
             # a unit of the Laurent ring: G is 1
             return list(polys)
+        low = min(p)
+        lows.append(low)
+        if step != 1:
+            step = gcd(step, *(e - low for e in p))
+    parts = []
+    for low, p in zip(lows, polys):
+        f = _dense(p, low, step)
         c = gcd(*f)
         if f[-1] < 0:
             c = -c
@@ -401,7 +449,7 @@ def lcofactors(polys: list) -> list:
     if len(h) == 1:
         return list(polys)
     return [
-        {low + e: c * v for e, v in enumerate(quo) if v}
+        {low + step * e: c * v for e, v in enumerate(quo) if v}
         for (low, c, _), quo in zip(parts, quos)
     ]
 

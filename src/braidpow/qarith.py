@@ -3,14 +3,18 @@
 The sp_* routines are a sparse fraction-free elimination over Laurent
 rows: a row is a dict {column: Laurent dict} that stores no zero entry
 and holds int coefficients only.  Elimination cross-multiplies rows
-instead of dividing, then strips each row to the canonical
-representative of its line: srow_strip removes the common q power,
-integer content and any common polynomial factor (one GCDHEU pass over
-the row, laurent.lcofactors), so every returned row holds primitive int
-coefficients.  A reduced echelon basis of stripped rows is the canonical
-form of a subspace.  Subspace.span and Subspace.contains are the one
-boundary for rationals: they clear the denominators of a caller's row
-before it enters the engine.
+instead of dividing (_cross), with both multipliers first divided by
+their gcd when neither is a monomial, then strips each row to the
+canonical representative of its line: srow_strip removes the common q
+power, integer content and any common polynomial factor (one GCDHEU pass
+over the row, laurent.lcofactors), so every returned row holds primitive
+int coefficients and the smaller multipliers change no result.  A
+reduced echelon basis of stripped rows is the canonical form of a
+subspace.  sp_intersect is the reference meet of the tests; the braided
+power step finishes its own meet in one elimination
+(braided._front_combine).  Subspace.span and Subspace.contains are the
+one boundary for rationals: they clear the denominators of a caller's
+row before it enters the engine.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
 over F_P at the fixed unit q = _SCREEN_X (_screen_rank).  That rank is a
@@ -37,6 +41,7 @@ from .laurent import (
     lconst,
     lcofactors,
     ldiv_exact,
+    lgcd,
     llcm,
     lmul,
     lneg,
@@ -75,22 +80,38 @@ def srow_strip(row: dict) -> dict:
 
 
 def _cross(row: dict, pivot_row: dict, col: int) -> dict:
-    # pivot_row[col]*row - row[col]*pivot_row; the entry at col cancels
-    # exactly and is skipped, and so is a multiplication by a pivot or
-    # row entry 1
+    """a*row - b*pivot_row for a = pivot_row[col] and b = row[col], each
+    divided first by g = lgcd(a, b) when both have two or more terms.
+    That row spans the same line, so srow_strip gives the same row.  The
+    entry at col cancels exactly and is skipped, a column of both rows is
+    accumulated in one pass, and a multiplication by 1 is skipped."""
     a, b = pivot_row[col], row[col]
-    if a == ONE:
-        out = {c: p for c, p in row.items() if c != col}
-    else:
-        out = {c: lmul(a, p) for c, p in row.items() if c != col}
-    for c, p in pivot_row.items():
+    if len(a) > 1 and len(b) > 1:
+        g = lgcd(a, b)
+        if g != ONE:
+            a, b = ldiv_exact(a, g), ldiv_exact(b, g)
+    b = lneg(b)
+    a_one = a == ONE
+    out = {}
+    for c, p in row.items():
         if c == col:
             continue
-        s = lsub(out.get(c, {}), p if b == ONE else lmul(b, p))
-        if s:
-            out[c] = s
-        else:
-            out.pop(c, None)
+        q = pivot_row.get(c)
+        if q is None:
+            out[c] = p if a_one else lmul(a, p)
+            continue
+        acc: dict[int, int] = {}
+        for factor, poly in ((a, p), (b, q)):
+            for ef, cf in factor.items():
+                for e, v in poly.items():
+                    e += ef
+                    acc[e] = acc.get(e, 0) + cf * v
+        acc = {e: v for e, v in acc.items() if v}
+        if acc:
+            out[c] = acc
+    for c, q in pivot_row.items():
+        if c != col and c not in row:
+            out[c] = lmul(b, q)
     return out
 
 
@@ -226,11 +247,11 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
     combinations of rows that pair to zero with every row of ann.  With
     ann = sp_annihilator(other, cols) this is span(rows) meet span(other).
     Only the pairing system M[j][i] = rows[j] . ann[i] is eliminated, one
-    equation per annihilator row and one unknown per row.  The braided
-    power step (braided._meet_step) is tested against this meet."""
+    equation per annihilator row and one unknown per row; each kernel
+    vector z gives sum_j z_j rows[j], and those are echelonized.  The
+    braided power step (braided._meet_step) is tested against this
+    meet."""
     rows = [r for r in rows if r]
-    if not rows:
-        return []
     by_col: dict[int, list] = {}
     for j, row in enumerate(rows):
         for c, p in row.items():
@@ -249,24 +270,8 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
             system.append(eq)
     if not system:
         return sp_span_echelon(rows)
-    return sp_combine(rows, sp_kernel(system, len(rows)))
-
-
-def sp_combine(rows: list[dict], vectors) -> list[dict]:
-    """Canonical reduced echelon basis of the span of the combinations
-    sum_j z_j rows[j], one for each vector z = {j: Laurent}."""
-    result = []
-    for z in vectors:
-        vec: dict[int, dict] = {}
-        for j, coeff in z.items():
-            for c, p in rows[j].items():
-                s = ladd(vec.get(c, {}), lmul(coeff, p))
-                if s:
-                    vec[c] = s
-                else:
-                    vec.pop(c, None)
-        if vec:
-            result.append(srow_strip(vec))
+    by_row = dict(enumerate(rows))
+    result = [sp_apply(by_row, z) for z in sp_kernel(system, len(rows))]
     return sp_span_echelon(result) if result else []
 
 

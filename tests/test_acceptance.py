@@ -7,6 +7,7 @@ exactly the same code.
 """
 
 from braidpow import acceptance
+from braidpow.errors import TheoremViolation
 
 
 def _line(name: str, report: dict, summary: str = "") -> None:
@@ -109,6 +110,27 @@ def test_extremal_map_certification():
     )
     assert report["ok"]
     assert report["certified"] == 100
+
+
+def test_extremal_sweep_reports_an_instance_that_fails(monkeypatch):
+    real = acceptance.certify_random_class
+    calls = []
+
+    def once_wrong(m, n, rng):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TheoremViolation("forced extremal failure")
+        return real(m, n, rng)
+
+    monkeypatch.setattr(acceptance, "certify_random_class", once_wrong)
+    report = acceptance.extremal_sweep(instances=5)
+    assert report["ok"] is False
+    assert report["certified"] == 4
+    assert report["failures"] == ["forced extremal failure"]
+    monkeypatch.setattr(acceptance, "certify_random_class", real)
+    report = acceptance.extremal_sweep(instances=5)
+    assert report["ok"] is True
+    assert "failures" not in report
 
 
 def test_extremal_sweep_examples_are_pinned():

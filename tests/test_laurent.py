@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidpow import laurent as L
-from braidpow.braided import module_square, square_gl2
+from braidpow.braided import module_square, power_weight_rows, square_gl2
 from braidpow.qarith import (
+    _cross,
     Subspace,
     fp_kernel,
     fp_rref,
@@ -311,3 +312,143 @@ def test_strip_falls_back_to_the_fold(monkeypatch):
     assert want[2] == {1: 2}
     row = dict(enumerate(polys))
     assert srow_strip(row) == strip_reference(row)
+
+
+# the shortcuts of the exact elimination, each against the plain step
+
+
+def in_steps(p, step):
+    # p(q**step)
+    return {step * e: c for e, c in p.items()}
+
+
+@FIXED
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(
+        st.tuples(laurents(nonzero=True), st.integers(-20, 20)), min_size=1, max_size=5
+    ),
+    laurents(max_terms=4, span=3, nonzero=True),
+)
+def test_cofactors_of_polynomials_in_a_power_of_q(step, units, g):
+    # q^s_i U_i(q^g) G(q^g) with mixed shifts s_i: every gap within an
+    # entry is a multiple of g, so lcofactors packs the entries by it
+    polys = [
+        L.lshift(L.lmul(in_steps(u, step), in_steps(g, step)), s) for u, s in units
+    ]
+    assert L.lcofactors(polys) == fold_cofactors(polys)
+
+
+def test_cofactors_are_computed_in_t_equal_q_to_the_step(monkeypatch):
+    # (1 + q^2)(2 - q^2) and q^3 (1 + q^2)(1 + 3 q^4): GCDHEU sees the
+    # unit-normal (1 + t)(t - 2) and (1 + t)(1 + 3 t^2), t = q^2
+    seen = []
+    heu = L._gcd_heu
+    monkeypatch.setattr(L, "_gcd_heu", lambda fs: seen.append(fs) or heu(fs))
+    g = {0: 1, 2: 1}
+    polys = [L.lmul(g, {0: 2, 2: -1}), L.lmul(g, {3: 1, 7: 3})]
+    assert L.lcofactors(polys) == [{0: 2, 2: -1}, {3: 1, 7: 3}]
+    assert seen == [[[-2, -1, 1], [1, 1, 3, 3]]]
+
+
+def test_value_quotient_refuses_digits_past_the_bound():
+    # (1 + q)^8 / (1 + q) at xi = 31: the cofactor (1 + q)^7 has the
+    # coefficient 35 > 31/2, so the digits of the value quotient are not
+    # the cofactor, and the bound 2 |h|_1 |Q|_inf < xi rejects them
+    xi, h = 31, [1, 1]
+    power = dict(L.ONE)
+    for _ in range(8):
+        power = L.lmul(power, {0: 1, 1: 1})
+    f = L._dense(power)
+    cofactor = L._dense_quo(f, h)
+    assert max(cofactor) == 35
+    v, hv = L._heu_eval(f, xi), L._heu_eval(h, xi)
+    assert L._heu_digits(v // hv, xi) != cofactor
+    assert L._value_quo(v, hv, xi, len(cofactor), sum(h)) is None
+
+
+def test_value_quotient_needs_the_operand_bound():
+    # 3q - 61 and 1 + q are coprime, but both are 32 at the first point
+    # xi = 31, whose digits give the candidate 1 + q.  The digit quotient
+    # 1 of 32 / 32 is small, yet (1 + q) * 1 != 3q - 61: only
+    # 2 |f|_inf < xi sends that operand to the long division, which
+    # rejects the candidate
+    f, h = [-61, 3], [1, 1]
+    assert L._heu_eval(f, 31) == L._heu_eval(h, 31) == 32
+    assert L._value_quo(32, 32, 31, 1, 2) == [1]
+    polys = [{0: -61, 1: 3}, {0: 1, 1: 1}]
+    assert L.lgcd(*polys) == L.ONE
+    assert L.lcofactors(polys) == polys
+
+
+def test_cofactors_past_the_bound_come_from_the_long_division(monkeypatch):
+    # (1 + q)^k with large binomials beside (1 + q)(1 - q): xi starts from
+    # the small operand, so the large one is divided out densely
+    calls = []
+    quo = L._dense_quo
+    monkeypatch.setattr(L, "_dense_quo", lambda f, h: calls.append(1) or quo(f, h))
+    g = {0: 1, 1: 1}
+    for k in (6, 12, 20):
+        power = dict(L.ONE)
+        for _ in range(k):
+            power = L.lmul(power, g)
+        polys = [L.lmul(power, g), L.lmul(g, {0: 1, 1: -1}), L.lshift(power, -3)]
+        want = [power, {0: 1, 1: -1}, L.lshift(L.ldiv_exact(power, g), -3)]
+        calls.clear()
+        assert L.lcofactors(polys) == want == fold_cofactors(polys)
+        assert calls
+
+
+def test_value_quotients_serve_the_cube_strips(monkeypatch):
+    # the common case: on the l = 3 cubes most cofactors are read off the
+    # values, and only a few need the long division
+    served, divided = [], []
+    value_quo, dense_quo = L._value_quo, L._dense_quo
+
+    def value(*args):
+        quo = value_quo(*args)
+        if quo is not None:
+            served.append(1)
+        return quo
+
+    monkeypatch.setattr(L, "_value_quo", value)
+    monkeypatch.setattr(L, "_dense_quo", lambda f, h: divided.append(1) or dense_quo(f, h))
+    V = simple_gl2(3, 0)
+    for side in ("sym", "ext"):
+        power_weight_rows(V, side, 3)
+    assert len(served) > 10 * len(divided)
+
+
+def _plain_cross(row, pivot_row, col):
+    # pivot_row[col] * row - row[col] * pivot_row, without the shortcuts
+    a, b = pivot_row[col], row[col]
+    out = {}
+    for c in set(row) | set(pivot_row):
+        p = L.lsub(L.lmul(a, row.get(c, {})), L.lmul(b, pivot_row.get(c, {})))
+        if p:
+            out[c] = p
+    return out
+
+
+def sparse_rows(width=4):
+    return st.dictionaries(
+        st.integers(1, width), laurents(max_terms=3, span=3, nonzero=True), max_size=width
+    )
+
+
+@FIXED
+@given(
+    sparse_rows(),
+    sparse_rows(),
+    laurents(max_terms=3, span=3, nonzero=True),
+    laurents(max_terms=3, span=3, nonzero=True),
+    laurents(max_terms=3, span=2, nonzero=True),
+)
+def test_reduced_cross_step_spans_the_plain_line(row, pivot_row, u, v, g):
+    # the entries at column 0 share the factor g, so the reduced step
+    # divides both multipliers by their gcd
+    row = {0: L.lmul(v, g), **row}
+    pivot_row = {0: L.lmul(u, g), **pivot_row}
+    got = _cross(row, pivot_row, 0)
+    assert 0 not in got and all(got.values())
+    assert srow_strip(got) == srow_strip(_plain_cross(row, pivot_row, 0))

@@ -23,6 +23,7 @@ from braidpow.qarith import (
     sp_intersect,
     sp_kernel,
     sp_rank,
+    sp_span_echelon,
 )
 from braidpow.uqmod import simple_gl2, tensor
 
@@ -430,7 +431,11 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
         for side, dim in (("sym", dim_sym_cube(l)), ("ext", dim_ext_cube(l))):
             want = _reference_meet(_cube_blocks(l, side))
             assert weight_rows_dim(want) == dim
-            assert power_weight_rows(V, side, 3) == want
+            got = power_weight_rows(V, side, 3)
+            assert got == want
+            # each block is its own canonical basis, with no second
+            # elimination over the columns of V^(ox 3)
+            assert all(sp_span_echelon(rows) == rows for rows in got.values())
 
 
 def test_triple_product_step_is_the_reference_meet(monkeypatch):
@@ -467,7 +472,9 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             ]
             want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
-            assert seen.pop() == want
+            got = seen.pop()
+            assert got == want
+            assert all(sp_span_echelon(rows) == rows for rows in got.values())
 
 
 @MEET

@@ -137,7 +137,7 @@ def test_specialized_powers_bypass_the_meet(monkeypatch):
         raise AssertionError("the tower does not meet V^(ox n) rows")
 
     monkeypatch.setattr(braided, "sp_kernel", refuse)
-    monkeypatch.setattr(braided, "sp_combine", refuse)
+    monkeypatch.setattr(braided, "_front_combine", refuse)
     V = specialize_module(simple_gl2(3, 0), Fraction(97, 101))
     assert power_dims(V, "sym", 5) == [1, 4, 10, 16, 22, 28]
 
