@@ -43,10 +43,16 @@ _side_rows too, at the eps-layers of V_a ox V_b, and the triple product
 is one _meet_step.  Over F_P every row is an int row {col: int}, and components
 are read off weight dims (decompose_weight_dims, one character formula
 for every product of gl blocks), never off highest-weight counts.  Over
-Q(q) the highest-weight counts act by E_i on the tensor product of the
-factors through uqmod.coproduct, the one Delta that every tensor module
-is built and audited with, so neither a power nor the triple product
-builds a tensor module of three or more factors.
+Q(q) the components are the highest-weight vectors of the dominant
+weight blocks, so only those blocks are built: _meet_step takes the
+weights to build, and the top level of decompose_power (from degree 3)
+and the triple product's meet are built on their dominant weights alone.
+The E_i act on the tensor product of the factors through
+uqmod.coproduct, the one Delta that every tensor module is built and
+audited with, so neither a power nor the triple product builds a tensor
+module of three or more factors.  decompose_weight_rows checks the count
+weight by weight against the row counts of the same blocks, and every
+full level _levels builds, in both fields, against Weyl symmetry.
 
 The braided powers are functions of V and a side alone: every power
 call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
@@ -55,9 +61,11 @@ here happens once per module object and is stored on it
 (WeightModule._stored): module_square(V) stores its pair on V, and each
 (V, kind) keeps one list of power levels that is extended only as far as
 a caller asks, which power_weight_rows, power_dims, braided_power and
-decompose_power read.  The gl_2 simples and standard modules are shared
-instances (see uqmod), so every stage of one process reuses their
-squares and levels.  Stored rows and subspaces are read-only.  A failed
+decompose_power read.  The dominant blocks decompose_power builds ahead
+of a level are stored too, and the level, once asked for in full, builds
+only its other blocks, so no block is built twice.  The gl_2 simples and
+standard modules are shared instances (see uqmod), so every stage of one
+process reuses their squares and levels.  Stored rows and subspaces are read-only.  A failed
 construction is not stored: the next call builds it again.
 
 The closed forms a power must match are one table, closed_forms(V, kind,
@@ -92,10 +100,12 @@ from .qarith import (
 from .uqmod import (
     IrrepMultiset,
     WeightModule,
+    check_weyl_symmetric,
     coproduct,
     decompose_weight_dims,
     decompose_weight_rows,
     dim_irrep,
+    dominant,
     highest_weight_vectors,
     simple_gl2,
     specialize_module,
@@ -313,11 +323,12 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
-def _power_step(prev: dict, ann_at: dict, V: WeightModule) -> dict:
-    """prev holds P^(n-1) and ann_at is Ann(P^2) by column; returns
-    P^n = (P^(n-1) ox V) meet (H ox P^2) by one _meet_step over the field
-    of V: H = V^(n-2) over Q(q), the relative H = P^(n-2) over F_P."""
-    return _meet_step(prev, ann_at, V.dim, V)
+def _power_step(prev: dict, ann_at: dict, V: WeightModule, weights=None) -> dict:
+    """prev holds P^(n-1) and ann_at is Ann(P^2) by column; returns the
+    blocks of P^n = (P^(n-1) ox V) meet (H ox P^2) at weights (every
+    block for None) by one _meet_step over the field of V: H = V^(n-2)
+    over Q(q), the relative H = P^(n-2) over F_P."""
+    return _meet_step(prev, ann_at, V.dim, V, weights)
 
 
 def _side_index(kind: str) -> int:
@@ -327,19 +338,70 @@ def _side_index(kind: str) -> int:
     return ("sym", "ext").index(kind)
 
 
+def _tower(V: WeightModule, kind: str) -> tuple:
+    # (the full levels built so far, _powers(V, kind) yielding the next),
+    # one pair per (V, kind), stored on V
+    return V._stored(("powers", _side_index(kind)), lambda: ([], _powers(V, kind)))
+
+
 def _levels(V: WeightModule, kind: str, n: int) -> list:
     """[P^0, ..., P^n] of the kind side of V ox V, as _powers yields them.
     One list per (V, kind) is stored on V and extended only as far as
-    asked.  A level that fails to build drops the entry."""
-    key = ("powers", _side_index(kind))
-    levels, rest = V._stored(key, lambda: ([], _powers(V, kind)))
+    asked.  Each level's weight dims must be Weyl symmetric
+    (check_weyl_symmetric), in both fields: a full level is the
+    character of a module.  A level that fails to build or to pass drops
+    the entry."""
+    levels, rest = _tower(V, kind)
     try:
         while len(levels) <= n:
-            levels.append(next(rest))
+            level = next(rest)
+            check_weyl_symmetric({w: len(rows) for w, rows in level.items()}, V.blocks)
+            levels.append(level)
     except BaseException:
-        V._forget(key)
+        V._forget(("powers", _side_index(kind)))
         raise
     return levels[: n + 1]
+
+
+def _tops(V: WeightModule, kind: str) -> dict:
+    # {n: the blocks of P^n built before the rest of the level, [] for an
+    # empty one}, stored on V; _powers completes and drops an entry
+    return V._stored(("power tops", _side_index(kind)), dict)
+
+
+def _dominant_blocks(V: WeightModule, kind: str, n: int) -> dict:
+    """The dominant weight blocks of P^n over Q(q), {weight: rows}.  A
+    stored full level is read.  Else, from degree 3, P^(n-1) is built in
+    full and one _power_step builds the dominant blocks of P^n alone.
+    They are stored on V, so when the level is asked for in full,
+    _powers builds only the other blocks and no block is built twice."""
+    levels, _ = _tower(V, kind)
+    if n < 3 or len(levels) > n:
+        full = power_weight_rows(V, kind, n)
+        return {w: rows for w, rows in full.items() if dominant(w, V.blocks)}
+    prev = _levels(V, kind, n - 1)[n - 1]
+    tops = _tops(V, kind)
+    if n not in tops:
+        weights = _dominant_meet_weights(prev, V)
+        built = _power_step(prev, _power_annihilator(V, kind), V, weights)
+        tops[n] = {w: built.get(w, []) for w in sorted(weights)}
+    return {w: rows for w, rows in tops[n].items() if rows}
+
+
+def _side_level(V: WeightModule, kind: str) -> dict:
+    # the kind side's rows as module_square built them, stored on V ox V
+    pair = module_square(V)
+    return _side_rows(pair.square_module, _side_weights(V)[_side_index(kind)])
+
+
+def _power_annihilator(V: WeightModule, kind: str) -> dict:
+    # Ann(P^2) by column (_ann_by_column), stored on V
+    return V._stored(
+        ("power annihilator", _side_index(kind)),
+        lambda: _ann_by_column(
+            _side_level(V, kind), module_square(V).square_module.weight_blocks(), V.modulus
+        ),
+    )
 
 
 def _powers(V: WeightModule, kind: str):
@@ -347,7 +409,8 @@ def _powers(V: WeightModule, kind: str):
     {weight: rows} with entries in the field of V.  P^0 and P^1 are unit
     rows; P^2 is the side's rows as module_square built them.  Ann(P^2)
     is built once, when degree 3 is asked for, and every higher level is
-    one _power_step.
+    one _power_step, or, for a level whose dominant blocks were built
+    first (_dominant_blocks), one _power_step over the other weights.
 
     Over Q(q) a row of P^n is a vector of V^(ox n).  A specialized module
     (V.modulus set) yields the levels of the relative tower instead: the
@@ -356,8 +419,7 @@ def _powers(V: WeightModule, kind: str):
     sum c * (basis vector a of P^(n-1)) ox e_b.  So only there is the
     first factor of P^2 renumbered in the level order of P^1."""
     d, p = V.dim, V.modulus
-    pair = module_square(V)
-    square = _side_rows(pair.square_module, _side_weights(V)[_side_index(kind)])
+    square = _side_level(V, kind)
     unit = (lambda: dict(ONE)) if p is None else (lambda: 1)
     yield {(0,) * len(V.weights[0]): [{0: unit()}]}
     blocks1 = V.weight_blocks()
@@ -371,10 +433,19 @@ def _powers(V: WeightModule, kind: str):
             for w, rows in sorted(square.items())
         }
     yield level
-    ann_at = _ann_by_column(square, pair.square_module.weight_blocks(), p)
+    ann_at = _power_annihilator(V, kind)
+    tops = _tops(V, kind)
+    n = 3
     while True:
-        level = _power_step(level, ann_at, V)
+        top = tops.get(n)
+        if top is None:
+            level = _power_step(level, ann_at, V)
+        else:
+            rest = _power_step(level, ann_at, V, _meet_weights(level, V) - top.keys())
+            level = {w: rows for w, rows in sorted({**top, **rest}.items()) if rows}
+            del tops[n]
         yield level
+        n += 1
 
 
 def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
@@ -401,12 +472,25 @@ def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
     return ann_at
 
 
-def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
+def _meet_weights(prev: dict, back: WeightModule) -> set:
+    # the weights of the blocks of (prev ox back) meet (head ox I)
+    wts = set(back.weights)
+    return {tuple(x + y for x, y in zip(w, wb)) for w in prev for wb in wts}
+
+
+def _dominant_meet_weights(prev: dict, back: WeightModule) -> set:
+    return {w for w in _meet_weights(prev, back) if dominant(w, back.blocks)}
+
+
+def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights=None) -> dict:
     """(prev ox back) meet (head ox I), one weight block at a time, over
-    the field of back.  prev is {weight: rows} over head ox M, its row
-    {i * mid + c: t} standing for sum t * h_i ox e_c with M of dimension
-    mid, and ann_at is Ann(I) of a subspace I of M ox back, by column
-    (see _ann_by_column).
+    the field of back, at the weights in weights: every block for None
+    (see _meet_weights), and a block at another weight is never set up.
+    prev is {weight: rows} over head ox M, its row {i * mid + c: t}
+    standing for sum t * h_i ox e_c with M of dimension mid, and ann_at
+    is Ann(I) of a subspace I of M ox back, by column (see
+    _ann_by_column).  Blocks come back in sorted weight order, an empty
+    one left out.
 
     The unknowns of a weight block are the pairs (a, b) of a row p_a of
     prev and a basis vector e_b of back.  Written over the basis h_i of
@@ -432,9 +516,9 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule) -> dict:
     for w in sorted(prev):
         for row in prev[w]:
             for b, wb in enumerate(back.weights):
-                unknowns.setdefault(tuple(x + y for x, y in zip(w, wb)), []).append(
-                    (a * d + b, b, row)
-                )
+                key = tuple(x + y for x, y in zip(w, wb))
+                if weights is None or key in weights:
+                    unknowns.setdefault(key, []).append((a * d + b, b, row))
             a += 1
     out = {}
     for w in sorted(unknowns):
@@ -533,23 +617,33 @@ def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
 
 
 def _decompose(V: WeightModule, factors: tuple, build) -> IrrepMultiset:
-    """Components of the submodule {weight: rows} = build() of the tensor
-    product of the modules in factors, over the field of V and its gl
-    blocks.  Over F_P they are read off its weight dims
-    (decompose_weight_dims); over Q(q) they come from highest-weight
-    vectors under the coproduct action of the E_i (uqmod.coproduct)."""
+    """Components of a submodule of the tensor product of the modules in
+    factors, over the field of V and its gl blocks.  build(dominant)
+    gives its weight blocks {weight: rows}: every block, or with
+    dominant set at least the dominant ones.  Over F_P the components
+    are read off every block's dim (decompose_weight_dims).  Over Q(q)
+    they are the highest-weight vectors of the dominant blocks under the
+    coproduct action of the E_i (uqmod.coproduct), checked weight by
+    weight against those blocks' row counts (decompose_weight_rows)."""
     if V.modulus is not None:
-        dims = {w: len(rows) for w, rows in build().items()}
+        dims = {w: len(rows) for w, rows in build(False).items()}
         return decompose_weight_dims(dims, V.blocks)
     apply_es = [coproduct(factors, i) for i in range(V.ngen)]
-    return decompose_weight_rows(build(), V.blocks, apply_es)
+    return decompose_weight_rows(build(True), V.blocks, apply_es)
 
 
 def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
-    """Decomposition of the n-th braided power of the kind side of V ox V:
-    over Q(q) from its highest-weight vectors, for a specialized module
-    from its weight dims (see _decompose); P^n is never expanded."""
-    return _decompose(V, (V,) * n, lambda: power_weight_rows(V, kind, n))
+    """Decomposition of the n-th braided power of the kind side of V ox V
+    (see _decompose); P^n is never expanded.  For a specialized module it
+    reads the weight dims of the full level.  Over Q(q) it reads only the
+    dominant blocks: from degree 3, unless the level is stored in full,
+    only they are built, on the full P^(n-1), and stored on V, so a later
+    full request builds only the rest (_dominant_blocks)."""
+    return _decompose(
+        V,
+        (V,) * n,
+        lambda dom: _dominant_blocks(V, kind, n) if dom else power_weight_rows(V, kind, n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +848,8 @@ def _eps_layers(a: int, b: int, parity: int) -> tuple:
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
     decomposed by the route of its field (_decompose): at q0 over F_P by
-    its character, over Q(q) by its highest-weight vectors."""
+    its character, over Q(q) by the highest-weight vectors of its
+    dominant blocks, the only blocks built there."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     bullet12 = _side_rows(tensor(v1, v2), _eps_layers(b1, b2, parity))
@@ -768,7 +863,12 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
             t23.modulus,
         ),
     )
-    return _decompose(v3, (v1, v2, v3), lambda: _meet_step(bullet12, ann_at, v2.dim, v3))
+
+    def build(dom):
+        weights = _dominant_meet_weights(bullet12, v3) if dom else None
+        return _meet_step(bullet12, ann_at, v2.dim, v3, weights)
+
+    return _decompose(v3, (v1, v2, v3), build)
 
 
 # ---------------------------------------------------------------------------

@@ -480,24 +480,78 @@ def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:
 
 
 def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
-    """Decompose a submodule over Q(q) given as {weight: sparse rows}.
-    Counts highest weight vectors per dominant weight and certifies the
-    total dimension against the row count.  A specialized module is
-    decomposed from its character instead (decompose_weight_dims)."""
+    """Decompose a submodule over Q(q) from its dominant weight blocks,
+    {weight: sparse rows}; blocks at other weights are not read, so a
+    caller may pass the dominant ones alone.  The components are the
+    highest-weight vectors counted in each dominant block.  They are
+    checked weight by weight against the same blocks: the dominant row
+    counts, copied over each Weyl orbit (weyl_extend) and decomposed by
+    decompose_weight_dims, must give the same multiplicities, else a
+    ModuleAuditError names the highest weight where the two differ.  That
+    proves the components found have, at every dominant weight, exactly
+    the block's number of rows; with a Weyl-symmetric character (every
+    full power level is checked, see braided._levels) they account for
+    every row.  It does not prove that the rows span a submodule.  A
+    specialized module is decomposed from its character instead
+    (decompose_weight_dims)."""
     out = IrrepMultiset(blocks=blocks)
-    total_rows = 0
+    dims = {}
     for w in sorted(weight_rows):
-        rows = weight_rows[w]
-        total_rows += len(rows)
         if not dominant(w, blocks):
             continue
-        k = hw_multiplicity_in_rows(apply_es, rows)
+        dims[w] = len(weight_rows[w])
+        k = hw_multiplicity_in_rows(apply_es, weight_rows[w])
         if k:
             out[w] = k
-    if out.total_dim() != total_rows:
+    by_dims = decompose_weight_dims(weyl_extend(dims, blocks), blocks)
+    differ = [w for w in out.keys() | by_dims.keys() if out.get(w) != by_dims.get(w)]
+    if differ:
+        w = max(differ)
         raise ModuleAuditError(
-            f"decomposition accounts for {out.total_dim()} of {total_rows} dimensions"
+            f"at {w} the weight dims give multiplicity {by_dims.get(w, 0)}, "
+            f"the highest-weight count {out.get(w, 0)}"
         )
+    return out
+
+
+def _simple_positions(blocks) -> list:
+    # the i whose transposition (i, i + 1) is a simple reflection of a block
+    starts = [sum(blocks[:b]) for b in range(len(blocks))]
+    return [i for s, n in zip(starts, blocks) for i in range(s, s + n - 1)]
+
+
+def _reflect(w: tuple, i: int) -> tuple:
+    return w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+
+def check_weyl_symmetric(weight_dims: dict, blocks) -> None:
+    """Raise ModuleAuditError naming a weight at which the dims
+    {weight: dim} are not symmetric under a simple reflection of some gl
+    block.  The character of every finite-dimensional module, and so of
+    every braided power, is Weyl symmetric."""
+    simple = _simple_positions(blocks)
+    for w, k in weight_dims.items():
+        for i in simple:
+            if weight_dims.get(_reflect(w, i), 0) != k:
+                raise ModuleAuditError(f"weight dims are not Weyl symmetric at {w}")
+
+
+def weyl_extend(dominant_dims: dict, blocks) -> dict:
+    """The Weyl-symmetric table {weight: dim} that agrees with
+    dominant_dims, {dominant weight: dim}, at its weights: each dim
+    copied over its weight's orbit, walked by simple reflections."""
+    simple = _simple_positions(blocks)
+    out = {}
+    for mu, k in dominant_dims.items():
+        out[mu] = k
+        stack = [mu]
+        while stack:
+            w = stack.pop()
+            for i in simple:
+                v = _reflect(w, i)
+                if v not in out:
+                    out[v] = k
+                    stack.append(v)
     return out
 
 
@@ -520,12 +574,8 @@ def decompose_weight_dims(weight_dims: dict, blocks) -> IrrepMultiset:
     count check after them cannot fail on a Weyl-symmetric table, whose
     components always account for every dimension; it stays as a safety
     assertion."""
+    check_weyl_symmetric(weight_dims, blocks)
     starts = [sum(blocks[:b]) for b in range(len(blocks))]
-    simple = [i for s, n in zip(starts, blocks) for i in range(s, s + n - 1)]
-    for w, k in weight_dims.items():
-        for i in simple:
-            if weight_dims.get(w[:i] + (w[i + 1], w[i]) + w[i + 2 :], 0) != k:
-                raise ModuleAuditError(f"weight dims are not Weyl symmetric at {w}")
     char = dict(weight_dims)
     for s, n in zip(starts, blocks):
         for i in range(s, s + n):

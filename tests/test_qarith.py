@@ -25,7 +25,7 @@ from braidpow.qarith import (
     sp_rank,
     sp_span_echelon,
 )
-from braidpow.uqmod import simple_gl2, tensor
+from braidpow.uqmod import dominant, simple_gl2, tensor
 
 F = Fraction
 
@@ -439,7 +439,9 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
 
 
 def test_triple_product_step_is_the_reference_meet(monkeypatch):
-    # the meet that _triple_product_exact decomposes, for every beta <= 2
+    # the meet that _triple_product_exact decomposes, for every beta <= 2:
+    # its dominant blocks, the only ones decomposed, and the whole meet
+    # from _meet_step over every weight
     seen = []
     decompose = braided.decompose_weight_rows
     monkeypatch.setattr(
@@ -473,8 +475,11 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
             got = seen.pop()
-            assert got == want
-            assert all(sp_span_echelon(rows) == rows for rows in got.values())
+            assert got == {w: rows for w, rows in want.items() if dominant(w, (2,))}
+            ann_at = braided._ann_by_column(b23, t23.weight_blocks(), None)
+            whole = braided._meet_step(b12, ann_at, v2.dim, v3)
+            assert whole == want
+            assert all(sp_span_echelon(rows) == rows for rows in whole.values())
 
 
 @MEET

@@ -1,7 +1,7 @@
 """Each exact construction happens once per process: shared modules,
-stored tensor products, squares and power levels.  Sharing must change
-no result, no caller may mutate a shared result, and a failed
-construction is not stored."""
+stored tensor products, squares and power levels, down to each weight
+block of a level.  Sharing must change no result, no caller may mutate a
+shared result, and a failed construction is not stored."""
 
 import hashlib
 import json
@@ -11,8 +11,27 @@ from fractions import Fraction
 import pytest
 
 from braidpow import acceptance, braided, uqmod
-from braidpow.braided import module_square, power_dims, square_gl2, square_standard
-from braidpow.uqmod import WeightModule, simple_gl2, specialize_module, standard_gld, tensor
+from braidpow.braided import (
+    admissible_triples,
+    braided_power,
+    decompose_power,
+    ext_cube_closed,
+    module_square,
+    power_dims,
+    power_weight_rows,
+    square_gl2,
+    square_standard,
+    sym_cube_closed,
+)
+from braidpow.uqmod import (
+    ModuleAuditError,
+    WeightModule,
+    dominant,
+    simple_gl2,
+    specialize_module,
+    standard_gld,
+    tensor,
+)
 
 
 def test_constructors_share_one_audited_instance(monkeypatch):
@@ -127,3 +146,117 @@ def test_no_stage_mutates_a_shared_result(audit_twice):
     _, _, (built, after_first, after_second) = audit_twice
     assert after_first == built
     assert after_second == built
+
+
+# ---------------------------------------------------------------------------
+# dominant blocks first: a decomposition over Q(q) builds the dominant
+# blocks of its top level, a later full request only the rest
+
+
+def _spy_meet(monkeypatch) -> list:
+    """Record (prev, weights built) of every _meet_step call."""
+    calls = []
+    meet = braided._meet_step
+
+    def spy(prev, ann_at, mid, back, weights=None):
+        built = braided._meet_weights(prev, back) if weights is None else set(weights)
+        calls.append((prev, built))
+        return meet(prev, ann_at, mid, back, weights)
+
+    monkeypatch.setattr(braided, "_meet_step", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["sym", "ext"])
+def test_a_decomposition_builds_the_dominant_blocks_and_a_full_level_the_rest(
+    monkeypatch, kind
+):
+    # the level built in full from the start, on an unshared module
+    want = power_weight_rows(simple_gl2.__wrapped__(4, 0), kind, 3)
+    calls = _spy_meet(monkeypatch)
+    V = simple_gl2(4, 0)
+    dec = decompose_power(V, kind, 3)
+    [(prev, dom)] = calls
+    every = braided._meet_weights(prev, V)
+    assert dom == {w for w in every if dominant(w, V.blocks)} != every
+    closed = sym_cube_closed(4) if kind == "sym" else ext_cube_closed(4)
+    assert dict(dec) == dict(closed)
+    calls.clear()
+    assert power_dims(V, kind, 3)[3] == braided.weight_rows_dim(want)
+    [(again, rest)] = calls
+    assert again is prev and rest == every - dom
+    level = power_weight_rows(V, kind, 3)
+    assert level == want and list(level) == list(want)
+    calls.clear()
+    assert decompose_power(V, kind, 3) == dec
+    assert calls == []
+
+
+def test_no_block_of_a_power_level_is_built_twice(monkeypatch):
+    # every order of requests: each block of each level built exactly once
+    calls = _spy_meet(monkeypatch)
+    V = simple_gl2(3, 0)
+    for kind in ("sym", "ext"):
+        decompose_power(V, kind, 3)
+        decompose_power(V, kind, 3)
+        power_dims(V, kind, 3)
+        braided_power(V, kind, 3)
+        decompose_power(V, kind, 4)
+        decompose_power(V, kind, 3)
+        power_dims(V, kind, 4)
+        decompose_power(V, kind, 5)
+        braided_power(V, kind, 5)
+        decompose_power(V, kind, 6)
+    built = [(id(prev), w) for prev, weights in calls for w in weights]
+    assert len(built) == len(set(built))
+    for kind in ("sym", "ext"):
+        levels = braided._levels(V, kind, 5)
+        for prev in levels[2:5]:
+            assert {w for p, ws in calls if p is prev for w in ws} == braided._meet_weights(
+                prev, V
+            )
+
+
+@pytest.mark.parametrize("w", [(9, 0), (8, 1), (7, 2), (6, 3), (5, 4)])
+def test_a_dominant_block_short_of_a_row_fails_the_decomposition(monkeypatch, w):
+    # the sym cube of V_(3,0), one row dropped from the block at w: the
+    # per-weight check names w or the weight below it
+    meet = braided._meet_step
+
+    def short(prev, ann_at, mid, back, weights=None):
+        out = meet(prev, ann_at, mid, back, weights)
+        if w in out:
+            out[w] = out[w][:-1]
+        return out
+
+    monkeypatch.setattr(braided, "_meet_step", short)
+    below = (w[0] - 1, w[1] + 1)
+    with pytest.raises(ModuleAuditError, match=rf"\({w[0]}, {w[1]}\)|\({below[0]}, {below[1]}\)"):
+        decompose_power(simple_gl2(3, 0), "sym", 3)
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(97, 101)])
+def test_a_full_level_short_of_a_row_off_the_dominant_chamber_fails(monkeypatch, q0):
+    # (4, 5) is not dominant, so no decomposition reads its block; the
+    # Weyl symmetry of each full level catches it in both fields
+    meet = braided._meet_step
+
+    def short(prev, ann_at, mid, back, weights=None):
+        out = meet(prev, ann_at, mid, back, weights)
+        if (4, 5) in out:
+            out[(4, 5)] = out[(4, 5)][:-1]
+        return out
+
+    monkeypatch.setattr(braided, "_meet_step", short)
+    V = braided.at_point(simple_gl2(3, 0), q0)
+    with pytest.raises(ModuleAuditError, match=r"not Weyl symmetric at \((5, 4|4, 5)\)"):
+        power_dims(V, "sym", 3)
+
+
+def test_the_exact_triple_product_builds_its_dominant_blocks_only(monkeypatch):
+    calls = _spy_meet(monkeypatch)
+    beta = (2, 1, 2)
+    assert dict(braided.decompose_triple(beta, "+")) == dict(admissible_triples(beta, "+"))
+    [(prev, weights)] = calls
+    every = braided._meet_weights(prev, simple_gl2(2, 0))
+    assert weights == {w for w in every if dominant(w, (2,))} != every
