@@ -65,8 +65,9 @@ decompose_power read.  The dominant blocks decompose_power builds ahead
 of a level are stored too, and the level, once asked for in full, builds
 only its other blocks, so no block is built twice.  The gl_2 simples and
 standard modules are shared instances (see uqmod), so every stage of one
-process reuses their squares and levels.  Stored rows and subspaces are read-only.  A failed
-construction is not stored: the next call builds it again.
+process reuses their squares and levels.  Stored rows and subspaces are
+read-only.  A failed construction is not stored: the next call builds it
+again.
 
 The closed forms a power must match are one table, closed_forms(V, kind,
 n), read off V's family, and triple_closed_forms for the triple
@@ -82,6 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import add
 import random
 
 from .errors import TheoremViolation
@@ -323,11 +325,11 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 # braided powers
 
 
-def _power_step(prev: dict, ann_at: dict, V: WeightModule, weights=None) -> dict:
+def _power_step(prev: dict, ann_at: dict, V: WeightModule, weights) -> dict:
     """prev holds P^(n-1) and ann_at is Ann(P^2) by column; returns the
-    blocks of P^n = (P^(n-1) ox V) meet (H ox P^2) at weights (every
-    block for None) by one _meet_step over the field of V: H = V^(n-2)
-    over Q(q), the relative H = P^(n-2) over F_P."""
+    blocks of P^n = (P^(n-1) ox V) meet (H ox P^2) at weights by one
+    _meet_step over the field of V: H = V^(n-2) over Q(q), the relative
+    H = P^(n-2) over F_P."""
     return _meet_step(prev, ann_at, V.dim, V, weights)
 
 
@@ -409,8 +411,9 @@ def _powers(V: WeightModule, kind: str):
     {weight: rows} with entries in the field of V.  P^0 and P^1 are unit
     rows; P^2 is the side's rows as module_square built them.  Ann(P^2)
     is built once, when degree 3 is asked for, and every higher level is
-    one _power_step, or, for a level whose dominant blocks were built
-    first (_dominant_blocks), one _power_step over the other weights.
+    one _power_step over the weights not built yet: all of them, or, for
+    a level whose dominant blocks were built first (_dominant_blocks),
+    the others.
 
     Over Q(q) a row of P^n is a vector of V^(ox n).  A specialized module
     (V.modulus set) yields the levels of the relative tower instead: the
@@ -437,13 +440,9 @@ def _powers(V: WeightModule, kind: str):
     tops = _tops(V, kind)
     n = 3
     while True:
-        top = tops.get(n)
-        if top is None:
-            level = _power_step(level, ann_at, V)
-        else:
-            rest = _power_step(level, ann_at, V, _meet_weights(level, V) - top.keys())
-            level = {w: rows for w, rows in sorted({**top, **rest}.items()) if rows}
-            del tops[n]
+        top = tops.pop(n, {})
+        rest = _power_step(level, ann_at, V, _meet_weights(level, V) - top.keys())
+        level = {w: rows for w, rows in sorted({**top, **rest}.items()) if rows}
         yield level
         n += 1
 
@@ -475,17 +474,17 @@ def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
 def _meet_weights(prev: dict, back: WeightModule) -> set:
     # the weights of the blocks of (prev ox back) meet (head ox I)
     wts = set(back.weights)
-    return {tuple(x + y for x, y in zip(w, wb)) for w in prev for wb in wts}
+    return {tuple(map(add, w, wb)) for w in prev for wb in wts}
 
 
 def _dominant_meet_weights(prev: dict, back: WeightModule) -> set:
     return {w for w in _meet_weights(prev, back) if dominant(w, back.blocks)}
 
 
-def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights=None) -> dict:
+def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) -> dict:
     """(prev ox back) meet (head ox I), one weight block at a time, over
-    the field of back, at the weights in weights: every block for None
-    (see _meet_weights), and a block at another weight is never set up.
+    the field of back, at the weights in weights (all of them:
+    _meet_weights); a block at another weight is never set up.
     prev is {weight: rows} over head ox M, its row {i * mid + c: t}
     standing for sum t * h_i ox e_c with M of dimension mid, and ann_at
     is Ann(I) of a subspace I of M ox back, by column (see
@@ -514,11 +513,12 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights=N
     unknowns: dict[tuple, list] = {}
     a = 0
     for w in sorted(prev):
+        # (b, weight of p_a ox e_b) for the e_b that land in weights
+        at = [(b, tuple(map(add, w, wb))) for b, wb in enumerate(back.weights)]
+        at = [(b, key) for b, key in at if key in weights]
         for row in prev[w]:
-            for b, wb in enumerate(back.weights):
-                key = tuple(x + y for x, y in zip(w, wb))
-                if weights is None or key in weights:
-                    unknowns.setdefault(key, []).append((a * d + b, b, row))
+            for b, key in at:
+                unknowns.setdefault(key, []).append((a * d + b, b, row))
             a += 1
     out = {}
     for w in sorted(unknowns):
@@ -865,7 +865,7 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     )
 
     def build(dom):
-        weights = _dominant_meet_weights(bullet12, v3) if dom else None
+        weights = (_dominant_meet_weights if dom else _meet_weights)(bullet12, v3)
         return _meet_step(bullet12, ann_at, v2.dim, v3, weights)
 
     return _decompose(v3, (v1, v2, v3), build)

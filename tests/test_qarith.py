@@ -477,7 +477,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             got = seen.pop()
             assert got == {w: rows for w, rows in want.items() if dominant(w, (2,))}
             ann_at = braided._ann_by_column(b23, t23.weight_blocks(), None)
-            whole = braided._meet_step(b12, ann_at, v2.dim, v3)
+            whole = braided._meet_step(b12, ann_at, v2.dim, v3, braided._meet_weights(b12, v3))
             assert whole == want
             assert all(sp_span_echelon(rows) == rows for rows in whole.values())
 

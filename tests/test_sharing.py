@@ -62,7 +62,8 @@ def test_power_levels_are_extended_only_as_far_as_asked(monkeypatch):
     monkeypatch.setattr(
         braided,
         "_power_step",
-        lambda prev, ann, V: steps.append(braided.weight_rows_dim(prev)) or step(prev, ann, V),
+        lambda prev, ann, V, weights: steps.append(braided.weight_rows_dim(prev))
+        or step(prev, ann, V, weights),
     )
     V = simple_gl2(3, 0)
     assert power_dims(V, "sym", 3) == [1, 4, 10, 16]
@@ -158,9 +159,8 @@ def _spy_meet(monkeypatch) -> list:
     calls = []
     meet = braided._meet_step
 
-    def spy(prev, ann_at, mid, back, weights=None):
-        built = braided._meet_weights(prev, back) if weights is None else set(weights)
-        calls.append((prev, built))
+    def spy(prev, ann_at, mid, back, weights):
+        calls.append((prev, set(weights)))
         return meet(prev, ann_at, mid, back, weights)
 
     monkeypatch.setattr(braided, "_meet_step", spy)
@@ -223,7 +223,7 @@ def test_a_dominant_block_short_of_a_row_fails_the_decomposition(monkeypatch, w)
     # per-weight check names w or the weight below it
     meet = braided._meet_step
 
-    def short(prev, ann_at, mid, back, weights=None):
+    def short(prev, ann_at, mid, back, weights):
         out = meet(prev, ann_at, mid, back, weights)
         if w in out:
             out[w] = out[w][:-1]
@@ -241,7 +241,7 @@ def test_a_full_level_short_of_a_row_off_the_dominant_chamber_fails(monkeypatch,
     # Weyl symmetry of each full level catches it in both fields
     meet = braided._meet_step
 
-    def short(prev, ann_at, mid, back, weights=None):
+    def short(prev, ann_at, mid, back, weights):
         out = meet(prev, ann_at, mid, back, weights)
         if (4, 5) in out:
             out[(4, 5)] = out[(4, 5)][:-1]
