@@ -5,27 +5,26 @@ as a pair of submodules (sym, ext) of V ox V, and the n-th braided power
 of a side I is the intersection of all slot placements of I inside
 V^{ox n}.  Only one new intersection per degree is needed:
 
-    P^n(I) = (P^{n-1}(I) ox V)  meet  (H ox I)
+    P^n(I) = (P^{n-1}(I) ox V)  meet  (P^{n-2}(I) ox I)
 
-with the head H = V^{ox n-2}, or H = P^{n-2}(I), which P^{n-1} lies in.
-I enters through its annihilator under the standard pairing
+Since P^(n-1) ox V lies in P^(n-2) ox V ox V, its meet with
+V^{ox n-2} ox I is its meet with P^(n-2) ox I, over any field.  I
+enters through its annihilator under the standard pairing
 x . y = sum_c x_c y_c, built once per power (_ann_by_column), and each
 weight block of the meet is the kernel of one pairing system: one
 unknown per (row of P^(n-1), basis vector of V) and one equation per
-(basis vector of H, row of Ann(I)).  Every module family and both
-fields take one route: _powers yields the levels, each from degree 3 on
-one _power_step, which is one _meet_step.  Only the finish differs.
-- Over Q(q), H = V^{ox n-2}; sp_kernel solves the system, the kernel
-  vectors are echelonized and each is expanded into V^{ox n}, so a level
-  is the canonical basis of each weight block (_front_combine).
-- A specialized module (over F_P, see specialize_module) runs the
-  relative tower: H = P^(n-2), fp_kernel solves the system, and each P^n
-  keeps its kernel vectors as coordinates over P^(n-1) ox V, so no size
-  grows like dim V^(n-2).  The only other difference is that P^2's
-  first factor is renumbered in the level order of P^1.  braided_power
-  expands the tower into V^{ox n} only when a Subspace is asked for.
-  Over Q(q) those coordinates would be raw kernel vectors whose
-  q-degrees grow.
+(row of P^(n-2), row of Ann(I)).  Every module family and both fields
+take one route, the relative tower: _powers yields the levels, each
+from degree 3 on one _power_step, which is one _meet_step, and each
+such level keeps its kernel vectors as coordinates over P^(n-1) ox V,
+so no size grows like dim V^(n-2).  Only the kernel (sp_kernel over
+Q(q), fp_kernel over F_P for a specialized module, see
+specialize_module) and the entry arithmetic depend on the field.
+sp_kernel and fp_kernel return the unique reduced basis of the kernel,
+so each level is canonical relative to the one below.  A level is
+expanded into V^{ox n} (_expand, _absolute) only where rows of
+V^{ox n} are read: by braided_power, and over Q(q) by the
+highest-weight count of a decomposition, on its dominant blocks.
 
 Every square, over either field and of any module, is built by one
 route (_square_sides), and one function decides which side each summand
@@ -94,10 +93,8 @@ from .qarith import (
     fp_kernel,
     fp_rref,
     sp_apply,
-    sp_echelon,
     sp_kernel,
     sp_span_echelon,
-    srow_strip,
 )
 from .uqmod import (
     IrrepMultiset,
@@ -182,10 +179,7 @@ def weight_rows_dim(wrows: dict) -> int:
 
 
 def weight_rows_subspace(ambient: int, wrows: dict, modulus=None) -> Subspace:
-    rows = []
-    for w in sorted(wrows):
-        rows.extend(wrows[w])
-    return Subspace.from_sparse(ambient, rows, modulus)
+    return Subspace.from_sparse(ambient, _level_rows(wrows), modulus)
 
 
 def _side_rows(m: WeightModule, tops) -> dict:
@@ -327,9 +321,9 @@ def square_matrix_module(d: int, k: int) -> BraidedSquarePair:
 
 def _power_step(prev: dict, ann_at: dict, V: WeightModule, weights) -> dict:
     """prev holds P^(n-1) and ann_at is Ann(P^2) by column; returns the
-    blocks of P^n = (P^(n-1) ox V) meet (H ox P^2) at weights by one
-    _meet_step over the field of V: H = V^(n-2) over Q(q), the relative
-    H = P^(n-2) over F_P."""
+    blocks of P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2) at weights, as
+    coordinates over P^(n-1) ox V, by one _meet_step over the field of
+    V."""
     return _meet_step(prev, ann_at, V.dim, V, weights)
 
 
@@ -372,11 +366,12 @@ def _tops(V: WeightModule, kind: str) -> dict:
 
 
 def _dominant_blocks(V: WeightModule, kind: str, n: int) -> dict:
-    """The dominant weight blocks of P^n over Q(q), {weight: rows}.  A
-    stored full level is read.  Else, from degree 3, P^(n-1) is built in
-    full and one _power_step builds the dominant blocks of P^n alone.
-    They are stored on V, so when the level is asked for in full,
-    _powers builds only the other blocks and no block is built twice."""
+    """The dominant weight blocks of P^n, {weight: rows} as _powers
+    yields them.  A stored full level is read.  Else, from degree 3,
+    P^(n-1) is built in full and one _power_step builds the dominant
+    blocks of P^n alone.  They are stored on V, so when the level is
+    asked for in full, _powers builds only the other blocks and no block
+    is built twice."""
     levels, _ = _tower(V, kind)
     if n < 3 or len(levels) > n:
         full = power_weight_rows(V, kind, n)
@@ -409,32 +404,22 @@ def _power_annihilator(V: WeightModule, kind: str) -> dict:
 def _powers(V: WeightModule, kind: str):
     """Yield P^0, P^1, P^2, ... of the kind side of V ox V, each as
     {weight: rows} with entries in the field of V.  P^0 and P^1 are unit
-    rows; P^2 is the side's rows as module_square built them.  Ann(P^2)
-    is built once, when degree 3 is asked for, and every higher level is
-    one _power_step over the weights not built yet: all of them, or, for
-    a level whose dominant blocks were built first (_dominant_blocks),
-    the others.
+    rows; P^2 is the side's rows as module_square built them, its first
+    factor P^1 numbered in V's basis order.  So the rows of levels 0 to 2
+    are vectors of V^(ox n).  Ann(P^2) is built once, when degree 3 is
+    asked for, and every higher level is one _power_step over the
+    weights not built yet: all of them, or, for a level whose dominant
+    blocks were built first (_dominant_blocks), the others.
 
-    Over Q(q) a row of P^n is a vector of V^(ox n).  A specialized module
-    (V.modulus set) yields the levels of the relative tower instead: the
-    basis of a level is numbered in level order (weights sorted, then row
-    order), and the row {a * d + b: c} of P^n stands for the vector
-    sum c * (basis vector a of P^(n-1)) ox e_b.  So only there is the
-    first factor of P^2 renumbered in the level order of P^1."""
-    d, p = V.dim, V.modulus
-    square = _side_level(V, kind)
-    unit = (lambda: dict(ONE)) if p is None else (lambda: 1)
+    From degree 3 a level is relative, in both fields: the basis of
+    P^(n-1) is numbered in level order (weights sorted, then row order),
+    and the row {a * d + b: c} of P^n stands for the vector
+    sum c * (basis vector a of P^(n-1)) ox e_b.  _absolute expands it."""
+    unit = (lambda: dict(ONE)) if V.modulus is None else (lambda: 1)
     yield {(0,) * len(V.weights[0]): [{0: unit()}]}
     blocks1 = V.weight_blocks()
     yield {w: [{i: unit()} for i in blocks1[w]] for w in sorted(blocks1)}
-    level = square
-    if p is not None:
-        order = [i for w in sorted(blocks1) for i in blocks1[w]]
-        pos = {i: a for a, i in enumerate(order)}
-        level = {
-            w: [{pos[c // d] * d + c % d: e for c, e in row.items()} for row in rows]
-            for w, rows in sorted(square.items())
-        }
+    level = _side_level(V, kind)
     yield level
     ann_at = _power_annihilator(V, kind)
     tops = _tops(V, kind)
@@ -445,6 +430,12 @@ def _powers(V: WeightModule, kind: str):
         level = {w: rows for w, rows in sorted({**top, **rest}.items()) if rows}
         yield level
         n += 1
+
+
+def _kernel(system: list, ncols: int, p) -> list:
+    # the unique reduced kernel basis: sp_kernel over Q(q) (p None),
+    # fp_kernel over F_p
+    return sp_kernel(system, ncols) if p is None else fp_kernel(system, ncols, p)
 
 
 def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
@@ -460,11 +451,7 @@ def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
     for w, cols in blocks.items():
         local = {c: i for i, c in enumerate(cols)}
         system = [{local[c]: e for c, e in row.items()} for row in wrows.get(w, [])]
-        if p is None:
-            kernel = sp_kernel(system, len(cols))
-        else:
-            kernel = fp_kernel(system, len(cols), p)
-        for z in kernel:
+        for z in _kernel(system, len(cols), p):
             for i, v in z.items():
                 ann_at.setdefault(cols[i], []).append((k, v))
             k += 1
@@ -496,19 +483,12 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) 
     the head, sum x_ab p_a ox e_b is sum_i h_i ox g_i with g_i in
     M ox back, and it lies in head ox I exactly when every g_i pairs to
     zero with Ann(I): one equation per (i, annihilator row k), in order
-    of (i, k).  Over F_P fp_kernel solves it and the rows
-    {a * d + b: x_ab} are returned as they are (see _powers).  Over Q(q)
-    sp_kernel solves it, and the vectors sum x_ab p_a ox e_b, over
-    head ox M ox back, are returned as their canonical basis.
-
-    That basis takes one elimination, of the kernel vectors alone: the
-    front rows p_a ox e_b already form a reduced echelon basis.  The rows
-    of one block of prev are one, prev being canonical, and tensoring
-    with e_b keeps that; rows of different weights of prev, or with
-    different b, have disjoint supports.  So _front_combine echelonizes
-    the kernel vectors in the order of the front rows' pivots and
-    multiplies them out, with no second elimination over the columns of
-    head ox M ox back."""
+    of (i, k).  fp_kernel over F_P, or sp_kernel over Q(q), solves it,
+    and each kernel vector comes back as the row {a * d + b: x_ab},
+    numbering the rows of prev in level order (weights sorted, then row
+    order).  Both kernels return the unique reduced basis of the kernel
+    (sp_kernel's rows stripped), so a block is canonical relative to
+    prev.  _expand multiplies the rows out over prev."""
     d, p = back.dim, back.modulus
     unknowns: dict[tuple, list] = {}
     a = 0
@@ -538,74 +518,70 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) 
                     else:
                         del eq[j]
         system = [eq for _, eq in sorted(eqs.items()) if eq]
-        if p is not None:
-            rows = [
-                {cols[j][0]: v for j, v in z.items()}
-                for z in fp_kernel(system, len(cols), p)
-            ]
-        else:
-            rows = _front_combine(
-                [{col * d + b: t for col, t in row.items()} for _, b, row in cols],
-                sp_kernel(system, len(cols)),
-            )
+        kernel = _kernel(system, len(cols), p)
+        rows = [{cols[j][0]: v for j, v in z.items()} for z in kernel]
         if rows:
             out[w] = rows
     return out
 
 
-def _front_combine(front: list, kernel: list) -> list:
-    """The canonical basis of the span of the vectors sum_j z_j front[j],
-    z in kernel, for front rows that form a reduced echelon basis: no row
-    has an entry in the first column of another.  Number the unknowns j
-    in the order of those first columns and take a reduced echelon basis
-    of the z.  Each of its vectors gives a row that starts in the first
-    column of its pivot unknown's front row and is 0 in that of every
-    other basis vector's pivot unknown, so the rows are a reduced echelon
-    basis too, and srow_strip makes each canonical."""
-    order = sorted(range(len(front)), key=lambda j: min(front[j]))
-    rank = {j: r for r, j in enumerate(order)}
-    echelon = sp_echelon([{rank[j]: t for j, t in z.items()} for z in kernel])
-    by_rank = {r: front[j] for r, j in enumerate(order)}
-    return [srow_strip(sp_apply(by_rank, echelon[r])) for r in sorted(echelon)]
+def _level_rows(level: dict) -> list:
+    # the rows of a level {weight: rows} in level order: weights sorted,
+    # then row order
+    return [row for w in sorted(level) for row in level[w]]
 
 
-def _expand(level: dict, below: list, d: int, p: int) -> list:
-    # the basis of a tower level, in level order, as vectors {col: int}
-    # of V^(ox n), from those of the level below
-    out = []
-    for w in sorted(level):
-        for row in level[w]:
-            vec: dict[int, int] = {}
-            for col, t in row.items():
-                a, b = divmod(col, d)
-                for c, v in below[a].items():
-                    key = c * d + b
-                    vec[key] = (vec.get(key, 0) + t * v) % p
-            out.append({c: v for c, v in vec.items() if v})
-    return out
+def _expand(blocks: dict, below: list, d: int, p) -> dict:
+    """blocks {weight: rows} of relative rows, the row {a * d + b: t}
+    standing for sum t * below[a] ox e_b, as those vectors: each row's
+    image under the front map {a * d + b: below[a] ox e_b}, by sp_apply
+    over Q(q) (p None) and mod p over F_p."""
+    front = {
+        a * d + b: {c * d + b: v for c, v in row.items()}
+        for a, row in enumerate(below)
+        for b in range(d)
+    }
+
+    def image(row: dict) -> dict:
+        if p is None:
+            return sp_apply(front, row)
+        vec: dict[int, int] = {}
+        for col, t in row.items():
+            for c, v in front[col].items():
+                vec[c] = (vec.get(c, 0) + t * v) % p
+        return {c: v for c, v in vec.items() if v}
+
+    return {w: [image(row) for row in rows] for w, rows in blocks.items()}
+
+
+def _absolute(V: WeightModule, kind: str, n: int, blocks: dict) -> dict:
+    """blocks {weight: rows} of P^n as vectors of V^(ox n).  Levels 0 to 2
+    already are; from degree 3 the levels below n are expanded in level
+    order, starting from the rows of P^2, and then the blocks."""
+    if n < 3:
+        return blocks
+    levels = _levels(V, kind, n - 1)
+    below = _level_rows(levels[2])
+    for level in levels[3:]:
+        below = _level_rows(_expand(level, below, V.dim, V.modulus))
+    return _expand(blocks, below, V.dim, V.modulus)
 
 
 def power_weight_rows(V: WeightModule, kind: str, n: int) -> dict:
     """The n-th braided power of the kind ("sym" or "ext") side of V ox V
-    as _powers yields it, {weight: rows}: over Q(q) the canonical reduced
-    echelon basis of each weight block of V^(ox n), for a specialized
-    module a level of the tower."""
+    as _powers yields it, {weight: rows}: vectors of V^(ox n) through
+    degree 2, and from degree 3 in both fields a level of the relative
+    tower, coordinates over P^(n-1) ox V (_absolute expands them)."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     return _levels(V, kind, n)[n]
 
 
 def braided_power(V: WeightModule, kind: str, n: int) -> Subspace:
-    """n-th braided power of the kind side of V ox V.  For a specialized
-    module the tower is expanded into V^(ox n) here."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    if V.modulus is None:
-        return weight_rows_subspace(V.dim**n, power_weight_rows(V, kind, n))
-    full = [{0: 1}]
-    for level in _levels(V, kind, n)[1:]:
-        full = _expand(level, full, V.dim, V.modulus)
-    return Subspace.from_sparse(V.dim**n, full, V.modulus)
+    """n-th braided power of the kind side of V ox V, in both fields the
+    level expanded into V^(ox n) (_absolute) and echelonized."""
+    level = power_weight_rows(V, kind, n)
+    return weight_rows_subspace(V.dim**n, _absolute(V, kind, n, level), V.modulus)
 
 
 def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
@@ -619,8 +595,9 @@ def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
 def _decompose(V: WeightModule, factors: tuple, build) -> IrrepMultiset:
     """Components of a submodule of the tensor product of the modules in
     factors, over the field of V and its gl blocks.  build(dominant)
-    gives its weight blocks {weight: rows}: every block, or with
-    dominant set at least the dominant ones.  Over F_P the components
+    gives its weight blocks {weight: rows}: every block, of which only
+    the row counts are read, or with dominant set at least the dominant
+    ones, as vectors of the tensor product.  Over F_P the components
     are read off every block's dim (decompose_weight_dims).  Over Q(q)
     they are the highest-weight vectors of the dominant blocks under the
     coproduct action of the E_i (uqmod.coproduct), checked weight by
@@ -634,15 +611,21 @@ def _decompose(V: WeightModule, factors: tuple, build) -> IrrepMultiset:
 
 def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of the kind side of V ox V
-    (see _decompose); P^n is never expanded.  For a specialized module it
-    reads the weight dims of the full level.  Over Q(q) it reads only the
-    dominant blocks: from degree 3, unless the level is stored in full,
-    only they are built, on the full P^(n-1), and stored on V, so a later
-    full request builds only the rest (_dominant_blocks)."""
+    (see _decompose).  For a specialized module it reads the weight dims
+    of the full level, which is never expanded.  Over Q(q) it reads only
+    the dominant blocks: from degree 3, unless the level is stored in
+    full, only they are built, on the full P^(n-1), and stored on V, so
+    a later full request builds only the rest (_dominant_blocks).  Only
+    those blocks are expanded into V^(ox n) (_absolute) for the
+    highest-weight count."""
     return _decompose(
         V,
         (V,) * n,
-        lambda dom: _dominant_blocks(V, kind, n) if dom else power_weight_rows(V, kind, n),
+        lambda dom: (
+            _absolute(V, kind, n, _dominant_blocks(V, kind, n))
+            if dom
+            else power_weight_rows(V, kind, n)
+        ),
     )
 
 
@@ -849,7 +832,8 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
     decomposed by the route of its field (_decompose): at q0 over F_P by
     its character, over Q(q) by the highest-weight vectors of its
-    dominant blocks, the only blocks built there."""
+    dominant blocks, the only blocks built there, expanded over the rows
+    of bullet12 (_expand)."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     bullet12 = _side_rows(tensor(v1, v2), _eps_layers(b1, b2, parity))
@@ -866,7 +850,8 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
 
     def build(dom):
         weights = (_dominant_meet_weights if dom else _meet_weights)(bullet12, v3)
-        return _meet_step(bullet12, ann_at, v2.dim, v3, weights)
+        meet = _meet_step(bullet12, ann_at, v2.dim, v3, weights)
+        return _expand(meet, _level_rows(bullet12), v3.dim, None) if dom else meet
 
     return _decompose(v3, (v1, v2, v3), build)
 
@@ -992,10 +977,11 @@ def hilbert_table(
     mode: str = "exact",
     seed=None,
 ) -> HilbertTable:
-    """Dimensions of the braided powers of V_(l,0) through degree upto.
-    The specialize mode runs the relative tower over F_P at two sample
-    points (see run_mode).  Nothing here is guarded: exact mode grows
-    fast past upto 4 or l 6, where the command line refuses it."""
+    """Dimensions of the braided powers of V_(l,0) through degree upto,
+    read off the relative tower (_powers), which is never expanded: over
+    Q(q) in exact mode, over F_P at two sample points in the specialize
+    mode (see run_mode).  Nothing here is guarded: the command line
+    refuses exact mode past upto 4 or l 6."""
     _side_index(kind)
     if upto < 0:
         raise ValueError("upto must be nonnegative")

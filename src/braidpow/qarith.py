@@ -11,8 +11,9 @@ over the row, laurent.lcofactors), so every returned row holds primitive
 int coefficients and the smaller multipliers change no result.  A
 reduced echelon basis of stripped rows is the canonical form of a
 subspace.  sp_intersect is the reference meet of the tests; the braided
-power step finishes its own meet in one elimination
-(braided._front_combine).  Subspace.span and Subspace.contains are the
+power step (braided._meet_step) keeps its kernel vectors as coordinates
+over the level below, so its meet takes no second elimination.
+Subspace.span and Subspace.contains are the
 one boundary for rationals: they clear the denominators of a caller's
 row before it enters the engine.
 

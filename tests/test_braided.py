@@ -309,20 +309,13 @@ def _keyed_modules():
 
 def test_degree_two_is_the_side_of_the_square():
     # a power is keyed by (module, kind): its level 2 is the side's rows
-    # as the square built them, and its subspace is the square's side.
-    # A specialized level numbers its first factor in level order, so
-    # there only the row count of each weight is compared directly.
+    # as the square built them, in both fields, and its subspace is the
+    # square's side
     for V in _keyed_modules():
         pair = module_square(V)
         for tops, kind in zip(braided._side_weights(V), ("sym", "ext")):
             side = braided._side_rows(pair.square_module, tops)
-            level = power_weight_rows(V, kind, 2)
-            if V.modulus is None:
-                assert level == side
-            else:
-                assert {w: len(r) for w, r in level.items()} == {
-                    w: len(r) for w, r in side.items()
-                }
+            assert power_weight_rows(V, kind, 2) is side
             assert braided_power(V, kind, 2) == getattr(pair, kind)
 
 

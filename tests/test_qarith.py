@@ -431,11 +431,11 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
         for side, dim in (("sym", dim_sym_cube(l)), ("ext", dim_ext_cube(l))):
             want = _reference_meet(_cube_blocks(l, side))
             assert weight_rows_dim(want) == dim
-            got = power_weight_rows(V, side, 3)
-            assert got == want
-            # each block is its own canonical basis, with no second
-            # elimination over the columns of V^(ox 3)
-            assert all(sp_span_echelon(rows) == rows for rows in got.values())
+            # the level holds coordinates over P^2 ox V; expanded into
+            # V^(ox 3), each block spans the reference meet's block
+            got = braided._absolute(V, side, 3, power_weight_rows(V, side, 3))
+            assert {w: sp_span_echelon(rows) for w, rows in got.items()} == want
+            assert weight_rows_dim(got) == dim
 
 
 def test_triple_product_step_is_the_reference_meet(monkeypatch):
@@ -475,11 +475,17 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
             got = seen.pop()
-            assert got == {w: rows for w, rows in want.items() if dominant(w, (2,))}
+            assert {w: sp_span_echelon(rows) for w, rows in got.items()} == {
+                w: rows for w, rows in want.items() if dominant(w, (2,))
+            }
+            assert weight_rows_dim(got) == sum(len(want.get(w, [])) for w in got)
+            # the whole meet holds coordinates over bullet12 ox V_b3; each
+            # block, expanded over the rows of bullet12, spans the reference
             ann_at = braided._ann_by_column(b23, t23.weight_blocks(), None)
             whole = braided._meet_step(b12, ann_at, v2.dim, v3, braided._meet_weights(b12, v3))
-            assert whole == want
-            assert all(sp_span_echelon(rows) == rows for rows in whole.values())
+            whole = braided._expand(whole, braided._level_rows(b12), v3.dim, None)
+            assert {w: sp_span_echelon(rows) for w, rows in whole.items()} == want
+            assert weight_rows_dim(whole) == weight_rows_dim(want)
 
 
 @MEET

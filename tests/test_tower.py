@@ -1,6 +1,7 @@
-"""Specialize mode's relative tower P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2):
-the int kernel over F_P it is solved with, the tower against the exact
-braided powers, its character decomposition and the guard on it."""
+"""The relative tower P^n = (P^(n-1) ox V) meet (P^(n-2) ox P^2) that
+both modes run: the int kernel over F_P specialize mode solves it with,
+the specialized tower against the exact braided powers, its character
+decomposition and the guard on it."""
 
 import json
 from fractions import Fraction
@@ -129,6 +130,9 @@ def test_tower_reaches_degree_twelve_on_the_conjectured_growth():
     table = hilbert_table(3, 12, mode="specialize", seed=1)
     for n in range(4, 13):
         assert table.dims[n] == conjectural_sym_dim(3, n)
+    # exact mode takes the same relative tower over Q(q)
+    exact = hilbert_table(3, 7)
+    assert exact.dims == [conjectural_sym_dim(3, n) for n in range(8)]
 
 
 def test_specialized_powers_bypass_the_meet(monkeypatch):
@@ -137,7 +141,7 @@ def test_specialized_powers_bypass_the_meet(monkeypatch):
         raise AssertionError("the tower does not meet V^(ox n) rows")
 
     monkeypatch.setattr(braided, "sp_kernel", refuse)
-    monkeypatch.setattr(braided, "_front_combine", refuse)
+    monkeypatch.setattr(braided, "_expand", refuse)
     V = specialize_module(simple_gl2(3, 0), Fraction(97, 101))
     assert power_dims(V, "sym", 5) == [1, 4, 10, 16, 22, 28]
 
