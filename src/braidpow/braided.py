@@ -10,20 +10,19 @@ V^{ox n}.  Only one new intersection per degree is needed:
 Since P^(n-1) ox V lies in P^(n-2) ox V ox V, its meet with
 V^{ox n-2} ox I is its meet with P^(n-2) ox I, over any field.  I
 enters through its annihilator under the standard pairing
-x . y = sum_c x_c y_c, built once per power (_ann_by_column), and each
+x . y = sum_c x_c y_c, built once per side (_side_annihilator), and each
 weight block of the meet is the kernel of one pairing system: one
 unknown per (row of P^(n-1), basis vector of V) and one equation per
 (row of P^(n-2), row of Ann(I)).  Every module family and both fields
-take one route, the relative tower: _powers yields the levels, each
-from degree 3 on one _power_step, which is one _meet_step, and each
-such level keeps its kernel vectors as coordinates over P^(n-1) ox V,
-so no size grows like dim V^(n-2).  Only the kernel (sp_kernel over
-Q(q), fp_kernel over F_P for a specialized module, see
-specialize_module) and the entry arithmetic depend on the field.
-sp_kernel and fp_kernel return the unique reduced basis of the kernel,
-so each level is canonical relative to the one below.  A level is
-expanded into V^{ox n} (_expand, _absolute) only where rows of
-V^{ox n} are read: by braided_power, and over Q(q) by the
+take one route, the relative tower: from degree 3 the blocks of a level
+(_blocks) come from one _power_step, which is one _meet_step, and keep
+their kernel vectors as coordinates over P^(n-1) ox V, so no size grows
+like dim V^(n-2).  Only the kernel (sp_kernel over Q(q), fp_kernel over
+F_P for a specialized module, see specialize_module) and the entry
+arithmetic depend on the field.  Both return the unique reduced basis
+of the kernel, so each level is canonical relative to the one below.
+A level is expanded into V^{ox n} (_expand, _absolute) only where rows
+of V^{ox n} are read: by braided_power, and over Q(q) by the
 highest-weight count of a decomposition, on its dominant blocks.
 
 Every square, over either field and of any module, is built by one
@@ -51,22 +50,23 @@ uqmod.coproduct, the one Delta that every tensor module is built and
 audited with, so neither a power nor the triple product builds a tensor
 module of three or more factors.  decompose_weight_rows checks the count
 weight by weight against the row counts of the same blocks, and every
-full level _levels builds, in both fields, against Weyl symmetry.
+full level _level builds, in both fields, against Weyl symmetry.
 
 The braided powers are functions of V and a side alone: every power
 call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
 side's _side_rows as module_square(V) built them.  Every construction
 here happens once per module object and is stored on it
-(WeightModule._stored): module_square(V) stores its pair on V, and each
-(V, kind) keeps one list of power levels that is extended only as far as
-a caller asks, which power_weight_rows, power_dims, braided_power and
-decompose_power read.  The dominant blocks decompose_power builds ahead
-of a level are stored too, and the level, once asked for in full, builds
-only its other blocks, so no block is built twice.  The gl_2 simples and
-standard modules are shared instances (see uqmod), so every stage of one
-process reuses their squares and levels.  Stored rows and subspaces are
-read-only.  A failed construction is not stored: the next call builds it
-again.
+(WeightModule._stored): module_square(V) stores its pair on V, and
+each level P^n of (V, kind) has one entry on V (_Level), which holds
+its weight blocks, each built once (_blocks) whether a decomposition's
+dominant blocks or the full level (_level) come first, and its rows as
+vectors of V^{ox n} once read (_vectors).  Every power call reads
+through _level and _blocks.  The gl_2 simples and standard modules are
+shared instances (see uqmod), so every stage of one process reuses
+their squares and levels.  Stored rows and subspaces are read-only.  A
+failed construction is not stored: a level that fails to build, to
+pass its Weyl check or to decompose drops its entry and those above it
+(_dropping), and the next call builds it again.
 
 The closed forms a power must match are one table, closed_forms(V, kind,
 n), read off V's family, and triple_closed_forms for the triple
@@ -79,6 +79,7 @@ the first form missed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -334,102 +335,108 @@ def _side_index(kind: str) -> int:
     return ("sym", "ext").index(kind)
 
 
-def _tower(V: WeightModule, kind: str) -> tuple:
-    # (the full levels built so far, _powers(V, kind) yielding the next),
-    # one pair per (V, kind), stored on V
-    return V._stored(("powers", _side_index(kind)), lambda: ([], _powers(V, kind)))
+def _side(V: WeightModule, kind: str) -> tuple:
+    # (V ox V, the kind side's weights), of which _side_rows is the side
+    return module_square(V).square_module, _side_weights(V)[_side_index(kind)]
 
 
-def _levels(V: WeightModule, kind: str, n: int) -> list:
-    """[P^0, ..., P^n] of the kind side of V ox V, as _powers yields them.
-    One list per (V, kind) is stored on V and extended only as far as
-    asked.  Each level's weight dims must be Weyl symmetric
-    (check_weyl_symmetric), in both fields: a full level is the
-    character of a module.  A level that fails to build or to pass drops
-    the entry."""
-    levels, rest = _tower(V, kind)
-    try:
-        while len(levels) <= n:
-            level = next(rest)
-            check_weyl_symmetric({w: len(rows) for w, rows in level.items()}, V.blocks)
-            levels.append(level)
-    except BaseException:
-        V._forget(("powers", _side_index(kind)))
-        raise
-    return levels[: n + 1]
-
-
-def _tops(V: WeightModule, kind: str) -> dict:
-    # {n: the blocks of P^n built before the rest of the level, [] for an
-    # empty one}, stored on V; _powers completes and drops an entry
-    return V._stored(("power tops", _side_index(kind)), dict)
-
-
-def _dominant_blocks(V: WeightModule, kind: str, n: int) -> dict:
-    """The dominant weight blocks of P^n, {weight: rows} as _powers
-    yields them.  A stored full level is read.  Else, from degree 3,
-    P^(n-1) is built in full and one _power_step builds the dominant
-    blocks of P^n alone.  They are stored on V, so when the level is
-    asked for in full, _powers builds only the other blocks and no block
-    is built twice."""
-    levels, _ = _tower(V, kind)
-    if n < 3 or len(levels) > n:
-        full = power_weight_rows(V, kind, n)
-        return {w: rows for w, rows in full.items() if dominant(w, V.blocks)}
-    prev = _levels(V, kind, n - 1)[n - 1]
-    tops = _tops(V, kind)
-    if n not in tops:
-        weights = _dominant_meet_weights(prev, V)
-        built = _power_step(prev, _power_annihilator(V, kind), V, weights)
-        tops[n] = {w: built.get(w, []) for w in sorted(weights)}
-    return {w: rows for w, rows in tops[n].items() if rows}
-
-
-def _side_level(V: WeightModule, kind: str) -> dict:
-    # the kind side's rows as module_square built them, stored on V ox V
-    pair = module_square(V)
-    return _side_rows(pair.square_module, _side_weights(V)[_side_index(kind)])
-
-
-def _power_annihilator(V: WeightModule, kind: str) -> dict:
-    # Ann(P^2) by column (_ann_by_column), stored on V
-    return V._stored(
-        ("power annihilator", _side_index(kind)),
-        lambda: _ann_by_column(
-            _side_level(V, kind), module_square(V).square_module.weight_blocks(), V.modulus
-        ),
+def _side_annihilator(m: WeightModule, tops) -> dict:
+    """Ann(I) by column (_ann_by_column) of the side I = _side_rows(m,
+    tops), stored on m.  So a power of a side of V ox V and a triple
+    product on the same tensor(V, V) at the same weights share one."""
+    tops = frozenset(tops)
+    return m._stored(
+        ("side annihilator", tops),
+        lambda: _ann_by_column(_side_rows(m, tops), m.weight_blocks(), m.modulus),
     )
 
 
-def _powers(V: WeightModule, kind: str):
-    """Yield P^0, P^1, P^2, ... of the kind side of V ox V, each as
-    {weight: rows} with entries in the field of V.  P^0 and P^1 are unit
-    rows; P^2 is the side's rows as module_square built them, its first
-    factor P^1 numbered in V's basis order.  So the rows of levels 0 to 2
-    are vectors of V^(ox n).  Ann(P^2) is built once, when degree 3 is
-    asked for, and every higher level is one _power_step over the
-    weights not built yet: all of them, or, for a level whose dominant
-    blocks were built first (_dominant_blocks), the others.
+@dataclass
+class _Level:
+    # the one entry of P^n on V: its blocks built so far, {weight: rows}
+    # with [] for an empty one; the full level once built and checked;
+    # its rows in level order as vectors of V^(ox n) once read (_vectors)
+    blocks: dict = field(default_factory=dict)
+    full: dict | None = None
+    vectors: list | None = None
 
-    From degree 3 a level is relative, in both fields: the basis of
-    P^(n-1) is numbered in level order (weights sorted, then row order),
-    and the row {a * d + b: c} of P^n stands for the vector
-    sum c * (basis vector a of P^(n-1)) ox e_b.  _absolute expands it."""
-    unit = (lambda: dict(ONE)) if V.modulus is None else (lambda: 1)
-    yield {(0,) * len(V.weights[0]): [{0: unit()}]}
-    blocks1 = V.weight_blocks()
-    yield {w: [{i: unit()} for i in blocks1[w]] for w in sorted(blocks1)}
-    level = _side_level(V, kind)
-    yield level
-    ann_at = _power_annihilator(V, kind)
-    tops = _tops(V, kind)
-    n = 3
-    while True:
-        top = tops.pop(n, {})
-        rest = _power_step(level, ann_at, V, _meet_weights(level, V) - top.keys())
-        level = {w: rows for w, rows in sorted({**top, **rest}.items()) if rows}
-        yield level
-        n += 1
+
+def _entry(V: WeightModule, kind: str, n: int) -> _Level:
+    return V._stored(("power", _side_index(kind), n), _Level)
+
+
+@contextmanager
+def _dropping(V: WeightModule, kind: str, n: int):
+    """On an exception, drop the entries of P^n and of every level built
+    on it: a level that fails to build, to pass its Weyl check or to
+    decompose is not stored, and the next call builds it again.  The
+    levels below, already checked, stay."""
+    side = _side_index(kind)
+    try:
+        yield
+    except BaseException:
+        while V._forget(("power", side, n)):
+            n += 1
+        raise
+
+
+def _level(V: WeightModule, kind: str, n: int) -> dict:
+    """P^n of the kind side of V ox V, {weight: rows} with entries in the
+    field of V, built once and kept in its entry.  P^0 and P^1 are unit
+    rows and P^2 the side's rows as module_square built them: vectors of
+    V^(ox n).  From degree 3 a level is all its _blocks, in both fields
+    the row {a * d + b: c} standing for sum c * (row a of P^(n-1), in
+    level order: weights sorted, then row order) ox e_b, which _absolute
+    expands.  Each level's weight dims must be Weyl symmetric
+    (check_weyl_symmetric), in both fields: a full level is the
+    character of a module."""
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    entry = _entry(V, kind, n)
+    if entry.full is None:
+        unit = (lambda: dict(ONE)) if V.modulus is None else (lambda: 1)
+        with _dropping(V, kind, n):
+            if n == 0:
+                level = {(0,) * len(V.weights[0]): [{0: unit()}]}
+            elif n == 1:
+                blocks1 = V.weight_blocks()
+                level = {w: [{i: unit()} for i in blocks1[w]] for w in sorted(blocks1)}
+            elif n == 2:
+                level = _side_rows(*_side(V, kind))
+            else:
+                level = _blocks(V, kind, n, _meet_weights(_level(V, kind, n - 1), V))
+            check_weyl_symmetric({w: len(rows) for w, rows in level.items()}, V.blocks)
+        entry.full = level
+    return entry.full
+
+
+def _blocks(V: WeightModule, kind: str, n: int, weights) -> dict:
+    """The blocks of P^n at weights (n >= 3), {weight: rows} in sorted
+    weight order, an empty one left out, from P^n's entry.  The missing
+    ones are built by one _power_step on the full P^(n-1); with none
+    missing no step is taken.  So no block is built twice."""
+    blocks = _entry(V, kind, n).blocks
+    missing = set(weights) - blocks.keys()
+    if missing:
+        prev = _level(V, kind, n - 1)
+        built = _power_step(prev, _side_annihilator(*_side(V, kind)), V, missing)
+        blocks.update({w: built.get(w, []) for w in missing})
+    return {w: blocks[w] for w in sorted(weights) if blocks[w]}
+
+
+def _levels(V: WeightModule, kind: str, n: int) -> list:
+    # [P^0, ..., P^n] of the kind side, each level as _level stores it
+    return [_level(V, kind, m) for m in range(n + 1)]
+
+
+def _dominant_blocks(V: WeightModule, kind: str, n: int) -> dict:
+    """The dominant weight blocks of P^n as vectors of V^(ox n): those of
+    the full level through degree 2, from degree 3 the _blocks at the
+    dominant weights of the meet, expanded (_absolute)."""
+    if n < 3:
+        return {w: rows for w, rows in _level(V, kind, n).items() if dominant(w, V.blocks)}
+    blocks = _blocks(V, kind, n, _dominant_meet_weights(_level(V, kind, n - 1), V))
+    return _absolute(V, kind, n, blocks)
 
 
 def _kernel(system: list, ncols: int, p) -> list:
@@ -554,27 +561,29 @@ def _expand(blocks: dict, below: list, d: int, p) -> dict:
     return {w: [image(row) for row in rows] for w, rows in blocks.items()}
 
 
+def _vectors(V: WeightModule, kind: str, n: int) -> list:
+    # the rows of P^n in level order as vectors of V^(ox n), expanded the
+    # first time they are read and kept in P^n's entry
+    entry = _entry(V, kind, n)
+    if entry.vectors is None:
+        entry.vectors = _level_rows(_absolute(V, kind, n, _level(V, kind, n)))
+    return entry.vectors
+
+
 def _absolute(V: WeightModule, kind: str, n: int, blocks: dict) -> dict:
     """blocks {weight: rows} of P^n as vectors of V^(ox n).  Levels 0 to 2
-    already are; from degree 3 the levels below n are expanded in level
-    order, starting from the rows of P^2, and then the blocks."""
+    already are; from degree 3 the blocks are expanded over the rows of
+    P^(n-1) as vectors (_vectors), so each level below is expanded once."""
     if n < 3:
         return blocks
-    levels = _levels(V, kind, n - 1)
-    below = _level_rows(levels[2])
-    for level in levels[3:]:
-        below = _level_rows(_expand(level, below, V.dim, V.modulus))
-    return _expand(blocks, below, V.dim, V.modulus)
+    return _expand(blocks, _vectors(V, kind, n - 1), V.dim, V.modulus)
 
 
 def power_weight_rows(V: WeightModule, kind: str, n: int) -> dict:
     """The n-th braided power of the kind ("sym" or "ext") side of V ox V
-    as _powers yields it, {weight: rows}: vectors of V^(ox n) through
-    degree 2, and from degree 3 in both fields a level of the relative
-    tower, coordinates over P^(n-1) ox V (_absolute expands them)."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    return _levels(V, kind, n)[n]
+    as _level stores it, {weight: rows}: from degree 3 coordinates over
+    P^(n-1) ox V, in both fields (_absolute expands them)."""
+    return _level(V, kind, n)
 
 
 def braided_power(V: WeightModule, kind: str, n: int) -> Subspace:
@@ -613,20 +622,17 @@ def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of the kind side of V ox V
     (see _decompose).  For a specialized module it reads the weight dims
     of the full level, which is never expanded.  Over Q(q) it reads only
-    the dominant blocks: from degree 3, unless the level is stored in
-    full, only they are built, on the full P^(n-1), and stored on V, so
-    a later full request builds only the rest (_dominant_blocks).  Only
-    those blocks are expanded into V^(ox n) (_absolute) for the
-    highest-weight count."""
-    return _decompose(
-        V,
-        (V,) * n,
-        lambda dom: (
-            _absolute(V, kind, n, _dominant_blocks(V, kind, n))
-            if dom
-            else power_weight_rows(V, kind, n)
-        ),
-    )
+    the dominant blocks (_dominant_blocks): from degree 3, unless the
+    level is stored in full, only they are built, on the full P^(n-1),
+    and kept in P^n's entry, so a later full request builds only the
+    rest, and only they are expanded into V^(ox n) for the highest-weight
+    count.  A decomposition that fails drops P^n's entry (_dropping)."""
+    with _dropping(V, kind, n):
+        return _decompose(
+            V,
+            (V,) * n,
+            lambda dom: _dominant_blocks(V, kind, n) if dom else _level(V, kind, n),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -837,16 +843,7 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     bullet12 = _side_rows(tensor(v1, v2), _eps_layers(b1, b2, parity))
-    t23 = tensor(v2, v3)
-    # Ann(bullet23) is a function of t23 and parity; stored on t23
-    ann_at = t23._stored(
-        ("bullet annihilator", parity),
-        lambda: _ann_by_column(
-            _side_rows(t23, _eps_layers(b2, b3, parity)),
-            t23.weight_blocks(),
-            t23.modulus,
-        ),
-    )
+    ann_at = _side_annihilator(tensor(v2, v3), _eps_layers(b2, b3, parity))
 
     def build(dom):
         weights = (_dominant_meet_weights if dom else _meet_weights)(bullet12, v3)
@@ -978,7 +975,7 @@ def hilbert_table(
     seed=None,
 ) -> HilbertTable:
     """Dimensions of the braided powers of V_(l,0) through degree upto,
-    read off the relative tower (_powers), which is never expanded: over
+    read off the relative tower (_level), which is never expanded: over
     Q(q) in exact mode, over F_P at two sample points in the specialize
     mode (see run_mode).  Nothing here is guarded: the command line
     refuses exact mode past upto 4 or l 6."""

@@ -100,8 +100,9 @@ class WeightModule:
             memo[key] = build()
         return memo[key]
 
-    def _forget(self, key) -> None:
-        self._memo.pop(key, None)
+    def _forget(self, key) -> bool:
+        # drop key's entry; True when there was one
+        return getattr(self, "_memo", {}).pop(key, None) is not None
 
     def __repr__(self):
         return f"WeightModule({self.kind}, dim={self.dim})"
@@ -490,7 +491,7 @@ def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
     ModuleAuditError names the highest weight where the two differ.  That
     proves the components found have, at every dominant weight, exactly
     the block's number of rows; with a Weyl-symmetric character (every
-    full power level is checked, see braided._levels) they account for
+    full power level is checked, see braided._level) they account for
     every row.  It does not prove that the rows span a submodule.  A
     specialized module is decomposed from its character instead
     (decompose_weight_dims)."""

@@ -251,6 +251,94 @@ def test_a_full_level_short_of_a_row_off_the_dominant_chamber_fails(monkeypatch,
     V = braided.at_point(simple_gl2(3, 0), q0)
     with pytest.raises(ModuleAuditError, match=r"not Weyl symmetric at \((5, 4|4, 5)\)"):
         power_dims(V, "sym", 3)
+    # the failed level's blocks were dropped with it: the next call
+    # builds them again
+    monkeypatch.undo()
+    assert power_dims(V, "sym", 3) == [1, 4, 10, 16]
+
+
+def test_a_failed_decomposition_is_not_stored(monkeypatch):
+    # one row of the (7, 2) block of the sym cube of V_(3,0) dropped once:
+    # the decomposition fails and stores nothing, so the next call and
+    # the full level build that block again
+    meet = braided._meet_step
+    shorts = [(7, 2)]
+
+    def short_once(prev, ann_at, mid, back, weights):
+        out = meet(prev, ann_at, mid, back, weights)
+        if shorts and shorts[0] in out:
+            w = shorts.pop()
+            out[w] = out[w][:-1]
+        return out
+
+    monkeypatch.setattr(braided, "_meet_step", short_once)
+    V = simple_gl2(3, 0)
+    with pytest.raises(ModuleAuditError):
+        decompose_power(V, "sym", 3)
+    assert not shorts
+    assert dict(decompose_power(V, "sym", 3)) == {(9, 0): 1, (7, 2): 1}
+    assert power_dims(V, "sym", 3) == [1, 4, 10, 16]
+
+
+def test_a_failed_decomposition_drops_the_levels_built_on_it(monkeypatch):
+    # P^3 and P^4 stored in full, then the count on P^3 fails: both are
+    # built again, on the P^2 that stays
+    V = simple_gl2(3, 0)
+    assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
+    square = power_weight_rows(V, "sym", 2)
+
+    def refuse(*args):
+        raise ModuleAuditError("count refused")
+
+    monkeypatch.setattr(braided, "decompose_weight_rows", refuse)
+    with pytest.raises(ModuleAuditError, match="count refused"):
+        decompose_power(V, "sym", 3)
+    monkeypatch.undo()
+    steps = []
+    step = braided._power_step
+    monkeypatch.setattr(
+        braided,
+        "_power_step",
+        lambda prev, ann, V, weights: steps.append(braided.weight_rows_dim(prev))
+        or step(prev, ann, V, weights),
+    )
+    assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
+    assert steps == [10, 16]
+    assert power_weight_rows(V, "sym", 2) is square
+
+
+def test_each_level_below_is_expanded_once(monkeypatch):
+    # the rows of each _expand call: P^3 of V_(4,0) once, then the blocks
+    # each call is given, the dominant ones of P^4 or all of them
+    sizes = []
+    expand = braided._expand
+
+    def spy(blocks, below, d, p):
+        sizes.append(braided.weight_rows_dim(blocks))
+        return expand(blocks, below, d, p)
+
+    monkeypatch.setattr(braided, "_expand", spy)
+    V = simple_gl2(4, 0)
+    dec = decompose_power(V, "sym", 4)
+    assert braided_power(V, "sym", 4).dim == 45
+    assert decompose_power(V, "sym", 4) == dec
+    assert sizes == [28, 25, 45, 25]
+
+
+def test_a_power_and_a_triple_product_share_a_side_annihilator(monkeypatch):
+    # the sym side of V_(2,0) ox V_(2,0) is its + bullet product: the
+    # cube and the triple product (2, 2, 2) read one Ann of it
+    calls = []
+    ann = braided._ann_by_column
+    monkeypatch.setattr(
+        braided, "_ann_by_column", lambda *args: calls.append(1) or ann(*args)
+    )
+    V = simple_gl2(2, 0)
+    assert power_dims(V, "sym", 3)[3] == braided.dim_sym_cube(2)
+    assert dict(braided.decompose_triple((2, 2, 2), "+")) == dict(
+        admissible_triples((2, 2, 2), "+")
+    )
+    assert len(calls) == 1
 
 
 def test_the_exact_triple_product_builds_its_dominant_blocks_only(monkeypatch):

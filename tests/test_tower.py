@@ -221,11 +221,12 @@ def test_gl3_weight_dims_decompose_as_the_highest_weight_count(left, right):
 
 
 def test_forged_tower_fails_the_cli_run(monkeypatch, capsys):
-    def forged(V, kind):
-        while True:
-            yield {(3, 0): [{0: 1}]}
+    # every step yields one row at its highest weight alone: a level
+    # that is not Weyl symmetric
+    def forged(prev, ann_at, V, weights):
+        return {max(weights): [{0: 1}]}
 
-    monkeypatch.setattr(braided, "_powers", forged)
+    monkeypatch.setattr(braided, "_power_step", forged)
     argv = ["sym-power", "--l", "3", "--n", "4", "--mode", "specialize", "--seed", "1"]
     code = cli.run(argv)
     env = json.loads(capsys.readouterr().out)
