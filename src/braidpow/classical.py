@@ -11,6 +11,22 @@ are the smallest bracketed quotients that satisfy it.  The graded
 dimensions of those quotients are upper bounds for the corresponding
 braided power dimensions, which they are expected to match.
 
+`poisson_closure_dims` finds the rank of each degree of an ideal while
+forming only the products that can still raise it, by three exact facts:
+- The odd generators come from `jminus_six_terms`, one expansion per
+  triple instead of three nested brackets; it is -`jminus` for every l
+  (its docstring says why).
+- E lowers one index by one and F raises one, so the bracket keeps the
+  index sum, and so does every product of a Jacobian with a monomial.
+  Products of different sums share no monomial, so the rank splits
+  into one block per sum s.  The index reversal sigma: v_i -> v_(l-i) satisfies
+  sigma E sigma = F, so sigma {a, b} = -{sigma a, sigma b}, sigma maps
+  each Jacobian to +- a Jacobian, and it maps the block at s of degree
+  n onto the block at n l - s.  Only the blocks with 2 s >= n l are
+  eliminated; each rank off the middle counts twice.
+- A block's rank is at most the number of degree-n monomials of its
+  sum, so once a block reaches it, no further product is formed there.
+
 Elements are dicts with integer coefficients.  Symmetric monomials
 are exponent tuples of length l+1, exterior ones strictly increasing
 index tuples.
@@ -18,6 +34,8 @@ index tuples.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
@@ -176,7 +194,19 @@ def jminus(l: int, i: int, j: int, k: int) -> dict:
 
 def jminus_six_terms(l: int, i: int, j: int, k: int) -> dict:
     """Explicit expansion of the odd Jacobian over basis vectors.  Its
-    overall sign is opposite to super_jacobian (the spans agree)."""
+    overall sign is opposite to super_jacobian (the spans agree).
+
+    For odd a, b, c each sign of super_jacobian is -1, so it is minus
+    the cyclic sum of {a, {b, c}}.  Expanding the inner bracket by the
+    Leibniz rule gives terms of two shapes.  Those with EE or FF on one
+    factor cancel in pairs across the cyclic sum, for any two even
+    derivations.  The rest pair up into E a ^ [F, E] b ^ F c and its
+    rotations, and [E, F] v_j = ((l - j)(j + 1) - j(l - j + 1)) v_j
+    = (l - 2j) v_j.  So each of the six terms puts E, H = [E, F] and F
+    on the three slots in one order, with the coefficients below,
+    whatever l is.  A term whose index leaves [0, l] has a zero
+    coefficient, and one with two equal indices is zero in the
+    exterior algebra."""
     out = {}
     for ci, cj, ck, di, dj, dk in (
         (i, 2 * j - l, l - k, -1, 0, 1),
@@ -207,44 +237,98 @@ def _pivot_insert(piv: dict, row: dict):
             g = 0
             for v in row.values():
                 g = gcd(g, v)
-            row = {col: v // g for col, v in row.items()}
+            if g != 1:
+                row = {col: v // g for col, v in row.items()}
             piv[c] = row
             return row
+        # row <- a row - b hit, with a and b divided by their gcd
         a, b = hit[c], row[c]
-        nxt = {}
-        for col in set(row) | set(hit):
-            v = a * row.get(col, 0) - b * hit.get(col, 0)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row = {col: a * v for col, v in row.items()}
+        for col, v in hit.items():
+            v = row.get(col, 0) - b * v
             if v:
-                nxt[col] = v
-        row = nxt
+                row[col] = v
+            else:
+                del row[col]
     return None
 
 
-def _sym_basis(l: int, n: int):
-    for picks in combinations_with_replacement(range(l + 1), n):
-        mono = [0] * (l + 1)
-        for i in picks:
-            mono[i] += 1
-        yield tuple(mono)
+def _picks(l: int, n: int, kind: str):
+    """The degree-n monomials as sorted index tuples, repeats allowed
+    for sym; the sum of a tuple is the monomial's index sum."""
+    if kind == "sym":
+        return combinations_with_replacement(range(l + 1), n)
+    return combinations(range(l + 1), n)
 
 
-def _jacobian_generators(l: int, kind: str) -> list:
+def _monomial(l: int, picks: tuple, kind: str) -> tuple:
+    if kind == "ext":
+        return picks
+    mono = [0] * (l + 1)
+    for i in picks:
+        mono[i] += 1
+    return tuple(mono)
+
+
+def _jacobian_generators(l: int, kind: str) -> dict:
+    """The nonzero degree-3 Jacobians of basis vectors, by index sum."""
     if kind == "sym":
         # alternating in its arguments, so strict triples carry the span
-        gens = [jplus(l, i, j, k)
-                for i, j, k in combinations(range(l + 1), 3)]
+        triples = combinations(range(l + 1), 3)
+        jac = jplus
     else:
-        # symmetric in its arguments; repeated entries still contribute
-        gens = [jminus(l, i, j, k)
-                for i, j, k in combinations_with_replacement(range(l + 1), 3)]
-    return [g for g in gens if g]
+        # symmetric in its arguments; repeated entries still contribute.
+        # The expansion is -jminus, one pass instead of three brackets.
+        triples = combinations_with_replacement(range(l + 1), 3)
+        jac = jminus_six_terms
+    gens = defaultdict(list)
+    for i, j, k in triples:
+        g = jac(l, i, j, k)
+        if g:
+            gens[i + j + k].append(g)
+    return gens
+
+
+def _block_rank(products, size: int) -> int:
+    """Rank of the rows in products, stopping once it reaches size."""
+    piv = {}
+    col = {}
+    rank = 0
+    for prod in products:
+        row = {}
+        for key, c in prod.items():
+            row[col.setdefault(key, len(col))] = c
+        if _pivot_insert(piv, row) is not None:
+            rank += 1
+            if rank == size:
+                break
+    return rank
 
 
 def poisson_closure_dims(l: int, upto: int, kind: str = "sym") -> list:
     """Graded dimensions, degrees 0..upto, of the quotient by the
-    ideal the degree-3 Jacobians generate."""
+    ideal the degree-3 Jacobians generate.
+
+    Degree n of the ideal is spanned by the products g x of the
+    generators g with the monomials x of degree n - 3.  Its rank is
+    found one index sum s at a time, from the products of sum s only:
+    - E lowers one index by one and F raises one, so every Jacobian
+      and every product has one index sum.  Products of different sums
+      share no monomial, so the rank is the sum of the blocks' ranks.
+    - sigma: v_i -> v_(l-i) satisfies sigma E sigma = F, so
+      sigma {a, b} = -{sigma a, sigma b}.  It maps each Jacobian to +- a
+      Jacobian, since the two signs of a nested bracket cancel, and the
+      block at s onto the block at n l - s, with the same rank.  Only
+      the blocks with 2 s >= n l are built; each rank off the middle
+      counts twice.
+    - A block's rank is at most the number of degree-n monomials of
+      its sum, so a block takes no product once it reaches that."""
     if kind not in ("sym", "ext"):
         raise ValueError(f"unknown kind {kind!r}")
+    mul = mul_sym if kind == "sym" else wedge
     gens = _jacobian_generators(l, kind)
     dims = []
     for n in range(upto + 1):
@@ -252,22 +336,20 @@ def poisson_closure_dims(l: int, upto: int, kind: str = "sym") -> list:
         if n < 3 or full == 0:
             dims.append(full)
             continue
-        if kind == "sym":
-            basis = _sym_basis(l, n - 3)
-        else:
-            basis = combinations(range(l + 1), n - 3)
-        piv = {}
+        sizes = Counter(map(sum, _picks(l, n, kind)))
+        lows = defaultdict(list)
+        for picks in _picks(l, n - 3, kind):
+            lows[sum(picks)].append({_monomial(l, picks, kind): 1})
         rank = 0
-        col = {}
-        for mono in basis:
-            x = {mono: 1}
-            for g in gens:
-                prod = mul_sym(g, x) if kind == "sym" else wedge(g, x)
-                row = {}
-                for key, c in prod.items():
-                    row[col.setdefault(key, len(col))] = c
-                if _pivot_insert(piv, row) is not None:
-                    rank += 1
+        for s, size in sizes.items():
+            if 2 * s < n * l:
+                continue
+            products = (mul(g, x)
+                        for t, xs in lows.items()
+                        for g in gens.get(s - t, ())
+                        for x in xs)
+            r = _block_rank(products, size)
+            rank += r if 2 * s == n * l else 2 * r
         dims.append(full - rank)
     return dims
 
@@ -291,8 +373,8 @@ def valuation(x: dict) -> tuple:
     return min(x)
 
 
-def _xelt(l: int, i: int, j: int, k: int, m: int) -> dict:
-    return wedge(jminus(l, i, j, k), gen_lam(l, m))
+def _xelt(l: int, jac: dict, m: int) -> dict:
+    return wedge(jac, gen_lam(l, m))
 
 
 def delta_coefficient(l: int, i: int, k: int) -> int:
@@ -309,21 +391,32 @@ def valuation_cover_check(l: int) -> dict:
     monomials reach every 4-subset of [0, l]: degree-4 vanishing of the
     exterior quotient, monomial by monomial.  The 4-subsets left out go
     under "uncovered", the pairs (i, k) breaking the delta pattern under
-    "delta_broken", each present only when nonempty."""
+    "delta_broken", each present only when nonempty.
+
+    The cover is a second proof of vanishing where it is complete, so
+    the Jacobians here are the bracket definition `jminus`, each built
+    once.  It is not complete for every l: at l = 8, 10 and 12 the
+    three families miss some 4-subsets, each containing l / 2, where
+    `delta_coefficient` vanishes; at l = 8 they are (1, 2, 4, 5) and
+    (3, 4, 6, 7).  A "covered": false there says only that these
+    elements miss those subsets, not that the degree-4 quotient is
+    nonzero: `exterior_four_vanishes` holds at each of these l."""
     targets = set(combinations(range(l + 1), 4))
     found = {"x": set(), "y": set(), "z": set()}
+    jac = cache(lambda i, j, k: jminus(l, i, j, k))
     for i, j, k in combinations(range(l + 1), 3):
+        g = jac(i, j, k)
         for m in range(l + 1):
-            x = _xelt(l, i, j, k, m)
+            x = _xelt(l, g, m)
             if x:
                 found["x"].add(valuation(x))
-        y = combine(scale(_xelt(l, i, j, k, i - 1), i * (2 * j - 2 - l)),
-                    scale(_xelt(l, i, j - 1, k, i), j * (2 * i - l)), -1)
+        y = combine(scale(_xelt(l, g, i - 1), i * (2 * j - 2 - l)),
+                    scale(_xelt(l, jac(i, j - 1, k), i), j * (2 * i - l)), -1)
         if y:
             found["y"].add(valuation(y))
         z = combine(
-            scale(_xelt(l, i, j, k, k + 1), (2 * j + 2 - l) * (l - k)),
-            scale(_xelt(l, i, j + 1, k, k), (l - j) * (2 * k - l)), -1)
+            scale(_xelt(l, g, k + 1), (2 * j + 2 - l) * (l - k)),
+            scale(_xelt(l, jac(i, j + 1, k), k), (l - j) * (2 * k - l)), -1)
         if z:
             found["z"].add(valuation(z))
     uncovered = sorted(targets - (found["x"] | found["y"] | found["z"]))

@@ -1,10 +1,13 @@
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import pytest
 
+from braidpow import classical
 from braidpow.braided import conjectural_sym_dim, dim_ext_cube, dim_sym_cube
 from braidpow.classical import (
+    _sort_sign,
     bracket_lam,
     bracket_sym,
     delta_coefficient,
@@ -91,9 +94,128 @@ def test_odd_jacobian_is_minus_the_plain_cyclic_sum():
 
 
 def test_six_term_expansion_matches_up_to_global_sign():
-    for l in (2, 3, 4):
+    # every l that ext_fourth_power reaches through the classical quotient
+    for l in range(9):
         for i, j, k in combinations_with_replacement(range(l + 1), 3):
             assert jminus_six_terms(l, i, j, k) == neg(jminus(l, i, j, k))
+
+
+def _reverse(l, x, kind):
+    """The index reversal sigma: v_i -> v_(l-i), on an element."""
+    out = {}
+    for key, c in x.items():
+        if kind == "sym":
+            out[key[::-1]] = c
+        else:
+            sign, rkey = _sort_sign(tuple(l - i for i in key))
+            out[rkey] = sign * c
+    return out
+
+
+@pytest.mark.parametrize("kind", ["sym", "ext"])
+def test_index_reversal_maps_each_generator_to_a_generator(kind):
+    # sigma E sigma = F, so sigma {a, b} = -{sigma a, sigma b} and the two
+    # signs of a nested bracket cancel: sigma J(a, b, c) = J(sigma a, ...)
+    if kind == "sym":
+        jac, triples = jplus, combinations
+        gen, e, f = gen_sym, e_sym, f_sym
+    else:
+        jac, triples = jminus, combinations_with_replacement
+        gen, e, f = gen_lam, e_lam, f_lam
+    for l in range(9):
+        for i in range(l + 1):
+            v = gen(l, i)
+            assert _reverse(l, e(l, _reverse(l, v, kind)), kind) == f(l, v)
+        gens = {t: jac(l, *t) for t in triples(range(l + 1), 3)}
+        for (i, j, k), g in gens.items():
+            image = _reverse(l, g, kind)
+            assert image == jac(l, l - i, l - j, l - k)
+            target = gens[(l - k, l - j, l - i)]
+            assert image in (target, neg(target))
+
+
+def _reference_pivot_insert(piv, row):
+    row = {c: v for c, v in row.items() if v}
+    while row:
+        c = min(row)
+        hit = piv.get(c)
+        if hit is None:
+            g = 0
+            for v in row.values():
+                g = gcd(g, v)
+            piv[c] = {col: v // g for col, v in row.items()}
+            return piv[c]
+        a, b = hit[c], row[c]
+        row = {
+            col: a * row.get(col, 0) - b * hit.get(col, 0)
+            for col in set(row) | set(hit)
+        }
+        row = {col: v for col, v in row.items() if v}
+    return None
+
+
+def _reference_closure_dims(l, upto, kind):
+    """Every product of a bracket-built Jacobian with a monomial, each
+    inserted into one echelon form over all index sums."""
+    if kind == "sym":
+        gens = [jplus(l, *t) for t in combinations(range(l + 1), 3)]
+        mul = mul_sym
+    else:
+        gens = [jminus(l, *t)
+                for t in combinations_with_replacement(range(l + 1), 3)]
+        mul = wedge
+    dims = []
+    for n in range(upto + 1):
+        full = comb(l + n, n) if kind == "sym" else comb(l + 1, n)
+        if n < 3 or full == 0:
+            dims.append(full)
+            continue
+        if kind == "sym":
+            basis = [
+                tuple(picks.count(i) for i in range(l + 1))
+                for picks in combinations_with_replacement(range(l + 1), n - 3)
+            ]
+        else:
+            basis = combinations(range(l + 1), n - 3)
+        piv, col, rank = {}, {}, 0
+        for mono in basis:
+            for g in gens:
+                row = {}
+                for key, c in mul(g, {mono: 1}).items():
+                    row[col.setdefault(key, len(col))] = c
+                if _reference_pivot_insert(piv, row) is not None:
+                    rank += 1
+        dims.append(full - rank)
+    return dims
+
+
+@pytest.mark.parametrize("kind", ["sym", "ext"])
+def test_closure_dims_match_the_full_weight_reference(kind):
+    for l in range(8):
+        assert poisson_closure_dims(l, 5, kind) == _reference_closure_dims(
+            l, 5, kind
+        )
+
+
+def test_closure_builds_only_the_upper_half_and_stops_full_blocks(monkeypatch):
+    l = 8
+    products = []
+    real = classical.wedge
+
+    def spy(x, y):
+        if x and y:
+            kx, ky = next(iter(x)), next(iter(y))
+            products.append((len(kx) + len(ky), sum(kx) + sum(ky)))
+        else:
+            products.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(classical, "wedge", spy)
+    assert poisson_closure_dims(l, 4, "ext") == [1, 9, 36, 10, 0]
+    assert products and None not in products
+    assert all(2 * s >= n * l for n, s in products)
+    # the full-weight loop forms 3,510, the brackets' wedges included
+    assert len(products) < 351
 
 
 def test_even_jacobian_alternates():
@@ -137,6 +259,38 @@ def test_exterior_closure_dimensions():
 def test_exterior_fourth_power_fills_up():
     for l in range(9):
         assert exterior_four_vanishes(l)
+
+
+def test_valuation_cover_builds_each_jacobian_once(monkeypatch):
+    builds = Counter()
+    real = classical.jminus
+
+    def spy(l, i, j, k):
+        builds[(i, j, k)] += 1
+        return real(l, i, j, k)
+
+    monkeypatch.setattr(classical, "jminus", spy)
+    valuation_cover_check(8)
+    assert set(builds.values()) == {1}
+    strict = set(combinations(range(9), 3))
+    assert strict <= set(builds)
+
+
+def test_valuation_cover_misses_subsets_through_the_middle_weight():
+    # the three families miss these 4-subsets; the quotient still vanishes
+    gaps = {
+        8: [(1, 2, 4, 5), (3, 4, 6, 7)],
+        10: [(1, 2, 5, 6), (2, 3, 5, 6), (4, 5, 7, 8), (4, 5, 8, 9)],
+    }
+    for l, uncovered in gaps.items():
+        report = valuation_cover_check(l)
+        assert report["covered"] is False
+        assert report["uncovered"] == uncovered
+        assert "delta_broken" not in report
+        assert all(l // 2 in subset for subset in uncovered)
+        assert exterior_four_vanishes(l)
+    for l in range(3, 12, 2):
+        assert valuation_cover_check(l)["covered"]
 
 
 def test_valuation_cover():
