@@ -17,9 +17,11 @@ unknown per (row of P^(n-1), basis vector of V) and one equation per
 take one route, the relative tower: from degree 3 the blocks of a level
 (_blocks) come from one _power_step, which is one _meet_step, and keep
 their kernel vectors as coordinates over P^(n-1) ox V, so no size grows
-like dim V^(n-2).  Only the kernel (sp_kernel over Q(q), fp_kernel over
-F_P for a specialized module, see specialize_module) and the entry
-arithmetic depend on the field.  Both return the unique reduced basis
+like dim V^(n-2).  Entries are Laurent polynomials over Q(q) and ints
+mod P over F_P (a specialized module, see specialize_module); qarith
+picks the kernel (kernel_basis) and the entry arithmetic from the
+modulus passed, and only the inline sums of _meet_step's equations are
+written once per field.  Both kernels return the unique reduced basis
 of the kernel, so each level is canonical relative to the one below.
 A level is expanded into V^{ox n} (_expand, _absolute) only where rows
 of V^{ox n} are read: by braided_power, and over Q(q) by the
@@ -38,9 +40,10 @@ character cannot tell its highest-weight vectors apart.  A side is then
 the submodule generated under the F_i by the highest-weight vectors at
 its weights (_side_rows).  The triple product's bullet rows come from
 _side_rows too, at the eps-layers of V_a ox V_b, and the triple product
-is one _meet_step.  Over F_P every row is an int row {col: int}, and components
-are read off weight dims (decompose_weight_dims, one character formula
-for every product of gl blocks), never off highest-weight counts.  Over
+is one _meet_step.  Over F_P every row is an int row {col: int}, and
+components are read off weight dims (decompose_weight_dims, one
+character formula for every product of gl blocks), never off
+highest-weight counts; _decompose picks the route by the field.  Over
 Q(q) the components are the highest-weight vectors of the dominant
 weight blocks, so only those blocks are built: _meet_step takes the
 weights to build, and the top level of decompose_power (from degree 3)
@@ -87,16 +90,9 @@ from operator import add
 import random
 
 from .errors import TheoremViolation
-from .laurent import ONE, ladd, lmul
+from .laurent import ladd, lmul
 from .qmat import _partitions
-from .qarith import (
-    Subspace,
-    fp_kernel,
-    fp_rref,
-    sp_apply,
-    sp_kernel,
-    sp_span_echelon,
-)
+from .qarith import Subspace, field_one, kernel_basis, span_basis, sp_apply
 from .uqmod import (
     IrrepMultiset,
     WeightModule,
@@ -188,32 +184,22 @@ def _side_rows(m: WeightModule, tops) -> dict:
     its highest-weight vectors at the dominant weights in tops.  Weights
     are walked in descending lex order, so the rows of each w + alpha_i
     come before w; the rows of w are their F_i-images plus, at a w in
-    tops, its highest-weight vectors, echelonized: stripped Laurent rows
-    over Q(q), rows {col: int} mod P over F_P.  Stored on m."""
+    tops, its highest-weight vectors, echelonized in m's field
+    (qarith.span_basis).  Stored on m."""
     tops = frozenset(tops)
 
     def build() -> dict:
         p = m.modulus
         out: dict[tuple, list] = {}
         for w in sorted(m.weight_blocks(), reverse=True):
-            rows = []
-            for alpha, f in zip(m.alphas, m.f_ops):
-                for v in out.get(tuple(a + b for a, b in zip(w, alpha)), ()):
-                    if p is None:
-                        rows.append(sp_apply(f, v))
-                        continue
-                    img: dict[int, int] = {}
-                    for c, t in v.items():
-                        for r, e in f.get(c, {}).items():
-                            img[r] = img.get(r, 0) + t * e[0]
-                    rows.append(img)
+            rows = [
+                sp_apply(f, v, p)
+                for alpha, f in zip(m.alphas, m.f_ops)
+                for v in out.get(tuple(a + b for a, b in zip(w, alpha)), ())
+            ]
             if w in tops:
                 rows += highest_weight_vectors(m, w).sparse_rows()
-            if p is None:
-                rows = sp_span_echelon(rows)
-            else:
-                piv = fp_rref(rows, p)
-                rows = [piv[c] for c in sorted(piv)]
+            rows = span_basis(rows, p)
             if rows:
                 out[w] = rows
         return out
@@ -394,13 +380,13 @@ def _level(V: WeightModule, kind: str, n: int) -> dict:
         raise ValueError("power must be nonnegative")
     entry = _entry(V, kind, n)
     if entry.full is None:
-        unit = (lambda: dict(ONE)) if V.modulus is None else (lambda: 1)
+        one = field_one(V.modulus)
         with _dropping(V, kind, n):
             if n == 0:
-                level = {(0,) * len(V.weights[0]): [{0: unit()}]}
+                level = {(0,) * len(V.weights[0]): [{0: one}]}
             elif n == 1:
                 blocks1 = V.weight_blocks()
-                level = {w: [{i: unit()} for i in blocks1[w]] for w in sorted(blocks1)}
+                level = {w: [{i: one} for i in blocks1[w]] for w in sorted(blocks1)}
             elif n == 2:
                 level = _side_rows(*_side(V, kind))
             else:
@@ -439,26 +425,19 @@ def _dominant_blocks(V: WeightModule, kind: str, n: int) -> dict:
     return _absolute(V, kind, n, blocks)
 
 
-def _kernel(system: list, ncols: int, p) -> list:
-    # the unique reduced kernel basis: sp_kernel over Q(q) (p None),
-    # fp_kernel over F_p
-    return sp_kernel(system, ncols) if p is None else fp_kernel(system, ncols, p)
-
-
 def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
     """The annihilator of a weight-blocked subspace under the standard
     pairing x . y = sum_c x_c y_c, by column: {col: [(annihilator row,
-    entry)]}, the rows numbered block by block.  Over Q(q) (p None) the
-    rows are Laurent rows and each block's kernel comes from sp_kernel;
-    over F_p they are rows {col: int} and it comes from fp_kernel.
-    blocks maps every weight of the ambient module to its columns; a
-    weight that wrows leaves empty contributes its whole block."""
+    entry)]}, the rows numbered block by block, each block's kernel
+    taken over Q(q) (p None) or F_p by qarith.kernel_basis.  blocks maps
+    every weight of the ambient module to its columns; a weight that
+    wrows leaves empty contributes its whole block."""
     ann_at: dict[int, list] = {}
     k = 0
     for w, cols in blocks.items():
         local = {c: i for i, c in enumerate(cols)}
         system = [{local[c]: e for c, e in row.items()} for row in wrows.get(w, [])]
-        for z in _kernel(system, len(cols), p):
+        for z in kernel_basis(system, len(cols), p):
             for i, v in z.items():
                 ann_at.setdefault(cols[i], []).append((k, v))
             k += 1
@@ -490,8 +469,8 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) 
     the head, sum x_ab p_a ox e_b is sum_i h_i ox g_i with g_i in
     M ox back, and it lies in head ox I exactly when every g_i pairs to
     zero with Ann(I): one equation per (i, annihilator row k), in order
-    of (i, k).  fp_kernel over F_P, or sp_kernel over Q(q), solves it,
-    and each kernel vector comes back as the row {a * d + b: x_ab},
+    of (i, k).  kernel_basis (fp_kernel over F_P, sp_kernel over Q(q))
+    solves it, and each kernel vector comes back as the row {a * d + b: x_ab},
     numbering the rows of prev in level order (weights sorted, then row
     order).  Both kernels return the unique reduced basis of the kernel
     (sp_kernel's rows stripped), so a block is canonical relative to
@@ -525,7 +504,7 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) 
                     else:
                         del eq[j]
         system = [eq for _, eq in sorted(eqs.items()) if eq]
-        kernel = _kernel(system, len(cols), p)
+        kernel = kernel_basis(system, len(cols), p)
         rows = [{cols[j][0]: v for j, v in z.items()} for z in kernel]
         if rows:
             out[w] = rows
@@ -542,23 +521,13 @@ def _expand(blocks: dict, below: list, d: int, p) -> dict:
     """blocks {weight: rows} of relative rows, the row {a * d + b: t}
     standing for sum t * below[a] ox e_b, as those vectors: each row's
     image under the front map {a * d + b: below[a] ox e_b}, by sp_apply
-    over Q(q) (p None) and mod p over F_p."""
+    over Q(q) (p None) or F_p."""
     front = {
         a * d + b: {c * d + b: v for c, v in row.items()}
         for a, row in enumerate(below)
         for b in range(d)
     }
-
-    def image(row: dict) -> dict:
-        if p is None:
-            return sp_apply(front, row)
-        vec: dict[int, int] = {}
-        for col, t in row.items():
-            for c, v in front[col].items():
-                vec[c] = (vec.get(c, 0) + t * v) % p
-        return {c: v for c, v in vec.items() if v}
-
-    return {w: [image(row) for row in rows] for w, rows in blocks.items()}
+    return {w: [sp_apply(front, row, p) for row in rows] for w, rows in blocks.items()}
 
 
 def _vectors(V: WeightModule, kind: str, n: int) -> list:

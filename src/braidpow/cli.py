@@ -549,7 +549,7 @@ def run(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise _UsageError(f"--{flag} must be positive")
-        if args.command == "convex-certify" and args.n < 1:
+        if args.command in ("convex-certify", "koszul-probe") and args.n < 1:
             raise _UsageError("--n must be positive")
         if args.command in ("sym-power", "ext-power"):
             if (args.l is None) == (args.d is None):

@@ -23,11 +23,10 @@ maps q0 into F_P with fp.
 
 Specialize mode evaluates q at the image x of a rational sample point
 in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  A specialized
-module's coefficients stay constant Laurent polynomials {0: c} with int
-c, so the module operations built on this file apply to them unchanged;
-lqshift with x given multiplies by x**k in F_P.  Linear algebra over F_P
-takes the ints c out of them and runs on qarith's int kernel, never on
-Laurent rows.
+module's coefficients are those values, ints 0 < c < P, not Laurent
+polynomials: nothing in this file runs over F_P, and the module and row
+operations that take a modulus (qarith's map operations and int kernel,
+uqmod.coproduct) do the arithmetic mod P.
 """
 
 from __future__ import annotations
@@ -110,21 +109,6 @@ def ldeg(a: dict) -> int:
     if not a:
         raise ValueError("zero polynomial has no degree")
     return max(a)
-
-
-def lqshift(a: dict, k: int, x=None) -> dict:
-    """Multiply by q**k, with q pinned to the residue x in F_P when given.
-    Specialized coefficients stay constant Laurents this way, reduced
-    mod P; one that P divides is dropped."""
-    if x is None:
-        return lshift(a, k)
-    s = pow(x, k, P)
-    out = {}
-    for e, v in a.items():
-        v = v * s % P
-        if v:
-            out[e] = v
-    return out
 
 
 def lbar(a: dict) -> dict:

@@ -26,8 +26,14 @@ rank is discarded, so no result depends on the screen point.
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1 (fp_rref
 also ranks the screen), and a Subspace over F_p holds fp_rref's rows.
-Subspace.from_sparse/contains, uqmod.weight_space_kernel and braided's
-_side_rows, _ann_by_column and _meet_step each pick between the two.
+
+Each field has one entry type: a Laurent dict over Q(q), an int over
+F_p (reduced to 0 < c < p wherever this module returns one).  This is
+the one module that picks between the fields, by the modulus p its
+callers pass, None over Q(q): kernel_basis and span_basis choose the
+engine, field_one is the unit, and the column-map operations sp_apply,
+sp_compose, sp_map_add, sp_map_scale and sp_map_equal do their entry
+arithmetic in the field of p.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .laurent import (
     lmul,
     lneg,
     lshift,
-    lsub,
 )
 
 
@@ -343,15 +348,42 @@ def fp_kernel(rows, ncols: int, p: int) -> list[dict]:
     return out
 
 
-def sp_apply(op: dict, vec: dict) -> dict:
-    """Apply a column map {col: {row: Laurent}} to a sparse vector."""
-    out: dict[int, dict] = {}
-    for c, p in vec.items():
-        column = op.get(c)
-        if not column:
-            continue
-        for r, coeff in column.items():
-            s = ladd(out.get(r, {}), lmul(p, coeff))
+def field_one(p=None):
+    """The unit of the field: the Laurent 1 over Q(q) (p None), the int 1
+    over F_p."""
+    return dict(ONE) if p is None else 1
+
+
+def kernel_basis(rows, ncols: int, p=None) -> list[dict]:
+    """The unique reduced basis of {x : row . x = 0 for every row} in
+    columns 0..ncols-1: sp_kernel's stripped Laurent rows over Q(q) (p
+    None), fp_kernel's rows {col: int} over F_p."""
+    return sp_kernel(rows, ncols) if p is None else fp_kernel(rows, ncols, p)
+
+
+def span_basis(rows, p=None) -> list[dict]:
+    """The canonical reduced echelon basis of span(rows) in pivot order:
+    stripped Laurent rows over Q(q) (p None), fp_rref's rows over F_p."""
+    if p is None:
+        return sp_span_echelon(rows)
+    piv = fp_rref(rows, p)
+    return [piv[c] for c in sorted(piv)]
+
+
+# Column maps {col: {row: entry}} hold Laurent entries over Q(q) and ints
+# over F_p; each map operation takes the modulus p, None over Q(q).  Over
+# F_p an entry may come in unreduced and always goes out in 0 < c < p.
+
+
+def sp_apply(op: dict, vec: dict, p=None) -> dict:
+    """Apply a column map {col: {row: entry}} to a sparse vector."""
+    out: dict = {}
+    for c, t in vec.items():
+        for r, v in op.get(c, {}).items():
+            if p is None:
+                s = ladd(out.get(r, {}), lmul(t, v))
+            else:
+                s = (out.get(r, 0) + t * v) % p
             if s:
                 out[r] = s
             else:
@@ -359,51 +391,53 @@ def sp_apply(op: dict, vec: dict) -> dict:
     return out
 
 
-def sp_compose(opa: dict, opb: dict) -> dict:
+def sp_compose(opa: dict, opb: dict, p=None) -> dict:
     """Column map of a∘b."""
     out = {}
     for c, col in opb.items():
-        v = sp_apply(opa, col)
+        v = sp_apply(opa, col, p)
         if v:
             out[c] = v
     return out
 
 
-def sp_map_add(opa: dict, opb: dict) -> dict:
-    out = {c: dict(col) for c, col in opa.items()}
-    for c, col in opb.items():
-        cur = out.setdefault(c, {})
-        for r, p in col.items():
-            s = ladd(cur.get(r, {}), p)
-            if s:
-                cur[r] = s
-            else:
-                cur.pop(r, None)
-        if not cur:
-            out.pop(c)
+def sp_map_add(opa: dict, opb: dict, p=None) -> dict:
+    out: dict[int, dict] = {}
+    for op in (opa, opb):
+        for c, col in op.items():
+            cur = out.setdefault(c, {})
+            for r, t in col.items():
+                s = ladd(cur.get(r, {}), t) if p is None else (cur.get(r, 0) + t) % p
+                if s:
+                    cur[r] = s
+                else:
+                    cur.pop(r, None)
+    return {c: col for c, col in out.items() if col}
+
+
+def sp_map_scale(op: dict, c, p=None) -> dict:
+    """The map times the scalar c, a Laurent polynomial over Q(q) and an
+    int over F_p."""
+    out = {}
+    for k, col in op.items():
+        if p is None:
+            col = {r: s for r, v in col.items() if (s := lmul(v, c))}
+        else:
+            col = {r: s for r, v in col.items() if (s := v * c % p)}
+        if col:
+            out[k] = col
     return out
 
 
-def sp_map_scale(op: dict, poly: dict) -> dict:
-    if not poly:
-        return {}
-    return {c: {r: lmul(p, poly) for r, p in col.items()} for c, col in op.items()}
-
-
-def sp_map_equal(opa: dict, opb: dict, modulus: int | None = None) -> bool:
-    """Whether two column maps agree; over F_modulus, entry by entry
-    mod modulus."""
-    cols = set(opa) | set(opb)
-    for c in cols:
+def sp_map_equal(opa: dict, opb: dict, p=None) -> bool:
+    """Whether two column maps agree; over F_p, entry by entry mod p."""
+    for c in opa.keys() | opb.keys():
         cola, colb = opa.get(c, {}), opb.get(c, {})
-        if modulus is None:
+        if p is None:
             if cola != colb:
                 return False
-            continue
-        for r in set(cola) | set(colb):
-            diff = lsub(cola.get(r, {}), colb.get(r, {}))
-            if any(v % modulus for v in diff.values()):
-                return False
+        elif any((cola.get(r, 0) - colb.get(r, 0)) % p for r in cola | colb):
+            return False
     return True
 
 
@@ -443,10 +477,7 @@ class Subspace:
     @classmethod
     def from_sparse(cls, ambient: int, rows, modulus: int | None = None) -> "Subspace":
         """Span of Laurent rows, or over F_modulus of rows {col: int}."""
-        if modulus is None:
-            return cls(ambient, tuple(sp_span_echelon(rows)))
-        piv = fp_rref(rows, modulus)
-        return cls(ambient, tuple(piv[c] for c in sorted(piv)), modulus)
+        return cls(ambient, tuple(span_basis(rows, modulus)), modulus)
 
     @classmethod
     def span(cls, ambient: int, rows) -> "Subspace":

@@ -1,9 +1,11 @@
 """Finite-dimensional weight modules for quantized gl_d.
 
 A module stores, per Chevalley generator, the sparse column maps of E_i
-and F_i with Laurent polynomial coefficients, plus the gl-weight of each
-basis vector.  K_mu never needs a matrix: it acts on a weight vector of
-weight w by q**(mu|w) with the standard dot pairing.
+and F_i, plus the gl-weight of each basis vector.  The coefficients are
+Laurent polynomials over Q(q), and ints 0 < c < P over F_P for a
+specialized module (specialize_module).  K_mu never needs a matrix: it
+acts on a weight vector of weight w by q**(mu|w) with the standard dot
+pairing.
 
 The comultiplication is Delta(E) = E ox 1 + K ox E and
 Delta(F) = F ox K^-1 + 1 ox F.  coproduct is its one implementation, on
@@ -29,12 +31,12 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .laurent import ONE, P, fp, ladd, lconst, leval_fp, lmul, lqint, lqshift
+from .laurent import ONE, P, fp, ladd, leval_fp, lmul, lqint, lshift
 from .qarith import (
     Subspace,
-    fp_kernel,
+    field_one,
+    kernel_basis,
     sp_compose,
-    sp_kernel,
     sp_map_add,
     sp_map_equal,
     sp_map_scale,
@@ -62,9 +64,9 @@ class WeightModule:
         self.weights = tuple(tuple(w) for w in weights)
         self.e_ops = tuple(e_ops)
         self.f_ops = tuple(f_ops)
-        # q0 is None for generic q; a Fraction once specialized.  The
-        # coefficients then live in F_P (modulus P), with q at the image x
-        # of q0, and the audit checks the relations there.
+        # q0 is None for generic q, with Laurent coefficients; a Fraction
+        # once specialized, with int coefficients in F_P (modulus P) and q
+        # at the image x of q0, where the audit checks the relations.
         self.q0 = q0
         self.x = None if q0 is None else fp(q0)
         self.modulus = None if q0 is None else P
@@ -108,20 +110,16 @@ class WeightModule:
         return f"WeightModule({self.kind}, dim={self.dim})"
 
 
-def _map_sub(a: dict, b: dict) -> dict:
-    return sp_map_add(a, sp_map_scale(b, lconst(-1)))
-
-
-def _commutator(a: dict, b: dict) -> dict:
-    return _map_sub(sp_compose(a, b), sp_compose(b, a))
-
-
-def _qint(k: int, x) -> dict:
-    return lqint(k) if x is None else lconst(leval_fp(lqint(k), x))
+def _qint(k: int, x):
+    # the q-integer [k] over Q(q) (x None), its value at q = x in F_P
+    return lqint(k) if x is None else leval_fp(lqint(k), x)
 
 
 def audit_module(m: WeightModule) -> None:
-    wts = m.weights
+    """Check weight homogeneity, [E_i, F_j] = delta_ij [(alpha_i | w)] on
+    weight w, and the commuting and Serre relations, each written without
+    a difference (E_i F_j = F_j E_i + ...), in the module's field."""
+    wts, p = m.weights, m.modulus
     for i, alpha in enumerate(m.alphas):
         for op, sign in ((m.e_ops[i], 1), (m.f_ops[i], -1)):
             for c, col in op.items():
@@ -134,16 +132,15 @@ def audit_module(m: WeightModule) -> None:
     two = _qint(2, m.x)
     for i in range(m.ngen):
         for j in range(m.ngen):
-            comm = _commutator(m.e_ops[i], m.f_ops[j])
+            expect = {}
             if i == j:
-                expect = {}
                 for c, w in enumerate(wts):
                     k = pairing(m.alphas[i], w)
                     if k:
                         expect[c] = {c: _qint(k, m.x)}
-            else:
-                expect = {}
-            if not sp_map_equal(comm, expect, m.modulus):
+            ef = sp_compose(m.e_ops[i], m.f_ops[j], p)
+            fe = sp_map_add(sp_compose(m.f_ops[j], m.e_ops[i], p), expect, p)
+            if not sp_map_equal(ef, fe, p):
                 raise ModuleAuditError(f"{m.kind}: [E_{i}, F_{j}] relation fails")
     for ops in (m.e_ops, m.f_ops):
         for i in range(m.ngen):
@@ -152,20 +149,18 @@ def audit_module(m: WeightModule) -> None:
                     continue
                 aij = pairing(m.alphas[i], m.alphas[j])
                 if aij == 0:
-                    if not sp_map_equal(
-                        _commutator(ops[i], ops[j]), {}, m.modulus
-                    ):
+                    ij, ji = sp_compose(ops[i], ops[j], p), sp_compose(ops[j], ops[i], p)
+                    if not sp_map_equal(ij, ji, p):
                         raise ModuleAuditError(
                             f"{m.kind}: orthogonal generators {i},{j} do not commute"
                         )
                 elif aij == -1:
-                    xii_j = sp_compose(ops[i], sp_compose(ops[i], ops[j]))
-                    xiji = sp_compose(ops[i], sp_compose(ops[j], ops[i]))
-                    xjii = sp_compose(ops[j], sp_compose(ops[i], ops[i]))
-                    serre = sp_map_add(
-                        _map_sub(xii_j, sp_map_scale(xiji, two)), xjii
-                    )
-                    if not sp_map_equal(serre, {}, m.modulus):
+                    xii_j = sp_compose(ops[i], sp_compose(ops[i], ops[j], p), p)
+                    xiji = sp_compose(ops[i], sp_compose(ops[j], ops[i], p), p)
+                    xjii = sp_compose(ops[j], sp_compose(ops[i], ops[i], p), p)
+                    if not sp_map_equal(
+                        sp_map_add(xii_j, xjii, p), sp_map_scale(xiji, two, p), p
+                    ):
                         raise ModuleAuditError(
                             f"{m.kind}: Serre relation fails for {i},{j}"
                         )
@@ -220,10 +215,10 @@ def coproduct(factors: tuple, i: int, lower: bool = False):
     K ox E puts E_i on each slot times K_i on every slot before it, and
     Delta(F) = F ox K^-1 + 1 ox F puts F_i on each slot times K_i^-1 on
     every slot after it, so E walks the slots from the left and F from
-    the right, twisting by the K-weights already walked: by q over Q(q),
-    by the factors' x over F_P, each term reduced mod P.  With no
-    factors both act as 0.  Strides, K-weights and slot operators are
-    worked out once per action."""
+    the right, twisting by the K-weights already walked: by powers of q
+    over Q(q), of the factors' x over F_P, where every sum is reduced mod
+    P.  With no factors both act as 0.  Strides, K-weights and slot
+    operators are worked out once per action."""
     dims = [m.dim for m in factors]
     slots = [
         (
@@ -239,18 +234,25 @@ def coproduct(factors: tuple, i: int, lower: bool = False):
     x = factors[0].x if factors else None
 
     def act(vec: dict) -> dict:
-        out: dict[int, dict] = {}
-        for idx, p in vec.items():
+        out: dict = {}
+        for idx, t in vec.items():
             shift = 0
             for op, stride, dim, kv in slots:
                 j = idx // stride % dim
-                for r, coeff in op.get(j, {}).items():
-                    tgt = idx + (r - j) * stride
-                    s = ladd(out.get(tgt, {}), lqshift(lmul(p, coeff), shift, x))
-                    if s:
-                        out[tgt] = s
-                    else:
-                        out.pop(tgt, None)
+                col = op.get(j)
+                if col:
+                    # t times q**shift
+                    tq = lshift(t, shift) if x is None else t * pow(x, shift, P) % P
+                    for r, coeff in col.items():
+                        tgt = idx + (r - j) * stride
+                        if x is None:
+                            s = ladd(out.get(tgt, {}), lmul(tq, coeff))
+                        else:
+                            s = (out.get(tgt, 0) + tq * coeff) % P
+                        if s:
+                            out[tgt] = s
+                        else:
+                            out.pop(tgt, None)
                 shift += kv[j]
         return out
 
@@ -265,11 +267,12 @@ def _tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     weights = [
         tuple(x + y for x, y in zip(wa, wb)) for wa in a.weights for wb in b.weights
     ]
+    one = field_one(a.modulus)
     e_ops, f_ops = [], []
     for i in range(a.ngen):
         for lower, ops in ((False, e_ops), (True, f_ops)):
             act = coproduct((a, b), i, lower)
-            ops.append({c: col for c in range(len(weights)) if (col := act({c: ONE}))})
+            ops.append({c: col for c in range(len(weights)) if (col := act({c: one}))})
     return WeightModule(
         ("tensor", a.kind, b.kind),
         a.alphas,
@@ -296,29 +299,17 @@ def _outer(a: WeightModule, b: WeightModule) -> WeightModule:
     alphas = [tuple(al) + (0,) * lb for al in a.alphas] + [
         (0,) * la + tuple(bl) for bl in b.alphas
     ]
-    db = b.dim
     weights = [tuple(wa) + tuple(wb) for wa in a.weights for wb in b.weights]
+    # index c of one factor beside index o of the other is c * own + o * rest
     e_ops, f_ops = [], []
-    for i in range(a.ngen):
-        e_op, f_op = {}, {}
-        for ca, col in a.e_ops[i].items():
-            for cb in range(db):
-                e_op[ca * db + cb] = {ra * db + cb: dict(p) for ra, p in col.items()}
-        for ca, col in a.f_ops[i].items():
-            for cb in range(db):
-                f_op[ca * db + cb] = {ra * db + cb: dict(p) for ra, p in col.items()}
-        e_ops.append(e_op)
-        f_ops.append(f_op)
-    for i in range(b.ngen):
-        e_op, f_op = {}, {}
-        for cb, col in b.e_ops[i].items():
-            for ca in range(a.dim):
-                e_op[ca * db + cb] = {ca * db + rb: dict(p) for rb, p in col.items()}
-        for cb, col in b.f_ops[i].items():
-            for ca in range(a.dim):
-                f_op[ca * db + cb] = {ca * db + rb: dict(p) for rb, p in col.items()}
-        e_ops.append(e_op)
-        f_ops.append(f_op)
+    for m, others, own, rest in ((a, b.dim, b.dim, 1), (b, a.dim, 1, b.dim)):
+        for i in range(m.ngen):
+            for ops, out in ((m.e_ops, e_ops), (m.f_ops, f_ops)):
+                out.append({
+                    c * own + o * rest: {r * own + o * rest: v for r, v in col.items()}
+                    for c, col in ops[i].items()
+                    for o in range(others)
+                })
     return WeightModule(
         ("outer", a.kind, b.kind),
         alphas,
@@ -332,11 +323,11 @@ def _outer(a: WeightModule, b: WeightModule) -> WeightModule:
 
 def specialize_module(m: WeightModule, q0) -> WeightModule:
     """Evaluate every action coefficient at the image x of the rational
-    q0 in F_P, P = 2**61 - 1.  A value is kept as a constant Laurent
-    polynomial {0: c} with 0 < c < P, so the module operations (tensor,
-    the audit) apply unchanged and every coefficient stays within 61
-    bits; linear algebra on such a module runs on the int kernel
-    qarith.fp_rref/fp_kernel, and it decomposes from its character.
+    q0 in F_P, P = 2**61 - 1, and store it as an int 0 < c < P, the one
+    entry type over F_P: the module operations (coproduct, tensor,
+    outer, the audit) and qarith's int kernel take such ints, every
+    coefficient stays within 61 bits, and the module decomposes from its
+    character.
 
     A rank at x can only drop below the generic rank over Q(q), so a
     dimension computed at x may differ from the generic one; agreement
@@ -366,7 +357,7 @@ def specialize_module(m: WeightModule, q0) -> WeightModule:
                             f"{m.kind}: a coefficient nonzero over Q(q) "
                             f"vanishes at q0 = {q0} in F_P"
                         )
-                    newcol[r] = {0: v}
+                    newcol[r] = v
                 if newcol:
                     new[c] = newcol
             out.append(new)
@@ -440,9 +431,8 @@ class IrrepMultiset(dict):
 
 def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
     """Basis of the joint kernel of the E_i, i in gens, inside the mu
-    weight space, in the module's ambient coordinates: stripped Laurent
-    rows over Q(q), and for a specialized module rows {col: int} of
-    fp_kernel, solved on the int entries of its constant coefficients."""
+    weight space, in the module's ambient coordinates, in the module's
+    field (qarith.kernel_basis)."""
     idxs = m.weight_blocks().get(tuple(mu), [])
     sys_rows: dict[tuple, dict] = {}
     for gi in gens:
@@ -450,11 +440,7 @@ def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
         for pos, c in enumerate(idxs):
             for r, p in op.get(c, {}).items():
                 sys_rows.setdefault((gi, r), {})[pos] = p
-    if m.modulus is None:
-        combos = sp_kernel(list(sys_rows.values()), len(idxs))
-    else:
-        system = [{pos: p[0] for pos, p in row.items()} for row in sys_rows.values()]
-        combos = fp_kernel(system, len(idxs), m.modulus)
+    combos = kernel_basis(list(sys_rows.values()), len(idxs), m.modulus)
     return [{idxs[pos]: p for pos, p in z.items()} for z in combos]
 
 

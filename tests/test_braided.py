@@ -31,7 +31,7 @@ from braidpow.braided import (
 from braidpow import braided
 from braidpow.errors import TheoremViolation
 from braidpow.gl3canon import dcb_module
-from braidpow.laurent import ONE
+from braidpow.laurent import P
 from braidpow.qarith import Subspace, sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
@@ -54,15 +54,6 @@ def test_square_gl2_layer_dims():
         assert pair.ext.dim == odd
 
 
-def _apply_fp(op, row):
-    # a specialized module's operator on a row {col: int} over F_P
-    out = {}
-    for c, t in row.items():
-        for r, e in op.get(c, {}).items():
-            out[r] = out.get(r, 0) + t * e[0]
-    return out
-
-
 def test_square_gl2_is_stable():
     pair = square_gl2(3)
     tt = pair.square_module
@@ -81,7 +72,7 @@ def test_square_gl2_is_stable():
             for side in (pair.sym, pair.ext):
                 for row in side.rows:
                     for op in (tt.e_ops[0], tt.f_ops[0]):
-                        assert side.contains(_apply_fp(op, row))
+                        assert side.contains(sp_apply(op, row, P))
 
 
 def test_sym_cube_decompositions():

@@ -623,6 +623,7 @@ def test_out_of_range_sizes_are_usage_errors(capsys):
         ("ext-power", "--d", "2", "--k", "0", "--n", "2"),
         ("howe-check", "--d", "0", "--k", "2", "--n", "2"),
         ("howe-check", "--d", "2", "--k", "-1", "--n", "2"),
+        ("koszul-probe", "--l", "2", "--n", "0"),
     ):
         code, env, err = run_cli(capsys, *argv)
         assert code == 1, argv
@@ -631,6 +632,8 @@ def test_out_of_range_sizes_are_usage_errors(capsys):
         for flag in ("--d", "--k"):
             if flag in argv and int(argv[argv.index(flag) + 1]) < 1:
                 assert err.startswith(f"usage error: {flag} must be positive"), argv
+        if argv[0] == "koszul-probe":
+            assert err.startswith("usage error: --n must be positive"), argv
 
 
 def test_negative_l_is_a_usage_error_naming_l(capsys):

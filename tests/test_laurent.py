@@ -182,14 +182,9 @@ def _int_rows(rows):
     return all(is_int_poly(p) for row in rows for p in row.values())
 
 
-def _residues(rows):
-    # every entry a constant residue 0 < c < P of the prime field
-    return all(set(p) == {0} and 0 < p[0] < L.P for row in rows for p in row.values())
-
-
 def _fp_residues(rows):
     # rows {col: int} of residues 0 < c < P
-    return all(0 < v < L.P for row in rows for v in row.values())
+    return all(type(v) is int and 0 < v < L.P for row in rows for v in row.values())
 
 
 def _fp_rows(rows):
@@ -204,23 +199,22 @@ def test_engine_rows_hold_int_coefficients(specialized):
     if specialized:
         m = specialize_module(m, Fraction(97, 101))
     rows = _raw_rows(m)
-    # a specialized module holds reduced residues of F_P, no rationals
-    assert _int_rows(rows)
-    assert _residues(rows) == specialized
-
     if specialized:
-        # over F_P the int kernel hands back residues {col: int}, and its
-        # echelon rows and the subspaces built on it are led by 1
-        ints = [{c: p[0] for c, p in row.items()} for row in rows]
-        assert _fp_rows(fp_rref(ints, L.P).values())
-        assert _fp_residues(fp_kernel(ints, m.dim, L.P))
-        assert _fp_rows(Subspace.from_sparse(m.dim, ints, L.P).rows)
+        # a specialized module holds reduced residues of F_P, no rationals
+        # and no Laurent polynomials; over F_P the int kernel hands back
+        # residues {col: int}, and its echelon rows and the subspaces
+        # built on it are led by 1
+        assert _fp_residues(rows)
+        assert _fp_rows(fp_rref(rows, L.P).values())
+        assert _fp_residues(fp_kernel(rows, m.dim, L.P))
+        assert _fp_rows(Subspace.from_sparse(m.dim, rows, L.P).rows)
         assert _fp_rows(highest_weight_vectors(m, (3, 3)).rows)
         pair = module_square(specialize_module(v, Fraction(97, 101)))
         assert _fp_rows(pair.sym.rows + pair.ext.rows)
         return
 
-    # over Q(q) returned rows hold ints
+    # over Q(q) the module's and the returned rows hold ints
+    assert _int_rows(rows)
     assert _int_rows([srow_strip(r) for r in rows])
     assert _int_rows(sp_echelon(rows).values())
     assert _int_rows(sp_echelon(rows, reduced=False).values())

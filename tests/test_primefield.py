@@ -79,9 +79,8 @@ def test_evaluation_in_fp_is_a_ring_map(a, b, q0, k):
     assert ev(L.ladd(a, b)) == (ev(a) + ev(b)) % P
     # it is the reduction of the value over Q
     assert ev(a) == L.fp(L.leval(a, q0))
-    # the F_P branch of lqshift multiplies a constant by x**k
-    c = {0: ev(a)} if ev(a) else {}
-    assert L.lqshift(c, k, x) == ({0: ev(L.lshift(a, k))} if c else {})
+    # q**k evaluates to x**k, the K-twist of the specialized coproduct
+    assert ev(L.lshift(a, k)) == ev(a) * pow(x, k, P) % P
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +162,14 @@ def test_specialized_coefficients_are_reduced_residues():
     m = specialize_module(simple_gl2(4, 0), Fraction(101, 97))
     x = L.fp(Fraction(101, 97))
     assert (m.x, m.modulus) == (x, P)
-    for op in m.e_ops + m.f_ops:
-        for col in op.values():
-            for p in col.values():
-                assert set(p) == {0} and 0 < p[0] < P
-    assert m.e_ops[0][3] == {2: {0: L.leval_fp(L.lqint(3), x)}}
+    assert m.e_ops[0][3] == {2: L.leval_fp(L.lqint(3), x)}
+    # so do the tensor and outer products built on specialized modules
+    w = specialize_module(standard_gld(2), Fraction(101, 97))
+    for module in (m, tensor(m, m), outer(w, w)):
+        for op in module.e_ops + module.f_ops:
+            for col in op.values():
+                for c in col.values():
+                    assert type(c) is int and 0 < c < P
 
 
 def test_audit_compares_maps_mod_p():
@@ -175,8 +177,7 @@ def test_audit_compares_maps_mod_p():
 
     def rebuilt(change):
         e_op = {
-            c: {r: {0: change(p[0])} for r, p in col.items()}
-            for c, col in m.e_ops[0].items()
+            c: {r: change(v) for r, v in col.items()} for c, col in m.e_ops[0].items()
         }
         return WeightModule(
             m.kind, m.alphas, m.blocks, m.weights, [e_op], m.f_ops, q0=m.q0
@@ -186,6 +187,62 @@ def test_audit_compares_maps_mod_p():
     rebuilt(lambda c: c + P)
     with pytest.raises(ModuleAuditError):
         rebuilt(lambda c: 2 * c)
+
+
+def _evaluated(op, x):
+    # an exact column map at q = x in F_P, zero entries and columns dropped
+    out = {}
+    for c, col in op.items():
+        col = {r: v for r, p in col.items() if (v := L.leval_fp(p, x))}
+        if col:
+            out[c] = col
+    return out
+
+
+laurent_entries = st.dictionaries(
+    st.integers(-3, 3), st.integers(-5, 5).filter(bool), min_size=1, max_size=3
+)
+vectors = st.dictionaries(st.integers(0, 3), laurent_entries, max_size=4)
+column_maps = st.dictionaries(
+    st.integers(0, 3), vectors.filter(bool), max_size=4
+)
+
+
+@FIXED
+@given(column_maps, column_maps, vectors, laurent_entries, sample_q0s)
+def test_fp_map_operations_are_the_evaluated_exact_ones(a, b, vec, c, q0):
+    # evaluation at q = x is a ring map, so each map operation over F_P
+    # on evaluated inputs gives the evaluated Q(q) result
+    x = L.fp(q0)
+    ev = lambda op: _evaluated(op, x)
+    ev_vec = lambda v: ev({0: v}).get(0, {})
+    assert qarith.sp_apply(ev(a), ev_vec(vec), P) == ev_vec(qarith.sp_apply(a, vec))
+    assert qarith.sp_compose(ev(a), ev(b), P) == ev(qarith.sp_compose(a, b))
+    assert qarith.sp_map_add(ev(a), ev(b), P) == ev(qarith.sp_map_add(a, b))
+    got = qarith.sp_map_scale(ev(a), L.leval_fp(c, x), P)
+    assert got == ev(qarith.sp_map_scale(a, c))
+
+
+modules = st.sampled_from(
+    [
+        lambda: simple_gl2(2, 0),
+        lambda: simple_gl2(3, 1),
+        lambda: standard_gld(3),
+        lambda: outer(standard_gld(2), standard_gld(2)),
+    ]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(modules, st.integers(0, 3), sample_q0s)
+def test_specialized_tensor_is_the_evaluated_exact_tensor(make, l, q0):
+    a = make()
+    # a second factor over the same algebra: a itself, or a gl_2 simple
+    b = simple_gl2(l, 0) if a.blocks == (2,) else a
+    got = tensor(specialize_module(a, q0), specialize_module(b, q0))
+    exact, x = tensor(a, b), L.fp(q0)
+    for got_ops, exact_ops in ((got.e_ops, exact.e_ops), (got.f_ops, exact.f_ops)):
+        assert list(got_ops) == [_evaluated(op, x) for op in exact_ops]
 
 
 def test_guard_refuses_a_sample_outside_the_support():

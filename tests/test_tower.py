@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import evaluated_at
 
-from braidpow import braided, cli
+from braidpow import braided, cli, qarith
 from braidpow.braided import (
     braided_power,
     conjectural_sym_dim,
@@ -140,7 +140,7 @@ def test_specialized_powers_bypass_the_meet(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the tower does not meet V^(ox n) rows")
 
-    monkeypatch.setattr(braided, "sp_kernel", refuse)
+    monkeypatch.setattr(qarith, "sp_kernel", refuse)
     monkeypatch.setattr(braided, "_expand", refuse)
     V = specialize_module(simple_gl2(3, 0), Fraction(97, 101))
     assert power_dims(V, "sym", 5) == [1, 4, 10, 16, 22, 28]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from braidpow.laurent import ONE, lqint
-from braidpow.qarith import sp_apply
+from braidpow.qarith import field_one, sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
     ModuleAuditError,
@@ -69,14 +69,14 @@ def test_tensor_coproduct_example():
 
 
 def test_coproduct_matches_tensor_construction():
-    # over Q(q) and over F_P, where each coefficient is a constant
+    # over Q(q) and over F_P, where each coefficient is an int mod P
     for V in (simple_gl2(2, 0), specialize_module(simple_gl2(2, 0), Fraction(3, 5))):
         t3 = tensor(tensor(V, V), V)
         for lower, ops in ((False, t3.e_ops), (True, t3.f_ops)):
             act = coproduct((V,) * 3, 0, lower)
             for idx in range(t3.dim):
-                vec = {idx: dict(ONE)}
-                assert act(vec) == sp_apply(ops[0], vec)
+                vec = {idx: field_one(V.modulus)}
+                assert act(vec) == sp_apply(ops[0], vec, V.modulus)
     W = standard_gld(3)
     t2 = tensor(W, W)
     for i in range(W.ngen):
