@@ -1,3 +1,8 @@
+import hashlib
+import json
+
+import pytest
+
 from braidpow import gl3canon
 from braidpow.gl3canon import (
     block_positions,
@@ -89,6 +94,34 @@ def test_gt_pair_pinning():
     b1, b2 = gt_pair_bases(mod, lam, beta)
     assert b1[0] == {0: dict(ONE)}
     assert b2[0] == {m - 1: dict(ONE)}
+
+
+def _gt_rows_digest(lam) -> str:
+    # sha256 of every (beta, copy, k, row) of gt_pair_bases, the rows
+    # written as sorted (position, sorted (exponent, coefficient)) pairs
+    mod = dcb_module(lam)
+    rows = [
+        [list(beta), copy, k, sorted([c, sorted(p.items())] for c, p in row.items())]
+        for beta in sorted(mod.weight_blocks())
+        for copy, vecs in enumerate(gt_pair_bases(mod, lam, beta))
+        for k, row in enumerate(vecs)
+    ]
+    return hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "lam, digest",
+    [
+        ((2, 1, 0), "ecba405416ba3e73242abfba3f5ed731da68f13ee51edec563abced3a912903e"),
+        ((3, 1, 0), "068ad55918e52104bb992f155b2dc54998ad6ced84a6280fab0f01f6cfe94d29"),
+        ((3, 2, 0), "1c936f01ab68dc90f9e3b73ca581e4ba6a6368e57d35111267557cf5a005db6e"),
+        ((4, 2, 1), "c57f03ca99256822f460fac31f04b85c3dd03728e248cfbadd247adabdcbb93a"),
+        ((5, 2, 0), "667e341a469b7468cb268cbb777f39ebfacc0c37d777fc1e2576df69a57c09e0"),
+        ((5, 3, 0), "6a686476ac7feefb254e9beb5728fa4fb6e3e663d224e0fe0635c0c307470c28"),
+    ],
+)
+def test_gt_pair_bases_rows_are_pinned(lam, digest):
+    assert _gt_rows_digest(lam) == digest
 
 
 def test_both_checks_build_each_pair_of_bases_once(monkeypatch):
