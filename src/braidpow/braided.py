@@ -22,10 +22,12 @@ mod P over F_P (a specialized module, see specialize_module); qarith
 picks the kernel (kernel_basis) and the entry arithmetic from the
 modulus passed, and only the inline sums of _meet_step's equations are
 written once per field.  Both kernels return the unique reduced basis
-of the kernel, so each level is canonical relative to the one below.
-A level is expanded into V^{ox n} (_expand, _absolute) only where rows
-of V^{ox n} are read: by braided_power, and over Q(q) by the
-highest-weight count of a decomposition, on its dominant blocks.
+of the kernel, so each level is canonical relative to the one below,
+and the Q(q) kernel certifies its result (qarith.sp_kernel), so every
+exact block dim is proved, given the level below and Ann(P^2), which
+are certified the same way.  A level is expanded into V^{ox n}
+(_expand, _absolute) only where rows of V^{ox n} are read: by
+braided_power.
 
 Every square, over either field and of any module, is built by one
 route (_square_sides), and one function decides which side each summand
@@ -40,20 +42,22 @@ character cannot tell its highest-weight vectors apart.  A side is then
 the submodule generated under the F_i by the highest-weight vectors at
 its weights (_side_rows).  The triple product's bullet rows come from
 _side_rows too, at the eps-layers of V_a ox V_b, and the triple product
-is one _meet_step.  Over F_P every row is an int row {col: int}, and
-components are read off weight dims (decompose_weight_dims, one
-character formula for every product of gl blocks), never off
-highest-weight counts; _decompose picks the route by the field.  Over
-Q(q) the components are the highest-weight vectors of the dominant
-weight blocks, so only those blocks are built: _meet_step takes the
-weights to build, and the top level of decompose_power (from degree 3)
-and the triple product's meet are built on their dominant weights alone.
-The E_i act on the tensor product of the factors through
-uqmod.coproduct, the one Delta that every tensor module is built and
-audited with, so neither a power nor the triple product builds a tensor
-module of three or more factors.  decompose_weight_rows checks the count
-weight by weight against the row counts of the same blocks, and every
-full level _level builds, in both fields, against Weyl symmetry.
+is one _meet_step.  Over F_P every row is an int row {col: int}.
+
+A power or a triple product is decomposed by one route in both fields
+(_decompose): its dominant weight dims, copied over each Weyl orbit
+(uqmod.weyl_extend), are its character, and decompose_weight_dims
+reads the components off it (one character formula for every product
+of gl blocks; Jantzen, Lectures on Quantum Groups, ch. 5).  Over Q(q)
+only the dominant blocks are built, each dim proved by its kernel's
+certificate: _meet_step takes the weights to build, and the top level
+of decompose_power (from degree 3) and the triple product's meet are
+built on their dominant weights alone.  Over F_P, where no kernel is
+certified, the full level is built and its weight dims are checked
+against Weyl symmetry; _level checks every full level so, in both
+fields.  No highest-weight vector is counted on this path;
+uqmod.decompose_weight_rows, which counts them, serves uqmod.decompose
+and the tests' oracle.
 
 The braided powers are functions of V and a side alone: every power
 call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
@@ -97,9 +101,7 @@ from .uqmod import (
     IrrepMultiset,
     WeightModule,
     check_weyl_symmetric,
-    coproduct,
     decompose_weight_dims,
-    decompose_weight_rows,
     dim_irrep,
     dominant,
     highest_weight_vectors,
@@ -108,6 +110,7 @@ from .uqmod import (
     standard_gld,
     outer,
     tensor,
+    weyl_extend,
 )
 
 # q0 samples for the specialize mode are ratios of distinct primes from
@@ -415,14 +418,17 @@ def _levels(V: WeightModule, kind: str, n: int) -> list:
     return [_level(V, kind, m) for m in range(n + 1)]
 
 
-def _dominant_blocks(V: WeightModule, kind: str, n: int) -> dict:
-    """The dominant weight blocks of P^n as vectors of V^(ox n): those of
-    the full level through degree 2, from degree 3 the _blocks at the
-    dominant weights of the meet, expanded (_absolute)."""
-    if n < 3:
-        return {w: rows for w, rows in _level(V, kind, n).items() if dominant(w, V.blocks)}
-    blocks = _blocks(V, kind, n, _dominant_meet_weights(_level(V, kind, n - 1), V))
-    return _absolute(V, kind, n, blocks)
+def _dominant_dims(V: WeightModule, kind: str, n: int) -> dict:
+    """{dominant weight: dim} of P^n.  Over Q(q), from degree 3, only the
+    _blocks at the dominant weights of the meet are built, each dim
+    proved by the certificate of its kernel (qarith.sp_kernel).  Over
+    F_P, whose kernel has no certificate, and through degree 2 they are
+    read off the full level, which _level checks for Weyl symmetry."""
+    if n < 3 or V.modulus is not None:
+        level = _level(V, kind, n)
+    else:
+        level = _blocks(V, kind, n, _dominant_meet_weights(_level(V, kind, n - 1), V))
+    return {w: len(rows) for w, rows in level.items() if dominant(w, V.blocks)}
 
 
 def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
@@ -474,7 +480,8 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) 
     numbering the rows of prev in level order (weights sorted, then row
     order).  Both kernels return the unique reduced basis of the kernel
     (sp_kernel's rows stripped), so a block is canonical relative to
-    prev.  _expand multiplies the rows out over prev."""
+    prev, and sp_kernel certifies its rows, so over Q(q) the block's dim
+    is proved.  _expand multiplies the rows out over prev."""
     d, p = back.dim, back.modulus
     unknowns: dict[tuple, list] = {}
     a = 0
@@ -570,38 +577,27 @@ def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
     return [weight_rows_dim(w) for w in _levels(V, kind, up_to)]
 
 
-def _decompose(V: WeightModule, factors: tuple, build) -> IrrepMultiset:
-    """Components of a submodule of the tensor product of the modules in
-    factors, over the field of V and its gl blocks.  build(dominant)
-    gives its weight blocks {weight: rows}: every block, of which only
-    the row counts are read, or with dominant set at least the dominant
-    ones, as vectors of the tensor product.  Over F_P the components
-    are read off every block's dim (decompose_weight_dims).  Over Q(q)
-    they are the highest-weight vectors of the dominant blocks under the
-    coproduct action of the E_i (uqmod.coproduct), checked weight by
-    weight against those blocks' row counts (decompose_weight_rows)."""
-    if V.modulus is not None:
-        dims = {w: len(rows) for w, rows in build(False).items()}
-        return decompose_weight_dims(dims, V.blocks)
-    apply_es = [coproduct(factors, i) for i in range(V.ngen)]
-    return decompose_weight_rows(build(True), V.blocks, apply_es)
+def _decompose(V: WeightModule, dims: dict) -> IrrepMultiset:
+    """Components of a submodule, over the gl blocks of V, from its
+    dominant weight dims {weight: dim}: copied over each Weyl orbit
+    (weyl_extend), they are its character, which the character formula
+    decomposes (decompose_weight_dims).  The one route in both fields;
+    the dims it is given are proved over Q(q) by the kernel certificate
+    and read off a Weyl-checked full level over F_P."""
+    return decompose_weight_dims(weyl_extend(dims, V.blocks), V.blocks)
 
 
 def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of the kind side of V ox V
-    (see _decompose).  For a specialized module it reads the weight dims
-    of the full level, which is never expanded.  Over Q(q) it reads only
-    the dominant blocks (_dominant_blocks): from degree 3, unless the
-    level is stored in full, only they are built, on the full P^(n-1),
-    and kept in P^n's entry, so a later full request builds only the
-    rest, and only they are expanded into V^(ox n) for the highest-weight
-    count.  A decomposition that fails drops P^n's entry (_dropping)."""
+    from its dominant weight dims (_dominant_dims, _decompose).  Over
+    Q(q), from degree 3, unless the level is stored in full, only its
+    dominant blocks are built, on the full P^(n-1), and kept in P^n's
+    entry, so a later full request builds only the rest; nothing is
+    expanded into V^(ox n).  Over F_P the full level is built and
+    Weyl-checked.  A decomposition that fails drops P^n's entry
+    (_dropping)."""
     with _dropping(V, kind, n):
-        return _decompose(
-            V,
-            (V,) * n,
-            lambda dom: _dominant_blocks(V, kind, n) if dom else _level(V, kind, n),
-        )
+        return _decompose(V, _dominant_dims(V, kind, n))
 
 
 # ---------------------------------------------------------------------------
@@ -805,21 +801,21 @@ def _eps_layers(a: int, b: int, parity: int) -> tuple:
 
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
-    decomposed by the route of its field (_decompose): at q0 over F_P by
-    its character, over Q(q) by the highest-weight vectors of its
-    dominant blocks, the only blocks built there, expanded over the rows
-    of bullet12 (_expand)."""
+    decomposed from its dominant weight dims (_decompose).  Over Q(q)
+    only the dominant blocks are built, each dim proved by the
+    certificate of its kernel; over F_P every block is, and the dims
+    must be Weyl symmetric (check_weyl_symmetric)."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     bullet12 = _side_rows(tensor(v1, v2), _eps_layers(b1, b2, parity))
     ann_at = _side_annihilator(tensor(v2, v3), _eps_layers(b2, b3, parity))
-
-    def build(dom):
-        weights = (_dominant_meet_weights if dom else _meet_weights)(bullet12, v3)
-        meet = _meet_step(bullet12, ann_at, v2.dim, v3, weights)
-        return _expand(meet, _level_rows(bullet12), v3.dim, None) if dom else meet
-
-    return _decompose(v3, (v1, v2, v3), build)
+    exact = q0 is None
+    weights = (_dominant_meet_weights if exact else _meet_weights)(bullet12, v3)
+    meet = _meet_step(bullet12, ann_at, v2.dim, v3, weights)
+    dims = {w: len(rows) for w, rows in meet.items()}
+    if not exact:
+        check_weyl_symmetric(dims, v3.blocks)
+    return _decompose(v3, {w: k for w, k in dims.items() if dominant(w, v3.blocks)})
 
 
 # ---------------------------------------------------------------------------

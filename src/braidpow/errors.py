@@ -7,6 +7,12 @@ class GuardError(ValueError):
     Library calls are not guarded and never raise it."""
 
 
+class ModuleAuditError(AssertionError):
+    """A constructed module or subspace fails its audit: an action
+    violates the defining relations, a character is not Weyl symmetric,
+    or an exact kernel fails its certificate (qarith.sp_kernel)."""
+
+
 class TheoremViolation(AssertionError):
     """A computed decomposition disagrees with the proven closed form."""
 

@@ -257,6 +257,30 @@ def gt_pair_bases(module: WeightModule, lam, beta) -> tuple[list, list]:
     )
 
 
+def _f_string(module: WeightModule, lam: tuple, gen0: int, mu: tuple) -> list:
+    """The F_(gen0+1)-string of the E_(gen0+1)-kernel at mu: [seed,
+    F seed, F^2 seed, ...] as stripped rows, up to its last nonzero
+    image, or [] when the kernel is zero.  A kernel of dimension above 1
+    is a TheoremViolation.  Built once per (module, gen0, mu) and stored
+    on module, so every weight of a string reads one seed and one walk."""
+
+    def build() -> list:
+        seeds = weight_space_kernel(module, mu, [gen0])
+        if len(seeds) > 1:
+            raise TheoremViolation(
+                f"E_{gen0 + 1} kernel at {mu} in {lam} has dimension "
+                f"{len(seeds)}, expected at most 1"
+            )
+        out = []
+        row = srow_strip(seeds[0]) if seeds else {}
+        while row:
+            out.append(row)
+            row = srow_strip(sp_apply(module.f_ops[gen0], row))
+        return out
+
+    return module._stored(("F string", gen0, mu), build)
+
+
 def _gt_pair_bases(module: WeightModule, lam: tuple, beta: tuple) -> tuple[list, list]:
     idxs = block_positions(module, beta)
     m = len(idxs)
@@ -273,18 +297,9 @@ def _gt_pair_bases(module: WeightModule, lam: tuple, beta: tuple) -> tuple[list,
                     f"ran out of seed candidates for weight {beta} of {lam}"
                 )
             mu = tuple(b + t * a for b, a in zip(beta, alpha))
-            seeds = weight_space_kernel(module, mu, [gen0])
-            if len(seeds) > 1:
-                raise TheoremViolation(
-                    f"E_{gen0 + 1} kernel at {mu} in {lam} has dimension "
-                    f"{len(seeds)}, expected at most 1"
-                )
-            if seeds:
-                row = seeds[0]
-                for _ in range(t):
-                    row = sp_apply(module.f_ops[gen0], row)
-                row = srow_strip(row)
-                if not row:
+            string = _f_string(module, lam, gen0, mu)
+            if string:
+                if t >= len(string):
                     raise TheoremViolation(
                         f"F_{gen0 + 1} string from {mu} dies before {beta}"
                     )
@@ -295,7 +310,7 @@ def _gt_pair_bases(module: WeightModule, lam: tuple, beta: tuple) -> tuple[list,
                         f"string depth {got} at {beta} of {lam} is not "
                         f"d- + k - 1 = {depth}"
                     )
-                vecs.append({pos[c]: p for c, p in row.items()})
+                vecs.append({pos[c]: p for c, p in string[t].items()})
             t += 1
         out.append(vecs)
     return out[0], out[1]

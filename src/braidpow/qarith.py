@@ -18,14 +18,22 @@ one boundary for rationals: they clear the denominators of a caller's
 row before it enters the engine.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
-over F_P at the fixed unit q = _SCREEN_X (_screen_rank).  That rank is a
+over F_P at the fixed unit q = _SCREEN_X (_screen).  That rank is a
 lower bound of the rank over Q(q); when it already is the largest
-possible rank, they answer without the exact elimination.  Any smaller
-rank is discarded, so no result depends on the screen point.
+possible rank, they answer without the exact elimination.  sp_kernel
+then eliminates only the equations that raised the screen's rank and
+certifies its result before returning it: every row pairs to exactly 0
+with every equation, the rows are independent, and their number is
+ncols minus the rank at _SCREEN_X or at one of a fixed list of further
+points (_CERTIFY_X).  A result that fails raises ModuleAuditError, so
+every exact kernel, and every exact block dim read off one, is proved.
+No result depends on the points: a rank drop at one only costs work.
 
 Specialize mode never enters that engine.  fp_rref and fp_kernel
-eliminate rows {col: int} over F_p with pivots scaled to 1 (fp_rref
-also ranks the screen), and a Subspace over F_p holds fp_rref's rows.
+eliminate rows {col: int} over F_p with pivots scaled to 1 (_fp_insert,
+fp_rref's step, also ranks the screen), and a Subspace over F_p holds
+fp_rref's rows.  An F_p kernel is not certified: a specialized run is
+evidence at its samples, not a proof (see braided.run_mode).
 
 Each field has one entry type: a Laurent dict over Q(q), an int over
 F_p (reduced to 0 < c < p wherever this module returns one).  This is
@@ -41,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .errors import ModuleAuditError
 from .laurent import (
     ONE,
     P,
@@ -148,31 +157,40 @@ def _back_reduce(piv: dict) -> None:
 # The screen point: q is evaluated at this unit of F_P.  It is no root
 # of unity of small order, where q-integers and the like would vanish.
 _SCREEN_X = 1_000_000_007
+# Further units, tried in this order when a kernel's row count is not
+# ncols minus the rank at _SCREEN_X (see sp_kernel).  The list is fixed,
+# so a run repeats exactly.
+_CERTIFY_X = (123_456_789, 987_654_321, 555_555_555_555)
 
 
-def _screen_rank(rows, ncols: int) -> int:
-    """Rank over F_P (P = laurent.P) of Laurent rows at q = _SCREEN_X,
-    counted up to ncols.  Evaluation at a unit is a ring map from
+def _screen(rows, ncols: int, x: int = _SCREEN_X) -> list[int]:
+    """The indices of the rows that raise the rank over F_P (P =
+    laurent.P) of the Laurent rows at q = x, up to ncols of them, so its
+    length is that rank.  Evaluation at a unit is a ring map from
     Z[q, 1/q] to F_P, so a minor that is nonzero at the point is nonzero
-    over Q(q): this rank is a lower bound of the exact one.  It proves a
-    full rank; a smaller one proves nothing and is not used."""
+    over Q(q): the rank is a lower bound of the exact one, and the rows
+    it picks are independent over Q(q)."""
     # x**e once per exponent of the system, where leval_fp would take a
     # pow per term
     powers: dict[int, int] = {}
-    images = []
-    for row in rows:
+    piv: dict[int, dict] = {}
+    raised = []
+    for i, row in enumerate(rows):
         image = {}
         for c, poly in row.items():
             v = 0
             for e, coeff in poly.items():
                 xe = powers.get(e)
                 if xe is None:
-                    xe = powers[e] = pow(_SCREEN_X, e, P)
+                    xe = powers[e] = pow(x, e, P)
                 v += coeff * xe
             image[c] = v
-        images.append(image)
-    # fp_rref reduces the values mod P
-    return len(fp_rref(images, P, ncols))
+        # _fp_insert reduces the values mod P
+        if _fp_insert(piv, image, P):
+            raised.append(i)
+            if len(raised) == ncols:
+                break
+    return raised
 
 
 def sp_rank(rows) -> int:
@@ -180,7 +198,7 @@ def sp_rank(rows) -> int:
     #columns) without the exact elimination."""
     rows = list(rows)
     full = min(len(rows), len({c for row in rows for c, p in row.items() if p}))
-    if _screen_rank(rows, full) == full:
+    if len(_screen(rows, full)) == full:
         return full
     return len(sp_echelon(rows, reduced=False))
 
@@ -200,17 +218,13 @@ def sp_pivot_insert(piv: dict, row: dict):
     return None
 
 
-def sp_kernel(rows, ncols: int) -> list[dict]:
-    """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
-    in echelon order.  Back-substitution stays fraction free: for a free
-    column f, x_f is the lcm L of the pivot entries of the rows touching
-    f, and each such row with pivot c gives x_c = -row[f] * (L / row[c]).
-    A system of full column rank has the empty kernel: when the F_P
-    screen proves that rank, no exact elimination runs, and otherwise the
-    forward pass decides."""
-    rows = list(rows)
-    if _screen_rank(rows, ncols) == ncols:
-        return []
+def _kernel_rows(rows, ncols: int) -> list[dict]:
+    """The elimination behind sp_kernel, uncertified: the basis of the
+    kernel read off the reduced echelon form.  Back-substitution stays
+    fraction free: for a free column f, x_f is the lcm L of the pivot
+    entries of the rows touching f, and each such row with pivot c gives
+    x_c = -row[f] * (L / row[c]).  A pivot row has no entry left of its
+    pivot, so f is the last column of its kernel row."""
     piv = sp_echelon(rows, reduced=False)
     if len(piv) == ncols:
         return []
@@ -228,6 +242,85 @@ def sp_kernel(rows, ncols: int) -> list[dict]:
             vec[c] = lneg(lmul(prow[f], ldiv_exact(den, prow[c])))
         out.append(srow_strip(vec))
     return out
+
+
+def _annihilated(rows, basis) -> bool:
+    """Whether every row of basis pairs to exactly 0 with every row of
+    rows over Z[q, 1/q], in one pass over the equations, each paired
+    with every basis row at once.  The entries are shifted into Z[q] by
+    the lowest exponent of the equations and of the basis, and read at
+    q = 2**s (Kronecker substitution), so a pairing S becomes one int
+    S(2**s).  A coefficient of S is at most M = (largest sum of
+    |coefficients| over one equation) * (largest sum over one basis
+    entry) in size, and 2**s > M, so S(2**s) = 0 only when S = 0: the
+    lowest nonzero coefficient of S is not a multiple of 2**s."""
+    rows = [row for row in rows if row]
+    if not rows or not basis:
+        return True
+    lo_eq = min(e for row in rows for p in row.values() for e in p)
+    lo_z = min(e for z in basis for p in z.values() for e in p)
+    size = max(sum(abs(v) for p in row.values() for v in p.values()) for row in rows)
+    size *= max(sum(map(abs, p.values())) for z in basis for p in z.values())
+    s = size.bit_length()
+    by_col: dict[int, list] = {}
+    for k, z in enumerate(basis):
+        for c, p in z.items():
+            by_col.setdefault(c, []).append((k, sum(v << s * (e - lo_z) for e, v in p.items())))
+    for eq in rows:
+        acc = [0] * len(basis)
+        for c, p in eq.items():
+            hits = by_col.get(c)
+            if hits:
+                x = sum(v << s * (e - lo_eq) for e, v in p.items())
+                for k, y in hits:
+                    acc[k] += x * y
+        if any(acc):
+            return False
+    return True
+
+
+def sp_kernel(rows, ncols: int) -> list[dict]:
+    """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
+    in echelon order, certified before it is returned.
+
+    The F_P screen (_screen) ranks the system at q = _SCREEN_X first.  A
+    full rank r_x = ncols proves the empty kernel, with no exact
+    elimination.  Otherwise only the r_x rows that raised the screen's
+    rank, which are independent over Q(q), are eliminated (_kernel_rows).
+    Their kernel holds the whole kernel and has dim ncols - r_x, so it
+    is the whole kernel unless the exact rank exceeds r_x; then some
+    other row rejects it, and every row is eliminated.  Either way the
+    rows are the unique stripped reduced basis of the kernel.
+
+    The certificate reads the rows alone: each pairs to exactly 0 with
+    every row over Z[q, 1/q] (_annihilated); their last columns, which
+    the elimination leaves free, are distinct, so they are independent;
+    and there are ncols - r_x of them, where r_x, a lower bound of the
+    exact rank, is the rank at _SCREEN_X or else at one of the fixed
+    points _CERTIFY_X.  Independent kernel rows number at most the
+    kernel's dim, which is at most ncols - r_x, so the rows are a basis.
+    A result that fails raises ModuleAuditError."""
+    rows = list(rows)
+    raised = _screen(rows, ncols)
+    if len(raised) == ncols:
+        return []
+    basis = _kernel_rows([rows[i] for i in raised], ncols)
+    if not _annihilated(rows, basis):
+        basis = _kernel_rows(rows, ncols)
+        if not _annihilated(rows, basis):
+            raise ModuleAuditError(
+                f"a kernel row of a {ncols}-column system does not pair to 0 "
+                "with every equation"
+            )
+    if len({max(z) for z in basis}) < len(basis):
+        raise ModuleAuditError(f"two kernel rows of a {ncols}-column system share a free column")
+    want = ncols - len(basis)
+    if len(raised) != want and all(len(_screen(rows, ncols, x)) != want for x in _CERTIFY_X):
+        raise ModuleAuditError(
+            f"{len(basis)} kernel rows of a {ncols}-column system, "
+            f"but its rank at q = {_SCREEN_X} leaves room for {ncols - len(raised)}"
+        )
+    return basis
 
 
 def sp_span_echelon(rows) -> list[dict]:
@@ -297,36 +390,43 @@ def fp_rref(rows, p: int, ncols: int | None = None) -> dict:
     divides is zero and never a pivot.  Stops once ncols pivots exist."""
     piv: dict[int, dict] = {}
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        for c in [c for c in row if c in piv]:
-            f = row.pop(c)
-            for k, v in piv[c].items():
-                if k != c:
-                    s = (row.get(k, 0) - f * v) % p
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]
-        if not row:
-            continue
-        j = min(row)
-        inv = pow(row[j], -1, p)
-        if inv != 1:
-            row = {k: v * inv % p for k, v in row.items()}
-        for prow in piv.values():
-            f = prow.pop(j, 0)
-            if f:
-                for k, v in row.items():
-                    if k != j:
-                        s = (prow.get(k, 0) - f * v) % p
-                        if s:
-                            prow[k] = s
-                        else:
-                            del prow[k]
-        piv[j] = row
-        if len(piv) == ncols:
+        if _fp_insert(piv, row, p) and len(piv) == ncols:
             break
     return piv
+
+
+def _fp_insert(piv: dict, row: dict, p: int) -> bool:
+    """Reduce row against the reduced echelon rows piv over F_p; on a new
+    pivot, scale it to 1, clear its column from the other rows, store
+    it and return True."""
+    row = {c: v % p for c, v in row.items() if v % p}
+    for c in [c for c in row if c in piv]:
+        f = row.pop(c)
+        for k, v in piv[c].items():
+            if k != c:
+                s = (row.get(k, 0) - f * v) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+    if not row:
+        return False
+    j = min(row)
+    inv = pow(row[j], -1, p)
+    if inv != 1:
+        row = {k: v * inv % p for k, v in row.items()}
+    for prow in piv.values():
+        f = prow.pop(j, 0)
+        if f:
+            for k, v in row.items():
+                if k != j:
+                    s = (prow.get(k, 0) - f * v) % p
+                    if s:
+                        prow[k] = s
+                    else:
+                        del prow[k]
+    piv[j] = row
+    return True
 
 
 def fp_kernel(rows, ncols: int, p: int) -> list[dict]:

@@ -12,7 +12,7 @@ Delta(F) = F ox K^-1 + 1 ox F.  coproduct is its one implementation, on
 any number of factors over either field: tensor applies it to basis
 vectors and audit_module checks the defining relations on the result,
 so a convention slip cannot survive construction, and the
-highest-weight counts act by it on products they never build.
+highest-weight count of decompose acts by it.
 
 Each exact construction happens once per process.  simple_gl2 and
 standard_gld return one shared, already audited instance per argument,
@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
+from .errors import ModuleAuditError
 from .laurent import ONE, P, fp, ladd, leval_fp, lmul, lqint, lshift
 from .qarith import (
     Subspace,
@@ -42,10 +43,6 @@ from .qarith import (
     sp_map_scale,
     sp_rank,
 )
-
-
-class ModuleAuditError(AssertionError):
-    """A constructed action violates the defining relations."""
 
 
 def pairing(a, b) -> int:
@@ -432,7 +429,7 @@ class IrrepMultiset(dict):
 def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
     """Basis of the joint kernel of the E_i, i in gens, inside the mu
     weight space, in the module's ambient coordinates, in the module's
-    field (qarith.kernel_basis)."""
+    field (qarith.kernel_basis; over Q(q) a certified kernel)."""
     idxs = m.weight_blocks().get(tuple(mu), [])
     sys_rows: dict[tuple, dict] = {}
     for gi in gens:
@@ -474,13 +471,13 @@ def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
     checked weight by weight against the same blocks: the dominant row
     counts, copied over each Weyl orbit (weyl_extend) and decomposed by
     decompose_weight_dims, must give the same multiplicities, else a
-    ModuleAuditError names the highest weight where the two differ.  That
-    proves the components found have, at every dominant weight, exactly
-    the block's number of rows; with a Weyl-symmetric character (every
-    full power level is checked, see braided._level) they account for
-    every row.  It does not prove that the rows span a submodule.  A
-    specialized module is decomposed from its character instead
-    (decompose_weight_dims)."""
+    ModuleAuditError names the highest weight where the two differ.
+    decompose reads a module this way.  The braided powers and triple
+    products are decomposed from their certified dominant dims alone
+    (braided._decompose); the tests count their highest-weight vectors
+    here, on the dominant blocks expanded into the tensor product, as
+    an oracle.  A specialized module is decomposed from its character
+    instead (decompose_weight_dims)."""
     out = IrrepMultiset(blocks=blocks)
     dims = {}
     for w in sorted(weight_rows):

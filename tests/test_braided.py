@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -35,6 +36,9 @@ from braidpow.laurent import P
 from braidpow.qarith import Subspace, sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
+    coproduct,
+    decompose_weight_rows,
+    dominant,
     outer,
     simple_gl2,
     specialize_module,
@@ -380,3 +384,50 @@ def test_braided_power_deterministic():
     one = braided_power(V, "sym", 3)
     two = braided_power(V, "sym", 3)
     assert one == two
+
+
+# ---------------------------------------------------------------------------
+# the highest-weight count as an oracle: a decomposition read off the
+# certified dominant dims has the components that counting highest-weight
+# vectors finds in the same blocks, expanded into the tensor product
+
+
+def _counted(blocks: dict, factors: tuple) -> IrrepMultiset:
+    # the highest-weight vectors of blocks {weight: vectors of the tensor
+    # product of factors} under the coproduct action of the E_i, checked
+    # weight by weight against the blocks' row counts
+    V = factors[-1]
+    return decompose_weight_rows(blocks, V.blocks, [coproduct(factors, i) for i in range(V.ngen)])
+
+
+@pytest.mark.parametrize(
+    "l, kind, n",
+    [(l, kind, 3) for l in range(6) for kind in ("sym", "ext")] + [(3, "sym", 4), (4, "sym", 4)],
+)
+def test_power_decompositions_agree_with_the_highest_weight_count(l, kind, n):
+    V = simple_gl2(l, 0)
+    dec = decompose_power(V, kind, n)
+    level = power_weight_rows(V, kind, n)
+    dom = {w: rows for w, rows in level.items() if dominant(w, V.blocks)}
+    assert _counted(braided._absolute(V, kind, n, dom), (V,) * n) == dec
+
+
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_triple_product_decompositions_agree_with_the_highest_weight_count(monkeypatch, eps):
+    # every beta with entries <= 3: the dominant blocks of the meet, which
+    # are all the exact triple product builds, expanded over bullet12
+    meets = []
+    meet = braided._meet_step
+    monkeypatch.setattr(braided, "_meet_step", lambda *args: meets.append(meet(*args)) or meets[-1])
+    parity = braided._parity_of_eps(eps)
+    for beta in product(range(4), repeat=3):
+        dec = braided.decompose_triple(beta, eps)
+        factors = tuple(simple_gl2(b, 0) for b in beta)
+        bullet12 = braided._side_rows(
+            tensor(factors[0], factors[1]), braided._eps_layers(beta[0], beta[1], parity)
+        )
+        [blocks] = meets
+        meets.clear()
+        assert all(dominant(w, (2,)) for w in blocks)
+        expanded = braided._expand(blocks, braided._level_rows(bullet12), factors[2].dim, None)
+        assert _counted(expanded, factors) == dec

@@ -141,6 +141,30 @@ def test_both_checks_build_each_pair_of_bases_once(monkeypatch):
     assert gt_pair_bases(mod, lam, (2, 1, 1)) is gt_pair_bases(mod, list(lam), [2, 1, 1])
 
 
+def test_each_seed_and_string_is_taken_once_per_module(monkeypatch):
+    # the seeds of one weight's bases are the seeds of the weights below
+    # it on the same strings: each E_i-kernel is solved once, and each
+    # F_i-image of a string row taken once
+    kernels, images = [], []
+    kernel, apply = gl3canon.weight_space_kernel, gl3canon.sp_apply
+    monkeypatch.setattr(
+        gl3canon,
+        "weight_space_kernel",
+        lambda m, mu, gens: kernels.append((mu, tuple(gens))) or kernel(m, mu, gens),
+    )
+    monkeypatch.setattr(
+        gl3canon,
+        "sp_apply",
+        lambda op, vec: images.append((id(op), sorted(vec))) or apply(op, vec),
+    )
+    lam = (4, 2, 0)
+    mod = dcb_module(lam)
+    assert genericity_check(lam, mod)["ok"]
+    assert degree_recursion_check(lam, mod)["ok"]
+    assert len(kernels) == len(set(kernels)) > 0
+    assert len(images) == len({(op, tuple(vec)) for op, vec in images}) > 0
+
+
 def test_degree_recursion():
     for lam in ((2, 1, 0), (3, 1, 0), (2, 2, 0), (3, 2, 0)):
         report = degree_recursion_check(lam)

@@ -440,14 +440,14 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
 
 def test_triple_product_step_is_the_reference_meet(monkeypatch):
     # the meet that _triple_product_exact decomposes, for every beta <= 2:
-    # its dominant blocks, the only ones decomposed, and the whole meet
-    # from _meet_step over every weight
+    # its dominant blocks, the only ones built and decomposed, and the
+    # whole meet from _meet_step over every weight
     seen = []
-    decompose = braided.decompose_weight_rows
+    meet = braided._meet_step
     monkeypatch.setattr(
         braided,
-        "decompose_weight_rows",
-        lambda wrows, *args: seen.append(wrows) or decompose(wrows, *args),
+        "_meet_step",
+        lambda *args: seen.append(meet(*args)) or seen[-1],
     )
     for beta in product(range(3), repeat=3):
         v1, v2, v3 = (simple_gl2(b, 0) for b in beta)
@@ -474,7 +474,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             ]
             want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
-            got = seen.pop()
+            got = braided._expand(seen.pop(), braided._level_rows(b12), v3.dim, None)
             assert {w: sp_span_echelon(rows) for w, rows in got.items()} == {
                 w: rows for w, rows in want.items() if dominant(w, (2,))
             }
@@ -482,7 +482,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             # the whole meet holds coordinates over bullet12 ox V_b3; each
             # block, expanded over the rows of bullet12, spans the reference
             ann_at = braided._ann_by_column(b23, t23.weight_blocks(), None)
-            whole = braided._meet_step(b12, ann_at, v2.dim, v3, braided._meet_weights(b12, v3))
+            whole = meet(b12, ann_at, v2.dim, v3, braided._meet_weights(b12, v3))
             whole = braided._expand(whole, braided._level_rows(b12), v3.dim, None)
             assert {w: sp_span_echelon(rows) for w, rows in whole.items()} == want
             assert weight_rows_dim(whole) == weight_rows_dim(want)
@@ -503,29 +503,61 @@ def test_meet_on_subsets_of_l3_sym_cube_blocks(data):
 
 
 def _unscreened(rows, n):
-    # sp_rank, sp_kernel and sp_intersect with the screen proving nothing,
-    # so every answer comes from the exact forward elimination
+    # sp_rank, sp_kernel and sp_intersect with the screen point proving
+    # nothing: its rank reads 0 and it picks no equation, so sp_rank
+    # eliminates, and sp_kernel eliminates every equation and certifies
+    # its count at a further point (_CERTIFY_X)
+    screen = qarith._screen
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qarith, "_screen_rank", lambda rows, ncols: -1)
+        mp.setattr(
+            qarith,
+            "_screen",
+            lambda rows, ncols, x=qarith._SCREEN_X: [] if x == qarith._SCREEN_X else screen(rows, ncols, x),
+        )
         units = [{j: dict(L.ONE)} for j in range(n)]
         return sp_rank(rows), sp_kernel(rows, n), sp_intersect(units, rows)
 
 
 def test_screen_point_is_not_a_root_of_unity_of_small_order():
-    x = qarith._SCREEN_X
-    assert all(pow(x, k, L.P) != 1 for k in range(1, 5000))
+    for x in (qarith._SCREEN_X, *qarith._CERTIFY_X):
+        assert 1 < x < L.P
+        assert all(pow(x, k, L.P) != 1 for k in range(1, 5000))
 
 
 def test_a_rank_drop_at_the_screen_point_falls_back_to_the_exact_path():
     # det [[q, 1], [x, 1]] = q - x vanishes at the screen point x only
     x = qarith._SCREEN_X
     rows = [{0: L.lq(1), 1: dict(L.ONE)}, {0: {0: x}, 1: dict(L.ONE)}]
-    assert qarith._screen_rank(rows, 2) == 1
+    assert qarith._screen(rows, 2) == [0]
     assert sp_rank(rows) == 2
     assert sp_kernel(rows, 2) == []
     units = [{0: dict(L.ONE)}, {1: dict(L.ONE)}]
     assert sp_intersect(units, rows) == []
     assert _unscreened(rows, 2) == (2, [], [])
+
+
+def test_a_rank_drop_at_the_screen_point_is_certified_at_a_second_point(monkeypatch):
+    # the one row the screen picks has a line for its kernel, which the
+    # second row rejects; every row is then eliminated, and the empty
+    # kernel is certified by the full rank at the first further point
+    x = qarith._SCREEN_X
+    rows = [{0: L.lq(1), 1: dict(L.ONE)}, {0: {0: x}, 1: dict(L.ONE)}]
+    eliminated, points = [], []
+    kernel_rows, screen = qarith._kernel_rows, qarith._screen
+    monkeypatch.setattr(
+        qarith,
+        "_kernel_rows",
+        lambda rows, n: eliminated.append(len(rows)) or kernel_rows(rows, n),
+    )
+    monkeypatch.setattr(
+        qarith,
+        "_screen",
+        lambda rows, n, x=x: points.append(x) or screen(rows, n, x),
+    )
+    assert sp_kernel(rows, 2) == []
+    assert eliminated == [1, 2]
+    assert points == [x, qarith._CERTIFY_X[0]]
+    assert len(screen(rows, 2, qarith._CERTIFY_X[0])) == 2
 
 
 def test_a_full_rank_proven_at_the_screen_point_skips_the_elimination(monkeypatch):

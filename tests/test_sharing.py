@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidpow import acceptance, braided, uqmod
+from braidpow import acceptance, braided, qarith, uqmod
 from braidpow.braided import (
     admissible_triples,
     braided_power,
@@ -23,6 +23,7 @@ from braidpow.braided import (
     square_standard,
     sym_cube_closed,
 )
+from braidpow.qarith import sp_annihilator, sp_intersect, sp_span_echelon
 from braidpow.uqmod import (
     ModuleAuditError,
     WeightModule,
@@ -217,22 +218,139 @@ def test_no_block_of_a_power_level_is_built_twice(monkeypatch):
             )
 
 
-@pytest.mark.parametrize("w", [(9, 0), (8, 1), (7, 2), (6, 3), (5, 4)])
-def test_a_dominant_block_short_of_a_row_fails_the_decomposition(monkeypatch, w):
-    # the sym cube of V_(3,0), one row dropped from the block at w: the
-    # per-weight check names w or the weight below it
-    meet = braided._meet_step
+def _mutate_kernel(monkeypatch, w, mutate):
+    """Pass the kernel rows that the elimination finds for the block at w
+    of each _meet_step through mutate, before the kernel's certificate
+    (qarith.sp_kernel) reads them.  When the pairing pass rejects them,
+    every equation is eliminated, and mutated, again.  mutate itself runs
+    on the unpatched elimination."""
+    meet, kernel_basis, eliminate = braided._meet_step, braided.kernel_basis, qarith._kernel_rows
 
-    def short(prev, ann_at, mid, back, weights):
-        out = meet(prev, ann_at, mid, back, weights)
-        if w in out:
-            out[w] = out[w][:-1]
+    def mutated(rows, n):
+        found = eliminate(rows, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qarith, "_kernel_rows", eliminate)
+            return mutate(found)
+
+    def step(prev, ann_at, mid, back, weights):
+        # _meet_step solves one kernel per weight, in sorted order
+        order = iter(sorted(weights))
+
+        def block_kernel(system, ncols, p):
+            if next(order) != w:
+                return kernel_basis(system, ncols, p)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qarith, "_kernel_rows", mutated)
+                return kernel_basis(system, ncols, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(braided, "kernel_basis", block_kernel)
+            out = meet(prev, ann_at, mid, back, weights)
+        assert next(order, None) is None
         return out
 
-    monkeypatch.setattr(braided, "_meet_step", short)
-    below = (w[0] - 1, w[1] + 1)
-    with pytest.raises(ModuleAuditError, match=rf"\({w[0]}, {w[1]}\)|\({below[0]}, {below[1]}\)"):
-        decompose_power(simple_gl2(3, 0), "sym", 3)
+    monkeypatch.setattr(braided, "_meet_step", step)
+
+
+def _dominant_cube_weights(l: int, kind: str) -> list:
+    # the dominant weights (3l - k, k) of the nonzero blocks of the cube:
+    # k from the lowest second entry of a component to the wall
+    closed = sym_cube_closed(l) if kind == "sym" else ext_cube_closed(l)
+    low = min(lam[1] for lam in closed)
+    return [(3 * l - k, k) for k in range(low, 3 * l // 2 + 1)]
+
+
+# every dominant block of five cubes, 25 in all; the highest-weight count
+# missed the drops at (6, 6) of the V_(4,0) sym cube and at (9, 9) of the
+# V_(6,0) ext cube, walls whose count drops with the row
+_CUBE_BLOCKS = [
+    (l, kind, w)
+    for l, kind in ((3, "sym"), (4, "sym"), (4, "ext"), (5, "sym"), (6, "ext"))
+    for w in _dominant_cube_weights(l, kind)
+]
+
+
+@pytest.mark.parametrize(
+    "l, kind, w", _CUBE_BLOCKS, ids=[f"w{i}" for i in range(len(_CUBE_BLOCKS))]
+)
+def test_a_dominant_block_short_of_a_row_fails_the_decomposition(monkeypatch, l, kind, w):
+    # one row dropped from the block at w: the kernel's certificate finds
+    # fewer rows than the rank bound leaves room for, and the cube's level
+    # is stored nowhere
+    assert len(_CUBE_BLOCKS) == 25
+    _mutate_kernel(monkeypatch, w, lambda rows: rows[:-1])
+    V = simple_gl2(l, 0)
+    with pytest.raises(ModuleAuditError, match="kernel rows of a .* leaves room for"):
+        decompose_power(V, kind, 3)
+    assert ("power", braided._side_index(kind), 3) not in V._memo
+
+
+def test_a_changed_coefficient_of_a_kernel_row_fails_its_certificate(monkeypatch):
+    # one coefficient of the first row of the (6, 6) block of the V_(4,0)
+    # sym cube doubled, in the elimination's result and again in the
+    # elimination of every equation that follows: the pairing pass rejects it
+    def double_one(rows):
+        first = dict(rows[0])
+        c = min(first)
+        first[c] = {e: 2 * v if e == min(first[c]) else v for e, v in first[c].items()}
+        return [first, *rows[1:]]
+
+    _mutate_kernel(monkeypatch, (6, 6), double_one)
+    V = simple_gl2(4, 0)
+    with pytest.raises(ModuleAuditError, match="does not pair to 0"):
+        decompose_power(V, "sym", 3)
+    assert ("power", 0, 3) not in V._memo
+
+
+def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(monkeypatch):
+    # the (6, 6) block of the V_(4,0) sym cube replaced by its part in the
+    # submodule that the block at (7, 5) generates: the F-images, 3 of its
+    # 4 dims.  That part is E- and F-stable, so no stability check can see
+    # the V_(6,6) line it misses; only the certificate's count does.
+    V, d = simple_gl2(4, 0), 5
+    level2 = power_weight_rows(V, "sym", 2)
+    square = braided._level_rows(level2)
+    weights = [w for w in sorted(level2) for _ in level2[w]]
+    # the unknowns of the (6, 6) block, in _meet_step's order: the pairs
+    # (row a of P^2, e_b) of weight (6, 6), numbered a * d + b
+    unknowns = [
+        a * d + b
+        for a, wa in enumerate(weights)
+        for b, wb in enumerate(V.weights)
+        if (wa[0] + wb[0], wa[1] + wb[1]) == (6, 6)
+    ]
+    # the F-images of the (7, 5) block of the cube, as vectors of V^(ox 3),
+    # from the full level of an unshared copy of V
+    copy = simple_gl2.__wrapped__(4, 0)
+    above = braided._absolute(copy, "sym", 3, power_weight_rows(copy, "sym", 3))[(7, 5)]
+    lower = uqmod.coproduct((V, V, V), 0, lower=True)
+    images = [lower(v) for v in above]
+    offset = d**3
+    seen = []
+
+    def keep_images(rows):
+        # the combinations of the kernel rows whose vectors lie in the
+        # span of the images, found by one meet over rows that carry their
+        # coordinates beyond column offset; echelonized from the last
+        # column, so their last columns stay distinct
+        carried = [
+            {**braided._expand({0: [{unknowns[j]: v for j, v in z.items()}]}, square, d, None)[0][0],
+             **{offset + j: v for j, v in z.items()}}
+            for z in rows
+        ]
+        every = {c for r in carried + images for c in r if c < offset}
+        meet = sp_intersect(carried, sp_annihilator(images, every))
+        n = len(unknowns)
+        flipped = [{n - 1 - (c - offset): v for c, v in r.items() if c >= offset} for r in meet]
+        kept = [{n - 1 - j: v for j, v in r.items()} for r in sp_span_echelon(flipped)]
+        seen.append((len(rows), len(kept)))
+        return kept
+
+    _mutate_kernel(monkeypatch, (6, 6), keep_images)
+    with pytest.raises(ModuleAuditError, match="3 kernel rows of a .* leaves room for 4"):
+        decompose_power(V, "sym", 3)
+    assert seen == [(4, 3)]
+    assert ("power", 0, 3) not in V._memo
 
 
 @pytest.mark.parametrize("q0", [None, Fraction(97, 101)])
@@ -258,20 +376,18 @@ def test_a_full_level_short_of_a_row_off_the_dominant_chamber_fails(monkeypatch,
 
 
 def test_a_failed_decomposition_is_not_stored(monkeypatch):
-    # one row of the (7, 2) block of the sym cube of V_(3,0) dropped once:
-    # the decomposition fails and stores nothing, so the next call and
-    # the full level build that block again
-    meet = braided._meet_step
+    # one row of the (7, 2) block of the sym cube of V_(3,0) dropped once,
+    # before the kernel's certificate: the decomposition fails and stores
+    # nothing, so the next call and the full level build that block again
     shorts = [(7, 2)]
 
-    def short_once(prev, ann_at, mid, back, weights):
-        out = meet(prev, ann_at, mid, back, weights)
-        if shorts and shorts[0] in out:
-            w = shorts.pop()
-            out[w] = out[w][:-1]
-        return out
+    def short_once(rows):
+        if shorts:
+            shorts.pop()
+            return rows[:-1]
+        return rows
 
-    monkeypatch.setattr(braided, "_meet_step", short_once)
+    _mutate_kernel(monkeypatch, (7, 2), short_once)
     V = simple_gl2(3, 0)
     with pytest.raises(ModuleAuditError):
         decompose_power(V, "sym", 3)
@@ -281,17 +397,17 @@ def test_a_failed_decomposition_is_not_stored(monkeypatch):
 
 
 def test_a_failed_decomposition_drops_the_levels_built_on_it(monkeypatch):
-    # P^3 and P^4 stored in full, then the count on P^3 fails: both are
-    # built again, on the P^2 that stays
+    # P^3 and P^4 stored in full, then the decomposition of P^3's
+    # dominant dims fails: both are built again, on the P^2 that stays
     V = simple_gl2(3, 0)
     assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
     square = power_weight_rows(V, "sym", 2)
 
     def refuse(*args):
-        raise ModuleAuditError("count refused")
+        raise ModuleAuditError("decomposition refused")
 
-    monkeypatch.setattr(braided, "decompose_weight_rows", refuse)
-    with pytest.raises(ModuleAuditError, match="count refused"):
+    monkeypatch.setattr(braided, "decompose_weight_dims", refuse)
+    with pytest.raises(ModuleAuditError, match="decomposition refused"):
         decompose_power(V, "sym", 3)
     monkeypatch.undo()
     steps = []
@@ -308,8 +424,8 @@ def test_a_failed_decomposition_drops_the_levels_built_on_it(monkeypatch):
 
 
 def test_each_level_below_is_expanded_once(monkeypatch):
-    # the rows of each _expand call: P^3 of V_(4,0) once, then the blocks
-    # each call is given, the dominant ones of P^4 or all of them
+    # the rows of each _expand call: a decomposition expands nothing, and
+    # braided_power expands P^3 of V_(4,0) once and P^4 on each call
     sizes = []
     expand = braided._expand
 
@@ -320,9 +436,11 @@ def test_each_level_below_is_expanded_once(monkeypatch):
     monkeypatch.setattr(braided, "_expand", spy)
     V = simple_gl2(4, 0)
     dec = decompose_power(V, "sym", 4)
+    assert sizes == []
+    assert braided_power(V, "sym", 4).dim == 45
     assert braided_power(V, "sym", 4).dim == 45
     assert decompose_power(V, "sym", 4) == dec
-    assert sizes == [28, 25, 45, 25]
+    assert sizes == [28, 45, 45]
 
 
 def test_a_power_and_a_triple_product_share_a_side_annihilator(monkeypatch):
