@@ -418,19 +418,6 @@ def _levels(V: WeightModule, kind: str, n: int) -> list:
     return [_level(V, kind, m) for m in range(n + 1)]
 
 
-def _dominant_dims(V: WeightModule, kind: str, n: int) -> dict:
-    """{dominant weight: dim} of P^n.  Over Q(q), from degree 3, only the
-    _blocks at the dominant weights of the meet are built, each dim
-    proved by the certificate of its kernel (qarith.sp_kernel).  Over
-    F_P, whose kernel has no certificate, and through degree 2 they are
-    read off the full level, which _level checks for Weyl symmetry."""
-    if n < 3 or V.modulus is not None:
-        level = _level(V, kind, n)
-    else:
-        level = _blocks(V, kind, n, _dominant_meet_weights(_level(V, kind, n - 1), V))
-    return {w: len(rows) for w, rows in level.items() if dominant(w, V.blocks)}
-
-
 def _ann_by_column(wrows: dict, blocks: dict, p) -> dict:
     """The annihilator of a weight-blocked subspace under the standard
     pairing x . y = sum_c x_c y_c, by column: {col: [(annihilator row,
@@ -577,27 +564,34 @@ def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:
     return [weight_rows_dim(w) for w in _levels(V, kind, up_to)]
 
 
-def _decompose(V: WeightModule, dims: dict) -> IrrepMultiset:
-    """Components of a submodule, over the gl blocks of V, from its
-    dominant weight dims {weight: dim}: copied over each Weyl orbit
-    (weyl_extend), they are its character, which the character formula
-    decomposes (decompose_weight_dims).  The one route in both fields;
-    the dims it is given are proved over Q(q) by the kernel certificate
-    and read off a Weyl-checked full level over F_P."""
+def _decompose(V: WeightModule, blocks: dict) -> IrrepMultiset:
+    """Components of a submodule, over the gl blocks of V, from the row
+    counts of its weight blocks {weight: rows}, of which the dominant
+    ones are read: copied over each Weyl orbit (weyl_extend), they are
+    its character, which the character formula decomposes
+    (decompose_weight_dims).  The one route in both fields; the dominant
+    dims are proved by the kernel certificate over Q(q), and read off a
+    Weyl-checked full level over F_P."""
+    dims = {w: len(rows) for w, rows in blocks.items() if dominant(w, V.blocks)}
     return decompose_weight_dims(weyl_extend(dims, V.blocks), V.blocks)
 
 
 def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of the kind side of V ox V
-    from its dominant weight dims (_dominant_dims, _decompose).  Over
-    Q(q), from degree 3, unless the level is stored in full, only its
-    dominant blocks are built, on the full P^(n-1), and kept in P^n's
-    entry, so a later full request builds only the rest; nothing is
-    expanded into V^(ox n).  Over F_P the full level is built and
-    Weyl-checked.  A decomposition that fails drops P^n's entry
-    (_dropping)."""
+    from its dominant weight dims (_decompose).  Over Q(q), from degree
+    3, unless the level is stored in full, only the _blocks at the
+    dominant weights of the meet are built, on the full P^(n-1), and
+    kept in P^n's entry, so a later full request builds only the rest;
+    nothing is expanded into V^(ox n).  Over F_P, whose kernel has no
+    certificate, and through degree 2 the full level is read, which
+    _level checks for Weyl symmetry.  A decomposition that fails drops
+    P^n's entry (_dropping)."""
     with _dropping(V, kind, n):
-        return _decompose(V, _dominant_dims(V, kind, n))
+        if n < 3 or V.modulus is not None:
+            blocks = _level(V, kind, n)
+        else:
+            blocks = _blocks(V, kind, n, _dominant_meet_weights(_level(V, kind, n - 1), V))
+        return _decompose(V, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +806,9 @@ def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
     exact = q0 is None
     weights = (_dominant_meet_weights if exact else _meet_weights)(bullet12, v3)
     meet = _meet_step(bullet12, ann_at, v2.dim, v3, weights)
-    dims = {w: len(rows) for w, rows in meet.items()}
     if not exact:
-        check_weyl_symmetric(dims, v3.blocks)
-    return _decompose(v3, {w: k for w, k in dims.items() if dominant(w, v3.blocks)})
+        check_weyl_symmetric({w: len(rows) for w, rows in meet.items()}, v3.blocks)
+    return _decompose(v3, meet)
 
 
 # ---------------------------------------------------------------------------

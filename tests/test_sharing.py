@@ -302,6 +302,16 @@ def test_a_changed_coefficient_of_a_kernel_row_fails_its_certificate(monkeypatch
     assert ("power", 0, 3) not in V._memo
 
 
+def test_a_repeated_kernel_row_fails_its_certificate(monkeypatch):
+    # the last row of the (6, 6) block of the V_(4,0) sym cube given twice:
+    # both lie in the kernel, but they share a free column
+    _mutate_kernel(monkeypatch, (6, 6), lambda rows: rows + rows[-1:])
+    V = simple_gl2(4, 0)
+    with pytest.raises(ModuleAuditError, match="share a free column"):
+        decompose_power(V, "sym", 3)
+    assert ("power", 0, 3) not in V._memo
+
+
 def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(monkeypatch):
     # the (6, 6) block of the V_(4,0) sym cube replaced by its part in the
     # submodule that the block at (7, 5) generates: the F-images, 3 of its
@@ -333,11 +343,11 @@ def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(m
         # span of the images, found by one meet over rows that carry their
         # coordinates beyond column offset; echelonized from the last
         # column, so their last columns stay distinct
-        carried = [
-            {**braided._expand({0: [{unknowns[j]: v for j, v in z.items()}]}, square, d, None)[0][0],
-             **{offset + j: v for j, v in z.items()}}
-            for z in rows
-        ]
+        carried = []
+        for z in rows:
+            relative = {unknowns[j]: v for j, v in z.items()}
+            [[vector]] = braided._expand({0: [relative]}, square, d, None).values()
+            carried.append({**vector, **{offset + j: v for j, v in z.items()}})
         every = {c for r in carried + images for c in r if c < offset}
         meet = sp_intersect(carried, sp_annihilator(images, every))
         n = len(unknowns)
