@@ -17,6 +17,19 @@ values GCDHEU already has when their digits are small enough to be
 proved (_value_quo), and otherwise comes from dense long division
 (_dense_quo).  lcofactors first packs the entries by their common
 exponent step g, as polynomials in t = q**g, since their gcd is one too.
+
+qarith's elimination does not run on these dicts.  It packs each entry
+q**lo * f as (lo, f(2**K), n1) with n1 >= |f|_1, and keeps the slot
+invariant 2*n1 + 4 <= 2**K, checked before every entry it produces.
+That invariant is exactly what _gcd_heu's proof asks of xi = 2**K: it
+bounds every coefficient by xi/2 and every root by n1 + 1.  So a row
+strip there is this GCDHEU at xi = 2**K on values it already holds, its
+cofactors proved by _value_quo's condition and its content by Gauss's
+lemma (see qarith).  When a packed cofactor is refused, the row is
+unpacked and lcofactors strips it, keeping its Euclid fallback; the
+packed engine's lcm and exact quotients fall back to lcofactors and
+ldiv_exact the same way.  The kernel certificate reads the unpacked
+rows with its own evaluation, never this packing.
 A rational enters a row in two places only: qarith.Subspace.span and
 Subspace.contains clear a caller's denominators, and specialize mode
 maps q0 into F_P with fp.

@@ -2,20 +2,66 @@
 
 The sp_* routines are a sparse fraction-free elimination over Laurent
 rows: a row is a dict {column: Laurent dict} that stores no zero entry
-and holds int coefficients only.  Elimination cross-multiplies rows
-instead of dividing (_cross), with both multipliers first divided by
-their gcd when neither is a monomial, then strips each row to the
-canonical representative of its line: srow_strip removes the common q
-power, integer content and any common polynomial factor (one GCDHEU pass
-over the row, laurent.lcofactors), so every returned row holds primitive
-int coefficients and the smaller multipliers change no result.  A
+and holds int coefficients only.  Dict rows are the boundary only.
+sp_echelon, sp_pivot_insert, sp_kernel's elimination (_kernel_rows) and
+srow_strip pack every entry, eliminate the packed rows and unpack the
+result, and span_basis, sp_rank and sp_kernel go through them.  A
 reduced echelon basis of stripped rows is the canonical form of a
 subspace.  sp_intersect is the reference meet of the tests; the braided
 power step (braided._meet_step) keeps its kernel vectors as coordinates
 over the level below, so its meet takes no second elimination.
-Subspace.span and Subspace.contains are the
-one boundary for rationals: they clear the denominators of a caller's
-row before it enters the engine.
+Subspace.span and Subspace.contains are the one boundary for
+rationals: they clear the denominators of a caller's row before it
+enters the engine.
+
+Packed entries.  The Laurent entry q**lo * f, f in Z[q] with
+f(0) != 0, is the triple (lo, v, n1) with v = f(2**K) (Kronecker
+substitution) and n1 >= |f|_1.  Elimination cross-multiplies rows
+instead of dividing (_cross): a new entry a*p - b*r is two big-int
+products and a difference shifted by K bits per step of q power, taken
+after a and b are divided by their gcd when neither is a constant.
+Each row is then stripped to the canonical representative of its line
+(_strip): the common q power, the integer content and any common
+polynomial factor go, so every returned row holds primitive int
+coefficients and the smaller multipliers change no result.
+
+The slot invariant is 2*n1 + 4 <= 2**K for every entry.  It puts each
+coefficient of f in (-2**(K-1), 2**(K-1)), so f is read back from the
+balanced base-2**K digits of v (_digits).  An operation works out the
+n1 of each entry it would produce before producing it: the bound
+|a|_1*|p|_1 + |b|_1*|r|_1 for a cross, the exact norm of proved digits
+for a quotient.  A miss raises _Widen, and that one elimination starts
+again at 2K (_packed).  K starts at the least of 8, 16 and the
+multiples of 32 that holds one cross of two input entries: n1 <= 2*N**2
+for N the largest input norm.  So K follows from the inputs, and
+nothing sets it.  A slot of 8, 16, 32 or 64 bits is one array item,
+and a wider one a few, so reading digits costs no Python loop per bit.
+
+A strip is one GCDHEU (laurent._gcd_heu) at xi = 2**K that evaluates
+nothing, since the packed ints are the values (_cofactors).  Let g be
+the gcd of the values of the row's two shortest entries (the cheapest
+integer gcd), H the primitive part of g's balanced digits and c their
+content.  Each cofactor Q is the digit polynomial of v / H(xi), kept
+when H(xi) divides v and 2*|H|_1*|Q|_inf < xi (laurent._value_quo's
+condition).  The invariant gives 2*|f|_inf < xi, so H*Q - f has every
+coefficient below xi in size and vanishes at xi: H*Q == f.  And H is
+the gcd G2 of the two entries.  G2 = H*T and G2(xi) divides
+g = c*H(xi), so T(xi) divides c, and |c| <= xi/2.  A root of a
+nonconstant T is a common root, of modulus at most n1 + 1 by Cauchy's
+bound, so xi >= 2*n1 + 4 makes |T(xi)| > xi/2.  The gcd G of the row
+divides G2 = H, and H divides every entry, so H == G.  When H(xi)
+does not divide some value, or a cofactor is refused, g is taken over
+every value and tried once more.  By
+Gauss's lemma the row's content is the content of its cofactors, and it
+divides c.  A single-digit g (below 2**(K-1)) proves G = 1, so a row
+with g = 1 is only shifted and signed, without reading a digit.  The
+sign is that of the first column's value, which has the sign of its top
+digit.  A refused cofactor unpacks the row and strips it with
+laurent.lcofactors, which keeps its Euclid fallback
+(_strip_unpacked).  The multipliers' gcd (_coprime), and the lcm and
+quotients of the kernel read-off (_lcm, _quotient), prove their
+cofactors by the same bounds, and fall back to laurent.lcofactors and
+ldiv_exact in the same way.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
 over F_P at the fixed unit q = _SCREEN_X (_screen).  That rank is a
@@ -28,6 +74,9 @@ ncols minus the rank at _SCREEN_X or at one of a fixed list of further
 points (_CERTIFY_X).  A result that fails raises ModuleAuditError, so
 every exact kernel, and every exact block dim read off one, is proved.
 No result depends on the points: a rank drop at one only costs work.
+The certificate reads the unpacked dict rows with its own evaluation
+at 2**s (_annihilated), and shares no code with the packing, so a
+fault in packing or unpacking cannot certify its own result.
 
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1 (_fp_insert,
@@ -46,6 +95,8 @@ arithmetic in the field of p.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -57,11 +108,7 @@ from .laurent import (
     lconst,
     lcofactors,
     ldiv_exact,
-    lgcd,
-    llcm,
     lmul,
-    lneg,
-    lshift,
 )
 
 
@@ -70,79 +117,323 @@ from .laurent import (
 #
 # A row is {col: Laurent}; no zero polynomials stored.  Rows are kept
 # content-stripped: int coefficients with no common q power, integer
-# content, or polynomial factor across the entries.
+# content, or polynomial factor across the entries.  The elimination
+# itself runs on packed rows {col: entry}, one entry (lo, v, n1) per
+# Laurent entry q**lo * f: f in Z[q] with f(0) != 0, v = f(2**K) and
+# n1 >= |f|_1 (see the module docstring); the dict rows are packed on the
+# way in and unpacked on the way out.
 
 
-def srow_strip(row: dict) -> dict:
-    """Strip a row of int-coefficient Laurent entries of its common q
-    power, its content and any common polynomial factor.  The result has
-    coprime int coefficients and a positive leading coefficient in its
-    first column."""
+class _Widen(Exception):
+    """An entry that an operation would produce might not fit the slot."""
+
+
+# array typecodes by item size, for reading slots of 1, 2, 4 or 8 bytes
+_WORDS = {array(t).itemsize: t for t in "BHILQ"}
+
+
+class _Slot:
+    """The slot width K of one elimination, 8, 16 or a multiple of 32, and
+    its constants: xi = 2**K, half = 2**(K-1), room the largest n1 that
+    keeps the slot invariant 2*n1 + 4 <= xi, width the bytes of a slot
+    and pad one slot holding half, as little-endian bytes."""
+
+    __slots__ = ("k", "xi", "half", "room", "width", "pad")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.xi = 1 << k
+        self.half = 1 << (k - 1)
+        self.room = self.half - 2
+        self.width = k // 8
+        self.pad = bytes(self.width - 1) + b"\x80"
+
+
+def _slot_width(n1: int) -> int:
+    """The least K, 8, 16 or a multiple of 32, with 2*n1 + 4 <= 2**K."""
+    bits = (2 * n1 + 3).bit_length()
+    return 8 if bits <= 8 else 16 if bits <= 16 else -(-bits // 32) * 32
+
+
+def _pack(p: dict, k: int) -> tuple:
+    lo = min(p)
+    return lo, sum(c << k * (e - lo) for e, c in p.items()), sum(map(abs, p.values()))
+
+
+def _repack(p: dict, s: _Slot) -> tuple:
+    # a dict entry made by a fallback, with its exact norm checked
+    entry = _pack(p, s.k)
+    if entry[2] > s.room:
+        raise _Widen
+    return entry
+
+
+def _digits(v: int, s: _Slot) -> list:
+    """The balanced base-2**K digits of v != 0, lowest first, each in
+    [-2**(K-1), 2**(K-1)) and the top one nonzero.  Adding 2**(K-1) to
+    every digit gives the plain digits of one nonnegative int; its bytes
+    are read as an array of slots, or of 8- or 4-byte words that a wider
+    slot joins."""
+    n = v.bit_length() // s.k + 2
+    w, half = s.width, s.half
+    b = (v + int.from_bytes(s.pad * n, "little")).to_bytes(n * w, "little")
+    size = w if w in _WORDS else 8 if w % 8 == 0 else 4
+    words = array(_WORDS[size], b)
+    if sys.byteorder == "big":
+        words.byteswap()
+    if size == w:
+        out = [x - half for x in words]
+    else:
+        m, bits = w // size, 8 * size
+        out = list(words[m - 1 :: m])
+        for j in range(m - 2, -1, -1):
+            out = [x << bits | y for x, y in zip(out, words[j::m])]
+        out = [x - half for x in out]
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def _unpack(entry: tuple, s: _Slot) -> dict:
+    lo, v, _ = entry
+    return {lo + i: d for i, d in enumerate(_digits(v, s)) if d}
+
+
+def _unpack_row(row: dict, s: _Slot) -> dict:
+    return {c: _unpack(entry, s) for c, entry in row.items()}
+
+
+def _packed(rows, n1: int, run):
+    """run(packed rows, slot) at the least slot width that holds entries
+    of norm n1, then at twice the width, and so on, for as long as it
+    raises _Widen.  Each width packs the dict rows afresh."""
+    k = _slot_width(n1)
+    while True:
+        try:
+            return run([{c: _pack(p, k) for c, p in row.items() if p} for row in rows], _Slot(k))
+        except _Widen:
+            k *= 2
+
+
+def _norm(rows) -> int:
+    # the largest |entry|_1 of the dict rows
+    return max((sum(map(abs, p.values())) for row in rows for p in row.values()), default=0)
+
+
+def _cofactors(entries: list, g: int, s: _Slot):
+    """GCDHEU at xi = 2**K on packed entries, for g >= 2**(K-1) the gcd
+    of the values of some of them: H is the primitive part of g's
+    balanced digits, and each entry's cofactor is the digit polynomial Q
+    of v / H(xi), kept when H(xi) divides v and 2*|H|_1*|Q|_inf < xi
+    (laurent._value_quo's condition).  Returns [(lo, u, digits)],
+    u = v / H(xi), or None when a value or a cofactor is refused.  The
+    slot invariant gives 2*|f|_inf < xi for every entry, so an accepted Q
+    is f / H.  H is then the gcd of the entries whose values gave g
+    (laurent._gcd_heu's proof), and it divides all of them, so it is
+    their gcd G."""
+    h = _digits(g, s)
+    c = gcd(*h)
+    hv, h1, xi = g // c, sum(map(abs, h)) // c, s.xi
+    out = []
+    for lo, v, _ in entries:
+        u, rest = divmod(v, hv)
+        if rest:
+            return None
+        d = _digits(u, s)
+        if 2 * h1 * max(map(abs, d)) >= xi:
+            return None
+        out.append((lo, u, d))
+    return out
+
+
+def _coprime(a: tuple, b: tuple, s: _Slot) -> tuple:
+    """(a / G, b / G) for G the primitive gcd of the two entries'
+    polynomial parts; a divided entry carries the exact norm of its
+    digits.  laurent.lcofactors decides when _cofactors refuses."""
+    g = gcd(a[1], b[1])
+    if g < s.half:
+        # G(xi) divides g < xi/2, which no nonconstant G does
+        return a, b
+    got = _cofactors([a, b], g, s)
+    if got is None:
+        return tuple(_repack(p, s) for p in lcofactors([_unpack(a, s), _unpack(b, s)]))
+    out = []
+    for lo, u, d in got:
+        n1 = sum(map(abs, d))
+        if n1 > s.room:
+            raise _Widen
+        out.append((lo, u, n1))
+    return tuple(out)
+
+
+def _strip(row: dict, s: _Slot) -> dict:
+    """The packed form of srow_strip: the row divided by its common q
+    power, its signed content and the gcd G of its entries.  G divides
+    the gcd of the two shortest entries, whose values cost the least
+    integer gcd g, so _cofactors tries that first.  When g, or failing
+    that the gcd of every value, is below 2**(K-1), G is 1 and the
+    content divides g, so a row with g = 1 is only shifted and signed
+    without reading a digit; else _cofactors divides by G.  The content
+    is the gcd of the cofactor digits, the sign that of the first
+    column's value (its top digit).  A refused cofactor hands the row to
+    laurent.lcofactors (_strip_unpacked)."""
     if not row:
         return row
+    entries = list(row.values())
+    shift = min(e[0] for e in entries)
+    values = [e[1] for e in entries]
+    pair = gcd(*sorted(values, key=int.bit_length)[:2])
+    got = _cofactors(entries, pair, s) if pair >= s.half else None
+    g = pair
+    if got is None:
+        g = gcd(pair, *values)
+        if g >= s.half:
+            got = _cofactors(entries, g, s) if g != pair else None
+            if got is None:
+                return _strip_unpacked(row, s)
+    if got is None:
+        cont = g
+        for _, v, _ in entries:
+            if cont == 1:
+                break
+            cont = gcd(cont, *_digits(v, s))
+        if row[min(row)][1] < 0:
+            cont = -cont
+        if cont == 1 and not shift:
+            return row
+        return {c: (lo - shift, v // cont, n1 // abs(cont)) for c, (lo, v, n1) in row.items()}
+    cont = 0
+    for _, _, d in got:
+        cont = gcd(cont, *d)
+    out = dict(zip(row, got))
+    if out[min(out)][1] < 0:
+        cont = -cont
+    for c, (lo, u, d) in out.items():
+        n1 = sum(map(abs, d)) // abs(cont)
+        if n1 > s.room:
+            raise _Widen
+        out[c] = (lo - shift, u // cont, n1)
+    return out
+
+
+def _strip_unpacked(row: dict, s: _Slot) -> dict:
+    # _strip's fallback on the unpacked row: the shift, the signed
+    # content and laurent.lcofactors, which keeps its Euclid fallback
+    row = _unpack_row(row, s)
     shift = min(min(p) for p in row.values())
-    if shift:
-        row = {c: lshift(p, -shift) for c, p in row.items()}
     cont = 0
     for p in row.values():
         cont = gcd(cont, *p.values())
     lead = row[min(row)]
     if lead[max(lead)] < 0:
         cont = -cont
-    if cont != 1:
-        row = {c: {e: v // cont for e, v in p.items()} for c, p in row.items()}
-    return dict(zip(row, lcofactors(list(row.values()))))
+    row = {c: {e - shift: v // cont for e, v in p.items()} for c, p in row.items()}
+    return {c: _repack(p, s) for c, p in zip(row, lcofactors(list(row.values())))}
 
 
-def _cross(row: dict, pivot_row: dict, col: int) -> dict:
-    """a*row - b*pivot_row for a = pivot_row[col] and b = row[col], each
-    divided first by g = lgcd(a, b) when both have two or more terms.
-    That row spans the same line, so srow_strip gives the same row.  The
-    entry at col cancels exactly and is skipped, a column of both rows is
-    accumulated in one pass, and a multiplication by 1 is skipped."""
+def srow_strip(row: dict) -> dict:
+    """Strip a row of int-coefficient Laurent entries of its common q
+    power, its content and any common polynomial factor.  The result has
+    coprime int coefficients and a positive leading coefficient in its
+    first column.  The row is packed, stripped (_strip) and unpacked."""
+    if not row:
+        return row
+    return _packed([row], _norm([row]), lambda rows, s: _unpack_row(_strip(rows[0], s), s))
+
+
+def _cross(row: dict, pivot_row: dict, col: int, s: _Slot) -> dict:
+    """a*row - b*pivot_row on packed rows, for a = pivot_row[col] and
+    b = row[col], each divided first by their gcd (_coprime) when
+    neither is a constant times a power of q.  That row spans the same
+    line, so _strip gives the same row.  The entry at col cancels and is
+    skipped; every other entry is two big-int products and a shifted
+    difference, its n1 the bound |a|_1*|p|_1 + |b|_1*|r|_1, checked
+    against the slot before the products are taken."""
     a, b = pivot_row[col], row[col]
-    if len(a) > 1 and len(b) > 1:
-        g = lgcd(a, b)
-        if g != ONE:
-            a, b = ldiv_exact(a, g), ldiv_exact(b, g)
-    b = lneg(b)
-    a_one = a == ONE
+    half = s.half
+    if not -half < a[1] < half and not -half < b[1] < half:
+        a, b = _coprime(a, b, s)
+    la, va, na = a
+    lb, vb, nb = b
+    k, room = s.k, s.room
     out = {}
-    for c, p in row.items():
+    for c, (lp, vp, np) in row.items():
         if c == col:
             continue
-        q = pivot_row.get(c)
-        if q is None:
-            out[c] = p if a_one else lmul(a, p)
+        hit = pivot_row.get(c)
+        if hit is None:
+            n1 = na * np
+            if n1 > room:
+                raise _Widen
+            out[c] = (la + lp, va * vp, n1)
             continue
-        acc: dict[int, int] = {}
-        for factor, poly in ((a, p), (b, q)):
-            for ef, cf in factor.items():
-                for e, v in poly.items():
-                    e += ef
-                    acc[e] = acc.get(e, 0) + cf * v
-        acc = {e: v for e, v in acc.items() if v}
-        if acc:
-            out[c] = acc
-    for c, q in pivot_row.items():
+        lr, vr, nr = hit
+        n1 = na * np + nb * nr
+        if n1 > room:
+            raise _Widen
+        x, y = la + lp, lb + lr
+        if x > y:
+            v, lo = (va * vp << k * (x - y)) - vb * vr, y
+        else:
+            v, lo = va * vp - (vb * vr << k * (y - x)), x
+        if v:
+            # whole zero slots at the bottom raise lo
+            t = ((v & -v).bit_length() - 1) // k
+            if t:
+                v >>= k * t
+                lo += t
+            out[c] = (lo, v, n1)
+    for c, (lr, vr, nr) in pivot_row.items():
         if c != col and c not in row:
-            out[c] = lmul(b, q)
+            n1 = nb * nr
+            if n1 > room:
+                raise _Widen
+            out[c] = (lb + lr, -vb * vr, n1)
     return out
+
+
+def _insert(piv: dict, row: dict, s: _Slot):
+    # sp_pivot_insert on packed rows
+    while row:
+        c = min(row)
+        hit = piv.get(c)
+        if hit is None:
+            row = _strip(row, s)
+            piv[c] = row
+            return row
+        row = _strip(_cross(row, hit, c, s), s)
+    return None
+
+
+def _echelon(rows, s: _Slot, reduced: bool) -> dict:
+    piv: dict[int, dict] = {}
+    for row in rows:
+        _insert(piv, row, s)
+    if reduced:
+        _back_reduce(piv, s)
+    return piv
+
+
+def _cross_norm(rows) -> int:
+    # the norm bound of one cross of two entries of the dict rows
+    n1 = _norm(rows)
+    return 2 * n1 * n1
 
 
 def sp_echelon(rows, reduced: bool = True) -> dict:
     """Eliminate sparse Laurent rows.  Returns {pivot_col: row}; with
     reduced=True the rows form an RREF up to scaling (each row touches
     its own pivot column and free columns only)."""
-    piv: dict[int, dict] = {}
-    for row in rows:
-        sp_pivot_insert(piv, row)
-    if reduced:
-        _back_reduce(piv)
-    return piv
+    rows = list(rows)
+
+    def run(packed, s):
+        piv = _echelon(packed, s, reduced)
+        return {c: _unpack_row(row, s) for c, row in piv.items()}
+
+    return _packed(rows, _cross_norm(rows), run)
 
 
-def _back_reduce(piv: dict) -> None:
+def _back_reduce(piv: dict, s: _Slot) -> None:
     # clear every pivot column from the other rows, last pivot first
     if len(piv) < 2:
         return
@@ -150,8 +441,8 @@ def _back_reduce(piv: dict) -> None:
         row = piv[c]
         others = [c2 for c2 in row if c2 != c and c2 in piv]
         for c2 in sorted(others):
-            row = _cross(row, piv[c2], c2)
-        piv[c] = srow_strip(row)
+            row = _cross(row, piv[c2], c2, s)
+        piv[c] = _strip(row, s)
 
 
 # The screen point: q is evaluated at this unit of F_P.  It is no root
@@ -205,17 +496,51 @@ def sp_rank(rows) -> int:
 
 def sp_pivot_insert(piv: dict, row: dict):
     """Reduce row against the pivot dict in place; on a new pivot, store
-    the stripped row and return it, else return None."""
-    row = {c: p for c, p in row.items() if p}
-    while row:
-        c = min(row)
-        hit = piv.get(c)
-        if hit is None:
-            row = srow_strip(row)
-            piv[c] = row
-            return row
-        row = srow_strip(_cross(row, hit, c))
-    return None
+    the stripped row and return it, else return None.  The pivot rows
+    and row are packed for the reduction, and a new pivot row unpacked."""
+    pivots = list(piv.values())
+
+    def run(packed, s):
+        *held, new = packed
+        got = _insert(dict(zip(piv, held)), new, s)
+        return None if got is None else (min(got), _unpack_row(got, s))
+
+    found = _packed([*pivots, row], _cross_norm([*pivots, row]), run)
+    if found is None:
+        return None
+    c, piv[c] = found
+    return piv[c]
+
+
+def _lcm(a: tuple, b: tuple, s: _Slot) -> tuple:
+    """The lcm of two entries' polynomial parts, up to units: a * (b / G)
+    / d, for G their primitive gcd (_coprime) and d the gcd of their
+    contents, as laurent.llcm takes it."""
+    a, b = (0, a[1], a[2]), (0, b[1], b[2])
+    a2, b2 = _coprime(a, b, s)
+    d = gcd(a2[1], b2[1])
+    if d > 1:
+        d = gcd(d, *_digits(a2[1], s), *_digits(b2[1], s))
+    n1 = a[2] * b2[2] // d
+    if n1 > s.room:
+        raise _Widen
+    return 0, a[1] * b2[1] // d, n1
+
+
+def _quotient(a: tuple, b: tuple, s: _Slot) -> tuple:
+    """a / b for an entry b that divides a: the digit polynomial Q of
+    a(xi) / b(xi), kept when 2*n1(b)*|Q|_inf < xi.  Then b*Q and a have
+    every coefficient below xi/2 and one value at xi, so they are equal
+    (laurent._gcd_heu's proof); else laurent.ldiv_exact decides."""
+    u, rest = divmod(a[1], b[1])
+    if not rest:
+        d = _digits(u, s)
+        if 2 * b[2] * max(map(abs, d)) < s.xi:
+            n1 = sum(map(abs, d))
+            if n1 > s.room:
+                raise _Widen
+            return a[0] - b[0], u, n1
+    return _repack(ldiv_exact(_unpack(a, s), _unpack(b, s)), s)
 
 
 def _kernel_rows(rows, ncols: int) -> list[dict]:
@@ -225,23 +550,32 @@ def _kernel_rows(rows, ncols: int) -> list[dict]:
     entries of the rows touching f, and each such row with pivot c gives
     x_c = -row[f] * (L / row[c]).  A pivot row has no entry left of its
     pivot, so f is the last column of its kernel row."""
-    piv = sp_echelon(rows, reduced=False)
-    if len(piv) == ncols:
-        return []
-    _back_reduce(piv)
-    out = []
-    for f in range(ncols):
-        if f in piv:
-            continue
-        touching = [(c, prow) for c, prow in piv.items() if f in prow]
-        den = dict(ONE)
-        for c, prow in touching:
-            den = llcm(den, prow[c])
-        vec = {f: den}
-        for c, prow in touching:
-            vec[c] = lneg(lmul(prow[f], ldiv_exact(den, prow[c])))
-        out.append(srow_strip(vec))
-    return out
+    rows = list(rows)
+
+    def run(packed, s):
+        piv = _echelon(packed, s, reduced=False)
+        if len(piv) == ncols:
+            return []
+        _back_reduce(piv, s)
+        out = []
+        for f in range(ncols):
+            if f in piv:
+                continue
+            touching = [(c, prow) for c, prow in piv.items() if f in prow]
+            den = (0, 1, 1)
+            for c, prow in touching:
+                den = _lcm(den, prow[c], s)
+            vec = {f: den}
+            for c, prow in touching:
+                lo, u, n1 = _quotient(den, prow[c], s)
+                lf, vf, nf = prow[f]
+                if n1 * nf > s.room:
+                    raise _Widen
+                vec[c] = (lo + lf, -u * vf, n1 * nf)
+            out.append(_strip(vec, s))
+        return [_unpack_row(z, s) for z in out]
+
+    return _packed(rows, _cross_norm(rows), run)
 
 
 def _annihilated(rows, basis) -> bool:

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidpow import laurent as L
+from braidpow import qarith
 from braidpow.braided import module_square, power_weight_rows, square_gl2
 from braidpow.qarith import (
-    _cross,
     Subspace,
     fp_kernel,
     fp_rref,
@@ -394,18 +394,20 @@ def test_cofactors_past_the_bound_come_from_the_long_division(monkeypatch):
 
 
 def test_value_quotients_serve_the_cube_strips(monkeypatch):
-    # the common case: on the l = 3 cubes most cofactors are read off the
-    # values, and only a few need the long division
+    # the common case: on the l = 3 cubes the packed engine reads most
+    # cofactors off the values at xi = 2**K (qarith._cofactors), and only
+    # a few fall back to laurent.lcofactors or its long division
     served, divided = [], []
-    value_quo, dense_quo = L._value_quo, L._dense_quo
+    cofactors, lcofactors, dense_quo = qarith._cofactors, L.lcofactors, L._dense_quo
 
     def value(*args):
-        quo = value_quo(*args)
-        if quo is not None:
+        quos = cofactors(*args)
+        if quos is not None:
             served.append(1)
-        return quo
+        return quos
 
-    monkeypatch.setattr(L, "_value_quo", value)
+    monkeypatch.setattr(qarith, "_cofactors", value)
+    monkeypatch.setattr(qarith, "lcofactors", lambda polys: divided.append(1) or lcofactors(polys))
     monkeypatch.setattr(L, "_dense_quo", lambda f, h: divided.append(1) or dense_quo(f, h))
     V = simple_gl2(3, 0)
     for side in ("sym", "ext"):
@@ -422,6 +424,17 @@ def _plain_cross(row, pivot_row, col):
         if p:
             out[c] = p
     return out
+
+
+def packed_cross(row, pivot_row, col):
+    # the engine's cross step on the two rows packed at the slot width an
+    # elimination of them starts from, unpacked again
+    rows = [row, pivot_row]
+
+    def run(packed, s):
+        return qarith._unpack_row(qarith._cross(*packed, col, s), s)
+
+    return qarith._packed(rows, qarith._cross_norm(rows), run)
 
 
 def sparse_rows(width=4):
@@ -443,6 +456,6 @@ def test_reduced_cross_step_spans_the_plain_line(row, pivot_row, u, v, g):
     # divides both multipliers by their gcd
     row = {0: L.lmul(v, g), **row}
     pivot_row = {0: L.lmul(u, g), **pivot_row}
-    got = _cross(row, pivot_row, 0)
+    got = packed_cross(row, pivot_row, 0)
     assert 0 not in got and all(got.values())
     assert srow_strip(got) == srow_strip(_plain_cross(row, pivot_row, 0))
