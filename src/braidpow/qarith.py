@@ -37,31 +37,32 @@ for N the largest input norm.  So K follows from the inputs, and
 nothing sets it.  A slot of 8, 16, 32 or 64 bits is one array item,
 and a wider one a few, so reading digits costs no Python loop per bit.
 
-A strip is one GCDHEU (laurent._gcd_heu) at xi = 2**K that evaluates
-nothing, since the packed ints are the values (_cofactors).  Let g be
-the gcd of the values of the row's two shortest entries (the cheapest
-integer gcd), H the primitive part of g's balanced digits and c their
-content.  Each cofactor Q is the digit polynomial of v / H(xi), kept
-when H(xi) divides v and 2*|H|_1*|Q|_inf < xi (laurent._value_quo's
-condition).  The invariant gives 2*|f|_inf < xi, so H*Q - f has every
-coefficient below xi in size and vanishes at xi: H*Q == f.  And H is
-the gcd G2 of the two entries.  G2 = H*T and G2(xi) divides
-g = c*H(xi), so T(xi) divides c, and |c| <= xi/2.  A root of a
-nonconstant T is a common root, of modulus at most n1 + 1 by Cauchy's
-bound, so xi >= 2*n1 + 4 makes |T(xi)| > xi/2.  The gcd G of the row
-divides G2 = H, and H divides every entry, so H == G.  When H(xi)
-does not divide some value, or a cofactor is refused, g is taken over
-every value and tried once more.  By
-Gauss's lemma the row's content is the content of its cofactors, and it
-divides c.  A single-digit g (below 2**(K-1)) proves G = 1, so a row
-with g = 1 is only shifted and signed, without reading a digit.  The
-sign is that of the first column's value, which has the sign of its top
-digit.  A refused cofactor unpacks the row and strips it with
-laurent.lcofactors, which keeps its Euclid fallback
-(_strip_unpacked).  The multipliers' gcd (_coprime), and the lcm and
-quotients of the kernel read-off (_lcm, _quotient), prove their
-cofactors by the same bounds, and fall back to laurent.lcofactors and
-ldiv_exact in the same way.
+A strip is one heuristic gcd GCDHEU (Char, Geddes and Gonnet, J.
+Symbolic Comput. 1989) at xi = 2**K that evaluates nothing, since the
+packed ints are the values (_cofactors).  Let g be the gcd of the values
+of the row's two shortest entries (the cheapest integer gcd), H the
+primitive part of g's balanced digits and c their content.  Each
+cofactor Q is the digit polynomial of v / H(xi), kept when H(xi)
+divides v and 2*|H|_1*|Q|_inf < xi.  Then H*Q == f: the invariant gives
+2*|f|_inf < xi, and 2*|H*Q|_inf <= 2*|H|_1*|Q|_inf < xi, so H*Q - f
+has every coefficient below xi in size and vanishes at xi; xi would
+divide its lowest nonzero coefficient, so it has none.  And H is the
+gcd G2 of the two entries.  G2 = H*T and G2(xi) divides g = c*H(xi),
+so T(xi) divides c, and |c| <= xi/2 because c divides a balanced digit.
+A root of a nonconstant T is a common root, of modulus at most n1 + 1
+by Cauchy's bound, so xi >= 2*n1 + 4 makes |T(xi)| > xi/2.  The gcd G
+of the row divides G2 = H, and H divides every entry, so H == G.  When
+H(xi) does not divide some value, or a cofactor is refused, g is taken
+over every value and tried once more.  By Gauss's lemma the row's
+content is the content of its cofactors, and it divides c.  A
+single-digit g (below 2**(K-1)) proves G = 1, so a row with g = 1 is
+only shifted and signed, without reading a digit.  The sign is that of
+the first column's value, which has the sign of its top digit.  A
+refused cofactor unpacks the row and strips it with laurent.lcofactors,
+the exact Euclidean gcd (_strip_unpacked).  The multipliers' gcd
+(_coprime), and the lcm and quotients of the kernel read-off (_lcm,
+_quotient), prove their cofactors by the same bounds, and fall back to
+laurent.lcofactors and ldiv_exact in the same way.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
 over F_P at the fixed unit q = _SCREEN_X (_screen).  That rank is a
@@ -224,13 +225,12 @@ def _cofactors(entries: list, g: int, s: _Slot):
     """GCDHEU at xi = 2**K on packed entries, for g >= 2**(K-1) the gcd
     of the values of some of them: H is the primitive part of g's
     balanced digits, and each entry's cofactor is the digit polynomial Q
-    of v / H(xi), kept when H(xi) divides v and 2*|H|_1*|Q|_inf < xi
-    (laurent._value_quo's condition).  Returns [(lo, u, digits)],
-    u = v / H(xi), or None when a value or a cofactor is refused.  The
-    slot invariant gives 2*|f|_inf < xi for every entry, so an accepted Q
-    is f / H.  H is then the gcd of the entries whose values gave g
-    (laurent._gcd_heu's proof), and it divides all of them, so it is
-    their gcd G."""
+    of v / H(xi), kept when H(xi) divides v and 2*|H|_1*|Q|_inf < xi.
+    Returns [(lo, u, digits)], u = v / H(xi), or None when a value or a
+    cofactor is refused.  The slot invariant gives 2*|f|_inf < xi for
+    every entry, so an accepted Q is f / H, and H is then the gcd of the
+    entries whose values gave g (both by the module docstring's proof);
+    it divides all of them, so it is their gcd G."""
     h = _digits(g, s)
     c = gcd(*h)
     hv, h1, xi = g // c, sum(map(abs, h)) // c, s.xi
@@ -249,7 +249,8 @@ def _cofactors(entries: list, g: int, s: _Slot):
 def _coprime(a: tuple, b: tuple, s: _Slot) -> tuple:
     """(a / G, b / G) for G the primitive gcd of the two entries'
     polynomial parts; a divided entry carries the exact norm of its
-    digits.  laurent.lcofactors decides when _cofactors refuses."""
+    digits.  laurent.lcofactors, the exact Euclidean gcd, decides when
+    _cofactors refuses."""
     g = gcd(a[1], b[1])
     if g < s.half:
         # G(xi) divides g < xi/2, which no nonconstant G does
@@ -276,7 +277,7 @@ def _strip(row: dict, s: _Slot) -> dict:
     without reading a digit; else _cofactors divides by G.  The content
     is the gcd of the cofactor digits, the sign that of the first
     column's value (its top digit).  A refused cofactor hands the row to
-    laurent.lcofactors (_strip_unpacked)."""
+    the exact Euclidean gcd of laurent.lcofactors (_strip_unpacked)."""
     if not row:
         return row
     entries = list(row.values())
@@ -318,7 +319,7 @@ def _strip(row: dict, s: _Slot) -> dict:
 
 def _strip_unpacked(row: dict, s: _Slot) -> dict:
     # _strip's fallback on the unpacked row: the shift, the signed
-    # content and laurent.lcofactors, which keeps its Euclid fallback
+    # content and laurent.lcofactors, the exact Euclidean gcd
     row = _unpack_row(row, s)
     shift = min(min(p) for p in row.values())
     cont = 0
@@ -531,7 +532,8 @@ def _quotient(a: tuple, b: tuple, s: _Slot) -> tuple:
     """a / b for an entry b that divides a: the digit polynomial Q of
     a(xi) / b(xi), kept when 2*n1(b)*|Q|_inf < xi.  Then b*Q and a have
     every coefficient below xi/2 and one value at xi, so they are equal
-    (laurent._gcd_heu's proof); else laurent.ldiv_exact decides."""
+    (the module docstring's proof); else laurent.ldiv_exact, exact long
+    division, decides."""
     u, rest = divmod(a[1], b[1])
     if not rest:
         d = _digits(u, s)

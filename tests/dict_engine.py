@@ -4,7 +4,9 @@ packed engine in qarith is tested against.
 These are the engine's earlier bodies: srow_strip's shift, signed content
 and laurent.lcofactors, the cross step with its lgcd pre-division, the
 pivot insertion, the back reduction and the fraction-free kernel read off
-the reduced echelon form.  Every row they return is the canonical stripped
+the reduced echelon form.  Their gcds are laurent's Euclidean ones (lgcd
+and the lcofactors fold), an algorithm independent of the packed
+engine's GCDHEU.  Every row they return is the canonical stripped
 representative of its line, so the packed engine must return the same
 rows, dict for dict."""
 

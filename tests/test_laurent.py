@@ -1,15 +1,15 @@
-"""Differential tests of the integer Laurent kernel: GCDHEU against the
-Euclidean loop and SymPy, exact division against multiplication, and the
-int-only coefficients of every row the sparse engine and the F_P kernel
+"""Differential tests of the integer Laurent kernel: the packed engine's
+GCDHEU row strip against the Euclidean fold, the Euclidean gcd against
+SymPy, exact division against multiplication, and the int-only
+coefficients of every row the sparse engine and the F_P kernel
 return."""
 
 from fractions import Fraction
-from math import gcd
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dict_engine as D
 from braidpow import laurent as L
 from braidpow import qarith
 from braidpow.braided import module_square, power_weight_rows, square_gl2
@@ -57,10 +57,6 @@ def is_int_poly(p):
     return all(type(c) is int for c in p.values())
 
 
-def euclid(a, b):
-    return L._lgcd_euclid(L.lgcd(a, {}), L.lgcd(b, {}))
-
-
 @FIXED
 @given(
     shifted(laurents(nonzero=True)),
@@ -75,26 +71,34 @@ def euclid(a, b):
 # which does not divide 3: a pseudo-division step, not a rational one
 @example(u={0: 1, 1: 2}, v={0: 1, 2: 3}, g={0: 1, 1: 1}, negate=False)
 def test_heuristic_gcd_matches_euclid_on_planted_factors(u, v, g, negate):
+    # the packed strip of the row {0: a, 1: b} is its GCDHEU at 2**K;
+    # dict_engine strips it by the Euclidean fold
     a = L.lmul(u, g)
     b = L.lmul(v, g)
     if negate:
         a = L.lneg(a)
     h = L.lgcd(a, b)
-    assert h == euclid(a, b)
     assert is_int_poly(h) and min(h) == 0 and h[max(h)] > 0
     # the planted factor survives, up to units
     L.ldiv_exact(h, L.lgcd(g, {}))
     L.ldiv_exact(a, h)
     L.ldiv_exact(b, h)
+    row = {0: a, 1: b}
+    got = srow_strip(row)
+    assert got == D.strip(row)
+    # the strip divides both entries by one common factor, a unit times h
+    common = L.ldiv_exact(a, got[0])
+    assert L.ldiv_exact(b, got[1]) == common
+    assert L.lgcd(common, {}) == h
 
 
 @FIXED
 @given(shifted(laurents()), shifted(laurents()))
-# coprime, yet the first candidate 2 - q divides a: only the division
-# check against b rejects it
+# coprime, with the factor 2 - q in a alone: the strip divides by nothing
 @example(a={0: 4, 1: -2}, b={0: 1, 1: -4, 2: -6})
 def test_heuristic_gcd_matches_euclid_on_random_pairs(a, b):
-    assert L.lgcd(a, b) == euclid(a, b)
+    row = {c: p for c, p in enumerate((a, b)) if p}
+    assert srow_strip(row) == D.strip(row)
 
 
 @FIXED
@@ -107,14 +111,6 @@ def test_gcd_with_constant_or_monomial_is_one(c, e, a):
     # c*q**e is a unit of the Laurent ring
     assert L.lgcd({e: c}, a) == L.ONE
     assert L.lgcd(a, {e: c}) == L.ONE
-
-
-def test_gcd_falls_back_to_euclid(monkeypatch):
-    a = L.lmul({0: 3, 2: -5, 3: 7}, {-1: 2, 1: 1})
-    b = L.lmul({0: -4, 1: 1}, {-1: 2, 1: 1})
-    want = L.lgcd(a, b)
-    monkeypatch.setattr(L, "_HEU_TRIES", 0)
-    assert L.lgcd(a, b) == want == {0: 2, 2: 1}
 
 
 @FIXED
@@ -166,7 +162,9 @@ def test_gcd_matches_sympy(u, v, g):
     if want.LC() < 0:
         want = -want
     got = L.lgcd(a, b)
-    assert L._dense(got) == [int(c) for c in reversed(want.all_coeffs())]
+    assert [got.get(e, 0) for e in range(max(got) + 1)] == [
+        int(c) for c in reversed(want.all_coeffs())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +230,7 @@ def test_engine_rows_hold_int_coefficients(specialized):
 
 
 # ---------------------------------------------------------------------------
-# the one-pass row strip against the pairwise fold it replaced
-
-
-def fold_cofactors(polys):
-    # the reference: a pairwise lgcd fold, then ldiv_exact by the gcd
-    g = {}
-    for p in polys:
-        g = L.lgcd(p, g)
-    return [L.ldiv_exact(p, g) for p in polys]
-
-
-def strip_reference(row):
-    # srow_strip as a shift, a signed content and the fold above
-    shift = min(min(p) for p in row.values())
-    row = {c: L.lshift(p, -shift) for c, p in row.items()}
-    cont = 0
-    for p in row.values():
-        cont = gcd(cont, *p.values())
-    lead = row[min(row)]
-    if lead[max(lead)] < 0:
-        cont = -cont
-    row = {c: {e: v // cont for e, v in p.items()} for c, p in row.items()}
-    return dict(zip(row, fold_cofactors(list(row.values()))))
+# the packed row strip against the Euclidean fold of dict_engine
 
 
 @FIXED
@@ -263,19 +239,17 @@ def strip_reference(row):
     laurents(max_terms=4, span=3, nonzero=True),
 )
 def test_cofactors_match_the_pairwise_fold(cofactors, g):
-    polys = [L.lmul(u, g) for u in cofactors]
-    assert L.lcofactors(polys) == fold_cofactors(polys)
-    row = dict(enumerate(polys))
-    assert srow_strip(row) == strip_reference(row)
+    row = dict(enumerate(L.lmul(u, g) for u in cofactors))
+    assert srow_strip(row) == D.strip(row)
 
 
 def test_cofactors_remove_a_cubic_shared_by_five_entries():
     g = {0: 5, 1: 2, 3: 1}
     units = [{0: 1}, {1: -3}, {-2: 1, 0: 1}, {0: 7, 2: -2}, {1: 1, 2: 4, 4: -1}]
     polys = [L.lmul(u, g) for u in units]
-    assert L.lcofactors(polys) == units == fold_cofactors(polys)
+    assert L.lcofactors(polys) == units
     row = dict(enumerate(polys))
-    assert srow_strip(row) == strip_reference(row)
+    assert srow_strip(row) == D.strip(row)
 
 
 def test_cofactors_keep_sign_content_and_q_powers():
@@ -286,26 +260,14 @@ def test_cofactors_keep_sign_content_and_q_powers():
         L.lmul({3: -10, 4: 5}, L.lmul(g, g)),  # -5 q^3 (2 - q) (1 + q)^2
     ]
     want = [{-2: -6, -1: 18}, {5: 4}, L.lmul({3: -10, 4: 5}, g)]
-    assert L.lcofactors(polys) == want == fold_cofactors(polys)
+    assert L.lcofactors(polys) == want
 
 
 def test_a_constant_entry_leaves_the_row_unstripped():
     g = {0: 2, 1: 1}
     row = {0: L.lmul({0: 3, 2: 1}, g), 3: {0: 5}, 4: L.lmul({1: 1}, g)}
     assert L.lcofactors(list(row.values())) == list(row.values())
-    assert srow_strip(row) == strip_reference(row) == row
-
-
-def test_strip_falls_back_to_the_fold(monkeypatch):
-    g = {-1: 2, 1: 1, 2: 3}
-    polys = [L.lmul(u, g) for u in ({0: 3, 2: -5, 3: 7}, {0: -4, 1: 1}, {2: 2})]
-    want = L.lcofactors(polys)
-    monkeypatch.setattr(L, "_HEU_TRIES", 0)
-    assert L.lcofactors(polys) == want == fold_cofactors(polys)
-    # g is q**-1 (2 + q**2 + 3 q**3) up to units, so q**2 g leaves 2q
-    assert want[2] == {1: 2}
-    row = dict(enumerate(polys))
-    assert srow_strip(row) == strip_reference(row)
+    assert srow_strip(row) == D.strip(row) == row
 
 
 # the shortcuts of the exact elimination, each against the plain step
@@ -326,79 +288,79 @@ def in_steps(p, step):
 )
 def test_cofactors_of_polynomials_in_a_power_of_q(step, units, g):
     # q^s_i U_i(q^g) G(q^g) with mixed shifts s_i: every gap within an
-    # entry is a multiple of g, so lcofactors packs the entries by it
-    polys = [
-        L.lshift(L.lmul(in_steps(u, step), in_steps(g, step)), s) for u, s in units
-    ]
-    assert L.lcofactors(polys) == fold_cofactors(polys)
+    # entry is a multiple of g, and the packed strip still reads them in q
+    row = {
+        i: L.lshift(L.lmul(in_steps(u, step), in_steps(g, step)), s)
+        for i, (u, s) in enumerate(units)
+    }
+    assert srow_strip(row) == D.strip(row)
 
 
-def test_cofactors_are_computed_in_t_equal_q_to_the_step(monkeypatch):
-    # (1 + q^2)(2 - q^2) and q^3 (1 + q^2)(1 + 3 q^4): GCDHEU sees the
-    # unit-normal (1 + t)(t - 2) and (1 + t)(1 + 3 t^2), t = q^2
-    seen = []
-    heu = L._gcd_heu
-    monkeypatch.setattr(L, "_gcd_heu", lambda fs: seen.append(fs) or heu(fs))
-    g = {0: 1, 2: 1}
-    polys = [L.lmul(g, {0: 2, 2: -1}), L.lmul(g, {3: 1, 7: 3})]
-    assert L.lcofactors(polys) == [{0: 2, 2: -1}, {3: 1, 7: 3}]
-    assert seen == [[[-2, -1, 1], [1, 1, 3, 3]]]
+def _packed_entries(row, k):
+    return [qarith._pack(p, k) for p in row.values()]
 
 
 def test_value_quotient_refuses_digits_past_the_bound():
-    # (1 + q)^8 / (1 + q) at xi = 31: the cofactor (1 + q)^7 has the
-    # coefficient 35 > 31/2, so the digits of the value quotient are not
-    # the cofactor, and the bound 2 |h|_1 |Q|_inf < xi rejects them
-    xi, h = 31, [1, 1]
-    power = dict(L.ONE)
-    for _ in range(8):
-        power = L.lmul(power, {0: 1, 1: 1})
-    f = L._dense(power)
-    cofactor = L._dense_quo(f, h)
-    assert max(cofactor) == 35
-    v, hv = L._heu_eval(f, xi), L._heu_eval(h, xi)
-    assert L._heu_digits(v // hv, xi) != cofactor
-    assert L._value_quo(v, hv, xi, len(cofactor), sum(h)) is None
+    # 43 (1 - q^3) = 43 (1 - q)(1 + q + q^2) beside H = 1 + q + q^2, in
+    # 8-bit slots: H(2**8) divides both values, and the digits of the
+    # first quotient are the cofactor 43 (1 - q), but 2 |H|_1 * 43 = 258
+    # is past xi = 256, so the bound refuses it.  The strip then takes the
+    # exact Euclidean gcd and still returns the reference row
+    h = {0: 1, 1: 1, 2: 1}
+    row = {0: {0: 43, 3: -43}, 1: h}
+    assert qarith._slot_width(qarith._norm([row])) == 8
+    entries = _packed_entries(row, 8)
+    hv = qarith._pack(h, 8)[1]
+    assert all(v % hv == 0 for _, v, _ in entries)
+    assert qarith._digits(entries[0][1] // hv, qarith._Slot(8)) == [43, -43]
+    assert qarith._cofactors(entries, hv, qarith._Slot(8)) is None
+    assert srow_strip(row) == D.strip(row) == {0: {0: -43, 1: 43}, 1: {0: -1}}
 
 
 def test_value_quotient_needs_the_operand_bound():
-    # 3q - 61 and 1 + q are coprime, but both are 32 at the first point
-    # xi = 31, whose digits give the candidate 1 + q.  The digit quotient
-    # 1 of 32 / 32 is small, yet (1 + q) * 1 != 3q - 61: only
-    # 2 |f|_inf < xi sends that operand to the long division, which
-    # rejects the candidate
-    f, h = [-61, 3], [1, 1]
-    assert L._heu_eval(f, 31) == L._heu_eval(h, 31) == 32
-    assert L._value_quo(32, 32, 31, 1, 2) == [1]
-    polys = [{0: -61, 1: 3}, {0: 1, 1: 1}]
-    assert L.lgcd(*polys) == L.ONE
-    assert L.lcofactors(polys) == polys
+    # 2q - 255 and 1 + q are coprime, but both are 257 at xi = 2**8, whose
+    # digits give the candidate 1 + q.  The digit quotient 1 of 257 / 257
+    # is small, yet (1 + q) * 1 != 2q - 255: the proof needs
+    # 2 |f|_inf < xi, and the slot invariant never packs 2q - 255 at 8
+    # bits, so its row strips in 16-bit slots, where nothing is common
+    f, h = {0: -255, 1: 2}, {0: 1, 1: 1}
+    s = qarith._Slot(8)
+    entries = _packed_entries({0: f, 1: h}, 8)
+    assert [v for _, v, _ in entries] == [257, 257]
+    assert qarith._cofactors(entries, 257, s) == [(0, 1, [1]), (0, 1, [1])]
+    with pytest.raises(qarith._Widen):
+        qarith._repack(f, s)
+    assert qarith._slot_width(qarith._norm([{0: f, 1: h}])) == 16
+    assert L.lgcd(f, h) == L.ONE
+    row = {0: f, 1: h}
+    assert srow_strip(row) == D.strip(row) == row
 
 
 def test_cofactors_past_the_bound_come_from_the_long_division(monkeypatch):
-    # (1 + q)^k with large binomials beside (1 + q)(1 - q): xi starts from
-    # the small operand, so the large one is divided out densely
-    calls = []
-    quo = L._dense_quo
-    monkeypatch.setattr(L, "_dense_quo", lambda f, h: calls.append(1) or quo(f, h))
-    g = {0: 1, 1: 1}
-    for k in (6, 12, 20):
-        power = dict(L.ONE)
-        for _ in range(k):
-            power = L.lmul(power, g)
-        polys = [L.lmul(power, g), L.lmul(g, {0: 1, 1: -1}), L.lshift(power, -3)]
-        want = [power, {0: 1, 1: -1}, L.lshift(L.ldiv_exact(power, g), -3)]
-        calls.clear()
-        assert L.lcofactors(polys) == want == fold_cofactors(polys)
-        assert calls
+    # c (1 - q^3) beside multiples of H = 1 + q + q^2, with c near the
+    # largest the slot holds: the cofactor c (1 - q) is past the digit
+    # bound 2 |H|_1 |Q|_inf < xi at every slot width, so the strip hands
+    # the row to the Euclidean fold and its long division
+    folded = []
+    lcofactors = qarith.lcofactors
+    monkeypatch.setattr(qarith, "lcofactors", lambda polys: folded.append(1) or lcofactors(polys))
+    h = {0: 1, 1: 1, 2: 1}
+    for k, c in ((8, 43), (16, 11000), (32, 2**30 - 1)):
+        row = {0: {0: c, 3: -c}, 1: L.lshift(L.lmul(h, {0: 1, 1: 2}), -3), 2: h}
+        assert qarith._slot_width(qarith._norm([row])) == k
+        folded.clear()
+        want = {0: {3: -c, 4: c}, 1: {0: -1, 1: -2}, 2: {3: -1}}
+        assert srow_strip(row) == D.strip(row) == want
+        assert folded == [1]
 
 
 def test_value_quotients_serve_the_cube_strips(monkeypatch):
-    # the common case: on the l = 3 cubes the packed engine reads most
-    # cofactors off the values at xi = 2**K (qarith._cofactors), and only
-    # a few fall back to laurent.lcofactors or its long division
-    served, divided = [], []
-    cofactors, lcofactors, dense_quo = qarith._cofactors, L.lcofactors, L._dense_quo
+    # the common case: on the l = 3 cubes the packed engine reads every
+    # cofactor and quotient off the values at xi = 2**K
+    # (qarith._cofactors, qarith._quotient); none falls back to the exact
+    # Euclidean gcd or long division, which would be a silent slowdown
+    served, fallbacks = [], []
+    cofactors, lcofactors, ldiv_exact = qarith._cofactors, qarith.lcofactors, qarith.ldiv_exact
 
     def value(*args):
         quos = cofactors(*args)
@@ -407,12 +369,12 @@ def test_value_quotients_serve_the_cube_strips(monkeypatch):
         return quos
 
     monkeypatch.setattr(qarith, "_cofactors", value)
-    monkeypatch.setattr(qarith, "lcofactors", lambda polys: divided.append(1) or lcofactors(polys))
-    monkeypatch.setattr(L, "_dense_quo", lambda f, h: divided.append(1) or dense_quo(f, h))
+    monkeypatch.setattr(qarith, "lcofactors", lambda polys: fallbacks.append(1) or lcofactors(polys))
+    monkeypatch.setattr(qarith, "ldiv_exact", lambda a, b: fallbacks.append(1) or ldiv_exact(a, b))
     V = simple_gl2(3, 0)
     for side in ("sym", "ext"):
         power_weight_rows(V, side, 3)
-    assert len(served) > 10 * len(divided)
+    assert served and not fallbacks
 
 
 def _plain_cross(row, pivot_row, col):

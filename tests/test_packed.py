@@ -6,7 +6,12 @@ reduction and the kernel read-off live on in dict_engine as the
 reference.  Every row either returns is the canonical stripped
 representative of its line, so the two must agree dict for dict."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -92,9 +97,9 @@ def test_a_kernel_past_its_starting_slot_restarts_at_twice_the_width(monkeypatch
 
 
 def test_a_refused_packed_cofactor_falls_back_to_lcofactors(monkeypatch):
-    # the packed counterpart of test_laurent's fold fallback: when the
-    # packed proof refuses every cofactor, each strip that meets a common
-    # factor goes through laurent.lcofactors, with the same rows
+    # when the packed proof refuses every cofactor, each strip that meets
+    # a common factor goes through laurent.lcofactors, the exact
+    # Euclidean gcd, with the same rows
     g = {-1: 2, 1: 1, 2: 3}
     rows = [
         {0: L.lmul(u, g), 1: L.lmul(v, g), 2: L.lmul(w, g)}
@@ -143,3 +148,37 @@ def test_the_kernel_certificate_does_not_share_the_packing(monkeypatch):
     monkeypatch.setattr(qarith, "_unpack", drop_top)
     with pytest.raises(ModuleAuditError):
         sp_kernel(rows, 4)
+
+
+# one exact power with a probe on the packed engine: the slot width of
+# every elimination, in order, and the number of packed gcds
+_WORK_PROBE = """
+import json
+from braidpow import qarith
+from braidpow.braided import power_dims
+from braidpow.uqmod import simple_gl2
+
+widths, calls = [], []
+slot, cofactors = qarith._Slot, qarith._cofactors
+qarith._Slot = lambda k: widths.append(k) or slot(k)
+qarith._cofactors = lambda *args: calls.append(1) or cofactors(*args)
+dims = power_dims(simple_gl2(4, 0), "sym", 4)
+print(json.dumps([dims, widths, len(calls)]))
+"""
+
+
+def test_the_exact_work_does_not_depend_on_the_hash_seed():
+    # str and bytes hashes change with PYTHONHASHSEED, and with them the
+    # order of any set of them; no such order may reach the elimination
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _WORK_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(out.stdout))
+    dims, widths, calls = runs[0]
+    assert dims == [1, 5, 15, 28, 45] and widths and calls
+    assert runs[1] == runs[0]
