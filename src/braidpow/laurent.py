@@ -8,16 +8,16 @@ and the zero test is emptiness.  No floats anywhere.
 The ring operations (lconst, ladd, lsub, lneg, lmul, lscale, lshift,
 lbar, leval) take any exact coefficients and use them as given.
 Content, gcd and exact division (lcontent, lprimitive, ldiv_exact, lgcd,
-lcofactors, llcm) work in Z[q, 1/q] and take int coefficients only, as
-do the rows of the sparse engine in qarith.  lgcd is the Euclidean loop
-by pseudo-division, lcofactors the pairwise lgcd fold followed by
-ldiv_exact, llcm a product over lgcd, and ldiv_exact long division:
-exact algorithms that always terminate.
+lcofactors) work in Z[q, 1/q] and take int coefficients only, as do the
+rows of the sparse engine in qarith.  lgcd is the Euclidean loop by
+pseudo-division, lcofactors the pairwise lgcd fold followed by
+ldiv_exact, and ldiv_exact long division: exact algorithms that always
+terminate.
 
 qarith's elimination does not run on these dicts.  It packs each entry
-q**lo * f as (lo, f(2**K), n1) and strips a row by the heuristic gcd
-GCDHEU at xi = 2**K on the values it holds, with its own proof (see
-qarith).  These functions are its exact fallback: a packed cofactor or
+q**lo * f(q**g), for g the step of its system, as (lo, f(2**K), n1),
+with K a multiple of 32, and strips a row by the heuristic gcd GCDHEU
+at xi = 2**K on the values it holds, with its own proof (see qarith).  These functions are its exact fallback: a packed cofactor or
 quotient that its bounds do not prove is unpacked and computed here, by
 lcofactors or ldiv_exact.  They are also the reference the tests
 compare the packed engine against, an algorithm independent of GCDHEU.
@@ -38,7 +38,7 @@ uqmod.coproduct) do the arithmetic mod P.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 ONE = {0: 1}
 
@@ -250,12 +250,3 @@ def lcofactors(polys: list) -> list:
         if g == ONE:
             return list(polys)
     return [ldiv_exact(p, g) for p in polys]
-
-
-def llcm(a: dict, b: dict) -> dict:
-    """lcm up to units of two int-coefficient polynomials: the lcm of
-    their contents times the lcm of their unit-normal primitive parts."""
-    if not a or not b:
-        return {}
-    x, y = _unit_normal(a), _unit_normal(b)
-    return lscale(ldiv_exact(lmul(x, y), lgcd(x, y)), lcm(lcontent(a), lcontent(b)))

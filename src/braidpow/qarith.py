@@ -14,16 +14,32 @@ Subspace.span and Subspace.contains are the one boundary for
 rationals: they clear the denominators of a caller's row before it
 enters the engine.
 
-Packed entries.  The Laurent entry q**lo * f, f in Z[q] with
+Packed entries.  Each elimination has a step g: the gcd of the
+exponent differences inside the entries of its input rows, or 1 when
+every entry is a monomial (_measure).  The structure constants of the
+U_q(gl_2) and U_q(gl_3) modules are balanced q-integers and Cartan twists
+q**((alpha|w)), so an entry of their systems is q**lo times a
+polynomial in q**2, and g is 2 or more as soon as one entry is not a
+monomial.  The Laurent entry q**lo * f(t), t = q**g, f in Z[t] with
 f(0) != 0, is the triple (lo, v, n1) with v = f(2**K) (Kronecker
-substitution) and n1 >= |f|_1.  Elimination cross-multiplies rows
-instead of dividing (_cross): a new entry a*p - b*r is two big-int
-products and a difference shifted by K bits per step of q power, taken
+substitution in t) and n1 >= |f|_1; one slot is one power of t, so no
+slot holds the zero coefficients between powers of q**g.  Elimination
+cross-multiplies rows instead of dividing (_cross): a new entry
+a*p - b*r is two big-int products and a difference whose q powers x
+and y differ by a multiple of g, shifted by K*(x - y)/g bits, taken
 after a and b are divided by their gcd when neither is a constant.
-Each row is then stripped to the canonical representative of its line
-(_strip): the common q power, the integer content and any common
-polynomial factor go, so every returned row holds primitive int
-coefficients and the smaller multipliers change no result.
+Whole zero slots at the bottom of a difference raise its lo by
+multiples of g.  The step is checked, never assumed: a cross whose
+shift g does not divide raises _Ungraded, and that one elimination
+starts again at g = 1 (_packed).  A system is graded, and never starts
+again, when each entry's lo is r_i + c_j mod g for some r_i per row and
+c_j per column, as the modules' weight blocks are.  Each row is then
+stripped to the canonical representative of its line (_strip): the
+common q power, the integer content and any common polynomial factor
+go, so every returned row holds primitive int coefficients and the
+smaller multipliers change no result.  A gcd in Z[q] of polynomials in
+t is a polynomial in t (a Bezout identity over Q in t stays one in q),
+so the stripped rows are the same in every step.
 
 The slot invariant is 2*n1 + 4 <= 2**K for every entry.  It puts each
 coefficient of f in (-2**(K-1), 2**(K-1)), so f is read back from the
@@ -31,37 +47,39 @@ balanced base-2**K digits of v (_digits).  An operation works out the
 n1 of each entry it would produce before producing it: the bound
 |a|_1*|p|_1 + |b|_1*|r|_1 for a cross, the exact norm of proved digits
 for a quotient.  A miss raises _Widen, and that one elimination starts
-again at 2K (_packed).  K starts at the least of 8, 16 and the
-multiples of 32 that holds one cross of two input entries: n1 <= 2*N**2
-for N the largest input norm.  So K follows from the inputs, and
-nothing sets it.  A slot of 8, 16, 32 or 64 bits is one array item,
-and a wider one a few, so reading digits costs no Python loop per bit.
+again at 2K (_packed).  K starts at the least multiple of 32 that
+holds one cross of two input entries: n1 <= 2*N**2 for N the largest
+input norm.  So g and K follow from the inputs, and nothing sets them.
+A slot is one or more 4- or 8-byte words, so reading digits costs no
+Python loop per bit; a narrower slot would make no int operation
+cheaper at these sizes, and would only start more eliminations again.
 
 A strip is one heuristic gcd GCDHEU (Char, Geddes and Gonnet, J.
-Symbolic Comput. 1989) at xi = 2**K that evaluates nothing, since the
-packed ints are the values (_cofactors).  Let g be the gcd of the values
-of the row's two shortest entries (the cheapest integer gcd), H the
-primitive part of g's balanced digits and c their content.  Each
+Symbolic Comput. 1989) in t at xi = 2**K that evaluates nothing, since
+the packed ints are the values (_cofactors).  Let m be the gcd of the
+values of the row's two shortest entries (the cheapest integer gcd), H
+the primitive part of m's balanced digits and c their content.  Each
 cofactor Q is the digit polynomial of v / H(xi), kept when H(xi)
-divides v and 2*|H|_1*|Q|_inf < xi.  Then H*Q == f: the invariant gives
-2*|f|_inf < xi, and 2*|H*Q|_inf <= 2*|H|_1*|Q|_inf < xi, so H*Q - f
-has every coefficient below xi in size and vanishes at xi; xi would
-divide its lowest nonzero coefficient, so it has none.  And H is the
-gcd G2 of the two entries.  G2 = H*T and G2(xi) divides g = c*H(xi),
-so T(xi) divides c, and |c| <= xi/2 because c divides a balanced digit.
-A root of a nonconstant T is a common root, of modulus at most n1 + 1
-by Cauchy's bound, so xi >= 2*n1 + 4 makes |T(xi)| > xi/2.  The gcd G
-of the row divides G2 = H, and H divides every entry, so H == G.  When
-H(xi) does not divide some value, or a cofactor is refused, g is taken
-over every value and tried once more.  By Gauss's lemma the row's
-content is the content of its cofactors, and it divides c.  A
-single-digit g (below 2**(K-1)) proves G = 1, so a row with g = 1 is
-only shifted and signed, without reading a digit.  The sign is that of
-the first column's value, which has the sign of its top digit.  A
-refused cofactor unpacks the row and strips it with laurent.lcofactors,
-the exact Euclidean gcd (_strip_unpacked).  The multipliers' gcd
-(_coprime), and the lcm and quotients of the kernel read-off (_lcm,
-_quotient), prove their cofactors by the same bounds, and fall back to
+divides v and 2*|H|_1*|Q|_inf < xi.  Then H*Q == f in Z[t]: the
+invariant gives 2*|f|_inf < xi, and 2*|H*Q|_inf <= 2*|H|_1*|Q|_inf <
+xi, so H*Q - f has every coefficient below xi in size and vanishes at
+t = xi; xi would divide its lowest nonzero coefficient, so it has none.
+And H is the gcd G2 of the two entries in Z[t].  G2 = H*T and G2(xi)
+divides m = c*H(xi), so T(xi) divides c, and |c| <= xi/2 because c
+divides a balanced digit.  A root of a nonconstant T is a common root,
+of modulus at most n1 + 1 by Cauchy's bound, so xi >= 2*n1 + 4 makes
+|T(xi)| > xi/2.  The gcd G of the row divides G2 = H, and H divides
+every entry, so H == G.  When H(xi) does not divide some value, or a
+cofactor is refused, m is taken over every value and tried once more.
+By Gauss's lemma the row's content is the content of its cofactors,
+and it divides c.  A single-digit m (below 2**(K-1)) proves G = 1, so
+a row with m = 1 is only shifted and signed, without reading a digit.
+The sign is that of the first column's value, which has the sign of
+its top digit.  A refused cofactor unpacks the row and strips it with
+laurent.lcofactors, the exact Euclidean gcd (_strip_unpacked), whose
+quotients are again polynomials in t.  The multipliers' gcd (_coprime),
+and the lcm and quotients of the kernel read-off (_lcm, _quotient),
+prove their cofactors by the same bounds, and fall back to
 laurent.lcofactors and ldiv_exact in the same way.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
@@ -120,29 +138,37 @@ from .laurent import (
 # content-stripped: int coefficients with no common q power, integer
 # content, or polynomial factor across the entries.  The elimination
 # itself runs on packed rows {col: entry}, one entry (lo, v, n1) per
-# Laurent entry q**lo * f: f in Z[q] with f(0) != 0, v = f(2**K) and
-# n1 >= |f|_1 (see the module docstring); the dict rows are packed on the
-# way in and unpacked on the way out.
+# Laurent entry q**lo * f(q**g): f in Z[t] with f(0) != 0, v = f(2**K)
+# and n1 >= |f|_1, for g the step of the elimination (see the module
+# docstring); the dict rows are packed on the way in and unpacked on the
+# way out.
 
 
 class _Widen(Exception):
     """An entry that an operation would produce might not fit the slot."""
 
 
-# array typecodes by item size, for reading slots of 1, 2, 4 or 8 bytes
-_WORDS = {array(t).itemsize: t for t in "BHILQ"}
+class _Ungraded(Exception):
+    """A cross step would add two entries whose q powers differ by no
+    multiple of the slot's step g."""
+
+
+# array typecodes by item size, for reading slots as 4- or 8-byte words
+_WORDS = {array(t).itemsize: t for t in "ILQ"}
 
 
 class _Slot:
-    """The slot width K of one elimination, 8, 16 or a multiple of 32, and
-    its constants: xi = 2**K, half = 2**(K-1), room the largest n1 that
-    keeps the slot invariant 2*n1 + 4 <= xi, width the bytes of a slot
-    and pad one slot holding half, as little-endian bytes."""
+    """The packing of one elimination: the slot width K, a multiple of
+    32, and the step g, each slot one power of t = q**g.  Its constants
+    are xi = 2**K, half = 2**(K-1), room the largest n1 that keeps the
+    slot invariant 2*n1 + 4 <= xi, width the bytes of a slot and pad one
+    slot holding half, as little-endian bytes."""
 
-    __slots__ = ("k", "xi", "half", "room", "width", "pad")
+    __slots__ = ("k", "step", "xi", "half", "room", "width", "pad")
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, step: int):
         self.k = k
+        self.step = step
         self.xi = 1 << k
         self.half = 1 << (k - 1)
         self.room = self.half - 2
@@ -151,19 +177,22 @@ class _Slot:
 
 
 def _slot_width(n1: int) -> int:
-    """The least K, 8, 16 or a multiple of 32, with 2*n1 + 4 <= 2**K."""
-    bits = (2 * n1 + 3).bit_length()
-    return 8 if bits <= 8 else 16 if bits <= 16 else -(-bits // 32) * 32
+    """The least K, a multiple of 32, with 2*n1 + 4 <= 2**K."""
+    return -(-(2 * n1 + 3).bit_length() // 32) * 32
 
 
-def _pack(p: dict, k: int) -> tuple:
-    lo = min(p)
-    return lo, sum(c << k * (e - lo) for e, c in p.items()), sum(map(abs, p.values()))
+def _pack(p: dict, s: _Slot) -> tuple:
+    lo, k, g = min(p), s.k, s.step
+    return lo, sum(c << k * (e - lo) // g for e, c in p.items()), sum(map(abs, p.values()))
 
 
 def _repack(p: dict, s: _Slot) -> tuple:
-    # a dict entry made by a fallback, with its exact norm checked
-    entry = _pack(p, s.k)
+    # a dict entry made by a fallback, with its exact norm and its
+    # grading checked
+    lo = min(p)
+    if any((e - lo) % s.step for e in p):
+        raise _Ungraded
+    entry = _pack(p, s)
     if entry[2] > s.room:
         raise _Widen
     return entry
@@ -173,12 +202,12 @@ def _digits(v: int, s: _Slot) -> list:
     """The balanced base-2**K digits of v != 0, lowest first, each in
     [-2**(K-1), 2**(K-1)) and the top one nonzero.  Adding 2**(K-1) to
     every digit gives the plain digits of one nonnegative int; its bytes
-    are read as an array of slots, or of 8- or 4-byte words that a wider
-    slot joins."""
+    are read as an array of 8- or 4-byte words, which a wider slot
+    joins."""
     n = v.bit_length() // s.k + 2
     w, half = s.width, s.half
     b = (v + int.from_bytes(s.pad * n, "little")).to_bytes(n * w, "little")
-    size = w if w in _WORDS else 8 if w % 8 == 0 else 4
+    size = 8 if w % 8 == 0 else 4
     words = array(_WORDS[size], b)
     if sys.byteorder == "big":
         words.byteswap()
@@ -197,43 +226,64 @@ def _digits(v: int, s: _Slot) -> list:
 
 def _unpack(entry: tuple, s: _Slot) -> dict:
     lo, v, _ = entry
-    return {lo + i: d for i, d in enumerate(_digits(v, s)) if d}
+    g = s.step
+    return {lo + g * i: d for i, d in enumerate(_digits(v, s)) if d}
 
 
 def _unpack_row(row: dict, s: _Slot) -> dict:
     return {c: _unpack(entry, s) for c, entry in row.items()}
 
 
-def _packed(rows, n1: int, run):
-    """run(packed rows, slot) at the least slot width that holds entries
-    of norm n1, then at twice the width, and so on, for as long as it
-    raises _Widen.  Each width packs the dict rows afresh."""
-    k = _slot_width(n1)
+def _packed(rows, run, crosses: bool = True):
+    """run(packed rows, slot) for the dict rows: in steps of the rows'
+    step g (_measure), at the least slot width that holds one cross of
+    two of their entries (with crosses False, the entries themselves).
+    It starts again at twice the width, and so on, for as long as run
+    raises _Widen, and at g = 1 when it raises _Ungraded.  Each start
+    packs the dict rows afresh."""
+    n1, g = _measure(rows)
+    k = _slot_width(2 * n1 * n1 if crosses else n1)
     while True:
+        s = _Slot(k, g)
         try:
-            return run([{c: _pack(p, k) for c, p in row.items() if p} for row in rows], _Slot(k))
+            return run([{c: _pack(p, s) for c, p in row.items() if p} for row in rows], s)
         except _Widen:
             k *= 2
+        except _Ungraded:
+            g = 1
 
 
-def _norm(rows) -> int:
-    # the largest |entry|_1 of the dict rows
-    return max((sum(map(abs, p.values())) for row in rows for p in row.values()), default=0)
+def _measure(rows) -> tuple:
+    """(n1, g) for dict rows: n1 the largest |entry|_1, and g their step,
+    the gcd of the exponent differences inside the entries, or 1 when
+    every entry is a monomial."""
+    n1 = g = 0
+    for row in rows:
+        for p in row.values():
+            m = sum(map(abs, p.values()))
+            if m > n1:
+                n1 = m
+            if g != 1 and len(p) > 1:
+                terms = iter(p)
+                lo = next(terms)
+                for e in terms:
+                    g = gcd(g, e - lo)
+    return n1, g or 1
 
 
-def _cofactors(entries: list, g: int, s: _Slot):
-    """GCDHEU at xi = 2**K on packed entries, for g >= 2**(K-1) the gcd
-    of the values of some of them: H is the primitive part of g's
+def _cofactors(entries: list, m: int, s: _Slot):
+    """GCDHEU at xi = 2**K on packed entries, for m >= 2**(K-1) the gcd
+    of the values of some of them: H is the primitive part of m's
     balanced digits, and each entry's cofactor is the digit polynomial Q
     of v / H(xi), kept when H(xi) divides v and 2*|H|_1*|Q|_inf < xi.
     Returns [(lo, u, digits)], u = v / H(xi), or None when a value or a
     cofactor is refused.  The slot invariant gives 2*|f|_inf < xi for
     every entry, so an accepted Q is f / H, and H is then the gcd of the
-    entries whose values gave g (both by the module docstring's proof);
+    entries whose values gave m (both by the module docstring's proof);
     it divides all of them, so it is their gcd G."""
-    h = _digits(g, s)
+    h = _digits(m, s)
     c = gcd(*h)
-    hv, h1, xi = g // c, sum(map(abs, h)) // c, s.xi
+    hv, h1, xi = m // c, sum(map(abs, h)) // c, s.xi
     out = []
     for lo, v, _ in entries:
         u, rest = divmod(v, hv)
@@ -251,11 +301,11 @@ def _coprime(a: tuple, b: tuple, s: _Slot) -> tuple:
     polynomial parts; a divided entry carries the exact norm of its
     digits.  laurent.lcofactors, the exact Euclidean gcd, decides when
     _cofactors refuses."""
-    g = gcd(a[1], b[1])
-    if g < s.half:
-        # G(xi) divides g < xi/2, which no nonconstant G does
+    m = gcd(a[1], b[1])
+    if m < s.half:
+        # G(xi) divides m < xi/2, which no nonconstant G does
         return a, b
-    got = _cofactors([a, b], g, s)
+    got = _cofactors([a, b], m, s)
     if got is None:
         return tuple(_repack(p, s) for p in lcofactors([_unpack(a, s), _unpack(b, s)]))
     out = []
@@ -271,9 +321,9 @@ def _strip(row: dict, s: _Slot) -> dict:
     """The packed form of srow_strip: the row divided by its common q
     power, its signed content and the gcd G of its entries.  G divides
     the gcd of the two shortest entries, whose values cost the least
-    integer gcd g, so _cofactors tries that first.  When g, or failing
+    integer gcd m, so _cofactors tries that first.  When m, or failing
     that the gcd of every value, is below 2**(K-1), G is 1 and the
-    content divides g, so a row with g = 1 is only shifted and signed
+    content divides m, so a row with m = 1 is only shifted and signed
     without reading a digit; else _cofactors divides by G.  The content
     is the gcd of the cofactor digits, the sign that of the first
     column's value (its top digit).  A refused cofactor hands the row to
@@ -285,15 +335,15 @@ def _strip(row: dict, s: _Slot) -> dict:
     values = [e[1] for e in entries]
     pair = gcd(*sorted(values, key=int.bit_length)[:2])
     got = _cofactors(entries, pair, s) if pair >= s.half else None
-    g = pair
+    m = pair
     if got is None:
-        g = gcd(pair, *values)
-        if g >= s.half:
-            got = _cofactors(entries, g, s) if g != pair else None
+        m = gcd(pair, *values)
+        if m >= s.half:
+            got = _cofactors(entries, m, s) if m != pair else None
             if got is None:
                 return _strip_unpacked(row, s)
     if got is None:
-        cont = g
+        cont = m
         for _, v, _ in entries:
             if cont == 1:
                 break
@@ -339,7 +389,7 @@ def srow_strip(row: dict) -> dict:
     first column.  The row is packed, stripped (_strip) and unpacked."""
     if not row:
         return row
-    return _packed([row], _norm([row]), lambda rows, s: _unpack_row(_strip(rows[0], s), s))
+    return _packed([row], lambda rows, s: _unpack_row(_strip(rows[0], s), s), crosses=False)
 
 
 def _cross(row: dict, pivot_row: dict, col: int, s: _Slot) -> dict:
@@ -356,7 +406,7 @@ def _cross(row: dict, pivot_row: dict, col: int, s: _Slot) -> dict:
         a, b = _coprime(a, b, s)
     la, va, na = a
     lb, vb, nb = b
-    k, room = s.k, s.room
+    k, g, room = s.k, s.step, s.room
     out = {}
     for c, (lp, vp, np) in row.items():
         if c == col:
@@ -373,16 +423,18 @@ def _cross(row: dict, pivot_row: dict, col: int, s: _Slot) -> dict:
         if n1 > room:
             raise _Widen
         x, y = la + lp, lb + lr
+        if (x - y) % g:
+            raise _Ungraded
         if x > y:
-            v, lo = (va * vp << k * (x - y)) - vb * vr, y
+            v, lo = (va * vp << k * (x - y) // g) - vb * vr, y
         else:
-            v, lo = va * vp - (vb * vr << k * (y - x)), x
+            v, lo = va * vp - (vb * vr << k * (y - x) // g), x
         if v:
-            # whole zero slots at the bottom raise lo
+            # whole zero slots at the bottom raise lo by steps of g
             t = ((v & -v).bit_length() - 1) // k
             if t:
                 v >>= k * t
-                lo += t
+                lo += g * t
             out[c] = (lo, v, n1)
     for c, (lr, vr, nr) in pivot_row.items():
         if c != col and c not in row:
@@ -415,12 +467,6 @@ def _echelon(rows, s: _Slot, reduced: bool) -> dict:
     return piv
 
 
-def _cross_norm(rows) -> int:
-    # the norm bound of one cross of two entries of the dict rows
-    n1 = _norm(rows)
-    return 2 * n1 * n1
-
-
 def sp_echelon(rows, reduced: bool = True) -> dict:
     """Eliminate sparse Laurent rows.  Returns {pivot_col: row}; with
     reduced=True the rows form an RREF up to scaling (each row touches
@@ -431,7 +477,7 @@ def sp_echelon(rows, reduced: bool = True) -> dict:
         piv = _echelon(packed, s, reduced)
         return {c: _unpack_row(row, s) for c, row in piv.items()}
 
-    return _packed(rows, _cross_norm(rows), run)
+    return _packed(rows, run)
 
 
 def _back_reduce(piv: dict, s: _Slot) -> None:
@@ -506,7 +552,7 @@ def sp_pivot_insert(piv: dict, row: dict):
         got = _insert(dict(zip(piv, held)), new, s)
         return None if got is None else (min(got), _unpack_row(got, s))
 
-    found = _packed([*pivots, row], _cross_norm([*pivots, row]), run)
+    found = _packed([*pivots, row], run)
     if found is None:
         return None
     c, piv[c] = found
@@ -516,7 +562,7 @@ def sp_pivot_insert(piv: dict, row: dict):
 def _lcm(a: tuple, b: tuple, s: _Slot) -> tuple:
     """The lcm of two entries' polynomial parts, up to units: a * (b / G)
     / d, for G their primitive gcd (_coprime) and d the gcd of their
-    contents, as laurent.llcm takes it."""
+    contents."""
     a, b = (0, a[1], a[2]), (0, b[1], b[2])
     a2, b2 = _coprime(a, b, s)
     d = gcd(a2[1], b2[1])
@@ -577,7 +623,7 @@ def _kernel_rows(rows, ncols: int) -> list[dict]:
             out.append(_strip(vec, s))
         return [_unpack_row(z, s) for z in out]
 
-    return _packed(rows, _cross_norm(rows), run)
+    return _packed(rows, run)
 
 
 def _annihilated(rows, basis) -> bool:

@@ -4,15 +4,35 @@ packed engine in qarith is tested against.
 These are the engine's earlier bodies: srow_strip's shift, signed content
 and laurent.lcofactors, the cross step with its lgcd pre-division, the
 pivot insertion, the back reduction and the fraction-free kernel read off
-the reduced echelon form.  Their gcds are laurent's Euclidean ones (lgcd
-and the lcofactors fold), an algorithm independent of the packed
-engine's GCDHEU.  Every row they return is the canonical stripped
+the reduced echelon form with its lcm (llcm).  Their gcds are laurent's
+Euclidean ones (lgcd and the lcofactors fold), an algorithm independent
+of the packed engine's GCDHEU.  Every row they return is the canonical stripped
 representative of its line, so the packed engine must return the same
 rows, dict for dict."""
 
-from math import gcd
+from math import gcd, lcm
 
-from braidpow.laurent import ONE, lcofactors, ldiv_exact, lgcd, llcm, lmul, lneg, lshift
+from braidpow.laurent import (
+    ONE,
+    lcofactors,
+    lcontent,
+    ldiv_exact,
+    lgcd,
+    lmul,
+    lneg,
+    lscale,
+    lshift,
+)
+
+
+def llcm(a: dict, b: dict) -> dict:
+    """lcm up to units of two int-coefficient polynomials: the lcm of
+    their contents times the lcm of their unit-normal primitive parts
+    (lgcd(p, {}) is the unit-normal form of p)."""
+    if not a or not b:
+        return {}
+    x, y = lgcd(a, {}), lgcd(b, {})
+    return lscale(ldiv_exact(lmul(x, y), lgcd(x, y)), lcm(lcontent(a), lcontent(b)))
 
 
 def strip(row: dict) -> dict:

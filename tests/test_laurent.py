@@ -296,43 +296,52 @@ def test_cofactors_of_polynomials_in_a_power_of_q(step, units, g):
     assert srow_strip(row) == D.strip(row)
 
 
-def _packed_entries(row, k):
-    return [qarith._pack(p, k) for p in row.values()]
+def _packed_entries(row, s):
+    return [qarith._pack(p, s) for p in row.values()]
+
+
+def _start_width(row):
+    # the slot width srow_strip packs the row at first
+    return qarith._slot_width(qarith._measure([row])[0])
 
 
 def test_value_quotient_refuses_digits_past_the_bound():
-    # 43 (1 - q^3) = 43 (1 - q)(1 + q + q^2) beside H = 1 + q + q^2, in
-    # 8-bit slots: H(2**8) divides both values, and the digits of the
-    # first quotient are the cofactor 43 (1 - q), but 2 |H|_1 * 43 = 258
-    # is past xi = 256, so the bound refuses it.  The strip then takes the
-    # exact Euclidean gcd and still returns the reference row
+    # c (1 - q^3) = c (1 - q)(1 + q + q^2) beside H = 1 + q + q^2, in
+    # 32-bit slots, for c = 2**30 - 1: H(2**32) divides both values, and
+    # the digits of the first quotient are the cofactor c (1 - q), but
+    # 2 |H|_1 * c = 6c is past xi = 2**32, so the bound refuses it.  The
+    # strip then takes the exact Euclidean gcd and still returns the
+    # reference row
+    c = 2**30 - 1
     h = {0: 1, 1: 1, 2: 1}
-    row = {0: {0: 43, 3: -43}, 1: h}
-    assert qarith._slot_width(qarith._norm([row])) == 8
-    entries = _packed_entries(row, 8)
-    hv = qarith._pack(h, 8)[1]
+    row = {0: {0: c, 3: -c}, 1: h}
+    assert _start_width(row) == 32
+    s = qarith._Slot(32, 1)
+    entries = _packed_entries(row, s)
+    hv = qarith._pack(h, s)[1]
     assert all(v % hv == 0 for _, v, _ in entries)
-    assert qarith._digits(entries[0][1] // hv, qarith._Slot(8)) == [43, -43]
-    assert qarith._cofactors(entries, hv, qarith._Slot(8)) is None
-    assert srow_strip(row) == D.strip(row) == {0: {0: -43, 1: 43}, 1: {0: -1}}
+    assert qarith._digits(entries[0][1] // hv, s) == [c, -c]
+    assert qarith._cofactors(entries, hv, s) is None
+    assert srow_strip(row) == D.strip(row) == {0: {0: -c, 1: c}, 1: {0: -1}}
 
 
 def test_value_quotient_needs_the_operand_bound():
-    # 2q - 255 and 1 + q are coprime, but both are 257 at xi = 2**8, whose
-    # digits give the candidate 1 + q.  The digit quotient 1 of 257 / 257
-    # is small, yet (1 + q) * 1 != 2q - 255: the proof needs
-    # 2 |f|_inf < xi, and the slot invariant never packs 2q - 255 at 8
-    # bits, so its row strips in 16-bit slots, where nothing is common
-    f, h = {0: -255, 1: 2}, {0: 1, 1: 1}
-    s = qarith._Slot(8)
-    entries = _packed_entries({0: f, 1: h}, 8)
-    assert [v for _, v, _ in entries] == [257, 257]
-    assert qarith._cofactors(entries, 257, s) == [(0, 1, [1]), (0, 1, [1])]
+    # 2q - (2**32 - 1) and 1 + q are coprime, but both are 2**32 + 1 at
+    # xi = 2**32, whose digits give the candidate 1 + q.  The digit
+    # quotient 1 of their values is small, yet (1 + q) * 1 != 2q - (2**32
+    # - 1): the proof needs 2 |f|_inf < xi, and the slot invariant never
+    # packs 2q - (2**32 - 1) at 32 bits, so its row strips in 64-bit
+    # slots, where nothing is common
+    f, h = {0: 1 - 2**32, 1: 2}, {0: 1, 1: 1}
+    s = qarith._Slot(32, 1)
+    entries = _packed_entries({0: f, 1: h}, s)
+    assert [v for _, v, _ in entries] == [2**32 + 1, 2**32 + 1]
+    assert qarith._cofactors(entries, 2**32 + 1, s) == [(0, 1, [1]), (0, 1, [1])]
     with pytest.raises(qarith._Widen):
         qarith._repack(f, s)
-    assert qarith._slot_width(qarith._norm([{0: f, 1: h}])) == 16
-    assert L.lgcd(f, h) == L.ONE
     row = {0: f, 1: h}
+    assert _start_width(row) == 64
+    assert L.lgcd(f, h) == L.ONE
     assert srow_strip(row) == D.strip(row) == row
 
 
@@ -340,18 +349,22 @@ def test_cofactors_past_the_bound_come_from_the_long_division(monkeypatch):
     # c (1 - q^3) beside multiples of H = 1 + q + q^2, with c near the
     # largest the slot holds: the cofactor c (1 - q) is past the digit
     # bound 2 |H|_1 |Q|_inf < xi at every slot width, so the strip hands
-    # the row to the Euclidean fold and its long division
+    # the row to the Euclidean fold and its long division.  In q**2 the
+    # row packs in steps of 2, and the fold's quotients pack back in them
     folded = []
     lcofactors = qarith.lcofactors
     monkeypatch.setattr(qarith, "lcofactors", lambda polys: folded.append(1) or lcofactors(polys))
     h = {0: 1, 1: 1, 2: 1}
-    for k, c in ((8, 43), (16, 11000), (32, 2**30 - 1)):
-        row = {0: {0: c, 3: -c}, 1: L.lshift(L.lmul(h, {0: 1, 1: 2}), -3), 2: h}
-        assert qarith._slot_width(qarith._norm([row])) == k
-        folded.clear()
-        want = {0: {3: -c, 4: c}, 1: {0: -1, 1: -2}, 2: {3: -1}}
-        assert srow_strip(row) == D.strip(row) == want
-        assert folded == [1]
+    for k, c in ((32, 2**30 - 1), (64, 2**62 - 1), (96, 2**94 - 1)):
+        for step in (1, 2):
+            row = {0: {0: c, 3: -c}, 1: L.lshift(L.lmul(h, {0: 1, 1: 2}), -3), 2: h}
+            row = {i: in_steps(p, step) for i, p in row.items()}
+            assert _start_width(row) == k and qarith._measure([row])[1] == step
+            folded.clear()
+            want = {0: {3: -c, 4: c}, 1: {0: -1, 1: -2}, 2: {3: -1}}
+            want = {i: in_steps(p, step) for i, p in want.items()}
+            assert srow_strip(row) == D.strip(row) == want
+            assert folded == [1]
 
 
 def test_value_quotients_serve_the_cube_strips(monkeypatch):
@@ -396,7 +409,7 @@ def packed_cross(row, pivot_row, col):
     def run(packed, s):
         return qarith._unpack_row(qarith._cross(*packed, col, s), s)
 
-    return qarith._packed(rows, qarith._cross_norm(rows), run)
+    return qarith._packed(rows, run)
 
 
 def sparse_rows(width=4):

@@ -1,10 +1,11 @@
 """The packed Q(q) elimination against the dict engine it replaced.
 
-qarith eliminates on Kronecker-packed entries (lo, f(2**K), n1); the
-dict bodies of the strip, the cross step, the pivot insertion, the back
-reduction and the kernel read-off live on in dict_engine as the
-reference.  Every row either returns is the canonical stripped
-representative of its line, so the two must agree dict for dict."""
+qarith eliminates on Kronecker-packed entries (lo, f(2**K), n1), each
+entry q**lo * f(q**g) for g the step of its system; the dict bodies of
+the strip, the cross step, the pivot insertion, the back reduction and
+the kernel read-off live on in dict_engine as the reference.  Every row
+either returns is the canonical stripped representative of its line, so
+the two must agree dict for dict."""
 
 import json
 import os
@@ -50,11 +51,36 @@ def systems(draw):
     return n, rows
 
 
+def in_steps(p, step):
+    # p(q**step)
+    return {step * e: c for e, c in p.items()}
+
+
+@st.composite
+def graded_systems(draw):
+    """(ncols, rows) in q**2 or q**3: the entry at row i, column j is
+    q**(r_i + c_j) U(q**g), with negative exponents, and each row times a
+    planted factor q**s G(q**g).  So every entry is q**lo times a
+    polynomial in q**g, and every cross shift is a multiple of g."""
+    g = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.integers(-3, 3))
+        row = draw(st.dictionaries(st.integers(0, n - 1), laurents(), max_size=n))
+        factor = L.lshift(in_steps(draw(laurents(max_terms=3, span=2)), g), draw(st.integers(-2, 2)))
+        rows.append(
+            {j: L.lmul(L.lshift(in_steps(p, g), r + cols[j]), factor) for j, p in row.items()}
+        )
+    return n, rows
+
+
 def slot_widths(monkeypatch):
-    """The slot widths K of every packed elimination, in order."""
+    """The slot (K, g) of every packed elimination, in order."""
     widths = []
     slot = qarith._Slot
-    monkeypatch.setattr(qarith, "_Slot", lambda k: widths.append(k) or slot(k))
+    monkeypatch.setattr(qarith, "_Slot", lambda k, g: widths.append((k, g)) or slot(k, g))
     return widths
 
 
@@ -68,6 +94,46 @@ def test_packed_elimination_equals_the_dict_engine(case):
     for row in rows:
         row = {c: p for c, p in row.items() if p}
         assert srow_strip(row) == D.strip(row)
+
+
+@FIXED
+@given(graded_systems())
+def test_packed_elimination_in_steps_of_q_equals_the_dict_engine(case):
+    n, rows = case
+    assert sp_kernel(rows, n) == D.kernel_rows(rows, n)
+    assert sp_span_echelon(rows) == D.span_echelon(rows)
+    assert sp_rank(rows) == len(D.echelon(rows, reduced=False))
+    for row in rows:
+        row = {c: p for c, p in row.items() if p}
+        assert srow_strip(row) == D.strip(row)
+
+
+def test_an_ungraded_system_falls_back_to_steps_of_one(monkeypatch):
+    # every entry is a polynomial in q**2 times a power of q, so the rows
+    # pack in steps of 2; but clearing column 0 subtracts q * 1 from
+    # (1 + q^2)(1 + 3q^2), entries whose q powers differ by one, which no
+    # slot in q**2 holds.  The elimination starts again in steps of 1 and
+    # still returns the dict engine's rows
+    rows = [
+        {0: {0: 1, 2: 1}, 1: {0: 1}, 2: {0: 2}},
+        {0: {1: 1}, 1: {0: 1, 2: 3}, 2: {1: -1}},
+    ]
+    assert qarith._measure(rows)[1] == 2
+    widths = slot_widths(monkeypatch)
+    assert sp_span_echelon(rows) == D.span_echelon(rows)
+    assert widths == [(32, 2), (32, 1)]
+    assert sp_kernel(rows, 3) == D.kernel_rows(rows, 3)
+    assert sp_rank(rows) == 2
+
+
+def test_llcm_includes_content():
+    assert D.llcm({0: 4}, {0: 6}) == {0: 12}
+    # 2(q - 1) and 3(q^2 - 1): lcm 6(q^2 - 1), up to units
+    a = {1: 2, 0: -2}
+    b = {2: 3, 0: -3}
+    assert D.llcm(a, b) == {2: 6, 0: -6}
+    assert D.llcm(L.lshift(a, 3), b) == {2: 6, 0: -6}
+    assert D.llcm(a, {}) == {}
 
 
 def _wide_system():
@@ -86,12 +152,12 @@ def _wide_system():
 def test_a_kernel_past_its_starting_slot_restarts_at_twice_the_width(monkeypatch):
     # the start width, 160 bits, holds one cross step of two input
     # entries of norm below 2**74; the later steps need more, so the
-    # elimination restarts at twice the width, twice, and still returns
-    # the dict engine's kernel
+    # elimination restarts at twice the width, twice, in the same steps
+    # of q, and still returns the dict engine's kernel
     rows = _wide_system()
     widths = slot_widths(monkeypatch)
     got = sp_kernel(rows, 5)
-    assert widths == [160, 320, 640]
+    assert widths == [(160, 1), (320, 1), (640, 1)]
     assert got == D.kernel_rows(rows, 5)
     assert max(abs(c) for z in got for p in z.values() for c in p.values()) > 2**200
 
@@ -150,7 +216,7 @@ def test_the_kernel_certificate_does_not_share_the_packing(monkeypatch):
         sp_kernel(rows, 4)
 
 
-# one exact power with a probe on the packed engine: the slot width of
+# one exact power with a probe on the packed engine: the slot (K, g) of
 # every elimination, in order, and the number of packed gcds
 _WORK_PROBE = """
 import json
@@ -160,7 +226,7 @@ from braidpow.uqmod import simple_gl2
 
 widths, calls = [], []
 slot, cofactors = qarith._Slot, qarith._cofactors
-qarith._Slot = lambda k: widths.append(k) or slot(k)
+qarith._Slot = lambda k, g: widths.append((k, g)) or slot(k, g)
 qarith._cofactors = lambda *args: calls.append(1) or cofactors(*args)
 dims = power_dims(simple_gl2(4, 0), "sym", 4)
 print(json.dumps([dims, widths, len(calls)]))
@@ -182,3 +248,50 @@ def test_the_exact_work_does_not_depend_on_the_hash_seed():
     dims, widths, calls = runs[0]
     assert dims == [1, 5, 15, 28, 45] and widths and calls
     assert runs[1] == runs[0]
+
+
+# the six exact_cubes requests of the benchmark with a probe on the packed
+# engine: per elimination, whether an entry of its rows has two or more
+# terms, and the slot (K, g) of each start
+_CUBES_PROBE = """
+import io, json
+from contextlib import redirect_stdout
+from braidpow import cli, qarith
+
+runs = []
+slot, packed = qarith._Slot, qarith._packed
+
+def probe_slot(k, g):
+    runs[-1][1].append((k, g))
+    return slot(k, g)
+
+def probe_packed(rows, *args, **kwargs):
+    rows = list(rows)
+    runs.append([any(len(p) > 1 for row in rows for p in row.values()), []])
+    return packed(rows, *args, **kwargs)
+
+qarith._Slot, qarith._packed = probe_slot, probe_packed
+for l in (3, 4, 5):
+    for side in ("sym", "ext"):
+        with redirect_stdout(io.StringIO()):
+            assert cli.run([side + "-power", "--l", str(l), "--n", "3"]) == 0
+print(json.dumps(runs))
+"""
+
+
+def test_the_exact_cubes_pack_at_one_word_in_steps_of_q_squared():
+    # every packed elimination of the exact sym and ext cubes of V_(l,0),
+    # l = 3..5, starts and ends at K = 32; one with an entry of two or
+    # more terms runs in steps g >= 2 (its entries are q-integers and
+    # K-twists, polynomials in q**2 times a power of q), one of monomials
+    # in steps of 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _CUBES_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(out.stdout)
+    assert len(runs) == 160
+    assert all(len(slots) == 1 and slots[0][0] == 32 for _, slots in runs)
+    assert all((slots[0][1] >= 2) == wide for wide, slots in runs)

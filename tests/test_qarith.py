@@ -107,16 +107,6 @@ def test_quantum_integer_specializes_to_classical():
     assert L.leval(L.lqint(5, 3), F(1)) == 5
 
 
-def test_llcm_includes_content():
-    assert L.llcm({0: 4}, {0: 6}) == {0: 12}
-    # 2(q - 1) and 3(q^2 - 1): lcm 6(q^2 - 1), up to units
-    a = {1: 2, 0: -2}
-    b = {2: 3, 0: -3}
-    assert L.llcm(a, b) == {2: 6, 0: -6}
-    assert L.llcm(L.lshift(a, 3), b) == {2: 6, 0: -6}
-    assert L.llcm(a, {}) == {}
-
-
 def test_row_reduce_rank_one():
     q = L.lq(1)
     rows = [{0: L.ONE, 1: q}, {0: L.lq(-1), 1: L.ONE}]
