@@ -189,10 +189,9 @@ def _pack(p: dict, s: _Slot) -> tuple:
 def _repack(p: dict, s: _Slot) -> tuple:
     # a dict entry made by a fallback, with its exact norm and its
     # grading checked
-    lo = min(p)
-    if any((e - lo) % s.step for e in p):
-        raise _Ungraded
     entry = _pack(p, s)
+    if any((e - entry[0]) % s.step for e in p):
+        raise _Ungraded
     if entry[2] > s.room:
         raise _Widen
     return entry
