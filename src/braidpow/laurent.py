@@ -17,12 +17,13 @@ terminate.
 qarith's elimination does not run on these dicts.  It packs each entry
 q**lo * f(q**g), for g the step of its system, as (lo, f(2**K), n1),
 with K a multiple of 32, and strips a row by the heuristic gcd GCDHEU
-at xi = 2**K on the values it holds, with its own proof (see qarith).  These functions are its exact fallback: a packed cofactor or
-quotient that its bounds do not prove is unpacked and computed here, by
-lcofactors or ldiv_exact.  They are also the reference the tests
-compare the packed engine against, an algorithm independent of GCDHEU.
-The kernel certificate reads the unpacked rows with its own evaluation,
-never the packing.
+at xi = 2**K on the values it holds, with its own proof (see qarith);
+a cofactor or quotient its bounds do not prove starts the elimination
+again at 2K.  lgcd, lcofactors and ldiv_exact are the reference the
+tests compare the packed engine against, an algorithm independent of
+GCDHEU, and lgcd and ldiv_exact are layers the benchmark's tracer
+binds by name.  The kernel certificate reads the unpacked rows with its
+own evaluation, never the packing.
 A rational enters a row in two places only: qarith.Subspace.span and
 Subspace.contains clear a caller's denominators, and specialize mode
 maps q0 into F_P with fp.

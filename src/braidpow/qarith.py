@@ -75,12 +75,24 @@ By Gauss's lemma the row's content is the content of its cofactors,
 and it divides c.  A single-digit m (below 2**(K-1)) proves G = 1, so
 a row with m = 1 is only shifted and signed, without reading a digit.
 The sign is that of the first column's value, which has the sign of
-its top digit.  A refused cofactor unpacks the row and strips it with
-laurent.lcofactors, the exact Euclidean gcd (_strip_unpacked), whose
-quotients are again polynomials in t.  The multipliers' gcd (_coprime),
-and the lcm and quotients of the kernel read-off (_lcm, _quotient),
-prove their cofactors by the same bounds, and fall back to
-laurent.lcofactors and ldiv_exact in the same way.
+its top digit.  The multipliers' gcd (_coprime), and the lcm and
+quotients of the kernel read-off (_lcm, _quotient), prove their
+cofactors by the same bounds.
+
+A proof refused at xi = 2**K raises _Widen, as a slot miss does, and
+that one elimination starts again at 2K.  This one restart rule ends.
+An elimination has one pivot path, the same at every width: every
+operation that returns gives the same entry, its n1 included, at every
+K, so the n1 bounds do not depend on K and fit the slot from some
+width on.  A quotient Q = a/b (_quotient) is the same at every width,
+so its proof 2*n1(b)*|Q|_inf < xi holds from some fixed width on.  In
+a strip, the m taken over every value is |G(xi)|*r, where r is the gcd
+of the values of the cofactors f/G.  These are coprime, so r divides a
+fixed nonzero integer, an integer combination of them (for two, their
+resultant).  Once xi > 2*|r|*|G|_inf, the balanced digits of m are the
+coefficients of r*G, so H = G; once also xi > 2*|H|_1*|Q|_inf for every
+cofactor Q, each is accepted.  _coprime is the same argument on two
+entries.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
 over F_P at the fixed unit q = _SCREEN_X (_screen).  That rank is a
@@ -120,15 +132,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import ModuleAuditError
-from .laurent import (
-    ONE,
-    P,
-    ladd,
-    lconst,
-    lcofactors,
-    ldiv_exact,
-    lmul,
-)
+from .laurent import ONE, P, ladd, lconst, lmul
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,8 @@ from .laurent import (
 
 
 class _Widen(Exception):
-    """An entry that an operation would produce might not fit the slot."""
+    """An entry that an operation would produce might not fit the slot,
+    or a cofactor or quotient is past what xi = 2**K proves."""
 
 
 class _Ungraded(Exception):
@@ -184,17 +189,6 @@ def _slot_width(n1: int) -> int:
 def _pack(p: dict, s: _Slot) -> tuple:
     lo, k, g = min(p), s.k, s.step
     return lo, sum(c << k * (e - lo) // g for e, c in p.items()), sum(map(abs, p.values()))
-
-
-def _repack(p: dict, s: _Slot) -> tuple:
-    # a dict entry made by a fallback, with its exact norm and its
-    # grading checked
-    entry = _pack(p, s)
-    if any((e - entry[0]) % s.step for e in p):
-        raise _Ungraded
-    if entry[2] > s.room:
-        raise _Widen
-    return entry
 
 
 def _digits(v: int, s: _Slot) -> list:
@@ -238,8 +232,9 @@ def _packed(rows, run, crosses: bool = True):
     step g (_measure), at the least slot width that holds one cross of
     two of their entries (with crosses False, the entries themselves).
     It starts again at twice the width, and so on, for as long as run
-    raises _Widen, and at g = 1 when it raises _Ungraded.  Each start
-    packs the dict rows afresh."""
+    raises _Widen (a slot miss or a refused proof; the module docstring
+    says why this ends), and at g = 1 when it raises _Ungraded.  Each
+    start packs the dict rows afresh."""
     n1, g = _measure(rows)
     k = _slot_width(2 * n1 * n1 if crosses else n1)
     while True:
@@ -298,15 +293,15 @@ def _cofactors(entries: list, m: int, s: _Slot):
 def _coprime(a: tuple, b: tuple, s: _Slot) -> tuple:
     """(a / G, b / G) for G the primitive gcd of the two entries'
     polynomial parts; a divided entry carries the exact norm of its
-    digits.  laurent.lcofactors, the exact Euclidean gcd, decides when
-    _cofactors refuses."""
+    digits.  When _cofactors refuses, the elimination starts again at
+    2K: the proof holds from some width on (see the module docstring)."""
     m = gcd(a[1], b[1])
     if m < s.half:
         # G(xi) divides m < xi/2, which no nonconstant G does
         return a, b
     got = _cofactors([a, b], m, s)
     if got is None:
-        return tuple(_repack(p, s) for p in lcofactors([_unpack(a, s), _unpack(b, s)]))
+        raise _Widen
     out = []
     for lo, u, d in got:
         n1 = sum(map(abs, d))
@@ -325,8 +320,8 @@ def _strip(row: dict, s: _Slot) -> dict:
     content divides m, so a row with m = 1 is only shifted and signed
     without reading a digit; else _cofactors divides by G.  The content
     is the gcd of the cofactor digits, the sign that of the first
-    column's value (its top digit).  A refused cofactor hands the row to
-    the exact Euclidean gcd of laurent.lcofactors (_strip_unpacked)."""
+    column's value (its top digit).  When both tries are refused, the
+    elimination starts again at 2K (see the module docstring)."""
     if not row:
         return row
     entries = list(row.values())
@@ -340,7 +335,7 @@ def _strip(row: dict, s: _Slot) -> dict:
         if m >= s.half:
             got = _cofactors(entries, m, s) if m != pair else None
             if got is None:
-                return _strip_unpacked(row, s)
+                raise _Widen
     if got is None:
         cont = m
         for _, v, _ in entries:
@@ -364,21 +359,6 @@ def _strip(row: dict, s: _Slot) -> dict:
             raise _Widen
         out[c] = (lo - shift, u // cont, n1)
     return out
-
-
-def _strip_unpacked(row: dict, s: _Slot) -> dict:
-    # _strip's fallback on the unpacked row: the shift, the signed
-    # content and laurent.lcofactors, the exact Euclidean gcd
-    row = _unpack_row(row, s)
-    shift = min(min(p) for p in row.values())
-    cont = 0
-    for p in row.values():
-        cont = gcd(cont, *p.values())
-    lead = row[min(row)]
-    if lead[max(lead)] < 0:
-        cont = -cont
-    row = {c: {e - shift: v // cont for e, v in p.items()} for c, p in row.items()}
-    return {c: _repack(p, s) for c, p in zip(row, lcofactors(list(row.values())))}
 
 
 def srow_strip(row: dict) -> dict:
@@ -577,17 +557,18 @@ def _quotient(a: tuple, b: tuple, s: _Slot) -> tuple:
     """a / b for an entry b that divides a: the digit polynomial Q of
     a(xi) / b(xi), kept when 2*n1(b)*|Q|_inf < xi.  Then b*Q and a have
     every coefficient below xi/2 and one value at xi, so they are equal
-    (the module docstring's proof); else laurent.ldiv_exact, exact long
-    division, decides."""
+    (the module docstring's proof); else the elimination starts again at
+    2K, since Q is the same at every width.  A remainder proves that b
+    does not divide a, and raises ValueError, as laurent.ldiv_exact
+    does."""
     u, rest = divmod(a[1], b[1])
-    if not rest:
-        d = _digits(u, s)
-        if 2 * b[2] * max(map(abs, d)) < s.xi:
-            n1 = sum(map(abs, d))
-            if n1 > s.room:
-                raise _Widen
-            return a[0] - b[0], u, n1
-    return _repack(ldiv_exact(_unpack(a, s), _unpack(b, s)), s)
+    if rest:
+        raise ValueError("inexact polynomial division")
+    d = _digits(u, s)
+    n1 = sum(map(abs, d))
+    if 2 * b[2] * max(map(abs, d)) >= s.xi or n1 > s.room:
+        raise _Widen
+    return a[0] - b[0], u, n1
 
 
 def _kernel_rows(rows, ncols: int) -> list[dict]:

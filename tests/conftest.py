@@ -5,11 +5,13 @@ result memoized on an instance (tensor products, braided squares, power
 levels) lives on it.  Clearing the two caches drops all of it, so a test
 that patches a builder sees it called, whatever ran before.
 
-evaluated_at is the one helper the tests share: an exact subspace read
-at a sample point, to compare with the subspace computed there."""
+The tests share two helpers: evaluated_at, an exact subspace read at a
+sample point, to compare with the subspace computed there, and
+slot_widths, the slots of the packed eliminations a test starts."""
 
 import pytest
 
+from braidpow import qarith
 from braidpow.laurent import P, fp, leval_fp
 from braidpow.qarith import Subspace
 from braidpow.uqmod import simple_gl2, standard_gld
@@ -27,3 +29,12 @@ def evaluated_at(sub: Subspace, q0) -> Subspace:
     x = fp(q0)
     rows = [{c: leval_fp(p, x) for c, p in row.items()} for row in sub.rows]
     return Subspace.from_sparse(sub.ambient, rows, P)
+
+
+def slot_widths(monkeypatch) -> list:
+    """The slot (K, g) of every packed elimination started from now on,
+    in order: one per start, so a restart adds one."""
+    widths = []
+    slot = qarith._Slot
+    monkeypatch.setattr(qarith, "_Slot", lambda k, g: widths.append((k, g)) or slot(k, g))
+    return widths

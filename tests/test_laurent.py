@@ -5,11 +5,15 @@ coefficients of every row the sparse engine and the F_P kernel
 return."""
 
 from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_engine as D
+from conftest import slot_widths
+
 from braidpow import laurent as L
 from braidpow import qarith
 from braidpow.braided import module_square, power_weight_rows, square_gl2
@@ -305,13 +309,13 @@ def _start_width(row):
     return qarith._slot_width(qarith._measure([row])[0])
 
 
-def test_value_quotient_refuses_digits_past_the_bound():
+def test_value_quotient_refuses_digits_past_the_bound(monkeypatch):
     # c (1 - q^3) = c (1 - q)(1 + q + q^2) beside H = 1 + q + q^2, in
     # 32-bit slots, for c = 2**30 - 1: H(2**32) divides both values, and
     # the digits of the first quotient are the cofactor c (1 - q), but
     # 2 |H|_1 * c = 6c is past xi = 2**32, so the bound refuses it.  The
-    # strip then takes the exact Euclidean gcd and still returns the
-    # reference row
+    # strip then starts again at 64 bits, where 6c < xi proves the
+    # cofactor, and returns the reference row
     c = 2**30 - 1
     h = {0: 1, 1: 1, 2: 1}
     row = {0: {0: c, 3: -c}, 1: h}
@@ -322,7 +326,9 @@ def test_value_quotient_refuses_digits_past_the_bound():
     assert all(v % hv == 0 for _, v, _ in entries)
     assert qarith._digits(entries[0][1] // hv, s) == [c, -c]
     assert qarith._cofactors(entries, hv, s) is None
+    widths = slot_widths(monkeypatch)
     assert srow_strip(row) == D.strip(row) == {0: {0: -c, 1: c}, 1: {0: -1}}
+    assert widths == [(32, 1), (64, 1)]
 
 
 def test_value_quotient_needs_the_operand_bound():
@@ -337,43 +343,64 @@ def test_value_quotient_needs_the_operand_bound():
     entries = _packed_entries({0: f, 1: h}, s)
     assert [v for _, v, _ in entries] == [2**32 + 1, 2**32 + 1]
     assert qarith._cofactors(entries, 2**32 + 1, s) == [(0, 1, [1]), (0, 1, [1])]
-    with pytest.raises(qarith._Widen):
-        qarith._repack(f, s)
+    assert qarith._pack(f, s)[2] > s.room
     row = {0: f, 1: h}
     assert _start_width(row) == 64
     assert L.lgcd(f, h) == L.ONE
     assert srow_strip(row) == D.strip(row) == row
 
 
-def test_cofactors_past_the_bound_come_from_the_long_division(monkeypatch):
+def test_coprime_entries_whose_values_share_a_large_factor_restart(monkeypatch):
+    # q - 5 and the polynomial f whose coefficients are the base-5 digits
+    # of p = 2**32 - 5 are coprime, since f(5) = p; but at xi = 2**32 both
+    # values are multiples of the prime p, and p >= 2**31 has the two
+    # balanced digits of the candidate q - 5.  No cofactor of f is proved,
+    # so the strip starts again at 64 bits, where the values share no
+    # factor that large, and returns the row as it is
+    p, digits = 2**32 - 5, []
+    n = p
+    while n:
+        n, d = divmod(n, 5)
+        digits.append(d)
+    f = {e: d for e, d in enumerate(digits) if d}
+    row = {0: {0: -5, 1: 1}, 1: f}
+    assert L.leval(f, 5) == p and L.lgcd(*row.values()) == L.ONE
+    s = qarith._Slot(32, 1)
+    assert _start_width(row) == 32
+    assert gcd(*(v for _, v, _ in _packed_entries(row, s))) == p
+    widths = slot_widths(monkeypatch)
+    assert srow_strip(row) == D.strip(row) == row
+    assert widths == [(32, 1), (64, 1)]
+
+
+def test_cofactors_past_the_bound_restart_at_twice_the_width(monkeypatch):
     # c (1 - q^3) beside multiples of H = 1 + q + q^2, with c near the
-    # largest the slot holds: the cofactor c (1 - q) is past the digit
-    # bound 2 |H|_1 |Q|_inf < xi at every slot width, so the strip hands
-    # the row to the Euclidean fold and its long division.  In q**2 the
-    # row packs in steps of 2, and the fold's quotients pack back in them
-    folded = []
-    lcofactors = qarith.lcofactors
-    monkeypatch.setattr(qarith, "lcofactors", lambda polys: folded.append(1) or lcofactors(polys))
+    # largest the start slot holds: the cofactor c (1 - q) is past the
+    # digit bound 2 |H|_1 |Q|_inf < xi at each start width K, so the strip
+    # starts again at 2K, where the bound proves it.  In q**2 the row
+    # packs in steps of 2 at both widths
+    widths = slot_widths(monkeypatch)
     h = {0: 1, 1: 1, 2: 1}
     for k, c in ((32, 2**30 - 1), (64, 2**62 - 1), (96, 2**94 - 1)):
         for step in (1, 2):
             row = {0: {0: c, 3: -c}, 1: L.lshift(L.lmul(h, {0: 1, 1: 2}), -3), 2: h}
             row = {i: in_steps(p, step) for i, p in row.items()}
             assert _start_width(row) == k and qarith._measure([row])[1] == step
-            folded.clear()
+            widths.clear()
             want = {0: {3: -c, 4: c}, 1: {0: -1, 1: -2}, 2: {3: -1}}
             want = {i: in_steps(p, step) for i, p in want.items()}
             assert srow_strip(row) == D.strip(row) == want
-            assert folded == [1]
+            assert widths == [(k, step), (2 * k, step)]
 
 
 def test_value_quotients_serve_the_cube_strips(monkeypatch):
     # the common case: on the l = 3 cubes the packed engine reads every
     # cofactor and quotient off the values at xi = 2**K
-    # (qarith._cofactors, qarith._quotient); none falls back to the exact
-    # Euclidean gcd or long division, which would be a silent slowdown
-    served, fallbacks = [], []
-    cofactors, lcofactors, ldiv_exact = qarith._cofactors, qarith.lcofactors, qarith.ldiv_exact
+    # (qarith._cofactors, qarith._quotient) at the width it starts at; no
+    # elimination starts again at a wider slot, which would be a silent
+    # slowdown
+    served, started = [], []
+    cofactors, packed = qarith._cofactors, qarith._packed
 
     def value(*args):
         quos = cofactors(*args)
@@ -382,12 +409,13 @@ def test_value_quotients_serve_the_cube_strips(monkeypatch):
         return quos
 
     monkeypatch.setattr(qarith, "_cofactors", value)
-    monkeypatch.setattr(qarith, "lcofactors", lambda polys: fallbacks.append(1) or lcofactors(polys))
-    monkeypatch.setattr(qarith, "ldiv_exact", lambda a, b: fallbacks.append(1) or ldiv_exact(a, b))
+    monkeypatch.setattr(qarith, "_packed", lambda *args, **kw: started.append(1) or packed(*args, **kw))
+    widths = slot_widths(monkeypatch)
     V = simple_gl2(3, 0)
     for side in ("sym", "ext"):
         power_weight_rows(V, side, 3)
-    assert served and not fallbacks
+    assert served and started
+    assert len(widths) == len(started)
 
 
 def _plain_cross(row, pivot_row, col):

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dict_engine as D
+from conftest import slot_widths
+
 from braidpow import laurent as L
 from braidpow import qarith
 from braidpow.errors import ModuleAuditError
@@ -74,14 +76,6 @@ def graded_systems(draw):
             {j: L.lmul(L.lshift(in_steps(p, g), r + cols[j]), factor) for j, p in row.items()}
         )
     return n, rows
-
-
-def slot_widths(monkeypatch):
-    """The slot (K, g) of every packed elimination, in order."""
-    widths = []
-    slot = qarith._Slot
-    monkeypatch.setattr(qarith, "_Slot", lambda k, g: widths.append((k, g)) or slot(k, g))
-    return widths
 
 
 @FIXED
@@ -162,10 +156,11 @@ def test_a_kernel_past_its_starting_slot_restarts_at_twice_the_width(monkeypatch
     assert max(abs(c) for z in got for p in z.values() for c in p.values()) > 2**200
 
 
-def test_a_refused_packed_cofactor_falls_back_to_lcofactors(monkeypatch):
-    # when the packed proof refuses every cofactor, each strip that meets
-    # a common factor goes through laurent.lcofactors, the exact
-    # Euclidean gcd, with the same rows
+def test_a_refused_packed_cofactor_restarts_at_twice_the_width(monkeypatch):
+    # when the packed proof refuses every cofactor at 32 bits, each of the
+    # four eliminations below (two strips, an echelon form and a kernel)
+    # meets the common factor g, starts again at 64 bits in the same
+    # steps of q, and returns the rows of the unrefused run
     g = {-1: 2, 1: 1, 2: 3}
     rows = [
         {0: L.lmul(u, g), 1: L.lmul(v, g), 2: L.lmul(w, g)}
@@ -174,23 +169,46 @@ def test_a_refused_packed_cofactor_falls_back_to_lcofactors(monkeypatch):
             ({1: 1}, {0: 2, 1: 1}, {0: -1, 3: 4}),
         )
     ]
-    want = (
-        [srow_strip(r) for r in rows],
-        sp_span_echelon(rows),
-        sp_kernel(rows, 3),
+
+    def run():
+        return [srow_strip(r) for r in rows], sp_span_echelon(rows), sp_kernel(rows, 3)
+
+    want = run()
+    cofactors = qarith._cofactors
+    monkeypatch.setattr(
+        qarith, "_cofactors", lambda entries, m, s: None if s.k == 32 else cofactors(entries, m, s)
     )
-    folded = []
-    lcofactors = qarith.lcofactors
-    monkeypatch.setattr(qarith, "_cofactors", lambda *args: None)
-    monkeypatch.setattr(qarith, "lcofactors", lambda polys: folded.append(1) or lcofactors(polys))
-    got = (
-        [srow_strip(r) for r in rows],
-        sp_span_echelon(rows),
-        sp_kernel(rows, 3),
-    )
-    assert got == want
+    widths = slot_widths(monkeypatch)
+    assert run() == want
     assert want[0] == [D.strip(r) for r in rows]
-    assert folded
+    assert widths == [(32, 1), (64, 1)] * 4
+
+
+def test_a_refused_quotient_proof_restarts_the_kernel_at_twice_the_width(monkeypatch):
+    # the pivot entries C (1 - q)^2 A and 30000 C A, for A = 1 + q + ... +
+    # q^4 and C = 8191, share A.  The read-off divides their lcm
+    # 30000 C (1 - q)^2 A by the second, exactly, to (1 - q)^2; but the
+    # second's norm is 5 * 30000 C, and the proof 2 * n1(b) * |Q|_inf =
+    # 2 * 5 * 30000 C * 2 is past xi = 2**32.  The kernel starts again at
+    # 64 bits, where the proof holds, and returns the dict engine's row
+    c, a, g = 8191, {e: 1 for e in range(5)}, {0: 1, 1: -2, 2: 1}
+    rows = [{0: L.lscale(L.lmul(g, a), c), 2: {0: 1}}, {0: g, 1: {0: 30000}, 2: {0: 1}}]
+    refused = []
+    quotient = qarith._quotient
+
+    def counted(x, y, s):
+        try:
+            return quotient(x, y, s)
+        except qarith._Widen:
+            refused.append((s.k, y[2]))
+            raise
+
+    monkeypatch.setattr(qarith, "_quotient", counted)
+    widths = slot_widths(monkeypatch)
+    got = sp_kernel(rows, 3)
+    assert widths == [(32, 1), (64, 1)]
+    assert refused == [(32, 5 * 30000 * c)]
+    assert got == D.kernel_rows(rows, 3)
 
 
 def test_the_kernel_certificate_does_not_share_the_packing(monkeypatch):
