@@ -1,14 +1,17 @@
 """Command line front end.
 
-Every run prints one JSON envelope to stdout: command echo, config,
-payload, verdicts, conjecture flags, and the wall time.  The payload is
-deterministic for identical argv + seed (wall time lives outside it),
-so runs can be diffed byte for byte.  Exit codes: 0 when every verdict
-passes, 2 when a theorem check fails or the run itself fails (any
-unexpected exception gives the payload {"error": "internal", ...} and
-the verdict run: fail), 1 on usage or guard errors and on a --csv path
-that cannot be written.  Size guards live only here: one table, _GUARDS,
-holds each guarded command's rule, checked before the handler runs.
+Every run past argument checking prints one JSON envelope to stdout:
+command echo, config, payload, verdicts, conjecture flags, and the wall
+time.  The payload is deterministic for identical argv + seed (wall
+time lives outside it), so runs can be diffed byte for byte.  Exit
+codes: 0 when every verdict passes, 2 when a theorem check fails or the
+run itself fails (any unexpected exception gives the payload
+{"error": "internal", ...} and the verdict run: fail), 1 on a guard
+error and on a --csv path that cannot be written, each in an envelope.
+A usage error (a bad or missing argument, or specialize mode without
+--seed) prints "usage error: ..." to stderr and no envelope, and exits
+1.  Size guards live only here: one table, _GUARDS, holds each guarded
+command's rule, checked before the handler runs.
 Closed forms live only in braided: a power's and a triple product's
 verdicts are braided.closed_form_verdicts of the computed decomposition,
 so one off its closed form is printed with a fail verdict rather than

@@ -112,8 +112,18 @@ fault in packing or unpacking cannot certify its own result.
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1 (_fp_insert,
 fp_rref's step, also ranks the screen), and a Subspace over F_p holds
-fp_rref's rows.  An F_p kernel is not certified: a specialized run is
-evidence at its samples, not a proof (see braided.run_mode).
+fp_rref's rows.  fp_rref inserts its rows in decreasing order of their
+leading column, so a new pivot mostly lies left of every stored pivot
+row and no stored row is rewritten to clear it.  The order changes the
+work only: a row space has one reduced echelon basis, so fp_rref,
+fp_kernel, span_basis and Subspace return the same rows for every
+order.  _fp_insert accumulates a row's reduction as plain ints and
+takes each entry mod p once, at the end.  The screen inserts its rows
+in their given order, because the rows it raises are the ones the
+exact elimination then takes (sp_kernel), and another order would
+choose other rows and so other exact work.  An F_p kernel is not
+certified: a specialized run is evidence at its samples, not a proof
+(see braided.run_mode).
 
 Each field has one entry type: a Laurent dict over Q(q), an int over
 F_p (reduced to 0 < c < p wherever this module returns one).  This is
@@ -486,7 +496,12 @@ def _screen(rows, ncols: int, x: int = _SCREEN_X) -> list[int]:
     length is that rank.  Evaluation at a unit is a ring map from
     Z[q, 1/q] to F_P, so a minor that is nonzero at the point is nonzero
     over Q(q): the rank is a lower bound of the exact one, and the rows
-    it picks are independent over Q(q)."""
+    it picks are independent over Q(q).
+
+    The rows go to _fp_insert in their given order, not fp_rref's
+    sorted one: the rank does not depend on the order, but the raised
+    rows do, and they are the equations sp_kernel eliminates exactly,
+    so another order would change the exact engine's work."""
     # x**e once per exponent of the system, where leval_fp would take a
     # pow per term
     powers: dict[int, int] = {}
@@ -501,8 +516,9 @@ def _screen(rows, ncols: int, x: int = _SCREEN_X) -> list[int]:
                 if xe is None:
                     xe = powers[e] = pow(x, e, P)
                 v += coeff * xe
-            image[c] = v
-        # _fp_insert reduces the values mod P
+            v %= P
+            if v:
+                image[c] = v
         if _fp_insert(piv, image, P):
             raised.append(i)
             if len(raised) == ncols:
@@ -741,15 +757,26 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
 #
 # Specialize mode eliminates rows {col: int} over F_p directly, without
 # Laurent entries.  A row is kept in reduced row echelon form with its
-# pivot scaled to 1, so an update is row -= f * pivot_row mod p and
-# touches only the free columns of the pivot row.
+# pivot scaled to 1, so a reduction subtracts f * pivot_row and touches
+# only the pivot column and the free columns of the pivot row.
 
 
 def fp_rref(rows, p: int, ncols: int | None = None) -> dict:
     """Reduced row echelon form over F_p of rows {col: int} as
     {pivot col: row}: each row has pivot entry 1 and no entry in another
     pivot column.  Entries are reduced mod p on the way in, so one that p
-    divides is zero and never a pivot.  Stops once ncols pivots exist."""
+    divides is zero and never a pivot.  Stops once ncols pivots exist.
+
+    The rows are inserted in decreasing order of their leading column
+    (a stable sort).  A stored pivot row's entries lie at or right of
+    the leading column of the row it came from, so a row whose leading
+    column is not a pivot yet becomes a pivot left of every stored one,
+    which no stored row has an entry in: none has to be rewritten to
+    clear it.  Only a row that is reduced past its leading column can
+    land between stored pivots.  A row space has exactly one reduced
+    echelon basis, so the order changes the work and never the result."""
+    rows = [r for row in rows if (r := {c: s for c, v in row.items() if (s := v % p)})]
+    rows.sort(key=min, reverse=True)
     piv: dict[int, dict] = {}
     for row in rows:
         if _fp_insert(piv, row, p) and len(piv) == ncols:
@@ -758,19 +785,22 @@ def fp_rref(rows, p: int, ncols: int | None = None) -> dict:
 
 
 def _fp_insert(piv: dict, row: dict, p: int) -> bool:
-    """Reduce row against the reduced echelon rows piv over F_p; on a new
-    pivot, scale it to 1, clear its column from the other rows, store
-    it and return True."""
-    row = {c: v % p for c, v in row.items() if v % p}
-    for c in [c for c in row if c in piv]:
-        f = row.pop(c)
-        for k, v in piv[c].items():
-            if k != c:
-                s = (row.get(k, 0) - f * v) % p
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
+    """Reduce row, entries 0 < c < p, against the reduced echelon rows
+    piv over F_p; on a new pivot, scale it to 1, clear its column from
+    the other rows, store it and return True.
+
+    The reduction is accumulated as plain ints and each entry is taken
+    mod p once, at the end.  The row's entries in pivot columns are the
+    multipliers: a pivot row has no entry in another pivot column, so
+    no subtraction changes them, and each one's own pivot row (pivot
+    entry 1) leaves exactly 0 there."""
+    acc = dict(row)
+    for c, f in row.items():
+        prow = piv.get(c)
+        if prow is not None:
+            for k, v in prow.items():
+                acc[k] = acc.get(k, 0) - f * v
+    row = {k: s for k, v in acc.items() if (s := v % p)}
     if not row:
         return False
     j = min(row)
@@ -778,15 +808,15 @@ def _fp_insert(piv: dict, row: dict, p: int) -> bool:
     if inv != 1:
         row = {k: v * inv % p for k, v in row.items()}
     for prow in piv.values():
-        f = prow.pop(j, 0)
+        f = prow.get(j)
         if f:
+            # row[j] == 1, so the pivot column's entry goes to 0 here too
             for k, v in row.items():
-                if k != j:
-                    s = (prow.get(k, 0) - f * v) % p
-                    if s:
-                        prow[k] = s
-                    else:
-                        del prow[k]
+                s = (prow.get(k, 0) - f * v) % p
+                if s:
+                    prow[k] = s
+                else:
+                    del prow[k]
     piv[j] = row
     return True
 
