@@ -3,16 +3,15 @@
 Everything runs over the field of rational functions in q with no
 floating point anywhere.  Its linear algebra works on rows of Laurent
 polynomials with int coefficients; a caller's rationals are cleared
-once, where Subspace.span or Subspace.contains takes a row.  A seeded
-specialization mode estimates the heavier dimension counts over the
-prime field F_P at two sampled evaluation points instead, which is
-evidence rather than proof.
+once, where Subspace.span takes a row.  A seeded specialization mode
+estimates the heavier dimension counts over the prime field F_P at two
+sampled evaluation points instead, which is evidence rather than
+proof.
 """
 
 from .braided import (
     BraidedSquarePair,
     admissible_triples,
-    braided_power,
     closed_form_verdicts,
     closed_forms,
     conjectural_sym_dim,
@@ -30,7 +29,6 @@ from .braided import (
     power_dims,
     square_gl2,
     square_matrix_module,
-    square_standard,
     sym_cube_closed,
     sym_cube_decomposition,
     triple_product,
@@ -83,7 +81,6 @@ __all__ = [
     "TheoremViolation",
     "WeightModule",
     "admissible_triples",
-    "braided_power",
     "bracket_lam",
     "bracket_sym",
     "certify_max",
@@ -124,7 +121,6 @@ __all__ = [
     "specialize_module",
     "square_gl2",
     "square_matrix_module",
-    "square_standard",
     "standard_gld",
     "super_jacobian",
     "sym_cube_closed",

@@ -25,9 +25,8 @@ written once per field.  Both kernels return the unique reduced basis
 of the kernel, so each level is canonical relative to the one below,
 and the Q(q) kernel certifies its result (qarith.sp_kernel), so every
 exact block dim is proved, given the level below and Ann(P^2), which
-are certified the same way.  A level is expanded into V^{ox n}
-(_expand, _absolute) only where rows of V^{ox n} are read: by
-braided_power.
+are certified the same way.  Every dim and every decomposition is
+read off the relative tower; no level is expanded into V^{ox n}.
 
 Every square, over either field and of any module, is built by one
 route (_square_sides), and one function decides which side each summand
@@ -66,14 +65,13 @@ here happens once per module object and is stored on it
 (WeightModule._stored): module_square(V) stores its pair on V, and
 each level P^n of (V, kind) has one entry on V (_Level), which holds
 its weight blocks, each built once (_blocks) whether a decomposition's
-dominant blocks or the full level (_level) come first, and its rows as
-vectors of V^{ox n} once read (_vectors).  Every power call reads
-through _level and _blocks.  The gl_2 simples and standard modules are
-shared instances (see uqmod), so every stage of one process reuses
-their squares and levels.  Stored rows and subspaces are read-only.  A
-failed construction is not stored: a level that fails to build, to
-pass its Weyl check or to decompose drops its entry and those above it
-(_dropping), and the next call builds it again.
+dominant blocks or the full level (_level) come first.  Every power
+call reads through _level and _blocks.  The gl_2 simples and standard
+modules are shared instances (see uqmod), so every stage of one process
+reuses their squares and levels.  Stored rows and subspaces are
+read-only.  A failed construction is not stored: a level that fails to
+build, to pass its Weyl check or to decompose drops its entry and those
+above it (_dropping), and the next call builds it again.
 
 The closed forms a power must match are one table, closed_forms(V, kind,
 n), read off V's family, and triple_closed_forms for the triple
@@ -291,11 +289,6 @@ def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
     return _square_sides(V)
 
 
-def square_standard(d: int) -> BraidedSquarePair:
-    """Braided square of the vector representation of gl_d."""
-    return module_square(standard_gld(d))
-
-
 def _square_of_standard(V: WeightModule) -> BraidedSquarePair:
     return _square_sides(V)
 
@@ -343,11 +336,9 @@ def _side_annihilator(m: WeightModule, tops) -> dict:
 @dataclass
 class _Level:
     # the one entry of P^n on V: its blocks built so far, {weight: rows}
-    # with [] for an empty one; the full level once built and checked;
-    # its rows in level order as vectors of V^(ox n) once read (_vectors)
+    # with [] for an empty one, and the full level once built and checked
     blocks: dict = field(default_factory=dict)
     full: dict | None = None
-    vectors: list | None = None
 
 
 def _entry(V: WeightModule, kind: str, n: int) -> _Level:
@@ -375,10 +366,10 @@ def _level(V: WeightModule, kind: str, n: int) -> dict:
     rows and P^2 the side's rows as module_square built them: vectors of
     V^(ox n).  From degree 3 a level is all its _blocks, in both fields
     the row {a * d + b: c} standing for sum c * (row a of P^(n-1), in
-    level order: weights sorted, then row order) ox e_b, which _absolute
-    expands.  Each level's weight dims must be Weyl symmetric
-    (check_weyl_symmetric), in both fields: a full level is the
-    character of a module."""
+    level order: weights sorted, then row order) ox e_b, a coordinate
+    row over P^(n-1) ox V.  Each level's weight dims must be Weyl
+    symmetric (check_weyl_symmetric), in both fields: a full level is
+    the character of a module."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     entry = _entry(V, kind, n)
@@ -468,7 +459,7 @@ def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) 
     order).  Both kernels return the unique reduced basis of the kernel
     (sp_kernel's rows stripped), so a block is canonical relative to
     prev, and sp_kernel certifies its rows, so over Q(q) the block's dim
-    is proved.  _expand multiplies the rows out over prev."""
+    is proved."""
     d, p = back.dim, back.modulus
     unknowns: dict[tuple, list] = {}
     a = 0
@@ -509,51 +500,6 @@ def _level_rows(level: dict) -> list:
     # the rows of a level {weight: rows} in level order: weights sorted,
     # then row order
     return [row for w in sorted(level) for row in level[w]]
-
-
-def _expand(blocks: dict, below: list, d: int, p) -> dict:
-    """blocks {weight: rows} of relative rows, the row {a * d + b: t}
-    standing for sum t * below[a] ox e_b, as those vectors: each row's
-    image under the front map {a * d + b: below[a] ox e_b}, by sp_apply
-    over Q(q) (p None) or F_p."""
-    front = {
-        a * d + b: {c * d + b: v for c, v in row.items()}
-        for a, row in enumerate(below)
-        for b in range(d)
-    }
-    return {w: [sp_apply(front, row, p) for row in rows] for w, rows in blocks.items()}
-
-
-def _vectors(V: WeightModule, kind: str, n: int) -> list:
-    # the rows of P^n in level order as vectors of V^(ox n), expanded the
-    # first time they are read and kept in P^n's entry
-    entry = _entry(V, kind, n)
-    if entry.vectors is None:
-        entry.vectors = _level_rows(_absolute(V, kind, n, _level(V, kind, n)))
-    return entry.vectors
-
-
-def _absolute(V: WeightModule, kind: str, n: int, blocks: dict) -> dict:
-    """blocks {weight: rows} of P^n as vectors of V^(ox n).  Levels 0 to 2
-    already are; from degree 3 the blocks are expanded over the rows of
-    P^(n-1) as vectors (_vectors), so each level below is expanded once."""
-    if n < 3:
-        return blocks
-    return _expand(blocks, _vectors(V, kind, n - 1), V.dim, V.modulus)
-
-
-def power_weight_rows(V: WeightModule, kind: str, n: int) -> dict:
-    """The n-th braided power of the kind ("sym" or "ext") side of V ox V
-    as _level stores it, {weight: rows}: from degree 3 coordinates over
-    P^(n-1) ox V, in both fields (_absolute expands them)."""
-    return _level(V, kind, n)
-
-
-def braided_power(V: WeightModule, kind: str, n: int) -> Subspace:
-    """n-th braided power of the kind side of V ox V, in both fields the
-    level expanded into V^(ox n) (_absolute) and echelonized."""
-    level = power_weight_rows(V, kind, n)
-    return weight_rows_subspace(V.dim**n, _absolute(V, kind, n, level), V.modulus)
 
 
 def power_dims(V: WeightModule, kind: str, up_to: int) -> list[int]:

@@ -78,16 +78,6 @@ def ell_minus(lam, label, i: int) -> int:
     raise ValueError("generator index must be 1 or 2")
 
 
-def ell_plus(lam, label, i: int) -> int:
-    """Remaining E_i height of a basis label (1-based generator)."""
-    m1, m2, m12, m21 = label
-    if i == 1:
-        return m1 + m21
-    if i == 2:
-        return m2 + m12
-    raise ValueError("generator index must be 1 or 2")
-
-
 def dcb_labels(lam) -> tuple:
     """All labels, sorted by weight (descending) and then by ell_1^-.
     Within one weight space ell_1^- takes each value once, so the order
@@ -215,15 +205,6 @@ def d_minus(lam, beta, i: int) -> int:
         return _pos(beta[0] - lam[1]) + _pos(lam[1] - beta[1])
     if i == 2:
         return _pos(lam[1] - beta[2]) + _pos(beta[1] - lam[1])
-    raise ValueError("generator index must be 1 or 2")
-
-
-def d_plus(lam, beta, i: int) -> int:
-    """Smallest ell_i^+ on the beta weight space."""
-    if i == 1:
-        return d_minus(lam, beta, 1) + beta[1] - beta[0]
-    if i == 2:
-        return d_minus(lam, beta, 2) + beta[2] - beta[1]
     raise ValueError("generator index must be 1 or 2")
 
 

@@ -7,26 +7,24 @@ and the zero test is emptiness.  No floats anywhere.
 
 The ring operations (lconst, ladd, lsub, lneg, lmul, lscale, lshift,
 lbar, leval) take any exact coefficients and use them as given.
-Content, gcd and exact division (lcontent, lprimitive, ldiv_exact, lgcd,
-lcofactors) work in Z[q, 1/q] and take int coefficients only, as do the
-rows of the sparse engine in qarith.  lgcd is the Euclidean loop by
-pseudo-division, lcofactors the pairwise lgcd fold followed by
-ldiv_exact, and ldiv_exact long division: exact algorithms that always
-terminate.
+Content, gcd and exact division (lcontent, lprimitive, ldiv_exact and
+lgcd) work in Z[q, 1/q] and take int coefficients only, as do the rows
+of the sparse engine in qarith.  lgcd is the Euclidean loop by
+pseudo-division and ldiv_exact long division: exact algorithms that
+always terminate.
 
 qarith's elimination does not run on these dicts.  It packs each entry
 q**lo * f(q**g), for g the step of its system, as (lo, f(2**K), n1),
 with K a multiple of 32, and strips a row by the heuristic gcd GCDHEU
 at xi = 2**K on the values it holds, with its own proof (see qarith);
 a cofactor or quotient its bounds do not prove starts the elimination
-again at 2K.  lgcd, lcofactors and ldiv_exact are the reference the
-tests compare the packed engine against, an algorithm independent of
-GCDHEU, and lgcd and ldiv_exact are layers the benchmark's tracer
-binds by name.  The kernel certificate reads the unpacked rows with its
-own evaluation, never the packing.
-A rational enters a row in two places only: qarith.Subspace.span and
-Subspace.contains clear a caller's denominators, and specialize mode
-maps q0 into F_P with fp.
+again at 2K.  lgcd and ldiv_exact are the reference the tests compare
+the packed engine against, an algorithm independent of GCDHEU, and
+layers the benchmark's tracer binds by name.  The kernel certificate
+reads the unpacked rows with its own evaluation, never the packing.
+A rational enters a row in two places only: qarith.Subspace.span
+clears a caller's denominators, and specialize mode maps q0 into F_P
+with fp.
 
 Specialize mode evaluates q at the image x of a rational sample point
 in the prime field F_P, P = 2**61 - 1 (fp, leval_fp).  A specialized
@@ -238,16 +236,3 @@ def lgcd(a: dict, b: dict) -> dict:
         _, r = _divmod_poly(lscale(x, y[dy] ** (max(x) - dy + 1)), y)
         x, y = y, _unit_normal(r)
     return x
-
-
-def lcofactors(polys: list) -> list:
-    """The quotients p / G of nonzero int-coefficient polynomials by
-    their gcd G (unit normal, as lgcd gives it), in order: each keeps its
-    sign, content and q power, and the common factor of positive degree
-    is gone.  A pairwise lgcd fold, then ldiv_exact by G."""
-    g: dict = {}
-    for p in polys:
-        g = lgcd(p, g)
-        if g == ONE:
-            return list(polys)
-    return [ldiv_exact(p, g) for p in polys]

@@ -3,16 +3,16 @@
 The sp_* routines are a sparse fraction-free elimination over Laurent
 rows: a row is a dict {column: Laurent dict} that stores no zero entry
 and holds int coefficients only.  Dict rows are the boundary only.
-sp_echelon, sp_pivot_insert, sp_kernel's elimination (_kernel_rows) and
-srow_strip pack every entry, eliminate the packed rows and unpack the
-result, and span_basis, sp_rank and sp_kernel go through them.  A
-reduced echelon basis of stripped rows is the canonical form of a
-subspace.  sp_intersect is the reference meet of the tests; the braided
-power step (braided._meet_step) keeps its kernel vectors as coordinates
-over the level below, so its meet takes no second elimination.
-Subspace.span and Subspace.contains are the one boundary for
-rationals: they clear the denominators of a caller's row before it
-enters the engine.
+sp_echelon, sp_kernel's elimination (_kernel_rows) and srow_strip are
+the three entry points that pack every entry, eliminate the packed rows
+and unpack the result (each through _packed), and span_basis, sp_rank
+and sp_kernel go through them.  A reduced echelon basis of stripped
+rows is the canonical form of a subspace.  sp_intersect is the
+reference meet of the tests; the braided power step
+(braided._meet_step) keeps its kernel vectors as coordinates over the
+level below, so its meet takes no second elimination.  Subspace.span is
+the one boundary for rationals: it clears the denominators of a
+caller's rows before they enter the engine.
 
 Packed entries.  Each elimination has a step g: the gcd of the
 exponent differences inside the entries of its input rows, or 1 when
@@ -435,7 +435,8 @@ def _cross(row: dict, pivot_row: dict, col: int, s: _Slot) -> dict:
 
 
 def _insert(piv: dict, row: dict, s: _Slot):
-    # sp_pivot_insert on packed rows
+    # reduce a packed row against the pivots; store and return it as a
+    # new pivot row, or return None when it reduces to zero
     while row:
         c = min(row)
         hit = piv.get(c)
@@ -534,24 +535,6 @@ def sp_rank(rows) -> int:
     if len(_screen(rows, full)) == full:
         return full
     return len(sp_echelon(rows, reduced=False))
-
-
-def sp_pivot_insert(piv: dict, row: dict):
-    """Reduce row against the pivot dict in place; on a new pivot, store
-    the stripped row and return it, else return None.  The pivot rows
-    and row are packed for the reduction, and a new pivot row unpacked."""
-    pivots = list(piv.values())
-
-    def run(packed, s):
-        *held, new = packed
-        got = _insert(dict(zip(piv, held)), new, s)
-        return None if got is None else (min(got), _unpack_row(got, s))
-
-    found = _packed([*pivots, row], run)
-    if found is None:
-        return None
-    c, piv[c] = found
-    return piv[c]
 
 
 def _lcm(a: tuple, b: tuple, s: _Slot) -> tuple:
@@ -706,23 +689,11 @@ def sp_span_echelon(rows) -> list[dict]:
     return [piv[c] for c in sorted(piv)]
 
 
-def sp_annihilator(rows, cols) -> list[dict]:
-    """Basis of the annihilator of span(rows) under the standard pairing
-    x . y = sum_c x_c y_c, inside the coordinates cols, which must hold
-    every entry of every row.  Its dimension is len(cols) - rank(rows)."""
-    cols = sorted(cols)
-    local = {c: i for i, c in enumerate(cols)}
-    system = [{local[c]: p for c, p in row.items()} for row in rows]
-    return [
-        {cols[i]: p for i, p in z.items()}
-        for z in sp_kernel(system, len(cols))
-    ]
-
-
 def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
     """Canonical reduced echelon basis of span(rows) meet ker(ann): the
     combinations of rows that pair to zero with every row of ann.  With
-    ann = sp_annihilator(other, cols) this is span(rows) meet span(other).
+    ann a basis of the annihilator of span(other) under the standard
+    pairing x . y = sum_c x_c y_c, this is span(rows) meet span(other).
     Only the pairing system M[j][i] = rows[j] . ann[i] is eliminated, one
     equation per annihilator row and one unknown per row; each kernel
     vector z gives sum_j z_j rows[j], and those are echelonized.  The
@@ -976,17 +947,5 @@ class Subspace:
         """Span of dict or list rows of int, Fraction or Laurent entries."""
         return cls.from_sparse(ambient, [_laurent_row(r) for r in rows])
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls.from_sparse(ambient, [{i: dict(ONE)} for i in range(ambient)])
-
     def sparse_rows(self) -> list[dict]:
         return [dict(row) for row in self.rows]
-
-    def contains(self, vector) -> bool:
-        """Whether a dict or list row of int, Fraction or Laurent entries
-        lies in the span; over F_modulus, a row {col: int}."""
-        if self.modulus is not None:
-            return len(fp_rref([*self.rows, vector], self.modulus)) == self.dim
-        piv = {min(row): row for row in self.rows}
-        return sp_pivot_insert(piv, _laurent_row(vector)) is None

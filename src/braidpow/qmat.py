@@ -49,16 +49,6 @@ def qpoly_mul_mono(a: tuple, b: tuple) -> tuple[int, tuple]:
     return e, tuple(x + y for x, y in zip(a, b))
 
 
-def qpoly_mul(x: dict, y: dict) -> dict:
-    """Product in one q-polynomial row; elements are {exps: Laurent}."""
-    out = {}
-    for ka, ca in x.items():
-        for kb, cb in y.items():
-            e, key = qpoly_mul_mono(ka, kb)
-            _acc(out, key, lshift(lmul(ca, cb), e))
-    return out
-
-
 def _acc(out: dict, key, coeff: dict) -> None:
     if not coeff:
         return

@@ -2,19 +2,18 @@
 packed engine in qarith is tested against.
 
 These are the engine's earlier bodies: srow_strip's shift, signed content
-and laurent.lcofactors, the cross step with its lgcd pre-division, the
+and cofactors (lcofactors), the cross step with its lgcd pre-division, the
 pivot insertion, the back reduction and the fraction-free kernel read off
 the reduced echelon form with its lcm (llcm).  Their gcds are laurent's
-Euclidean ones (lgcd and the lcofactors fold), an algorithm independent
-of the packed engine's GCDHEU.  Every row they return is the canonical stripped
-representative of its line, so the packed engine must return the same
-rows, dict for dict."""
+Euclidean lgcd, folded pairwise in lcofactors, an algorithm independent
+of the packed engine's GCDHEU.  Every row they return is the canonical
+stripped representative of its line, so the packed engine must return
+the same rows, dict for dict."""
 
 from math import gcd, lcm
 
 from braidpow.laurent import (
     ONE,
-    lcofactors,
     lcontent,
     ldiv_exact,
     lgcd,
@@ -33,6 +32,19 @@ def llcm(a: dict, b: dict) -> dict:
         return {}
     x, y = lgcd(a, {}), lgcd(b, {})
     return lscale(ldiv_exact(lmul(x, y), lgcd(x, y)), lcm(lcontent(a), lcontent(b)))
+
+
+def lcofactors(polys: list) -> list:
+    """The quotients p / G of nonzero int-coefficient polynomials by
+    their gcd G (unit normal, as lgcd gives it), in order: each keeps its
+    sign, content and q power, and the common factor of positive degree
+    is gone.  A pairwise lgcd fold, then ldiv_exact by G."""
+    g: dict = {}
+    for p in polys:
+        g = lgcd(p, g)
+        if g == ONE:
+            return list(polys)
+    return [ldiv_exact(p, g) for p in polys]
 
 
 def strip(row: dict) -> dict:

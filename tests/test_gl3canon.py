@@ -7,12 +7,10 @@ from braidpow import gl3canon
 from braidpow.gl3canon import (
     block_positions,
     d_minus,
-    d_plus,
     dcb_labels,
     dcb_module,
     degree_recursion_check,
     ell_minus,
-    ell_plus,
     genericity_check,
     gt_pair_bases,
     label_weight,
@@ -22,6 +20,25 @@ from braidpow.gl3canon import (
 )
 from braidpow.laurent import ONE
 from braidpow.uqmod import decompose, dim_irrep, highest_weight_vectors, standard_gld
+
+
+def ell_plus(lam, label, i: int) -> int:
+    """Remaining E_i height of a basis label (1-based generator)."""
+    m1, m2, m12, m21 = label
+    if i == 1:
+        return m1 + m21
+    if i == 2:
+        return m2 + m12
+    raise ValueError("generator index must be 1 or 2")
+
+
+def d_plus(lam, beta, i: int) -> int:
+    """Smallest ell_i^+ on the beta weight space."""
+    if i == 1:
+        return d_minus(lam, beta, 1) + beta[1] - beta[0]
+    if i == 2:
+        return d_minus(lam, beta, 2) + beta[2] - beta[1]
+    raise ValueError("generator index must be 1 or 2")
 
 
 def test_dcb_reproduces_standard_module():

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 
 import dict_engine as D
 from conftest import slot_widths
+from oracles import sp_annihilator
 
 from braidpow import laurent as L
-from braidpow import qarith
-from braidpow.braided import module_square, power_weight_rows, square_gl2
+from braidpow import braided, qarith
+from braidpow.braided import module_square, square_gl2
 from braidpow.qarith import (
     Subspace,
     fp_kernel,
     fp_rref,
-    sp_annihilator,
     sp_echelon,
     sp_intersect,
     sp_kernel,
@@ -251,7 +251,7 @@ def test_cofactors_remove_a_cubic_shared_by_five_entries():
     g = {0: 5, 1: 2, 3: 1}
     units = [{0: 1}, {1: -3}, {-2: 1, 0: 1}, {0: 7, 2: -2}, {1: 1, 2: 4, 4: -1}]
     polys = [L.lmul(u, g) for u in units]
-    assert L.lcofactors(polys) == units
+    assert D.lcofactors(polys) == units
     row = dict(enumerate(polys))
     assert srow_strip(row) == D.strip(row)
 
@@ -264,13 +264,13 @@ def test_cofactors_keep_sign_content_and_q_powers():
         L.lmul({3: -10, 4: 5}, L.lmul(g, g)),  # -5 q^3 (2 - q) (1 + q)^2
     ]
     want = [{-2: -6, -1: 18}, {5: 4}, L.lmul({3: -10, 4: 5}, g)]
-    assert L.lcofactors(polys) == want
+    assert D.lcofactors(polys) == want
 
 
 def test_a_constant_entry_leaves_the_row_unstripped():
     g = {0: 2, 1: 1}
     row = {0: L.lmul({0: 3, 2: 1}, g), 3: {0: 5}, 4: L.lmul({1: 1}, g)}
-    assert L.lcofactors(list(row.values())) == list(row.values())
+    assert D.lcofactors(list(row.values())) == list(row.values())
     assert srow_strip(row) == D.strip(row) == row
 
 
@@ -413,7 +413,7 @@ def test_value_quotients_serve_the_cube_strips(monkeypatch):
     widths = slot_widths(monkeypatch)
     V = simple_gl2(3, 0)
     for side in ("sym", "ext"):
-        power_weight_rows(V, side, 3)
+        braided._level(V, side, 3)
     assert served and started
     assert len(widths) == len(started)
 

@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import contains, sp_annihilator
+
 from braidpow import laurent as L
 from braidpow import braided, qarith
 from braidpow.braided import (
     dim_ext_cube,
     dim_sym_cube,
     module_square,
-    power_weight_rows,
     sample_points,
     weight_rows_dim,
 )
 from braidpow.qarith import (
     Subspace,
     fp_rref,
-    sp_annihilator,
     sp_intersect,
     sp_kernel,
     sp_rank,
@@ -120,7 +121,7 @@ def test_kernel_example():
     rows = [{0: L.ONE, 1: L.lq(1)}, {0: L.lq(-1), 1: L.ONE}]
     k = sp_kernel(rows, 2)
     assert len(k) == 1
-    assert Subspace.from_sparse(2, k).contains([L.lq(1), -1])
+    assert contains(Subspace.from_sparse(2, k), [L.lq(1), -1])
     for row in rows:
         assert dot(row, k[0]) == {}
 
@@ -155,13 +156,13 @@ def test_intersect_known():
     b = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
     c = sp_intersect(a.sparse_rows(), sp_annihilator(b.sparse_rows(), range(3)))
     assert len(c) == 1
-    assert Subspace.from_sparse(3, c).contains([1, 1, 0])
+    assert contains(Subspace.from_sparse(3, c), [1, 1, 0])
     q = L.lq(1)
     a2 = Subspace.span(3, [[1, q, 0], [0, 0, 1]])
     b2 = Subspace.span(3, [[1, q, 1]])
     ann2 = sp_annihilator(b2.sparse_rows(), range(3))
     c2 = Subspace.from_sparse(3, sp_intersect(a2.sparse_rows(), ann2))
-    assert c2.dim == 1 and c2.contains([1, q, 1])
+    assert c2.dim == 1 and contains(c2, [1, q, 1])
 
 
 def test_intersect_properties():
@@ -172,7 +173,7 @@ def test_intersect_properties():
         rows = u.sparse_rows()
         ann = sp_annihilator(rows, range(n))
         assert Subspace.from_sparse(n, sp_intersect(rows, ann)) == u
-        full = Subspace.full(n).sparse_rows()
+        full = [{i: dict(L.ONE)} for i in range(n)]
         assert sp_annihilator(full, range(n)) == []
         assert Subspace.from_sparse(n, sp_intersect(rows, [])) == u
 
@@ -184,13 +185,13 @@ def test_subspace_accepts_int_fraction_and_laurent_entries():
     assert s == Subspace.span(3, [{0: {0: 1}, 2: {0: 2}}, [0, L.lq(5), 0]])
     assert s.dim == 2
     for vec in ([1, 0, 2], [half, 7, 1], {0: F(3, 4), 2: F(3, 2)}, {1: q}, [0, 0, 0]):
-        assert s.contains(vec)
+        assert contains(s, vec)
     for vec in ([1, 0, 0], {2: 1}, [q, 0, 2]):
-        assert not s.contains(vec)
+        assert not contains(s, vec)
     t = Subspace.span(2, [[q, 1]])
-    assert t.contains({0: L.lq(2), 1: q})
-    assert t.contains([F(2, 3), {-1: F(2, 3)}])
-    assert not t.contains([1, 1])
+    assert contains(t, {0: L.lq(2), 1: q})
+    assert contains(t, [F(2, 3), {-1: F(2, 3)}])
+    assert not contains(t, [1, 1])
 
 
 def _frac_rank(rows):
@@ -362,7 +363,7 @@ def _check_meet(a, b, cols):
     assert len(meet) == sp_rank(a) + sp_rank(b) - sp_rank(a + b)
     span_a, span_b = Subspace.from_sparse(n, a), Subspace.from_sparse(n, b)
     for row in meet:
-        assert span_a.contains(row) and span_b.contains(row)
+        assert contains(span_a, row) and contains(span_b, row)
     # the result is already the canonical basis of its span
     assert Subspace.from_sparse(n, meet).rows == tuple(meet)
     return meet
@@ -423,7 +424,7 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
             assert weight_rows_dim(want) == dim
             # the level holds coordinates over P^2 ox V; expanded into
             # V^(ox 3), each block spans the reference meet's block
-            got = braided._absolute(V, side, 3, power_weight_rows(V, side, 3))
+            got = oracles._absolute(V, side, 3, braided._level(V, side, 3))
             assert {w: sp_span_echelon(rows) for w, rows in got.items()} == want
             assert weight_rows_dim(got) == dim
 
@@ -464,7 +465,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             ]
             want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
-            got = braided._expand(seen.pop(), braided._level_rows(b12), v3.dim, None)
+            got = oracles._expand(seen.pop(), braided._level_rows(b12), v3.dim, None)
             assert {w: sp_span_echelon(rows) for w, rows in got.items()} == {
                 w: rows for w, rows in want.items() if dominant(w, (2,))
             }
@@ -473,7 +474,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             # block, expanded over the rows of bullet12, spans the reference
             ann_at = braided._ann_by_column(b23, t23.weight_blocks(), None)
             whole = meet(b12, ann_at, v2.dim, v3, braided._meet_weights(b12, v3))
-            whole = braided._expand(whole, braided._level_rows(b12), v3.dim, None)
+            whole = oracles._expand(whole, braided._level_rows(b12), v3.dim, None)
             assert {w: sp_span_echelon(rows) for w, rows in whole.items()} == want
             assert weight_rows_dim(whole) == weight_rows_dim(want)
 

@@ -12,7 +12,6 @@ from braidpow.qmat import (
     mat_scale,
     mat_sub,
     matrix_generator,
-    qpoly_mul,
     qpoly_mul_mono,
     r_standard,
 )
@@ -29,9 +28,10 @@ def test_row_straightening():
     assert qpoly_mul_mono((0, 1), (1, 0)) == (1, (1, 1))
     assert qpoly_mul_mono((1, 0), (0, 1)) == (0, (1, 1))
     assert qpoly_mul_mono((2, 1, 0), (1, 0, 2)) == (1, (3, 1, 2))
-    x0, x1 = {(1, 0): ONE}, {(0, 1): ONE}
-    assert qpoly_mul(x1, x0) == {(1, 1): lq(1)}
-    assert qpoly_mul(x0, x1) == {(1, 1): ONE}
+    # one row is the braided first power: mat_mul with k = 1
+    x0, x1 = matrix_generator(2, 1, 0, 0), matrix_generator(2, 1, 1, 0)
+    assert mat_mul(2, x1, x0) == {((1, 1),): lq(1)}
+    assert mat_mul(2, x0, x1) == {((1, 1),): ONE}
 
 
 def test_two_by_two_relations_explicitly():

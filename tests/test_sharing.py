@@ -10,20 +10,20 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from oracles import braided_power, sp_annihilator
+
 from braidpow import acceptance, braided, qarith, uqmod
 from braidpow.braided import (
     admissible_triples,
-    braided_power,
     decompose_power,
     ext_cube_closed,
     module_square,
     power_dims,
-    power_weight_rows,
     square_gl2,
-    square_standard,
     sym_cube_closed,
 )
-from braidpow.qarith import sp_annihilator, sp_intersect, sp_span_echelon
+from braidpow.qarith import sp_intersect, sp_span_echelon
 from braidpow.uqmod import (
     ModuleAuditError,
     WeightModule,
@@ -43,7 +43,7 @@ def test_constructors_share_one_audited_instance(monkeypatch):
     assert simple_gl2(3, 0) is V and standard_gld(2) is standard_gld(2)
     assert tensor(V, V) is tensor(V, V)
     assert square_gl2(3) is module_square(V) is module_square(simple_gl2(3, 0))
-    assert square_standard(2) is module_square(standard_gld(2))
+    assert module_square(standard_gld(2)) is module_square(standard_gld(2))
     s3, d2 = ("simple_gl2", 3, 0), ("standard_gld", 2)
     assert audits == [s3, d2, ("tensor", s3, s3), ("tensor", d2, d2)]
 
@@ -71,7 +71,7 @@ def test_power_levels_are_extended_only_as_far_as_asked(monkeypatch):
     assert power_dims(V, "sym", 2) == [1, 4, 10]
     assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
     assert steps == [10, 16]
-    assert braided.power_weight_rows(V, "sym", 4) is braided.power_weight_rows(V, "sym", 4)
+    assert braided._level(V, "sym", 4) is braided._level(V, "sym", 4)
 
 
 def test_a_failed_power_is_not_stored(monkeypatch):
@@ -173,7 +173,7 @@ def test_a_decomposition_builds_the_dominant_blocks_and_a_full_level_the_rest(
     monkeypatch, kind
 ):
     # the level built in full from the start, on an unshared module
-    want = power_weight_rows(simple_gl2.__wrapped__(4, 0), kind, 3)
+    want = braided._level(simple_gl2.__wrapped__(4, 0), kind, 3)
     calls = _spy_meet(monkeypatch)
     V = simple_gl2(4, 0)
     dec = decompose_power(V, kind, 3)
@@ -186,7 +186,7 @@ def test_a_decomposition_builds_the_dominant_blocks_and_a_full_level_the_rest(
     assert power_dims(V, kind, 3)[3] == braided.weight_rows_dim(want)
     [(again, rest)] = calls
     assert again is prev and rest == every - dom
-    level = power_weight_rows(V, kind, 3)
+    level = braided._level(V, kind, 3)
     assert level == want and list(level) == list(want)
     calls.clear()
     assert decompose_power(V, kind, 3) == dec
@@ -318,7 +318,7 @@ def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(m
     # 4 dims.  That part is E- and F-stable, so no stability check can see
     # the V_(6,6) line it misses; only the certificate's count does.
     V, d = simple_gl2(4, 0), 5
-    level2 = power_weight_rows(V, "sym", 2)
+    level2 = braided._level(V, "sym", 2)
     square = braided._level_rows(level2)
     weights = [w for w in sorted(level2) for _ in level2[w]]
     # the unknowns of the (6, 6) block, in _meet_step's order: the pairs
@@ -332,7 +332,7 @@ def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(m
     # the F-images of the (7, 5) block of the cube, as vectors of V^(ox 3),
     # from the full level of an unshared copy of V
     copy = simple_gl2.__wrapped__(4, 0)
-    above = braided._absolute(copy, "sym", 3, power_weight_rows(copy, "sym", 3))[(7, 5)]
+    above = oracles._absolute(copy, "sym", 3, braided._level(copy, "sym", 3))[(7, 5)]
     lower = uqmod.coproduct((V, V, V), 0, lower=True)
     images = [lower(v) for v in above]
     offset = d**3
@@ -346,7 +346,7 @@ def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(m
         carried = []
         for z in rows:
             relative = {unknowns[j]: v for j, v in z.items()}
-            [[vector]] = braided._expand({0: [relative]}, square, d, None).values()
+            [[vector]] = oracles._expand({0: [relative]}, square, d, None).values()
             carried.append({**vector, **{offset + j: v for j, v in z.items()}})
         every = {c for r in carried + images for c in r if c < offset}
         meet = sp_intersect(carried, sp_annihilator(images, every))
@@ -411,7 +411,7 @@ def test_a_failed_decomposition_drops_the_levels_built_on_it(monkeypatch):
     # dominant dims fails: both are built again, on the P^2 that stays
     V = simple_gl2(3, 0)
     assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
-    square = power_weight_rows(V, "sym", 2)
+    square = braided._level(V, "sym", 2)
 
     def refuse(*args):
         raise ModuleAuditError("decomposition refused")
@@ -430,20 +430,20 @@ def test_a_failed_decomposition_drops_the_levels_built_on_it(monkeypatch):
     )
     assert power_dims(V, "sym", 4) == [1, 4, 10, 16, 22]
     assert steps == [10, 16]
-    assert power_weight_rows(V, "sym", 2) is square
+    assert braided._level(V, "sym", 2) is square
 
 
 def test_each_level_below_is_expanded_once(monkeypatch):
     # the rows of each _expand call: a decomposition expands nothing, and
     # braided_power expands P^3 of V_(4,0) once and P^4 on each call
     sizes = []
-    expand = braided._expand
+    expand = oracles._expand
 
     def spy(blocks, below, d, p):
         sizes.append(braided.weight_rows_dim(blocks))
         return expand(blocks, below, d, p)
 
-    monkeypatch.setattr(braided, "_expand", spy)
+    monkeypatch.setattr(oracles, "_expand", spy)
     V = simple_gl2(4, 0)
     dec = decompose_power(V, "sym", 4)
     assert sizes == []
