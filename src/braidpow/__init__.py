@@ -27,7 +27,6 @@ from .braided import (
     koszul_series_probe,
     module_square,
     power_dims,
-    square_gl2,
     square_matrix_module,
     sym_cube_closed,
     sym_cube_decomposition,
@@ -119,7 +118,6 @@ __all__ = [
     "power_dims",
     "simple_gl2",
     "specialize_module",
-    "square_gl2",
     "square_matrix_module",
     "standard_gld",
     "super_jacobian",

@@ -27,9 +27,9 @@ from .braided import (
     growth_flag,
     hilbert_table,
     koszul_series_probe,
+    module_square,
     power_dims,
     sample_points,
-    square_gl2,
     square_matrix_module,
     sym_cube_decomposition,
     decompose_power,
@@ -394,7 +394,7 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
 
     for t in range(12):
         l = rng.randint(0, 4)
-        pair = square_gl2(l)
+        pair = module_square(simple_gl2(l, 0))
         sym_dec = decompose_power(pair.module, "sym", 2)
         ext_dec = decompose_power(pair.module, "ext", 2)
         chk(sym_dec.total_dim() == pair.sym.dim, f"sym side stable #{t}")

@@ -60,18 +60,20 @@ and the tests' oracle.
 
 The braided powers are functions of V and a side alone: every power
 call takes (V, kind, n) with kind "sym" or "ext", and level 2 is that
-side's _side_rows as module_square(V) built them.  Every construction
-here happens once per module object and is stored on it
-(WeightModule._stored): module_square(V) stores its pair on V, and
-each level P^n of (V, kind) has one entry on V (_Level), which holds
-its weight blocks, each built once (_blocks) whether a decomposition's
-dominant blocks or the full level (_level) come first.  Every power
-call reads through _level and _blocks.  The gl_2 simples and standard
-modules are shared instances (see uqmod), so every stage of one process
-reuses their squares and levels.  Stored rows and subspaces are
-read-only.  A failed construction is not stored: a level that fails to
-build, to pass its Weyl check or to decompose drops its entry and those
-above it (_dropping), and the next call builds it again.
+side's _side_rows on tensor(V, V), checked against its classical dim;
+a power builds its own side only.  Every construction here happens once
+per module object and is stored on it (WeightModule._stored): each
+level P^n of (V, kind) has one entry on V (_Level), which holds its
+weight blocks, each built once (_blocks) whether a decomposition's
+dominant blocks or the full level (_level) come first, and
+module_square(V) stores on V its pair of Subspaces, read off the two
+level-2 entries.  Every power call reads through _level and _blocks.
+The gl_2 simples and standard modules are shared instances (see uqmod),
+so every stage of one process reuses their squares and levels.  Stored
+rows and subspaces are read-only.  A failed construction is not stored:
+a level that fails to build, to pass its Weyl check or to decompose
+drops its entry and those above it (_dropping), and the next call
+builds it again.
 
 The closed forms a power must match are one table, closed_forms(V, kind,
 n), read off V's family, and triple_closed_forms for the triple
@@ -199,7 +201,7 @@ def _side_rows(m: WeightModule, tops) -> dict:
                 for v in out.get(tuple(a + b for a, b in zip(w, alpha)), ())
             ]
             if w in tops:
-                rows += highest_weight_vectors(m, w).sparse_rows()
+                rows += highest_weight_vectors(m, w)
             rows = span_basis(rows, p)
             if rows:
                 out[w] = rows
@@ -217,29 +219,14 @@ class BraidedSquarePair:
     """sym and ext sides of V ox V, each stable under the quantum group
     and generated in square_module = V ox V by the highest-weight vectors
     at the weights _side_weights(V) assigns it (see _side_rows).  A
-    braided square has the classical dims C(d + 1, 2) and C(d, 2), so
-    sides built from the wrong weights cannot pass as a split of V ox V."""
+    braided square has the classical dims C(d + 1, 2) and C(d, 2), which
+    _level checks as it builds each side, so sides built from the wrong
+    weights cannot pass as a split of V ox V."""
 
     module: WeightModule
     square_module: WeightModule
     sym: Subspace
     ext: Subspace
-
-    def __post_init__(self):
-        d = self.module.dim
-        want = (comb(d + 1, 2), comb(d, 2))
-        if (self.sym.dim, self.ext.dim) != want:
-            raise TheoremViolation(
-                f"square sides of {self.module.kind} have dims "
-                f"{self.sym.dim}/{self.ext.dim}, classical {want[0]}/{want[1]}"
-            )
-
-
-def square_gl2(l: int) -> BraidedSquarePair:
-    """Braided square of the gl_2 simple V_(l,0): sigma acts by (-1)^m on
-    the m-th Clebsch-Gordan summand, so sym collects the even layers and
-    ext the odd ones."""
-    return module_square(simple_gl2(l, 0))
 
 
 def _side_weights(V: WeightModule) -> tuple:
@@ -275,14 +262,14 @@ def _side_weights(V: WeightModule) -> tuple:
 
 
 def _square_sides(V: WeightModule) -> BraidedSquarePair:
-    """Both sides of V ox V, each generated by the highest-weight vectors
-    at the weights _side_weights(V) gives it (see _side_rows)."""
-    tt = tensor(V, V)
+    """Both sides of V ox V as Subspaces, read off the level-2 entries of
+    the sym and ext towers (_level), so a side a power built is not built
+    again."""
     sym, ext = (
-        weight_rows_subspace(V.dim**2, _side_rows(tt, tops), V.modulus)
-        for tops in _side_weights(V)
+        weight_rows_subspace(V.dim**2, _level(V, kind, 2), V.modulus)
+        for kind in ("sym", "ext")
     )
-    return BraidedSquarePair(V, tt, sym, ext)
+    return BraidedSquarePair(V, tensor(V, V), sym, ext)
 
 
 def _square_of_simple(V: WeightModule) -> BraidedSquarePair:
@@ -318,8 +305,9 @@ def _side_index(kind: str) -> int:
 
 
 def _side(V: WeightModule, kind: str) -> tuple:
-    # (V ox V, the kind side's weights), of which _side_rows is the side
-    return module_square(V).square_module, _side_weights(V)[_side_index(kind)]
+    # (V ox V, the kind side's weights), of which _side_rows is the side;
+    # the other side is not built
+    return tensor(V, V), _side_weights(V)[_side_index(kind)]
 
 
 def _side_annihilator(m: WeightModule, tops) -> dict:
@@ -363,13 +351,14 @@ def _dropping(V: WeightModule, kind: str, n: int):
 def _level(V: WeightModule, kind: str, n: int) -> dict:
     """P^n of the kind side of V ox V, {weight: rows} with entries in the
     field of V, built once and kept in its entry.  P^0 and P^1 are unit
-    rows and P^2 the side's rows as module_square built them: vectors of
-    V^(ox n).  From degree 3 a level is all its _blocks, in both fields
-    the row {a * d + b: c} standing for sum c * (row a of P^(n-1), in
-    level order: weights sorted, then row order) ox e_b, a coordinate
-    row over P^(n-1) ox V.  Each level's weight dims must be Weyl
-    symmetric (check_weyl_symmetric), in both fields: a full level is
-    the character of a module."""
+    rows and P^2 the side's _side_rows on tensor(V, V): vectors of
+    V^(ox n), as many as the classical dim C(d + 1, 2) or C(d, 2), else
+    a TheoremViolation.  From degree 3 a level is all its _blocks, in
+    both fields the row {a * d + b: c} standing for sum c * (row a of
+    P^(n-1), in level order: weights sorted, then row order) ox e_b, a
+    coordinate row over P^(n-1) ox V.  Each level's weight dims must be
+    Weyl symmetric (check_weyl_symmetric), in both fields: a full level
+    is the character of a module."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     entry = _entry(V, kind, n)
@@ -383,6 +372,11 @@ def _level(V: WeightModule, kind: str, n: int) -> dict:
                 level = {w: [{i: one} for i in blocks1[w]] for w in sorted(blocks1)}
             elif n == 2:
                 level = _side_rows(*_side(V, kind))
+                got, want = weight_rows_dim(level), comb(V.dim + (kind == "sym"), 2)
+                if got != want:
+                    raise TheoremViolation(
+                        f"{kind} side of {V.kind} has dim {got}, classical {want}"
+                    )
             else:
                 level = _blocks(V, kind, n, _meet_weights(_level(V, kind, n - 1), V))
             check_weyl_symmetric({w: len(rows) for w, rows in level.items()}, V.blocks)

@@ -34,7 +34,6 @@ from math import prod
 from .errors import ModuleAuditError
 from .laurent import ONE, P, fp, ladd, leval_fp, lmul, lqint, lshift
 from .qarith import (
-    Subspace,
     field_one,
     kernel_basis,
     sp_compose,
@@ -441,12 +440,11 @@ def weight_space_kernel(m: WeightModule, mu, gens) -> list[dict]:
     return [{idxs[pos]: p for pos, p in z.items()} for z in combos]
 
 
-def highest_weight_vectors(m: WeightModule, mu) -> Subspace:
-    """Joint kernel of all E_i inside the mu weight space, embedded in the
-    module's ambient coordinates."""
-    return Subspace.from_sparse(
-        m.dim, weight_space_kernel(m, mu, range(m.ngen)), m.modulus
-    )
+def highest_weight_vectors(m: WeightModule, mu) -> list[dict]:
+    """Joint kernel of all E_i inside the mu weight space, as the rows of
+    its reduced basis in the module's ambient coordinates
+    (weight_space_kernel over every generator)."""
+    return weight_space_kernel(m, mu, range(m.ngen))
 
 
 def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:

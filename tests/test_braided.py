@@ -24,7 +24,6 @@ from braidpow.braided import (
     power_dims,
     run_mode,
     sample_points,
-    square_gl2,
     square_matrix_module,
     sym_cube_closed,
     sym_cube_decomposition,
@@ -52,7 +51,7 @@ def test_square_gl2_layer_dims():
     # sigma scales the m-th Clebsch-Gordan layer by (-1)^m, so the even
     # layers fill sym and the odd ones ext
     for l in range(5):
-        pair = square_gl2(l)
+        pair = module_square(simple_gl2(l, 0))
         even = sum(2 * (l - m) + 1 for m in range(0, l + 1, 2))
         odd = sum(2 * (l - m) + 1 for m in range(1, l + 1, 2))
         assert pair.sym.dim == even
@@ -60,7 +59,7 @@ def test_square_gl2_layer_dims():
 
 
 def test_square_gl2_is_stable():
-    pair = square_gl2(3)
+    pair = module_square(simple_gl2(3, 0))
     tt = pair.square_module
     for side in (pair.sym, pair.ext):
         for row in side.sparse_rows():
@@ -69,7 +68,7 @@ def test_square_gl2_is_stable():
                 assert not img or contains(side, img)
     # specialized squares, rows {col: int} over F_P, at two sample points
     for l in range(1, 7):
-        exact = square_gl2(l)
+        exact = module_square(simple_gl2(l, 0))
         for q0 in sample_points(l):
             pair = module_square(specialize_module(simple_gl2(l, 0), q0))
             assert (pair.sym.dim, pair.ext.dim) == (exact.sym.dim, exact.ext.dim)
@@ -283,7 +282,7 @@ def test_negative_degrees_are_refused():
 
 
 def test_power_dims_and_braided_power_share_the_recursion():
-    pair = square_gl2(3)
+    pair = module_square(simple_gl2(3, 0))
     V = pair.module
     for kind in ("sym", "ext"):
         dims = power_dims(V, kind, 4)

@@ -59,7 +59,7 @@ def test_dcb_module_is_irreducible():
     for lam in ((2, 1, 0), (3, 1, 0), (2, 2, 0), (1, 1, 0)):
         mod = dcb_module(lam)
         assert dict(decompose(mod)) == {lam: 1}
-        assert highest_weight_vectors(mod, lam).dim == 1
+        assert len(highest_weight_vectors(mod, lam)) == 1
 
 
 def test_multiplicity_formulas_agree():

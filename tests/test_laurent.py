@@ -17,7 +17,7 @@ from oracles import sp_annihilator
 
 from braidpow import laurent as L
 from braidpow import braided, qarith
-from braidpow.braided import module_square, square_gl2
+from braidpow.braided import module_square
 from braidpow.qarith import (
     Subspace,
     fp_kernel,
@@ -210,7 +210,8 @@ def test_engine_rows_hold_int_coefficients(specialized):
         assert _fp_rows(fp_rref(rows, L.P).values())
         assert _fp_residues(fp_kernel(rows, m.dim, L.P))
         assert _fp_rows(Subspace.from_sparse(m.dim, rows, L.P).rows)
-        assert _fp_rows(highest_weight_vectors(m, (3, 3)).rows)
+        hw = highest_weight_vectors(m, (3, 3))
+        assert hw and _fp_residues(hw)
         pair = module_square(specialize_module(v, Fraction(97, 101)))
         assert _fp_rows(pair.sym.rows + pair.ext.rows)
         return
@@ -226,7 +227,7 @@ def test_engine_rows_hold_int_coefficients(specialized):
     assert _int_rows(ann)
     meet = sp_intersect(rows[: half + 3], ann)
     assert meet and _int_rows(meet)
-    pair = square_gl2(3)
+    pair = module_square(simple_gl2(3, 0))
     sym, ext = pair.sym.sparse_rows(), pair.ext.sparse_rows()
     ann = sp_annihilator(sym[: len(sym) // 2] + ext, range(m.dim))
     meet = sp_intersect(sym, ann)

@@ -310,6 +310,6 @@ def test_the_exact_cubes_pack_at_one_word_in_steps_of_q_squared():
         env=env, capture_output=True, text=True, check=True,
     )
     runs = json.loads(out.stdout)
-    assert len(runs) == 160
+    assert len(runs) == 139
     assert all(len(slots) == 1 and slots[0][0] == 32 for _, slots in runs)
     assert all((slots[0][1] >= 2) == wide for wide, slots in runs)

@@ -20,7 +20,6 @@ from braidpow.braided import (
     ext_cube_closed,
     module_square,
     power_dims,
-    square_gl2,
     sym_cube_closed,
 )
 from braidpow.qarith import sp_intersect, sp_span_echelon
@@ -42,7 +41,7 @@ def test_constructors_share_one_audited_instance(monkeypatch):
     V = simple_gl2(3, 0)
     assert simple_gl2(3, 0) is V and standard_gld(2) is standard_gld(2)
     assert tensor(V, V) is tensor(V, V)
-    assert square_gl2(3) is module_square(V) is module_square(simple_gl2(3, 0))
+    assert module_square(V) is module_square(simple_gl2(3, 0))
     assert module_square(standard_gld(2)) is module_square(standard_gld(2))
     s3, d2 = ("simple_gl2", 3, 0), ("standard_gld", 2)
     assert audits == [s3, d2, ("tensor", s3, s3), ("tensor", d2, d2)]

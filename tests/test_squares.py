@@ -12,25 +12,25 @@ import pytest
 
 from conftest import evaluated_at
 
+from braidpow import braided
 from braidpow.braided import (
-    BraidedSquarePair,
-    _side_rows,
+    _level,
+    _level_rows,
     _side_weights,
     decompose_power,
     module_square,
     power_dims,
     square_matrix_module,
-    weight_rows_subspace,
 )
 from braidpow.errors import TheoremViolation
 from braidpow.gl3canon import dcb_module
+from braidpow.qarith import Subspace
 from braidpow.uqmod import (
     WeightModule,
     outer,
     simple_gl2,
     specialize_module,
     standard_gld,
-    tensor,
 )
 
 PIN_POINTS = (Fraction(257, 491), Fraction(101, 97))
@@ -148,18 +148,55 @@ def test_specialized_squares_are_the_exact_square_at_the_point(dk):
         assert pair.ext == evaluated_at(exact.ext, q0)
 
 
-def test_a_wrong_side_parity_fails_the_classical_dims():
+def test_a_wrong_side_parity_fails_the_classical_dims(monkeypatch):
     # V_(1,1,0) of gl_3 squares to V_(2,2,0) (sym) + V_(2,1,1) (ext);
     # sides generated at the swapped weight sets split 3/6, which fills
     # V ox V but is not the classical 6/3
     V = dcb_module((1, 1, 0))
-    tt = tensor(V, V)
-    sym, ext = (
-        weight_rows_subspace(V.dim**2, _side_rows(tt, tops))
-        for tops in reversed(_side_weights(V))
+    swapped = tuple(reversed(_side_weights(V)))
+    monkeypatch.setattr(braided, "_side_weights", lambda W: swapped)
+    with pytest.raises(TheoremViolation, match="sym side .* has dim 3, classical 6"):
+        module_square(V)
+    with pytest.raises(TheoremViolation, match="sym side .* has dim 3, classical 6"):
+        _level(V, "sym", 2)
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    [
+        pytest.param(lambda: dcb_module((2, 0, 0)), id="dcb(2,0,0)"),
+        pytest.param(
+            lambda: specialize_module(simple_gl2(4, 0), PIN_POINTS[0]), id="gl2(4,0)@q0"
+        ),
+    ],
+)
+def test_a_power_builds_only_its_own_side(monkeypatch, fresh):
+    # a sym power reads level 2 of its own tower: no ext side, no
+    # Subspace and no stored square; module_square then builds the ext
+    # side once and reads the sym side off the stored level
+    W = fresh()
+    sym_tops, ext_tops = _side_weights(W)
+    sides, subspaces = [], []
+    side_rows = braided._side_rows
+    monkeypatch.setattr(
+        braided, "_side_rows", lambda m, tops: sides.append(frozenset(tops)) or side_rows(m, tops)
     )
-    with pytest.raises(TheoremViolation, match="3/6, classical 6/3"):
-        BraidedSquarePair(V, tt, sym, ext)
+    from_sparse = Subspace.from_sparse.__func__
+    monkeypatch.setattr(
+        Subspace,
+        "from_sparse",
+        classmethod(lambda cls, *a: subspaces.append(a) or from_sparse(cls, *a)),
+    )
+    power_dims(W, "sym", 3)
+    assert sides and set(sides) == {sym_tops}
+    assert subspaces == []
+    assert "square" not in W._memo
+    sym_level = _level(W, "sym", 2)
+    sides.clear()
+    pair = module_square(W)
+    assert sides == [ext_tops]
+    assert _level(W, "sym", 2) is sym_level
+    assert pair.sym == Subspace.from_sparse(W.dim**2, _level_rows(sym_level), W.modulus)
 
 
 # ---------------------------------------------------------------------------
