@@ -47,13 +47,14 @@ A power or a triple product is decomposed by one route in both fields
 (_decompose): its dominant weight dims, copied over each Weyl orbit
 (uqmod.weyl_extend), are its character, and decompose_weight_dims
 reads the components off it (one character formula for every product
-of gl blocks; Jantzen, Lectures on Quantum Groups, ch. 5).  Over Q(q)
-only the dominant blocks are built, each dim proved by its kernel's
-certificate: _meet_step takes the weights to build, and the top level
-of decompose_power (from degree 3) and the triple product's meet are
-built on their dominant weights alone.  Over F_P, where no kernel is
-certified, the full level is built and its weight dims are checked
-against Weyl symmetry; _level checks every full level so, in both
+of gl blocks; Jantzen, Lectures on Quantum Groups, ch. 5).  Which
+blocks of a meet are read is decided in one function,
+_decompose_meet, which the top level of decompose_power (from degree
+3) and the triple product's meet both call; _meet_step takes the
+weights to build.  Over Q(q) only the dominant blocks are built, each
+dim proved by its kernel's certificate.  Over F_P, where no kernel is
+certified, every block is built and its weight dims are checked
+against Weyl symmetry; _level checks every full level so too, in both
 fields.  No highest-weight vector is counted on this path;
 uqmod.decompose_weight_rows, which counts them, serves uqmod.decompose
 and the tests' oracle.
@@ -65,7 +66,7 @@ a power builds its own side only.  Every construction here happens once
 per module object and is stored on it (WeightModule._stored): each
 level P^n of (V, kind) has one entry on V (_Level), which holds its
 weight blocks, each built once (_blocks) whether a decomposition's
-dominant blocks or the full level (_level) come first, and
+blocks or the full level (_level) come first, and
 module_square(V) stores on V its pair of Subspaces, read off the two
 level-2 entries.  Every power call reads through _level and _blocks.
 The gl_2 simples and standard modules are shared instances (see uqmod),
@@ -428,10 +429,6 @@ def _meet_weights(prev: dict, back: WeightModule) -> set:
     return {tuple(map(add, w, wb)) for w in prev for wb in wts}
 
 
-def _dominant_meet_weights(prev: dict, back: WeightModule) -> set:
-    return {w for w in _meet_weights(prev, back) if dominant(w, back.blocks)}
-
-
 def _meet_step(prev: dict, ann_at: dict, mid: int, back: WeightModule, weights) -> dict:
     """(prev ox back) meet (head ox I), one weight block at a time, over
     the field of back, at the weights in weights (all of them:
@@ -510,28 +507,44 @@ def _decompose(V: WeightModule, blocks: dict) -> IrrepMultiset:
     ones are read: copied over each Weyl orbit (weyl_extend), they are
     its character, which the character formula decomposes
     (decompose_weight_dims).  The one route in both fields; the dominant
-    dims are proved by the kernel certificate over Q(q), and read off a
-    Weyl-checked full level over F_P."""
+    dims are proved by the kernel certificate over Q(q), and read off
+    Weyl-checked blocks over F_P (_level, _decompose_meet)."""
     dims = {w: len(rows) for w, rows in blocks.items() if dominant(w, V.blocks)}
     return decompose_weight_dims(weyl_extend(dims, V.blocks), V.blocks)
 
 
+def _decompose_meet(back: WeightModule, prev: dict, build) -> IrrepMultiset:
+    """Components of a meet (prev ox back) meet (head ox I), as
+    _meet_step builds it, from its blocks {weight: rows} at the weights
+    passed to build, which returns them.  The one place that chooses,
+    by the field of back, which blocks of a meet a decomposition reads:
+    over Q(q) those at the dominant weights of the meet (_meet_weights)
+    alone, each dim proved by its kernel's certificate; over F_P, where
+    no kernel is certified, all of them, whose dims must be Weyl
+    symmetric (check_weyl_symmetric).  Either way _decompose reads the
+    dominant dims."""
+    weights = _meet_weights(prev, back)
+    if back.modulus is None:
+        return _decompose(back, build({w for w in weights if dominant(w, back.blocks)}))
+    blocks = build(weights)
+    check_weyl_symmetric({w: len(rows) for w, rows in blocks.items()}, back.blocks)
+    return _decompose(back, blocks)
+
+
 def decompose_power(V: WeightModule, kind: str, n: int) -> IrrepMultiset:
     """Decomposition of the n-th braided power of the kind side of V ox V
-    from its dominant weight dims (_decompose).  Over Q(q), from degree
-    3, unless the level is stored in full, only the _blocks at the
-    dominant weights of the meet are built, on the full P^(n-1), and
-    kept in P^n's entry, so a later full request builds only the rest;
-    nothing is expanded into V^(ox n).  Over F_P, whose kernel has no
-    certificate, and through degree 2 the full level is read, which
-    _level checks for Weyl symmetry.  A decomposition that fails drops
+    from its dominant weight dims (_decompose).  From degree 3 the
+    _blocks of the meet on the full P^(n-1) that _decompose_meet asks
+    for are built and kept in P^n's entry, so a later full request
+    builds only the rest; nothing is expanded into V^(ox n).  Through
+    degree 2 the full level is read.  A decomposition that fails drops
     P^n's entry (_dropping)."""
     with _dropping(V, kind, n):
-        if n < 3 or V.modulus is not None:
-            blocks = _level(V, kind, n)
-        else:
-            blocks = _blocks(V, kind, n, _dominant_meet_weights(_level(V, kind, n - 1), V))
-        return _decompose(V, blocks)
+        if n < 3:
+            return _decompose(V, _level(V, kind, n))
+        return _decompose_meet(
+            V, _level(V, kind, n - 1), lambda weights: _blocks(V, kind, n, weights)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -734,21 +747,15 @@ def _eps_layers(a: int, b: int, parity: int) -> tuple:
 
 
 def _triple_product_exact(beta, parity: int, q0) -> IrrepMultiset:
-    """(bullet12 ox V_b3) meet (V_b1 ox bullet23) by one _meet_step,
-    decomposed from its dominant weight dims (_decompose).  Over Q(q)
-    only the dominant blocks are built, each dim proved by the
-    certificate of its kernel; over F_P every block is, and the dims
-    must be Weyl symmetric (check_weyl_symmetric)."""
+    """(bullet12 ox V_b3) meet (V_b1 ox bullet23), its blocks built by
+    one _meet_step at the weights _decompose_meet reads."""
     b1, b2, b3 = beta
     v1, v2, v3 = (at_point(simple_gl2(b, 0), q0) for b in beta)
     bullet12 = _side_rows(tensor(v1, v2), _eps_layers(b1, b2, parity))
     ann_at = _side_annihilator(tensor(v2, v3), _eps_layers(b2, b3, parity))
-    exact = q0 is None
-    weights = (_dominant_meet_weights if exact else _meet_weights)(bullet12, v3)
-    meet = _meet_step(bullet12, ann_at, v2.dim, v3, weights)
-    if not exact:
-        check_weyl_symmetric({w: len(rows) for w, rows in meet.items()}, v3.blocks)
-    return _decompose(v3, meet)
+    return _decompose_meet(
+        v3, bullet12, lambda weights: _meet_step(bullet12, ann_at, v2.dim, v3, weights)
+    )
 
 
 # ---------------------------------------------------------------------------

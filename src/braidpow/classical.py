@@ -127,16 +127,18 @@ def mul_sym(x: dict, y: dict) -> dict:
     return out
 
 
-def _sort_sign(seq) -> tuple[int, tuple]:
+def _sort_inversions(seq) -> tuple[int, tuple]:
+    # (number of inversions, sorted tuple), by insertion sort: each swap
+    # of neighbours undoes one inversion
     lst = list(seq)
-    sign = 1
+    inv = 0
     for a in range(1, len(lst)):
         b = a
         while b and lst[b - 1] > lst[b]:
             lst[b - 1], lst[b] = lst[b], lst[b - 1]
-            sign = -sign
+            inv += 1
             b -= 1
-    return sign, tuple(lst)
+    return inv, tuple(lst)
 
 
 def wedge(x: dict, y: dict) -> dict:
@@ -146,8 +148,8 @@ def wedge(x: dict, y: dict) -> dict:
         for kb, cb in y.items():
             if sa.intersection(kb):
                 continue
-            sign, key = _sort_sign(ka + kb)
-            _addto(out, key, sign * ca * cb)
+            inv, key = _sort_inversions(ka + kb)
+            _addto(out, key, (-1) ** inv * ca * cb)
     return out
 
 
@@ -219,8 +221,8 @@ def jminus_six_terms(l: int, i: int, j: int, k: int) -> dict:
         c = ci * cj * ck
         a, b, d = i + di, j + dj, k + dk
         if c and len({a, b, d}) == 3:
-            sign, key = _sort_sign((a, b, d))
-            _addto(out, key, sign * c)
+            inv, key = _sort_inversions((a, b, d))
+            _addto(out, key, (-1) ** inv * c)
     return out
 
 

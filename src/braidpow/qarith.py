@@ -130,8 +130,9 @@ F_p (reduced to 0 < c < p wherever this module returns one).  This is
 the one module that picks between the fields, by the modulus p its
 callers pass, None over Q(q): kernel_basis and span_basis choose the
 engine, field_one is the unit, and the column-map operations sp_apply,
-sp_compose, sp_map_add, sp_map_scale and sp_map_equal do their entry
-arithmetic in the field of p.
+sp_compose, sp_map_add and sp_map_scale do their entry arithmetic in the
+field of p.  Each returns canonical entries, with no zero term and no
+empty column, so two maps are equal exactly when they compare ==.
 """
 
 from __future__ import annotations
@@ -890,18 +891,6 @@ def sp_map_scale(op: dict, c, p=None) -> dict:
         if col:
             out[k] = col
     return out
-
-
-def sp_map_equal(opa: dict, opb: dict, p=None) -> bool:
-    """Whether two column maps agree; over F_p, entry by entry mod p."""
-    for c in opa.keys() | opb.keys():
-        cola, colb = opa.get(c, {}), opb.get(c, {})
-        if p is None:
-            if cola != colb:
-                return False
-        elif any((cola.get(r, 0) - colb.get(r, 0)) % p for r in cola | colb):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

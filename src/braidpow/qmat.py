@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .classical import _sort_inversions
 from .laurent import ONE, ladd, lmul, lneg, lq, lshift, lsub
 from .uqmod import dim_irrep
 
@@ -70,18 +71,6 @@ def _letters(exps: tuple) -> list:
     return word
 
 
-def _sort_qcount(letters) -> tuple[int, tuple]:
-    lst = list(letters)
-    inv = 0
-    for a in range(1, len(lst)):
-        b = a
-        while b and lst[b - 1] > lst[b]:
-            lst[b - 1], lst[b] = lst[b], lst[b - 1]
-            inv += 1
-            b -= 1
-    return inv, tuple(lst)
-
-
 def _exps_of(d: int, letters) -> tuple:
     exps = [0] * d
     for t in letters:
@@ -102,7 +91,7 @@ def _cross_monomial(d: int, exps: tuple, mover: int) -> dict:
         states = nxt
     out = {}
     for (mv, word), c in states.items():
-        inv, _ = _sort_qcount(word)
+        inv, _ = _sort_inversions(word)
         _acc(out, (mv, _exps_of(d, word)), lshift(c, inv))
     return out
 

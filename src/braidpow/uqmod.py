@@ -38,7 +38,6 @@ from .qarith import (
     kernel_basis,
     sp_compose,
     sp_map_add,
-    sp_map_equal,
     sp_map_scale,
     sp_rank,
 )
@@ -77,14 +76,14 @@ class WeightModule:
         return len(self.alphas)
 
     def weight_blocks(self) -> dict:
-        try:
-            return self._wblocks
-        except AttributeError:
+        # {weight: basis indices of that weight}, stored on the module
+        def build() -> dict:
             out: dict[tuple, list] = {}
             for i, w in enumerate(self.weights):
                 out.setdefault(w, []).append(i)
-            self._wblocks = out
             return out
+
+        return self._stored("weight blocks", build)
 
     def _stored(self, key, build):
         """build() the first time key is asked for, the same object after
@@ -114,7 +113,10 @@ def _qint(k: int, x):
 def audit_module(m: WeightModule) -> None:
     """Check weight homogeneity, [E_i, F_j] = delta_ij [(alpha_i | w)] on
     weight w, and the commuting and Serre relations, each written without
-    a difference (E_i F_j = F_j E_i + ...), in the module's field."""
+    a difference (E_i F_j = F_j E_i + ...), in the module's field.  Every
+    column-map operation returns canonical entries (no zero term, an int
+    0 < c < P over F_P) and no empty column, so the two sides of each
+    relation compare with ==."""
     wts, p = m.weights, m.modulus
     for i, alpha in enumerate(m.alphas):
         for op, sign in ((m.e_ops[i], 1), (m.f_ops[i], -1)):
@@ -136,7 +138,7 @@ def audit_module(m: WeightModule) -> None:
                         expect[c] = {c: _qint(k, m.x)}
             ef = sp_compose(m.e_ops[i], m.f_ops[j], p)
             fe = sp_map_add(sp_compose(m.f_ops[j], m.e_ops[i], p), expect, p)
-            if not sp_map_equal(ef, fe, p):
+            if ef != fe:
                 raise ModuleAuditError(f"{m.kind}: [E_{i}, F_{j}] relation fails")
     for ops in (m.e_ops, m.f_ops):
         for i in range(m.ngen):
@@ -146,7 +148,7 @@ def audit_module(m: WeightModule) -> None:
                 aij = pairing(m.alphas[i], m.alphas[j])
                 if aij == 0:
                     ij, ji = sp_compose(ops[i], ops[j], p), sp_compose(ops[j], ops[i], p)
-                    if not sp_map_equal(ij, ji, p):
+                    if ij != ji:
                         raise ModuleAuditError(
                             f"{m.kind}: orthogonal generators {i},{j} do not commute"
                         )
@@ -154,9 +156,7 @@ def audit_module(m: WeightModule) -> None:
                     xii_j = sp_compose(ops[i], sp_compose(ops[i], ops[j], p), p)
                     xiji = sp_compose(ops[i], sp_compose(ops[j], ops[i], p), p)
                     xjii = sp_compose(ops[j], sp_compose(ops[i], ops[i], p), p)
-                    if not sp_map_equal(
-                        sp_map_add(xii_j, xjii, p), sp_map_scale(xiji, two, p), p
-                    ):
+                    if sp_map_add(xii_j, xjii, p) != sp_map_scale(xiji, two, p):
                         raise ModuleAuditError(
                             f"{m.kind}: Serre relation fails for {i},{j}"
                         )
@@ -471,8 +471,8 @@ def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
     decompose_weight_dims, must give the same multiplicities, else a
     ModuleAuditError names the highest weight where the two differ.
     decompose reads a module this way.  The braided powers and triple
-    products are decomposed from their certified dominant dims alone
-    (braided._decompose); the tests count their highest-weight vectors
+    products are decomposed from their dominant dims alone
+    (braided._decompose_meet); the tests count their highest-weight vectors
     here, on the dominant blocks expanded into the tensor product, as
     an oracle.  A specialized module is decomposed from its character
     instead (decompose_weight_dims)."""

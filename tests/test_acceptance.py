@@ -7,7 +7,7 @@ exactly the same code.
 """
 
 from braidpow import acceptance
-from braidpow.errors import TheoremViolation
+from braidpow.errors import ModuleAuditError, TheoremViolation
 
 
 def _line(name: str, report: dict, summary: str = "") -> None:
@@ -195,3 +195,34 @@ def test_randomized_property_campaign():
     assert report["ok"]
     assert report["cases"] >= 500
     assert report["failures"] == []
+
+
+def test_run_all_keeps_running_past_a_stage_that_raises(monkeypatch):
+    # a falsified theorem, a failed audit and a sample disagreement each
+    # become that stage's ok: false with the error named, and the later
+    # stages still run
+    def raising(exc):
+        def stage():
+            raise exc
+        return stage
+
+    stages = (
+        ("theorem", raising(TheoremViolation("closed form missed"))),
+        ("audit", raising(ModuleAuditError("kernel refused"))),
+        ("samples", raising(ArithmeticError("samples disagree"))),
+        ("last", lambda: {"ok": True, "conjecture": [{"n": 4, "agree": True}]}),
+    )
+    monkeypatch.setattr(acceptance, "AUDIT_STAGES", stages)
+    report = acceptance.run_all()
+    assert report["stages"] == [
+        {"stage": "theorem", "ok": False,
+         "report": {"error": "TheoremViolation", "message": "closed form missed"}},
+        {"stage": "audit", "ok": False,
+         "report": {"error": "ModuleAuditError", "message": "kernel refused"}},
+        {"stage": "samples", "ok": False,
+         "report": {"error": "ArithmeticError", "message": "samples disagree"}},
+        {"stage": "last", "ok": True,
+         "report": {"ok": True, "conjecture": [{"n": 4, "agree": True}]}},
+    ]
+    assert report["conjecture_flags"] == [{"n": 4, "agree": True, "stage": "last"}]
+    assert report["ok"] is False

@@ -7,7 +7,7 @@ import pytest
 from braidpow import classical
 from braidpow.braided import conjectural_sym_dim, dim_ext_cube, dim_sym_cube
 from braidpow.classical import (
-    _sort_sign,
+    _sort_inversions,
     bracket_lam,
     bracket_sym,
     delta_coefficient,
@@ -107,8 +107,8 @@ def _reverse(l, x, kind):
         if kind == "sym":
             out[key[::-1]] = c
         else:
-            sign, rkey = _sort_sign(tuple(l - i for i in key))
-            out[rkey] = sign * c
+            inv, rkey = _sort_inversions(tuple(l - i for i in key))
+            out[rkey] = (-1) ** inv * c
     return out
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -425,6 +426,22 @@ def test_module_audit_error_exits_two_with_one_envelope(capsys, monkeypatch):
     assert code == 2
     assert env["payload"] == {"error": "ModuleAuditError", "message": "forced"}
     assert env["verdicts"] == {"run": "fail"}
+
+
+def test_fractions_and_sets_in_a_payload_print_as_json(capsys, monkeypatch):
+    # json cannot write a Fraction or a set; the envelope writes them as
+    # the fraction's text and the sorted list
+    def handler(args):
+        return {"ratio": Fraction(3, 2), "weights": {2, 1}}, {"ok": "pass"}, [], None
+
+    monkeypatch.setitem(cli._HANDLERS, "valuation-cover", handler)
+    code = cli.run(["valuation-cover", "--l", "3"])
+    out = capsys.readouterr().out
+    env, end = json.JSONDecoder().raw_decode(out)
+    assert not out[end:].strip()
+    assert code == 0
+    assert env["payload"] == {"ratio": "3/2", "weights": [1, 2]}
+    assert env["verdicts"] == {"ok": "pass"}
 
 
 def test_disagreeing_samples_fail_the_run(capsys, monkeypatch):

@@ -211,6 +211,109 @@ def test_a_refused_quotient_proof_restarts_the_kernel_at_twice_the_width(monkeyp
     assert got == D.kernel_rows(rows, 3)
 
 
+def _refusals(monkeypatch, room=None):
+    """(widths, sites) of the packed eliminations started from now on:
+    widths the slot (K, g) of every start, as slot_widths gives them,
+    and sites one (function, n1) per refusal, the function that raised
+    _Widen and its local n1, the norm it checked (None for a refused
+    proof).  With room given, a 32-bit slot takes entries of norm up to
+    room only, so a norm past it refuses there and the elimination
+    starts again at 64 bits, whose slot keeps its own room."""
+    sites = []
+
+    class Refusal(qarith._Widen):
+        def __init__(self):
+            frame = sys._getframe(1)
+            sites.append((frame.f_code.co_name, frame.f_locals.get("n1")))
+
+    monkeypatch.setattr(qarith, "_Widen", Refusal)
+    widths = slot_widths(monkeypatch)
+    slot = qarith._Slot
+
+    def lowered(k, g):
+        s = slot(k, g)
+        if room is not None and k == 32:
+            s.room = room
+        return s
+
+    monkeypatch.setattr(qarith, "_Slot", lowered)
+    return widths, sites
+
+
+# the packed engine and the dict engine on one system: (rows, ncols) ->
+# (packed result, dict result)
+_ENGINES = {
+    "strip": lambda rows, n: ([srow_strip(r) for r in rows], [D.strip(r) for r in rows]),
+    "echelon": lambda rows, n: (sp_span_echelon(rows), D.span_echelon(rows)),
+    "kernel": lambda rows, n: (sp_kernel(rows, n), D.kernel_rows(rows, n)),
+}
+
+# (1 + q)(5 + q) and (1 + q)(7 + q): their gcd 1 + q passes the proof at
+# 32 bits, and the cofactors have norms 6 and 8
+_SHARED = ({0: 5, 1: 6, 2: 1}, {0: 7, 1: 8, 2: 1})
+
+# B has the digits of r = 2**31 + 11 in base -22, so B(-22) = r
+_B = {0: -9, 1: 6, 2: -10, 3: -6, 4: -7, 5: 1, 6: -3, 7: -1}
+
+_REFUSALS = {
+    # A = q + 22 and B are coprime, but at xi = 2**32 = -22 mod r both
+    # values are multiples of r: A(xi) = 2r and B(xi) = B(-22) mod r.  So
+    # the multipliers of the cross share the integer gcd r >= 2**31, whose
+    # digits (11 - 2**31, 1) fail the cofactor proof
+    "a spurious gcd of two multipliers": (
+        "echelon", [{0: {0: 22, 1: 1}, 1: {0: 1}}, {0: _B, 1: {0: 1}}], None, ("_coprime", None)
+    ),
+    # the cross divides both pivot entries by 1 + q, and the second
+    # cofactor's norm 8 is past the room
+    "a divided multiplier": (
+        "echelon", [{0: p, 1: {0: 1}} for p in _SHARED], 7, ("_coprime", 8)
+    ),
+    # the strip divides the row by 1 + q, and the second entry's norm 8
+    # is past the room
+    "a stripped entry": ("strip", [dict(enumerate(_SHARED))], 7, ("_strip", 8)),
+    # clearing column 0 of the second row scales the pivot row's entry at
+    # column 1, which the row lacks, by the row's 1000: norm 10**6
+    "an entry of the pivot row alone": (
+        "echelon", [{0: {0: 1}, 1: {0: 1000}}, {0: {0: 1000}, 2: {0: 1}}], 1000, ("_cross", 10**6)
+    ),
+    # the read-off's lcm of the one pivot entry 3 + 5q has norm 8
+    "a kernel lcm": ("kernel", [{0: {0: 3, 1: 5}, 1: {0: 1}}], 7, ("_lcm", 8)),
+    # the pivot entry is 1, so the lcm and the quotient have norm 1, but
+    # x_0 = -(3 + 5q) * 1 has norm 8
+    "a kernel entry": ("kernel", [{0: {0: 1}, 1: {0: 3, 1: 5}}], 7, ("run", 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_a_refusal_at_32_bits_restarts_at_64_with_the_dict_engines_result(monkeypatch, case):
+    # each case reaches one site of the packed engine that refuses at
+    # 32 bits, by its entries alone or at a room lowered to a few units;
+    # the one elimination starts again at 64 bits and returns the dict
+    # engine's rows.  An echelon form has no certificate, so a fault
+    # after such a restart would reach only the later dim checks
+    engine, rows, room, site = _REFUSALS[case]
+    assert sum(c * (-22) ** e for e, c in _B.items()) == 2**31 + 11
+    widths, sites = _refusals(monkeypatch, room)
+    got, want = _ENGINES[engine](rows, 1 + max(c for row in rows for c in row))
+    assert got == want
+    assert widths == [(32, 1), (64, 1)]
+    assert sites == [site]
+
+
+def test_an_inexact_quotient_raises_as_the_dict_division_does():
+    # 1 + q is no multiple of 1 + 2q: the packed quotient finds a
+    # remainder at xi and raises ValueError, as laurent.ldiv_exact does;
+    # the exact quotient of their product by 1 + 2q is 1 + q
+    a, b = {0: 1, 1: 1}, {0: 1, 1: 2}
+    s = qarith._Slot(32, 1)
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        qarith._quotient(qarith._pack(a, s), qarith._pack(b, s), s)
+    with pytest.raises(ValueError):
+        L.ldiv_exact(a, b)
+    ab = qarith._pack(L.lmul(a, b), s)
+    assert qarith._unpack(qarith._quotient(ab, qarith._pack(b, s), s), s) == a
+
+
 def test_the_kernel_certificate_does_not_share_the_packing(monkeypatch):
     # an unpacking fault that drops the top digit of every entry makes
     # wrong kernel rows; the certificate reads the dict rows with its own

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidpow.laurent import ONE, lqint
+from braidpow.laurent import ONE, lqint, lscale
 from braidpow.qarith import field_one, sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
@@ -10,6 +10,7 @@ from braidpow.uqmod import (
     WeightModule,
     coproduct,
     decompose,
+    decompose_weight_rows,
     dim_irrep,
     highest_weight_vectors,
     outer,
@@ -45,16 +46,62 @@ def test_simple_gl2_structure():
 def test_audit_rejects_wrong_coefficient():
     v = simple_gl2(2, 0)
     bad_e = [{1: {0: lqint(1)}, 2: {1: lqint(1)}}]  # should be (2) on the last step
-    with pytest.raises(ModuleAuditError):
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_0\] relation fails"):
         WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
 
 
 def test_audit_rejects_serre_violation():
+    # scale E_1 by 2: [E_1,F_1] breaks, and the audit checks it before the
+    # Serre relations.  No change of E on this module could reach them:
+    # on the vector representation every term of a Serre relation moves
+    # a weight e_j by 2 alpha_i + alpha_j, which is no weight of the
+    # module, so each term is 0 for every weight-homogeneous E
     m = standard_gld(3)
     bad_e = [dict(op) for op in m.e_ops]
-    bad_e[0] = {1: {0: {0: Fraction(2)}}}  # scale E_1 by 2: [E_1,F_1] breaks
-    with pytest.raises(ModuleAuditError):
+    bad_e[0] = {1: {0: {0: Fraction(2)}}}
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_0\] relation fails"):
         WeightModule(m.kind, m.alphas, m.blocks, m.weights, bad_e, m.f_ops)
+
+
+def test_audit_rejects_an_action_off_its_weight():
+    # E sends v_2, of weight (0, 2), to v_0, of weight (2, 0), where
+    # (1, 1) = (0, 2) + alpha is the only weight it may reach
+    v = simple_gl2(2, 0)
+    bad_e = [{1: {0: lqint(1)}, 2: {0: lqint(2)}}]
+    with pytest.raises(ModuleAuditError, match="generator 0 is not weight-homogeneous"):
+        WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
+
+
+def test_audit_rejects_a_broken_off_diagonal_commutator():
+    # E_1 and F_1 of V ox V for the gl_3 vector module V, conjugated by
+    # the diagonal map that doubles x_1 ox x_3: [E_1, F_1] is conjugated
+    # with them and still holds, E_2 and F_2 are untouched, but E_1 no
+    # longer commutes with F_2 (their paths from x_2 ox x_2 to x_1 ox x_3
+    # now differ by the factor 2)
+    t = tensor(standard_gld(3), standard_gld(3))
+    scale = {2: 2}
+
+    def conjugated(op):
+        return {
+            c: {r: lscale(v, Fraction(scale.get(r, 1), scale.get(c, 1))) for r, v in col.items()}
+            for c, col in op.items()
+        }
+
+    e_ops = [conjugated(t.e_ops[0]), t.e_ops[1]]
+    f_ops = [conjugated(t.f_ops[0]), t.f_ops[1]]
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_1\] relation fails"):
+        WeightModule(("bad",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
+
+
+def test_decompose_weight_rows_refuses_counts_the_dims_contradict():
+    # the (1, 1) block of V_(2,0) alone: its dim gives V_(1,1) once, but
+    # E does not kill its vector, so the count finds no highest weight
+    v = simple_gl2(2, 0)
+    with pytest.raises(
+        ModuleAuditError,
+        match=r"at \(1, 1\) the weight dims give multiplicity 1, the highest-weight count 0",
+    ):
+        decompose_weight_rows({(1, 1): [{1: dict(ONE)}]}, v.blocks, [coproduct((v,), 0)])
 
 
 def test_tensor_coproduct_example():
@@ -87,8 +134,10 @@ def test_coproduct_matches_tensor_construction():
 
 
 def test_coproduct_on_distinct_factors_matches_tensor_construction():
-    # the action on V_2 ox V_1 ox V_3 (last factor fastest) that the
-    # triple product uses without building the triple tensor module
+    # coproduct on three distinct factors V_2 ox V_1 ox V_3 (last factor
+    # fastest), without the triple tensor module, against the E and F of
+    # that module; the triple product itself builds no three-factor
+    # action, it meets two-factor sides by braided._meet_step
     v1, v2, v3 = (simple_gl2(l, 0) for l in (2, 1, 3))
     t3 = tensor(tensor(v1, v2), v3)
     vec = {idx: {idx % 3 - 1: idx + 1} for idx in range(0, t3.dim, 5)}
