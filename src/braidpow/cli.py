@@ -564,7 +564,30 @@ def run(argv=None) -> int:
         return 1
 
     t0 = time.perf_counter()
-    flags: list = []
+
+    def envelope(payload, verdicts, flags) -> str:
+        return json.dumps(
+            {
+                "command": args.command,
+                "argv": argv,
+                "config": {
+                    "mode": getattr(args, "mode", "exact"),
+                    "seed": getattr(args, "seed", None),
+                    "override_guards": bool(getattr(args, "override_guards", False)),
+                    "csv": args.csv,
+                },
+                "payload": payload,
+                "verdicts": verdicts,
+                "conjecture_flags": flags,
+                "wall_time_s": round(time.perf_counter() - t0, 3),
+            },
+            indent=2,
+            sort_keys=True,
+            default=_plain,
+        )
+
+    # the handler's envelope is written inside the try, so a payload that
+    # _plain cannot write is an internal error with its own envelope
     try:
         guard = _GUARDS.get(args.command)
         rule = guard(args) if guard and not args.override_guards else None
@@ -573,39 +596,23 @@ def run(argv=None) -> int:
         payload, verdicts, found, table = _HANDLERS[args.command](args)
         if table is not None and args.csv:
             _write_csv(args.csv, table)
-        flags = found
         code = 2 if "fail" in verdicts.values() else 0
+        text = envelope(payload, verdicts, found)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (GuardError, InfeasibleError, ValueError, OSError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        verdicts = {}
         code = 1
+        text = envelope({"error": type(exc).__name__, "message": str(exc)}, {}, [])
     except (TheoremViolation, ModuleAuditError, ArithmeticError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        verdicts = {"run": "fail"}
         code = 2
+        text = envelope({"error": type(exc).__name__, "message": str(exc)}, {"run": "fail"}, [])
     except Exception as exc:
-        payload = {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
-        verdicts = {"run": "fail"}
         code = 2
-
-    envelope = {
-        "command": args.command,
-        "argv": argv,
-        "config": {
-            "mode": getattr(args, "mode", "exact"),
-            "seed": getattr(args, "seed", None),
-            "override_guards": bool(getattr(args, "override_guards", False)),
-            "csv": args.csv,
-        },
-        "payload": payload,
-        "verdicts": verdicts,
-        "conjecture_flags": flags,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-    }
-    print(json.dumps(envelope, indent=2, sort_keys=True, default=_plain))
+        text = envelope(
+            {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}, {"run": "fail"}, []
+        )
+    print(text)
     return code
 
 

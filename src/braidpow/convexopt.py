@@ -107,12 +107,16 @@ def kappa_weight(a, kappa):
     return sum(a[i][kappa[i] - 1] for i in range(len(kappa)))
 
 
-def random_lambda_convex(m: int, n: int, rng: random.Random, amp: int = 4):
-    """Product ramp plus bounded noise; the ramp margin dominates the
-    noise, so the result satisfies every strict quadruple inequality."""
-    scale = 4 * amp + 1
+_AMP = 4
+
+
+def random_lambda_convex(m: int, n: int, rng: random.Random):
+    """Product ramp plus noise bounded by _AMP; the ramp margin dominates
+    the noise, so the result satisfies every strict quadruple
+    inequality."""
+    scale = 4 * _AMP + 1
     return [
-        [(i + 1) * (j + 1) * scale + rng.randint(-amp, amp) for j in range(n)]
+        [(i + 1) * (j + 1) * scale + rng.randint(-_AMP, _AMP) for j in range(n)]
         for i in range(m)
     ]
 

@@ -241,9 +241,11 @@ def gt_pair_bases(module: WeightModule, lam, beta) -> tuple[list, list]:
 def _f_string(module: WeightModule, lam: tuple, gen0: int, mu: tuple) -> list:
     """The F_(gen0+1)-string of the E_(gen0+1)-kernel at mu: [seed,
     F seed, F^2 seed, ...] as stripped rows, up to its last nonzero
-    image, or [] when the kernel is zero.  A kernel of dimension above 1
-    is a TheoremViolation.  Built once per (module, gen0, mu) and stored
-    on module, so every weight of a string reads one seed and one walk."""
+    image, or [] when the kernel is zero.  The seed is a kernel row,
+    which sp_kernel already returns stripped.  A kernel of dimension
+    above 1 is a TheoremViolation.  Built once per (module, gen0, mu) and
+    stored on module, so every weight of a string reads one seed and one
+    walk."""
 
     def build() -> list:
         seeds = weight_space_kernel(module, mu, [gen0])
@@ -253,7 +255,7 @@ def _f_string(module: WeightModule, lam: tuple, gen0: int, mu: tuple) -> list:
                 f"{len(seeds)}, expected at most 1"
             )
         out = []
-        row = srow_strip(seeds[0]) if seeds else {}
+        row = seeds[0] if seeds else {}
         while row:
             out.append(row)
             row = srow_strip(sp_apply(module.f_ops[gen0], row))

@@ -27,7 +27,7 @@ slot holds the zero coefficients between powers of q**g.  Elimination
 cross-multiplies rows instead of dividing (_cross): a new entry
 a*p - b*r is two big-int products and a difference whose q powers x
 and y differ by a multiple of g, shifted by K*(x - y)/g bits, taken
-after a and b are divided by their gcd when neither is a constant.
+after a and b are stripped as one row when neither is a constant.
 Whole zero slots at the bottom of a difference raise its lo by
 multiples of g.  The step is checked, never assumed: a cross whose
 shift g does not divide raises _Ungraded, and that one elimination
@@ -56,28 +56,29 @@ cheaper at these sizes, and would only start more eliminations again.
 
 A strip is one heuristic gcd GCDHEU (Char, Geddes and Gonnet, J.
 Symbolic Comput. 1989) in t at xi = 2**K that evaluates nothing, since
-the packed ints are the values (_cofactors).  Let m be the gcd of the
-values of the row's two shortest entries (the cheapest integer gcd), H
-the primitive part of m's balanced digits and c their content.  Each
-cofactor Q is the digit polynomial of v / H(xi), kept when H(xi)
-divides v and 2*|H|_1*|Q|_inf < xi.  Then H*Q == f in Z[t]: the
-invariant gives 2*|f|_inf < xi, and 2*|H*Q|_inf <= 2*|H|_1*|Q|_inf <
-xi, so H*Q - f has every coefficient below xi in size and vanishes at
-t = xi; xi would divide its lowest nonzero coefficient, so it has none.
-And H is the gcd G2 of the two entries in Z[t].  G2 = H*T and G2(xi)
-divides m = c*H(xi), so T(xi) divides c, and |c| <= xi/2 because c
-divides a balanced digit.  A root of a nonconstant T is a common root,
+the packed ints are the values (_cofactors).  Let m be the gcd of every
+value of the row, H the primitive part of m's balanced digits and c
+their content.  Each cofactor Q is the digit polynomial of v / H(xi),
+kept when H(xi) divides v and 2*|H|_1*|Q|_inf < xi.  Then H*Q == f in
+Z[t]: the invariant gives 2*|f|_inf < xi, and 2*|H*Q|_inf <=
+2*|H|_1*|Q|_inf < xi, so H*Q - f has every coefficient below xi in size
+and vanishes at t = xi; xi would divide its lowest nonzero coefficient,
+so it has none.  So H divides every entry, and the primitive gcd G of
+the row is H*T in Z[t].  G(xi) divides every value, so it divides m =
+c*H(xi), and T(xi) divides c, where |c| <= xi/2 because c divides a
+balanced digit.  A root of a nonconstant T is a root of every entry,
 of modulus at most n1 + 1 by Cauchy's bound, so xi >= 2*n1 + 4 makes
-|T(xi)| > xi/2.  The gcd G of the row divides G2 = H, and H divides
-every entry, so H == G.  When H(xi) does not divide some value, or a
-cofactor is refused, m is taken over every value and tried once more.
-By Gauss's lemma the row's content is the content of its cofactors,
-and it divides c.  A single-digit m (below 2**(K-1)) proves G = 1, so
-a row with m = 1 is only shifted and signed, without reading a digit.
-The sign is that of the first column's value, which has the sign of
-its top digit.  The multipliers' gcd (_coprime), and the lcm and
-quotients of the kernel read-off (_lcm, _quotient), prove their
-cofactors by the same bounds.
+|T(xi)| > xi/2.  So T is a unit and H == G.  The same bound proves G =
+1 when m is a single digit (below 2**(K-1)), and the content divides
+m, so a row with m = 1 is only shifted and signed, without reading a
+digit.  By Gauss's lemma the row's content is the content of its
+cofactors, and it divides c.  The sign is that of the first column's
+value, which has the sign of its top digit.  A strip makes one try: a
+value H(xi) does not divide, or a refused cofactor, raises _Widen.
+The cross step's multipliers and the two entries of the kernel
+read-off's lcm (_cross, _lcm) are divided by stripping them as a
+two-entry row, and the read-off's quotients (_quotient) are proved by
+the same bounds.
 
 A proof refused at xi = 2**K raises _Widen, as a slot miss does, and
 that one elimination starts again at 2K.  This one restart rule ends.
@@ -86,13 +87,12 @@ operation that returns gives the same entry, its n1 included, at every
 K, so the n1 bounds do not depend on K and fit the slot from some
 width on.  A quotient Q = a/b (_quotient) is the same at every width,
 so its proof 2*n1(b)*|Q|_inf < xi holds from some fixed width on.  In
-a strip, the m taken over every value is |G(xi)|*r, where r is the gcd
-of the values of the cofactors f/G.  These are coprime, so r divides a
-fixed nonzero integer, an integer combination of them (for two, their
-resultant).  Once xi > 2*|r|*|G|_inf, the balanced digits of m are the
-coefficients of r*G, so H = G; once also xi > 2*|H|_1*|Q|_inf for every
-cofactor Q, each is accepted.  _coprime is the same argument on two
-entries.
+a strip, m is |G(xi)|*r, where r is the gcd of the values of the
+cofactors f/G.  These are coprime, so r divides a fixed nonzero
+integer, an integer combination of them (for two, their resultant).
+Once xi > 2*|r|*|G|_inf, the balanced digits of m are the coefficients
+of r*G, so H = G; once also xi > 2*|H|_1*|Q|_inf for every cofactor Q,
+each is accepted.
 
 sp_rank, sp_kernel and through it sp_intersect first rank the system
 over F_P at the fixed unit q = _SCREEN_X (_screen).  That rank is a
@@ -278,14 +278,13 @@ def _measure(rows) -> tuple:
 
 def _cofactors(entries: list, m: int, s: _Slot):
     """GCDHEU at xi = 2**K on packed entries, for m >= 2**(K-1) the gcd
-    of the values of some of them: H is the primitive part of m's
-    balanced digits, and each entry's cofactor is the digit polynomial Q
-    of v / H(xi), kept when H(xi) divides v and 2*|H|_1*|Q|_inf < xi.
-    Returns [(lo, u, digits)], u = v / H(xi), or None when a value or a
-    cofactor is refused.  The slot invariant gives 2*|f|_inf < xi for
-    every entry, so an accepted Q is f / H, and H is then the gcd of the
-    entries whose values gave m (both by the module docstring's proof);
-    it divides all of them, so it is their gcd G."""
+    of their values: H is the primitive part of m's balanced digits, and
+    each entry's cofactor is the digit polynomial Q of v / H(xi), kept
+    when H(xi) divides v and 2*|H|_1*|Q|_inf < xi.  Returns [(lo, u,
+    digits)], u = v / H(xi), or None when a value or a cofactor is
+    refused.  The slot invariant gives 2*|f|_inf < xi for every entry, so
+    an accepted Q is f / H, and H is then the entries' gcd G (both by the
+    module docstring's proof)."""
     h = _digits(m, s)
     c = gcd(*h)
     hv, h1, xi = m // c, sum(map(abs, h)) // c, s.xi
@@ -301,53 +300,22 @@ def _cofactors(entries: list, m: int, s: _Slot):
     return out
 
 
-def _coprime(a: tuple, b: tuple, s: _Slot) -> tuple:
-    """(a / G, b / G) for G the primitive gcd of the two entries'
-    polynomial parts; a divided entry carries the exact norm of its
-    digits.  When _cofactors refuses, the elimination starts again at
-    2K: the proof holds from some width on (see the module docstring)."""
-    m = gcd(a[1], b[1])
-    if m < s.half:
-        # G(xi) divides m < xi/2, which no nonconstant G does
-        return a, b
-    got = _cofactors([a, b], m, s)
-    if got is None:
-        raise _Widen
-    out = []
-    for lo, u, d in got:
-        n1 = sum(map(abs, d))
-        if n1 > s.room:
-            raise _Widen
-        out.append((lo, u, n1))
-    return tuple(out)
-
-
 def _strip(row: dict, s: _Slot) -> dict:
     """The packed form of srow_strip: the row divided by its common q
-    power, its signed content and the gcd G of its entries.  G divides
-    the gcd of the two shortest entries, whose values cost the least
-    integer gcd m, so _cofactors tries that first.  When m, or failing
-    that the gcd of every value, is below 2**(K-1), G is 1 and the
-    content divides m, so a row with m = 1 is only shifted and signed
-    without reading a digit; else _cofactors divides by G.  The content
-    is the gcd of the cofactor digits, the sign that of the first
-    column's value (its top digit).  When both tries are refused, the
-    elimination starts again at 2K (see the module docstring)."""
+    power, its signed content and the gcd G of its entries.  m is the gcd
+    of every value, taken shortest first so the gcd chain starts cheap.
+    When m is below 2**(K-1), G is 1 and the content divides m, so a row
+    with m = 1 is only shifted and signed without reading a digit; else
+    _cofactors divides by G, and a refusal starts the elimination again
+    at 2K (see the module docstring).  The content is the gcd of the
+    cofactor digits, the sign that of the first column's value (its top
+    digit)."""
     if not row:
         return row
     entries = list(row.values())
     shift = min(e[0] for e in entries)
-    values = [e[1] for e in entries]
-    pair = gcd(*sorted(values, key=int.bit_length)[:2])
-    got = _cofactors(entries, pair, s) if pair >= s.half else None
-    m = pair
-    if got is None:
-        m = gcd(pair, *values)
-        if m >= s.half:
-            got = _cofactors(entries, m, s) if m != pair else None
-            if got is None:
-                raise _Widen
-    if got is None:
+    m = gcd(*sorted((e[1] for e in entries), key=int.bit_length))
+    if m < s.half:
         cont = m
         for _, v, _ in entries:
             if cont == 1:
@@ -358,6 +326,9 @@ def _strip(row: dict, s: _Slot) -> dict:
         if cont == 1 and not shift:
             return row
         return {c: (lo - shift, v // cont, n1 // abs(cont)) for c, (lo, v, n1) in row.items()}
+    got = _cofactors(entries, m, s)
+    if got is None:
+        raise _Widen
     cont = 0
     for _, _, d in got:
         cont = gcd(cont, *d)
@@ -384,16 +355,17 @@ def srow_strip(row: dict) -> dict:
 
 def _cross(row: dict, pivot_row: dict, col: int, s: _Slot) -> dict:
     """a*row - b*pivot_row on packed rows, for a = pivot_row[col] and
-    b = row[col], each divided first by their gcd (_coprime) when
-    neither is a constant times a power of q.  That row spans the same
-    line, so _strip gives the same row.  The entry at col cancels and is
+    b = row[col], first stripped as the row {0: a, 1: b} (_strip) when
+    neither is a constant times a power of q.  That divides both by one
+    unit, their common content and their gcd, so the row spans the same
+    line and _strip gives the same row.  The entry at col cancels and is
     skipped; every other entry is two big-int products and a shifted
     difference, its n1 the bound |a|_1*|p|_1 + |b|_1*|r|_1, checked
     against the slot before the products are taken."""
     a, b = pivot_row[col], row[col]
     half = s.half
     if not -half < a[1] < half and not -half < b[1] < half:
-        a, b = _coprime(a, b, s)
+        a, b = _strip({0: a, 1: b}, s).values()
     la, va, na = a
     lb, vb, nb = b
     k, g, room = s.k, s.step, s.room
@@ -539,18 +511,15 @@ def sp_rank(rows) -> int:
 
 
 def _lcm(a: tuple, b: tuple, s: _Slot) -> tuple:
-    """The lcm of two entries' polynomial parts, up to units: a * (b / G)
-    / d, for G their primitive gcd (_coprime) and d the gcd of their
-    contents."""
-    a, b = (0, a[1], a[2]), (0, b[1], b[2])
-    a2, b2 = _coprime(a, b, s)
-    d = gcd(a2[1], b2[1])
-    if d > 1:
-        d = gcd(d, *_digits(a2[1], s), *_digits(b2[1], s))
-    n1 = a[2] * b2[2] // d
+    """The lcm of two entries' polynomial parts, up to units: a times the
+    second entry of the stripped row {0: a, 1: b} (_strip), which is b
+    divided by a unit and by the gcd of a and b, content included."""
+    a = (0, a[1], a[2])
+    _, b = _strip({0: a, 1: (0, b[1], b[2])}, s).values()
+    n1 = a[2] * b[2]
     if n1 > s.room:
         raise _Widen
-    return 0, a[1] * b2[1] // d, n1
+    return 0, a[1] * b[1], n1
 
 
 def _quotient(a: tuple, b: tuple, s: _Slot) -> tuple:

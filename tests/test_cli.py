@@ -444,6 +444,23 @@ def test_fractions_and_sets_in_a_payload_print_as_json(capsys, monkeypatch):
     assert env["verdicts"] == {"ok": "pass"}
 
 
+def test_a_payload_json_cannot_write_fails_the_run_with_one_envelope(capsys, monkeypatch):
+    # _plain refuses an object it has no text for; the run still prints
+    # one envelope, an internal error, and exits 2
+    def handler(args):
+        return {"x": object()}, {"ok": "pass"}, [], None
+
+    monkeypatch.setitem(cli._HANDLERS, "valuation-cover", handler)
+    code = cli.run(["valuation-cover", "--l", "3"])
+    out = capsys.readouterr().out
+    env, end = json.JSONDecoder().raw_decode(out)
+    assert not out[end:].strip()
+    assert code == 2
+    assert env["payload"] == {"error": "internal", "message": "TypeError: cannot serialize object"}
+    assert env["verdicts"] == {"run": "fail"}
+    assert env["command"] == "valuation-cover"
+
+
 def test_disagreeing_samples_fail_the_run(capsys, monkeypatch):
     def at_sample(V, kind, n):
         return IrrepMultiset({(V.q0.numerator, 0): 1}, V.blocks)

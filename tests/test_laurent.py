@@ -238,10 +238,22 @@ def test_engine_rows_hold_int_coefficients(specialized):
 # the packed row strip against the Euclidean fold of dict_engine
 
 
+# F = 1 + q^2 divides the two shortest entries, and no other: the gcd of
+# those two values alone would give the candidate F G, which the longer
+# entries refuse; the strip's one m over every value gives G
+_F = {0: 1, 2: 1}
+
+
 @FIXED
 @given(
     st.lists(shifted(laurents(nonzero=True)), min_size=1, max_size=6),
     laurents(max_terms=4, span=3, nonzero=True),
+)
+@example(cofactors=[_F, L.lmul(_F, {0: 1, 1: 1}), {0: 1, 1: 3, 4: 1}], g={0: 2, 1: 1})
+# G = 1: the row's gcd is a constant, so only the content and q power go
+@example(
+    cofactors=[L.lshift(_F, -2), L.lmul(_F, {0: -3, 1: 1}), {0: 2, 3: 1, 5: -1}, {1: 1, 4: 2}],
+    g={0: 1},
 )
 def test_cofactors_match_the_pairwise_fold(cofactors, g):
     row = dict(enumerate(L.lmul(u, g) for u in cofactors))
@@ -291,6 +303,12 @@ def in_steps(p, step):
     ),
     laurents(max_terms=4, span=3, nonzero=True),
 )
+# F(q^2) divides the two shortest entries only, as above, in steps of 2
+@example(
+    step=2,
+    units=[(_F, 0), (L.lmul(_F, {0: 1, 1: 1}), 3), ({0: 1, 1: 3, 4: 1}, -2)],
+    g={0: 2, 1: 1},
+)
 def test_cofactors_of_polynomials_in_a_power_of_q(step, units, g):
     # q^s_i U_i(q^g) G(q^g) with mixed shifts s_i: every gap within an
     # entry is a multiple of g, and the packed strip still reads them in q
@@ -299,6 +317,24 @@ def test_cofactors_of_polynomials_in_a_power_of_q(step, units, g):
         for i, (u, s) in enumerate(units)
     }
     assert srow_strip(row) == D.strip(row)
+
+
+def _tries_per_strip(monkeypatch) -> list:
+    """The GCDHEU tries (qarith._cofactors calls) of every packed strip
+    from now on, one count per qarith._strip call, in order."""
+    tries, calls = [], []
+    strip, cofactors = qarith._strip, qarith._cofactors
+
+    def counted(row, s):
+        before = len(calls)
+        try:
+            return strip(row, s)
+        finally:
+            tries.append(len(calls) - before)
+
+    monkeypatch.setattr(qarith, "_strip", counted)
+    monkeypatch.setattr(qarith, "_cofactors", lambda *args: calls.append(1) or cofactors(*args))
+    return tries
 
 
 def _packed_entries(row, s):
@@ -370,8 +406,11 @@ def test_coprime_entries_whose_values_share_a_large_factor_restart(monkeypatch):
     assert _start_width(row) == 32
     assert gcd(*(v for _, v, _ in _packed_entries(row, s))) == p
     widths = slot_widths(monkeypatch)
+    tries = _tries_per_strip(monkeypatch)
     assert srow_strip(row) == D.strip(row) == row
     assert widths == [(32, 1), (64, 1)]
+    # the refused strip tries once; at 64 bits m is one digit, so none
+    assert tries == [1, 0]
 
 
 def test_cofactors_past_the_bound_restart_at_twice_the_width(monkeypatch):
@@ -399,7 +438,8 @@ def test_value_quotients_serve_the_cube_strips(monkeypatch):
     # cofactor and quotient off the values at xi = 2**K
     # (qarith._cofactors, qarith._quotient) at the width it starts at; no
     # elimination starts again at a wider slot, which would be a silent
-    # slowdown
+    # slowdown.  Each strip, a row's or a cross's multipliers', makes at
+    # most one GCDHEU try
     served, started = [], []
     cofactors, packed = qarith._cofactors, qarith._packed
 
@@ -412,11 +452,13 @@ def test_value_quotients_serve_the_cube_strips(monkeypatch):
     monkeypatch.setattr(qarith, "_cofactors", value)
     monkeypatch.setattr(qarith, "_packed", lambda *args, **kw: started.append(1) or packed(*args, **kw))
     widths = slot_widths(monkeypatch)
+    tries = _tries_per_strip(monkeypatch)
     V = simple_gl2(3, 0)
     for side in ("sym", "ext"):
         braided._level(V, side, 3)
     assert served and started
     assert len(widths) == len(started)
+    assert max(tries) == 1 and sum(tries) == len(served)
 
 
 def _plain_cross(row, pivot_row, col):

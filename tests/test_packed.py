@@ -258,15 +258,16 @@ _B = {0: -9, 1: 6, 2: -10, 3: -6, 4: -7, 5: 1, 6: -3, 7: -1}
 _REFUSALS = {
     # A = q + 22 and B are coprime, but at xi = 2**32 = -22 mod r both
     # values are multiples of r: A(xi) = 2r and B(xi) = B(-22) mod r.  So
-    # the multipliers of the cross share the integer gcd r >= 2**31, whose
-    # digits (11 - 2**31, 1) fail the cofactor proof
+    # the strip of the cross's multipliers {0: A, 1: B} meets the integer
+    # gcd r >= 2**31, whose digits (11 - 2**31, 1) fail the cofactor
+    # proof; each input row's own strip has m = 1
     "a spurious gcd of two multipliers": (
-        "echelon", [{0: {0: 22, 1: 1}, 1: {0: 1}}, {0: _B, 1: {0: 1}}], None, ("_coprime", None)
+        "echelon", [{0: {0: 22, 1: 1}, 1: {0: 1}}, {0: _B, 1: {0: 1}}], None, ("_strip", None)
     ),
-    # the cross divides both pivot entries by 1 + q, and the second
-    # cofactor's norm 8 is past the room
+    # the cross strips its two multipliers, dividing both by 1 + q, and
+    # the second cofactor's norm 8 is past the room
     "a divided multiplier": (
-        "echelon", [{0: p, 1: {0: 1}} for p in _SHARED], 7, ("_coprime", 8)
+        "echelon", [{0: p, 1: {0: 1}} for p in _SHARED], 7, ("_strip", 8)
     ),
     # the strip divides the row by 1 + q, and the second entry's norm 8
     # is past the room
