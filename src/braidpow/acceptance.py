@@ -415,7 +415,7 @@ def property_campaign(seed: int = CAMPAIGN_SEED, min_cases: int = 500) -> dict:
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         lam = tuple(sorted(rng.randint(0, n) for _ in range(m)))
         kappa = tuple(rng.randint(1, n) for _ in range(m))
-        inv = inversions(lam, kappa, n)
+        inv = inversions(lam, kappa)
         if inv:
             i, ip = inv[0]
             a = random_lambda_convex(m, n, rng)

@@ -71,7 +71,7 @@ def gen_lam(l: int, i: int) -> dict:
     return {(i,): 1}
 
 
-def _act_sym(l: int, x: dict, step: int, coeff) -> dict:
+def _act_sym(x: dict, step: int, coeff) -> dict:
     out = {}
     for mono, c in x.items():
         for i, e in enumerate(mono):
@@ -87,7 +87,7 @@ def _act_sym(l: int, x: dict, step: int, coeff) -> dict:
     return out
 
 
-def _act_lam(l: int, x: dict, step: int, coeff) -> dict:
+def _act_lam(x: dict, step: int, coeff) -> dict:
     # moving one index by +-1 keeps the tuple sorted or collides with a
     # neighbor, so no resorting and no sign
     out = {}
@@ -104,19 +104,19 @@ def _act_lam(l: int, x: dict, step: int, coeff) -> dict:
 
 
 def e_sym(l, x):
-    return _act_sym(l, x, -1, lambda i: i)
+    return _act_sym(x, -1, lambda i: i)
 
 
 def f_sym(l, x):
-    return _act_sym(l, x, +1, lambda i: l - i)
+    return _act_sym(x, +1, lambda i: l - i)
 
 
 def e_lam(l, x):
-    return _act_lam(l, x, -1, lambda i: i)
+    return _act_lam(x, -1, lambda i: i)
 
 
 def f_lam(l, x):
-    return _act_lam(l, x, +1, lambda i: l - i)
+    return _act_lam(x, +1, lambda i: l - i)
 
 
 def mul_sym(x: dict, y: dict) -> dict:

@@ -52,7 +52,7 @@ def multiplicities(lam, kappa, n: int) -> tuple[tuple, tuple]:
     return tuple(km), tuple(kp)
 
 
-def is_inversion(lam, kappa, i: int, ip: int, n: int) -> bool:
+def is_inversion(lam, kappa, i: int, ip: int) -> bool:
     """Descent at i < ip whose transposition preserves both multiplicity
     functions; equivalently both touched columns are sign-pure across
     the two rows."""
@@ -66,13 +66,13 @@ def is_inversion(lam, kappa, i: int, ip: int, n: int) -> bool:
     ) == cell_sign(lam, ip, b)
 
 
-def inversions(lam, kappa, n: int) -> list[tuple]:
+def inversions(lam, kappa) -> list[tuple]:
     m = len(kappa)
     return [
         (i, ip)
         for i in range(1, m + 1)
         for ip in range(i + 1, m + 1)
-        if is_inversion(lam, kappa, i, ip, n)
+        if is_inversion(lam, kappa, i, ip)
     ]
 
 
@@ -181,7 +181,7 @@ def kappa_star(lam, kminus, kplus) -> tuple:
             f"requested K- = {tuple(kminus)}, K+ = {tuple(kplus)}; "
             "the class is empty"
         )
-    inv = inversions(lam, kappa, n)
+    inv = inversions(lam, kappa)
     if inv:
         raise TheoremViolation(
             f"constructed map {kappa} still has inversions {inv}"
@@ -219,7 +219,7 @@ def certify_max(
             f"no map realizes K- = {tuple(kminus)}, K+ = {tuple(kplus)} "
             f"over {lam}"
         )
-    inv_free = [k for k in feas if not inversions(lam, k, n)]
+    inv_free = [k for k in feas if not inversions(lam, k)]
     if len(inv_free) != 1:
         raise TheoremViolation(
             f"{len(inv_free)} inversion-free members in a class of {len(feas)}"

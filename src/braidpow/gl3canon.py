@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import TheoremViolation
 from .laurent import ldeg, lqint
-from .qarith import sp_apply, sp_rank, srow_strip
+from .qarith import sp_apply, sp_kernel, srow_strip
 from .uqmod import WeightModule, weight_space_kernel
 
 ALPHA1 = (1, -1, 0)
@@ -379,7 +379,9 @@ def degree_recursion_check(lam, module: WeightModule | None = None) -> dict:
 
 def genericity_check(lam, module: WeightModule | None = None) -> dict:
     """Every maximal minor of the m x 2m matrix whose columns are
-    b2_m .. b2_1, b1_1 .. b1_m over the label basis is nonzero."""
+    b2_m .. b2_1, b1_1 .. b1_m over the label basis is nonzero: the m
+    picked columns, as equations in the m weight-space positions, have
+    an empty certified kernel (qarith.sp_kernel)."""
     lam = _check_dominant(lam)
     if module is None:
         module = dcb_module(lam)
@@ -394,7 +396,7 @@ def genericity_check(lam, module: WeightModule | None = None) -> dict:
         cols = list(reversed(b2)) + b1
         for pick in combinations(range(2 * m), m):
             minors += 1
-            if sp_rank([cols[j] for j in pick]) != m:
+            if sp_kernel([cols[j] for j in pick], m):
                 failures.append({"beta": beta, "columns": pick})
     return {
         "lam": lam,

@@ -5,14 +5,14 @@ rows: a row is a dict {column: Laurent dict} that stores no zero entry
 and holds int coefficients only.  Dict rows are the boundary only.
 sp_echelon, sp_kernel's elimination (_kernel_rows) and srow_strip are
 the three entry points that pack every entry, eliminate the packed rows
-and unpack the result (each through _packed), and span_basis, sp_rank
-and sp_kernel go through them.  A reduced echelon basis of stripped
-rows is the canonical form of a subspace.  sp_intersect is the
-reference meet of the tests; the braided power step
-(braided._meet_step) keeps its kernel vectors as coordinates over the
-level below, so its meet takes no second elimination.  Subspace.span is
-the one boundary for rationals: it clears the denominators of a
-caller's rows before they enter the engine.
+and unpack the result (each through _packed), and span_basis and
+sp_kernel go through them.  A reduced echelon basis of stripped rows is
+the canonical form of a subspace.  sp_intersect is the reference meet
+of the tests; the braided power step (braided._meet_step) keeps its
+kernel vectors as coordinates over the level below, so its meet takes
+no second elimination.  Subspace.span is the one boundary for
+rationals: it clears the denominators of a caller's rows before they
+enter the engine.
 
 Packed entries.  Each elimination has a step g: the gcd of the
 exponent differences inside the entries of its input rows, or 1 when
@@ -94,20 +94,23 @@ Once xi > 2*|r|*|G|_inf, the balanced digits of m are the coefficients
 of r*G, so H = G; once also xi > 2*|H|_1*|Q|_inf for every cofactor Q,
 each is accepted.
 
-sp_rank, sp_kernel and through it sp_intersect first rank the system
-over F_P at the fixed unit q = _SCREEN_X (_screen).  That rank is a
-lower bound of the rank over Q(q); when it already is the largest
-possible rank, they answer without the exact elimination.  sp_kernel
-then eliminates only the equations that raised the screen's rank and
-certifies its result before returning it: every row pairs to exactly 0
-with every equation, the rows are independent, and their number is
-ncols minus the rank at _SCREEN_X or at one of a fixed list of further
-points (_CERTIFY_X).  A result that fails raises ModuleAuditError, so
-every exact kernel, and every exact block dim read off one, is proved.
-No result depends on the points: a rank drop at one only costs work.
-The certificate reads the unpacked dict rows with its own evaluation
-at 2**s (_annihilated), and shares no code with the packing, so a
-fault in packing or unpacking cannot certify its own result.
+sp_kernel, and through it sp_intersect, applies one rule at each
+point of a fixed list of units, _SCREEN_X and then _CERTIFY_X, in turn.
+It ranks the system over F_P at q = x (_screen).  That rank r_x is a
+lower bound of the rank over Q(q), and the rows that raise it are
+independent over Q(q).  A full rank answers the empty kernel without
+the exact elimination.  Else only the r_x raised rows are eliminated,
+and their kernel is certified: every row pairs to exactly 0 with every
+equation (_annihilated), the rows are independent, and they number
+ncols - r_x.  Only a pairing that fails, which happens exactly when r_x
+is below the exact rank, moves on to the next point.  A result that
+fails, or a list with no point of exact rank, raises ModuleAuditError,
+so every exact kernel, and every exact dim or rank the program reads
+off one, is proved.  No result depends on the points: a rank drop at
+one only costs work.  The certificate reads the unpacked dict rows
+with its own evaluation at 2**s (_annihilated), and shares no code
+with the packing, so a fault in packing or unpacking cannot certify its
+own result.
 
 Specialize mode never enters that engine.  fp_rref and fp_kernel
 eliminate rows {col: int} over F_p with pivots scaled to 1 (_fp_insert,
@@ -421,23 +424,22 @@ def _insert(piv: dict, row: dict, s: _Slot):
     return None
 
 
-def _echelon(rows, s: _Slot, reduced: bool) -> dict:
+def _echelon(rows, s: _Slot) -> dict:
     piv: dict[int, dict] = {}
     for row in rows:
         _insert(piv, row, s)
-    if reduced:
-        _back_reduce(piv, s)
+    _back_reduce(piv, s)
     return piv
 
 
-def sp_echelon(rows, reduced: bool = True) -> dict:
-    """Eliminate sparse Laurent rows.  Returns {pivot_col: row}; with
-    reduced=True the rows form an RREF up to scaling (each row touches
-    its own pivot column and free columns only)."""
+def sp_echelon(rows) -> dict:
+    """Eliminate sparse Laurent rows.  Returns {pivot_col: row}, an RREF
+    up to scaling: each row touches its own pivot column and free
+    columns only."""
     rows = list(rows)
 
     def run(packed, s):
-        piv = _echelon(packed, s, reduced)
+        piv = _echelon(packed, s)
         return {c: _unpack_row(row, s) for c, row in piv.items()}
 
     return _packed(rows, run)
@@ -458,9 +460,9 @@ def _back_reduce(piv: dict, s: _Slot) -> None:
 # The screen point: q is evaluated at this unit of F_P.  It is no root
 # of unity of small order, where q-integers and the like would vanish.
 _SCREEN_X = 1_000_000_007
-# Further units, tried in this order when a kernel's row count is not
-# ncols minus the rank at _SCREEN_X (see sp_kernel).  The list is fixed,
-# so a run repeats exactly.
+# Further units, tried in this order when the kernel of the rows a point
+# raised does not pair to 0 with every row (see sp_kernel).  The list is
+# fixed, so a run repeats exactly.
 _CERTIFY_X = (123_456_789, 987_654_321, 555_555_555_555)
 
 
@@ -500,16 +502,6 @@ def _screen(rows, ncols: int, x: int = _SCREEN_X) -> list[int]:
     return raised
 
 
-def sp_rank(rows) -> int:
-    """Rank over Q(q); the F_P screen answers a rank of min(#rows,
-    #columns) without the exact elimination."""
-    rows = list(rows)
-    full = min(len(rows), len({c for row in rows for c, p in row.items() if p}))
-    if len(_screen(rows, full)) == full:
-        return full
-    return len(sp_echelon(rows, reduced=False))
-
-
 def _lcm(a: tuple, b: tuple, s: _Slot) -> tuple:
     """The lcm of two entries' polynomial parts, up to units: a times the
     second entry of the stripped row {0: a, 1: b} (_strip), which is b
@@ -541,19 +533,17 @@ def _quotient(a: tuple, b: tuple, s: _Slot) -> tuple:
 
 
 def _kernel_rows(rows, ncols: int) -> list[dict]:
-    """The elimination behind sp_kernel, uncertified: the basis of the
-    kernel read off the reduced echelon form.  Back-substitution stays
-    fraction free: for a free column f, x_f is the lcm L of the pivot
-    entries of the rows touching f, and each such row with pivot c gives
-    x_c = -row[f] * (L / row[c]).  A pivot row has no entry left of its
-    pivot, so f is the last column of its kernel row."""
+    """The elimination behind sp_kernel, uncertified, of the rows one
+    screen point raised: the basis of their kernel read off the reduced
+    echelon form.  Back-substitution stays fraction free: for a free
+    column f, x_f is the lcm L of the pivot entries of the rows touching
+    f, and each such row with pivot c gives x_c = -row[f] * (L /
+    row[c]).  A pivot row has no entry left of its pivot, so f is the
+    last column of its kernel row."""
     rows = list(rows)
 
     def run(packed, s):
-        piv = _echelon(packed, s, reduced=False)
-        if len(piv) == ncols:
-            return []
-        _back_reduce(piv, s)
+        piv = _echelon(packed, s)
         out = []
         for f in range(ncols):
             if f in piv:
@@ -614,49 +604,50 @@ def sp_kernel(rows, ncols: int) -> list[dict]:
     """Basis of {x : row . x = 0 for every row}, as stripped Laurent rows
     in echelon order, certified before it is returned.
 
-    The F_P screen (_screen) ranks the system at q = _SCREEN_X first.  A
-    full rank r_x = ncols proves the empty kernel, with no exact
-    elimination.  Otherwise only the r_x rows that raised the screen's
-    rank, which are independent over Q(q), are eliminated (_kernel_rows).
-    Their kernel holds the whole kernel and has dim ncols - r_x, so it
-    is the whole kernel unless the exact rank exceeds r_x; then some
-    other row rejects it, and every row is eliminated.  Either way the
-    rows are the unique stripped reduced basis of the kernel.
+    One rule, at each point x of _SCREEN_X, *_CERTIFY_X in turn: the F_P
+    screen (_screen) ranks the system at q = x.  A full rank r_x = ncols
+    proves the empty kernel, with no exact elimination.  Otherwise only
+    the r_x rows that raised the screen's rank, which are independent
+    over Q(q), are eliminated (_kernel_rows).  Their kernel holds the
+    whole kernel and has dim ncols - r_x, so it is the whole kernel
+    exactly when r_x is the exact rank; else some other row rejects it
+    (_annihilated), and the next point is tried.  So the rule answers
+    exactly when one of the points ranks the system exactly, as an
+    elimination of every row would: its count too is only certified by
+    a point of exact rank.
 
     The certificate reads the rows alone: each pairs to exactly 0 with
     every row over Z[q, 1/q] (_annihilated); their last columns, which
     the elimination leaves free, are distinct, so they are independent;
-    and there are ncols - r_x of them, where r_x, a lower bound of the
-    exact rank, is the rank at _SCREEN_X or else at one of the fixed
-    points _CERTIFY_X.  Independent kernel rows number at most the
-    kernel's dim, which is at most ncols - r_x, so the rows are a basis.
-    A result that fails raises ModuleAuditError."""
+    and there are ncols - r_x of them, for r_x, a lower bound of the
+    exact rank, the rank at the point where the rows paired to 0.
+    Independent kernel rows number at most the kernel's dim, which is at
+    most ncols - r_x, so the rows are the unique stripped reduced basis
+    of the kernel.  r_x independent equations leave exactly ncols - r_x
+    independent kernel rows, so a wrong count or a shared free column is
+    a fault, not a bad point: it raises ModuleAuditError at once, as a
+    list of points none of whose rows pair to 0 does."""
     rows = list(rows)
-    raised = _screen(rows, ncols)
-    if len(raised) == ncols:
-        return []
-    basis = _kernel_rows([rows[i] for i in raised], ncols)
-    if not _annihilated(rows, basis):
-        basis = _kernel_rows(rows, ncols)
-        if not _annihilated(rows, basis):
-            raise ModuleAuditError(
-                f"a kernel row of a {ncols}-column system does not pair to 0 "
-                "with every equation"
-            )
+    for x in (_SCREEN_X, *_CERTIFY_X):
+        raised = _screen(rows, ncols, x)
+        if len(raised) == ncols:
+            return []
+        basis = _kernel_rows([rows[i] for i in raised], ncols)
+        if _annihilated(rows, basis):
+            break
+    else:
+        raise ModuleAuditError(
+            f"a kernel row of a {ncols}-column system does not pair to 0 "
+            "with every equation at any screen point"
+        )
     if len({max(z) for z in basis}) < len(basis):
         raise ModuleAuditError(f"two kernel rows of a {ncols}-column system share a free column")
-    want = ncols - len(basis)
-    if len(raised) != want and all(len(_screen(rows, ncols, x)) != want for x in _CERTIFY_X):
+    if len(basis) != ncols - len(raised):
         raise ModuleAuditError(
             f"{len(basis)} kernel rows of a {ncols}-column system, "
-            f"but its rank at q = {_SCREEN_X} leaves room for {ncols - len(raised)}"
+            f"but its rank at q = {x} leaves room for {ncols - len(raised)}"
         )
     return basis
-
-
-def sp_span_echelon(rows) -> list[dict]:
-    piv = sp_echelon(rows, reduced=True)
-    return [piv[c] for c in sorted(piv)]
 
 
 def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
@@ -686,11 +677,10 @@ def sp_intersect(rows: list[dict], ann: list[dict]) -> list[dict]:
                     del eq[j]
         if eq:
             system.append(eq)
-    if not system:
-        return sp_span_echelon(rows)
-    by_row = dict(enumerate(rows))
-    result = [sp_apply(by_row, z) for z in sp_kernel(system, len(rows))]
-    return sp_span_echelon(result) if result else []
+    if system:
+        by_row = dict(enumerate(rows))
+        rows = [sp_apply(by_row, z) for z in sp_kernel(system, len(rows))]
+    return span_basis(rows) if rows else []
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +787,7 @@ def kernel_basis(rows, ncols: int, p=None) -> list[dict]:
 def span_basis(rows, p=None) -> list[dict]:
     """The canonical reduced echelon basis of span(rows) in pivot order:
     stripped Laurent rows over Q(q) (p None), fp_rref's rows over F_p."""
-    if p is None:
-        return sp_span_echelon(rows)
-    piv = fp_rref(rows, p)
+    piv = sp_echelon(rows) if p is None else fp_rref(rows, p)
     return [piv[c] for c in sorted(piv)]
 
 

@@ -38,8 +38,8 @@ from .qarith import (
     kernel_basis,
     sp_compose,
     sp_map_add,
+    sp_kernel,
     sp_map_scale,
-    sp_rank,
 )
 
 
@@ -448,24 +448,25 @@ def highest_weight_vectors(m: WeightModule, mu) -> list[dict]:
 
 
 def hw_multiplicity_in_rows(apply_es, rows: list[dict]) -> int:
-    """dim of {v in span(rows) : E_i v = 0 for all i} over Q(q); apply_es
-    is a list of callables acting on sparse vectors."""
-    if not rows:
-        return 0
+    """dim of {v in span(rows) : E_i v = 0 for all i} over Q(q), for
+    independent rows: the dim of the certified kernel (qarith.sp_kernel)
+    of the E_i images of the combinations of rows; apply_es is a list of
+    callables acting on sparse vectors."""
     sys_rows: dict[tuple, dict] = {}
     for t, row in enumerate(rows):
         for gi, app in enumerate(apply_es):
             img = app(row)
             for r, p in img.items():
                 sys_rows.setdefault((gi, r), {})[t] = p
-    return len(rows) - sp_rank(list(sys_rows.values()))
+    return len(sp_kernel(list(sys_rows.values()), len(rows)))
 
 
 def decompose_weight_rows(weight_rows: dict, blocks, apply_es) -> IrrepMultiset:
     """Decompose a submodule over Q(q) from its dominant weight blocks,
     {weight: sparse rows}; blocks at other weights are not read, so a
     caller may pass the dominant ones alone.  The components are the
-    highest-weight vectors counted in each dominant block.  They are
+    highest-weight vectors counted in each dominant block, each count
+    the dim of a certified kernel (hw_multiplicity_in_rows).  They are
     checked weight by weight against the same blocks: the dominant row
     counts, copied over each Weyl orbit (weyl_extend) and decomposed by
     decompose_weight_dims, must give the same multiplicities, else a
@@ -584,7 +585,9 @@ def decompose_weight_dims(weight_dims: dict, blocks) -> IrrepMultiset:
 
 def decompose(m: WeightModule) -> IrrepMultiset:
     """Isotypic decomposition of a completely reducible module over
-    Q(q); a specialized module is refused with ValueError."""
+    Q(q), its multiplicities the dims of certified kernels
+    (decompose_weight_rows); a specialized module is refused with
+    ValueError."""
     if m.modulus is not None:
         raise ValueError("decompose serves modules over Q(q) only")
     apply_es = [coproduct((m,), i) for i in range(m.ngen)]

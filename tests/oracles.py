@@ -6,12 +6,12 @@ the level below (braided._level); braided_power multiplies it out into
 V^(ox n), where a level's rows are vectors that a highest-weight count
 or a reference meet can read.  Each level's vectors are expanded once
 per module and side and stored on the module (WeightModule._stored).
-contains tests membership by one rank comparison, and sp_annihilator
-gives the annihilator that the reference meet qarith.sp_intersect
-takes."""
+contains tests membership by one rank comparison (sp_rank, the pivot
+count of qarith.sp_echelon), and sp_annihilator gives the annihilator
+that the reference meet qarith.sp_intersect takes."""
 
 from braidpow import braided
-from braidpow.qarith import Subspace, _laurent_row, fp_rref, sp_apply, sp_kernel, sp_rank
+from braidpow.qarith import Subspace, _laurent_row, fp_rref, sp_apply, sp_echelon, sp_kernel
 
 
 def _expand(blocks: dict, below: list, d: int, p) -> dict:
@@ -50,6 +50,10 @@ def braided_power(V, kind: str, n: int) -> Subspace:
     level expanded into V^(ox n) (_absolute) and echelonized."""
     level = braided._level(V, kind, n)
     return braided.weight_rows_subspace(V.dim**n, _absolute(V, kind, n, level), V.modulus)
+
+
+def sp_rank(rows) -> int:
+    return len(sp_echelon(rows))
 
 
 def contains(sub: Subspace, vector) -> bool:

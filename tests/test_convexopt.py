@@ -44,7 +44,7 @@ def test_inversion_matches_multiplicity_preservation():
                         and multiplicities(lam, transpose_at(kappa, i, ip), n)
                         == base
                     )
-                    assert is_inversion(lam, kappa, i, ip, n) == direct
+                    assert is_inversion(lam, kappa, i, ip) == direct
 
 
 def test_every_class_has_one_inversion_free_member():
@@ -56,7 +56,7 @@ def test_every_class_has_one_inversion_free_member():
                 key = multiplicities(lam, kappa, n)
                 seen.setdefault(key, []).append(kappa)
             for (km, kp), members in seen.items():
-                inv_free = [k for k in members if not inversions(lam, k, n)]
+                inv_free = [k for k in members if not inversions(lam, k)]
                 assert len(inv_free) == 1, (lam, km, kp, members)
                 assert kappa_star(lam, km, kp) == inv_free[0]
 
@@ -97,7 +97,7 @@ def test_transposing_an_inversion_raises_weight():
         lam = tuple(sorted(rng.randint(0, n) for _ in range(m)))
         a = random_lambda_convex(m, n, rng)
         kappa = tuple(rng.randint(1, n) for _ in range(m))
-        for i, ip in inversions(lam, kappa, n):
+        for i, ip in inversions(lam, kappa):
             assert kappa_weight(a, transpose_at(kappa, i, ip)) > kappa_weight(
                 a, kappa
             )

@@ -220,7 +220,6 @@ def test_engine_rows_hold_int_coefficients(specialized):
     assert _int_rows(rows)
     assert _int_rows([srow_strip(r) for r in rows])
     assert _int_rows(sp_echelon(rows).values())
-    assert _int_rows(sp_echelon(rows, reduced=False).values())
     assert _int_rows(sp_kernel(rows, m.dim))
     half = len(rows) // 2
     ann = sp_annihilator(rows[half - 3 :], range(m.dim))

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 import dict_engine as D
 from conftest import slot_widths
+from oracles import sp_rank
 
 from braidpow import laurent as L
 from braidpow import qarith
 from braidpow.errors import ModuleAuditError
-from braidpow.qarith import sp_kernel, sp_rank, sp_span_echelon, srow_strip
+from braidpow.qarith import span_basis, sp_kernel, srow_strip
 
 FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -83,7 +84,7 @@ def graded_systems(draw):
 def test_packed_elimination_equals_the_dict_engine(case):
     n, rows = case
     assert sp_kernel(rows, n) == D.kernel_rows(rows, n)
-    assert sp_span_echelon(rows) == D.span_echelon(rows)
+    assert span_basis(rows) == D.span_echelon(rows)
     assert sp_rank(rows) == len(D.echelon(rows, reduced=False))
     for row in rows:
         row = {c: p for c, p in row.items() if p}
@@ -95,7 +96,7 @@ def test_packed_elimination_equals_the_dict_engine(case):
 def test_packed_elimination_in_steps_of_q_equals_the_dict_engine(case):
     n, rows = case
     assert sp_kernel(rows, n) == D.kernel_rows(rows, n)
-    assert sp_span_echelon(rows) == D.span_echelon(rows)
+    assert span_basis(rows) == D.span_echelon(rows)
     assert sp_rank(rows) == len(D.echelon(rows, reduced=False))
     for row in rows:
         row = {c: p for c, p in row.items() if p}
@@ -114,7 +115,7 @@ def test_an_ungraded_system_falls_back_to_steps_of_one(monkeypatch):
     ]
     assert qarith._measure(rows)[1] == 2
     widths = slot_widths(monkeypatch)
-    assert sp_span_echelon(rows) == D.span_echelon(rows)
+    assert span_basis(rows) == D.span_echelon(rows)
     assert widths == [(32, 2), (32, 1)]
     assert sp_kernel(rows, 3) == D.kernel_rows(rows, 3)
     assert sp_rank(rows) == 2
@@ -171,7 +172,7 @@ def test_a_refused_packed_cofactor_restarts_at_twice_the_width(monkeypatch):
     ]
 
     def run():
-        return [srow_strip(r) for r in rows], sp_span_echelon(rows), sp_kernel(rows, 3)
+        return [srow_strip(r) for r in rows], span_basis(rows), sp_kernel(rows, 3)
 
     want = run()
     cofactors = qarith._cofactors
@@ -244,7 +245,7 @@ def _refusals(monkeypatch, room=None):
 # (packed result, dict result)
 _ENGINES = {
     "strip": lambda rows, n: ([srow_strip(r) for r in rows], [D.strip(r) for r in rows]),
-    "echelon": lambda rows, n: (sp_span_echelon(rows), D.span_echelon(rows)),
+    "echelon": lambda rows, n: (span_basis(rows), D.span_echelon(rows)),
     "kernel": lambda rows, n: (sp_kernel(rows, n), D.kernel_rows(rows, n)),
 }
 

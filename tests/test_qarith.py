@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import contains, sp_annihilator
+from oracles import contains, sp_annihilator, sp_rank
 
 from braidpow import laurent as L
-from braidpow import braided, qarith
+from braidpow import acceptance, braided, gl3canon, qarith, uqmod
 from braidpow.braided import (
     dim_ext_cube,
     dim_sym_cube,
@@ -18,13 +18,13 @@ from braidpow.braided import (
     sample_points,
     weight_rows_dim,
 )
+from braidpow.errors import ModuleAuditError
 from braidpow.qarith import (
     Subspace,
     fp_rref,
+    span_basis,
     sp_intersect,
     sp_kernel,
-    sp_rank,
-    sp_span_echelon,
 )
 from braidpow.uqmod import dominant, simple_gl2, tensor
 
@@ -425,7 +425,7 @@ def test_meet_on_the_blocks_of_the_l3_sym_cube():
             # the level holds coordinates over P^2 ox V; expanded into
             # V^(ox 3), each block spans the reference meet's block
             got = oracles._absolute(V, side, 3, braided._level(V, side, 3))
-            assert {w: sp_span_echelon(rows) for w, rows in got.items()} == want
+            assert {w: span_basis(rows) for w, rows in got.items()} == want
             assert weight_rows_dim(got) == dim
 
 
@@ -466,7 +466,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             want = _reference_meet(_blocks(front, tail, t.weights))
             braided._triple_product_exact(beta, parity, None)
             got = oracles._expand(seen.pop(), braided._level_rows(b12), v3.dim, None)
-            assert {w: sp_span_echelon(rows) for w, rows in got.items()} == {
+            assert {w: span_basis(rows) for w, rows in got.items()} == {
                 w: rows for w, rows in want.items() if dominant(w, (2,))
             }
             assert weight_rows_dim(got) == sum(len(want.get(w, [])) for w in got)
@@ -475,7 +475,7 @@ def test_triple_product_step_is_the_reference_meet(monkeypatch):
             ann_at = braided._ann_by_column(b23, t23.weight_blocks(), None)
             whole = meet(b12, ann_at, v2.dim, v3, braided._meet_weights(b12, v3))
             whole = oracles._expand(whole, braided._level_rows(b12), v3.dim, None)
-            assert {w: sp_span_echelon(rows) for w, rows in whole.items()} == want
+            assert {w: span_basis(rows) for w, rows in whole.items()} == want
             assert weight_rows_dim(whole) == weight_rows_dim(want)
 
 
@@ -495,9 +495,9 @@ def test_meet_on_subsets_of_l3_sym_cube_blocks(data):
 
 def _unscreened(rows, n):
     # sp_rank, sp_kernel and sp_intersect with the screen point proving
-    # nothing: its rank reads 0 and it picks no equation, so sp_rank
-    # eliminates, and sp_kernel eliminates every equation and certifies
-    # its count at a further point (_CERTIFY_X)
+    # nothing: its rank reads 0 and it picks no equation, so sp_kernel's
+    # kernel there is every unit vector, which any nonzero equation
+    # rejects, and the first further point (_CERTIFY_X) answers
     screen = qarith._screen
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
@@ -527,12 +527,17 @@ def test_a_rank_drop_at_the_screen_point_falls_back_to_the_exact_path():
     assert _unscreened(rows, 2) == (2, [], [])
 
 
-def test_a_rank_drop_at_the_screen_point_is_certified_at_a_second_point(monkeypatch):
-    # the one row the screen picks has a line for its kernel, which the
-    # second row rejects; every row is then eliminated, and the empty
-    # kernel is certified by the full rank at the first further point
-    x = qarith._SCREEN_X
-    rows = [{0: L.lq(1), 1: dict(L.ONE)}, {0: {0: x}, 1: dict(L.ONE)}]
+def _vanishing_at(k):
+    # [[q^k, 1], [q^k - D, 1]] with det D = prod (q - x) over the first k
+    # screen points x: of the four points, its rank drops to 1 at those k
+    det = dict(L.ONE)
+    for x in (qarith._SCREEN_X, *qarith._CERTIFY_X)[:k]:
+        det = L.lmul(det, {1: 1, 0: -x})
+    return [{0: L.lq(k), 1: dict(L.ONE)}, {0: L.lsub(L.lq(k), det), 1: dict(L.ONE)}]
+
+
+def _spy(monkeypatch):
+    # the row count of each elimination and the point of each screen
     eliminated, points = [], []
     kernel_rows, screen = qarith._kernel_rows, qarith._screen
     monkeypatch.setattr(
@@ -543,12 +548,48 @@ def test_a_rank_drop_at_the_screen_point_is_certified_at_a_second_point(monkeypa
     monkeypatch.setattr(
         qarith,
         "_screen",
-        lambda rows, n, x=x: points.append(x) or screen(rows, n, x),
+        lambda rows, n, x=qarith._SCREEN_X: points.append(x) or screen(rows, n, x),
     )
+    return eliminated, points
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_rank_drop_at_the_screen_point_is_certified_at_a_second_point(monkeypatch, k):
+    # at each of the first k points the one row the screen picks has a
+    # line for its kernel, which the second row rejects, so the next
+    # point is tried; the point after them ranks the system fully, which
+    # proves the empty kernel
+    rows = _vanishing_at(k)
+    screen = qarith._screen
+    eliminated, points = _spy(monkeypatch)
     assert sp_kernel(rows, 2) == []
-    assert eliminated == [1, 2]
-    assert points == [x, qarith._CERTIFY_X[0]]
-    assert len(screen(rows, 2, qarith._CERTIFY_X[0])) == 2
+    assert eliminated == [1] * k
+    assert points == [qarith._SCREEN_X, *qarith._CERTIFY_X][: k + 1]
+    assert len(screen(rows, 2, points[-1])) == 2
+
+
+def test_a_rank_drop_at_every_screen_point_raises(monkeypatch):
+    # the kernel of the raised row never pairs to 0 with the other row,
+    # and no point is left to rank the system exactly: no kernel returns
+    eliminated, points = _spy(monkeypatch)
+    with pytest.raises(ModuleAuditError, match="does not pair to 0 .* at any screen point"):
+        sp_kernel(_vanishing_at(4), 2)
+    assert eliminated == [1] * 4
+    assert points == [qarith._SCREEN_X, *qarith._CERTIFY_X]
+
+
+def test_a_kernel_short_of_a_row_raises_at_the_first_point(monkeypatch):
+    # one equation in three unknowns: the one elimination's kernel, less
+    # its last row, still pairs to 0, so its count is a fault and raises
+    # at once, with no second point tried
+    rows = [{0: L.lq(1), 1: {0: 2}, 2: L.lqint(2)}]
+    eliminated, points = _spy(monkeypatch)
+    kernel_rows = qarith._kernel_rows
+    monkeypatch.setattr(qarith, "_kernel_rows", lambda rows, n: kernel_rows(rows, n)[:-1])
+    with pytest.raises(ModuleAuditError, match="1 kernel rows of a 3-column .* leaves room for 2"):
+        sp_kernel(rows, 3)
+    assert eliminated == [1]
+    assert points == [qarith._SCREEN_X]
 
 
 def test_a_full_rank_proven_at_the_screen_point_skips_the_elimination(monkeypatch):
@@ -558,9 +599,29 @@ def test_a_full_rank_proven_at_the_screen_point_skips_the_elimination(monkeypatc
         raise AssertionError("the screen should have answered")
 
     monkeypatch.setattr(qarith, "sp_echelon", refuse)
-    assert sp_rank(rows) == 2
     assert sp_kernel(rows, 2) == []
     assert sp_intersect([{0: dict(L.ONE)}, {1: dict(L.ONE)}], rows) == []
+
+
+def test_the_program_reads_each_exact_rank_off_a_certified_kernel(monkeypatch):
+    # the gl_3 minors and decompose's highest-weight counts: one
+    # sp_kernel per minor and per dominant block, and no sp_echelon
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact rank went round the certificate")
+
+    def counted(owner):
+        kernel = owner.sp_kernel
+        monkeypatch.setattr(owner, "sp_kernel", lambda *a: calls.append(owner) or kernel(*a))
+
+    calls = []
+    monkeypatch.setattr(qarith, "sp_echelon", refuse)
+    counted(gl3canon)
+    counted(uqmod)
+    assert acceptance.gl3_sweep()["minors"] == 980
+    assert calls.count(gl3canon) == 980
+    got = uqmod.decompose(tensor(simple_gl2(2, 0), simple_gl2(3, 0)))
+    assert got == {(5, 0): 1, (4, 1): 1, (3, 2): 1}
+    assert calls.count(uqmod) == 3
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)

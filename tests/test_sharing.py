@@ -22,7 +22,7 @@ from braidpow.braided import (
     power_dims,
     sym_cube_closed,
 )
-from braidpow.qarith import sp_intersect, sp_span_echelon
+from braidpow.qarith import span_basis, sp_intersect
 from braidpow.uqmod import (
     ModuleAuditError,
     WeightModule,
@@ -221,8 +221,8 @@ def _mutate_kernel(monkeypatch, w, mutate):
     """Pass the kernel rows that the elimination finds for the block at w
     of each _meet_step through mutate, before the kernel's certificate
     (qarith.sp_kernel) reads them.  When the pairing pass rejects them,
-    every equation is eliminated, and mutated, again.  mutate itself runs
-    on the unpatched elimination."""
+    the rows the next screen point raises are eliminated, and mutated,
+    again.  mutate itself runs on the unpatched elimination."""
     meet, kernel_basis, eliminate = braided._meet_step, braided.kernel_basis, qarith._kernel_rows
 
     def mutated(rows, n):
@@ -286,8 +286,8 @@ def test_a_dominant_block_short_of_a_row_fails_the_decomposition(monkeypatch, l,
 
 def test_a_changed_coefficient_of_a_kernel_row_fails_its_certificate(monkeypatch):
     # one coefficient of the first row of the (6, 6) block of the V_(4,0)
-    # sym cube doubled, in the elimination's result and again in the
-    # elimination of every equation that follows: the pairing pass rejects it
+    # sym cube doubled, in the elimination's result at every screen point:
+    # the pairing pass rejects it at each
     def double_one(rows):
         first = dict(rows[0])
         c = min(first)
@@ -351,7 +351,7 @@ def test_a_block_missing_exactly_its_highest_weight_line_fails_its_certificate(m
         meet = sp_intersect(carried, sp_annihilator(images, every))
         n = len(unknowns)
         flipped = [{n - 1 - (c - offset): v for c, v in r.items() if c >= offset} for r in meet]
-        kept = [{n - 1 - j: v for j, v in r.items()} for r in sp_span_echelon(flipped)]
+        kept = [{n - 1 - j: v for j, v in r.items()} for r in span_basis(flipped)]
         seen.append((len(rows), len(kept)))
         return kept
 
