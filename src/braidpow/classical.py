@@ -103,7 +103,7 @@ def _act_lam(x: dict, step: int, coeff) -> dict:
     return out
 
 
-def e_sym(l, x):
+def e_sym(x):
     return _act_sym(x, -1, lambda i: i)
 
 
@@ -111,7 +111,7 @@ def f_sym(l, x):
     return _act_sym(x, +1, lambda i: l - i)
 
 
-def e_lam(l, x):
+def e_lam(x):
     return _act_lam(x, -1, lambda i: i)
 
 
@@ -154,13 +154,13 @@ def wedge(x: dict, y: dict) -> dict:
 
 
 def bracket_sym(l: int, a: dict, b: dict) -> dict:
-    return combine(mul_sym(e_sym(l, a), f_sym(l, b)),
-                   mul_sym(f_sym(l, a), e_sym(l, b)), -1)
+    return combine(mul_sym(e_sym(a), f_sym(l, b)),
+                   mul_sym(f_sym(l, a), e_sym(b)), -1)
 
 
 def bracket_lam(l: int, a: dict, b: dict) -> dict:
-    return combine(wedge(e_lam(l, a), f_lam(l, b)),
-                   wedge(f_lam(l, a), e_lam(l, b)), -1)
+    return combine(wedge(e_lam(a), f_lam(l, b)),
+                   wedge(f_lam(l, a), e_lam(b)), -1)
 
 
 def parity(x: dict) -> int:

@@ -449,84 +449,100 @@ def _refusal(args, rule: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table declares each command's help line and its flags, in the
+# order its help lists them.  _parse builds only the invoked command's parser
+# from it; the full parser, built from the same table, serves top-level help,
+# an empty argv and an unknown command.
+
+
+def _required_ints(*names):
+    return tuple((f"--{name}", {"type": int, "required": True}) for name in names)
+
+
+_CSV = ("--csv", {"metavar": "PATH", "default": None})
+_MODE = (
+    ("--mode", {"choices": ("exact", "specialize"), "default": "exact"}),
+    ("--seed", {"type": int, "default": None}),
+)
+_OVERRIDE = ("--override-guards", {"action": "store_true"})
+_POWER = (
+    ("--l", {"type": int, "help": "gl_2 highest weight (l, 0)"}),
+    ("--d", {"type": int}),
+    ("--k", {"type": int}),
+    *_MODE,
+    _OVERRIDE,
+    _CSV,
+    *_required_ints("n"),
+)
+_LAM = (_CSV, ("--lam", {"metavar": "a,b,c", "default": None}))
+
+_COMMANDS = {
+    "sym-power": ("sym side braided power", _POWER),
+    "ext-power": ("ext side braided power", _POWER),
+    "triple-product": (
+        "three-factor braided product",
+        (
+            *_MODE,
+            _CSV,
+            ("--beta", {"required": True, "metavar": "a,b,c"}),
+            ("--eps", {"required": True, "choices": ("+", "-")}),
+        ),
+    ),
+    "flatness": ("flat square classification for one weight", (_CSV, *_required_ints("l"))),
+    "hilbert": (
+        "symmetric power dimension table",
+        (*_MODE, _OVERRIDE, _CSV, *_required_ints("l", "n")),
+    ),
+    "koszul-probe": ("inverse exterior Hilbert series", (_CSV, *_required_ints("l", "n"))),
+    "gl3-generic": ("maximal-minor genericity of paired bases", _LAM),
+    "gl3-degrees": ("degree recursion on paired bases", _LAM),
+    "convex-certify": (
+        "extremal maps on random staircases",
+        (
+            _OVERRIDE,
+            _CSV,
+            *_required_ints("m", "n"),
+            ("--trials", {"type": int, "default": 100}),
+            ("--seed", {"type": int, "default": 0}),
+        ),
+    ),
+    "poisson-closure": (
+        "classical closure dimension table",
+        (_OVERRIDE, _CSV, *_required_ints("l", "n")),
+    ),
+    "ext-four": ("fourth exterior power vanishing", (_OVERRIDE, _CSV, *_required_ints("l"))),
+    "valuation-cover": ("leading-monomial cover of 4-subsets", (_CSV, *_required_ints("l"))),
+    "qmatrix-check": ("quantum matrix relations", (_OVERRIDE, _CSV, *_required_ints("d", "k"))),
+    "howe-check": ("bigraded dimension identity", (_CSV, *_required_ints("d", "k", "n"))),
+    "audit-all": ("run every verification stage", (*_MODE, _CSV)),
+}
+
+
+def _add_flags(parser: _Parser, flags) -> _Parser:
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+    return parser
 
 
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="braidpow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *groups):
-        p = sub.add_parser(name, help=help_text)
-        if "l" in groups:
-            p.add_argument("--l", type=int, help="gl_2 highest weight (l, 0)")
-        if "dk" in groups:
-            p.add_argument("--d", type=int)
-            p.add_argument("--k", type=int)
-        if "mode" in groups:
-            p.add_argument(
-                "--mode", choices=("exact", "specialize"), default="exact"
-            )
-            p.add_argument("--seed", type=int, default=None)
-        if "guards" in groups:
-            p.add_argument("--override-guards", action="store_true")
-        p.add_argument("--csv", metavar="PATH", default=None)
-        return p
-
-    for name in ("sym-power", "ext-power"):
-        p = add(name, f"{name.split('-')[0]} side braided power", "l", "dk", "mode", "guards")
-        p.add_argument("--n", type=int, required=True)
-
-    p = add("triple-product", "three-factor braided product", "mode")
-    p.add_argument("--beta", required=True, metavar="a,b,c")
-    p.add_argument("--eps", required=True, choices=("+", "-"))
-
-    p = add("flatness", "flat square classification for one weight")
-    p.add_argument("--l", type=int, required=True)
-
-    p = add("hilbert", "symmetric power dimension table", "mode", "guards")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("koszul-probe", "inverse exterior Hilbert series")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    for name, help_text in (
-        ("gl3-generic", "maximal-minor genericity of paired bases"),
-        ("gl3-degrees", "degree recursion on paired bases"),
-    ):
-        p = add(name, help_text)
-        p.add_argument("--lam", metavar="a,b,c", default=None)
-
-    p = add("convex-certify", "extremal maps on random staircases", "guards")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("poisson-closure", "classical closure dimension table", "guards")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("ext-four", "fourth exterior power vanishing", "guards")
-    p.add_argument("--l", type=int, required=True)
-
-    p = add("valuation-cover", "leading-monomial cover of 4-subsets")
-    p.add_argument("--l", type=int, required=True)
-
-    p = add("qmatrix-check", "quantum matrix relations", "guards")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("howe-check", "bigraded dimension identity")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    add("audit-all", "run every verification stage", "mode")
+    for name, (help_text, flags) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), flags)
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    # the parser _build_parser adds for name, standing alone
+    return _add_flags(_Parser(prog=f"braidpow {name}"), _COMMANDS[name][1])
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    if argv and argv[0] in _HANDLERS:
+        return _command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _build_parser().parse_args(argv)
 
 
 def _write_csv(path: str, table) -> None:
@@ -539,9 +555,8 @@ def _write_csv(path: str, table) -> None:
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if getattr(args, "mode", "exact") == "specialize" and args.seed is None:
             raise _UsageError("specialize mode requires --seed")
         if getattr(args, "l", None) is not None and args.l < 0:

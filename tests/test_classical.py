@@ -40,7 +40,7 @@ def test_commutator_of_ladder_operators_is_the_weight():
         h = {
             k: c
             for k, c in (
-                (k, e_lam(l, f_lam(l, v)).get(k, 0) - f_lam(l, e_lam(l, v)).get(k, 0))
+                (k, e_lam(f_lam(l, v)).get(k, 0) - f_lam(l, e_lam(v)).get(k, 0))
                 for k in [(i,)]
             )
             if c
@@ -125,7 +125,7 @@ def test_index_reversal_maps_each_generator_to_a_generator(kind):
     for l in range(9):
         for i in range(l + 1):
             v = gen(l, i)
-            assert _reverse(l, e(l, _reverse(l, v, kind)), kind) == f(l, v)
+            assert _reverse(l, e(_reverse(l, v, kind)), kind) == f(l, v)
         gens = {t: jac(l, *t) for t in triples(range(l + 1), 3)}
         for (i, j, k), g in gens.items():
             image = _reverse(l, g, kind)

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -121,20 +125,99 @@ def test_specialized_run_agrees_with_exact(capsys):
     assert len(sampled["payload"]["samples"]) == 2
 
 
+USAGE_ERRORS = (
+    ("sym-power", "--n", "3"),
+    ("sym-power", "--l", "2", "--d", "2", "--n", "2"),
+    ("sym-power", "--k", "2", "--n", "2"),
+    ("hilbert", "--l", "2", "--n", "3", "--mode", "specialize"),
+    ("triple-product", "--beta", "1,2", "--eps", "+"),
+    ("audit-all", "--override-guards"),
+    ("no-such-command",),
+)
+
+
 def test_usage_errors_exit_one(capsys):
-    for argv in (
-        ("sym-power", "--n", "3"),
-        ("sym-power", "--l", "2", "--d", "2", "--n", "2"),
-        ("sym-power", "--k", "2", "--n", "2"),
-        ("hilbert", "--l", "2", "--n", "3", "--mode", "specialize"),
-        ("triple-product", "--beta", "1,2", "--eps", "+"),
-        ("audit-all", "--override-guards"),
-        ("no-such-command",),
-    ):
+    for argv in USAGE_ERRORS:
         code, env, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert env is None
         assert err
+
+
+def _parsed(parse, argv):
+    """What parse makes of argv: a Namespace, a usage error's text, or
+    the exit code and text of a help page."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return parse(list(argv))
+    except cli._UsageError as exc:
+        return f"usage error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+def test_a_command_parses_alone_as_under_the_full_parser():
+    # run() parses a known command with that command's parser alone; it
+    # must read every argv as the full parser's subparser does
+    assert list(cli._COMMANDS) == list(cli._HANDLERS)
+    golden = json.loads(Path(__file__).with_name("golden_envelopes.json").read_text())
+    argvs = [
+        *(entry["argv"] for entry in golden),
+        *USAGE_ERRORS,
+        *([name, "--help"] for name in cli._HANDLERS),
+    ]
+    full = cli._build_parser().parse_args
+    for argv in argvs:
+        assert _parsed(cli._parse, argv) == _parsed(full, argv), argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.run(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_only_help_and_errors_build_the_full_parser(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    assert _exit_code(["koszul-probe", "--l", "2", "--n", "4"]) == 0
+    assert _exit_code(["sym-power", "--n", "3"]) == 1
+    for name in cli._HANDLERS:
+        assert _exit_code([name, "--help"]) == 0
+    assert built == []
+    capsys.readouterr()
+    assert _exit_code(["--help"]) == 0
+    listing = capsys.readouterr().out
+    assert all(name in listing for name in cli._HANDLERS)
+    assert _exit_code([]) == 1
+    assert _exit_code(["no-such-command"]) == 1
+    assert len(built) == 3
+
+
+# counts the argparse parsers built by importing the CLI, then by one
+# command's parser, so a probe that counts nothing cannot pass
+_IMPORT_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from braidpow import cli
+print(len(built))
+cli._command_parser("flatness")
+print(len(built))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", "1"]
 
 
 def _stub_handlers(monkeypatch) -> list:
