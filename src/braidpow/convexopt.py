@@ -19,7 +19,6 @@ claim by exhaustion on small grids.
 
 from __future__ import annotations
 
-from itertools import product
 import random
 
 from .errors import InfeasibleError, TheoremViolation
@@ -125,6 +124,15 @@ def random_lambda_convex(m: int, n: int, rng: random.Random):
 # the extremal map
 
 
+def _columns(kminus, kplus) -> int:
+    """n, the length of both multiplicity functions; ValueError when
+    they differ."""
+    n = len(kminus)
+    if len(kplus) != n:
+        raise ValueError("multiplicity functions live on different column sets")
+    return n
+
+
 def _max_support(counts) -> int | None:
     for j in range(len(counts), 0, -1):
         if counts[j - 1]:
@@ -139,9 +147,7 @@ def kappa_star(lam, kminus, kplus) -> tuple:
     plus branch ruled out when its column is not above the staircase in
     the last row, and otherwise decided by the tail-count test; the
     result is validated against the requested multiplicities."""
-    n = len(kminus)
-    if len(kplus) != n:
-        raise ValueError("multiplicity functions live on different column sets")
+    n = _columns(kminus, kplus)
     lam = check_reversed_partition(lam, n)
     m = len(lam)
     total = sum(kminus) + sum(kplus)
@@ -190,15 +196,36 @@ def kappa_star(lam, kminus, kplus) -> tuple:
 
 
 def feasible_class(lam, kminus, kplus) -> list:
-    """Every kappa with the given multiplicities, by exhaustion."""
-    n = len(kminus)
+    """Every kappa with the multiplicities (kminus, kplus), in lex order:
+    row i, first to last, takes column j, ascending, only while j's count
+    on row i's side of the staircase lasts (kminus for j <= lam_i,
+    kplus above).  A count of 0 or below is never available, so a
+    negative count, or counts that do not sum to the number of rows,
+    give the empty class; otherwise a full map has used every count, so
+    its multiplicities are exactly (kminus, kplus).  The work is the
+    class size times m n, plus the prefixes that run out of counts."""
+    n = _columns(kminus, kplus)
     lam = check_reversed_partition(lam, n)
-    want = (tuple(kminus), tuple(kplus))
-    return [
-        kappa
-        for kappa in product(range(1, n + 1), repeat=len(lam))
-        if multiplicities(lam, kappa, n) == want
-    ]
+    m = len(lam)
+    counts = (list(kminus), list(kplus))
+    every = counts[0] + counts[1]
+    if min(every, default=0) < 0 or sum(every) != m:
+        return []
+    out: list = []
+
+    def walk(i: int, head: tuple) -> None:
+        if i == m:
+            out.append(head)
+            return
+        for j in range(1, n + 1):
+            side = counts[j > lam[i]]
+            if side[j - 1] > 0:
+                side[j - 1] -= 1
+                walk(i + 1, head + (j,))
+                side[j - 1] += 1
+
+    walk(0, ())
+    return out
 
 
 def certify_max(
@@ -211,7 +238,7 @@ def certify_max(
     """Exhaustively confirm, for one feasibility class: a unique
     inversion-free member, equal to kappa_star, strictly maximal for
     random lam-convex matrices."""
-    n = len(kminus)
+    n = _columns(kminus, kplus)
     lam = check_reversed_partition(lam, n)
     feas = feasible_class(lam, kminus, kplus)
     if not feas:

@@ -132,10 +132,15 @@ Each field has one entry type: a Laurent dict over Q(q), an int over
 F_p (reduced to 0 < c < p wherever this module returns one).  This is
 the one module that picks between the fields, by the modulus p its
 callers pass, None over Q(q): kernel_basis and span_basis choose the
-engine, field_one is the unit, and the column-map operations sp_apply,
-sp_compose, sp_map_add and sp_map_scale do their entry arithmetic in the
-field of p.  Each returns canonical entries, with no zero term and no
-empty column, so two maps are equal exactly when they compare ==.
+engine, field_one is the unit, sp_apply applies a column map in the
+field of p, and MapImages turns column maps into int maps: over F_p the
+maps themselves, over Q(q) each entry's Kronecker image at q = 2**s,
+with s past a proved bound on every coefficient of a relation's
+difference.  int_compose and int_combine compose and add int maps,
+reducing mod p over F_p, and return canonical entries, with no zero
+term and no empty column, so a relation among the maps holds exactly
+when its two sides' int maps compare == (the module audit,
+uqmod.audit_module).
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import ModuleAuditError
-from .laurent import ONE, P, ladd, lconst, lmul
+from .laurent import ONE, P, ladd, lconst, leval_fp, lmul
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +797,10 @@ def span_basis(rows, p=None) -> list[dict]:
 
 
 # Column maps {col: {row: entry}} hold Laurent entries over Q(q) and ints
-# over F_p; each map operation takes the modulus p, None over Q(q).  Over
-# F_p an entry may come in unreduced and always goes out in 0 < c < p.
+# over F_p; sp_apply takes the modulus p, None over Q(q).  Over F_p an
+# entry may come in unreduced and always goes out in 0 < c < p.  The
+# module audit checks relations among products of maps on int column maps
+# in both fields (MapImages, int_compose, int_combine).
 
 
 def sp_apply(op: dict, vec: dict, p=None) -> dict:
@@ -812,42 +819,136 @@ def sp_apply(op: dict, vec: dict, p=None) -> dict:
     return out
 
 
-def sp_compose(opa: dict, opb: dict, p=None) -> dict:
-    """Column map of a∘b."""
+def _image_width(norm: int, weight: int, depth: int) -> int:
+    """The least s with 2**s > weight * norm**depth (see MapImages)."""
+    return (weight * norm**depth).bit_length()
+
+
+class MapImages:
+    """Column maps in the field of p as int column maps, on which a
+    relation among products of at most depth maps holds exactly when the
+    int maps of its two sides are equal.  A relation is a sum of terms,
+    each a Laurent scalar times a product of maps (the identity map for
+    none); weight bounds the sum of the scalars' |coefficients| over one
+    relation, and lowest the lowest exponent of any scalar.
+
+    Over F_p (x the image of q) the images are the maps themselves, ints
+    that the composites reduce, and a scalar's image is its value at x.
+    No pass over the entries is made.
+
+    Over Q(q) (p None) let lo be the lowest exponent of any entry, or 0
+    if that is higher, D the lcm of the coefficients' denominators,
+    lambda = D q**-lo and sigma = q**-min(lowest, 0).  A map's image is
+    lambda times the map, each entry, now in Z[q], read at q = 2**s, and
+    a scalar c standing in a term with `lacks` maps fewer than the
+    relation's products has the image sigma c lambda**lacks at 2**s
+    (scalar); unit is the image of sigma, the factor of a term with no
+    scalar.  A relation times sigma lambda**t, for t the number of maps
+    in its products, is so a relation between int maps, each entry of
+    its difference Delta a polynomial in Z[q] read at 2**s.
+
+    Bound.  Let N be the larger of D and the largest column 1-norm of an
+    image, the sum of |coefficients| over the entries of one column.  As
+    |f g|_1 <= |f|_1 |g|_1, a column of a product of t images has 1-norm
+    at most N**t, and so does each entry.  A term with scalar c and
+    `lacks` maps fewer has entries of 1-norm at most |c|_1 D**lacks
+    N**(t - lacks) <= |c|_1 N**depth (N >= 1).  So every coefficient of
+    Delta is at most weight * N**depth, below 2**s (_image_width), and
+    Delta(2**s) = 0 only when Delta = 0: the lowest nonzero coefficient
+    of Delta is not a multiple of 2**s (the argument of _annihilated).
+    A relation holds over Z[q, 1/q] exactly when its two int maps are
+    equal, since composites and sums drop zero entries and empty columns
+    (int_compose, int_combine)."""
+
+    def __init__(self, maps, p=None, x=None, lowest=0, weight=1, depth=1):
+        self.p, self.x = p, x
+        if p is not None:
+            self.maps, self.unit = list(maps), 1
+            return
+        lo, top, den, ints = 0, 0, 1, True
+        for op in maps:
+            for col in op.values():
+                size = 0
+                for poly in col.values():
+                    lo = min(lo, *poly)
+                    for v in poly.values():
+                        if type(v) is not int:
+                            ints = False
+                            den = lcm(den, v.denominator)
+                        size += abs(v)
+                top = max(top, size)
+        s = _image_width(max(int(top * den), den), weight, depth)
+        self.lo, self.den, self.s, self.shift = lo, den, s, -min(lowest, 0)
+        if not ints:
+            maps = [
+                {
+                    c: {
+                        r: {e: v.numerator * (den // v.denominator) for e, v in poly.items()}
+                        for r, poly in col.items()
+                    }
+                    for c, col in op.items()
+                }
+                for op in maps
+            ]
+        self.maps = [
+            {
+                c: {r: sum(v << s * (e - lo) for e, v in poly.items()) for r, poly in col.items()}
+                for c, col in op.items()
+            }
+            for op in maps
+        ]
+        self.unit = 1 << s * self.shift
+
+    def scalar(self, c: dict, lacks: int = 0) -> int:
+        """The image of the Laurent scalar c (int coefficients) in a term
+        with `lacks` maps fewer than its relation's products."""
+        if self.p is not None:
+            return leval_fp(c, self.x)
+        s, base = self.s, self.shift - lacks * self.lo
+        return self.den**lacks * sum(v << s * (e + base) for e, v in c.items())
+
+
+def int_compose(opa: dict, opb: dict, p=None) -> dict:
+    """Column map of a∘b for int column maps, each sum reduced mod p as
+    it is formed over F_p; zero entries and empty columns are dropped."""
     out = {}
     for c, col in opb.items():
-        v = sp_apply(opa, col, p)
-        if v:
-            out[c] = v
-    return out
-
-
-def sp_map_add(opa: dict, opb: dict, p=None) -> dict:
-    out: dict[int, dict] = {}
-    for op in (opa, opb):
-        for c, col in op.items():
-            cur = out.setdefault(c, {})
-            for r, t in col.items():
-                s = ladd(cur.get(r, {}), t) if p is None else (cur.get(r, 0) + t) % p
+        acc: dict = {}
+        for k, t in col.items():
+            for r, v in opa.get(k, {}).items():
+                s = acc.get(r, 0) + t * v
+                if p is not None:
+                    s %= p
                 if s:
-                    cur[r] = s
+                    acc[r] = s
                 else:
-                    cur.pop(r, None)
-    return {c: col for c, col in out.items() if col}
-
-
-def sp_map_scale(op: dict, c, p=None) -> dict:
-    """The map times the scalar c, a Laurent polynomial over Q(q) and an
-    int over F_p."""
-    out = {}
-    for k, col in op.items():
-        if p is None:
-            col = {r: s for r, v in col.items() if (s := lmul(v, c))}
-        else:
-            col = {r: s for r, v in col.items() if (s := v * c % p)}
-        if col:
-            out[k] = col
+                    acc.pop(r, None)
+        if acc:
+            out[c] = acc
     return out
+
+
+def int_combine(terms, p=None) -> dict:
+    """The int column map sum(k * op) over terms (k, op), each sum
+    reduced mod p as it is formed over F_p, with no zero entry or empty
+    column.  A single term with k = 1 is returned as it is: it must
+    already hold no zero entry or empty column (and over F_p, reduced
+    entries), as a composite does."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out: dict = {}
+    for k, op in terms:
+        for c, col in op.items():
+            acc = out.setdefault(c, {})
+            for r, v in col.items():
+                s = acc.get(r, 0) + k * v
+                if p is not None:
+                    s %= p
+                if s:
+                    acc[r] = s
+                else:
+                    acc.pop(r, None)
+    return {c: col for c, col in out.items() if col}
 
 
 # ---------------------------------------------------------------------------

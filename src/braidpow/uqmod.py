@@ -12,7 +12,11 @@ Delta(F) = F ox K^-1 + 1 ox F.  coproduct is its one implementation, on
 any number of factors over either field: tensor applies it to basis
 vectors and audit_module checks the defining relations on the result,
 so a convention slip cannot survive construction, and the
-highest-weight count of decompose acts by it.
+highest-weight count of decompose acts by it.  The audit composes int
+column maps in both fields (qarith.MapImages): over F_P the module's own
+ints, over Q(q) each entry read at q = 2**s, with s past a bound on
+every coefficient of a relation's difference, so a relation holds over
+Z[q, 1/q] exactly when its two int maps are equal.
 
 Each exact construction happens once per process.  simple_gl2 and
 standard_gld return one shared, already audited instance per argument,
@@ -34,12 +38,12 @@ from math import prod
 from .errors import ModuleAuditError
 from .laurent import ONE, P, fp, ladd, leval_fp, lmul, lqint, lshift
 from .qarith import (
+    MapImages,
     field_one,
+    int_combine,
+    int_compose,
     kernel_basis,
-    sp_compose,
-    sp_map_add,
     sp_kernel,
-    sp_map_scale,
 )
 
 
@@ -105,18 +109,18 @@ class WeightModule:
         return f"WeightModule({self.kind}, dim={self.dim})"
 
 
-def _qint(k: int, x):
-    # the q-integer [k] over Q(q) (x None), its value at q = x in F_P
-    return lqint(k) if x is None else leval_fp(lqint(k), x)
-
-
 def audit_module(m: WeightModule) -> None:
     """Check weight homogeneity, [E_i, F_j] = delta_ij [(alpha_i | w)] on
     weight w, and the commuting and Serre relations, each written without
-    a difference (E_i F_j = F_j E_i + ...), in the module's field.  Every
-    column-map operation returns canonical entries (no zero term, an int
-    0 < c < P over F_P) and no empty column, so the two sides of each
-    relation compare with ==."""
+    a difference (E_i F_j = F_j E_i + ...), in the module's field, on int
+    column maps (qarith.MapImages): over F_P the module's own ints, over
+    Q(q) each entry's image at q = 2**s.  The relations' products hold at
+    most 3 maps; their scalars are q-integers [k], |k| <= K, K the
+    largest |(alpha_i | w)|, and [2], so the lowest exponent of a scalar
+    is at least 1 - max(K, 2), and the |coefficients| of one relation's
+    scalars sum to at most K + 2 ([E_i, F_i]: 1, 1 and one [k] per
+    column) or 4 (Serre: 1, 1 and [2]).  Each product of two maps is
+    formed once per audit."""
     wts, p = m.weights, m.modulus
     for i, alpha in enumerate(m.alphas):
         for op, sign in ((m.e_ops[i], 1), (m.f_ops[i], -1)):
@@ -127,36 +131,52 @@ def audit_module(m: WeightModule) -> None:
                         raise ModuleAuditError(
                             f"{m.kind}: generator {i} is not weight-homogeneous"
                         )
-    two = _qint(2, m.x)
-    for i in range(m.ngen):
-        for j in range(m.ngen):
-            expect = {}
+    n = m.ngen
+    ks = [[pairing(alpha, w) for w in wts] for alpha in m.alphas]
+    top = max((abs(k) for row in ks for k in row), default=0)
+    images = MapImages(
+        m.e_ops + m.f_ops, p, m.x, lowest=1 - max(top, 2), weight=max(top + 2, 4), depth=3
+    )
+    # E_i is map i, F_i map n + i
+    maps, unit, pairs = images.maps, images.unit, {}
+
+    def pair(a: int, b: int) -> dict:
+        if (a, b) not in pairs:
+            pairs[a, b] = int_compose(maps[a], maps[b], p)
+        return pairs[a, b]
+
+    qints: dict[int, int] = {}
+    for i in range(n):
+        for j in range(n):
+            ef, fe = pair(i, n + j), pair(n + j, i)
             if i == j:
-                for c, w in enumerate(wts):
-                    k = pairing(m.alphas[i], w)
-                    if k:
-                        expect[c] = {c: _qint(k, m.x)}
-            ef = sp_compose(m.e_ops[i], m.f_ops[j], p)
-            fe = sp_map_add(sp_compose(m.f_ops[j], m.e_ops[i], p), expect, p)
+                for k in ks[i]:
+                    if k and k not in qints:
+                        qints[k] = images.scalar(lqint(k), 2)
+                diag = {c: {c: qints[k]} for c, k in enumerate(ks[i]) if k}
+                ef = int_combine([(unit, ef)], p)
+                fe = int_combine([(unit, fe), (1, diag)], p)
             if ef != fe:
                 raise ModuleAuditError(f"{m.kind}: [E_{i}, F_{j}] relation fails")
-    for ops in (m.e_ops, m.f_ops):
-        for i in range(m.ngen):
-            for j in range(m.ngen):
+    two = images.scalar(lqint(2))
+    for base in (0, n):
+        for i in range(n):
+            for j in range(n):
                 if i == j:
                     continue
                 aij = pairing(m.alphas[i], m.alphas[j])
+                a, b = base + i, base + j
                 if aij == 0:
-                    ij, ji = sp_compose(ops[i], ops[j], p), sp_compose(ops[j], ops[i], p)
-                    if ij != ji:
+                    if pair(a, b) != pair(b, a):
                         raise ModuleAuditError(
                             f"{m.kind}: orthogonal generators {i},{j} do not commute"
                         )
                 elif aij == -1:
-                    xii_j = sp_compose(ops[i], sp_compose(ops[i], ops[j], p), p)
-                    xiji = sp_compose(ops[i], sp_compose(ops[j], ops[i], p), p)
-                    xjii = sp_compose(ops[j], sp_compose(ops[i], ops[i], p), p)
-                    if sp_map_add(xii_j, xjii, p) != sp_map_scale(xiji, two, p):
+                    xii_j = int_compose(maps[a], pair(a, b), p)
+                    xiji = int_compose(maps[a], pair(b, a), p)
+                    xjii = int_compose(maps[b], pair(a, a), p)
+                    lhs = int_combine([(unit, xii_j), (unit, xjii)], p)
+                    if lhs != int_combine([(two, xiji)], p):
                         raise ModuleAuditError(
                             f"{m.kind}: Serre relation fails for {i},{j}"
                         )

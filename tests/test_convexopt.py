@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from braidpow import convexopt
 from braidpow.convexopt import (
     cell_sign,
     certify_max,
@@ -142,3 +143,59 @@ def test_certify_max_report():
     assert report["ok"]
     assert report["class_size"] >= 1
     assert multiplicities(lam, report["kappa_star"], 3) == (km, kp)
+
+
+def test_feasible_class_lists_each_filter_group_in_order():
+    # one pass over every map of each staircase with m <= 5, n <= 4,
+    # grouped by multiplicities in product() order, is the list
+    # feasible_class builds for each class, in the same order
+    classes = 0
+    for n in range(1, 5):
+        for m in range(1, 6):
+            for lam in all_staircases(m, n):
+                groups = {}
+                for kappa in product(range(1, n + 1), repeat=m):
+                    groups.setdefault(multiplicities(lam, kappa, n), []).append(kappa)
+                for (km, kp), members in groups.items():
+                    assert feasible_class(lam, km, kp) == members, (lam, km, kp)
+                classes += len(groups)
+    assert classes == 37_529
+
+
+def test_certify_max_reads_multiplicities_per_member_not_per_map(monkeypatch):
+    # a class of 14 maps over a staircase with 5**6 = 15,625 maps
+    calls = []
+    real = convexopt.multiplicities
+    monkeypatch.setattr(
+        convexopt, "multiplicities", lambda *a: calls.append(a) or real(*a)
+    )
+    lam, km, kp = (0, 0, 1, 2, 3, 5), (1, 0, 0, 0, 1), (1, 0, 1, 0, 2)
+    report = certify_max(lam, km, kp, trials=2, seed=7)
+    assert report["class_size"] == 14
+    assert 0 < len(calls) <= report["class_size"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda km, kp: kappa_star((1, 2), km, kp),
+        lambda km, kp: feasible_class((1, 2), km, kp),
+        lambda km, kp: certify_max((1, 2), km, kp, trials=1, seed=0),
+    ],
+    ids=["kappa_star", "feasible_class", "certify_max"],
+)
+def test_multiplicities_of_different_lengths_raise_value_error(call):
+    with pytest.raises(ValueError, match="different column sets"):
+        call((1, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="different column sets"):
+        call((1, 0, 0), (0, 1))
+
+
+def test_a_negative_count_gives_the_empty_class():
+    # K- = (2, -1) sums to the one row of lam = (2,) but no map has a
+    # count of -1, so the class is empty
+    assert feasible_class((2,), (2, -1), (0, 0)) == []
+    with pytest.raises(InfeasibleError):
+        certify_max((2,), (2, -1), (0, 0))
+    # a class whose counts do not sum to the rows is empty too
+    assert feasible_class((1, 2), (1, 1), (1, 0)) == []

@@ -1,8 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from braidpow.laurent import ONE, lqint, lscale
+import oracles
+from braidpow import qarith, uqmod
+from braidpow.gl3canon import dcb_module
+from braidpow.laurent import ONE, P, fp, lqint, lscale
 from braidpow.qarith import field_one, sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
@@ -72,6 +76,14 @@ def test_audit_rejects_an_action_off_its_weight():
         WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
 
 
+def _conjugated(op, scale):
+    # the column map op conjugated by the diagonal map scale, {index: factor}
+    return {
+        c: {r: lscale(v, Fraction(scale.get(r, 1), scale.get(c, 1))) for r, v in col.items()}
+        for c, col in op.items()
+    }
+
+
 def test_audit_rejects_a_broken_off_diagonal_commutator():
     # E_1 and F_1 of V ox V for the gl_3 vector module V, conjugated by
     # the diagonal map that doubles x_1 ox x_3: [E_1, F_1] is conjugated
@@ -80,17 +92,174 @@ def test_audit_rejects_a_broken_off_diagonal_commutator():
     # now differ by the factor 2)
     t = tensor(standard_gld(3), standard_gld(3))
     scale = {2: 2}
-
-    def conjugated(op):
-        return {
-            c: {r: lscale(v, Fraction(scale.get(r, 1), scale.get(c, 1))) for r, v in col.items()}
-            for c, col in op.items()
-        }
-
-    e_ops = [conjugated(t.e_ops[0]), t.e_ops[1]]
-    f_ops = [conjugated(t.f_ops[0]), t.f_ops[1]]
+    e_ops = [_conjugated(t.e_ops[0], scale), t.e_ops[1]]
+    f_ops = [_conjugated(t.f_ops[0], scale), t.f_ops[1]]
     with pytest.raises(ModuleAuditError, match=r"\[E_0, F_1\] relation fails"):
         WeightModule(("bad",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
+
+
+def _unaudited(m, e_ops, f_ops):
+    """m with other E and F maps, built without the audit that
+    WeightModule runs, so that an audit can be called on it by hand."""
+    out = object.__new__(WeightModule)
+    out.__dict__.update({k: v for k, v in vars(m).items() if k != "_memo"})
+    out.e_ops, out.f_ops = tuple(e_ops), tuple(f_ops)
+    return out
+
+
+def _verdict(audit, m):
+    # the audit's message, None when it passes
+    try:
+        audit(m)
+    except ModuleAuditError as err:
+        return str(err)
+    return None
+
+
+def _mutants(m):
+    """m and changed copies of it: for the first and the last column of
+    every E and F map, the entry at its first row with its top q-degree
+    coefficient raised by 1 (by 1 over F_P), scaled by 1/2 (by 2 over
+    F_P), and dropped."""
+    yield m
+    if m.modulus is None:
+        changes = (
+            lambda v: {**v, max(v): v[max(v)] + 1},
+            lambda v: lscale(v, Fraction(1, 2)),
+            None,
+        )
+    else:
+        changes = (lambda v: (v + 1) % P, lambda v: 2 * v % P, None)
+    ops = [*m.e_ops, *m.f_ops]
+    for g, op in enumerate(ops):
+        for c in sorted(op)[:1] + sorted(op)[-1:]:
+            r = next(iter(op[c]))
+            for change in changes:
+                col = dict(op[c])
+                if change is None:
+                    del col[r]
+                else:
+                    col[r] = change(col[r])
+                new = [dict(o) for o in ops]
+                new[g][c] = col
+                yield _unaudited(m, new[: m.ngen], new[m.ngen :])
+
+
+def _audited_modules():
+    exact = [
+        *(simple_gl2(l, 0) for l in range(5)),
+        simple_gl2(3, 1),
+        *(standard_gld(d) for d in (1, 2, 3)),
+        outer(standard_gld(2), standard_gld(2)),
+        tensor(simple_gl2(2, 0), simple_gl2(1, 0)),
+        tensor(standard_gld(3), standard_gld(3)),
+        *(dcb_module((a, b, 0)) for a in range(4) for b in range(a + 1)),
+    ]
+    return exact + [specialize_module(m, Fraction(3, 5)) for m in exact]
+
+
+def test_the_audit_agrees_with_the_reference_audit():
+    # in both fields, on each module and on changed copies of it: the
+    # int-map audit passes exactly when the reference audit on the
+    # Laurent (or F_P) maps does, and fails with the same message; here
+    # every module passes and every changed copy fails
+    modules, passed = _audited_modules(), 0
+    for m in modules:
+        for mm in _mutants(m):
+            got = _verdict(uqmod.audit_module, mm)
+            assert got == _verdict(oracles.audit_module, mm), mm.kind
+            passed += got is None
+    assert passed == len(modules)
+
+
+def _chain(q0=None):
+    """Data on weights (-1,), (0,), (1,) whose roots pair to 1 with
+    themselves: E_0 raises, F_0 lowers, each by 1, so [E_0, F_0] is the
+    q-integer of the weight, and E_1 = F_0, F_1 = E_0 on the root
+    alpha_1 = -alpha_0.  Every [E_i, F_j] relation holds, but the Serre
+    relation of E_0 and E_1 does not: on the lowest vector its two sides
+    are 1 and [2] times the middle one."""
+    one = field_one(None if q0 is None else P)
+    up = {0: {1: one}, 1: {2: one}}
+    down = {1: {0: one}, 2: {1: one}}
+    return WeightModule(
+        ("chain",), [(1,), (-1,)], (1,), [(-1,), (0,), (1,)], [up, down], [down, up], q0=q0
+    )
+
+
+def _orthogonal(q0=None):
+    """Data with two zero roots on three vectors of one weight: the F
+    maps are 0 and every weight pairs to 0, so every [E_i, F_j] relation
+    holds, but E_0 E_1 sends v_0 to v_2 and E_1 E_0 sends it to 0."""
+    one = field_one(None if q0 is None else P)
+    e_ops = [{1: {2: one}}, {0: {1: one}}]
+    return WeightModule(
+        ("orthogonal",), [(0,), (0,)], (1,), [(0,)] * 3, e_ops, [{}, {}], q0=q0
+    )
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 5)])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_chain, "('chain',): Serre relation fails for 0,1"),
+        (_orthogonal, "('orthogonal',): orthogonal generators 0,1 do not commute"),
+    ],
+)
+def test_audit_rejects_broken_commuting_and_serre_relations(make, message, q0, monkeypatch):
+    with pytest.raises(ModuleAuditError, match=f"^{re.escape(message)}$"):
+        make(q0)
+    # the reference audit rejects the same data with the same message
+    monkeypatch.setattr(uqmod, "audit_module", lambda m: None)
+    assert _verdict(oracles.audit_module, make(q0)) == message
+
+
+def test_audit_rejects_a_change_of_the_top_coefficient_alone():
+    # F of V_4 from v_1 is [3] = q^2 + 1 + q^-2; 2 q^2 + 1 + q^-2 breaks
+    # [E, F] on v_1 and v_2, over Q(q) and at a sample point
+    v = simple_gl2(4, 0)
+    f_op = {c: dict(col) for c, col in v.f_ops[0].items()}
+    f_op[1] = {2: {2: 2, 0: 1, -2: 1}}
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_0\] relation fails"):
+        WeightModule(("bad",), v.alphas, v.blocks, v.weights, v.e_ops, [f_op])
+    s = specialize_module(v, Fraction(3, 5))
+    f_op = {c: dict(col) for c, col in s.f_ops[0].items()}
+    f_op[1] = {2: fp(Fraction(3, 5)) ** 2 % P + s.f_ops[0][1][2]}
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_0\] relation fails"):
+        WeightModule(("bad",), s.alphas, s.blocks, s.weights, s.e_ops, [f_op], q0=s.q0)
+
+
+def test_audit_reads_fraction_coefficients():
+    # conjugating every map of V ox V, V the gl_3 vector module, by a
+    # diagonal map with factors 3 and 1/2 keeps every relation, with
+    # Fraction coefficients of denominators 2, 3 and 6; adding 1/3 to one
+    # coefficient of F_1 breaks [E_0, F_1], the first relation it enters,
+    # for both audits
+    t = tensor(standard_gld(3), standard_gld(3))
+    scale = {2: 3, 4: Fraction(1, 2), 7: 3}
+    e_ops = [_conjugated(op, scale) for op in t.e_ops]
+    f_ops = [_conjugated(op, scale) for op in t.f_ops]
+    WeightModule(("conjugated",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
+    c, col = next(iter(f_ops[1].items()))
+    r, v = next(iter(col.items()))
+    f_ops[1] = {**f_ops[1], c: {**col, r: {**v, 0: v.get(0, 0) + Fraction(1, 3)}}}
+    assert any(type(x) is Fraction and x.denominator > 1 for x in f_ops[1][c][r].values())
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_1\] relation fails"):
+        WeightModule(("bad",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
+    bad = _unaudited(t, e_ops, f_ops)
+    assert _verdict(oracles.audit_module, bad) == _verdict(uqmod.audit_module, bad)
+
+
+def test_a_width_below_the_bound_accepts_a_broken_module(monkeypatch):
+    # E of V_1 with q - 1 in place of 1 breaks [E, F] = [(alpha | w)]:
+    # E F - F E is q - 1 on v_0.  At q = 2 (width 1) q - 1 reads 1, so
+    # only a width that exceeds the bound tells the two apart
+    v = simple_gl2(1, 0)
+    bad_e = [{1: {0: {1: 1, 0: -1}}}]
+    with pytest.raises(ModuleAuditError, match=r"\[E_0, F_0\] relation fails"):
+        WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
+    monkeypatch.setattr(qarith, "_image_width", lambda norm, weight, depth: 1)
+    WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
 
 
 def test_decompose_weight_rows_refuses_counts_the_dims_contradict():
