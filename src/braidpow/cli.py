@@ -10,8 +10,9 @@ run itself fails (any unexpected exception gives the payload
 error and on a --csv path that cannot be written, each in an envelope.
 A usage error (a bad or missing argument, or specialize mode without
 --seed) prints "usage error: ..." to stderr and no envelope, and exits
-1.  Size guards live only here: one table, _GUARDS, holds each guarded
-command's rule, checked before the handler runs.
+1.  One table, _COMMANDS, holds one record per command: its help line,
+its flags, its handler and its size guard, if it has one.  Size guards
+live only there, each checked before its handler runs.
 Closed forms live only in braided: a power's and a triple product's
 verdicts are braided.closed_form_verdicts of the computed decomposition,
 so one off its closed form is printed with a fail verdict rather than
@@ -35,6 +36,7 @@ import json
 import random
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -103,7 +105,8 @@ def _power_module(args):
     return standard_gld(args.d), f"standard_gld({args.d})"
 
 
-def _cmd_power(args, kind):
+def _cmd_power(args):
+    kind = args.command.removesuffix("-power")
     V, name = _power_module(args)
     n = args.n
     dec, samples = run_mode(
@@ -311,7 +314,7 @@ def _cmd_ext_four(args):
     verdicts = {"classical_vanishes": "pass" if dims[4] == 0 else "fail"}
     # the braided half is the exact ext-power --l l --n 4, under its row
     braided = argparse.Namespace(l=l, n=4, mode="exact")
-    rule = None if args.override_guards else _GUARDS["ext-power"](braided)
+    rule = None if args.override_guards else _exact_power_rule(braided)
     if rule is None:
         bdims = power_dims(simple_gl2(l, 0), "ext", 4)
         payload["braided_dims"] = bdims
@@ -377,30 +380,11 @@ def _cmd_audit_all(args):
     return payload, verdicts, report["conjecture_flags"], table
 
 
-_HANDLERS = {
-    "sym-power": lambda args: _cmd_power(args, "sym"),
-    "ext-power": lambda args: _cmd_power(args, "ext"),
-    "triple-product": _cmd_triple_product,
-    "flatness": _cmd_flatness,
-    "hilbert": _cmd_hilbert,
-    "koszul-probe": _cmd_koszul_probe,
-    "gl3-generic": lambda args: _cmd_gl3(args, genericity_check, "minors_generic"),
-    "gl3-degrees": lambda args: _cmd_gl3(args, degree_recursion_check, "degrees_match"),
-    "convex-certify": _cmd_convex_certify,
-    "poisson-closure": _cmd_poisson_closure,
-    "ext-four": _cmd_ext_four,
-    "valuation-cover": _cmd_valuation_cover,
-    "qmatrix-check": _cmd_qmatrix_check,
-    "howe-check": _cmd_howe_check,
-    "audit-all": _cmd_audit_all,
-}
-
-
 # ---------------------------------------------------------------------------
-# guards: each row maps a command's parsed args to the text of the size rule
-# they break, or None.  run() consults the row once, after usage validation
+# guards: a command's guard maps its parsed args to the text of the size
+# rule they break, or None.  run() consults it once, after usage validation
 # and before the handler, unless --override-guards is passed.  Commands
-# without that flag have no row, and library calls are not guarded.
+# without that flag have no guard, and library calls are not guarded.
 
 
 def _exact_power_rule(args):
@@ -427,32 +411,16 @@ def _closure_rule(args):
     return None
 
 
-_GUARDS = {
-    "sym-power": _exact_power_rule,
-    "ext-power": _exact_power_rule,
-    "hilbert": _exact_power_rule,
-    "poisson-closure": _closure_rule,
-    "convex-certify": lambda a: (
-        "exhaustion is guarded to m <= 6 and n <= 5" if a.m > 6 or a.n > 5 else None
-    ),
-    "qmatrix-check": lambda a: (
-        f"the {a.d} x {a.k} grid has {a.d * a.k} generators, more than 16"
-        if a.d * a.k > 16
-        else None
-    ),
-}
-
-
 def _refusal(args, rule: str) -> str:
     via = "--mode specialize or " if hasattr(args, "mode") else ""
     return f"{rule}; use {via}--override-guards"
 
 
 # ---------------------------------------------------------------------------
-# parser: one table declares each command's help line and its flags, in the
-# order its help lists them.  _parse builds only the invoked command's parser
-# from it; the full parser, built from the same table, serves top-level help,
-# an empty argv and an unknown command.
+# commands: one record per command holds its help line, its flags in the
+# order its help lists them, its handler and its guard.  _parse builds only
+# the invoked command's parser from it; the full parser, built from the same
+# table, serves top-level help, an empty argv and an unknown command.
 
 
 def _required_ints(*names):
@@ -476,10 +444,13 @@ _POWER = (
 )
 _LAM = (_CSV, ("--lam", {"metavar": "a,b,c", "default": None}))
 
+_Command = namedtuple("_Command", "help flags handler guard", defaults=(None,))
+
+
 _COMMANDS = {
-    "sym-power": ("sym side braided power", _POWER),
-    "ext-power": ("ext side braided power", _POWER),
-    "triple-product": (
+    "sym-power": _Command("sym side braided power", _POWER, _cmd_power, _exact_power_rule),
+    "ext-power": _Command("ext side braided power", _POWER, _cmd_power, _exact_power_rule),
+    "triple-product": _Command(
         "three-factor braided product",
         (
             *_MODE,
@@ -487,16 +458,31 @@ _COMMANDS = {
             ("--beta", {"required": True, "metavar": "a,b,c"}),
             ("--eps", {"required": True, "choices": ("+", "-")}),
         ),
+        _cmd_triple_product,
     ),
-    "flatness": ("flat square classification for one weight", (_CSV, *_required_ints("l"))),
-    "hilbert": (
+    "flatness": _Command(
+        "flat square classification for one weight", (_CSV, *_required_ints("l")), _cmd_flatness
+    ),
+    "hilbert": _Command(
         "symmetric power dimension table",
         (*_MODE, _OVERRIDE, _CSV, *_required_ints("l", "n")),
+        _cmd_hilbert,
+        _exact_power_rule,
     ),
-    "koszul-probe": ("inverse exterior Hilbert series", (_CSV, *_required_ints("l", "n"))),
-    "gl3-generic": ("maximal-minor genericity of paired bases", _LAM),
-    "gl3-degrees": ("degree recursion on paired bases", _LAM),
-    "convex-certify": (
+    "koszul-probe": _Command(
+        "inverse exterior Hilbert series", (_CSV, *_required_ints("l", "n")), _cmd_koszul_probe
+    ),
+    "gl3-generic": _Command(
+        "maximal-minor genericity of paired bases",
+        _LAM,
+        lambda args: _cmd_gl3(args, genericity_check, "minors_generic"),
+    ),
+    "gl3-degrees": _Command(
+        "degree recursion on paired bases",
+        _LAM,
+        lambda args: _cmd_gl3(args, degree_recursion_check, "degrees_match"),
+    ),
+    "convex-certify": _Command(
         "extremal maps on random staircases",
         (
             _OVERRIDE,
@@ -505,16 +491,35 @@ _COMMANDS = {
             ("--trials", {"type": int, "default": 100}),
             ("--seed", {"type": int, "default": 0}),
         ),
+        _cmd_convex_certify,
+        lambda a: "exhaustion is guarded to m <= 6 and n <= 5" if a.m > 6 or a.n > 5 else None,
     ),
-    "poisson-closure": (
+    "poisson-closure": _Command(
         "classical closure dimension table",
         (_OVERRIDE, _CSV, *_required_ints("l", "n")),
+        _cmd_poisson_closure,
+        _closure_rule,
     ),
-    "ext-four": ("fourth exterior power vanishing", (_OVERRIDE, _CSV, *_required_ints("l"))),
-    "valuation-cover": ("leading-monomial cover of 4-subsets", (_CSV, *_required_ints("l"))),
-    "qmatrix-check": ("quantum matrix relations", (_OVERRIDE, _CSV, *_required_ints("d", "k"))),
-    "howe-check": ("bigraded dimension identity", (_CSV, *_required_ints("d", "k", "n"))),
-    "audit-all": ("run every verification stage", (*_MODE, _CSV)),
+    "ext-four": _Command(
+        "fourth exterior power vanishing", (_OVERRIDE, _CSV, *_required_ints("l")), _cmd_ext_four
+    ),
+    "valuation-cover": _Command(
+        "leading-monomial cover of 4-subsets", (_CSV, *_required_ints("l")), _cmd_valuation_cover
+    ),
+    "qmatrix-check": _Command(
+        "quantum matrix relations",
+        (_OVERRIDE, _CSV, *_required_ints("d", "k")),
+        _cmd_qmatrix_check,
+        lambda a: (
+            f"the {a.d} x {a.k} grid has {a.d * a.k} generators, more than 16"
+            if a.d * a.k > 16
+            else None
+        ),
+    ),
+    "howe-check": _Command(
+        "bigraded dimension identity", (_CSV, *_required_ints("d", "k", "n")), _cmd_howe_check
+    ),
+    "audit-all": _Command("run every verification stage", (*_MODE, _CSV), _cmd_audit_all),
 }
 
 
@@ -528,19 +533,19 @@ def _add_flags(parser: _Parser, flags) -> _Parser:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="braidpow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=help_text), flags)
+    for name, command in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=command.help), command.flags)
     return parser
 
 
 @functools.cache
 def _command_parser(name: str) -> _Parser:
     # the parser _build_parser adds for name, standing alone
-    return _add_flags(_Parser(prog=f"braidpow {name}"), _COMMANDS[name][1])
+    return _add_flags(_Parser(prog=f"braidpow {name}"), _COMMANDS[name].flags)
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    if argv and argv[0] in _HANDLERS:
+    if argv and argv[0] in _COMMANDS:
         return _command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     return _build_parser().parse_args(argv)
 
@@ -604,11 +609,11 @@ def run(argv=None) -> int:
     # the handler's envelope is written inside the try, so a payload that
     # _plain cannot write is an internal error with its own envelope
     try:
-        guard = _GUARDS.get(args.command)
-        rule = guard(args) if guard and not args.override_guards else None
+        command = _COMMANDS[args.command]
+        rule = command.guard(args) if command.guard and not args.override_guards else None
         if rule is not None:
             raise GuardError(_refusal(args, rule))
-        payload, verdicts, found, table = _HANDLERS[args.command](args)
+        payload, verdicts, found, table = command.handler(args)
         if table is not None and args.csv:
             _write_csv(args.csv, table)
         code = 2 if "fail" in verdicts.values() else 0

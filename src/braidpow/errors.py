@@ -3,8 +3,8 @@
 
 class GuardError(ValueError):
     """A command's size guard refused its arguments before any work
-    started (one row of cli._GUARDS; --override-guards skips it).
-    Library calls are not guarded and never raise it."""
+    started (the guard of its record in cli._COMMANDS; --override-guards
+    skips it).  Library calls are not guarded and never raise it."""
 
 
 class ModuleAuditError(AssertionError):

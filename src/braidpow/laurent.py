@@ -144,11 +144,11 @@ def leval_fp(a: dict, x: int) -> int:
     return sum(fp(c) * pow(x, e, P) for e, c in a.items()) % P
 
 
-def lqint(k: int, d: int = 1) -> dict:
-    """Balanced q-integer (k) = (q**(k*d) - q**(-k*d)) / (q**d - q**(-d))."""
+def lqint(k: int) -> dict:
+    """Balanced q-integer (k) = (q**k - q**-k) / (q - q**-1)."""
     if k < 0:
-        return lneg(lqint(-k, d))
-    return {d * (k - 1 - 2 * j): 1 for j in range(k)}
+        return lneg(lqint(-k))
+    return {k - 1 - 2 * j: 1 for j in range(k)}
 
 
 def lcontent(a: dict) -> int:

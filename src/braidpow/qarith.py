@@ -11,8 +11,9 @@ the canonical form of a subspace.  sp_intersect is the reference meet
 of the tests; the braided power step (braided._meet_step) keeps its
 kernel vectors as coordinates over the level below, so its meet takes
 no second elimination.  Subspace.span is the one boundary for
-rationals: it clears the denominators of a caller's rows before they
-enter the engine.
+rationals: its _laurent_row, the only code here that reads a Fraction,
+clears the denominators of a caller's rows before they enter the
+engine.
 
 Packed entries.  Each elimination has a step g: the gcd of the
 exponent differences inside the entries of its input rows, or 1 when
@@ -128,19 +129,21 @@ choose other rows and so other exact work.  An F_p kernel is not
 certified: a specialized run is evidence at its samples, not a proof
 (see braided.run_mode).
 
-Each field has one entry type: a Laurent dict over Q(q), an int over
-F_p (reduced to 0 < c < p wherever this module returns one).  This is
-the one module that picks between the fields, by the modulus p its
-callers pass, None over Q(q): kernel_basis and span_basis choose the
-engine, field_one is the unit, sp_apply applies a column map in the
-field of p, and MapImages turns column maps into int maps: over F_p the
-maps themselves, over Q(q) each entry's Kronecker image at q = 2**s,
-with s past a proved bound on every coefficient of a relation's
-difference.  int_compose and int_combine compose and add int maps,
-reducing mod p over F_p, and return canonical entries, with no zero
-term and no empty column, so a relation among the maps holds exactly
-when its two sides' int maps compare == (the module audit,
-uqmod.audit_module).
+Each field has one entry type: a Laurent dict with int coefficients
+over Q(q), an int over F_p (reduced to 0 < c < p wherever this module
+returns one).  This is the one module that picks between the fields,
+by the modulus p its callers pass, None over Q(q): kernel_basis and
+span_basis choose the engine, field_one is the unit, sp_apply applies
+a column map in the field of p, and MapImages turns column maps into
+int maps: over F_p the maps themselves, over Q(q) each entry's
+Kronecker image at q = 2**s, with s past a proved bound on every
+coefficient of a relation's difference; the bound reads the entries'
+int coefficients as they are, since the module audit refuses any other
+coefficient type.
+int_compose and int_combine compose and add int maps, reducing mod p
+over F_p, and return canonical entries, with no zero term and no
+empty column, so a relation among the maps holds exactly when its two
+sides' int maps compare == (the module audit, uqmod.audit_module).
 """
 
 from __future__ import annotations
@@ -836,28 +839,28 @@ class MapImages:
     that the composites reduce, and a scalar's image is its value at x.
     No pass over the entries is made.
 
-    Over Q(q) (p None) let lo be the lowest exponent of any entry, or 0
-    if that is higher, D the lcm of the coefficients' denominators,
-    lambda = D q**-lo and sigma = q**-min(lowest, 0).  A map's image is
-    lambda times the map, each entry, now in Z[q], read at q = 2**s, and
-    a scalar c standing in a term with `lacks` maps fewer than the
-    relation's products has the image sigma c lambda**lacks at 2**s
-    (scalar); unit is the image of sigma, the factor of a term with no
-    scalar.  A relation times sigma lambda**t, for t the number of maps
-    in its products, is so a relation between int maps, each entry of
-    its difference Delta a polynomial in Z[q] read at 2**s.
+    Over Q(q) (p None) the entries have int coefficients (the module
+    audit refuses any other).  Let lo be the lowest exponent of any
+    entry, or 0 if that is higher, and sigma = q**-min(lowest, 0).  A
+    map's image is q**-lo times the map, each entry, now in Z[q], read at
+    q = 2**s, and a scalar c standing in a term with `lacks` maps fewer
+    than the relation's products has the image sigma c q**(-lo*lacks) at
+    2**s (scalar); unit is the image of sigma, the factor of a term with
+    no scalar.  A relation times sigma q**(-lo*t), for t the number of
+    maps in its products, is so a relation between int maps, each entry
+    of its difference Delta a polynomial in Z[q] read at 2**s.
 
-    Bound.  Let N be the larger of D and the largest column 1-norm of an
-    image, the sum of |coefficients| over the entries of one column.  As
-    |f g|_1 <= |f|_1 |g|_1, a column of a product of t images has 1-norm
-    at most N**t, and so does each entry.  A term with scalar c and
-    `lacks` maps fewer has entries of 1-norm at most |c|_1 D**lacks
-    N**(t - lacks) <= |c|_1 N**depth (N >= 1).  So every coefficient of
-    Delta is at most weight * N**depth, below 2**s (_image_width), and
-    Delta(2**s) = 0 only when Delta = 0: the lowest nonzero coefficient
-    of Delta is not a multiple of 2**s (the argument of _annihilated).
-    A relation holds over Z[q, 1/q] exactly when its two int maps are
-    equal, since composites and sums drop zero entries and empty columns
+    Bound.  Let N be the largest column 1-norm of a map, the sum of
+    |coefficients| over the entries of one column, or 1 if that is
+    lower.  As |f g|_1 <= |f|_1 |g|_1, a column of a product of t images
+    has 1-norm at most N**t, and so does each entry.  A term with scalar
+    c and `lacks` maps fewer has entries of 1-norm at most |c|_1
+    N**(t - lacks) <= |c|_1 N**depth.  So every coefficient of Delta is
+    at most weight * N**depth, below 2**s (_image_width), and Delta(2**s)
+    = 0 only when Delta = 0: the lowest nonzero coefficient of Delta is
+    not a multiple of 2**s (the argument of _annihilated).  A relation
+    holds over Z[q, 1/q] exactly when its two int maps are equal, since
+    composites and sums drop zero entries and empty columns
     (int_compose, int_combine)."""
 
     def __init__(self, maps, p=None, x=None, lowest=0, weight=1, depth=1):
@@ -865,31 +868,16 @@ class MapImages:
         if p is not None:
             self.maps, self.unit = list(maps), 1
             return
-        lo, top, den, ints = 0, 0, 1, True
+        lo, top = 0, 1
         for op in maps:
             for col in op.values():
                 size = 0
                 for poly in col.values():
                     lo = min(lo, *poly)
-                    for v in poly.values():
-                        if type(v) is not int:
-                            ints = False
-                            den = lcm(den, v.denominator)
-                        size += abs(v)
+                    size += sum(map(abs, poly.values()))
                 top = max(top, size)
-        s = _image_width(max(int(top * den), den), weight, depth)
-        self.lo, self.den, self.s, self.shift = lo, den, s, -min(lowest, 0)
-        if not ints:
-            maps = [
-                {
-                    c: {
-                        r: {e: v.numerator * (den // v.denominator) for e, v in poly.items()}
-                        for r, poly in col.items()
-                    }
-                    for c, col in op.items()
-                }
-                for op in maps
-            ]
+        s = _image_width(top, weight, depth)
+        self.lo, self.s, self.shift = lo, s, -min(lowest, 0)
         self.maps = [
             {
                 c: {r: sum(v << s * (e - lo) for e, v in poly.items()) for r, poly in col.items()}
@@ -905,7 +893,7 @@ class MapImages:
         if self.p is not None:
             return leval_fp(c, self.x)
         s, base = self.s, self.shift - lacks * self.lo
-        return self.den**lacks * sum(v << s * (e + base) for e, v in c.items())
+        return sum(v << s * (e + base) for e, v in c.items())
 
 
 def int_compose(opa: dict, opb: dict, p=None) -> dict:

@@ -2,10 +2,12 @@
 
 A module stores, per Chevalley generator, the sparse column maps of E_i
 and F_i, plus the gl-weight of each basis vector.  The coefficients are
-Laurent polynomials over Q(q), and ints 0 < c < P over F_P for a
-specialized module (specialize_module).  K_mu never needs a matrix: it
-acts on a weight vector of weight w by q**(mu|w) with the standard dot
-pairing.
+Laurent polynomials with int coefficients, in Z[q, 1/q], over Q(q), and
+ints 0 < c < P over F_P for a specialized module (specialize_module).
+The audit refuses any other coefficient type with ValueError, so every
+module it passes can be computed on in both modes.  K_mu never needs a
+matrix: it acts on a weight vector of weight w by q**(mu|w) with the
+standard dot pairing.
 
 The comultiplication is Delta(E) = E ox 1 + K ox E and
 Delta(F) = F ox K^-1 + 1 ox F.  coproduct is its one implementation, on
@@ -110,7 +112,9 @@ class WeightModule:
 
 
 def audit_module(m: WeightModule) -> None:
-    """Check weight homogeneity, [E_i, F_j] = delta_ij [(alpha_i | w)] on
+    """Check that every coefficient is an int (a ValueError names the
+    module and the generator of one that is not, before any relation is
+    checked), weight homogeneity, [E_i, F_j] = delta_ij [(alpha_i | w)] on
     weight w, and the commuting and Serre relations, each written without
     a difference (E_i F_j = F_j E_i + ...), in the module's field, on int
     column maps (qarith.MapImages): over F_P the module's own ints, over
@@ -123,14 +127,17 @@ def audit_module(m: WeightModule) -> None:
     formed once per audit."""
     wts, p = m.weights, m.modulus
     for i, alpha in enumerate(m.alphas):
-        for op, sign in ((m.e_ops[i], 1), (m.f_ops[i], -1)):
+        for name, op, sign in (("E", m.e_ops[i], 1), ("F", m.f_ops[i], -1)):
             for c, col in op.items():
                 want = tuple(w + sign * a for w, a in zip(wts[c], alpha))
-                for r in col:
+                for r, v in col.items():
                     if wts[r] != want:
                         raise ModuleAuditError(
                             f"{m.kind}: generator {i} is not weight-homogeneous"
                         )
+                    for x in v.values() if p is None else (v,):
+                        if type(x) is not int:
+                            raise ValueError(f"{m.kind}: {name}_{i} has a non-int coefficient")
     n = m.ngen
     ks = [[pairing(alpha, w) for w in wts] for alpha in m.alphas]
     top = max((abs(k) for row in ks for k in row), default=0)

@@ -160,12 +160,11 @@ def _parsed(parse, argv):
 def test_a_command_parses_alone_as_under_the_full_parser():
     # run() parses a known command with that command's parser alone; it
     # must read every argv as the full parser's subparser does
-    assert list(cli._COMMANDS) == list(cli._HANDLERS)
     golden = json.loads(Path(__file__).with_name("golden_envelopes.json").read_text())
     argvs = [
         *(entry["argv"] for entry in golden),
         *USAGE_ERRORS,
-        *([name, "--help"] for name in cli._HANDLERS),
+        *([name, "--help"] for name in cli._COMMANDS),
     ]
     full = cli._build_parser().parse_args
     for argv in argvs:
@@ -185,13 +184,13 @@ def test_only_help_and_errors_build_the_full_parser(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
     assert _exit_code(["koszul-probe", "--l", "2", "--n", "4"]) == 0
     assert _exit_code(["sym-power", "--n", "3"]) == 1
-    for name in cli._HANDLERS:
+    for name in cli._COMMANDS:
         assert _exit_code([name, "--help"]) == 0
     assert built == []
     capsys.readouterr()
     assert _exit_code(["--help"]) == 0
     listing = capsys.readouterr().out
-    assert all(name in listing for name in cli._HANDLERS)
+    assert all(name in listing for name in cli._COMMANDS)
     assert _exit_code([]) == 1
     assert _exit_code(["no-such-command"]) == 1
     assert len(built) == 3
@@ -220,13 +219,16 @@ def test_importing_the_cli_builds_no_parser():
     assert out.stdout.split() == ["0", "1"]
 
 
+def _set_handler(monkeypatch, name, handler):
+    # command name's record with handler in place of its own
+    monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(handler=handler))
+
+
 def _stub_handlers(monkeypatch) -> list:
     # every handler records its command and computes nothing
     calls = []
-    for name in cli._HANDLERS:
-        monkeypatch.setitem(
-            cli._HANDLERS, name, lambda args: calls.append(args.command) or ({}, {}, [], None)
-        )
+    for name in cli._COMMANDS:
+        _set_handler(monkeypatch, name, lambda args: calls.append(args.command) or ({}, {}, [], None))
     return calls
 
 
@@ -517,7 +519,7 @@ def test_fractions_and_sets_in_a_payload_print_as_json(capsys, monkeypatch):
     def handler(args):
         return {"ratio": Fraction(3, 2), "weights": {2, 1}}, {"ok": "pass"}, [], None
 
-    monkeypatch.setitem(cli._HANDLERS, "valuation-cover", handler)
+    _set_handler(monkeypatch, "valuation-cover", handler)
     code = cli.run(["valuation-cover", "--l", "3"])
     out = capsys.readouterr().out
     env, end = json.JSONDecoder().raw_decode(out)
@@ -533,7 +535,7 @@ def test_a_payload_json_cannot_write_fails_the_run_with_one_envelope(capsys, mon
     def handler(args):
         return {"x": object()}, {"ok": "pass"}, [], None
 
-    monkeypatch.setitem(cli._HANDLERS, "valuation-cover", handler)
+    _set_handler(monkeypatch, "valuation-cover", handler)
     code = cli.run(["valuation-cover", "--l", "3"])
     out = capsys.readouterr().out
     env, end = json.JSONDecoder().raw_decode(out)
@@ -804,7 +806,7 @@ def test_unexpected_exception_is_an_internal_run_failure(capsys, monkeypatch):
     def boom(args):
         raise KeyError("forced")
 
-    monkeypatch.setitem(cli._HANDLERS, "koszul-probe", boom)
+    _set_handler(monkeypatch, "koszul-probe", boom)
     code = cli.run(["koszul-probe", "--l", "3", "--n", "4"])
     out = capsys.readouterr().out
     env, end = json.JSONDecoder().raw_decode(out)

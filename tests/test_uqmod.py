@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from braidpow import qarith, uqmod
+from braidpow.braided import power_dims
 from braidpow.gl3canon import dcb_module
-from braidpow.laurent import ONE, P, fp, lqint, lscale
+from braidpow.laurent import ONE, P, fp, lqint, lscale, lshift
 from braidpow.qarith import field_one, sp_apply
 from braidpow.uqmod import (
     IrrepMultiset,
@@ -54,15 +55,15 @@ def test_audit_rejects_wrong_coefficient():
         WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
 
 
-def test_audit_rejects_serre_violation():
-    # scale E_1 by 2: [E_1,F_1] breaks, and the audit checks it before the
+def test_audit_rejects_a_doubled_generator_by_its_commutator():
+    # scale E_0 by 2: [E_0, F_0] breaks, and the audit checks it before the
     # Serre relations.  No change of E on this module could reach them:
     # on the vector representation every term of a Serre relation moves
     # a weight e_j by 2 alpha_i + alpha_j, which is no weight of the
     # module, so each term is 0 for every weight-homogeneous E
     m = standard_gld(3)
     bad_e = [dict(op) for op in m.e_ops]
-    bad_e[0] = {1: {0: {0: Fraction(2)}}}
+    bad_e[0] = {1: {0: {0: 2}}}
     with pytest.raises(ModuleAuditError, match=r"\[E_0, F_0\] relation fails"):
         WeightModule(m.kind, m.alphas, m.blocks, m.weights, bad_e, m.f_ops)
 
@@ -76,24 +77,26 @@ def test_audit_rejects_an_action_off_its_weight():
         WeightModule(("bad",), v.alphas, v.blocks, v.weights, bad_e, v.f_ops)
 
 
-def _conjugated(op, scale):
-    # the column map op conjugated by the diagonal map scale, {index: factor}
+def _conjugated(op, powers):
+    # the column map op conjugated by the diagonal map that multiplies
+    # basis vector i by q**powers[i] (by 1 where i is not a key), a unit
+    # of Z[q, 1/q], so every entry keeps int coefficients
     return {
-        c: {r: lscale(v, Fraction(scale.get(r, 1), scale.get(c, 1))) for r, v in col.items()}
+        c: {r: lshift(v, powers.get(r, 0) - powers.get(c, 0)) for r, v in col.items()}
         for c, col in op.items()
     }
 
 
 def test_audit_rejects_a_broken_off_diagonal_commutator():
     # E_1 and F_1 of V ox V for the gl_3 vector module V, conjugated by
-    # the diagonal map that doubles x_1 ox x_3: [E_1, F_1] is conjugated
-    # with them and still holds, E_2 and F_2 are untouched, but E_1 no
-    # longer commutes with F_2 (their paths from x_2 ox x_2 to x_1 ox x_3
-    # now differ by the factor 2)
+    # the diagonal map that multiplies x_1 ox x_3 by q: [E_1, F_1] is
+    # conjugated with them and still holds, E_2 and F_2 are untouched,
+    # but E_1 no longer commutes with F_2 (their paths from x_2 ox x_2 to
+    # x_1 ox x_3 now differ by the factor q)
     t = tensor(standard_gld(3), standard_gld(3))
-    scale = {2: 2}
-    e_ops = [_conjugated(t.e_ops[0], scale), t.e_ops[1]]
-    f_ops = [_conjugated(t.f_ops[0], scale), t.f_ops[1]]
+    powers = {2: 1}
+    e_ops = [_conjugated(t.e_ops[0], powers), t.e_ops[1]]
+    f_ops = [_conjugated(t.f_ops[0], powers), t.f_ops[1]]
     with pytest.raises(ModuleAuditError, match=r"\[E_0, F_1\] relation fails"):
         WeightModule(("bad",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
 
@@ -119,15 +122,10 @@ def _verdict(audit, m):
 def _mutants(m):
     """m and changed copies of it: for the first and the last column of
     every E and F map, the entry at its first row with its top q-degree
-    coefficient raised by 1 (by 1 over F_P), scaled by 1/2 (by 2 over
-    F_P), and dropped."""
+    coefficient raised by 1 (by 1 over F_P), scaled by 2, and dropped."""
     yield m
     if m.modulus is None:
-        changes = (
-            lambda v: {**v, max(v): v[max(v)] + 1},
-            lambda v: lscale(v, Fraction(1, 2)),
-            None,
-        )
+        changes = (lambda v: {**v, max(v): v[max(v)] + 1}, lambda v: lscale(v, 2), None)
     else:
         changes = (lambda v: (v + 1) % P, lambda v: 2 * v % P, None)
     ops = [*m.e_ops, *m.f_ops]
@@ -229,25 +227,66 @@ def test_audit_rejects_a_change_of_the_top_coefficient_alone():
         WeightModule(("bad",), s.alphas, s.blocks, s.weights, s.e_ops, [f_op], q0=s.q0)
 
 
-def test_audit_reads_fraction_coefficients():
+def test_audit_passes_a_q_power_conjugation():
     # conjugating every map of V ox V, V the gl_3 vector module, by a
-    # diagonal map with factors 3 and 1/2 keeps every relation, with
-    # Fraction coefficients of denominators 2, 3 and 6; adding 1/3 to one
-    # coefficient of F_1 breaks [E_0, F_1], the first relation it enters,
-    # for both audits
+    # diagonal map with factors q, q^-1 and q^2 keeps every relation;
+    # adding 1 to one coefficient of F_1 breaks [E_0, F_1], the first
+    # relation it enters, for both audits
     t = tensor(standard_gld(3), standard_gld(3))
-    scale = {2: 3, 4: Fraction(1, 2), 7: 3}
-    e_ops = [_conjugated(op, scale) for op in t.e_ops]
-    f_ops = [_conjugated(op, scale) for op in t.f_ops]
+    powers = {2: 1, 4: -1, 7: 2}
+    e_ops = [_conjugated(op, powers) for op in t.e_ops]
+    f_ops = [_conjugated(op, powers) for op in t.f_ops]
+    assert e_ops != list(t.e_ops)
     WeightModule(("conjugated",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
     c, col = next(iter(f_ops[1].items()))
     r, v = next(iter(col.items()))
-    f_ops[1] = {**f_ops[1], c: {**col, r: {**v, 0: v.get(0, 0) + Fraction(1, 3)}}}
-    assert any(type(x) is Fraction and x.denominator > 1 for x in f_ops[1][c][r].values())
+    f_ops[1] = {**f_ops[1], c: {**col, r: {**v, 0: v.get(0, 0) + 1}}}
     with pytest.raises(ModuleAuditError, match=r"\[E_0, F_1\] relation fails"):
         WeightModule(("bad",), t.alphas, t.blocks, t.weights, e_ops, f_ops)
     bad = _unaudited(t, e_ops, f_ops)
     assert _verdict(oracles.audit_module, bad) == _verdict(uqmod.audit_module, bad)
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 5)])
+def test_audit_refuses_a_fraction_coefficient_before_any_relation(q0, monkeypatch):
+    # one Fraction coefficient, here one that also breaks [E_0, F_0], is
+    # a ValueError naming the module and the generator, raised before
+    # any relation is checked: no int map is built
+    v = simple_gl2(2, 0) if q0 is None else specialize_module(simple_gl2(2, 0), q0)
+    f_op = {c: dict(col) for c, col in v.f_ops[0].items()}
+    f_op[1] = {2: {0: Fraction(1, 3)} if q0 is None else Fraction(1, 3)}
+    monkeypatch.setattr(uqmod, "MapImages", None)
+    with pytest.raises(ValueError, match=r"^\('bad',\): F_0 has a non-int coefficient$"):
+        WeightModule(("bad",), v.alphas, v.blocks, v.weights, v.e_ops, [f_op], q0=q0)
+
+
+def test_audit_refuses_a_rational_conjugate_the_engine_cannot_compute():
+    # V_(3,0) conjugated by diag(1, 1/2, 3, 1) keeps every relation over
+    # Q(q), but its Fraction coefficients have no image in the int
+    # engine (the F_P screen and the packed rows take ints only), so the
+    # audit refuses it where it is built.  Its conjugate by q-powers
+    # keeps int coefficients, and is computed on like V_(3,0)
+    v = simple_gl2(3, 0)
+    scale = [Fraction(k) for k in (1, "1/2", 3, 1)]
+
+    def rational(op):
+        return {
+            c: {r: lscale(x, scale[r] / scale[c]) for r, x in col.items()}
+            for c, col in op.items()
+        }
+
+    with pytest.raises(ValueError, match=r"^\('probe',\): E_0 has a non-int coefficient$"):
+        WeightModule(
+            ("probe",), v.alphas, v.blocks, v.weights, [rational(v.e_ops[0])],
+            [rational(v.f_ops[0])],
+        )
+    powers = {1: -1, 2: 3}
+    m = WeightModule(
+        ("probe",), v.alphas, v.blocks, v.weights, [_conjugated(v.e_ops[0], powers)],
+        [_conjugated(v.f_ops[0], powers)],
+    )
+    assert decompose(m) == decompose(v)
+    assert power_dims(m, "sym", 2) == power_dims(v, "sym", 2)
 
 
 def test_a_width_below_the_bound_accepts_a_broken_module(monkeypatch):
